@@ -37,13 +37,14 @@ from .mechanism import (
     TentativeAssignment,
     compute_q,
     default_params,
+    draw_tables,
     halt_check,
     item_lottery,
     personal_cancel,
     realized_welfare,
     run,
+    survival_probability,
     tentative_draw,
-    vcg_payments,
 )
 from .valuations import (
     AdditiveValuation,

@@ -37,8 +37,10 @@ every bidder's expected utility.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -173,24 +175,48 @@ class Outcome:
             taken |= bundle.mask
 
 
-def tentative_draw(
-    solution: FractionalSolution, seed: int, *, arithmetic: str = EXACT
-) -> TentativeAssignment:
-    """Step 3: independent per-bidder draw from the solution's bundle law.
+def draw_tables(solution: FractionalSolution, arithmetic: str = EXACT) -> list:
+    """Step-3 draw tables: per bidder, (bundles, denominator, thresholds).
 
-    Bidder i's stream is derived as (seed, "tentative", i), so draws do not
-    interact across bidders or with later stages.
+    In exact mode the denominator is the lcm of the bidder's mass
+    denominators and the thresholds are the cumulative integer numerators
+    over it, so a uniform integer below the common denominator lands on
+    bundle S with probability exactly x[i,S] and past the last threshold
+    with exactly the residual mass. In float mode the denominator is None and
+    the thresholds are float cumulative sums. ``bundles`` ends with the empty
+    bundle, the residual atom.
     """
-    bundles = []
+    exact = arithmetic == EXACT
+    tables = []
     for i in range(solution.n):
         options = solution.bundles_of(i)
-        mass = sum((x for _, x in options), Fraction(0) if arithmetic == EXACT else 0.0)
-        if mass > (1 if arithmetic == EXACT else 1 + 1e-9):
+        masses = [x for _, x in options]
+        mass = sum(masses, Fraction(0) if exact else 0.0)
+        if mass > (1 if exact else 1 + 1e-9):
             raise InfeasibleSolutionError(f"bidder {i} bundle mass {mass} exceeds 1")
+        den = math.lcm(*(x.denominator for x in masses)) if exact else None
+        acc, thresholds = 0, []
+        for x in masses:
+            acc += x.numerator * (den // x.denominator) if exact else x
+            thresholds.append(acc)
+        tables.append(([b for b, _ in options] + [EMPTY_SET], den, thresholds))
+    return tables
+
+
+def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
+    """Step 3: independent per-bidder draw from the draw tables.
+
+    Bidder i draws one uniform integer below its common denominator (exact
+    mode) or one ``random()`` (float mode) from its own tentative-stage
+    stream, so draws do not interact across bidders or with later stages.
+    The bundle is the first whose threshold exceeds the draw.
+    """
+    bundles = []
+    for i, (options, den, thresholds) in enumerate(tables):
         r = rngmod.stream(seed, "tentative", i)
-        pick = rngmod.categorical(r, [x for _, x in options], arithmetic=arithmetic)
-        bundles.append(EMPTY_SET if pick is None else options[pick][0])
-    return TentativeAssignment(bundles=tuple(bundles), m=solution.m)
+        u = r.random() if den is None else r.randrange(den)
+        bundles.append(options[bisect_right(thresholds, u)])
+    return TentativeAssignment(bundles=tuple(bundles), m=m)
 
 
 def halt_check(t: TentativeAssignment, c: Fraction) -> bool:
@@ -280,16 +306,20 @@ def compute_q(
 def item_lottery(
     t: TentativeAssignment, c: Fraction, seed: int, *, arithmetic: str = EXACT
 ) -> tuple[ItemSet, ...]:
-    """Step 6: per item, one tentative holder receives it with probability c each.
+    """Step 6: per item, each tentative holder receives it with probability c.
 
     Requires every holder count to be at most 1/c (the halt check must have
-    passed), so the per-item lottery probabilities sum to at most 1. Items
-    use independent streams (seed, "lottery", j).
+    passed), so the per-item lottery probabilities sum to at most 1. Item j
+    draws from its own lottery-stage stream. In exact mode the draw is
+    a uniform integer u below 1/c and the u-th holder receives the item if
+    there is one, so each holder gets it with probability exactly c. In float
+    mode ``random()`` is compared with the running sums c, 2c, ...
     """
     c = Fraction(c)
     inv_c = c.denominator
+    # n running sums suffice: an item never has more than n holders
+    thresholds = None if arithmetic == EXACT else list(accumulate([float(c)] * len(t.bundles)))
     kept_masks = [0] * len(t.bundles)
-    prob = c if arithmetic == EXACT else float(c)
     for j in range(t.m):
         holders = t.holders(j)
         if not holders:
@@ -299,35 +329,41 @@ def item_lottery(
                 f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
             )
         r = rngmod.stream(seed, "lottery", j)
-        pick = rngmod.categorical(r, [prob] * len(holders), arithmetic=arithmetic)
-        if pick is not None:
-            kept_masks[holders[pick]] |= 1 << j
+        k = r.randrange(inv_c) if thresholds is None else bisect_right(thresholds, r.random())
+        if k < len(holders):
+            kept_masks[holders[k]] |= 1 << j
     return tuple(ItemSet(mask) for mask in kept_masks)
 
 
 def personal_cancel(
-    kept: Sequence[ItemSet],
-    q_values: Sequence,
-    p: Fraction,
-    seed: int,
-    *,
-    arithmetic: str = EXACT,
+    kept: Sequence[ItemSet], survival: Sequence, seed: int
 ) -> tuple[ItemSet, ...]:
-    """Step 7: bidder i keeps everything with probability p/(1 - q_i), else nothing."""
-    p = Fraction(p)
+    """Step 7: bidder i keeps everything with probability survival[i], else nothing.
+
+    A nonempty bundle draws from bidder i's cancel-stage stream. An exact
+    survival probability a/b keeps the bundle when a uniform integer below b
+    is less than a, which happens with probability exactly a/b; a float one
+    keeps it when ``random()`` is below it. An empty bundle draws no stream,
+    since both branches leave it empty.
+    """
     final = []
-    for i, bundle in enumerate(kept):
-        q = q_values[i]
-        keep_prob = _survival_probability(q, p, i, arithmetic=arithmetic)
-        r = rngmod.stream(seed, "cancel", i)
-        if rngmod.bernoulli(r, keep_prob, arithmetic=arithmetic):
-            final.append(bundle)
-        else:
+    for i, (bundle, keep) in enumerate(zip(kept, survival)):
+        if not bundle:
             final.append(EMPTY_SET)
+            continue
+        r = rngmod.stream(seed, "cancel", i)
+        if isinstance(keep, Fraction):
+            survives = keep == 1 if keep.denominator == 1 else (
+                r.randrange(keep.denominator) < keep.numerator
+            )
+        else:
+            survives = r.random() < keep
+        final.append(bundle if survives else EMPTY_SET)
     return tuple(final)
 
 
-def _survival_probability(q, p: Fraction, bidder: int, *, arithmetic: str = EXACT):
+def survival_probability(q, p: Fraction, bidder: int, arithmetic: str = EXACT):
+    """Step-7 keep probability p / (1 - q_i); raises ParameterError if q_i > 1 - p."""
     if arithmetic == EXACT:
         q = Fraction(q)
         if q > 1 - p:
@@ -342,7 +378,7 @@ def _survival_probability(q, p: Fraction, bidder: int, *, arithmetic: str = EXAC
 
 
 class Pipeline:
-    """Prepared mechanism state: proxies, LP solution, and a q cache.
+    """Prepared mechanism state: proxies, LP solution, and cached draw data.
 
     Preparing once and sampling many times keeps Monte Carlo replications
     cheap; the LP solve and the q values are deterministic functions of the
@@ -370,7 +406,7 @@ class Pipeline:
             solution = self._solve()
         self.solution = solution
         self._q_cache: dict[tuple[int, int], Fraction] = {}
-        self._draw_tables: Optional[list] = None
+        self._tables: Optional[list] = None
         self._survival_cache: dict = {}
 
     def _solve(self) -> FractionalSolution:
@@ -401,118 +437,36 @@ class Pipeline:
             )
         return got
 
-    def _tentative_tables(self) -> list:
-        """Per-bidder draw tables replicating tentative_draw's stream use exactly."""
-        if self._draw_tables is None:
-            exact = self.config.arithmetic == EXACT
-            tables = []
-            for i in range(self.instance.n):
-                options = self.solution.bundles_of(i)
-                bundles = [b for b, _ in options]
-                masses = [x for _, x in options]
-                total = sum(masses, Fraction(0) if exact else 0.0)
-                if total > (1 if exact else 1 + 1e-9):
-                    raise InfeasibleSolutionError(f"bidder {i} bundle mass {total} exceeds 1")
-                if exact:
-                    den = 1
-                    for x in masses:
-                        den = den * x.denominator // math.gcd(den, x.denominator)
-                    acc, cums = 0, []
-                    for x in masses:
-                        acc += x.numerator * (den // x.denominator)
-                        cums.append(acc)
-                    tables.append((bundles, den, cums, None))
-                else:
-                    acc, cums = 0.0, []
-                    for x in masses:
-                        acc += x
-                        cums.append(acc)
-                    tables.append((bundles, None, None, cums))
-            self._draw_tables = tables
-        return self._draw_tables
-
     def tentative_sample(self, seed: int) -> TentativeAssignment:
-        """Step-3 draw from cached tables; stream-identical to tentative_draw."""
-        exact = self.config.arithmetic == EXACT
-        bundles = []
-        for i, (opts, den, cums, fcums) in enumerate(self._tentative_tables()):
-            r = rngmod.stream(seed, "tentative", i)
-            pick = None
-            if exact:
-                u = r.randrange(den)
-                for k, threshold in enumerate(cums):
-                    if u < threshold:
-                        pick = k
-                        break
-            else:
-                u = r.random()
-                for k, threshold in enumerate(fcums):
-                    if u < threshold:
-                        pick = k
-                        break
-            bundles.append(EMPTY_SET if pick is None else opts[pick])
-        return TentativeAssignment(bundles=tuple(bundles), m=self.solution.m)
+        """Step 3 over the cached draw tables."""
+        if self._tables is None:
+            self._tables = draw_tables(self.solution, self.config.arithmetic)
+        return tentative_draw(self._tables, self.solution.m, seed)
 
-    def _survival_for(self, bidder: int, q) -> object:
+    def _survival_for(self, bidder: int, q):
         got = self._survival_cache.get(q)
         if got is None:
-            got = self._survival_cache[q] = _survival_probability(
-                q, self.config.p, bidder, arithmetic=self.config.arithmetic
+            got = self._survival_cache[q] = survival_probability(
+                q, self.config.p, bidder, self.config.arithmetic
             )
         return got
 
     def sample(self, seed: int) -> Outcome:
-        """One rounding pass; stream-for-stream identical to the stage functions."""
+        """One rounding pass: steps 3 to 7 with the cached tables and q values."""
         n = self.instance.n
-        exact = self.config.arithmetic == EXACT
-        empty = tuple(EMPTY_SET for _ in range(n))
         t = self.tentative_sample(seed)
         if halt_check(t, self.config.c):
+            empty = (EMPTY_SET,) * n
             return Outcome(halted=True, tentative=t.bundles, kept=empty, final=empty)
         q_values = tuple(self.q(i, t.bundles[i]) for i in range(n))
-
-        inv_c = self.config.inv_c
-        c_float = float(self.config.c)
-        kept_masks = [0] * n
-        for j in range(t.m):
-            holders = [i for i, b in enumerate(t.bundles) if j in b]
-            if not holders:
-                continue
-            r = rngmod.stream(seed, "lottery", j)
-            if exact:
-                u = r.randrange(inv_c)
-                if u < len(holders):
-                    kept_masks[holders[u]] |= 1 << j
-            else:
-                u, acc = r.random(), 0.0
-                for k in range(len(holders)):
-                    acc += c_float
-                    if u < acc:
-                        kept_masks[holders[k]] |= 1 << j
-                        break
-
-        final = []
-        for i in range(n):
-            # the feasibility bound q_i <= 1 - p applies to every bidder
-            keep = self._survival_for(i, q_values[i])
-            mask = kept_masks[i]
-            if mask == 0:
-                # both cancel branches leave an empty bundle empty
-                final.append(EMPTY_SET)
-                continue
-            r = rngmod.stream(seed, "cancel", i)
-            if exact:
-                kept_it = keep == 1 if keep.denominator == 1 else (
-                    r.randrange(keep.denominator) < keep.numerator
-                )
-            else:
-                kept_it = r.random() < keep
-            final.append(ItemSet(mask) if kept_it else EMPTY_SET)
+        kept = item_lottery(t, self.config.c, seed, arithmetic=self.config.arithmetic)
+        # the feasibility bound q_i <= 1 - p applies to every bidder
+        survival = [self._survival_for(i, q) for i, q in enumerate(q_values)]
         return Outcome(
             halted=False,
             tentative=t.bundles,
-            kept=tuple(ItemSet(mask) for mask in kept_masks),
-            final=tuple(final),
+            kept=kept,
+            final=personal_cancel(kept, survival, seed),
             q_values=q_values,
         )
 
@@ -561,16 +515,6 @@ def run(
     if with_payments:
         outcome = replace(outcome, payments=pipeline.payments())
     return outcome
-
-
-def vcg_payments(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-) -> tuple[Fraction, ...]:
-    """Per-bidder expected charges for the configured mechanism."""
-    return Pipeline(instance, config, solution=solution).payments()
 
 
 def realized_welfare(instance: Instance, outcome: Outcome):

@@ -1,22 +1,15 @@
-"""Seedable, splittable randomness with exact rational sampling.
+"""Seed-derived per-stage random streams.
 
 Every random decision in the pipeline draws from its own stream, derived by
 hashing the master seed together with a (stage, index) label. Adding new
 instrumentation or reordering independent draws therefore never perturbs the
 outcome of existing stages.
-
-In exact mode, Bernoulli and categorical draws are performed by sampling a
-uniform integer below the probabilities' common denominator, so each event
-occurs with exactly its stated rational probability.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
 
 SEED_BITS = 64
 
@@ -31,45 +24,3 @@ def derive_seed(seed: int, *labels) -> int:
 def stream(seed: int, *labels) -> random.Random:
     """Independent generator for one labeled decision site."""
     return random.Random(derive_seed(seed, *labels))
-
-
-def bernoulli(rng: random.Random, prob, *, arithmetic: str = "exact") -> bool:
-    """True with probability exactly ``prob`` (exact mode) or approximately (float)."""
-    if arithmetic == "exact":
-        prob = Fraction(prob)
-        if not 0 <= prob <= 1:
-            raise ValueError(f"probability {prob} outside [0, 1]")
-        if prob.denominator == 1:
-            return prob == 1
-        return rng.randrange(prob.denominator) < prob.numerator
-    return rng.random() < prob
-
-
-def categorical(
-    rng: random.Random, probs: Sequence, *, arithmetic: str = "exact"
-) -> Optional[int]:
-    """Index drawn with the given probabilities; None for the residual mass.
-
-    ``probs`` may sum to less than one; the leftover probability maps to
-    None. Exact mode draws a uniform integer below the lcm of denominators,
-    so every atom (including the residual) has exactly its stated mass.
-    """
-    if arithmetic == "exact":
-        fracs = [Fraction(p) for p in probs]
-        if any(p < 0 for p in fracs) or sum(fracs) > 1:
-            raise ValueError("probabilities must be nonnegative and sum to at most 1")
-        den = lcm(*(p.denominator for p in fracs)) if fracs else 1
-        r = rng.randrange(den)
-        acc = 0
-        for k, p in enumerate(fracs):
-            acc += p.numerator * (den // p.denominator)
-            if r < acc:
-                return k
-        return None
-    r = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return k
-    return None

@@ -44,9 +44,9 @@ from .mechanism import (
     Q_HALT,
     MechanismConfig,
     Pipeline,
-    _survival_probability,
-    halt_check,
     TentativeAssignment,
+    halt_check,
+    survival_probability,
 )
 from .valuations import (
     AdditiveValuation,
@@ -149,7 +149,7 @@ def exact_distribution(
         got = survival_cache.get(key)
         if got is None:
             q = pipeline.q(i, bundle)
-            got = survival_cache[key] = _survival_probability(q, p, i)
+            got = survival_cache[key] = survival_probability(q, p, i)
         return got
 
     atoms: list[AtomRecord] = []

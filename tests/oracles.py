@@ -5,8 +5,15 @@ the package's own code paths, so a test comparing the two is a genuine
 dual-route check.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from typing import Optional, Sequence
+
+from proxyauction.itemsets import EMPTY_SET, ItemSet
+from proxyauction.mechanism import Outcome
+from proxyauction.rng import stream
 
 
 def subsets(mask: int):
@@ -69,4 +76,99 @@ def additive_lp_optimum(weight_rows) -> Fraction:
     m = len(weight_rows[0])
     return sum(
         (max(Fraction(row[j]) for row in weight_rows) for j in range(m)), Fraction(0)
+    )
+
+
+def bernoulli(rng: random.Random, prob, *, arithmetic: str = "exact") -> bool:
+    """True with probability exactly ``prob`` (exact mode) or approximately (float)."""
+    if arithmetic == "exact":
+        prob = Fraction(prob)
+        if not 0 <= prob <= 1:
+            raise ValueError(f"probability {prob} outside [0, 1]")
+        if prob.denominator == 1:
+            return prob == 1
+        return rng.randrange(prob.denominator) < prob.numerator
+    return rng.random() < prob
+
+
+def categorical(
+    rng: random.Random, probs: Sequence, *, arithmetic: str = "exact"
+) -> Optional[int]:
+    """Index drawn with the given probabilities; None for the residual mass.
+
+    ``probs`` may sum to less than one; the leftover probability maps to
+    None. Exact mode draws a uniform integer below the lcm of denominators,
+    so every atom (including the residual) has exactly its stated mass.
+    """
+    if arithmetic == "exact":
+        fracs = [Fraction(p) for p in probs]
+        if any(p < 0 for p in fracs) or sum(fracs) > 1:
+            raise ValueError("probabilities must be nonnegative and sum to at most 1")
+        den = lcm(*(p.denominator for p in fracs)) if fracs else 1
+        r = rng.randrange(den)
+        acc = 0
+        for k, p in enumerate(fracs):
+            acc += p.numerator * (den // p.denominator)
+            if r < acc:
+                return k
+        return None
+    r = rng.random()
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if r < acc:
+            return k
+    return None
+
+
+def sample_by_definition(pipeline, seed: int) -> Outcome:
+    """One rounding pass (steps 3-7) composed straight from the definitions.
+
+    Every decision draws from its own (seed, stage, index) stream: bidder i's
+    tentative bundle from (seed, "tentative", i), item j's lottery from
+    (seed, "lottery", j), bidder i's survival from (seed, "cancel", i). The
+    halt test counts holders here rather than calling the package's
+    predicate. Only the LP solution and the q values come from ``pipeline``.
+    """
+    sol, config = pipeline.solution, pipeline.config
+    arithmetic = config.arithmetic
+    exact = arithmetic == "exact"
+    n, m = sol.n, sol.m
+
+    tentative = []
+    for i in range(n):
+        options = sol.bundles_of(i)
+        pick = categorical(
+            stream(seed, "tentative", i), [x for _, x in options], arithmetic=arithmetic
+        )
+        tentative.append(EMPTY_SET if pick is None else options[pick][0])
+    tentative = tuple(tentative)
+
+    holders = [[i for i in range(n) if (tentative[i].mask >> j) & 1] for j in range(m)]
+    if any(len(h) > config.c.denominator for h in holders):
+        empty = (EMPTY_SET,) * n
+        return Outcome(halted=True, tentative=tentative, kept=empty, final=empty)
+    q_values = tuple(pipeline.q(i, tentative[i]) for i in range(n))
+
+    prob = config.c if exact else float(config.c)
+    kept = [0] * n
+    for j, who in enumerate(holders):
+        if who:
+            pick = categorical(
+                stream(seed, "lottery", j), [prob] * len(who), arithmetic=arithmetic
+            )
+            if pick is not None:
+                kept[who[pick]] |= 1 << j
+
+    final = []
+    for i, q in enumerate(q_values):
+        survival = config.p / (1 - q) if exact else float(config.p) / (1.0 - q)
+        survives = bernoulli(stream(seed, "cancel", i), survival, arithmetic=arithmetic)
+        final.append(ItemSet(kept[i]) if survives else EMPTY_SET)
+    return Outcome(
+        halted=False,
+        tentative=tentative,
+        kept=tuple(ItemSet(mask) for mask in kept),
+        final=tuple(final),
+        q_values=q_values,
     )

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from oracles import sample_by_definition
 
 from proxyauction.errors import ContractViolationError, ParameterError
 from proxyauction.generators import overlap_demo
@@ -16,15 +19,17 @@ from proxyauction.mechanism import (
     TentativeAssignment,
     compute_q,
     default_params,
+    draw_tables,
     halt_check,
     item_lottery,
     personal_cancel,
     realized_welfare,
     run,
+    survival_probability,
     tentative_draw,
-    vcg_payments,
 )
 from proxyauction.rng import derive_seed
+from proxyauction.serialize import config_from_dict, load_instance, load_json
 from proxyauction.valuations import AdditiveValuation, Instance, UnitDemandValuation
 
 
@@ -70,19 +75,20 @@ def test_config_validation():
 def test_tentative_draw_deterministic_mass_one():
     sol = one_bidder_solution(1)
     for seed in range(25):
-        assert tentative_draw(sol, seed).bundles == (ItemSet(1),)
+        assert tentative_draw(draw_tables(sol), sol.m, seed).bundles == (ItemSet(1),)
 
 
 def test_tentative_draw_empty_solution():
     sol = FractionalSolution(n=3, m=2, entries={}, objective=F(0))
-    assert tentative_draw(sol, 7).bundles == (EMPTY_SET,) * 3
+    assert tentative_draw(draw_tables(sol), sol.m, 7).bundles == (EMPTY_SET,) * 3
 
 
 def test_tentative_draw_frequency():
     sol = one_bidder_solution(F(1, 2))
+    tables = draw_tables(sol)
     trials = 10_000
     hits = sum(
-        tentative_draw(sol, derive_seed(3, "t", k)).bundles[0] == ItemSet(1)
+        tentative_draw(tables, sol.m, derive_seed(3, "t", k)).bundles[0] == ItemSet(1)
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
@@ -96,7 +102,7 @@ def test_tentative_draw_rejects_overweight_bidder():
         objective=F(0),
     )
     with pytest.raises(InfeasibleSolutionError):
-        tentative_draw(sol, 0)
+        draw_tables(sol)
 
 
 # -- halt check ----------------------------------------------------------------
@@ -233,22 +239,25 @@ def test_q_bound_under_default_parameters():
 
 def test_cancel_keep_probability_exact_cases():
     kept = (ItemSet(1),)
+    survival = [survival_probability(F(0), F(1, 20), 0)]
     trials = 10_000
     hits = sum(
-        bool(personal_cancel(kept, [F(0)], F(1, 20), derive_seed(2, "c", k))[0])
+        bool(personal_cancel(kept, survival, derive_seed(2, "c", k))[0])
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 20), trials)
     # q = 1 - p keeps with probability one
+    survival = [survival_probability(F(19, 20), F(1, 20), 0)]
     for seed in range(30):
-        assert personal_cancel(kept, [F(19, 20)], F(1, 20), seed)[0] == ItemSet(1)
+        assert personal_cancel(kept, survival, seed)[0] == ItemSet(1)
 
 
 def test_cancel_half_when_q_half_p_quarter():
     kept = (ItemSet(1),)
+    survival = [survival_probability(F(1, 2), F(1, 4), 0)]
     trials = 10_000
     hits = sum(
-        bool(personal_cancel(kept, [F(1, 2)], F(1, 4), derive_seed(4, "c", k))[0])
+        bool(personal_cancel(kept, survival, derive_seed(4, "c", k))[0])
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
@@ -256,7 +265,7 @@ def test_cancel_half_when_q_half_p_quarter():
 
 def test_cancel_rejects_infeasible_q():
     with pytest.raises(ParameterError) as err:
-        personal_cancel((ItemSet(1),), [F(1, 2)], F(9, 10), 0)
+        survival_probability(F(1, 2), F(9, 10), 0)
     assert "q_i" in str(err.value)
 
 
@@ -308,6 +317,25 @@ def test_run_monte_carlo_tracks_exact_expectation():
     assert abs(float(mean - target)) <= 3 * math.sqrt(float(var) / trials)
 
 
+def test_sample_matches_definition_on_both_corpora():
+    # Pipeline.sample against the step-3..7 definitions, seed for seed, in both
+    # arithmetic modes; the contended instances make some outcomes halt
+    corpus_root = Path(__file__).parent.parent / "corpus"
+    halts = 0
+    for name in ("standard", "truthfulness"):
+        for entry in load_json(corpus_root / name / "manifest.json")["instances"]:
+            instance = load_instance(corpus_root / name / entry["file"])
+            config = config_from_dict(entry["config"])
+            for arithmetic in ("exact", "float"):
+                pipe = Pipeline(instance, replace(config, arithmetic=arithmetic))
+                for k in range(200):
+                    seed = derive_seed(config.seed, "equivalence", k)
+                    out = pipe.sample(seed)
+                    assert out == sample_by_definition(pipe, seed), (entry["file"], arithmetic, k)
+                    halts += out.halted
+    assert halts > 0
+
+
 def test_outcome_invariants_on_samples(corpus):
     item = corpus[22]
     pipe = Pipeline(item.instance, item.config)
@@ -340,13 +368,13 @@ def test_outcome_rejects_overlapping_finals():
 def test_single_bidder_pays_nothing():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    assert vcg_payments(inst, config) == (F(0),)
+    assert Pipeline(inst, config).payments() == (F(0),)
 
 
 def test_disjoint_additive_bidders_pay_nothing():
     inst = Instance(2, (AdditiveValuation([3, 0]), AdditiveValuation([0, 5])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    assert vcg_payments(inst, config) == (F(0), F(0))
+    assert Pipeline(inst, config).payments() == (F(0), F(0))
 
 
 def test_identical_unit_demand_bidders_single_item():
@@ -363,7 +391,7 @@ def test_contested_additive_charges_frozen():
     # opt without 0 = (1+5)/2 = 3, others' share = 5/2 -> charge p/2
     inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 4), seed=99)
-    assert vcg_payments(inst, config) == (F(1, 8), F(1, 8))
+    assert Pipeline(inst, config).payments() == (F(1, 8), F(1, 8))
 
 
 def test_float_mode_run_is_deterministic():
@@ -379,7 +407,7 @@ def test_payments_require_exact_mode():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20), arithmetic="float")
     with pytest.raises(ParameterError):
-        vcg_payments(inst, config)
+        Pipeline(inst, config).payments()
 
 
 def test_payments_nonnegative_and_bounded(corpus):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from proxyauction.rng import bernoulli, categorical, derive_seed, stream
+from oracles import bernoulli, categorical
+from proxyauction.rng import derive_seed, stream
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():
