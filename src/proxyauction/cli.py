@@ -5,13 +5,14 @@ wall-clock data, so identical flags and seed produce byte-identical output;
 pass --timings to print stage durations to stderr instead. The bench command
 is the exception: measuring time is its purpose, and its report says so.
 
-Exit status: 0 on success, 1 when verify finds a failed asserted check,
-2 on usage or input errors.
+Exit status: 0 on success, 1 when verify finds a failed asserted check or
+bench finds solvers disagreeing, 2 on usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -318,23 +319,33 @@ def cmd_run(args) -> int:
 
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
     atom_cap = caps.get("atoms", ATOM_CAP)
+
+    # one mechanism and one outcome law per (instance, config), built on first use
+    @functools.cache
+    def pipeline() -> Pipeline:
+        return Pipeline(instance, config, atom_cap=atom_cap)
+
+    @functools.cache
+    def law() -> ver.OutcomeDistribution:
+        return ver.exact_distribution(instance, config, pipeline=pipeline())
+
     results = []
     for name in checks:
         if name == "welfare":
-            res = ver.check_welfare_identity(instance, config, atom_cap=atom_cap)
+            res = ver.check_welfare_identity(instance, config, law=law())
             asserted = True
         elif name == "marginals":
-            res = ver.check_keep_marginals(instance, config, atom_cap=atom_cap)
+            res = ver.check_keep_marginals(instance, config, law=law())
             asserted = True
         elif name == "approximation":
             res = ver.check_approximation(
-                instance, config, cap=caps.get("integral", INTEGRAL_CAP), atom_cap=atom_cap
+                instance, config, cap=caps.get("integral", INTEGRAL_CAP), law=law()
             )
             asserted = True
         elif name == "proxy-bound":
             res, asserted = ver.check_proxy_bound(instance), True
         elif name == "lp":
-            res, asserted = ver.check_lp_agreement(instance, config), True
+            res, asserted = ver.check_lp_agreement(instance, config, pipeline=pipeline()), True
         elif name == "halt-freq":
             res, asserted = ver.check_halt_frequency(instance, config, trials), True
         elif name == "monte-carlo":
@@ -403,8 +414,9 @@ def cmd_verify(args) -> int:
     caps = _parse_caps(args.caps)
     payloads = [(path, cfg, checks, args.trials, overrides, caps) for path, cfg in targets]
     started = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             collected = list(pool.map(_verify_worker, payloads))
     else:
         collected = [_verify_worker(p) for p in payloads]
@@ -435,7 +447,9 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.m_list.split(",")]
-    rows = [["m", "columns", "exact-full s", "exact-colgen s", "float-full s", "objectives"]]
+    rows = [
+        ["m", "columns", "exact-full s", "pivots", "exact-colgen s", "float-full s", "objectives"]
+    ]
     records = []
     for m in sizes:
         instance = generate(args.kind, args.n, m, args.seed)
@@ -465,6 +479,7 @@ def cmd_bench(args) -> int:
                 str(m),
                 str(len(lp.columns)),
                 f"{t_exact:.4f}",
+                str(sol_exact.pivots),
                 f"{t_colgen:.4f}",
                 f"{t_float:.4f}",
                 "agree" if agree else "MISMATCH",
@@ -475,6 +490,7 @@ def cmd_bench(args) -> int:
                 "m": m,
                 "columns": len(lp.columns),
                 "exact_full_seconds": t_exact,
+                "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,
                 "float_full_seconds": t_float,
                 "objective": str(sol_exact.objective),
@@ -491,7 +507,7 @@ def cmd_bench(args) -> int:
         "rows": records,
     }
     _emit(args, report, _table(rows))
-    return 0
+    return 0 if all(r["objectives_agree"] for r in records) else 1
 
 
 # -- entry -------------------------------------------------------------------

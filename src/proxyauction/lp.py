@@ -77,12 +77,6 @@ class ConfigLP:
             tuple(sorted(self.columns, key=lambda c: (c.bidder, c.bundle.lex_key()))),
         )
 
-    def coefficient(self, bidder: int, bundle: ItemSet) -> Optional[Fraction]:
-        for col in self.columns:
-            if col.bidder == bidder and col.bundle == bundle:
-                return col.coef
-        return None
-
     def zero_bidder(self, bidder: int) -> "ConfigLP":
         """Same feasible region with one bidder's objective contribution removed."""
         return ConfigLP(
@@ -106,6 +100,8 @@ class FractionalSolution:
     item_duals: Optional[tuple] = None
     bidder_duals: Optional[tuple] = None
     arithmetic: str = EXACT
+    # simplex pivots spent finding this point: a work counter, not part of it
+    pivots: int = field(default=0, compare=False)
 
     def support(self) -> list:
         """Sorted (bidder, bundle, x) triples with positive mass."""
@@ -216,6 +212,7 @@ def solve_exact(lp: ConfigLP, *, arithmetic: str = EXACT) -> FractionalSolution:
         item_duals=tuple(res.duals[lp.n :]),
         bidder_duals=tuple(res.duals[: lp.n]),
         arithmetic=arithmetic,
+        pivots=res.pivots,
     )
     if arithmetic == EXACT:
         certify_optimal(lp, sol)
@@ -291,7 +288,7 @@ def solve_column_generation(
             master.append(Column(bidder, bundle, oracles[bidder].value(bundle)))
             have.add((bidder, bundle.mask))
 
-    rounds = 0
+    rounds = pivots = 0
     while True:
         rounds += 1
         if rounds > max_rounds:
@@ -300,6 +297,7 @@ def solve_column_generation(
             raise IterationLimitError(rounds, len(master), res.objective)
         lp = ConfigLP(n, m, tuple(master))
         res = _solve_columns(lp.columns, n, m, arithmetic)
+        pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
         added = False
@@ -326,6 +324,7 @@ def solve_column_generation(
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),
                 arithmetic=arithmetic,
+                pivots=pivots,
             )
 
 

@@ -1,10 +1,27 @@
-"""Dense tableau simplex for max c.x s.t. Ax <= b, x >= 0 with b >= 0.
+"""Fraction-free revised simplex for max c.x s.t. Ax <= b, x >= 0 with b >= 0.
 
-Works over any field-like numeric type: exact ``Fraction`` entries with a zero
-tolerance, or floats with a small positive tolerance. Pivoting follows Bland's
-rule (entering: lowest-index improving column; leaving: minimum ratio, ties to
-the lowest-index basic variable), which prevents cycling in exact arithmetic
-and makes the returned vertex a deterministic function of the input ordering.
+The basis inverse is kept as an integer matrix ``M`` over one positive common
+denominator ``d`` (B^-1 = M / d, where d is the determinant of the basis).
+A pivot on row p with entering column alpha = M A_e updates it by Bareiss's
+integer-preserving rule (Bareiss 1968)
+
+    M'_r = (alpha_p * M_r - alpha_r * M_p) // d,    M'_p = M_p,    d' = alpha_p,
+
+where every division is exact. Exact mode (a zero int or Fraction tolerance,
+int or Fraction entries) first scales the objective and each row of [A | b]
+to integers. Positive scalings change no reduced-cost sign and no ratio-test
+order, so the pivots are the ones an exact dense tableau would make. Any
+other tolerance runs the same routine with true division in place of ``//``
+(floats, with the tolerance scaled by d).
+
+Pivoting follows Bland's rule (Bland 1977): the entering column is the
+lowest-index column with positive reduced cost (structural columns first,
+then slacks), found by pricing columns in index order against the dual
+numerators ``Y = c_B M`` and stopping at the first improving one; the leaving
+row has the minimum ratio, ties to the lowest-index basic variable. This
+prevents cycling in exact arithmetic and makes the returned vertex, duals and
+pivot count a deterministic function of the input ordering, identical to the
+dense Bland tableau's.
 
 The right-hand side must be nonnegative so the all-slack basis is feasible;
 the configuration LP always satisfies this (every constraint bound is 1).
@@ -14,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import floordiv, mul, truediv
 from typing import Optional, Sequence
 
 from .errors import IterationLimitError
@@ -26,6 +45,11 @@ class SimplexResult:
     duals: list
     basis: list
     pivots: int
+
+
+def _scaled(value, scale: int) -> int:
+    """``value * scale`` for an int or Fraction whose denominator divides ``scale``."""
+    return value.numerator * (scale // value.denominator)
 
 
 def solve_canonical_max(
@@ -51,76 +75,95 @@ def solve_canonical_max(
     if any(b < zero for b in rhs):
         raise ValueError("canonical form requires a nonnegative right-hand side")
 
-    # Tableau rows over structural columns + slack columns, plus rhs.
-    rows = []
-    for r in range(n_rows):
-        row = [columns[j][r] for j in range(n_cols)]
-        row.extend(zero + 1 if s == r else zero for s in range(n_rows))
-        row.append(rhs[r] + zero)
-        rows.append(row)
-    cost = [objective[j] + zero for j in range(n_cols)]
-    cost.extend(zero for _ in range(n_rows))
+    exact = tol == 0 and not isinstance(tol, float)
+    # sparse columns: (row, entry) pairs over the nonzero entries
+    sparse = [[(r, a) for r, a in enumerate(col) if a] for col in columns]
+    if exact:
+        row_scale = [v.denominator for v in rhs]
+        for col in sparse:
+            for r, a in col:
+                row_scale[r] = lcm(row_scale[r], a.denominator)
+        b = [_scaled(v, s) for v, s in zip(rhs, row_scale)]
+        sparse = [[(r, _scaled(a, row_scale[r])) for r, a in col] for col in sparse]
+        obj_scale = lcm(*(c.denominator for c in objective))
+        cost = [_scaled(c, obj_scale) for c in objective]
+        div, value = floordiv, Fraction
+    else:
+        b, cost = list(rhs), list(objective)
+        row_scale, obj_scale = [1] * n_rows, 1
+        div, value = truediv, truediv
+    cols = [([r for r, _ in col], [a for _, a in col]) for col in sparse]
 
+    d = 1
+    M = [[1 if k == r else 0 for k in range(n_rows)] for r in range(n_rows)]
+    beta = list(b)  # d * B^-1 b: the basic values over d
+    Y = [0] * n_rows  # c_B M: the scaled duals over d
     basis = [n_cols + r for r in range(n_rows)]
-    total = n_cols + n_rows
-    value = zero
     pivots = 0
 
+    def current_objective():
+        return value(sum(map(mul, Y, b)), d * obj_scale)
+
     while True:
+        eps = 0 if exact else tol * d
+        dual = Y.__getitem__
         entering = -1
-        for j in range(total):
-            if cost[j] > tol:
+        for j, (support, entries) in enumerate(cols):
+            gain = cost[j] * d - sum(map(mul, entries, map(dual, support)))
+            if gain > eps:
                 entering = j
                 break
+        else:
+            for r, y in enumerate(Y):
+                if -y > eps:
+                    entering, gain = n_cols + r, -y
+                    break
         if entering < 0:
             break
 
-        leaving_row = -1
-        best_ratio = None
-        for r in range(n_rows):
-            a = rows[r][entering]
-            if a > tol:
-                ratio = rows[r][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
-                    leaving_row = r
-        if leaving_row < 0:
+        if entering < n_cols:
+            support, entries = cols[entering]
+            alpha = [sum(map(mul, entries, map(row.__getitem__, support))) for row in M]
+        else:
+            alpha = [row[entering - n_cols] for row in M]
+
+        leaving = -1
+        for r, a in enumerate(alpha):
+            if a > eps and (
+                leaving < 0
+                or beta[r] * alpha[leaving] < beta[leaving] * a
+                or (
+                    beta[r] * alpha[leaving] == beta[leaving] * a
+                    and basis[r] < basis[leaving]
+                )
+            ):
+                leaving = r
+        if leaving < 0:
             # Unreachable for the configuration LP: bidder constraints bound
             # every structural variable and slacks never improve the cost.
             raise ValueError("LP is unbounded")
 
         pivots += 1
         if max_pivots is not None and pivots > max_pivots:
-            raise IterationLimitError(pivots, n_cols, value)
+            raise IterationLimitError(pivots, n_cols, current_objective())
 
-        piv_row = rows[leaving_row]
-        piv = piv_row[entering]
-        inv = 1 / piv
-        for j in range(total + 1):
-            piv_row[j] *= inv
+        piv = alpha[leaving]
+        piv_row, piv_beta = M[leaving], beta[leaving]
         for r in range(n_rows):
-            if r == leaving_row:
-                continue
-            factor = rows[r][entering]
-            if factor == zero:
-                continue
-            row = rows[r]
-            for j in range(total + 1):
-                row[j] -= factor * piv_row[j]
-        factor = cost[entering]
-        if factor != zero:
-            for j in range(total):
-                cost[j] -= factor * piv_row[j]
-            value += factor * piv_row[-1]
-        basis[leaving_row] = entering
+            if r != leaving:
+                a = alpha[r]
+                M[r] = [div(piv * u - a * v, d) for u, v in zip(M[r], piv_row)]
+                beta[r] = div(piv * beta[r] - a * piv_beta, d)
+        # the objective row is one more row of the update, with entry -gain
+        Y = [div(piv * y + gain * v, d) for y, v in zip(Y, piv_row)]
+        d = piv
+        basis[leaving] = entering
 
     x = [zero for _ in range(n_cols)]
-    for r, b in enumerate(basis):
-        if b < n_cols:
-            x[b] = rows[r][-1]
-    duals = [zero - cost[n_cols + r] for r in range(n_rows)]
-    return SimplexResult(x=x, objective=value, duals=duals, basis=list(basis), pivots=pivots)
+    for r, j in enumerate(basis):
+        if j < n_cols:
+            x[j] = value(beta[r], d)
+    duals = [value(y * s, d * obj_scale) for y, s in zip(Y, row_scale)]
+    return SimplexResult(
+        x=x, objective=current_objective(), duals=duals, basis=list(basis), pivots=pivots
+    )

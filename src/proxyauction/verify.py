@@ -38,10 +38,11 @@ from typing import Iterable, Optional, Sequence
 from . import rng as rngmod
 from .errors import CapacityError, ParameterError
 from .itemsets import EMPTY_SET, ItemSet
-from .lp import EXACT, ConfigLP, FractionalSolution, build_full_lp, solve_column_generation, solve_exact
+from .lp import EXACT, ConfigLP, FractionalSolution, solve_column_generation, solve_exact
 from .mechanism import (
     ATOM_CAP,
     Q_HALT,
+    SOLVER_FULL,
     MechanismConfig,
     Pipeline,
     TentativeAssignment,
@@ -215,13 +216,17 @@ def check_welfare_identity(
     *,
     solution: Optional[FractionalSolution] = None,
     atom_cap: int = ATOM_CAP,
+    law: Optional[OutcomeDistribution] = None,
 ) -> CheckResult:
     """Expected welfare == p * LP objective (exact) under the halt variant.
 
     Under "own-items" the shortfall p * objective - welfare is reported
-    without asserting equality.
+    without asserting equality. ``law`` is an ``exact_distribution`` result
+    for (instance, config) to reuse instead of enumerating the law again.
     """
-    dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
+    dist = law
+    if dist is None:
+        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
     target = config.p * dist.objective
     gap = target - dist.expected_welfare
     details = {
@@ -241,13 +246,17 @@ def check_keep_marginals(
     *,
     solution: Optional[FractionalSolution] = None,
     atom_cap: int = ATOM_CAP,
+    law: Optional[OutcomeDistribution] = None,
 ) -> CheckResult:
     """Each support entry's survival marginal equals p * x[i,S] exactly.
 
     Under "own-items" the per-entry deficits are reported instead of
-    asserted; they are always nonnegative.
+    asserted; they are always nonnegative. ``law`` is reused as in
+    ``check_welfare_identity``.
     """
-    dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
+    dist = law
+    if dist is None:
+        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
     deficits = []
     for e in dist.entries:
         want = config.p * e.x
@@ -308,9 +317,15 @@ def check_approximation(
     solution: Optional[FractionalSolution] = None,
     cap: int = INTEGRAL_CAP,
     atom_cap: int = ATOM_CAP,
+    law: Optional[OutcomeDistribution] = None,
 ) -> CheckResult:
-    """Expected welfare >= c * p * (optimal integral welfare), exactly."""
-    dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
+    """Expected welfare >= c * p * (optimal integral welfare), exactly.
+
+    ``law`` is reused as in ``check_welfare_identity``.
+    """
+    dist = law
+    if dist is None:
+        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
     opt = optimal_integral_welfare(instance, cap=cap)
     bound = config.c * config.p * opt
     return CheckResult(
@@ -509,16 +524,23 @@ def check_lp_agreement(
     config: MechanismConfig,
     *,
     vertex_cap: int = VERTEX_ENUM_CAP,
+    pipeline: Optional[Pipeline] = None,
 ) -> CheckResult:
     """solve_exact vs. independent vertex enumeration and column generation.
 
     The vertex-enumeration comparison runs when the instance is small enough
     for the combinatorial search; the column-generation comparison always
-    runs. Exact equality of objectives is required.
+    runs. Exact equality of objectives is required. A ``pipeline`` prepared
+    for (instance, config) lends its LP and, when it solved that LP exactly
+    itself, its solution.
     """
-    pipeline = Pipeline(instance, config)
-    lp = build_full_lp(instance, pipeline.proxies)
-    exact_obj = solve_exact(lp).objective
+    if pipeline is None:
+        pipeline = Pipeline(instance, config)
+    lp = pipeline.lp
+    if config.solver == SOLVER_FULL and config.arithmetic == EXACT:
+        exact_obj = pipeline.solution.objective  # the pipeline's own solve_exact(lp)
+    else:
+        exact_obj = solve_exact(lp).objective
     details = {"simplex_objective": str(exact_obj)}
     passed = True
 

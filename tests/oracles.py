@@ -11,9 +11,11 @@ from itertools import product
 from math import lcm
 from typing import Optional, Sequence
 
+from proxyauction.errors import IterationLimitError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.mechanism import Outcome
 from proxyauction.rng import stream
+from proxyauction.simplex import SimplexResult
 
 
 def subsets(mask: int):
@@ -172,3 +174,103 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         final=tuple(final),
         q_values=q_values,
     )
+
+
+def tableau_simplex(
+    columns: Sequence[Sequence],
+    objective: Sequence,
+    rhs: Sequence,
+    *,
+    tol=Fraction(0),
+    max_pivots: Optional[int] = None,
+) -> SimplexResult:
+    """The dense Bland tableau that ``proxyauction.simplex`` replaced.
+
+    Maximize objective . x subject to columns-as-matrix x <= rhs, x >= 0.
+
+    ``columns[j]`` is the j-th column of the constraint matrix (length =
+    number of rows). Returns the optimal basic solution, the objective value,
+    and the dual vector (one multiplier per row). Raises IterationLimitError
+    if ``max_pivots`` is exceeded (only sensible in float mode; Bland's rule
+    terminates unaided in exact mode).
+    """
+    n_rows = len(rhs)
+    n_cols = len(columns)
+    zero = tol * 0  # same numeric type as the tolerance
+
+    if any(b < zero for b in rhs):
+        raise ValueError("canonical form requires a nonnegative right-hand side")
+
+    # Tableau rows over structural columns + slack columns, plus rhs.
+    rows = []
+    for r in range(n_rows):
+        row = [columns[j][r] for j in range(n_cols)]
+        row.extend(zero + 1 if s == r else zero for s in range(n_rows))
+        row.append(rhs[r] + zero)
+        rows.append(row)
+    cost = [objective[j] + zero for j in range(n_cols)]
+    cost.extend(zero for _ in range(n_rows))
+
+    basis = [n_cols + r for r in range(n_rows)]
+    total = n_cols + n_rows
+    value = zero
+    pivots = 0
+
+    while True:
+        entering = -1
+        for j in range(total):
+            if cost[j] > tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+
+        leaving_row = -1
+        best_ratio = None
+        for r in range(n_rows):
+            a = rows[r][entering]
+            if a > tol:
+                ratio = rows[r][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leaving_row])
+                ):
+                    best_ratio = ratio
+                    leaving_row = r
+        if leaving_row < 0:
+            # Unreachable for the configuration LP: bidder constraints bound
+            # every structural variable and slacks never improve the cost.
+            raise ValueError("LP is unbounded")
+
+        pivots += 1
+        if max_pivots is not None and pivots > max_pivots:
+            raise IterationLimitError(pivots, n_cols, value)
+
+        piv_row = rows[leaving_row]
+        piv = piv_row[entering]
+        inv = 1 / piv
+        for j in range(total + 1):
+            piv_row[j] *= inv
+        for r in range(n_rows):
+            if r == leaving_row:
+                continue
+            factor = rows[r][entering]
+            if factor == zero:
+                continue
+            row = rows[r]
+            for j in range(total + 1):
+                row[j] -= factor * piv_row[j]
+        factor = cost[entering]
+        if factor != zero:
+            for j in range(total):
+                cost[j] -= factor * piv_row[j]
+            value += factor * piv_row[-1]
+        basis[leaving_row] = entering
+
+    x = [zero for _ in range(n_cols)]
+    for r, b in enumerate(basis):
+        if b < n_cols:
+            x[b] = rows[r][-1]
+    duals = [zero - cost[n_cols + r] for r in range(n_rows)]
+    return SimplexResult(x=x, objective=value, duals=duals, basis=list(basis), pivots=pivots)

@@ -1,8 +1,12 @@
 import json
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.serialize import load_json
@@ -137,6 +141,53 @@ def test_bench_smoke(tmp_path):
     assert code == 0
     report = load_json(out)
     assert report["rows"][0]["objectives_agree"] is True
+    assert report["rows"][0]["exact_full_pivots"] > 0
+
+
+def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
+    real = cli.solve_column_generation
+
+    def off_by_one(*args, **kwargs):
+        return replace(real(*args, **kwargs), objective=F(-1))
+
+    monkeypatch.setattr(cli, "solve_column_generation", off_by_one)
+    code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "4", "--repeat", "1"])
+    assert code == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (mechanism, ver):
+        counted(module, "solve_exact")
+    counted(mechanism, "build_full_lp")
+    counted(ver, "exact_distribution")
+    code = main(["verify", str(instance_file), "--c", "1/2", "--p", "1/20", "--out", "/dev/null"])
+    assert code == 0
+    assert calls == {"build_full_lp": 1, "solve_exact": 1, "exact_distribution": 1}
+
+
+def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_path):
+    one, four = tmp_path / "one.json", tmp_path / "four.json"
+    flags = ["verify", str(instance_file), "--c", "1/2", "--p", "1/20"]
+    assert main([*flags, "--workers", "1", "--out", str(one)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one target must not start a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert main([*flags, "--workers", "4", "--out", str(four)]) == 0
+    assert four.read_bytes() == one.read_bytes()
 
 
 def test_missing_generate_arguments():
