@@ -5,8 +5,9 @@ wall-clock data, so identical flags and seed produce byte-identical output;
 pass --timings to print stage durations to stderr instead. The bench command
 is the exception: measuring time is its purpose, and its report says so.
 
-Exit status: 0 on success, 1 when verify finds a failed asserted check or
-bench finds solvers disagreeing, 2 on usage or input errors.
+Exit status: 0 on success, 1 when verify finds a failed asserted check or an
+instance it could not check, or bench finds solvers disagreeing, 2 on usage
+or input errors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import serialize as ser
 from . import verify as ver
-from .errors import AuctionError
+from .errors import AuctionError, CapacityError
 from .generators import (
     DEFAULT_CORPUS_SEED,
     GENERATOR_KINDS,
@@ -260,7 +261,7 @@ def cmd_run(args) -> int:
         instance,
         config,
         atom_cap=caps.get("atoms", ATOM_CAP),
-        proxy_cap=caps.get("proxy"),
+        proxy_cap=caps.get("proxy", PROXY_SUBSET_CAP),
     )
     if args.replications is None:
         seeds = [config.seed]
@@ -319,11 +320,12 @@ def cmd_run(args) -> int:
 
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
     atom_cap = caps.get("atoms", ATOM_CAP)
+    proxy_cap = caps.get("proxy", PROXY_SUBSET_CAP)
 
     # one mechanism and one outcome law per (instance, config), built on first use
     @functools.cache
     def pipeline() -> Pipeline:
-        return Pipeline(instance, config, atom_cap=atom_cap)
+        return Pipeline(instance, config, atom_cap=atom_cap, proxy_cap=proxy_cap)
 
     @functools.cache
     def law() -> ver.OutcomeDistribution:
@@ -343,18 +345,18 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
             )
             asserted = True
         elif name == "proxy-bound":
-            res, asserted = ver.check_proxy_bound(instance), True
+            res, asserted = ver.check_proxy_bound(instance, proxy_cap=proxy_cap), True
         elif name == "lp":
             res, asserted = ver.check_lp_agreement(instance, config, pipeline=pipeline()), True
         elif name == "halt-freq":
-            res, asserted = ver.check_halt_frequency(instance, config, trials), True
+            res = ver.check_halt_frequency(instance, config, trials, proxy_cap=proxy_cap)
+            asserted = True
         elif name == "monte-carlo":
-            res, asserted = ver.check_monte_carlo(instance, config, trials), True
-        elif name == "truthfulness":
-            res = ver.check_truthfulness(instance, config)
+            res = ver.check_monte_carlo(instance, config, trials, proxy_cap=proxy_cap)
+            asserted = True
+        else:  # truthfulness
+            res = ver.check_truthfulness(instance, config, proxy_cap=proxy_cap)
             asserted = config.q_variant == Q_HALT
-        else:
-            raise AuctionError(f"unknown check {name!r}; choose from {ALL_CHECKS}")
         results.append(
             {
                 "check": res.check,
@@ -367,16 +369,28 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
     return results
 
 
+def _error_record(exc: AuctionError) -> dict:
+    """A failed result standing for an instance that raised instead of checking."""
+    details = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, CapacityError):
+        details.update(what=exc.what, required=exc.required, cap=exc.cap)
+    return dict(check="error", passed=False, asserted=True, details=details, witness=None)
+
+
 def _verify_worker(payload: tuple) -> tuple[str, list[dict]]:
     path, config_dict, checks, trials, overrides, caps = payload
-    instance = ser.load_instance(path)
-    base = ser.config_from_dict(config_dict) if config_dict else None
-    ns = argparse.Namespace(**overrides)
-    config = _build_config(ns, instance.m, base=base)
-    results = _checks_for(instance, config, checks, trials, caps)
+    config = None
+    try:
+        instance = ser.load_instance(path)
+        base = ser.config_from_dict(config_dict) if config_dict else None
+        ns = argparse.Namespace(**overrides)
+        config = _build_config(ns, instance.m, base=base)
+        results = _checks_for(instance, config, checks, trials, caps)
+    except AuctionError as exc:  # one bad or oversize instance does not end the run
+        results = [_error_record(exc)]
     for r in results:
         r["instance"] = str(path)
-        r["config"] = ser.config_to_dict(config)
+        r["config"] = None if config is None else ser.config_to_dict(config)
     return str(path), results
 
 
@@ -400,6 +414,9 @@ def _verify_targets(args) -> list[tuple[str, dict | None]]:
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [name for name in checks if name not in ALL_CHECKS]
+    if unknown:
+        raise AuctionError(f"unknown check {unknown[0]!r}; choose from {ALL_CHECKS}")
     targets = _verify_targets(args)
     if not targets:
         raise AuctionError(f"no instances found under {args.target}")
@@ -435,7 +452,10 @@ def cmd_verify(args) -> int:
     }
     rows = [["result", "check", "instance"]]
     for r in results:
-        status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
+        if r["check"] == "error":
+            status = "ERROR"
+        else:
+            status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
         rows.append([status, r["check"], Path(r["instance"]).name])
     text = _table(rows) + f"\noverall: {'PASS' if not failed else 'FAIL'}"
     _emit(args, report, text)
@@ -448,13 +468,21 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.m_list.split(",")]
     rows = [
-        ["m", "columns", "exact-full s", "pivots", "exact-colgen s", "float-full s", "objectives"]
+        [
+            "m",
+            "columns",
+            "lp-build s",
+            "exact-full s",
+            "pivots",
+            "exact-colgen s",
+            "float-full s",
+            "objectives",
+        ]
     ]
     records = []
     for m in sizes:
         instance = generate(args.kind, args.n, m, args.seed)
         c, _ = default_params(m) if m >= 4 else (Fraction(1, 2), None)
-        proxies = instance.proxies(c)
 
         def time_it(fn, repeat=args.repeat):
             best, value = None, None
@@ -465,10 +493,12 @@ def cmd_bench(args) -> int:
                 best = dt if best is None else min(best, dt)
             return best, value
 
-        lp = build_full_lp(instance, proxies)
+        # fresh proxies per repeat, so the LP build and column generation
+        # both pay for filling the proxy values
+        t_build, lp = time_it(lambda: build_full_lp(instance, instance.proxies(c)))
         t_exact, sol_exact = time_it(lambda: solve_exact(lp, arithmetic=EXACT))
         t_colgen, sol_colgen = time_it(
-            lambda: solve_column_generation(instance, proxies, arithmetic=EXACT)
+            lambda: solve_column_generation(instance, instance.proxies(c), arithmetic=EXACT)
         )
         t_float, sol_float = time_it(lambda: solve_exact(lp, arithmetic=FLOAT))
         agree = sol_exact.objective == sol_colgen.objective and abs(
@@ -478,6 +508,7 @@ def cmd_bench(args) -> int:
             [
                 str(m),
                 str(len(lp.columns)),
+                f"{t_build:.4f}",
                 f"{t_exact:.4f}",
                 str(sol_exact.pivots),
                 f"{t_colgen:.4f}",
@@ -489,6 +520,7 @@ def cmd_bench(args) -> int:
             {
                 "m": m,
                 "columns": len(lp.columns),
+                "lp_build_seconds": t_build,
                 "exact_full_seconds": t_exact,
                 "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,

@@ -7,7 +7,7 @@ equal when their members coincide.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class ItemSet:
@@ -112,3 +112,16 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def subset_sums(weights: Sequence) -> list:
+    """The sum of ``weights[j]`` over the items of every mask, indexed by mask.
+
+    Built by doubling: once items 0..j-1 are in, the masks that add item j
+    are the masks below ``1 << j`` plus ``weights[j]``, so the table costs one
+    addition per mask.
+    """
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums

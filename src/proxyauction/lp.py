@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
-from .itemsets import ItemSet
+from .itemsets import ItemSet, subset_sums
 from .simplex import solve_canonical_max
-from .valuations import Instance, Valuation
+from .valuations import Instance, Valuation, over_one_denominator
 
 LP_ITEM_CAP = 12
 FLOAT_TOL = 1e-9
@@ -234,15 +234,23 @@ def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
         raise InfeasibleSolutionError("solution carries no duals to certify against")
     if any(d < 0 for d in y) or any(d < 0 for d in u):
         raise InfeasibleSolutionError("negative dual multiplier")
+    # duals as integers over one denominator; y summed over every bundle mask
+    prices, den = over_one_denominator([*y, *u])
+    item_prices, bidder_prices = subset_sums(prices[: lp.m]), prices[lp.m :]
     for col in lp.columns:
-        reduced = col.coef - sum(y[j] for j in col.bundle) - u[col.bidder]
+        coef = col.coef
+        price = item_prices[col.bundle.mask] + bidder_prices[col.bidder]
+        # the reduced cost coef - y(S) - u_i, times den * coef.denominator
+        reduced = coef.numerator * den - price * coef.denominator
         if reduced > 0:
             raise InfeasibleSolutionError(
-                f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost {reduced}"
+                f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost "
+                f"{Fraction(reduced, den * coef.denominator)}"
             )
-        if sol.entries.get((col.bidder, col.bundle), Fraction(0)) > 0 and reduced != 0:
+        if sol.entries.get((col.bidder, col.bundle), 0) > 0 and reduced != 0:
             raise InfeasibleSolutionError(
-                f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: {reduced}"
+                f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: "
+                f"{Fraction(reduced, den * coef.denominator)}"
             )
     for j, d in enumerate(y):
         if d > 0 and sol.item_load(j) != 1:

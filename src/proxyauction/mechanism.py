@@ -60,7 +60,7 @@ from .lp import (
     solve_column_generation,
     solve_exact,
 )
-from .valuations import AdditiveValuation, Instance
+from .valuations import PROXY_SUBSET_CAP, AdditiveValuation, Instance
 
 Q_HALT = "halt"
 Q_OWN_ITEMS = "own-items"
@@ -392,15 +392,12 @@ class Pipeline:
         *,
         solution: Optional[FractionalSolution] = None,
         atom_cap: int = ATOM_CAP,
-        proxy_cap: Optional[int] = None,
+        proxy_cap: int = PROXY_SUBSET_CAP,
     ):
         self.instance = instance
         self.config = config
         self.atom_cap = atom_cap
-        if proxy_cap is None:
-            self.proxies = instance.proxies(config.c)
-        else:
-            self.proxies = instance.proxies(config.c, subset_cap=proxy_cap)
+        self.proxies = instance.proxies(config.c, subset_cap=proxy_cap)
         self._lp: Optional[ConfigLP] = None
         if solution is None:
             solution = self._solve()

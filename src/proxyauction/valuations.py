@@ -9,21 +9,27 @@ for communication cost.
 ``ProxyValuation`` wraps a base valuation ``v`` with a keep probability ``c``
 (``1/c`` integral) and evaluates the expected value of a bundle after each of
 its items survives independently with probability ``c``. Additive and
-unit-demand bases use closed forms; other kinds enumerate the ``2^|S|``
-surviving subsets under a configurable cap.
+unit-demand bases use closed forms; other kinds fill a table over all ``2^m``
+bundles at once with the subset-sum (zeta) transform over exact integers, so
+the proxy cap bounds ``m``, not the bundle: past it, every bundle raises.
+
+Demand queries without a closed form scan the ``2^m`` bundles as integer
+numerators over one denominator, read from a per-valuation value table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, MalformedValuationError, ParameterError
-from .itemsets import EMPTY_SET, ItemSet, submasks
+from .itemsets import EMPTY_SET, ItemSet, submasks, subset_sums
 
-# Default enumeration caps. Proxy enumeration is 2^|S|; demand scans are 2^m;
-# the structural checkers scan pairs of bundles, costing up to 4^m.
+# Default enumeration caps. Proxy tables and demand scans cover all 2^m
+# bundles; the structural checkers scan pairs of bundles, costing up to 4^m.
 PROXY_SUBSET_CAP = 20
 DEMAND_SCAN_CAP = 20
 PAIR_CHECK_CAP = 10
@@ -36,6 +42,12 @@ def as_value(x) -> Fraction:
     if v < 0:
         raise MalformedValuationError(f"values must be nonnegative, got {v}")
     return v
+
+
+def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass
@@ -106,21 +118,26 @@ class Valuation:
     def _demand_by_scan(self, prices: Sequence[Fraction], scan_cap: int) -> ItemSet:
         if self.m > scan_cap:
             raise CapacityError("demand scan over all bundles", 1 << self.m, 1 << scan_cap)
-        # price_sums[mask] built by peeling the lowest set bit.
-        price_sums = [Fraction(0)] * (1 << self.m)
-        for mask in range(1, 1 << self.m):
-            low = mask & -mask
-            price_sums[mask] = price_sums[mask ^ low] + prices[low.bit_length() - 1]
-        best_mask, best_profit, best_key = 0, Fraction(0), (0, ())
-        for mask in range(1, 1 << self.m):
-            profit = self._value(mask) - price_sums[mask]
-            if profit > best_profit:
-                best_mask, best_profit, best_key = mask, profit, ItemSet(mask).selection_key()
-            elif profit == best_profit:
-                key = ItemSet(mask).selection_key()
-                if key < best_key:
-                    best_mask, best_key = mask, key
-        return ItemSet(best_mask)
+        values, den = self.value_table
+        # profit(S) * den * pden as an integer, with prices over pden
+        pden = lcm(*(p.denominator for p in prices))
+        costs = subset_sums([p.numerator * (pden // p.denominator) * den for p in prices])
+        profits = [v * pden - cost for v, cost in zip(values, costs)]
+        profits[0] = 0  # the empty bundle is the zero-profit fallback, whatever v(empty)
+        best = max(profits)
+        if profits.count(best) == 1:
+            return ItemSet(profits.index(best))
+        tied = (ItemSet(mask) for mask, profit in enumerate(profits) if profit == best)
+        return min(tied, key=ItemSet.selection_key)
+
+    @cached_property
+    def value_table(self) -> tuple[list[int], int]:
+        """Every bundle's value as (numerators indexed by mask, one denominator).
+
+        Built on first use and kept: valuations are immutable. Not counted as
+        queries.
+        """
+        return over_one_denominator([self._value(mask) for mask in range(1 << self.m)])
 
     def _check_universe(self, bundle: ItemSet) -> None:
         if not bundle.fits_universe(self.m):
@@ -362,8 +379,11 @@ class ProxyValuation(Valuation):
 
     ``value(S)`` returns E[v(T)] where T keeps each item of S independently
     with probability ``c``. With c = 1 this is the base valuation itself.
-    Results are cached per bundle; the cache is an evaluation shortcut and
-    does not affect query counts.
+    Additive and unit-demand bases use closed forms. Other bases fill
+    ``value_table`` for all ``2^m`` bundles on first use, which needs
+    ``m <= subset_cap``: past the cap every query raises ``CapacityError``,
+    however small its bundle. Results are cached per bundle; the caches are
+    evaluation shortcuts and do not affect query counts.
     """
 
     kind = "proxy"
@@ -406,15 +426,33 @@ class ProxyValuation(Valuation):
                 total += w * c * miss
                 miss *= 1 - c
             return total
-        size = mask.bit_count()
-        if size > self.subset_cap:
-            raise CapacityError("proxy subset enumeration", 1 << size, 1 << self.subset_cap)
-        total = Fraction(0)
-        keep, drop = c, 1 - c
-        for sub in submasks(mask):
-            kept = sub.bit_count()
-            total += keep**kept * drop ** (size - kept) * base._value(sub)
-        return total
+        values, den = self.value_table
+        return Fraction(values[mask], den)
+
+    @cached_property
+    def value_table(self) -> tuple[list[int], int]:
+        """All ``2^m`` proxy values over one denominator, by the zeta transform.
+
+        With k = 1/c, v'(S) = sum over T subset of S of (k-1)^|S-T| v(T) / k^|S|.
+        Starting from h = v scaled to integers over D, one in-place pass per
+        item j, h[S] += (k-1) h[S - j] for every S holding j, leaves
+        v'(S) = h[S] / (D k^|S|) (Yates; Bjorklund, Husfeldt, Kaski and
+        Koivisto, STOC 2007); the table returns it over D k^m.
+        """
+        if isinstance(self.base, (AdditiveValuation, UnitDemandValuation)):
+            return super().value_table  # closed forms, evaluated per bundle
+        if self.m > self.subset_cap:
+            raise CapacityError("proxy table over all bundles", 1 << self.m, 1 << self.subset_cap)
+        size = 1 << self.m
+        h, den = over_one_denominator([self.base._value(mask) for mask in range(size)])
+        k = self.c.denominator
+        for j in range(self.m):
+            bit = 1 << j
+            for mask in range(size):
+                if mask & bit:
+                    h[mask] += (k - 1) * h[mask ^ bit]
+        scale = [k ** (self.m - t) for t in range(self.m + 1)]
+        return [x * scale[mask.bit_count()] for mask, x in enumerate(h)], den * k**self.m
 
     def _demand(self, prices, scan_cap) -> ItemSet:
         if isinstance(self.base, AdditiveValuation):

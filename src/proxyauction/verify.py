@@ -50,6 +50,7 @@ from .mechanism import (
     survival_probability,
 )
 from .valuations import (
+    PROXY_SUBSET_CAP,
     AdditiveValuation,
     ExplicitValuation,
     Instance,
@@ -343,6 +344,7 @@ def check_proxy_bound(
     instance: Instance,
     *,
     cs: Sequence = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
+    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> CheckResult:
     """proxy_value(S) >= c * value(S) for every bundle, bidder, and c.
 
@@ -351,7 +353,7 @@ def check_proxy_bound(
     violations = []
     for i, v in enumerate(instance.valuations):
         for c in cs:
-            proxy = ProxyValuation(v, c)
+            proxy = ProxyValuation(v, c, subset_cap=proxy_cap)
             for mask in range(1 << instance.m):
                 lhs = proxy._value(mask)
                 rhs = Fraction(c) * v._value(mask)
@@ -381,13 +383,14 @@ def check_halt_frequency(
     *,
     solution: Optional[FractionalSolution] = None,
     seed: Optional[int] = None,
+    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> CheckResult:
     """Monte Carlo bound on the halt probability of the tentative draw.
 
     Passes when the observed frequency is at most 1/m plus a three-sigma
     one-sided slack of sqrt(1/(m * trials)).
     """
-    pipeline = Pipeline(instance, config, solution=solution)
+    pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
     if seed is None:
         seed = config.seed
     halts = 0
@@ -412,9 +415,10 @@ def check_monte_carlo(
     *,
     solution: Optional[FractionalSolution] = None,
     sigmas: float = 4.0,
+    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> CheckResult:
     """Sampled mean welfare lies within ``sigmas`` standard errors of the exact mean."""
-    pipeline = Pipeline(instance, config, solution=solution)
+    pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
     dist = exact_distribution(instance, config, pipeline=pipeline)
     welfares = []
     for t in range(trials):
@@ -613,6 +617,7 @@ def check_truthfulness(
     config: MechanismConfig,
     *,
     misreports: Optional[dict[int, Iterable[tuple[str, Valuation]]]] = None,
+    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> CheckResult:
     """No bidder gains in exact expected utility from any family misreport.
 
@@ -623,7 +628,7 @@ def check_truthfulness(
     """
     if config.arithmetic != EXACT:
         raise ParameterError("truthfulness certification requires exact arithmetic")
-    truth_pipeline = Pipeline(instance, config)
+    truth_pipeline = Pipeline(instance, config, proxy_cap=proxy_cap)
     truth_dist = exact_distribution(instance, config, pipeline=truth_pipeline)
     truth_charges = truth_pipeline.payments()
 
@@ -644,7 +649,7 @@ def check_truthfulness(
                 instance.m,
                 tuple(report if j == i else v for j, v in enumerate(instance.valuations)),
             )
-            dev_pipeline = Pipeline(reported, config)
+            dev_pipeline = Pipeline(reported, config, proxy_cap=proxy_cap)
             dev_dist = exact_distribution(reported, config, pipeline=dev_pipeline)
             dev_charges = dev_pipeline.payments()
             dev_utility = expected_true_value(dev_dist, i, true_proxy) - dev_charges[i]

@@ -190,5 +190,47 @@ def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_pat
     assert four.read_bytes() == one.read_bytes()
 
 
+def test_verify_and_run_honour_the_proxy_cap(capsys):
+    # an xos proxy over m = 4 items needs a 2^4-bundle table
+    path = str(CORPUS_DIR / "08-xos-n3-m4.json")
+    assert main(["run", path, "--caps", "proxy=2"]) == 2
+    assert "proxy table over all bundles" in capsys.readouterr().err
+    assert main(["verify", path, "--caps", "proxy=2", "--checks", "lp"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    [record] = report["results"]
+    assert record["check"] == "error"
+    assert record["details"]["error"] == "CapacityError"
+    assert (record["details"]["required"], record["details"]["cap"]) == (16, 4)
+    assert main(["verify", path, "--caps", "proxy=4", "--checks", "lp"]) == 0
+
+
+def test_verify_corpus_reports_each_oversize_instance(capsys):
+    # proxy=3: only closed-form bidders or m <= 3 fit; the rest become error records
+    code = main(["verify", str(CORPUS_DIR), "--caps", "proxy=3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    by_file = {}
+    for record in report["results"]:
+        by_file.setdefault(Path(record["instance"]).name, []).append(record)
+    manifest = load_json(CORPUS_DIR / "manifest.json")
+    assert sorted(by_file) == sorted(item["file"] for item in manifest["instances"])
+    errors = 0
+    for name, records in by_file.items():
+        instance = load_json(CORPUS_DIR / name)
+        kinds = {v["kind"] for v in instance["bidders"]}
+        if instance["m"] <= 3 or kinds <= {"additive", "unit-demand"}:
+            assert all(r["check"] != "error" and r["passed"] for r in records), name
+        else:
+            errors += 1
+            [record] = records
+            assert record["check"] == "error" and record["asserted"], name
+            details = record["details"]
+            assert details["what"] == "proxy table over all bundles", name
+            assert (details["required"], details["cap"]) == (1 << instance["m"], 8), name
+            assert record["config"] is not None
+    assert errors > 0
+
+
 def test_missing_generate_arguments():
     assert main(["generate", "--kind", "additive"]) == 2

@@ -125,6 +125,64 @@ def test_proxy_enumeration_cap():
         pv.value(ItemSet.full(25))
 
 
+def test_proxy_table_cap_bounds_the_universe_not_the_bundle():
+    # the table covers all 2^m bundles, so even a one-item bundle needs m <= cap
+    pv = ProxyValuation(XOSValuation(5, [[1] * 5]), F(1, 2), subset_cap=4)
+    with pytest.raises(CapacityError) as info:
+        pv.value(ItemSet.singleton(0))
+    assert (info.value.required, info.value.cap) == (1 << 5, 1 << 4)
+    with pytest.raises(CapacityError):
+        pv.demand([0] * 5)
+    # closed forms build no table and ignore the cap
+    for base in (AdditiveValuation([1] * 5), UnitDemandValuation([1] * 5)):
+        assert ProxyValuation(base, F(1, 2), subset_cap=4).value(ItemSet.full(5)) > 0
+
+
+fractions_st = st.fractions(min_value=0, max_value=10, max_denominator=6)
+keep_st = st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 190)])
+
+
+@st.composite
+def table_valuations(draw):
+    """An XOS, coverage or explicit valuation over m <= 6 items.
+
+    Explicit tables are arbitrary, so v(empty) may be nonzero and the table
+    need not be monotone.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["xos", "coverage", "explicit"]))
+    if kind == "xos":
+        clause = st.lists(fractions_st, min_size=m, max_size=m)
+        return XOSValuation(m, draw(st.lists(clause, min_size=1, max_size=3)))
+    if kind == "coverage":
+        elements = draw(st.lists(fractions_st, min_size=1, max_size=5))
+        covers = draw(
+            st.lists(
+                st.lists(st.integers(0, len(elements) - 1), max_size=len(elements)),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        return CoverageValuation(elements, covers)
+    values = draw(st.lists(fractions_st, min_size=1 << m, max_size=1 << m))
+    return ExplicitValuation(m, dict(enumerate(values)))
+
+
+@given(table_valuations(), keep_st)
+@settings(max_examples=150, deadline=None)
+def test_proxy_table_matches_enumeration(v, c):
+    pv = ProxyValuation(v, c)
+    for mask in range(1 << v.m):
+        assert pv._value(mask) == proxy_by_enumeration(v, mask, c)
+
+
+def test_proxy_table_keeps_a_nonzero_empty_value():
+    v = ExplicitValuation(2, {0: 3, 1: 1, 2: 0, 3: 5})
+    pv = ProxyValuation(v, F(1, 2))
+    assert pv.value(EMPTY_SET) == 3
+    assert pv.value(S01) == F(3 + 1 + 0 + 5, 4)
+
+
 def test_proxy_dominates_scaled_value_exhaustive_small():
     rng = random.Random(3)
     table = {mask: rng.randint(0, 8) for mask in range(1 << 4)}
@@ -182,6 +240,52 @@ def test_proxy_demand_matches_scan():
     assert pv.demand(prices).mask == demand_by_scan(pv, prices)
     pa = ProxyValuation(AdditiveValuation([3, 5, 1, 0]), F(1, 2))
     assert pa.demand(prices).mask == demand_by_scan(pa, prices)
+
+
+@st.composite
+def tie_prices(draw, v):
+    """Prices for v's items, mixing zeros, small rationals and item values.
+
+    Zero prices and prices equal to singleton values make many bundles tie,
+    including with the empty bundle, so the tie-break decides the answer.
+    """
+    pool = st.sampled_from([F(0), *(v._value(1 << j) for j in range(v.m))])
+    other = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    return [draw(st.one_of(pool, other)) for _ in range(v.m)]
+
+
+@given(table_valuations(), keep_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_demand_matches_scan_oracle_with_ties(v, c, data):
+    pv = ProxyValuation(v, c)
+    for w in (v, pv):
+        prices = data.draw(tie_prices(w))
+        assert w.demand(prices).mask == demand_by_scan(w, prices)
+
+
+@given(weights_st, keep_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_proxy_demand_matches_scan_oracle(weights, c, data):
+    for base in (AdditiveValuation(weights), UnitDemandValuation(weights)):
+        pv = ProxyValuation(base, c)
+        prices = data.draw(tie_prices(pv))
+        assert pv.demand(prices).mask == demand_by_scan(pv, prices)
+
+
+def test_demand_ties_go_to_fewest_items_then_lexicographic():
+    def table(values):
+        return ExplicitValuation(4, {mask: values.get(mask, 0) for mask in range(16)})
+
+    prices = [1, 1, 1, 1]
+    # {0,1} (mask 3), {2} and {3} each earn 2: fewest items, then {2} before {3}
+    v = table({0b0011: 4, 0b0100: 3, 0b1000: 3})
+    assert v.demand(prices) == ItemSet.from_indices([2])
+    # {1,2} (mask 6) and {0,3} (mask 9) each earn 2: (0, 3) < (1, 2)
+    v = table({0b0110: 4, 0b1001: 4})
+    assert v.demand(prices) == ItemSet.from_indices([0, 3])
+    # nothing beats the empty bundle's zero profit, even with v(empty) > 0
+    v = table({0: 5, 0b0001: 1})
+    assert v.demand(prices) == EMPTY_SET
 
 
 def test_demand_scan_cap():
