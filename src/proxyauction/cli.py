@@ -45,7 +45,7 @@ from .mechanism import (
 )
 from .rng import derive_seed
 from .valuations import PROXY_SUBSET_CAP
-from .verify import INTEGRAL_CAP
+from .verify import INTEGRAL_CAP, VERTEX_ENUM_CAP
 
 MANIFEST_SCHEMA = "corpus-manifest/1"
 REPORT_SCHEMA = "run-report/1"
@@ -349,10 +349,10 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
         elif name == "lp":
             res, asserted = ver.check_lp_agreement(instance, config, pipeline=pipeline()), True
         elif name == "halt-freq":
-            res = ver.check_halt_frequency(instance, config, trials, proxy_cap=proxy_cap)
+            res = ver.check_halt_frequency(instance, config, trials, pipeline=pipeline())
             asserted = True
         elif name == "monte-carlo":
-            res = ver.check_monte_carlo(instance, config, trials, proxy_cap=proxy_cap)
+            res = ver.check_monte_carlo(instance, config, trials, pipeline=pipeline(), law=law())
             asserted = True
         else:  # truthfulness
             res = ver.check_truthfulness(instance, config, proxy_cap=proxy_cap)
@@ -476,6 +476,7 @@ def cmd_bench(args) -> int:
             "pivots",
             "exact-colgen s",
             "float-full s",
+            "vertex-enum s",
             "objectives",
         ]
     ]
@@ -501,9 +502,16 @@ def cmd_bench(args) -> int:
             lambda: solve_column_generation(instance, instance.proxies(c), arithmetic=EXACT)
         )
         t_float, sol_float = time_it(lambda: solve_exact(lp, arithmetic=FLOAT))
-        agree = sol_exact.objective == sol_colgen.objective and abs(
-            float(sol_exact.objective) - sol_float.objective
-        ) <= 1e-6 * (1 + abs(sol_float.objective))
+        if ver.basis_count(lp) <= VERTEX_ENUM_CAP:
+            t_vertex, vertex_obj = time_it(lambda: ver.enumerate_vertex_optimum(lp))
+        else:
+            t_vertex = vertex_obj = "skipped"
+        agree = (
+            sol_exact.objective == sol_colgen.objective
+            and vertex_obj in ("skipped", sol_exact.objective)
+            and abs(float(sol_exact.objective) - sol_float.objective)
+            <= 1e-6 * (1 + abs(sol_float.objective))
+        )
         rows.append(
             [
                 str(m),
@@ -513,6 +521,7 @@ def cmd_bench(args) -> int:
                 str(sol_exact.pivots),
                 f"{t_colgen:.4f}",
                 f"{t_float:.4f}",
+                t_vertex if vertex_obj == "skipped" else f"{t_vertex:.4f}",
                 "agree" if agree else "MISMATCH",
             ]
         )
@@ -525,12 +534,14 @@ def cmd_bench(args) -> int:
                 "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,
                 "float_full_seconds": t_float,
+                "vertex_enum_seconds": t_vertex,
+                "vertex_enum_objective": str(vertex_obj),
                 "objective": str(sol_exact.objective),
                 "objectives_agree": agree,
             }
         )
     report = {
-        "schema": "bench-report/1",
+        "schema": "bench-report/2",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
@@ -598,7 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--timings", action="store_true")
     v.set_defaults(func=cmd_verify)
 
-    b = sub.add_parser("bench", help="compare exact/float and full/column-generation solving")
+    b = sub.add_parser(
+        "bench",
+        help="time and compare exact/float, full/column-generation and vertex-enumeration solving",
+    )
     b.add_argument("--kind", choices=GENERATOR_KINDS, default="xos")
     b.add_argument("--n", type=int, default=3)
     b.add_argument("--m-list", default="4,6,8")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import rng as rngmod
@@ -384,13 +383,16 @@ def check_halt_frequency(
     solution: Optional[FractionalSolution] = None,
     seed: Optional[int] = None,
     proxy_cap: int = PROXY_SUBSET_CAP,
+    pipeline: Optional[Pipeline] = None,
 ) -> CheckResult:
     """Monte Carlo bound on the halt probability of the tentative draw.
 
     Passes when the observed frequency is at most 1/m plus a three-sigma
-    one-sided slack of sqrt(1/(m * trials)).
+    one-sided slack of sqrt(1/(m * trials)). A ``pipeline`` prepared for
+    (instance, config) is sampled instead of building and solving a new one.
     """
-    pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
+    if pipeline is None:
+        pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
     if seed is None:
         seed = config.seed
     halts = 0
@@ -416,10 +418,20 @@ def check_monte_carlo(
     solution: Optional[FractionalSolution] = None,
     sigmas: float = 4.0,
     proxy_cap: int = PROXY_SUBSET_CAP,
+    pipeline: Optional[Pipeline] = None,
+    law: Optional[OutcomeDistribution] = None,
 ) -> CheckResult:
-    """Sampled mean welfare lies within ``sigmas`` standard errors of the exact mean."""
-    pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
-    dist = exact_distribution(instance, config, pipeline=pipeline)
+    """Sampled mean welfare lies within ``sigmas`` standard errors of the exact mean.
+
+    A ``pipeline`` prepared for (instance, config) is sampled instead of
+    building and solving a new one; ``law`` is its ``exact_distribution``,
+    reused as in ``check_welfare_identity``.
+    """
+    if pipeline is None:
+        pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
+    dist = law
+    if dist is None:
+        dist = exact_distribution(instance, config, pipeline=pipeline)
     welfares = []
     for t in range(trials):
         outcome = pipeline.sample(rngmod.derive_seed(config.seed, "replication", t))
@@ -450,77 +462,128 @@ def check_monte_carlo(
 # -- LP cross-validation ----------------------------------------------------
 
 
-def _solve_unit_system(rows: list[list[int]]) -> Optional[list[Fraction]]:
-    """Solve M x = all-ones for integer M; None if singular.
-
-    Fraction-free Bareiss elimination keeps every intermediate entry an exact
-    integer (a minor determinant of the original matrix), then one rational
-    back-substitution recovers x.
-    """
-    k = len(rows)
-    aug = [row[:] + [1] for row in rows]
-    prev = 1
-    for i in range(k):
-        if aug[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if aug[r][i] != 0), None)
-            if swap is None:
-                return None
-            aug[i], aug[swap] = aug[swap], aug[i]
-        piv = aug[i][i]
-        for r in range(i + 1, k):
-            row_r, row_i = aug[r], aug[i]
-            fac = row_r[i]
-            for c in range(i, k + 1):
-                row_r[c] = (row_r[c] * piv - fac * row_i[c]) // prev
-        prev = piv
-    x = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        acc = Fraction(aug[i][k])
-        for c in range(i + 1, k):
-            acc -= aug[i][c] * x[c]
-        x[i] = acc / aug[i][i]
-    return x
+def basis_count(lp: ConfigLP) -> int:
+    """Column choices that ``enumerate_vertex_optimum`` checks against its cap."""
+    n_rows = lp.n + lp.m
+    return math.comb(len(lp.columns) + n_rows, n_rows)
 
 
 def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
     """Optimum by enumerating every basic solution of the slack-extended system.
 
-    Independent of the simplex: for each choice of basis columns the square
-    system is solved by exact elimination; feasible solutions (all variables
-    nonnegative) are scored directly. Intended for tiny instances.
+    Independent of the simplex. The system is [A | I] x = 1 over the 0/1
+    item and bidder rows; the choices of n + m basis columns are walked depth
+    first, in the order of ``itertools.combinations``:
+
+      * each depth adds one column and takes one fraction-free Bareiss step
+        on it, and the same step reduces the right-hand side and every later
+        candidate column, so all entries stay exact integers (minors);
+      * a candidate that reduces to zero on every unpivoted row lies in the
+        span of the chosen prefix, so every basis extending the prefix with
+        it is singular and the walk drops it with its whole subtree;
+      * at a full basis with last pivot ``det``, Cramer's rule makes
+        ``y = |det| * x`` an integer vector, so back-substitution divides
+        exactly; the basis is rejected at the first negative ``y_i``. A
+        feasible basis scores ``w . y / |det|`` against objective
+        coefficients scaled once to integers ``w`` over one denominator;
+        scores are compared as integer ratios and one ``Fraction`` is built,
+        for the optimum.
+
+    Intended for tiny instances: the number of bases is capped.
     """
-    n_rows = lp.n + lp.m
-    n_struct = len(lp.columns)
-    total_cols = n_struct + n_rows
-    bases = math.comb(total_cols, n_rows)
+    bases = basis_count(lp)
     if bases > cap:
         raise CapacityError("basic-solution enumeration", bases, cap)
+    n_rows = lp.n + lp.m
 
-    dense = []
+    columns = []
     for col in lp.columns:
         vec = [0] * n_rows
         for j in col.bundle:
             vec[j] = 1
         vec[lp.m + col.bidder] = 1
-        dense.append(vec)
+        columns.append(vec)
     for s in range(n_rows):
         vec = [0] * n_rows
         vec[s] = 1
-        dense.append(vec)
+        columns.append(vec)
+    den = math.lcm(*(col.coef.denominator for col in lp.columns))
+    weights = [col.coef.numerator * (den // col.coef.denominator) for col in lp.columns]
+    weights += [0] * n_rows  # slacks score nothing
 
-    best = Fraction(0)  # x = 0 is always feasible
-    for basis in combinations(range(total_cols), n_rows):
-        matrix = [[dense[b][r] for b in basis] for r in range(n_rows)]
-        values = _solve_unit_system(matrix)
-        if values is None or any(v < 0 for v in values):
-            continue
-        objective = sum(
-            (v * lp.columns[b].coef for b, v in zip(basis, values) if b < n_struct),
-            Fraction(0),
-        )
-        if objective > best:
-            best = objective
-    return best
+    last = n_rows - 1
+    # per depth t: the pivot row, the pivot, the reduced right-hand side on
+    # the pivot row and the chosen column's weight; upper[t][s] is the entry
+    # of the column chosen at depth s > t on t's pivot row, which no later
+    # step changes
+    pivot_row = [0] * n_rows
+    pivot = [0] * n_rows
+    upper = [[0] * n_rows for _ in range(n_rows)]
+    rhs_at = [0] * n_rows
+    weight_at = [0] * n_rows
+    best_num, best_den = 0, 1  # x = 0, the all-slack basis, is always feasible
+
+    def full_bases(cands: list, rhs: list[int], row: int) -> None:
+        # One unpivoted row is left: each candidate completes a basis whose
+        # last pivot is its entry on that row (nonzero, dependents dropped).
+        nonlocal best_num, best_den
+        b = rhs[row]
+        y = [0] * n_rows
+        for j, vec in cands:
+            det = vec[row]
+            y_last = b
+            if det < 0:
+                det, y_last = -det, -b
+            if y_last < 0:
+                continue
+            score = weights[j] * y_last
+            for t in range(last - 1, -1, -1):
+                above = upper[t]
+                acc = det * rhs_at[t] - vec[pivot_row[t]] * y_last
+                for s in range(t + 1, last):
+                    acc -= above[s] * y[s]
+                acc //= pivot[t]  # exact, by Cramer's rule
+                if acc < 0:
+                    break
+                y[t] = acc
+                score += weight_at[t] * acc
+            else:
+                if score * best_den > best_num * det:
+                    best_num, best_den = score, det
+
+    def walk(depth: int, cands: list, rhs: list[int], free: list[int]) -> None:
+        if depth == last:
+            full_bases(cands, rhs, free[0])
+            return
+        prev = pivot[depth - 1] if depth else 1
+        for i in range(len(cands) - (n_rows - depth) + 1):
+            j, vec = cands[i]
+            p = next(r for r in free if vec[r])
+            piv = vec[p]
+            rest = [r for r in free if r != p]
+            nxt = []
+            for j2, v2 in cands[i + 1:]:
+                f = v2[p]
+                w = v2[:]
+                nonzero = False
+                for r in rest:
+                    w[r] = (v2[r] * piv - vec[r] * f) // prev
+                    nonzero = nonzero or w[r] != 0
+                if nonzero:  # else the prefix plus this column is singular
+                    nxt.append((j2, w))
+            if len(nxt) < n_rows - depth - 1:
+                continue
+            r2 = rhs[:]
+            for r in rest:
+                r2[r] = (rhs[r] * piv - vec[r] * rhs[p]) // prev
+            pivot_row[depth], pivot[depth] = p, piv
+            for t in range(depth):
+                upper[t][depth] = vec[pivot_row[t]]
+            rhs_at[depth], weight_at[depth] = rhs[p], weights[j]
+            walk(depth + 1, nxt, r2, rest)
+
+    walk(0, list(enumerate(columns)), [1] * n_rows, list(range(n_rows)))
+    return Fraction(best_num, den * best_den)
 
 
 def check_lp_agreement(
@@ -553,8 +616,7 @@ def check_lp_agreement(
     if colgen.objective != exact_obj:
         passed = False
 
-    n_rows = lp.n + lp.m
-    if math.comb(len(lp.columns) + n_rows, n_rows) <= vertex_cap:
+    if basis_count(lp) <= vertex_cap:
         vertex_obj = enumerate_vertex_optimum(lp, cap=vertex_cap)
         details["vertex_enumeration_objective"] = str(vertex_obj)
         if vertex_obj != exact_obj:

@@ -5,17 +5,19 @@ the package's own code paths, so a test comparing the two is a genuine
 dual-route check.
 """
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from proxyauction.errors import IterationLimitError
+from proxyauction.errors import CapacityError, IterationLimitError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.mechanism import Outcome
 from proxyauction.rng import stream
 from proxyauction.simplex import SimplexResult
+from proxyauction.verify import VERTEX_ENUM_CAP
 
 
 def subsets(mask: int):
@@ -274,3 +276,80 @@ def tableau_simplex(
             x[b] = rows[r][-1]
     duals = [zero - cost[n_cols + r] for r in range(n_rows)]
     return SimplexResult(x=x, objective=value, duals=duals, basis=list(basis), pivots=pivots)
+
+
+def _solve_unit_system(rows: list[list[int]]) -> Optional[list[Fraction]]:
+    """Solve M x = all-ones for integer M; None if singular.
+
+    Fraction-free Bareiss elimination keeps every intermediate entry an exact
+    integer (a minor determinant of the original matrix), then one rational
+    back-substitution recovers x.
+    """
+    k = len(rows)
+    aug = [row[:] + [1] for row in rows]
+    prev = 1
+    for i in range(k):
+        if aug[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if aug[r][i] != 0), None)
+            if swap is None:
+                return None
+            aug[i], aug[swap] = aug[swap], aug[i]
+        piv = aug[i][i]
+        for r in range(i + 1, k):
+            row_r, row_i = aug[r], aug[i]
+            fac = row_r[i]
+            for c in range(i, k + 1):
+                row_r[c] = (row_r[c] * piv - fac * row_i[c]) // prev
+        prev = piv
+    x = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        acc = Fraction(aug[i][k])
+        for c in range(i + 1, k):
+            acc -= aug[i][c] * x[c]
+        x[i] = acc / aug[i][i]
+    return x
+
+
+def vertex_optimum_by_combinations(lp, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
+    """Optimum by enumerating every basic solution of the slack-extended system.
+
+    The enumerator that ``proxyauction.verify.enumerate_vertex_optimum``
+    replaced: every basis from ``itertools.combinations``, each solved in full
+    by its own elimination.
+
+    Independent of the simplex: for each choice of basis columns the square
+    system is solved by exact elimination; feasible solutions (all variables
+    nonnegative) are scored directly. Intended for tiny instances.
+    """
+    n_rows = lp.n + lp.m
+    n_struct = len(lp.columns)
+    total_cols = n_struct + n_rows
+    bases = math.comb(total_cols, n_rows)
+    if bases > cap:
+        raise CapacityError("basic-solution enumeration", bases, cap)
+
+    dense = []
+    for col in lp.columns:
+        vec = [0] * n_rows
+        for j in col.bundle:
+            vec[j] = 1
+        vec[lp.m + col.bidder] = 1
+        dense.append(vec)
+    for s in range(n_rows):
+        vec = [0] * n_rows
+        vec[s] = 1
+        dense.append(vec)
+
+    best = Fraction(0)  # x = 0 is always feasible
+    for basis in combinations(range(total_cols), n_rows):
+        matrix = [[dense[b][r] for b in basis] for r in range(n_rows)]
+        values = _solve_unit_system(matrix)
+        if values is None or any(v < 0 for v in values):
+            continue
+        objective = sum(
+            (v * lp.columns[b].coef for b, v in zip(basis, values) if b < n_struct),
+            Fraction(0),
+        )
+        if objective > best:
+            best = objective
+    return best

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +12,8 @@ from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.serialize import load_json
 
-CORPUS_DIR = Path(__file__).parent.parent / "corpus" / "standard"
+ROOT = Path(__file__).parent.parent
+CORPUS_DIR = ROOT / "corpus" / "standard"
 
 
 @pytest.fixture
@@ -156,6 +158,29 @@ def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
+    out = tmp_path / "bench.json"
+    code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "2,4",
+                 "--repeat", "1", "--format", "json", "--out", str(out)])
+    assert code == 0
+    report = load_json(out)
+    assert report["schema"] == "bench-report/2"
+    small, large = report["rows"]
+    assert small["vertex_enum_objective"] == small["objective"]
+    assert small["vertex_enum_seconds"] >= 0
+    # n = 2, m = 4: 1,947,792 bases, beyond the enumeration cap
+    assert large["vertex_enum_seconds"] == large["vertex_enum_objective"] == "skipped"
+    assert large["objectives_agree"] is True
+
+
+def test_bench_exits_nonzero_on_vertex_enumeration_mismatch(monkeypatch, capsys):
+    real = ver.enumerate_vertex_optimum
+    monkeypatch.setattr(ver, "enumerate_vertex_optimum", lambda lp: real(lp) + 1)
+    code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "2", "--repeat", "1"])
+    assert code == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file):
     calls = Counter()
 
@@ -175,6 +200,28 @@ def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file):
     code = main(["verify", str(instance_file), "--c", "1/2", "--p", "1/20", "--out", "/dev/null"])
     assert code == 0
     assert calls == {"build_full_lp": 1, "solve_exact": 1, "exact_distribution": 1}
+
+
+def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
+    calls = Counter()
+    for module in (mechanism, ver):
+        real = module.solve_exact
+
+        def wrapper(*args, real=real, **kwargs):
+            calls["solve_exact"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_exact", wrapper)
+    monkeypatch.chdir(ROOT)  # a relative path keeps the report independent of the checkout
+    out = tmp_path / "verify.json"
+    code = main(["verify", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
+                 "--checks", "welfare,halt-freq,monte-carlo", "--trials", "200",
+                 "--out", str(out)])
+    assert code == 0
+    assert calls == {"solve_exact": 1}
+    # the report each check built its own Pipeline for, byte for byte
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0c8488ae38959c2a1ded317c3af6744545e92a08530f4facb45110cff2614114"
 
 
 def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_path):

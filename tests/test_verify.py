@@ -1,14 +1,18 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import integral_welfare_by_products
+from oracles import integral_welfare_by_products, vertex_optimum_by_combinations
+from proxyauction.errors import CapacityError
 from proxyauction.generators import generate, overlap_demo
 from proxyauction.itemsets import EMPTY_SET, ItemSet
-from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
+from proxyauction.lp import Column, ConfigLP, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
 from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instance
 from proxyauction.verify import (
+    VERTEX_ENUM_CAP,
     check_approximation,
     check_halt_frequency,
     check_keep_marginals,
@@ -17,6 +21,7 @@ from proxyauction.verify import (
     check_proxy_bound,
     check_truthfulness,
     check_welfare_identity,
+    enumerate_vertex_optimum,
     exact_distribution,
     expected_true_value,
     misreport_family,
@@ -248,6 +253,77 @@ def test_lp_agreement_small():
     res = check_lp_agreement(inst, config)
     assert res.passed
     assert "vertex_enumeration_objective" in res.details
+
+
+def bases(lp):
+    rows = lp.n + lp.m
+    return math.comb(len(lp.columns) + rows, rows)
+
+
+def test_vertex_enumeration_matches_combinations_oracle(corpus, truthful_corpus):
+    """Every full proxy LP of both corpora under the cap, with its zeroed-bidder LPs."""
+    checked = 0
+    for item in [*corpus, *truthful_corpus]:
+        lp = build_full_lp(item.instance, item.instance.proxies(item.config.c))
+        if bases(lp) > VERTEX_ENUM_CAP:
+            continue
+        for variant in [lp] + [lp.zero_bidder(i) for i in range(lp.n)]:
+            assert enumerate_vertex_optimum(variant) == vertex_optimum_by_combinations(variant)
+            checked += 1
+    assert checked == 62  # 19 LPs under the cap and their 43 zeroed-bidder variants
+
+
+coefs = st.fractions(min_value=0, max_value=5, max_denominator=6) | st.just(F(0))
+
+
+@st.composite
+def small_config_lps(draw):
+    """ConfigLPs with n, m <= 3, distinct columns and few enough bases to enumerate.
+
+    On a coin flip the columns also include sets that force dependent
+    prefixes: bidder 0's {0}, {1} and {0, 1}, whose signed sum is bidder 0's
+    slack, and the full bundle for every bidder, where two bidders' copies
+    differ by their two slacks.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    keys = [(i, mask) for i in range(n) for mask in range(1, 1 << m)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))
+    if draw(st.booleans()):
+        forced = [(0, 1), (0, 2), (0, 3)] if m >= 2 else [(0, 1)]
+        forced += [(i, (1 << m) - 1) for i in range(n)]
+        chosen = list(dict.fromkeys(forced + chosen))
+    columns = tuple(Column(i, ItemSet(mask), draw(coefs)) for i, mask in chosen)
+    lp = ConfigLP(n, m, columns)
+    while bases(lp) > 3000:  # keep the oracle quick
+        lp = ConfigLP(n, m, lp.columns[:-1])
+    return lp
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_config_lps())
+def test_vertex_enumeration_matches_combinations_oracle_on_small_lps(lp):
+    assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
+
+
+def test_vertex_enumeration_cap_matches_combinations_oracle(corpus):
+    def capacity(fn, lp, **kwargs):
+        with pytest.raises(CapacityError) as info:
+            fn(lp, **kwargs)
+        return info.value.what, info.value.required, info.value.cap
+
+    over = build_full_lp(corpus[7].instance)  # n = 3, m = 3: 296,010 bases
+    assert bases(over) > VERTEX_ENUM_CAP
+    want = ("basic-solution enumeration", bases(over), VERTEX_ENUM_CAP)
+    assert capacity(enumerate_vertex_optimum, over) == want
+    assert capacity(vertex_optimum_by_combinations, over) == want
+
+    small = build_full_lp(corpus[12].instance)  # n = 2, m = 2: 210 bases
+    assert bases(small) == 210
+    for fn in (enumerate_vertex_optimum, vertex_optimum_by_combinations):
+        assert capacity(fn, small, cap=209) == ("basic-solution enumeration", 210, 209)
+    assert enumerate_vertex_optimum(small, cap=210) == vertex_optimum_by_combinations(
+        small, cap=210
+    )
 
 
 def test_monte_carlo_check(corpus):
