@@ -1,7 +1,7 @@
 """Truthful-in-expectation combinatorial auction mechanism toolkit.
 
 The pipeline: wrap each bidder valuation in a keep-probability proxy, solve
-the configuration LP over the proxies (exactly, in rational arithmetic),
+the configuration LP over the proxies (exactly, over the rationals),
 round the fractional solution by tentative draws, a halting test, per-item
 lotteries, and per-bidder survival filtering, and charge expected-externality
 payments over the LP range. The verify module certifies the construction's

@@ -18,6 +18,7 @@ import hashlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .generators import (
     standard_corpus,
     truthfulness_corpus,
 )
-from .lp import EXACT, FLOAT, LP_ITEM_CAP, build_full_lp, solve_column_generation, solve_exact
+from .lp import LP_ITEM_CAP, build_full_lp, solve_column_generation, solve_exact
 from .mechanism import (
     ATOM_CAP,
     MechanismConfig,
@@ -73,13 +74,35 @@ def _instance_digest(instance) -> str:
 CAP_KEYS = ("proxy", "lp", "atoms", "integral")
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational like 1/20, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c", help="keep probability, a rational like 1/267 (default: from m)")
-    parser.add_argument("--p", help="survival probability, a rational like 1/20")
+    parser.add_argument(
+        "--c", type=_rational, help="keep probability, a rational like 1/267 (default: from m)"
+    )
+    parser.add_argument("--p", type=_rational, help="survival probability, a rational like 1/20")
     parser.add_argument(
         "--q-variant", choices=[Q_HALT, Q_OWN_ITEMS], help="q event scope (default: halt)"
     )
-    parser.add_argument("--mode", choices=[EXACT, FLOAT], help="arithmetic (default: exact)")
     parser.add_argument("--seed", type=int, help="master seed (default: 0)")
     parser.add_argument(
         "--solver", choices=[SOLVER_FULL, SOLVER_COLGEN], help="LP method (default: full)"
@@ -107,30 +130,18 @@ def _parse_caps(text: str | None) -> dict:
 
 def _build_config(args, m: int, base: MechanismConfig | None = None) -> MechanismConfig:
     """Merge CLI flags over a manifest config over built-in defaults."""
-    if base is not None:
-        c, p = base.c, base.p
-        q_variant, mode = base.q_variant, base.arithmetic
-        seed, solver = base.seed, base.solver
-    else:
-        # p's default is the constant 1/20; only c's default needs m >= 4
-        c = default_params(m)[0] if args.c is None else Fraction(args.c)
-        p = Fraction(1, 20) if args.p is None else Fraction(args.p)
-        q_variant, mode, seed, solver = Q_HALT, EXACT, 0, SOLVER_FULL
-    if args.c is not None:
-        c = Fraction(args.c)
-    if args.p is not None:
-        p = Fraction(args.p)
-    if args.q_variant is not None:
-        q_variant = args.q_variant
-    if args.mode is not None:
-        mode = args.mode
-    if args.seed is not None:
-        seed = args.seed
-    if args.solver is not None:
-        solver = args.solver
-    return MechanismConfig(
-        c=c, p=p, q_variant=q_variant, arithmetic=mode, seed=seed, solver=solver
-    )
+    if base is None:
+        # only c's default needs m >= 4, so it is computed only without --c
+        c = default_params(m)[0] if args.c is None else args.c
+        base = MechanismConfig(c=c, p=Fraction(1, 20))
+    flags = {
+        "c": args.c,
+        "p": args.p,
+        "q_variant": args.q_variant,
+        "seed": args.seed,
+        "solver": args.solver,
+    }
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(args, report: dict, text: str | None = None) -> None:
@@ -213,16 +224,17 @@ def cmd_solve(args) -> int:
         objective_kind = "proxy"
     else:
         # the raw objective is the proxy objective at c = 1 (no thinning)
-        ns = argparse.Namespace(**{**vars(args), "c": args.c if args.c is not None else "1"})
+        c = Fraction(1) if args.c is None else args.c
+        ns = argparse.Namespace(**{**vars(args), "c": c})
         config = _build_config(ns, instance.m)
         oracles = instance.valuations
         objective_kind = "raw"
     started = time.perf_counter()
     if config.solver == SOLVER_COLGEN:
-        solution = solve_column_generation(instance, oracles, arithmetic=config.arithmetic)
+        solution = solve_column_generation(instance, oracles)
     else:
         lp = build_full_lp(instance, oracles, item_cap=caps.get("lp", LP_ITEM_CAP))
-        solution = solve_exact(lp, arithmetic=config.arithmetic)
+        solution = solve_exact(lp)
     elapsed = time.perf_counter() - started
     if args.timings:
         sys.stderr.write(f"solve: {elapsed:.4f}s\n")
@@ -273,12 +285,11 @@ def cmd_run(args) -> int:
     if args.timings:
         sys.stderr.write(f"run: {elapsed:.4f}s for {len(seeds)} outcome(s)\n")
 
-    mode = config.arithmetic
     outcome_dicts = []
     for seed, outcome in zip(seeds, outcomes):
-        entry = ser.outcome_to_dict(outcome, mode)
+        entry = ser.outcome_to_dict(outcome)
         entry["sample_seed"] = seed
-        entry["welfare"] = ser.format_value(realized_welfare(instance, outcome), mode)
+        entry["welfare"] = ser.format_value(realized_welfare(instance, outcome))
         outcome_dicts.append(entry)
     report = {
         "schema": REPORT_SCHEMA,
@@ -293,7 +304,7 @@ def cmd_run(args) -> int:
         "semantics": config.semantics(),
         "lp": ser.solution_to_dict(pipeline.solution),
         "outcomes": outcome_dicts,
-        "payments": None if payments is None else [ser.format_value(x, mode) for x in payments],
+        "payments": None if payments is None else [ser.format_value(x) for x in payments],
         "query_counts": instance.query_totals(),
     }
     rows = [["outcome", "halted", "final bundles", "welfare"]]
@@ -417,6 +428,8 @@ def cmd_verify(args) -> int:
     unknown = [name for name in checks if name not in ALL_CHECKS]
     if unknown:
         raise AuctionError(f"unknown check {unknown[0]!r}; choose from {ALL_CHECKS}")
+    if not checks:
+        raise AuctionError(f"--checks names no check; choose from {ALL_CHECKS}")
     targets = _verify_targets(args)
     if not targets:
         raise AuctionError(f"no instances found under {args.target}")
@@ -424,7 +437,6 @@ def cmd_verify(args) -> int:
         "c": args.c,
         "p": args.p,
         "q_variant": args.q_variant,
-        "mode": args.mode,
         "seed": args.seed,
         "solver": args.solver,
     }
@@ -466,7 +478,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.m_list.split(",")]
     rows = [
         [
             "m",
@@ -475,13 +486,12 @@ def cmd_bench(args) -> int:
             "exact-full s",
             "pivots",
             "exact-colgen s",
-            "float-full s",
             "vertex-enum s",
             "objectives",
         ]
     ]
     records = []
-    for m in sizes:
+    for m in args.m_list:
         instance = generate(args.kind, args.n, m, args.seed)
         c, _ = default_params(m) if m >= 4 else (Fraction(1, 2), None)
 
@@ -497,11 +507,10 @@ def cmd_bench(args) -> int:
         # fresh proxies per repeat, so the LP build and column generation
         # both pay for filling the proxy values
         t_build, lp = time_it(lambda: build_full_lp(instance, instance.proxies(c)))
-        t_exact, sol_exact = time_it(lambda: solve_exact(lp, arithmetic=EXACT))
+        t_exact, sol_exact = time_it(lambda: solve_exact(lp))
         t_colgen, sol_colgen = time_it(
-            lambda: solve_column_generation(instance, instance.proxies(c), arithmetic=EXACT)
+            lambda: solve_column_generation(instance, instance.proxies(c))
         )
-        t_float, sol_float = time_it(lambda: solve_exact(lp, arithmetic=FLOAT))
         if ver.basis_count(lp) <= VERTEX_ENUM_CAP:
             t_vertex, vertex_obj = time_it(lambda: ver.enumerate_vertex_optimum(lp))
         else:
@@ -509,8 +518,6 @@ def cmd_bench(args) -> int:
         agree = (
             sol_exact.objective == sol_colgen.objective
             and vertex_obj in ("skipped", sol_exact.objective)
-            and abs(float(sol_exact.objective) - sol_float.objective)
-            <= 1e-6 * (1 + abs(sol_float.objective))
         )
         rows.append(
             [
@@ -520,7 +527,6 @@ def cmd_bench(args) -> int:
                 f"{t_exact:.4f}",
                 str(sol_exact.pivots),
                 f"{t_colgen:.4f}",
-                f"{t_float:.4f}",
                 t_vertex if vertex_obj == "skipped" else f"{t_vertex:.4f}",
                 "agree" if agree else "MISMATCH",
             ]
@@ -533,7 +539,6 @@ def cmd_bench(args) -> int:
                 "exact_full_seconds": t_exact,
                 "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,
-                "float_full_seconds": t_float,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),
                 "objective": str(sol_exact.objective),
@@ -541,7 +546,7 @@ def cmd_bench(args) -> int:
             }
         )
     report = {
-        "schema": "bench-report/2",
+        "schema": "bench-report/3",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
@@ -572,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, help="bidder count")
     g.add_argument("--m", type=int, help="item count")
     g.add_argument("--seed", type=int)
-    g.add_argument("--clauses", type=int, help="xos only: additive clauses per bidder")
-    g.add_argument("--elements", type=int, help="coverage only: ground-set size")
+    g.add_argument("--clauses", type=_positive_int, help="xos only: additive clauses per bidder")
+    g.add_argument("--elements", type=_positive_int, help="coverage only: ground-set size")
     g.add_argument("--out", help="instance file (default: stdout)")
     g.add_argument("--corpus", choices=["standard", "truthfulness"])
     g.add_argument("--out-dir", help="directory for --corpus output")
@@ -591,7 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="execute the mechanism on an instance")
     r.add_argument("instance")
     _add_config_flags(r)
-    r.add_argument("--replications", type=int, help="sample R outcomes over derived seeds")
+    r.add_argument(
+        "--replications", type=_positive_int, help="sample R outcomes over derived seeds"
+    )
     r.add_argument("--payments", action="store_true", help="also compute charges")
     r.add_argument("--format", choices=["json", "table"], default="json")
     r.add_argument("--out")
@@ -601,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run certification checks on instances")
     v.add_argument("target", help="instance file, corpus directory, or manifest directory")
     v.add_argument("--checks", default=DEFAULT_CHECKS, help=f"comma list from {ALL_CHECKS}")
-    v.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
-    v.add_argument("--workers", type=int, default=1, help="parallel instance workers")
+    v.add_argument("--trials", type=_positive_int, default=10_000, help="Monte Carlo trials")
+    v.add_argument("--workers", type=_positive_int, default=1, help="parallel instance workers")
     _add_config_flags(v)
     v.add_argument("--format", choices=["json", "table"], default="json")
     v.add_argument("--out")
@@ -611,13 +618,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="time and compare exact/float, full/column-generation and vertex-enumeration solving",
+        help="time the LP build and the full, column-generation and vertex-enumeration solves, "
+        "and check that their objectives agree",
     )
     b.add_argument("--kind", choices=GENERATOR_KINDS, default="xos")
     b.add_argument("--n", type=int, default=3)
-    b.add_argument("--m-list", default="4,6,8")
+    b.add_argument("--m-list", type=_positive_ints, default="4,6,8", help="comma list of m")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--repeat", type=int, default=3)
+    b.add_argument("--repeat", type=_positive_int, default=3, help="runs per timing (best kept)")
     b.add_argument("--format", choices=["json", "table"], default="table")
     b.add_argument("--out")
     b.set_defaults(func=cmd_bench)

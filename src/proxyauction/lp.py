@@ -27,18 +27,6 @@ from .simplex import solve_canonical_max
 from .valuations import Instance, Valuation, over_one_denominator
 
 LP_ITEM_CAP = 12
-FLOAT_TOL = 1e-9
-
-EXACT = "exact"
-FLOAT = "float"
-
-
-def _tolerance(arithmetic: str):
-    if arithmetic == EXACT:
-        return Fraction(0)
-    if arithmetic == FLOAT:
-        return FLOAT_TOL
-    raise ParameterError(f"unknown arithmetic mode {arithmetic!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +87,6 @@ class FractionalSolution:
     objective: object
     item_duals: Optional[tuple] = None
     bidder_duals: Optional[tuple] = None
-    arithmetic: str = EXACT
     # simplex pivots spent finding this point: a work counter, not part of it
     pivots: int = field(default=0, compare=False)
 
@@ -116,19 +103,11 @@ class FractionalSolution:
     def bundles_of(self, bidder: int) -> list:
         return [(bundle, x) for (i, bundle, x) in self.support() if i == bidder]
 
-    def bidder_mass(self, bidder: int):
-        total = Fraction(0) if self.arithmetic == EXACT else 0.0
-        for (i, _), x in self.entries.items():
-            if i == bidder:
-                total += x
-        return total
+    def bidder_mass(self, bidder: int) -> Fraction:
+        return sum((x for (i, _), x in self.entries.items() if i == bidder), Fraction(0))
 
-    def item_load(self, j: int):
-        total = Fraction(0) if self.arithmetic == EXACT else 0.0
-        for (_, bundle), x in self.entries.items():
-            if j in bundle:
-                total += x
-        return total
+    def item_load(self, j: int) -> Fraction:
+        return sum((x for (_, bundle), x in self.entries.items() if j in bundle), Fraction(0))
 
 
 @dataclass
@@ -161,61 +140,46 @@ def build_full_lp(
     return ConfigLP(instance.n, instance.m, tuple(columns))
 
 
-def _solve_columns(lp_cols: Sequence[Column], n: int, m: int, arithmetic: str):
+def _solve_columns(lp_cols: Sequence[Column], n: int, m: int):
     # Rows are ordered bidder constraints first, then item constraints: on
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
-    tol = _tolerance(arithmetic)
-    if arithmetic == EXACT:
-        conv = Fraction
-        one = Fraction(1)
-        zero = Fraction(0)
-        max_pivots = None
-    else:
-        conv = float
-        one = 1.0
-        zero = 0.0
-        max_pivots = 200 * (n + m + len(lp_cols) + 10)
+    one, zero = Fraction(1), Fraction(0)
     n_rows = m + n
     columns = []
-    objective = []
     for col in lp_cols:
         vec = [zero] * n_rows
         vec[col.bidder] = one
         for j in col.bundle:
             vec[n + j] = one
         columns.append(vec)
-        objective.append(conv(col.coef))
-    rhs = [one] * n_rows
-    return solve_canonical_max(columns, objective, rhs, tol=tol, max_pivots=max_pivots)
+    objective = [Fraction(col.coef) for col in lp_cols]
+    return solve_canonical_max(columns, objective, [one] * n_rows)
 
 
-def solve_exact(lp: ConfigLP, *, arithmetic: str = EXACT) -> FractionalSolution:
+def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
+    return {(col.bidder, col.bundle): v for col, v in zip(lp_cols, x) if v > 0}
+
+
+def solve_exact(lp: ConfigLP) -> FractionalSolution:
     """Optimal basic solution of the full LP, with duals.
 
-    In exact mode the result is certified against its own dual solution
-    (feasibility, dual feasibility over every column, and complementary
-    slackness) before it is returned.
+    The result is certified against its own dual solution (feasibility, dual
+    feasibility over every column, and complementary slackness) before it is
+    returned.
     """
-    res = _solve_columns(lp.columns, lp.n, lp.m, arithmetic)
-    tol = _tolerance(arithmetic)
-    entries = {}
-    for col, x in zip(lp.columns, res.x):
-        if x > tol:
-            entries[(col.bidder, col.bundle)] = x
+    res = _solve_columns(lp.columns, lp.n, lp.m)
     sol = FractionalSolution(
         n=lp.n,
         m=lp.m,
-        entries=entries,
+        entries=_positive_entries(lp.columns, res.x),
         objective=res.objective,
         item_duals=tuple(res.duals[lp.n :]),
         bidder_duals=tuple(res.duals[: lp.n]),
-        arithmetic=arithmetic,
         pivots=res.pivots,
     )
-    if arithmetic == EXACT:
-        certify_optimal(lp, sol)
+    certify_optimal(lp, sol)
     return sol
 
 
@@ -270,7 +234,6 @@ def solve_column_generation(
     oracles: Sequence[Valuation],
     start_columns: Iterable[tuple[int, ItemSet]] = (),
     *,
-    arithmetic: str = EXACT,
     max_rounds: Optional[int] = None,
 ) -> FractionalSolution:
     """Restricted-master simplex with demand-query pricing.
@@ -287,7 +250,6 @@ def solve_column_generation(
         raise ParameterError("need one demand oracle per bidder")
     if max_rounds is None:
         max_rounds = 10 * (n + m) * (1 << m)
-    tol = _tolerance(arithmetic)
 
     master: list[Column] = []
     have = set()
@@ -301,10 +263,10 @@ def solve_column_generation(
         rounds += 1
         if rounds > max_rounds:
             lp = ConfigLP(n, m, tuple(master))
-            res = _solve_columns(lp.columns, n, m, arithmetic)
+            res = _solve_columns(lp.columns, n, m)
             raise IterationLimitError(rounds, len(master), res.objective)
         lp = ConfigLP(n, m, tuple(master))
-        res = _solve_columns(lp.columns, n, m, arithmetic)
+        res = _solve_columns(lp.columns, n, m)
         pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
@@ -315,23 +277,18 @@ def solve_column_generation(
                 continue
             coef = oracles[i].value(bundle)
             reduced = coef - sum(y[j] for j in bundle) - u[i]
-            if reduced > tol:
+            if reduced > 0:
                 master.append(Column(i, bundle, coef))
                 have.add((i, bundle.mask))
                 added = True
         if not added:
-            entries = {}
-            for col, x in zip(lp.columns, res.x):
-                if x > tol:
-                    entries[(col.bidder, col.bundle)] = x
             return FractionalSolution(
                 n=n,
                 m=m,
-                entries=entries,
+                entries=_positive_entries(lp.columns, res.x),
                 objective=res.objective,
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),
-                arithmetic=arithmetic,
                 pivots=pivots,
             )
 
@@ -349,9 +306,8 @@ def check_feasibility(
     entry-weighted coefficient sum.
     """
     violations = []
-    slack = 0 if sol.arithmetic == EXACT else FLOAT_TOL
     for (i, bundle), x in sol.entries.items():
-        if x < -slack:
+        if x < 0:
             violations.append(f"x[{i},{bundle!r}] = {x} is negative")
         if not bundle.fits_universe(m):
             violations.append(f"bundle {bundle!r} outside the {m}-item universe")
@@ -359,24 +315,21 @@ def check_feasibility(
             violations.append(f"bidder {i} outside range(0, {n})")
     for j in range(m):
         load = sol.item_load(j)
-        if load > 1 + slack:
+        if load > 1:
             violations.append(f"item {j} over-allocated: total mass {load}")
     for i in range(n):
         mass = sol.bidder_mass(i)
-        if mass > 1 + slack:
+        if mass > 1:
             violations.append(f"bidder {i} over-allocated: total mass {mass}")
     if lp is not None:
-        total = Fraction(0) if sol.arithmetic == EXACT else 0.0
+        total = Fraction(0)
         coefs = {(c.bidder, c.bundle.mask): c.coef for c in lp.columns}
         for (i, bundle), x in sol.entries.items():
             coef = coefs.get((i, bundle.mask))
             if coef is None:
                 violations.append(f"entry (bidder {i}, {bundle!r}) has no LP column")
             else:
-                total += x * (coef if sol.arithmetic == EXACT else float(coef))
-        if sol.arithmetic == EXACT:
-            if total != sol.objective:
-                violations.append(f"objective {sol.objective} != entry sum {total}")
-        elif abs(total - sol.objective) > FLOAT_TOL * (1 + abs(total)):
+                total += x * coef
+        if total != sol.objective:
             violations.append(f"objective {sol.objective} != entry sum {total}")
     return FeasibilityReport(ok=not violations, violations=violations)

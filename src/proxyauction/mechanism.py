@@ -40,7 +40,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -51,15 +50,7 @@ from .errors import (
     ParameterError,
 )
 from .itemsets import EMPTY_SET, ItemSet
-from .lp import (
-    EXACT,
-    FLOAT,
-    ConfigLP,
-    FractionalSolution,
-    build_full_lp,
-    solve_column_generation,
-    solve_exact,
-)
+from .lp import ConfigLP, FractionalSolution, build_full_lp, solve_column_generation, solve_exact
 from .valuations import PROXY_SUBSET_CAP, AdditiveValuation, Instance
 
 Q_HALT = "halt"
@@ -79,8 +70,6 @@ class MechanismConfig:
     c: per-item keep probability, a reciprocal integer in (0, 1].
     p: survival probability of step 7, a rational in (0, 1].
     q_variant: "halt" or "own-items" (see module docstring).
-    arithmetic: "exact" (all rationals) or "float" (1e-9 tolerance; excluded
-        from the equality-based verification checks).
     seed: master seed; every stage stream is derived from it.
     solver: "full" or "column-generation" for the LP step.
     """
@@ -88,7 +77,6 @@ class MechanismConfig:
     c: Fraction
     p: Fraction
     q_variant: str = Q_HALT
-    arithmetic: str = EXACT
     seed: int = 0
     solver: str = SOLVER_FULL
 
@@ -102,8 +90,6 @@ class MechanismConfig:
             raise ParameterError(f"p must lie in (0, 1], got {p}")
         if self.q_variant not in Q_VARIANTS:
             raise ParameterError(f"unknown q variant {self.q_variant!r}")
-        if self.arithmetic not in (EXACT, FLOAT):
-            raise ParameterError(f"unknown arithmetic mode {self.arithmetic!r}")
         if self.solver not in (SOLVER_FULL, SOLVER_COLGEN):
             raise ParameterError(f"unknown solver {self.solver!r}")
         if not 0 <= int(self.seed) < (1 << 64):
@@ -175,29 +161,26 @@ class Outcome:
             taken |= bundle.mask
 
 
-def draw_tables(solution: FractionalSolution, arithmetic: str = EXACT) -> list:
+def draw_tables(solution: FractionalSolution) -> list:
     """Step-3 draw tables: per bidder, (bundles, denominator, thresholds).
 
-    In exact mode the denominator is the lcm of the bidder's mass
-    denominators and the thresholds are the cumulative integer numerators
-    over it, so a uniform integer below the common denominator lands on
-    bundle S with probability exactly x[i,S] and past the last threshold
-    with exactly the residual mass. In float mode the denominator is None and
-    the thresholds are float cumulative sums. ``bundles`` ends with the empty
-    bundle, the residual atom.
+    The denominator is the lcm of the bidder's mass denominators and the
+    thresholds are the cumulative integer numerators over it, so a uniform
+    integer below the common denominator lands on bundle S with probability
+    exactly x[i,S] and past the last threshold with exactly the residual
+    mass. ``bundles`` ends with the empty bundle, the residual atom.
     """
-    exact = arithmetic == EXACT
     tables = []
     for i in range(solution.n):
         options = solution.bundles_of(i)
         masses = [x for _, x in options]
-        mass = sum(masses, Fraction(0) if exact else 0.0)
-        if mass > (1 if exact else 1 + 1e-9):
+        mass = sum(masses, Fraction(0))
+        if mass > 1:
             raise InfeasibleSolutionError(f"bidder {i} bundle mass {mass} exceeds 1")
-        den = math.lcm(*(x.denominator for x in masses)) if exact else None
+        den = math.lcm(*(x.denominator for x in masses))
         acc, thresholds = 0, []
         for x in masses:
-            acc += x.numerator * (den // x.denominator) if exact else x
+            acc += x.numerator * (den // x.denominator)
             thresholds.append(acc)
         tables.append(([b for b, _ in options] + [EMPTY_SET], den, thresholds))
     return tables
@@ -206,15 +189,14 @@ def draw_tables(solution: FractionalSolution, arithmetic: str = EXACT) -> list:
 def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
     """Step 3: independent per-bidder draw from the draw tables.
 
-    Bidder i draws one uniform integer below its common denominator (exact
-    mode) or one ``random()`` (float mode) from its own tentative-stage
-    stream, so draws do not interact across bidders or with later stages.
-    The bundle is the first whose threshold exceeds the draw.
+    Bidder i draws one uniform integer below its common denominator from its
+    own tentative-stage stream, so draws do not interact across bidders or
+    with later stages. The bundle is the first whose threshold exceeds the
+    draw.
     """
     bundles = []
     for i, (options, den, thresholds) in enumerate(tables):
-        r = rngmod.stream(seed, "tentative", i)
-        u = r.random() if den is None else r.randrange(den)
+        u = rngmod.stream(seed, "tentative", i).randrange(den)
         bundles.append(options[bisect_right(thresholds, u)])
     return TentativeAssignment(bundles=tuple(bundles), m=m)
 
@@ -233,7 +215,6 @@ def compute_q(
     variant: str = Q_HALT,
     *,
     atom_cap: int = ATOM_CAP,
-    arithmetic: str = EXACT,
 ) -> Fraction:
     """Exact probability of the q event for one bidder and tentative bundle.
 
@@ -246,7 +227,6 @@ def compute_q(
     if variant not in Q_VARIANTS:
         raise ParameterError(f"unknown q variant {variant!r}")
     inv_c = Fraction(c).denominator
-    one = Fraction(1) if arithmetic == EXACT else 1.0
 
     supports = []
     size = 1
@@ -254,12 +234,9 @@ def compute_q(
         if i == bidder:
             continue
         options = solution.bundles_of(i)
-        residual = one - sum(x for _, x in options)
+        residual = 1 - sum(x for _, x in options)
         atoms = [(b.mask, x) for b, x in options]
-        if arithmetic == EXACT:
-            if residual > 0:
-                atoms.append((0, residual))
-        elif residual > 1e-12:
+        if residual > 0:
             atoms.append((0, residual))
         supports.append(atoms)
         size *= len(atoms)
@@ -268,7 +245,7 @@ def compute_q(
 
     own_mask = bundle.mask
     m = solution.m
-    total = one * 0
+    total = Fraction(0)
 
     def fires(counts: list[int]) -> bool:
         for j in range(m):
@@ -299,26 +276,20 @@ def compute_q(
                 counts[low.bit_length() - 1] -= 1
                 rest ^= low
 
-    walk(0, one, [0] * m)
+    walk(0, Fraction(1), [0] * m)
     return total
 
 
-def item_lottery(
-    t: TentativeAssignment, c: Fraction, seed: int, *, arithmetic: str = EXACT
-) -> tuple[ItemSet, ...]:
+def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSet, ...]:
     """Step 6: per item, each tentative holder receives it with probability c.
 
     Requires every holder count to be at most 1/c (the halt check must have
     passed), so the per-item lottery probabilities sum to at most 1. Item j
-    draws from its own lottery-stage stream. In exact mode the draw is
-    a uniform integer u below 1/c and the u-th holder receives the item if
-    there is one, so each holder gets it with probability exactly c. In float
-    mode ``random()`` is compared with the running sums c, 2c, ...
+    draws from its own lottery-stage stream: a uniform integer u below 1/c,
+    and the u-th holder receives the item if there is one, so each holder
+    gets it with probability exactly c.
     """
-    c = Fraction(c)
-    inv_c = c.denominator
-    # n running sums suffice: an item never has more than n holders
-    thresholds = None if arithmetic == EXACT else list(accumulate([float(c)] * len(t.bundles)))
+    inv_c = Fraction(c).denominator
     kept_masks = [0] * len(t.bundles)
     for j in range(t.m):
         holders = t.holders(j)
@@ -328,8 +299,7 @@ def item_lottery(
             raise ContractViolationError(
                 f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
             )
-        r = rngmod.stream(seed, "lottery", j)
-        k = r.randrange(inv_c) if thresholds is None else bisect_right(thresholds, r.random())
+        k = rngmod.stream(seed, "lottery", j).randrange(inv_c)
         if k < len(holders):
             kept_masks[holders[k]] |= 1 << j
     return tuple(ItemSet(mask) for mask in kept_masks)
@@ -340,11 +310,10 @@ def personal_cancel(
 ) -> tuple[ItemSet, ...]:
     """Step 7: bidder i keeps everything with probability survival[i], else nothing.
 
-    A nonempty bundle draws from bidder i's cancel-stage stream. An exact
-    survival probability a/b keeps the bundle when a uniform integer below b
-    is less than a, which happens with probability exactly a/b; a float one
-    keeps it when ``random()`` is below it. An empty bundle draws no stream,
-    since both branches leave it empty.
+    A nonempty bundle draws from bidder i's cancel-stage stream: a survival
+    probability a/b keeps the bundle when a uniform integer below b is less
+    than a, which happens with probability exactly a/b. An empty bundle draws
+    no stream, since both branches leave it empty.
     """
     final = []
     for i, (bundle, keep) in enumerate(zip(kept, survival)):
@@ -352,29 +321,22 @@ def personal_cancel(
             final.append(EMPTY_SET)
             continue
         r = rngmod.stream(seed, "cancel", i)
-        if isinstance(keep, Fraction):
-            survives = keep == 1 if keep.denominator == 1 else (
-                r.randrange(keep.denominator) < keep.numerator
-            )
-        else:
-            survives = r.random() < keep
+        survives = keep == 1 if keep.denominator == 1 else (
+            r.randrange(keep.denominator) < keep.numerator
+        )
         final.append(bundle if survives else EMPTY_SET)
     return tuple(final)
 
 
-def survival_probability(q, p: Fraction, bidder: int, arithmetic: str = EXACT):
+def survival_probability(q, p: Fraction, bidder: int) -> Fraction:
     """Step-7 keep probability p / (1 - q_i); raises ParameterError if q_i > 1 - p."""
-    if arithmetic == EXACT:
-        q = Fraction(q)
-        if q > 1 - p:
-            raise ParameterError(
-                f"bidder {bidder}: cancellation needs q_i <= 1 - p, got q_i = {q} > {1 - p}; "
-                f"with default parameters q_i stays below min(p, 1/m)"
-            )
-        return p / (1 - q)
-    if q > 1 - float(p) + 1e-12:
-        raise ParameterError(f"bidder {bidder}: cancellation needs q_i <= 1 - p, got q_i = {q}")
-    return float(p) / (1.0 - q)
+    q = Fraction(q)
+    if q > 1 - p:
+        raise ParameterError(
+            f"bidder {bidder}: cancellation needs q_i <= 1 - p, got q_i = {q} > {1 - p}; "
+            f"with default parameters q_i stays below min(p, 1/m)"
+        )
+    return p / (1 - q)
 
 
 class Pipeline:
@@ -408,10 +370,8 @@ class Pipeline:
 
     def _solve(self) -> FractionalSolution:
         if self.config.solver == SOLVER_COLGEN:
-            return solve_column_generation(
-                self.instance, self.proxies, arithmetic=self.config.arithmetic
-            )
-        return solve_exact(self.lp, arithmetic=self.config.arithmetic)
+            return solve_column_generation(self.instance, self.proxies)
+        return solve_exact(self.lp)
 
     @property
     def lp(self) -> ConfigLP:
@@ -430,22 +390,19 @@ class Pipeline:
                 self.config.c,
                 self.config.q_variant,
                 atom_cap=self.atom_cap,
-                arithmetic=self.config.arithmetic,
             )
         return got
 
     def tentative_sample(self, seed: int) -> TentativeAssignment:
         """Step 3 over the cached draw tables."""
         if self._tables is None:
-            self._tables = draw_tables(self.solution, self.config.arithmetic)
+            self._tables = draw_tables(self.solution)
         return tentative_draw(self._tables, self.solution.m, seed)
 
     def _survival_for(self, bidder: int, q):
         got = self._survival_cache.get(q)
         if got is None:
-            got = self._survival_cache[q] = survival_probability(
-                q, self.config.p, bidder, self.config.arithmetic
-            )
+            got = self._survival_cache[q] = survival_probability(q, self.config.p, bidder)
         return got
 
     def sample(self, seed: int) -> Outcome:
@@ -456,7 +413,7 @@ class Pipeline:
             empty = (EMPTY_SET,) * n
             return Outcome(halted=True, tentative=t.bundles, kept=empty, final=empty)
         q_values = tuple(self.q(i, t.bundles[i]) for i in range(n))
-        kept = item_lottery(t, self.config.c, seed, arithmetic=self.config.arithmetic)
+        kept = item_lottery(t, self.config.c, seed)
         # the feasibility bound q_i <= 1 - p applies to every bidder
         survival = [self._survival_for(i, q) for i, q in enumerate(q_values)]
         return Outcome(
@@ -468,9 +425,7 @@ class Pipeline:
         )
 
     def payments(self) -> tuple[Fraction, ...]:
-        """Expected externality charges over the LP range; exact mode only."""
-        if self.config.arithmetic != EXACT:
-            raise ParameterError("payments require exact arithmetic")
+        """Expected externality charges over the LP range."""
         p = self.config.p
         support = self.solution.support()
         charges = []
@@ -493,10 +448,8 @@ class Pipeline:
         if self.config.solver == SOLVER_COLGEN:
             oracles = list(self.proxies)
             oracles[bidder] = AdditiveValuation([Fraction(0)] * self.instance.m)
-            sol = solve_column_generation(self.instance, oracles, arithmetic=EXACT)
-            return sol.objective
-        sol = solve_exact(self.lp.zero_bidder(bidder), arithmetic=EXACT)
-        return sol.objective
+            return solve_column_generation(self.instance, oracles).objective
+        return solve_exact(self.lp.zero_bidder(bidder)).objective
 
 
 def run(

@@ -1,10 +1,11 @@
 """File formats: instances, fractional solutions, outcomes, and reports.
 
-Everything is UTF-8 JSON. Exact values are encoded as rational strings
-("5/2", integers shorthand as "5") so they survive serialization bit-exactly;
-float-mode values are plain JSON numbers, and every container records which
-arithmetic produced it. Serialization is canonical (sorted keys, fixed
-indentation), so identical runs produce byte-identical files.
+Everything is UTF-8 JSON. Values are encoded as rational strings ("5/2",
+integers shorthand as "5") so they survive serialization bit-exactly.
+Solutions and configs carry the constant field "arithmetic": "exact", which
+keeps their bytes stable; reading accepts it or its absence and rejects any
+other mode. Serialization is canonical (sorted keys, fixed indentation), so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Union
 
 from .errors import FormatError, ParameterError
 from .itemsets import ItemSet
-from .lp import EXACT, FLOAT, FractionalSolution
+from .lp import FractionalSolution
 from .mechanism import MechanismConfig, Outcome
 from .valuations import (
     AdditiveValuation,
@@ -31,17 +32,24 @@ from .valuations import (
 INSTANCE_SCHEMA = "auction-instance/1"
 SOLUTION_SCHEMA = "fractional-solution/1"
 OUTCOME_SCHEMA = "outcome/1"
+EXACT = "exact"
 
 
-def format_value(x, arithmetic: str = EXACT):
-    return str(Fraction(x)) if arithmetic == EXACT else float(x)
+def format_value(x) -> str:
+    return str(Fraction(x))
 
 
-def parse_value(raw, arithmetic: str = EXACT):
+def parse_value(raw) -> Fraction:
     try:
-        return Fraction(raw) if arithmetic == EXACT else float(raw)
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise FormatError(f"bad {arithmetic} value {raw!r}: {exc}") from exc
+        raise FormatError(f"bad exact value {raw!r}: {exc}") from exc
+
+
+def _require_exact(data: dict) -> None:
+    mode = data.get("arithmetic", EXACT)
+    if mode != EXACT:
+        raise FormatError(f"unsupported arithmetic {mode!r}: values are exact rationals")
 
 
 def canonical_dumps(obj) -> str:
@@ -133,46 +141,42 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def solution_to_dict(sol: FractionalSolution) -> dict:
-    mode = sol.arithmetic
     return {
         "schema": SOLUTION_SCHEMA,
-        "arithmetic": mode,
+        "arithmetic": EXACT,
         "n": sol.n,
         "m": sol.m,
-        "objective": format_value(sol.objective, mode),
+        "objective": format_value(sol.objective),
         "entries": [
-            {"bidder": i, "bundle": list(bundle.indices()), "x": format_value(x, mode)}
+            {"bidder": i, "bundle": list(bundle.indices()), "x": format_value(x)}
             for i, bundle, x in sol.support()
         ],
         "item_duals": None
         if sol.item_duals is None
-        else [format_value(d, mode) for d in sol.item_duals],
+        else [format_value(d) for d in sol.item_duals],
         "bidder_duals": None
         if sol.bidder_duals is None
-        else [format_value(d, mode) for d in sol.bidder_duals],
+        else [format_value(d) for d in sol.bidder_duals],
     }
 
 
 def solution_from_dict(data: dict) -> FractionalSolution:
     if data.get("schema") != SOLUTION_SCHEMA:
         raise FormatError(f"expected schema {SOLUTION_SCHEMA}, got {data.get('schema')!r}")
-    mode = data.get("arithmetic", EXACT)
-    if mode not in (EXACT, FLOAT):
-        raise FormatError(f"unknown arithmetic {mode!r}")
+    _require_exact(data)
     entries = {}
     for entry in data.get("entries", []):
         bundle = ItemSet.from_indices(entry["bundle"])
-        entries[(entry["bidder"], bundle)] = parse_value(entry["x"], mode)
+        entries[(entry["bidder"], bundle)] = parse_value(entry["x"])
     duals = data.get("item_duals")
     bduals = data.get("bidder_duals")
     return FractionalSolution(
         n=data["n"],
         m=data["m"],
         entries=entries,
-        objective=parse_value(data["objective"], mode),
-        item_duals=None if duals is None else tuple(parse_value(d, mode) for d in duals),
-        bidder_duals=None if bduals is None else tuple(parse_value(d, mode) for d in bduals),
-        arithmetic=mode,
+        objective=parse_value(data["objective"]),
+        item_duals=None if duals is None else tuple(parse_value(d) for d in duals),
+        bidder_duals=None if bduals is None else tuple(parse_value(d) for d in bduals),
     )
 
 
@@ -187,7 +191,7 @@ def _bundles_from_lists(raw) -> tuple:
     return tuple(ItemSet.from_indices(idxs) for idxs in raw)
 
 
-def outcome_to_dict(outcome: Outcome, arithmetic: str = EXACT) -> dict:
+def outcome_to_dict(outcome: Outcome) -> dict:
     return {
         "schema": OUTCOME_SCHEMA,
         "halted": outcome.halted,
@@ -196,14 +200,14 @@ def outcome_to_dict(outcome: Outcome, arithmetic: str = EXACT) -> dict:
         "final": _bundles_to_lists(outcome.final),
         "q_values": None
         if outcome.q_values is None
-        else [format_value(q, arithmetic) for q in outcome.q_values],
+        else [format_value(q) for q in outcome.q_values],
         "payments": None
         if outcome.payments is None
-        else [format_value(charge, arithmetic) for charge in outcome.payments],
+        else [format_value(charge) for charge in outcome.payments],
     }
 
 
-def outcome_from_dict(data: dict, arithmetic: str = EXACT) -> Outcome:
+def outcome_from_dict(data: dict) -> Outcome:
     if data.get("schema") != OUTCOME_SCHEMA:
         raise FormatError(f"expected schema {OUTCOME_SCHEMA}, got {data.get('schema')!r}")
     q = data.get("q_values")
@@ -213,8 +217,8 @@ def outcome_from_dict(data: dict, arithmetic: str = EXACT) -> Outcome:
         tentative=_bundles_from_lists(data["tentative"]),
         kept=_bundles_from_lists(data["kept"]),
         final=_bundles_from_lists(data["final"]),
-        q_values=None if q is None else tuple(parse_value(v, arithmetic) for v in q),
-        payments=None if payments is None else tuple(parse_value(v, arithmetic) for v in payments),
+        q_values=None if q is None else tuple(parse_value(v) for v in q),
+        payments=None if payments is None else tuple(parse_value(v) for v in payments),
     )
 
 
@@ -226,19 +230,19 @@ def config_to_dict(config: MechanismConfig) -> dict:
         "c": str(config.c),
         "p": str(config.p),
         "q_variant": config.q_variant,
-        "arithmetic": config.arithmetic,
+        "arithmetic": EXACT,
         "seed": config.seed,
         "solver": config.solver,
     }
 
 
 def config_from_dict(data: dict) -> MechanismConfig:
+    _require_exact(data)
     try:
         return MechanismConfig(
             c=Fraction(data["c"]),
             p=Fraction(data["p"]),
             q_variant=data.get("q_variant", "halt"),
-            arithmetic=data.get("arithmetic", EXACT),
             seed=int(data.get("seed", 0)),
             solver=data.get("solver", "full"),
         )

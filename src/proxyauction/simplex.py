@@ -7,21 +7,19 @@ integer-preserving rule (Bareiss 1968)
 
     M'_r = (alpha_p * M_r - alpha_r * M_p) // d,    M'_p = M_p,    d' = alpha_p,
 
-where every division is exact. Exact mode (a zero int or Fraction tolerance,
-int or Fraction entries) first scales the objective and each row of [A | b]
-to integers. Positive scalings change no reduced-cost sign and no ratio-test
-order, so the pivots are the ones an exact dense tableau would make. Any
-other tolerance runs the same routine with true division in place of ``//``
-(floats, with the tolerance scaled by d).
+where every division is exact. The entries are ints or Fractions; the
+objective and each row of [A | b] are first scaled to integers. Positive
+scalings change no reduced-cost sign and no ratio-test order, so the pivots
+are the ones an exact dense tableau would make.
 
 Pivoting follows Bland's rule (Bland 1977): the entering column is the
 lowest-index column with positive reduced cost (structural columns first,
 then slacks), found by pricing columns in index order against the dual
 numerators ``Y = c_B M`` and stopping at the first improving one; the leaving
 row has the minimum ratio, ties to the lowest-index basic variable. This
-prevents cycling in exact arithmetic and makes the returned vertex, duals and
-pivot count a deterministic function of the input ordering, identical to the
-dense Bland tableau's.
+prevents cycling and makes the returned vertex, duals and pivot count a
+deterministic function of the input ordering, identical to the dense Bland
+tableau's.
 
 The right-hand side must be nonnegative so the all-slack basis is feasible;
 the configuration LP always satisfies this (every constraint bound is 1).
@@ -32,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import floordiv, mul, truediv
-from typing import Optional, Sequence
-
-from .errors import IterationLimitError
+from operator import mul
+from typing import Sequence
 
 
 @dataclass
@@ -53,45 +49,30 @@ def _scaled(value, scale: int) -> int:
 
 
 def solve_canonical_max(
-    columns: Sequence[Sequence],
-    objective: Sequence,
-    rhs: Sequence,
-    *,
-    tol=Fraction(0),
-    max_pivots: Optional[int] = None,
+    columns: Sequence[Sequence], objective: Sequence, rhs: Sequence
 ) -> SimplexResult:
     """Maximize objective . x subject to columns-as-matrix x <= rhs, x >= 0.
 
     ``columns[j]`` is the j-th column of the constraint matrix (length =
     number of rows). Returns the optimal basic solution, the objective value,
-    and the dual vector (one multiplier per row). Raises IterationLimitError
-    if ``max_pivots`` is exceeded (only sensible in float mode; Bland's rule
-    terminates unaided in exact mode).
+    and the dual vector (one multiplier per row), all as Fractions.
     """
     n_rows = len(rhs)
     n_cols = len(columns)
-    zero = tol * 0  # same numeric type as the tolerance
 
-    if any(b < zero for b in rhs):
+    if any(b < 0 for b in rhs):
         raise ValueError("canonical form requires a nonnegative right-hand side")
 
-    exact = tol == 0 and not isinstance(tol, float)
     # sparse columns: (row, entry) pairs over the nonzero entries
     sparse = [[(r, a) for r, a in enumerate(col) if a] for col in columns]
-    if exact:
-        row_scale = [v.denominator for v in rhs]
-        for col in sparse:
-            for r, a in col:
-                row_scale[r] = lcm(row_scale[r], a.denominator)
-        b = [_scaled(v, s) for v, s in zip(rhs, row_scale)]
-        sparse = [[(r, _scaled(a, row_scale[r])) for r, a in col] for col in sparse]
-        obj_scale = lcm(*(c.denominator for c in objective))
-        cost = [_scaled(c, obj_scale) for c in objective]
-        div, value = floordiv, Fraction
-    else:
-        b, cost = list(rhs), list(objective)
-        row_scale, obj_scale = [1] * n_rows, 1
-        div, value = truediv, truediv
+    row_scale = [v.denominator for v in rhs]
+    for col in sparse:
+        for r, a in col:
+            row_scale[r] = lcm(row_scale[r], a.denominator)
+    b = [_scaled(v, s) for v, s in zip(rhs, row_scale)]
+    sparse = [[(r, _scaled(a, row_scale[r])) for r, a in col] for col in sparse]
+    obj_scale = lcm(*(c.denominator for c in objective))
+    cost = [_scaled(c, obj_scale) for c in objective]
     cols = [([r for r, _ in col], [a for _, a in col]) for col in sparse]
 
     d = 1
@@ -101,21 +82,17 @@ def solve_canonical_max(
     basis = [n_cols + r for r in range(n_rows)]
     pivots = 0
 
-    def current_objective():
-        return value(sum(map(mul, Y, b)), d * obj_scale)
-
     while True:
-        eps = 0 if exact else tol * d
         dual = Y.__getitem__
         entering = -1
         for j, (support, entries) in enumerate(cols):
             gain = cost[j] * d - sum(map(mul, entries, map(dual, support)))
-            if gain > eps:
+            if gain > 0:
                 entering = j
                 break
         else:
             for r, y in enumerate(Y):
-                if -y > eps:
+                if y < 0:
                     entering, gain = n_cols + r, -y
                     break
         if entering < 0:
@@ -129,7 +106,7 @@ def solve_canonical_max(
 
         leaving = -1
         for r, a in enumerate(alpha):
-            if a > eps and (
+            if a > 0 and (
                 leaving < 0
                 or beta[r] * alpha[leaving] < beta[leaving] * a
                 or (
@@ -144,26 +121,27 @@ def solve_canonical_max(
             raise ValueError("LP is unbounded")
 
         pivots += 1
-        if max_pivots is not None and pivots > max_pivots:
-            raise IterationLimitError(pivots, n_cols, current_objective())
-
         piv = alpha[leaving]
         piv_row, piv_beta = M[leaving], beta[leaving]
         for r in range(n_rows):
             if r != leaving:
                 a = alpha[r]
-                M[r] = [div(piv * u - a * v, d) for u, v in zip(M[r], piv_row)]
-                beta[r] = div(piv * beta[r] - a * piv_beta, d)
+                M[r] = [(piv * u - a * v) // d for u, v in zip(M[r], piv_row)]
+                beta[r] = (piv * beta[r] - a * piv_beta) // d
         # the objective row is one more row of the update, with entry -gain
-        Y = [div(piv * y + gain * v, d) for y, v in zip(Y, piv_row)]
+        Y = [(piv * y + gain * v) // d for y, v in zip(Y, piv_row)]
         d = piv
         basis[leaving] = entering
 
-    x = [zero for _ in range(n_cols)]
+    x = [Fraction(0)] * n_cols
     for r, j in enumerate(basis):
         if j < n_cols:
-            x[j] = value(beta[r], d)
-    duals = [value(y * s, d * obj_scale) for y, s in zip(Y, row_scale)]
+            x[j] = Fraction(beta[r], d)
+    duals = [Fraction(y * s, d * obj_scale) for y, s in zip(Y, row_scale)]
     return SimplexResult(
-        x=x, objective=current_objective(), duals=duals, basis=list(basis), pivots=pivots
+        x=x,
+        objective=Fraction(sum(map(mul, Y, b)), d * obj_scale),
+        duals=duals,
+        basis=list(basis),
+        pivots=pivots,
     )

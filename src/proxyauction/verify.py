@@ -3,8 +3,8 @@
 ``exact_distribution`` enumerates every joint tentative assignment an LP
 solution can produce (each bidder's support plus the residual empty atom),
 evaluates the halt predicate on each, and aggregates the exact expected
-welfare of the thinned, survival-filtered allocation. Everything is exact
-rational arithmetic; no sampling is involved.
+welfare of the thinned, survival-filtered allocation. Every quantity is an
+exact rational; no sampling is involved.
 
 On top of the law sit the certification checks:
 
@@ -35,9 +35,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import rng as rngmod
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError
 from .itemsets import EMPTY_SET, ItemSet
-from .lp import EXACT, ConfigLP, FractionalSolution, solve_column_generation, solve_exact
+from .lp import ConfigLP, FractionalSolution, solve_column_generation, solve_exact
 from .mechanism import (
     ATOM_CAP,
     Q_HALT,
@@ -120,10 +120,8 @@ def exact_distribution(
     """Enumerate the exact outcome law of the configured mechanism.
 
     A ``solution`` may be injected to study hand-built feasible points;
-    otherwise the pipeline's LP solve is used. Exact arithmetic only.
+    otherwise the pipeline's LP solve is used.
     """
-    if config.arithmetic != EXACT:
-        raise ParameterError("the exact law is only defined in exact arithmetic")
     if pipeline is None:
         pipeline = Pipeline(instance, config, solution=solution, atom_cap=atom_cap)
     sol = pipeline.solution
@@ -604,7 +602,7 @@ def check_lp_agreement(
     if pipeline is None:
         pipeline = Pipeline(instance, config)
     lp = pipeline.lp
-    if config.solver == SOLVER_FULL and config.arithmetic == EXACT:
+    if config.solver == SOLVER_FULL:
         exact_obj = pipeline.solution.objective  # the pipeline's own solve_exact(lp)
     else:
         exact_obj = solve_exact(lp).objective
@@ -688,8 +686,6 @@ def check_truthfulness(
     misreported profile exactly as it would be for real reports. Also checks
     that truthful utility is nonnegative.
     """
-    if config.arithmetic != EXACT:
-        raise ParameterError("truthfulness certification requires exact arithmetic")
     truth_pipeline = Pipeline(instance, config, proxy_cap=proxy_cap)
     truth_dist = exact_distribution(instance, config, pipeline=truth_pipeline)
     truth_charges = truth_pipeline.payments()

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from proxyauction.errors import CapacityError, IterationLimitError
+from proxyauction.errors import CapacityError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.mechanism import Outcome
 from proxyauction.rng import stream
@@ -83,43 +83,31 @@ def additive_lp_optimum(weight_rows) -> Fraction:
     )
 
 
-def bernoulli(rng: random.Random, prob, *, arithmetic: str = "exact") -> bool:
-    """True with probability exactly ``prob`` (exact mode) or approximately (float)."""
-    if arithmetic == "exact":
-        prob = Fraction(prob)
-        if not 0 <= prob <= 1:
-            raise ValueError(f"probability {prob} outside [0, 1]")
-        if prob.denominator == 1:
-            return prob == 1
-        return rng.randrange(prob.denominator) < prob.numerator
-    return rng.random() < prob
+def bernoulli(rng: random.Random, prob) -> bool:
+    """True with probability exactly ``prob``."""
+    prob = Fraction(prob)
+    if not 0 <= prob <= 1:
+        raise ValueError(f"probability {prob} outside [0, 1]")
+    if prob.denominator == 1:
+        return prob == 1
+    return rng.randrange(prob.denominator) < prob.numerator
 
 
-def categorical(
-    rng: random.Random, probs: Sequence, *, arithmetic: str = "exact"
-) -> Optional[int]:
+def categorical(rng: random.Random, probs: Sequence) -> Optional[int]:
     """Index drawn with the given probabilities; None for the residual mass.
 
     ``probs`` may sum to less than one; the leftover probability maps to
-    None. Exact mode draws a uniform integer below the lcm of denominators,
-    so every atom (including the residual) has exactly its stated mass.
+    None. The draw is a uniform integer below the lcm of denominators, so
+    every atom (including the residual) has exactly its stated mass.
     """
-    if arithmetic == "exact":
-        fracs = [Fraction(p) for p in probs]
-        if any(p < 0 for p in fracs) or sum(fracs) > 1:
-            raise ValueError("probabilities must be nonnegative and sum to at most 1")
-        den = lcm(*(p.denominator for p in fracs)) if fracs else 1
-        r = rng.randrange(den)
-        acc = 0
-        for k, p in enumerate(fracs):
-            acc += p.numerator * (den // p.denominator)
-            if r < acc:
-                return k
-        return None
-    r = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
+    fracs = [Fraction(p) for p in probs]
+    if any(p < 0 for p in fracs) or sum(fracs) > 1:
+        raise ValueError("probabilities must be nonnegative and sum to at most 1")
+    den = lcm(*(p.denominator for p in fracs)) if fracs else 1
+    r = rng.randrange(den)
+    acc = 0
+    for k, p in enumerate(fracs):
+        acc += p.numerator * (den // p.denominator)
         if r < acc:
             return k
     return None
@@ -135,16 +123,12 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     predicate. Only the LP solution and the q values come from ``pipeline``.
     """
     sol, config = pipeline.solution, pipeline.config
-    arithmetic = config.arithmetic
-    exact = arithmetic == "exact"
     n, m = sol.n, sol.m
 
     tentative = []
     for i in range(n):
         options = sol.bundles_of(i)
-        pick = categorical(
-            stream(seed, "tentative", i), [x for _, x in options], arithmetic=arithmetic
-        )
+        pick = categorical(stream(seed, "tentative", i), [x for _, x in options])
         tentative.append(EMPTY_SET if pick is None else options[pick][0])
     tentative = tuple(tentative)
 
@@ -154,20 +138,16 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         return Outcome(halted=True, tentative=tentative, kept=empty, final=empty)
     q_values = tuple(pipeline.q(i, tentative[i]) for i in range(n))
 
-    prob = config.c if exact else float(config.c)
     kept = [0] * n
     for j, who in enumerate(holders):
         if who:
-            pick = categorical(
-                stream(seed, "lottery", j), [prob] * len(who), arithmetic=arithmetic
-            )
+            pick = categorical(stream(seed, "lottery", j), [config.c] * len(who))
             if pick is not None:
                 kept[who[pick]] |= 1 << j
 
     final = []
     for i, q in enumerate(q_values):
-        survival = config.p / (1 - q) if exact else float(config.p) / (1.0 - q)
-        survives = bernoulli(stream(seed, "cancel", i), survival, arithmetic=arithmetic)
+        survives = bernoulli(stream(seed, "cancel", i), config.p / (1 - q))
         final.append(ItemSet(kept[i]) if survives else EMPTY_SET)
     return Outcome(
         halted=False,
@@ -179,12 +159,7 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
 
 
 def tableau_simplex(
-    columns: Sequence[Sequence],
-    objective: Sequence,
-    rhs: Sequence,
-    *,
-    tol=Fraction(0),
-    max_pivots: Optional[int] = None,
+    columns: Sequence[Sequence], objective: Sequence, rhs: Sequence
 ) -> SimplexResult:
     """The dense Bland tableau that ``proxyauction.simplex`` replaced.
 
@@ -192,13 +167,11 @@ def tableau_simplex(
 
     ``columns[j]`` is the j-th column of the constraint matrix (length =
     number of rows). Returns the optimal basic solution, the objective value,
-    and the dual vector (one multiplier per row). Raises IterationLimitError
-    if ``max_pivots`` is exceeded (only sensible in float mode; Bland's rule
-    terminates unaided in exact mode).
+    and the dual vector (one multiplier per row).
     """
     n_rows = len(rhs)
     n_cols = len(columns)
-    zero = tol * 0  # same numeric type as the tolerance
+    zero = Fraction(0)
 
     if any(b < zero for b in rhs):
         raise ValueError("canonical form requires a nonnegative right-hand side")
@@ -221,7 +194,7 @@ def tableau_simplex(
     while True:
         entering = -1
         for j in range(total):
-            if cost[j] > tol:
+            if cost[j] > 0:
                 entering = j
                 break
         if entering < 0:
@@ -231,7 +204,7 @@ def tableau_simplex(
         best_ratio = None
         for r in range(n_rows):
             a = rows[r][entering]
-            if a > tol:
+            if a > 0:
                 ratio = rows[r][-1] / a
                 if (
                     best_ratio is None
@@ -246,8 +219,6 @@ def tableau_simplex(
             raise ValueError("LP is unbounded")
 
         pivots += 1
-        if max_pivots is not None and pivots > max_pivots:
-            raise IterationLimitError(pivots, n_cols, value)
 
         piv_row = rows[leaving_row]
         piv = piv_row[entering]

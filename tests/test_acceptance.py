@@ -10,14 +10,9 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+from fixtures import overlap_demo, random_feasible_solution
 from proxyauction.cli import main
-from proxyauction.generators import (
-    generate,
-    overlap_demo,
-    random_feasible_solution,
-    standard_corpus,
-    truthfulness_corpus,
-)
+from proxyauction.generators import generate, standard_corpus, truthfulness_corpus
 from proxyauction.lp import build_full_lp, solve_column_generation, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_OWN_ITEMS, default_params
 from proxyauction.valuations import AdditiveValuation, Instance, ProxyValuation

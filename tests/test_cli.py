@@ -10,7 +10,8 @@ import pytest
 from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
-from proxyauction.serialize import load_json
+from proxyauction.errors import FormatError
+from proxyauction.serialize import config_from_dict, load_json, solution_from_dict
 
 ROOT = Path(__file__).parent.parent
 CORPUS_DIR = ROOT / "corpus" / "standard"
@@ -109,6 +110,12 @@ def test_verify_unknown_check_is_an_error(instance_file):
     assert code == 2
 
 
+def test_verify_without_checks_is_an_error(instance_file, capsys):
+    # an empty check list would certify nothing and still report a pass
+    assert main(["verify", str(instance_file), "--c", "1/2", "--checks", ","]) == 2
+    assert "names no check" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(instance_file):
     with pytest.raises(SystemExit):
         main(["run", str(instance_file), "--frobnicate"])
@@ -164,8 +171,9 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/2"
+    assert report["schema"] == "bench-report/3"
     small, large = report["rows"]
+    assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
     assert small["vertex_enum_seconds"] >= 0
     # n = 2, m = 4: 1,947,792 bases, beyond the enumeration cap
@@ -281,3 +289,78 @@ def test_verify_corpus_reports_each_oversize_instance(capsys):
 
 def test_missing_generate_arguments():
     assert main(["generate", "--kind", "additive"]) == 2
+
+
+def test_float_arithmetic_is_rejected(instance_file, tmp_path):
+    config = {"c": "1/2", "p": "1/20", "seed": 3}
+    assert config_from_dict({**config, "arithmetic": "exact"}) == config_from_dict(config)
+    with pytest.raises(FormatError):
+        config_from_dict({**config, "arithmetic": "float"})
+    out = tmp_path / "solve.json"
+    assert main(["solve", str(instance_file), "--out", str(out)]) == 0
+    solution = load_json(out)["solution"]
+    assert solution["arithmetic"] == "exact"
+    with pytest.raises(FormatError):
+        solution_from_dict({**solution, "arithmetic": "float"})
+    with pytest.raises(SystemExit) as exc:
+        main(run_flags(instance_file, "--mode", "float"))
+    assert exc.value.code == 2
+
+
+# SHA-256 of reports taken before float mode was removed; arithmetic changes
+# that alter one byte of a certified report fail here
+PINNED_REPORTS = {
+    "verify-standard": (
+        ["verify", "corpus/standard"],
+        "61fbf318209172f448b69311dee3a4ab7c740075c5ff5aaefb7c44b0873a0418",
+    ),
+    "verify-standard-colgen": (
+        ["verify", "corpus/standard", "--solver", "column-generation"],
+        "58c36b7453ae3c2b9e69db1d6ca93bef5f34a5e88bca0d0a6bf3b4eac8ec75b4",
+    ),
+    "verify-truthfulness": (
+        ["verify", "corpus/truthfulness", "--checks", "truthfulness"],
+        "6cf5db0ac1700c91daeb2a5e52a530b23368c8d6129c44861aca4f0b179003f9",
+    ),
+    "run-payments": (
+        ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
+         "--replications", "50", "--payments"],
+        "dc0bd1f5dd1907b416ef050938d6df074ac4c943b23378f285028e0d483b9e54",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_keep_their_bytes(name, monkeypatch, capsys):
+    argv, digest = PINNED_REPORTS[name]
+    monkeypatch.chdir(ROOT)  # a relative path keeps the report independent of the checkout
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", INSTANCE, "--c", "abc"], "argument --c: expected a rational"),
+        (["run", INSTANCE, "--c", "1/0"], "argument --c: expected a rational"),
+        (["run", INSTANCE, "--p", "x"], "argument --p: expected a rational"),
+        (["verify", INSTANCE, "--checks", "monte-carlo", "--trials", "0"],
+         "argument --trials: expected a positive integer"),
+        (["bench", "--repeat", "0"], "argument --repeat: expected a positive integer"),
+        (["bench", "--m-list", "x"], "argument --m-list: expected a positive integer"),
+        (["run", INSTANCE, "--replications", "-3"],
+         "argument --replications: expected a positive integer"),
+        (["generate", "--kind", "xos", "--n", "2", "--m", "3", "--clauses", "0"],
+         "argument --clauses: expected a positive integer"),
+    ],
+    ids=["c-text", "c-zero-denominator", "p-text", "trials-zero", "repeat-zero", "m-list-text",
+         "replications-negative", "clauses-zero"],
+)
+def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]

@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from fixtures import overlap_demo, random_feasible_solution
 from proxyauction.errors import CapacityError, ParameterError
 from proxyauction.generators import (
     generate,
-    overlap_demo,
-    random_feasible_solution,
     repair_monotone_subadditive,
     standard_corpus,
     truthfulness_corpus,

@@ -1,13 +1,12 @@
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from fixtures import overlap_demo, random_feasible_solution
 from oracles import sample_by_definition
 
 from proxyauction.errors import ContractViolationError, ParameterError
-from proxyauction.generators import overlap_demo
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import (
@@ -220,7 +219,6 @@ def test_lottery_joint_law_is_independent_per_item():
 
 def test_q_bound_under_default_parameters():
     # with the m-derived keep probability, measured q values stay below 1/m
-    from proxyauction.generators import random_feasible_solution
     from proxyauction.valuations import AdditiveValuation as Add
 
     m = 64
@@ -318,21 +316,20 @@ def test_run_monte_carlo_tracks_exact_expectation():
 
 
 def test_sample_matches_definition_on_both_corpora():
-    # Pipeline.sample against the step-3..7 definitions, seed for seed, in both
-    # arithmetic modes; the contended instances make some outcomes halt
+    # Pipeline.sample against the step-3..7 definitions, seed for seed; the
+    # contended instances make some outcomes halt
     corpus_root = Path(__file__).parent.parent / "corpus"
     halts = 0
     for name in ("standard", "truthfulness"):
         for entry in load_json(corpus_root / name / "manifest.json")["instances"]:
             instance = load_instance(corpus_root / name / entry["file"])
             config = config_from_dict(entry["config"])
-            for arithmetic in ("exact", "float"):
-                pipe = Pipeline(instance, replace(config, arithmetic=arithmetic))
-                for k in range(200):
-                    seed = derive_seed(config.seed, "equivalence", k)
-                    out = pipe.sample(seed)
-                    assert out == sample_by_definition(pipe, seed), (entry["file"], arithmetic, k)
-                    halts += out.halted
+            pipe = Pipeline(instance, config)
+            for k in range(200):
+                seed = derive_seed(config.seed, "equivalence", k)
+                out = pipe.sample(seed)
+                assert out == sample_by_definition(pipe, seed), (entry["file"], k)
+                halts += out.halted
     assert halts > 0
 
 
@@ -392,22 +389,6 @@ def test_contested_additive_charges_frozen():
     inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 4), seed=99)
     assert Pipeline(inst, config).payments() == (F(1, 8), F(1, 8))
-
-
-def test_float_mode_run_is_deterministic():
-    inst = Instance(3, (AdditiveValuation([2, 0, 1]), UnitDemandValuation([1, 3, 1])))
-    config = MechanismConfig(c=F(1, 2), p=F(1, 20), arithmetic="float", seed=11)
-    out = run(inst, config)
-    assert out == run(inst, config)
-    for tent, final in zip(out.tentative, out.final):
-        assert final.issubset(tent)
-
-
-def test_payments_require_exact_mode():
-    inst = Instance(2, (AdditiveValuation([3, 5]),))
-    config = MechanismConfig(c=F(1, 2), p=F(1, 20), arithmetic="float")
-    with pytest.raises(ParameterError):
-        Pipeline(inst, config).payments()
 
 
 def test_payments_nonnegative_and_bounded(corpus):

@@ -59,10 +59,3 @@ def test_categorical_validates_mass():
 
 def test_categorical_empty_support_is_residual():
     assert categorical(stream(0, "e"), []) is None
-
-
-def test_float_mode_paths():
-    r = stream(3, "f")
-    outcomes = {categorical(stream(3, "f", k), [0.5, 0.25], arithmetic="float") for k in range(200)}
-    assert outcomes <= {0, 1, None}
-    assert bernoulli(r, 1.0, arithmetic="float") in (True, False)

@@ -6,7 +6,7 @@ import pytest
 from proxyauction.errors import FormatError
 from proxyauction.generators import generate
 from proxyauction.itemsets import ItemSet
-from proxyauction.lp import FLOAT, FractionalSolution, build_full_lp, solve_exact
+from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, run
 from proxyauction.serialize import (
     canonical_dumps,
@@ -61,13 +61,11 @@ def test_instance_schema_enforced():
         instance_from_dict({"schema": "something-else", "m": 1, "bidders": []})
 
 
-def test_solution_round_trip_exact_and_float():
+def test_solution_round_trip():
     inst = generate("xos", 2, 3, 3)
-    lp = build_full_lp(inst)
-    for mode in ("exact", FLOAT):
-        sol = solve_exact(lp, arithmetic=mode)
-        back = solution_from_dict(json.loads(canonical_dumps(solution_to_dict(sol))))
-        assert back == sol
+    sol = solve_exact(build_full_lp(inst))
+    back = solution_from_dict(json.loads(canonical_dumps(solution_to_dict(sol))))
+    assert back == sol
 
 
 def test_hand_built_solution_round_trip():

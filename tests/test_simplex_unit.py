@@ -42,14 +42,6 @@ def test_negative_rhs_rejected():
         solve_canonical_max([[F(1)]], [F(1)], [F(-1)])
 
 
-def test_float_mode_tolerance():
-    # rows: x0 <= 1 and x0 + x1 <= 1.5, so x0 = 1 and x1 fills the slack
-    columns = [[1.0, 1.0], [0.0, 1.0]]
-    res = solve_canonical_max(columns, [1.0, 1.0], [1.0, 1.5], tol=1e-9)
-    assert abs(res.objective - 1.5) < 1e-9
-    assert abs(res.x[0] - 1.0) < 1e-9 and abs(res.x[1] - 0.5) < 1e-9
-
-
 def test_fractional_vertex():
     # pairwise-overlap structure whose optimum is half-integral
     # max x0 + x1 + x2 s.t. x0+x1 <= 1, x1+x2 <= 1, x0+x2 <= 1

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import overlap_demo
 from oracles import integral_welfare_by_products, vertex_optimum_by_combinations
 from proxyauction.errors import CapacityError
-from proxyauction.generators import generate, overlap_demo
+from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import Column, ConfigLP, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
@@ -348,12 +349,3 @@ def test_truthfulness_holds_under_column_generation_solver(truthful_corpus):
     cfg = replace(item.config, solver="column-generation")
     res = check_truthfulness(item.instance, cfg)
     assert res.passed, res.witness
-
-
-def test_distribution_rejects_float_mode():
-    from proxyauction.errors import ParameterError
-
-    inst = Instance(2, (AdditiveValuation([3, 5]),))
-    config = MechanismConfig(c=F(1, 2), p=F(1, 20), arithmetic="float")
-    with pytest.raises(ParameterError):
-        exact_distribution(inst, config)
