@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,8 +50,10 @@ from .valuations import PROXY_SUBSET_CAP
 from .verify import INTEGRAL_CAP, VERTEX_ENUM_CAP
 
 MANIFEST_SCHEMA = "corpus-manifest/1"
-REPORT_SCHEMA = "run-report/1"
+REPORT_SCHEMA = "run-report/2"
 VERIFY_SCHEMA = "verify-report/1"
+# outcomes per bench sample_seconds timing, as in run --replications 1000
+BENCH_SAMPLES = 1000
 
 DEFAULT_CHECKS = "welfare,marginals,approximation,proxy-bound,lp"
 ALL_CHECKS = (
@@ -487,13 +490,15 @@ def cmd_bench(args) -> int:
             "pivots",
             "exact-colgen s",
             "vertex-enum s",
+            "sample s",
             "objectives",
         ]
     ]
     records = []
+    sample_seeds = [derive_seed(args.seed, "replication", r) for r in range(BENCH_SAMPLES)]
     for m in args.m_list:
         instance = generate(args.kind, args.n, m, args.seed)
-        c, _ = default_params(m) if m >= 4 else (Fraction(1, 2), None)
+        c, p = default_params(m) if m >= 4 else (Fraction(1, 2), Fraction(1, 20))
 
         def time_it(fn, repeat=args.repeat):
             best, value = None, None
@@ -515,6 +520,9 @@ def cmd_bench(args) -> int:
             t_vertex, vertex_obj = time_it(lambda: ver.enumerate_vertex_optimum(lp))
         else:
             t_vertex = vertex_obj = "skipped"
+        # the first repeat also fills the pipeline's q cache
+        pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
+        t_sample, _ = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
         agree = (
             sol_exact.objective == sol_colgen.objective
             and vertex_obj in ("skipped", sol_exact.objective)
@@ -528,6 +536,7 @@ def cmd_bench(args) -> int:
                 str(sol_exact.pivots),
                 f"{t_colgen:.4f}",
                 t_vertex if vertex_obj == "skipped" else f"{t_vertex:.4f}",
+                f"{t_sample:.4f}",
                 "agree" if agree else "MISMATCH",
             ]
         )
@@ -541,16 +550,21 @@ def cmd_bench(args) -> int:
                 "exact_colgen_seconds": t_colgen,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),
+                "sample_seconds": t_sample,
                 "objective": str(sol_exact.objective),
                 "objectives_agree": agree,
             }
         )
     report = {
-        "schema": "bench-report/3",
+        "schema": "bench-report/4",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
         "seed": args.seed,
+        "repeat": args.repeat,
+        "samples": BENCH_SAMPLES,
+        "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "note": "timings are wall-clock; this report is not byte-reproducible",
         "rows": records,
     }
@@ -618,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="time the LP build and the full, column-generation and vertex-enumeration solves, "
-        "and check that their objectives agree",
+        help="time the LP build, the full, column-generation and vertex-enumeration solves and "
+        "1,000 outcome samples, and check that the solvers' objectives agree",
     )
     b.add_argument("--kind", choices=GENERATOR_KINDS, default="xos")
     b.add_argument("--n", type=int, default=3)

@@ -312,17 +312,16 @@ def personal_cancel(
 
     A nonempty bundle draws from bidder i's cancel-stage stream: a survival
     probability a/b keeps the bundle when a uniform integer below b is less
-    than a, which happens with probability exactly a/b. An empty bundle draws
-    no stream, since both branches leave it empty.
+    than a, which happens with probability exactly a/b. An empty bundle, or a
+    survival probability of 1, draws nothing, since the outcome is certain.
     """
     final = []
     for i, (bundle, keep) in enumerate(zip(kept, survival)):
         if not bundle:
             final.append(EMPTY_SET)
             continue
-        r = rngmod.stream(seed, "cancel", i)
         survives = keep == 1 if keep.denominator == 1 else (
-            r.randrange(keep.denominator) < keep.numerator
+            rngmod.stream(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
         )
         final.append(bundle if survives else EMPTY_SET)
     return tuple(final)

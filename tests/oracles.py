@@ -6,7 +6,6 @@ dual-route check.
 """
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -15,7 +14,7 @@ from typing import Optional, Sequence
 from proxyauction.errors import CapacityError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.mechanism import Outcome
-from proxyauction.rng import stream
+from proxyauction.rng import Stream, stream
 from proxyauction.simplex import SimplexResult
 from proxyauction.verify import VERTEX_ENUM_CAP
 
@@ -83,7 +82,7 @@ def additive_lp_optimum(weight_rows) -> Fraction:
     )
 
 
-def bernoulli(rng: random.Random, prob) -> bool:
+def bernoulli(rng: Stream, prob) -> bool:
     """True with probability exactly ``prob``."""
     prob = Fraction(prob)
     if not 0 <= prob <= 1:
@@ -93,7 +92,7 @@ def bernoulli(rng: random.Random, prob) -> bool:
     return rng.randrange(prob.denominator) < prob.numerator
 
 
-def categorical(rng: random.Random, probs: Sequence) -> Optional[int]:
+def categorical(rng: Stream, probs: Sequence) -> Optional[int]:
     """Index drawn with the given probabilities; None for the residual mass.
 
     ``probs`` may sum to less than one; the leftover probability maps to

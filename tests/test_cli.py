@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import platform
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -149,8 +151,14 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
+    assert report["schema"] == "bench-report/4"
+    assert report["repeat"] == 1
+    assert report["samples"] == 1000
+    assert report["python"] == platform.python_version()
+    assert report["cpu_count"] == os.cpu_count()
     assert report["rows"][0]["objectives_agree"] is True
     assert report["rows"][0]["exact_full_pivots"] > 0
+    assert report["rows"][0]["sample_seconds"] > 0
 
 
 def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
@@ -171,7 +179,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/3"
+    assert report["schema"] == "bench-report/4"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
@@ -229,7 +237,7 @@ def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
     assert calls == {"solve_exact": 1}
     # the report each check built its own Pipeline for, byte for byte
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "0c8488ae38959c2a1ded317c3af6744545e92a08530f4facb45110cff2614114"
+    assert digest == "a1230a90c4b01408a81f2d01b5d7bedaba561545a7b5d48fb0a4e014562bacba"
 
 
 def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_path):
@@ -307,8 +315,9 @@ def test_float_arithmetic_is_rejected(instance_file, tmp_path):
     assert exc.value.code == 2
 
 
-# SHA-256 of reports taken before float mode was removed; arithmetic changes
-# that alter one byte of a certified report fail here
+# SHA-256 of reports: the verify digests were taken before float mode was
+# removed, the run digest after the switch to counter-based draws
+# (run-report/2); a change that alters one byte of a pinned report fails here
 PINNED_REPORTS = {
     "verify-standard": (
         ["verify", "corpus/standard"],
@@ -325,7 +334,7 @@ PINNED_REPORTS = {
     "run-payments": (
         ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
          "--replications", "50", "--payments"],
-        "dc0bd1f5dd1907b416ef050938d6df074ac4c943b23378f285028e0d483b9e54",
+        "855733db0a2ea04d7d06b37c5bd22f7e4fb2966d6d60a1b19b8e74662b60228e",
     ),
 }
 

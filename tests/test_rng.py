@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import bernoulli, categorical
+from proxyauction import rng as rngmod
 from proxyauction.rng import derive_seed, stream
 
 
@@ -15,10 +16,67 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
     assert derive_seed(7, "tentative", 0) != derive_seed(8, "tentative", 0)
 
 
+def draws(s, k=5, den=2**64):
+    return [s.randrange(den) for _ in range(k)]
+
+
 def test_streams_reproduce():
-    a = stream(42, "stage", 3)
-    b = stream(42, "stage", 3)
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+    assert draws(stream(42, "stage", 3)) == draws(stream(42, "stage", 3))
+    first = draws(stream(42, "stage", 3))
+    assert len(set(first)) == len(first)  # the counter moves the stream on
+    for other in (stream(42, "stage", 4), stream(42, "other", 3), stream(43, "stage", 3),
+                  stream(42, "stage", "3")):
+        assert draws(other) != first
+
+
+def test_randrange_rejects_a_block_past_the_last_whole_multiple(monkeypatch):
+    # 2^72 = 1 mod 3, so an all-ones 9-byte block is the one value rejected for den 3
+    real = rngmod.shake_256
+    inputs = []
+
+    class AllOnesFirst:
+        def __init__(self, data):
+            inputs.append(data)
+            self.data = data
+
+        def digest(self, size):
+            return b"\xff" * size if len(inputs) == 1 else real(self.data).digest(size)
+
+    monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
+    s = stream(3, "reject")
+    got = s.randrange(3)
+    second = s.key + (1).to_bytes(8, "big")
+    assert inputs == [s.key + (0).to_bytes(8, "big"), second]
+    assert got == int.from_bytes(real(second).digest(9), "big") % 3
+    assert s.counter == 2
+
+
+def test_randrange_wider_than_one_sha_block():
+    den = 3**300  # 476 bits, wider than a 256-bit digest
+    a, b = draws(stream(11, "wide"), 3, den), draws(stream(11, "wide"), 3, den)
+    assert a == b
+    assert all(0 <= u < den for u in a)
+    assert len(set(a)) == 3
+    assert max(a).bit_length() > 256
+
+
+def test_randrange_edge_denominators():
+    assert draws(stream(0, "one"), 5, 1) == [0] * 5
+    with pytest.raises(ValueError):
+        stream(0, "zero").randrange(0)
+
+
+@pytest.mark.parametrize("den", [3, 7, 360])
+def test_randrange_frequency(den):
+    trials = 30_000
+    s = stream(13, "uniform", den)
+    counts = Counter(s.randrange(den) for _ in range(trials))
+    assert set(counts) <= set(range(den))
+    p = 1 / den
+    # 4.5 sigma per value, so a false alarm over all 370 values tested stays rare
+    for value in range(den):
+        freq = counts[value] / trials
+        assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / trials), value
 
 
 def test_label_types_matter():
