@@ -277,6 +277,7 @@ def cmd_run(args) -> int:
         config,
         atom_cap=caps.get("atoms", ATOM_CAP),
         proxy_cap=caps.get("proxy", PROXY_SUBSET_CAP),
+        lp_cap=caps.get("lp", LP_ITEM_CAP),
     )
     if args.replications is None:
         seeds = [config.seed]
@@ -335,11 +336,12 @@ def cmd_run(args) -> int:
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
     atom_cap = caps.get("atoms", ATOM_CAP)
     proxy_cap = caps.get("proxy", PROXY_SUBSET_CAP)
+    lp_cap = caps.get("lp", LP_ITEM_CAP)
 
     # one mechanism and one outcome law per (instance, config), built on first use
     @functools.cache
     def pipeline() -> Pipeline:
-        return Pipeline(instance, config, atom_cap=atom_cap, proxy_cap=proxy_cap)
+        return Pipeline(instance, config, atom_cap=atom_cap, proxy_cap=proxy_cap, lp_cap=lp_cap)
 
     @functools.cache
     def law() -> ver.OutcomeDistribution:

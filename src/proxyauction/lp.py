@@ -7,19 +7,23 @@ sum(x[i,S] * coef(i,S)) subject to
   * bidder constraints: each bidder's total mass is <= 1,
   * nonnegativity.
 
+Every constraint is 0/1 with capacity 1, so the simplex receives each column
+as its support: the bidder row, then one row per item of the bundle.
 ``solve_exact`` solves the fully materialized LP (one column per bidder per
-nonempty bundle). ``solve_column_generation`` keeps a restricted master and
-prices new columns with per-bidder demand queries at the current item duals.
-Both return an optimal basic solution whose support size is at most n + m, and
-both are deterministic: columns are ordered by (bidder, bundle lexicographic)
-and the simplex uses Bland's rule.
+nonempty bundle) and certifies the result in one pass over its columns.
+``solve_column_generation`` keeps one restricted master, sorted as it grows,
+and prices new columns with per-bidder demand queries at the current item
+duals. Both return an optimal basic solution whose support size is at most
+n + m, and both are deterministic: columns are ordered by (bidder, bundle
+lexicographic) and the simplex uses Bland's rule.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
 from .itemsets import ItemSet, subset_sums
@@ -34,6 +38,11 @@ class Column:
     bidder: int
     bundle: ItemSet
     coef: Fraction
+
+
+def column_order(col: Column) -> tuple:
+    """The LP's column order: by bidder, then bundle lexicographic."""
+    return (col.bidder, col.bundle.lex_key())
 
 
 @dataclass
@@ -62,7 +71,7 @@ class ConfigLP:
         object.__setattr__(
             self,
             "columns",
-            tuple(sorted(self.columns, key=lambda c: (c.bidder, c.bundle.lex_key()))),
+            tuple(sorted(self.columns, key=column_order)),
         )
 
     def zero_bidder(self, bidder: int) -> "ConfigLP":
@@ -145,17 +154,8 @@ def _solve_columns(lp_cols: Sequence[Column], n: int, m: int):
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
-    one, zero = Fraction(1), Fraction(0)
-    n_rows = m + n
-    columns = []
-    for col in lp_cols:
-        vec = [zero] * n_rows
-        vec[col.bidder] = one
-        for j in col.bundle:
-            vec[n + j] = one
-        columns.append(vec)
-    objective = [Fraction(col.coef) for col in lp_cols]
-    return solve_canonical_max(columns, objective, [one] * n_rows)
+    supports = [[col.bidder, *(n + j for j in col.bundle)] for col in lp_cols]
+    return solve_canonical_max(supports, [col.coef for col in lp_cols], n + m)
 
 
 def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
@@ -186,11 +186,12 @@ def solve_exact(lp: ConfigLP) -> FractionalSolution:
 def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
     """Assert optimality via exact duals; raises InfeasibleSolutionError otherwise.
 
-    Checks: primal feasibility, nonnegative duals, no column with positive
-    reduced cost, complementary slackness on both primal support and binding
-    duals, and that the primal and dual objectives coincide.
+    Checks: primal feasibility, every entry an LP column, the stated objective
+    equal to the entry-weighted coefficient sum, nonnegative duals, no column
+    with positive reduced cost, complementary slackness on both primal support
+    and binding duals, and that the primal and dual objectives coincide.
     """
-    report = check_feasibility(sol, lp.n, lp.m, lp=lp)
+    report = check_feasibility(sol, lp.n, lp.m)
     if not report.ok:
         raise InfeasibleSolutionError("; ".join(report.violations))
     y, u = sol.item_duals, sol.bidder_duals
@@ -201,6 +202,7 @@ def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
     # duals as integers over one denominator; y summed over every bundle mask
     prices, den = over_one_denominator([*y, *u])
     item_prices, bidder_prices = subset_sums(prices[: lp.m]), prices[lp.m :]
+    total, matched = Fraction(0), 0
     for col in lp.columns:
         coef = col.coef
         price = item_prices[col.bundle.mask] + bidder_prices[col.bidder]
@@ -211,11 +213,22 @@ def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
                 f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost "
                 f"{Fraction(reduced, den * coef.denominator)}"
             )
-        if sol.entries.get((col.bidder, col.bundle), 0) > 0 and reduced != 0:
+        x = sol.entries.get((col.bidder, col.bundle))
+        if x is None:
+            continue
+        matched += 1
+        total += x * coef
+        if x > 0 and reduced != 0:
             raise InfeasibleSolutionError(
                 f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: "
                 f"{Fraction(reduced, den * coef.denominator)}"
             )
+    if matched != len(sol.entries):
+        raise InfeasibleSolutionError(
+            f"{len(sol.entries) - matched} of {len(sol.entries)} entries have no LP column"
+        )
+    if total != sol.objective:
+        raise InfeasibleSolutionError(f"objective {sol.objective} != entry sum {total}")
     for j, d in enumerate(y):
         if d > 0 and sol.item_load(j) != 1:
             raise InfeasibleSolutionError(f"item {j} dual positive but constraint slack")
@@ -232,7 +245,6 @@ def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
 def solve_column_generation(
     instance: Instance,
     oracles: Sequence[Valuation],
-    start_columns: Iterable[tuple[int, ItemSet]] = (),
     *,
     max_rounds: Optional[int] = None,
 ) -> FractionalSolution:
@@ -243,7 +255,9 @@ def solve_column_generation(
     then asks every bidder for a profit-maximizing bundle at the item duals;
     a bidder's answer enters the master when its reduced cost (against the
     bidder dual) is positive. Terminates when no bidder can improve, which
-    certifies optimality over all 2^m - 1 bundles per bidder.
+    certifies optimality over all 2^m - 1 bundles per bidder. The master is
+    kept in ``ConfigLP``'s column order, so each round's solve is the one a
+    ``ConfigLP`` of the same columns would get.
     """
     n, m = instance.n, instance.m
     if len(oracles) != n:
@@ -253,20 +267,12 @@ def solve_column_generation(
 
     master: list[Column] = []
     have = set()
-    for bidder, bundle in start_columns:
-        if bundle and (bidder, bundle.mask) not in have:
-            master.append(Column(bidder, bundle, oracles[bidder].value(bundle)))
-            have.add((bidder, bundle.mask))
-
     rounds = pivots = 0
     while True:
         rounds += 1
+        res = _solve_columns(master, n, m)
         if rounds > max_rounds:
-            lp = ConfigLP(n, m, tuple(master))
-            res = _solve_columns(lp.columns, n, m)
             raise IterationLimitError(rounds, len(master), res.objective)
-        lp = ConfigLP(n, m, tuple(master))
-        res = _solve_columns(lp.columns, n, m)
         pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
@@ -278,14 +284,15 @@ def solve_column_generation(
             coef = oracles[i].value(bundle)
             reduced = coef - sum(y[j] for j in bundle) - u[i]
             if reduced > 0:
-                master.append(Column(i, bundle, coef))
+                # res.x indexes the old master, but it is read only when nothing entered
+                insort(master, Column(i, bundle, coef), key=column_order)
                 have.add((i, bundle.mask))
                 added = True
         if not added:
             return FractionalSolution(
                 n=n,
                 m=m,
-                entries=_positive_entries(lp.columns, res.x),
+                entries=_positive_entries(master, res.x),
                 objective=res.objective,
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),
@@ -293,18 +300,8 @@ def solve_column_generation(
             )
 
 
-def check_feasibility(
-    sol: FractionalSolution,
-    n: int,
-    m: int,
-    *,
-    lp: Optional[ConfigLP] = None,
-) -> FeasibilityReport:
-    """Verify nonnegativity, item constraints, and bidder constraints exactly.
-
-    When ``lp`` is given, also checks that the stated objective matches the
-    entry-weighted coefficient sum.
-    """
+def check_feasibility(sol: FractionalSolution, n: int, m: int) -> FeasibilityReport:
+    """Verify nonnegativity, item constraints, and bidder constraints exactly."""
     violations = []
     for (i, bundle), x in sol.entries.items():
         if x < 0:
@@ -321,15 +318,4 @@ def check_feasibility(
         mass = sol.bidder_mass(i)
         if mass > 1:
             violations.append(f"bidder {i} over-allocated: total mass {mass}")
-    if lp is not None:
-        total = Fraction(0)
-        coefs = {(c.bidder, c.bundle.mask): c.coef for c in lp.columns}
-        for (i, bundle), x in sol.entries.items():
-            coef = coefs.get((i, bundle.mask))
-            if coef is None:
-                violations.append(f"entry (bidder {i}, {bundle!r}) has no LP column")
-            else:
-                total += x * coef
-        if total != sol.objective:
-            violations.append(f"objective {sol.objective} != entry sum {total}")
     return FeasibilityReport(ok=not violations, violations=violations)

@@ -50,7 +50,14 @@ from .errors import (
     ParameterError,
 )
 from .itemsets import EMPTY_SET, ItemSet
-from .lp import ConfigLP, FractionalSolution, build_full_lp, solve_column_generation, solve_exact
+from .lp import (
+    LP_ITEM_CAP,
+    ConfigLP,
+    FractionalSolution,
+    build_full_lp,
+    solve_column_generation,
+    solve_exact,
+)
 from .valuations import PROXY_SUBSET_CAP, AdditiveValuation, Instance
 
 Q_HALT = "halt"
@@ -203,7 +210,7 @@ def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
 
 def halt_check(t: TentativeAssignment, c: Fraction) -> bool:
     """Step 4 predicate: some item is tentatively held more than 1/c times."""
-    inv_c = Fraction(c).denominator
+    inv_c = c.denominator
     return any(k > inv_c for k in t.holder_counts())
 
 
@@ -226,7 +233,7 @@ def compute_q(
     """
     if variant not in Q_VARIANTS:
         raise ParameterError(f"unknown q variant {variant!r}")
-    inv_c = Fraction(c).denominator
+    inv_c = c.denominator
 
     supports = []
     size = 1
@@ -289,7 +296,7 @@ def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSe
     and the u-th holder receives the item if there is one, so each holder
     gets it with probability exactly c.
     """
-    inv_c = Fraction(c).denominator
+    inv_c = c.denominator
     kept_masks = [0] * len(t.bundles)
     for j in range(t.m):
         holders = t.holders(j)
@@ -354,10 +361,12 @@ class Pipeline:
         solution: Optional[FractionalSolution] = None,
         atom_cap: int = ATOM_CAP,
         proxy_cap: int = PROXY_SUBSET_CAP,
+        lp_cap: int = LP_ITEM_CAP,
     ):
         self.instance = instance
         self.config = config
         self.atom_cap = atom_cap
+        self.lp_cap = lp_cap
         self.proxies = instance.proxies(config.c, subset_cap=proxy_cap)
         self._lp: Optional[ConfigLP] = None
         if solution is None:
@@ -375,7 +384,7 @@ class Pipeline:
     @property
     def lp(self) -> ConfigLP:
         if self._lp is None:
-            self._lp = build_full_lp(self.instance, self.proxies)
+            self._lp = build_full_lp(self.instance, self.proxies, item_cap=self.lp_cap)
         return self._lp
 
     def q(self, bidder: int, bundle: ItemSet) -> Fraction:

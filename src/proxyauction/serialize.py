@@ -63,21 +63,6 @@ def _bundle_key(mask: int) -> str:
     return ",".join(str(j) for j in ItemSet(mask))
 
 
-def _parse_bundle_key(key: str, m: int) -> int:
-    if key == "":
-        return 0
-    try:
-        indices = [int(part) for part in key.split(",")]
-    except ValueError as exc:
-        raise FormatError(f"bad bundle key {key!r}") from exc
-    mask = 0
-    for j in indices:
-        if not 0 <= j < m:
-            raise FormatError(f"bundle key {key!r} outside the {m}-item universe")
-        mask |= 1 << j
-    return mask
-
-
 def valuation_to_dict(v: Valuation) -> dict:
     return {"kind": v.kind, **v.payload()}
 

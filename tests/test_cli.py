@@ -268,6 +268,21 @@ def test_verify_and_run_honour_the_proxy_cap(capsys):
     assert main(["verify", path, "--caps", "proxy=4", "--checks", "lp"]) == 0
 
 
+def test_verify_and_run_honour_the_lp_cap(capsys):
+    # the full LP over m = 5 items has 2^5 - 1 columns per bidder
+    path = str(CORPUS_DIR / "05-unit-demand-n3-m5.json")
+    assert main(["run", path, "--caps", "lp=2"]) == 2
+    assert "full LP column enumeration" in capsys.readouterr().err
+    assert main(["verify", path, "--caps", "lp=2", "--checks", "lp"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    [record] = report["results"]
+    assert record["check"] == "error"
+    assert record["details"]["error"] == "CapacityError"
+    assert (record["details"]["required"], record["details"]["cap"]) == (32, 4)
+    assert main(["verify", path, "--caps", "lp=5", "--checks", "lp"]) == 0
+
+
 def test_verify_corpus_reports_each_oversize_instance(capsys):
     # proxy=3: only closed-form bidders or m <= 3 fit; the rest become error records
     code = main(["verify", str(CORPUS_DIR), "--caps", "proxy=3"])
@@ -316,8 +331,9 @@ def test_float_arithmetic_is_rejected(instance_file, tmp_path):
 
 
 # SHA-256 of reports: the verify digests were taken before float mode was
-# removed, the run digest after the switch to counter-based draws
-# (run-report/2); a change that alters one byte of a pinned report fails here
+# removed, the run-payments digest after the switch to counter-based draws
+# (run-report/2), the auction digests before the simplex took 0/1 supports;
+# a change that alters one byte of a pinned report fails here
 PINNED_REPORTS = {
     "verify-standard": (
         ["verify", "corpus/standard"],
@@ -336,13 +352,32 @@ PINNED_REPORTS = {
          "--replications", "50", "--payments"],
         "855733db0a2ea04d7d06b37c5bd22f7e4fb2966d6d60a1b19b8e74662b60228e",
     ),
+    "run-xos-n3-m6-full": (
+        ["run", "xos-n3-m6.json", "--payments", "--solver", "full"],
+        "8042012dc115e0302ee3578ab1179cb1d3ee7ca383a1dba530dc33632ae6f2d1",
+    ),
+    "run-xos-n3-m6-colgen": (
+        ["run", "xos-n3-m6.json", "--payments", "--solver", "column-generation"],
+        "56fa548b213ecc34b57834ba8382cba131616e45096ee4ea0f9ccabbf6bbbd7b",
+    ),
+}
+
+# instances generated into the working directory: the benchmark's xos auction shape
+GENERATED = {
+    "xos-n3-m6.json": ["generate", "--kind", "xos", "--n", "3", "--m", "6", "--seed", "1"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-def test_reports_keep_their_bytes(name, monkeypatch, capsys):
+def test_reports_keep_their_bytes(name, monkeypatch, capsys, tmp_path):
     argv, digest = PINNED_REPORTS[name]
-    monkeypatch.chdir(ROOT)  # a relative path keeps the report independent of the checkout
+    # a relative path keeps the report independent of the checkout
+    if argv[1] in GENERATED:
+        monkeypatch.chdir(tmp_path)
+        assert main([*GENERATED[argv[1]], "--out", argv[1]]) == 0
+        capsys.readouterr()
+    else:
+        monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 

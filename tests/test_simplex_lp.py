@@ -1,10 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import additive_lp_optimum, integral_welfare_by_products
-from proxyauction.errors import CapacityError, IterationLimitError, ParameterError
+from proxyauction.errors import (
+    CapacityError,
+    InfeasibleSolutionError,
+    IterationLimitError,
+    ParameterError,
+)
 from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import (
@@ -165,19 +171,55 @@ def test_solver_output_is_feasible(corpus):
     proxies = item.instance.proxies(item.config.c)
     lp = build_full_lp(item.instance, proxies)
     sol = solve_exact(lp)
-    assert check_feasibility(sol, lp.n, lp.m, lp=lp).ok
+    assert check_feasibility(sol, lp.n, lp.m).ok
+    certify_optimal(lp, sol)
+
+
+def two_additive_bidders():
+    inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
+    lp = build_full_lp(inst)
+    return lp, solve_exact(lp)
 
 
 def test_certify_rejects_corrupted_duals():
-    inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
-    lp = build_full_lp(inst)
-    sol = solve_exact(lp)
-    from dataclasses import replace
-    from proxyauction.errors import InfeasibleSolutionError
-
+    lp, sol = two_additive_bidders()
     bad = replace(sol, item_duals=tuple(d + 1 for d in sol.item_duals))
     with pytest.raises(InfeasibleSolutionError):
         certify_optimal(lp, bad)
+
+
+def test_certify_rejects_a_wrong_objective():
+    lp, sol = two_additive_bidders()
+    with pytest.raises(InfeasibleSolutionError, match="entry sum"):
+        certify_optimal(lp, replace(sol, objective=sol.objective + F(1, 7)))
+
+
+def test_certify_rejects_an_entry_without_a_column():
+    lp, sol = two_additive_bidders()
+    dropped = (0, ItemSet.from_indices([0]))
+    assert sol.entries[dropped] == 1
+    rest = ConfigLP(lp.n, lp.m, tuple(c for c in lp.columns if (c.bidder, c.bundle) != dropped))
+    with pytest.raises(InfeasibleSolutionError, match="no LP column"):
+        certify_optimal(rest, sol)
+
+
+def test_certify_rejects_a_support_column_that_is_not_tight():
+    lp, sol = two_additive_bidders()
+    # the swapped assignment is feasible and its objective is its entry sum, 1 + 1
+    swapped = {(0, ItemSet.from_indices([1])): F(1), (1, ItemSet.from_indices([0])): F(1)}
+    with pytest.raises(InfeasibleSolutionError, match="not tight"):
+        certify_optimal(lp, replace(sol, entries=swapped, objective=F(2)))
+
+
+def test_certify_rejects_a_positive_dual_on_a_slack_item():
+    # one unit-demand bidder takes one of two items; the other stays unallocated
+    inst = Instance(2, (UnitDemandValuation([1, 1]),))
+    lp = build_full_lp(inst)
+    sol = solve_exact(lp)
+    (slack,) = [j for j in range(2) if sol.item_load(j) == 0]
+    duals = tuple(d + (j == slack) for j, d in enumerate(sol.item_duals))
+    with pytest.raises(InfeasibleSolutionError, match=f"item {slack} dual positive"):
+        certify_optimal(lp, replace(sol, item_duals=duals))
 
 
 def test_configlp_validation():

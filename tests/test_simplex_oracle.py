@@ -1,8 +1,11 @@
 """The revised simplex against the dense Bland tableau in ``oracles``.
 
-Both routines take the same dense input and must return equal
-SimplexResults (x, objective, duals, basis and pivot count).
+The simplex takes 0/1 column supports under unit capacities; the tableau
+takes the same LP densified. Both must return equal SimplexResults (x,
+objective, duals, basis and pivot count).
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +36,13 @@ def simplex_inputs(monkeypatch, lps):
     return calls
 
 
+def dense(supports, objective, n_rows):
+    """The same LP as the tableau takes it: dense 0/1 columns, unit right-hand side."""
+    one, zero = Fraction(1), Fraction(0)
+    columns = [[one if r in support else zero for r in range(n_rows)] for support in supports]
+    return columns, list(objective), [one] * n_rows
+
+
 def proxy_lps(instance, c):
     """The proxy-objective full LP and its zeroed-bidder (payment) variants."""
     lp = build_full_lp(instance, instance.proxies(c))
@@ -48,7 +58,7 @@ def corpus_lps(*corpora):
 def test_matches_tableau_on_corpus_lps(monkeypatch, corpus, truthful_corpus):
     lps = corpus_lps(corpus, truthful_corpus)
     for args, kwargs in simplex_inputs(monkeypatch, lps):
-        assert solve_canonical_max(*args, **kwargs) == tableau_simplex(*args, **kwargs)
+        assert solve_canonical_max(*args, **kwargs) == tableau_simplex(*dense(*args, **kwargs))
 
 
 def test_matches_tableau_on_auction_lps(monkeypatch):
@@ -58,41 +68,39 @@ def test_matches_tableau_on_auction_lps(monkeypatch):
     pivots = 0
     for args, kwargs in simplex_inputs(monkeypatch, lps):
         res = solve_canonical_max(*args, **kwargs)
-        assert res == tableau_simplex(*args, **kwargs)
+        assert res == tableau_simplex(*dense(*args, **kwargs))
         pivots += res.pivots
     assert pivots > len(lps)  # the comparison covers real pivoting, not slack bases
 
 
-def outcome(solver, columns, objective, rhs):
+def outcome(solver, *lp):
     try:
-        return solver(columns, objective, rhs)
+        return solver(*lp)
     except ValueError as exc:  # unbounded
         return type(exc)
 
 
-rationals = st.fractions(min_value=-2, max_value=3, max_denominator=4)
+rationals = st.fractions(min_value=-1, max_value=3, max_denominator=6)
 
 
 @st.composite
-def dense_lps(draw):
-    n_rows = draw(st.integers(1, 4))
-    column = st.lists(rationals, min_size=n_rows, max_size=n_rows)
-    base = draw(st.lists(column, min_size=1, max_size=5))
+def unit_lps(draw):
+    n_rows = draw(st.integers(1, 6))
+    support = st.lists(
+        st.integers(0, n_rows - 1), unique=True, min_size=1, max_size=n_rows
+    ).map(sorted)
+    base = draw(st.lists(support, min_size=1, max_size=8))
     # repeated columns make degenerate ratio and pricing ties
     repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=3))
-    columns = base + [list(base[j]) for j in repeats]
-    objective = draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
-    rhs = draw(
-        st.lists(
-            st.fractions(min_value=0, max_value=3, max_denominator=4),
-            min_size=n_rows,
-            max_size=n_rows,
-        )
-    )
-    return columns, objective, rhs
+    supports = base + [list(base[j]) for j in repeats]
+    # an empty column is unbounded when its cost is positive
+    if draw(st.booleans()):
+        supports.insert(draw(st.integers(0, len(supports))), [])
+    objective = draw(st.lists(rationals, min_size=len(supports), max_size=len(supports)))
+    return supports, objective, n_rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(dense_lps())
+@given(unit_lps())
 def test_matches_tableau_on_random_rational_lps(lp):
-    assert outcome(solve_canonical_max, *lp) == outcome(tableau_simplex, *lp)
+    assert outcome(solve_canonical_max, *lp) == outcome(tableau_simplex, *dense(*lp))
