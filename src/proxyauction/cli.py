@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import serialize as ser
 from . import verify as ver
-from .errors import AuctionError, CapacityError
+from .errors import AuctionError, CapacityError, FormatError
 from .generators import (
     DEFAULT_CORPUS_SEED,
     GENERATOR_KINDS,
@@ -74,7 +74,12 @@ def _instance_digest(instance) -> str:
     ).hexdigest()[:16]
 
 
-CAP_KEYS = ("proxy", "lp", "atoms", "integral")
+CAP_DEFAULTS = {
+    "proxy": PROXY_SUBSET_CAP,
+    "lp": LP_ITEM_CAP,
+    "atoms": ATOM_CAP,
+    "integral": INTEGRAL_CAP,
+}
 
 
 def _rational(text: str) -> Fraction:
@@ -98,6 +103,20 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
 
 
+def _caps(text: str) -> dict[str, int]:
+    """Every cap: the key=integer pairs given, the defaults for the rest."""
+    caps = dict(CAP_DEFAULTS)
+    for part in text.split(",") if text else ():
+        key, _, value = part.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in caps or not (value.isascii() and value.isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"bad entry {part!r}; expected key=integer with keys {', '.join(CAP_DEFAULTS)}"
+            )
+        caps[key] = int(value)
+    return caps
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--c", type=_rational, help="keep probability, a rational like 1/267 (default: from m)"
@@ -112,23 +131,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--caps",
-        help=f"enumeration caps as key=int pairs, comma separated; keys: {', '.join(CAP_KEYS)}",
+        type=_caps,
+        default="",
+        help=f"enumeration caps as key=int pairs, comma separated; keys: {', '.join(CAP_DEFAULTS)}",
     )
 
 
-def _parse_caps(text: str | None) -> dict:
-    caps: dict = {}
-    if not text:
-        return caps
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in CAP_KEYS or not value.isdigit():
-            raise AuctionError(
-                f"bad --caps entry {part!r}; expected key=integer with keys {CAP_KEYS}"
-            )
-        caps[key] = int(value)
-    return caps
+def _pipeline(instance, config, caps: dict) -> Pipeline:
+    return Pipeline(
+        instance, config, atom_cap=caps["atoms"], proxy_cap=caps["proxy"], lp_cap=caps["lp"]
+    )
 
 
 def _build_config(args, m: int, base: MechanismConfig | None = None) -> MechanismConfig:
@@ -220,10 +232,9 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = ser.load_instance(args.instance)
-    caps = _parse_caps(args.caps)
     if args.valuations == "proxy":
         config = _build_config(args, instance.m)
-        oracles = instance.proxies(config.c, subset_cap=caps.get("proxy", PROXY_SUBSET_CAP))
+        oracles = instance.proxies(config.c, subset_cap=args.caps["proxy"])
         objective_kind = "proxy"
     else:
         # the raw objective is the proxy objective at c = 1 (no thinning)
@@ -236,7 +247,7 @@ def cmd_solve(args) -> int:
     if config.solver == SOLVER_COLGEN:
         solution = solve_column_generation(instance, oracles)
     else:
-        lp = build_full_lp(instance, oracles, item_cap=caps.get("lp", LP_ITEM_CAP))
+        lp = build_full_lp(instance, oracles, item_cap=args.caps["lp"])
         solution = solve_exact(lp)
     elapsed = time.perf_counter() - started
     if args.timings:
@@ -270,15 +281,8 @@ def cmd_solve(args) -> int:
 def cmd_run(args) -> int:
     instance = ser.load_instance(args.instance)
     config = _build_config(args, instance.m)
-    caps = _parse_caps(args.caps)
     started = time.perf_counter()
-    pipeline = Pipeline(
-        instance,
-        config,
-        atom_cap=caps.get("atoms", ATOM_CAP),
-        proxy_cap=caps.get("proxy", PROXY_SUBSET_CAP),
-        lp_cap=caps.get("lp", LP_ITEM_CAP),
-    )
+    pipeline = _pipeline(instance, config, args.caps)
     if args.replications is None:
         seeds = [config.seed]
     else:
@@ -334,45 +338,33 @@ def cmd_run(args) -> int:
 
 
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
-    atom_cap = caps.get("atoms", ATOM_CAP)
-    proxy_cap = caps.get("proxy", PROXY_SUBSET_CAP)
-    lp_cap = caps.get("lp", LP_ITEM_CAP)
-
-    # one mechanism and one outcome law per (instance, config), built on first use
+    # one mechanism and one outcome law per (instance, config), built on first
+    # use: proxy-bound alone needs neither
     @functools.cache
     def pipeline() -> Pipeline:
-        return Pipeline(instance, config, atom_cap=atom_cap, proxy_cap=proxy_cap, lp_cap=lp_cap)
+        return _pipeline(instance, config, caps)
 
     @functools.cache
     def law() -> ver.OutcomeDistribution:
-        return ver.exact_distribution(instance, config, pipeline=pipeline())
+        return ver.exact_distribution(pipeline())
 
+    run = {
+        "welfare": lambda: ver.check_welfare_identity(pipeline(), law()),
+        "marginals": lambda: ver.check_keep_marginals(pipeline(), law()),
+        "approximation": lambda: ver.check_approximation(
+            pipeline(), law(), cap=caps["integral"]
+        ),
+        "proxy-bound": lambda: ver.check_proxy_bound(instance, proxy_cap=caps["proxy"]),
+        "lp": lambda: ver.check_lp_agreement(pipeline()),
+        "halt-freq": lambda: ver.check_halt_frequency(pipeline(), trials),
+        "monte-carlo": lambda: ver.check_monte_carlo(pipeline(), law(), trials),
+        "truthfulness": lambda: ver.check_truthfulness(pipeline()),
+    }
     results = []
     for name in checks:
-        if name == "welfare":
-            res = ver.check_welfare_identity(instance, config, law=law())
-            asserted = True
-        elif name == "marginals":
-            res = ver.check_keep_marginals(instance, config, law=law())
-            asserted = True
-        elif name == "approximation":
-            res = ver.check_approximation(
-                instance, config, cap=caps.get("integral", INTEGRAL_CAP), law=law()
-            )
-            asserted = True
-        elif name == "proxy-bound":
-            res, asserted = ver.check_proxy_bound(instance, proxy_cap=proxy_cap), True
-        elif name == "lp":
-            res, asserted = ver.check_lp_agreement(instance, config, pipeline=pipeline()), True
-        elif name == "halt-freq":
-            res = ver.check_halt_frequency(instance, config, trials, pipeline=pipeline())
-            asserted = True
-        elif name == "monte-carlo":
-            res = ver.check_monte_carlo(instance, config, trials, pipeline=pipeline(), law=law())
-            asserted = True
-        else:  # truthfulness
-            res = ver.check_truthfulness(instance, config, proxy_cap=proxy_cap)
-            asserted = config.q_variant == Q_HALT
+        res = run[name]()
+        # truthfulness is recorded, not asserted, under the own-items variant
+        asserted = name != "truthfulness" or config.q_variant == Q_HALT
         results.append(
             {
                 "check": res.check,
@@ -420,12 +412,17 @@ def _verify_targets(args) -> list[tuple[str, dict | None]]:
                 (str(target / item["file"]), item.get("config"))
                 for item in manifest.get("instances", [])
             ]
-        return [
-            (str(p), None)
-            for p in sorted(target.glob("*.json"))
-            if ser.load_json(p).get("schema") == ser.INSTANCE_SCHEMA
-        ]
+        return [(str(p), None) for p in sorted(target.glob("*.json")) if _is_instance_file(p)]
     return [(str(target), None)]
+
+
+def _is_instance_file(path: Path) -> bool:
+    """An instance file, or a file that is not JSON: its worker reports the FormatError."""
+    try:
+        data = ser.load_json(path)
+    except FormatError:
+        return True
+    return isinstance(data, dict) and data.get("schema") == ser.INSTANCE_SCHEMA
 
 
 def cmd_verify(args) -> int:
@@ -445,8 +442,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "solver": args.solver,
     }
-    caps = _parse_caps(args.caps)
-    payloads = [(path, cfg, checks, args.trials, overrides, caps) for path, cfg in targets]
+    payloads = [(path, cfg, checks, args.trials, overrides, args.caps) for path, cfg in targets]
     started = time.perf_counter()
     workers = min(args.workers, len(payloads))
     if workers > 1:

@@ -366,6 +366,7 @@ class Pipeline:
         self.instance = instance
         self.config = config
         self.atom_cap = atom_cap
+        self.proxy_cap = proxy_cap
         self.lp_cap = lp_cap
         self.proxies = instance.proxies(config.c, subset_cap=proxy_cap)
         self._lp: Optional[ConfigLP] = None
@@ -374,7 +375,7 @@ class Pipeline:
         self.solution = solution
         self._q_cache: dict[tuple[int, int], Fraction] = {}
         self._tables: Optional[list] = None
-        self._survival_cache: dict = {}
+        self._survival_cache: dict[tuple[int, int], Fraction] = {}
 
     def _solve(self) -> FractionalSolution:
         if self.config.solver == SOLVER_COLGEN:
@@ -407,10 +408,14 @@ class Pipeline:
             self._tables = draw_tables(self.solution)
         return tentative_draw(self._tables, self.solution.m, seed)
 
-    def _survival_for(self, bidder: int, q):
-        got = self._survival_cache.get(q)
+    def survival(self, bidder: int, bundle: ItemSet) -> Fraction:
+        """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
+        key = (bidder, bundle.mask)
+        got = self._survival_cache.get(key)
         if got is None:
-            got = self._survival_cache[q] = survival_probability(q, self.config.p, bidder)
+            got = self._survival_cache[key] = survival_probability(
+                self.q(bidder, bundle), self.config.p, bidder
+            )
         return got
 
     def sample(self, seed: int) -> Outcome:
@@ -423,7 +428,7 @@ class Pipeline:
         q_values = tuple(self.q(i, t.bundles[i]) for i in range(n))
         kept = item_lottery(t, self.config.c, seed)
         # the feasibility bound q_i <= 1 - p applies to every bidder
-        survival = [self._survival_for(i, q) for i, q in enumerate(q_values)]
+        survival = [self.survival(i, bundle) for i, bundle in enumerate(t.bundles)]
         return Outcome(
             halted=False,
             tentative=t.bundles,

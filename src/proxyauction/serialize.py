@@ -107,8 +107,9 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    if data.get("schema") != INSTANCE_SCHEMA:
-        raise FormatError(f"expected schema {INSTANCE_SCHEMA}, got {data.get('schema')!r}")
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != INSTANCE_SCHEMA:
+        raise FormatError(f"expected schema {INSTANCE_SCHEMA}, got {schema!r}")
     m = data.get("m")
     if not isinstance(m, int) or m < 1:
         raise FormatError(f"bad item count {m!r}")
@@ -245,7 +246,7 @@ def save_json(path: Union[str, Path], obj: dict) -> None:
 def load_json(path: Union[str, Path]) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -23,7 +23,10 @@ On top of the law sit the certification checks:
   * LP agreement: the simplex matches an independent enumeration of all
     basic solutions, and column generation matches the full solve.
 
-The checks return CheckResult records rather than raising, so a harness can
+Every check takes the prepared ``Pipeline`` it certifies, and the checks that
+read the outcome law also take its ``exact_distribution``, so one mechanism
+and one law serve every check of an instance, under that pipeline's caps. The
+checks return CheckResult records rather than raising, so a harness can
 collect and serialize them; the acceptance suite asserts on the records.
 """
 
@@ -32,22 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .errors import CapacityError
 from .itemsets import EMPTY_SET, ItemSet
-from .lp import ConfigLP, FractionalSolution, solve_column_generation, solve_exact
-from .mechanism import (
-    ATOM_CAP,
-    Q_HALT,
-    SOLVER_FULL,
-    MechanismConfig,
-    Pipeline,
-    TentativeAssignment,
-    halt_check,
-    survival_probability,
-)
+from .lp import ConfigLP, solve_column_generation, solve_exact
+from .mechanism import Q_HALT, SOLVER_FULL, Pipeline, TentativeAssignment, halt_check
 from .valuations import (
     PROXY_SUBSET_CAP,
     AdditiveValuation,
@@ -60,6 +54,7 @@ from .valuations import (
 
 INTEGRAL_CAP = 10**7
 VERTEX_ENUM_CAP = 200_000
+MONTE_CARLO_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,6 @@ class OutcomeDistribution:
     entries: tuple[EntryLaw, ...]
     expected_welfare: Fraction
     objective: Fraction
-    c: Fraction
-    p: Fraction
-
-    def entry(self, bidder: int, bundle: ItemSet) -> EntryLaw:
-        for e in self.entries:
-            if e.bidder == bidder and e.bundle == bundle:
-                return e
-        raise KeyError((bidder, bundle))
 
 
 @dataclass
@@ -109,47 +96,28 @@ class CheckResult:
     witness: Optional[dict] = None
 
 
-def exact_distribution(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    pipeline: Optional[Pipeline] = None,
-    atom_cap: int = ATOM_CAP,
-) -> OutcomeDistribution:
-    """Enumerate the exact outcome law of the configured mechanism.
+def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
+    """Enumerate the exact outcome law of the prepared mechanism.
 
-    A ``solution`` may be injected to study hand-built feasible points;
-    otherwise the pipeline's LP solve is used.
+    The law is that of ``pipeline.solution``, which may be a hand-built
+    feasible point (``Pipeline(instance, config, solution=...)``); the joint
+    draws are capped by ``pipeline.atom_cap``.
     """
-    if pipeline is None:
-        pipeline = Pipeline(instance, config, solution=solution, atom_cap=atom_cap)
-    sol = pipeline.solution
+    instance, config, sol = pipeline.instance, pipeline.config, pipeline.solution
     n = instance.n
 
     supports = []
     size = 1
     for i in range(n):
-        options = pipeline.solution.bundles_of(i)
+        options = sol.bundles_of(i)
         residual = 1 - sum(x for _, x in options)
         atoms = list(options)
         if residual > 0:
             atoms.append((EMPTY_SET, residual))
         supports.append(atoms)
         size *= len(atoms)
-    if size > atom_cap:
-        raise CapacityError("joint tentative enumeration", size, atom_cap)
-
-    p = config.p
-    survival_cache: dict[tuple[int, int], Fraction] = {}
-
-    def survival(i: int, bundle: ItemSet) -> Fraction:
-        key = (i, bundle.mask)
-        got = survival_cache.get(key)
-        if got is None:
-            q = pipeline.q(i, bundle)
-            got = survival_cache[key] = survival_probability(q, p, i)
-        return got
+    if size > pipeline.atom_cap:
+        raise CapacityError("joint tentative enumeration", size, pipeline.atom_cap)
 
     atoms: list[AtomRecord] = []
     non_halt_prob: dict[tuple[int, int], Fraction] = {}
@@ -170,7 +138,8 @@ def exact_distribution(
                     if bundle:
                         key = (i, bundle.mask)
                         non_halt_prob[key] = non_halt_prob.get(key, Fraction(0)) + prob
-                        expected += prob * survival(i, bundle) * pipeline.proxies[i].value(bundle)
+                        value = pipeline.proxies[i].value(bundle)
+                        expected += prob * pipeline.survival(i, bundle) * value
             return
         for option in supports[idx]:
             chosen[idx] = option
@@ -186,7 +155,7 @@ def exact_distribution(
         if nh == 0:
             entries.append(EntryLaw(i, bundle, x, q, None, Fraction(0)))
         else:
-            s = survival(i, bundle)
+            s = pipeline.survival(i, bundle)
             entries.append(EntryLaw(i, bundle, x, q, s, nh * s))
 
     cross = sum(
@@ -200,35 +169,23 @@ def exact_distribution(
         entries=tuple(entries),
         expected_welfare=expected,
         objective=sol.objective,
-        c=config.c,
-        p=config.p,
     )
 
 
 # -- identity checks -------------------------------------------------------
 
 
-def check_welfare_identity(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    atom_cap: int = ATOM_CAP,
-    law: Optional[OutcomeDistribution] = None,
-) -> CheckResult:
+def check_welfare_identity(pipeline: Pipeline, law: OutcomeDistribution) -> CheckResult:
     """Expected welfare == p * LP objective (exact) under the halt variant.
 
     Under "own-items" the shortfall p * objective - welfare is reported
-    without asserting equality. ``law`` is an ``exact_distribution`` result
-    for (instance, config) to reuse instead of enumerating the law again.
+    without asserting equality. ``law`` is ``exact_distribution(pipeline)``.
     """
-    dist = law
-    if dist is None:
-        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
-    target = config.p * dist.objective
-    gap = target - dist.expected_welfare
+    config = pipeline.config
+    target = config.p * law.objective
+    gap = target - law.expected_welfare
     details = {
-        "expected_welfare": str(dist.expected_welfare),
+        "expected_welfare": str(law.expected_welfare),
         "p_times_objective": str(target),
         "gap": str(gap),
         "q_variant": config.q_variant,
@@ -238,25 +195,16 @@ def check_welfare_identity(
     return CheckResult("welfare-identity", True, details)
 
 
-def check_keep_marginals(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    atom_cap: int = ATOM_CAP,
-    law: Optional[OutcomeDistribution] = None,
-) -> CheckResult:
+def check_keep_marginals(pipeline: Pipeline, law: OutcomeDistribution) -> CheckResult:
     """Each support entry's survival marginal equals p * x[i,S] exactly.
 
     Under "own-items" the per-entry deficits are reported instead of
-    asserted; they are always nonnegative. ``law`` is reused as in
-    ``check_welfare_identity``.
+    asserted; they are always nonnegative. ``law`` is
+    ``exact_distribution(pipeline)``.
     """
-    dist = law
-    if dist is None:
-        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
+    config = pipeline.config
     deficits = []
-    for e in dist.entries:
+    for e in law.entries:
         want = config.p * e.x
         if e.marginal != want:
             deficits.append(
@@ -269,7 +217,7 @@ def check_keep_marginals(
                     "deficit": str(want - e.marginal),
                 }
             )
-    details = {"entries": len(dist.entries), "deficits": deficits, "q_variant": config.q_variant}
+    details = {"entries": len(law.entries), "deficits": deficits, "q_variant": config.q_variant}
     if config.q_variant == Q_HALT:
         return CheckResult("keep-marginals", not deficits, details,
                            witness=deficits[0] if deficits else None)
@@ -309,28 +257,21 @@ def optimal_integral_welfare(instance: Instance, *, cap: int = INTEGRAL_CAP) -> 
 
 
 def check_approximation(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    cap: int = INTEGRAL_CAP,
-    atom_cap: int = ATOM_CAP,
-    law: Optional[OutcomeDistribution] = None,
+    pipeline: Pipeline, law: OutcomeDistribution, *, cap: int = INTEGRAL_CAP
 ) -> CheckResult:
     """Expected welfare >= c * p * (optimal integral welfare), exactly.
 
-    ``law`` is reused as in ``check_welfare_identity``.
+    ``law`` is ``exact_distribution(pipeline)``; ``cap`` bounds the
+    brute-force integral optimum.
     """
-    dist = law
-    if dist is None:
-        dist = exact_distribution(instance, config, solution=solution, atom_cap=atom_cap)
-    opt = optimal_integral_welfare(instance, cap=cap)
+    config = pipeline.config
+    opt = optimal_integral_welfare(pipeline.instance, cap=cap)
     bound = config.c * config.p * opt
     return CheckResult(
         "approximation",
-        dist.expected_welfare >= bound,
+        law.expected_welfare >= bound,
         {
-            "expected_welfare": str(dist.expected_welfare),
+            "expected_welfare": str(law.expected_welfare),
             "c_p_opt": str(bound),
             "integral_opt": str(opt),
         },
@@ -373,33 +314,21 @@ def check_proxy_bound(
     )
 
 
-def check_halt_frequency(
-    instance: Instance,
-    config: MechanismConfig,
-    trials: int,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    seed: Optional[int] = None,
-    proxy_cap: int = PROXY_SUBSET_CAP,
-    pipeline: Optional[Pipeline] = None,
-) -> CheckResult:
+def check_halt_frequency(pipeline: Pipeline, trials: int) -> CheckResult:
     """Monte Carlo bound on the halt probability of the tentative draw.
 
     Passes when the observed frequency is at most 1/m plus a three-sigma
-    one-sided slack of sqrt(1/(m * trials)). A ``pipeline`` prepared for
-    (instance, config) is sampled instead of building and solving a new one.
+    one-sided slack of sqrt(1/(m * trials)). The trials draw from seeds
+    derived from ``pipeline.config.seed``.
     """
-    if pipeline is None:
-        pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
-    if seed is None:
-        seed = config.seed
+    config, m = pipeline.config, pipeline.instance.m
     halts = 0
     for t in range(trials):
-        draw = pipeline.tentative_sample(rngmod.derive_seed(seed, "halt-trial", t))
+        draw = pipeline.tentative_sample(rngmod.derive_seed(config.seed, "halt-trial", t))
         if halt_check(draw, config.c):
             halts += 1
     freq = halts / trials
-    bound = 1 / instance.m + 3 * math.sqrt(1 / (instance.m * trials))
+    bound = 1 / m + 3 * math.sqrt(1 / (m * trials))
     return CheckResult(
         "halt-frequency",
         freq <= bound,
@@ -408,51 +337,33 @@ def check_halt_frequency(
     )
 
 
-def check_monte_carlo(
-    instance: Instance,
-    config: MechanismConfig,
-    trials: int = 10_000,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    sigmas: float = 4.0,
-    proxy_cap: int = PROXY_SUBSET_CAP,
-    pipeline: Optional[Pipeline] = None,
-    law: Optional[OutcomeDistribution] = None,
-) -> CheckResult:
-    """Sampled mean welfare lies within ``sigmas`` standard errors of the exact mean.
+def check_monte_carlo(pipeline: Pipeline, law: OutcomeDistribution, trials: int) -> CheckResult:
+    """Sampled mean welfare lies within ``MONTE_CARLO_SIGMAS`` standard errors of the exact mean.
 
-    A ``pipeline`` prepared for (instance, config) is sampled instead of
-    building and solving a new one; ``law`` is its ``exact_distribution``,
-    reused as in ``check_welfare_identity``.
+    ``law`` is ``exact_distribution(pipeline)``; the samples draw from seeds
+    derived from ``pipeline.config.seed``.
     """
-    if pipeline is None:
-        pipeline = Pipeline(instance, config, solution=solution, proxy_cap=proxy_cap)
-    dist = law
-    if dist is None:
-        dist = exact_distribution(instance, config, pipeline=pipeline)
+    seed, valuations = pipeline.config.seed, pipeline.instance.valuations
     welfares = []
     for t in range(trials):
-        outcome = pipeline.sample(rngmod.derive_seed(config.seed, "replication", t))
+        outcome = pipeline.sample(rngmod.derive_seed(seed, "replication", t))
         welfares.append(
-            sum(
-                (v._value(b.mask) for v, b in zip(instance.valuations, outcome.final)),
-                Fraction(0),
-            )
+            sum((v._value(b.mask) for v, b in zip(valuations, outcome.final)), Fraction(0))
         )
     mean = sum(welfares, Fraction(0)) / trials
     var = sum(((w - mean) ** 2 for w in welfares), Fraction(0)) / max(trials - 1, 1)
     stderr = math.sqrt(float(var) / trials)
-    diff = abs(float(mean - dist.expected_welfare))
-    passed = mean == dist.expected_welfare if stderr == 0 else diff <= sigmas * stderr
+    diff = abs(float(mean - law.expected_welfare))
+    passed = mean == law.expected_welfare if stderr == 0 else diff <= MONTE_CARLO_SIGMAS * stderr
     return CheckResult(
         "monte-carlo-welfare",
         passed,
         {
             "trials": trials,
             "sample_mean": str(mean),
-            "exact_mean": str(dist.expected_welfare),
+            "exact_mean": str(law.expected_welfare),
             "stderr": stderr,
-            "sigmas": sigmas,
+            "sigmas": MONTE_CARLO_SIGMAS,
         },
     )
 
@@ -584,38 +495,30 @@ def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fra
     return Fraction(best_num, den * best_den)
 
 
-def check_lp_agreement(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    vertex_cap: int = VERTEX_ENUM_CAP,
-    pipeline: Optional[Pipeline] = None,
-) -> CheckResult:
+def check_lp_agreement(pipeline: Pipeline) -> CheckResult:
     """solve_exact vs. independent vertex enumeration and column generation.
 
-    The vertex-enumeration comparison runs when the instance is small enough
-    for the combinatorial search; the column-generation comparison always
-    runs. Exact equality of objectives is required. A ``pipeline`` prepared
-    for (instance, config) lends its LP and, when it solved that LP exactly
-    itself, its solution.
+    The vertex-enumeration comparison runs when the LP has at most
+    ``VERTEX_ENUM_CAP`` bases; the column-generation comparison always runs.
+    Exact equality of objectives is required. The pipeline lends its LP and,
+    under the full solver, its solution, so it must have solved that LP
+    itself rather than been given a ``solution``.
     """
-    if pipeline is None:
-        pipeline = Pipeline(instance, config)
     lp = pipeline.lp
-    if config.solver == SOLVER_FULL:
+    if pipeline.config.solver == SOLVER_FULL:
         exact_obj = pipeline.solution.objective  # the pipeline's own solve_exact(lp)
     else:
         exact_obj = solve_exact(lp).objective
     details = {"simplex_objective": str(exact_obj)}
     passed = True
 
-    colgen = solve_column_generation(instance, pipeline.proxies)
+    colgen = solve_column_generation(pipeline.instance, pipeline.proxies)
     details["column_generation_objective"] = str(colgen.objective)
     if colgen.objective != exact_obj:
         passed = False
 
-    if basis_count(lp) <= vertex_cap:
-        vertex_obj = enumerate_vertex_optimum(lp, cap=vertex_cap)
+    if basis_count(lp) <= VERTEX_ENUM_CAP:
+        vertex_obj = enumerate_vertex_optimum(lp)
         details["vertex_enumeration_objective"] = str(vertex_obj)
         if vertex_obj != exact_obj:
             passed = False
@@ -672,43 +575,38 @@ def expected_true_value(
     )
 
 
-def check_truthfulness(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    misreports: Optional[dict[int, Iterable[tuple[str, Valuation]]]] = None,
-    proxy_cap: int = PROXY_SUBSET_CAP,
-) -> CheckResult:
+def check_truthfulness(pipeline: Pipeline) -> CheckResult:
     """No bidder gains in exact expected utility from any family misreport.
 
     Utility is p-weighted expected true value minus the deterministic charge,
-    both exact; the mechanism (LP, q values, payments) is recomputed from the
-    misreported profile exactly as it would be for real reports. Also checks
+    both exact. ``pipeline`` is the truthful run; the mechanism (LP, q
+    values, payments) is recomputed from each misreported profile exactly as
+    it would be for real reports, under the truthful run's caps. Also checks
     that truthful utility is nonnegative.
     """
-    truth_pipeline = Pipeline(instance, config, proxy_cap=proxy_cap)
-    truth_dist = exact_distribution(instance, config, pipeline=truth_pipeline)
-    truth_charges = truth_pipeline.payments()
+    instance, config = pipeline.instance, pipeline.config
+    caps = dict(atom_cap=pipeline.atom_cap, proxy_cap=pipeline.proxy_cap, lp_cap=pipeline.lp_cap)
+    truth_dist = exact_distribution(pipeline)
+    truth_charges = pipeline.payments()
 
     violations = []
     cases = 0
     for i, true_v in enumerate(instance.valuations):
-        true_proxy = truth_pipeline.proxies[i]
+        true_proxy = pipeline.proxies[i]
         truth_utility = expected_true_value(truth_dist, i, true_proxy) - truth_charges[i]
         if truth_utility < 0:
             violations.append(
                 {"bidder": i, "misreport": "truth", "truth_utility": str(truth_utility),
                  "reason": "negative truthful utility"}
             )
-        family = misreports.get(i, []) if misreports is not None else misreport_family(true_v)
-        for label, report in family:
+        for label, report in misreport_family(true_v):
             cases += 1
             reported = Instance(
                 instance.m,
                 tuple(report if j == i else v for j, v in enumerate(instance.valuations)),
             )
-            dev_pipeline = Pipeline(reported, config, proxy_cap=proxy_cap)
-            dev_dist = exact_distribution(reported, config, pipeline=dev_pipeline)
+            dev_pipeline = Pipeline(reported, config, **caps)
+            dev_dist = exact_distribution(dev_pipeline)
             dev_charges = dev_pipeline.payments()
             dev_utility = expected_true_value(dev_dist, i, true_proxy) - dev_charges[i]
             if dev_utility > truth_utility:

@@ -1,12 +1,23 @@
-"""Feasible points of the configuration LP built without the simplex, for tests."""
+"""Feasible points of the configuration LP built without the simplex, and the
+prepared mechanism the verifier's checks take, for tests."""
 
 import random
 from fractions import Fraction
 
 from proxyauction.itemsets import ItemSet
 from proxyauction.lp import FractionalSolution
+from proxyauction.mechanism import MechanismConfig, Pipeline
 from proxyauction.rng import derive_seed
 from proxyauction.valuations import AdditiveValuation, Instance, UnitDemandValuation
+from proxyauction.verify import OutcomeDistribution, exact_distribution
+
+
+def prepared(
+    instance: Instance, config: MechanismConfig, **kwargs
+) -> tuple[Pipeline, OutcomeDistribution]:
+    """A Pipeline (``kwargs`` as for Pipeline, e.g. ``solution=``) and its exact law."""
+    pipeline = Pipeline(instance, config, **kwargs)
+    return pipeline, exact_distribution(pipeline)
 
 
 def random_feasible_solution(

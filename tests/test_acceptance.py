@@ -7,10 +7,11 @@ criteria use the normal-approximation slack stated in their bounds.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
-from fixtures import overlap_demo, random_feasible_solution
+from fixtures import overlap_demo, prepared, random_feasible_solution
 from proxyauction.cli import main
 from proxyauction.generators import generate, standard_corpus, truthfulness_corpus
 from proxyauction.lp import build_full_lp, solve_column_generation, solve_exact
@@ -39,7 +40,7 @@ def test_criterion_01_welfare_identity_exact():
     started = time.perf_counter()
     assert len(CORPUS) >= 20
     for item in CORPUS:
-        res = check_welfare_identity(item.instance, item.config)
+        res = check_welfare_identity(*prepared(item.instance, item.config))
         assert res.passed, (item.label, res.details)
         assert F(res.details["gap"]) == 0
     elapsed = time.perf_counter() - started
@@ -51,7 +52,7 @@ def test_criterion_01_welfare_identity_exact():
 def test_criterion_02_keep_marginals_exact():
     entries = 0
     for item in CORPUS:
-        res = check_keep_marginals(item.instance, item.config)
+        res = check_keep_marginals(*prepared(item.instance, item.config))
         assert res.passed, (item.label, res.details)
         assert res.details["deficits"] == []
         entries += res.details["entries"]
@@ -77,7 +78,7 @@ def test_criterion_03_proxy_bound_exhaustive():
 
 def test_criterion_04_approximation_bound():
     for item in CORPUS:
-        dist = exact_distribution(item.instance, item.config)
+        dist = exact_distribution(Pipeline(item.instance, item.config))
         opt = optimal_integral_welfare(item.instance)
         bound = item.config.c * item.config.p * opt
         assert dist.expected_welfare >= bound, (item.label, dist.expected_welfare, bound)
@@ -91,7 +92,7 @@ def test_criterion_05_truthfulness_in_expectation():
     assert any("contended" in item.label for item in corpus)  # halts live on one
     cases = 0
     for item in corpus:
-        res = check_truthfulness(item.instance, item.config)
+        res = check_truthfulness(Pipeline(item.instance, item.config))
         assert res.passed, (item.label, res.witness)
         cases += res.details["misreports_checked"]
     elapsed = time.perf_counter() - started
@@ -110,7 +111,8 @@ def test_criterion_06_halt_frequency_bound():
     freqs = []
     for s in range(5):
         sol = random_feasible_solution(12, m, s, bundles_per_bidder=4, max_bundle_items=6)
-        res = check_halt_frequency(instance, config, trials, solution=sol, seed=s)
+        pipeline = Pipeline(instance, replace(config, seed=s), solution=sol)
+        res = check_halt_frequency(pipeline, trials)
         assert res.passed, res.details
         freqs.append(res.details["frequency"])
     report(6, f"halt frequency {max(freqs):.5f} <= {bound:.5f} over 5 feasible "
@@ -141,8 +143,9 @@ def test_criterion_07_lp_cross_validation():
 def test_criterion_08_monte_carlo_consistency():
     trials = 10_000
     for item in CORPUS:
-        res = check_monte_carlo(item.instance, item.config, trials, sigmas=4.0)
+        res = check_monte_carlo(*prepared(item.instance, item.config), trials)
         assert res.passed, (item.label, res.details)
+        assert res.details["sigmas"] == 4.0
     report(8, f"sampled mean welfare within 4 sigma of the exact expectation "
               f"({trials} trials) on {len(CORPUS)} instances")
 
@@ -166,7 +169,7 @@ def test_criterion_09_byte_identical_reports(tmp_path):
 def test_criterion_10_own_items_variant_undercounts():
     instance, solution = overlap_demo()
     own = MechanismConfig(c=F(1), p=F(1, 20), q_variant=Q_OWN_ITEMS)
-    res = check_keep_marginals(instance, own, solution=solution)
+    res = check_keep_marginals(*prepared(instance, own, solution=solution))
     deficits = res.details["deficits"]
     assert len(deficits) == 1
     gap = F(deficits[0]["deficit"])
@@ -174,7 +177,7 @@ def test_criterion_10_own_items_variant_undercounts():
     assert F(deficits[0]["target"]) == F(1, 40)
     assert F(deficits[0]["marginal"]) == F(3, 160)
     halt = MechanismConfig(c=F(1), p=F(1, 20))
-    exact = check_keep_marginals(instance, halt, solution=solution)
+    exact = check_keep_marginals(*prepared(instance, halt, solution=solution))
     assert exact.passed and exact.details["deficits"] == []
     report(10, "own-items q variant leaves a survival marginal 1/160 below "
                "p * x on the overlap construction; the halt variant is exact there")

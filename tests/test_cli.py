@@ -98,7 +98,7 @@ def test_verify_corpus_manifest_subset(tmp_path, capsys):
 
 
 def test_verify_exit_status_reflects_failures(instance_file, monkeypatch):
-    def always_fails(instance, config, **kwargs):
+    def always_fails(pipeline, law):
         return ver.CheckResult("welfare-identity", False, {"forced": True})
 
     monkeypatch.setattr(ver, "check_welfare_identity", always_fails)
@@ -197,8 +197,9 @@ def test_bench_exits_nonzero_on_vertex_enumeration_mismatch(monkeypatch, capsys)
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file):
+def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file, tmp_path):
     calls = Counter()
+    out = tmp_path / "verify.json"
 
     def counted(module, name):
         real = getattr(module, name)
@@ -213,9 +214,22 @@ def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file):
         counted(module, "solve_exact")
     counted(mechanism, "build_full_lp")
     counted(ver, "exact_distribution")
-    code = main(["verify", str(instance_file), "--c", "1/2", "--p", "1/20", "--out", "/dev/null"])
-    assert code == 0
-    assert calls == {"build_full_lp": 1, "solve_exact": 1, "exact_distribution": 1}
+    real_init = mechanism.Pipeline.__init__
+
+    def init(self, *args, **kwargs):
+        calls["Pipeline"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mechanism.Pipeline, "__init__", init)
+    flags = ["verify", str(instance_file), "--c", "1/2", "--p", "1/20"]
+    assert main([*flags, "--out", "/dev/null"]) == 0
+    assert calls == {"Pipeline": 1, "build_full_lp": 1, "solve_exact": 1, "exact_distribution": 1}
+
+    # the truthful run is the verified pipeline; each misreport builds its own
+    calls.clear()
+    assert main([*flags, "--checks", "welfare,truthfulness", "--out", str(out)]) == 0
+    [_, truthfulness] = load_json(out)["results"]
+    assert calls["Pipeline"] == 1 + truthfulness["details"]["misreports_checked"]
 
 
 def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
@@ -281,6 +295,54 @@ def test_verify_and_run_honour_the_lp_cap(capsys):
     assert record["details"]["error"] == "CapacityError"
     assert (record["details"]["required"], record["details"]["cap"]) == (32, 4)
     assert main(["verify", path, "--caps", "lp=5", "--checks", "lp"]) == 0
+
+
+def cap_error(capsys, argv) -> tuple:
+    """(what, required, cap) of the one error record a capped verify reports."""
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    [record] = report["results"]
+    assert record["check"] == "error" and record["details"]["error"] == "CapacityError"
+    details = record["details"]
+    return details["what"], details["required"], details["cap"]
+
+
+CONTENDED = ["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json"), "--c", "1/2", "--p", "1/20"]
+
+
+def test_verify_law_honours_the_atom_cap(capsys):
+    # the contended instance's law has 12 joint tentative draws
+    for cap in (6, 11):
+        assert cap_error(capsys, [*CONTENDED, "--caps", f"atoms={cap}"]) == (
+            "joint tentative enumeration", 12, cap,
+        )
+    assert main([*CONTENDED, "--caps", "atoms=12"]) == 0
+
+
+def test_truthfulness_honours_the_lp_and_atom_caps(capsys):
+    argv = [*CONTENDED, "--checks", "truthfulness"]
+    assert cap_error(capsys, [*argv, "--caps", "lp=2"]) == ("full LP column enumeration", 16, 4)
+    assert cap_error(capsys, [*argv, "--caps", "atoms=1"]) == ("joint tentative enumeration", 12, 1)
+
+
+def test_verify_reports_a_malformed_file_in_a_plain_directory(tmp_path, capsys):
+    # a directory without a manifest: every instance file, and every file that is not JSON
+    (tmp_path / "a.json").write_text((CORPUS_DIR / "01-additive-n2-m3.json").read_text())
+    (tmp_path / "b.json").write_text("{not json")
+    (tmp_path / "c.json").write_text(json.dumps({"schema": "verify-report/1"}))
+    (tmp_path / "d.json").write_text("[1, 2]")
+    code = main(["verify", str(tmp_path), "--c", "1/2", "--p", "1/20", "--checks", "welfare"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    good, bad = report["results"]
+    assert Path(good["instance"]).name == "a.json" and good["passed"]
+    assert Path(bad["instance"]).name == "b.json" and bad["check"] == "error"
+    assert bad["details"]["error"] == "FormatError" and bad["config"] is None
+    # named on its own, a JSON file that is not an object is a malformed instance
+    assert main(["verify", str(tmp_path / "d.json"), "--c", "1/2", "--checks", "welfare"]) == 1
+    [record] = json.loads(capsys.readouterr().out)["results"]
+    assert record["details"]["error"] == "FormatError"
 
 
 def test_verify_corpus_reports_each_oversize_instance(capsys):
@@ -399,9 +461,13 @@ INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
          "argument --replications: expected a positive integer"),
         (["generate", "--kind", "xos", "--n", "2", "--m", "3", "--clauses", "0"],
          "argument --clauses: expected a positive integer"),
+        # a superscript digit passes str.isdigit but not int()
+        (["verify", INSTANCE, "--caps", "proxy=\u00b2"],
+         "argument --caps: bad entry 'proxy=\u00b2'"),
+        (["run", INSTANCE, "--caps", "atoms"], "argument --caps: bad entry 'atoms'"),
     ],
     ids=["c-text", "c-zero-denominator", "p-text", "trials-zero", "repeat-zero", "m-list-text",
-         "replications-negative", "clauses-zero"],
+         "replications-negative", "clauses-zero", "caps-superscript", "caps-without-value"],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import overlap_demo
+from fixtures import overlap_demo, prepared
 from oracles import integral_welfare_by_products, vertex_optimum_by_combinations
 from proxyauction.errors import CapacityError
 from proxyauction.generators import generate
@@ -42,7 +43,7 @@ def overlap_configs():
 def test_single_bidder_distribution():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1), p=F(1, 2))
-    dist = exact_distribution(inst, config)
+    dist = exact_distribution(Pipeline(inst, config))
     assert dist.expected_welfare == F(8, 2)
     assert len(dist.atoms) == 1 and not dist.atoms[0].halted
 
@@ -50,7 +51,7 @@ def test_single_bidder_distribution():
 def test_empty_solution_distribution():
     inst = Instance(2, (AdditiveValuation([0, 0]),))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    dist = exact_distribution(inst, config)
+    dist = exact_distribution(Pipeline(inst, config))
     assert dist.expected_welfare == 0
     assert dist.entries == ()
 
@@ -66,7 +67,7 @@ def test_overlap_demo_hand_enumerated_law():
     halt_cfg, own_cfg = overlap_configs()
     p = halt_cfg.p
 
-    dist = exact_distribution(inst, halt_cfg, solution=sol)
+    dist = exact_distribution(Pipeline(inst, halt_cfg, solution=sol))
     assert len(dist.atoms) == 8
     assert all(atom.probability == F(1, 8) for atom in dist.atoms)
     assert sum(a.probability for a in dist.atoms if a.halted) == F(1, 4)
@@ -85,7 +86,7 @@ def test_overlap_demo_hand_enumerated_law():
     assert dist.expected_welfare == F(11, 40)
     assert dist.expected_welfare == p * sol.objective
 
-    own = exact_distribution(inst, own_cfg, solution=sol)
+    own = exact_distribution(Pipeline(inst, own_cfg, solution=sol))
     assert own.expected_welfare == F(21, 80)
     o0 = {(e.bidder, e.bundle.mask): e for e in own.entries}[(0, 1)]
     assert o0.q == 0 and o0.marginal == F(3, 8) * p
@@ -94,17 +95,17 @@ def test_overlap_demo_hand_enumerated_law():
 
 def test_identities_on_corpus_spot(corpus):
     for item in (corpus[5], corpus[13], corpus[22]):
-        assert check_welfare_identity(item.instance, item.config).passed
-        assert check_keep_marginals(item.instance, item.config).passed
+        assert check_welfare_identity(*prepared(item.instance, item.config)).passed
+        assert check_keep_marginals(*prepared(item.instance, item.config)).passed
 
 
 def test_own_items_variant_reports_without_asserting():
     inst, sol = overlap_demo()
     _, own_cfg = overlap_configs()
-    w = check_welfare_identity(inst, own_cfg, solution=sol)
+    w = check_welfare_identity(*prepared(inst, own_cfg, solution=sol))
     assert w.passed  # informational under own-items
     assert F(w.details["gap"]) == F(11, 40) - F(21, 80)
-    m = check_keep_marginals(inst, own_cfg, solution=sol)
+    m = check_keep_marginals(*prepared(inst, own_cfg, solution=sol))
     assert m.passed
     assert len(m.details["deficits"]) == 1
     assert F(m.details["deficits"][0]["deficit"]) == F(1, 160)
@@ -139,7 +140,7 @@ def test_integral_optimum_cap():
 def test_approximation_equality_for_single_bidder_extreme_params():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1), p=F(1))
-    res = check_approximation(inst, config)
+    res = check_approximation(*prepared(inst, config))
     assert res.passed
     assert res.details["expected_welfare"] == res.details["c_p_opt"] == "8"
 
@@ -147,14 +148,14 @@ def test_approximation_equality_for_single_bidder_extreme_params():
 def test_approximation_tight_for_additive_without_halts():
     inst = Instance(3, (AdditiveValuation([3, 0, 2]), AdditiveValuation([0, 4, 1])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_approximation(inst, config)
+    res = check_approximation(*prepared(inst, config))
     assert res.passed
     assert res.details["expected_welfare"] == res.details["c_p_opt"]
 
 
 def test_approximation_on_corpus_spot(corpus):
     for item in corpus[:4]:
-        assert check_approximation(item.instance, item.config).passed
+        assert check_approximation(*prepared(item.instance, item.config)).passed
 
 
 # -- proxy bound ------------------------------------------------------------------
@@ -179,14 +180,14 @@ def test_proxy_bound_flags_subadditivity_violations():
 def test_halt_frequency_zero_for_disjoint_supports():
     inst = Instance(2, (AdditiveValuation([3, 0]), AdditiveValuation([0, 5])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_halt_frequency(inst, config, trials=400)
+    res = check_halt_frequency(Pipeline(inst, config), trials=400)
     assert res.passed and res.details["halts"] == 0
 
 
 def test_halt_frequency_impossible_when_inv_c_at_least_n():
     inst = generate("xos", 3, 4, 1)
     config = MechanismConfig(c=F(1, 3), p=F(1, 20))  # 1/c = 3 = n
-    res = check_halt_frequency(inst, config, trials=400)
+    res = check_halt_frequency(Pipeline(inst, config), trials=400)
     assert res.details["halts"] == 0
 
 
@@ -194,7 +195,7 @@ def test_halt_frequency_matches_exact_probability():
     inst, sol = overlap_demo()
     halt_cfg, _ = overlap_configs()
     trials = 10_000
-    res = check_halt_frequency(inst, halt_cfg, trials, solution=sol, seed=17)
+    res = check_halt_frequency(Pipeline(inst, replace(halt_cfg, seed=17), solution=sol), trials)
     freq = res.details["halts"] / trials
     assert abs(freq - 0.25) <= 3 * (0.25 * 0.75 / trials) ** 0.5
 
@@ -216,14 +217,14 @@ def test_misreport_family_shapes():
 def test_single_bidder_truthfulness():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_truthfulness(inst, config)
+    res = check_truthfulness(Pipeline(inst, config))
     assert res.passed
 
 
 def test_expected_value_marginal_consistency(corpus):
     item = corpus[22]
     pipe = Pipeline(item.instance, item.config)
-    dist = exact_distribution(item.instance, item.config, pipeline=pipe)
+    dist = exact_distribution(pipe)
     total = sum(
         (expected_true_value(dist, i, pipe.proxies[i]) for i in range(item.instance.n)),
         F(0),
@@ -233,7 +234,7 @@ def test_expected_value_marginal_consistency(corpus):
 
 def test_truthfulness_on_explicit_instance(truthful_corpus):
     item = truthful_corpus[0]
-    res = check_truthfulness(item.instance, item.config)
+    res = check_truthfulness(Pipeline(item.instance, item.config))
     assert res.passed, res.witness
     assert res.details["misreports_checked"] > 0
 
@@ -241,7 +242,7 @@ def test_truthfulness_on_explicit_instance(truthful_corpus):
 def test_truthfulness_under_own_items_is_recorded_not_asserted():
     inst = generate("explicit-subadditive", 2, 2, 5)
     config = MechanismConfig(c=F(1, 2), p=F(1, 20), q_variant=Q_OWN_ITEMS)
-    res = check_truthfulness(inst, config)
+    res = check_truthfulness(Pipeline(inst, config))
     assert isinstance(res.passed, bool)  # outcome recorded either way
 
 
@@ -251,7 +252,7 @@ def test_truthfulness_under_own_items_is_recorded_not_asserted():
 def test_lp_agreement_small():
     inst = generate("unit-demand", 2, 3, 4)
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_lp_agreement(inst, config)
+    res = check_lp_agreement(Pipeline(inst, config))
     assert res.passed
     assert "vertex_enumeration_objective" in res.details
 
@@ -329,23 +330,19 @@ def test_vertex_enumeration_cap_matches_combinations_oracle(corpus):
 
 def test_monte_carlo_check(corpus):
     item = corpus[12]
-    res = check_monte_carlo(item.instance, item.config, trials=2_000)
+    res = check_monte_carlo(*prepared(item.instance, item.config), trials=2_000)
     assert res.passed
 
 
 def test_identities_hold_under_column_generation_solver(corpus):
-    from dataclasses import replace
-
     for item in (corpus[1], corpus[13], corpus[22]):
         cfg = replace(item.config, solver="column-generation")
-        assert check_welfare_identity(item.instance, cfg).passed, item.label
-        assert check_keep_marginals(item.instance, cfg).passed, item.label
+        assert check_welfare_identity(*prepared(item.instance, cfg)).passed, item.label
+        assert check_keep_marginals(*prepared(item.instance, cfg)).passed, item.label
 
 
 def test_truthfulness_holds_under_column_generation_solver(truthful_corpus):
-    from dataclasses import replace
-
     item = truthful_corpus[0]
     cfg = replace(item.config, solver="column-generation")
-    res = check_truthfulness(item.instance, cfg)
+    res = check_truthfulness(Pipeline(item.instance, cfg))
     assert res.passed, res.witness
