@@ -1,9 +1,13 @@
 """Command-line harness: generate | solve | run | verify | bench.
 
-Reports are canonical JSON (sorted keys, fixed indentation) and contain no
+Each command returns (exit code, report or None, table renderer); ``main``
+alone writes the report or its table, prints --timings and maps errors to exit
+codes. Reports are canonical JSON (sorted keys, fixed indentation) with no
 wall-clock data, so identical flags and seed produce byte-identical output;
-pass --timings to print stage durations to stderr instead. The bench command
-is the exception: measuring time is its purpose, and its report says so.
+--timings prints one stderr line, ``<command>: <seconds>s``, the command's
+wall-clock time. bench is the exception: measuring time is its purpose, and
+its report says so. A missing, unreadable or malformed file is a FormatError
+(under verify, an ``error`` record), and ``generate`` rejects ignored flags.
 
 Exit status: 0 on success, 1 when verify finds a failed asserted check or an
 instance it could not check, or bench finds solvers disagreeing, 2 on usage
@@ -22,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
 from . import serialize as ser
 from . import verify as ver
@@ -68,12 +73,8 @@ ALL_CHECKS = (
 )
 
 
-def _instance_digest(instance) -> str:
-    return hashlib.sha256(
-        ser.canonical_dumps(ser.instance_to_dict(instance)).encode("utf-8")
-    ).hexdigest()[:16]
-
-
+CONFIG_FIELDS = ("c", "p", "q_variant", "seed", "solver")
+CommandResult = tuple[int, Optional[dict], Optional[Callable[[], str]]]
 CAP_DEFAULTS = {
     "proxy": PROXY_SUBSET_CAP,
     "lp": LP_ITEM_CAP,
@@ -117,62 +118,47 @@ def _caps(text: str) -> dict[str, int]:
     return caps
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--c", type=_rational, help="keep probability, a rational like 1/267 (default: from m)"
-    )
-    parser.add_argument("--p", type=_rational, help="survival probability, a rational like 1/20")
-    parser.add_argument(
-        "--q-variant", choices=[Q_HALT, Q_OWN_ITEMS], help="q event scope (default: halt)"
-    )
-    parser.add_argument("--seed", type=int, help="master seed (default: 0)")
-    parser.add_argument(
-        "--solver", choices=[SOLVER_FULL, SOLVER_COLGEN], help="LP method (default: full)"
-    )
-    parser.add_argument(
-        "--caps",
-        type=_caps,
-        default="",
-        help=f"enumeration caps as key=int pairs, comma separated; keys: {', '.join(CAP_DEFAULTS)}",
-    )
-
-
 def _pipeline(instance, config, caps: dict) -> Pipeline:
     return Pipeline(
         instance, config, atom_cap=caps["atoms"], proxy_cap=caps["proxy"], lp_cap=caps["lp"]
     )
 
 
-def _build_config(args, m: int, base: MechanismConfig | None = None) -> MechanismConfig:
-    """Merge CLI flags over a manifest config over built-in defaults."""
+def _config_flags(args) -> dict:
+    """The mechanism config fields given on the command line."""
+    given = vars(args)
+    return {key: given[key] for key in CONFIG_FIELDS if given[key] is not None}
+
+
+def _build_config(flags: dict, m: int, base: MechanismConfig | None = None) -> MechanismConfig:
+    """Merge config flags over a manifest config over built-in defaults."""
     if base is None:
         # only c's default needs m >= 4, so it is computed only without --c
-        c = default_params(m)[0] if args.c is None else args.c
+        c = flags["c"] if "c" in flags else default_params(m)[0]
         base = MechanismConfig(c=c, p=Fraction(1, 20))
-    flags = {
-        "c": args.c,
-        "p": args.p,
-        "q_variant": args.q_variant,
-        "seed": args.seed,
-        "solver": args.solver,
-    }
-    return replace(base, **{k: v for k, v in flags.items() if v is not None})
+    return replace(base, **flags)
 
 
-def _emit(args, report: dict, text: str | None = None) -> None:
-    if getattr(args, "format", "json") == "table" and text is not None:
+def _instance_block(path, instance) -> dict:
+    """The report's ``instance`` block: the path given and a digest of the content."""
+    text = ser.canonical_dumps(ser.instance_to_dict(instance))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return {"path": str(path), "digest": digest, "n": instance.n, "m": instance.m}
+
+
+def _emit(args, report: dict, table: Callable[[], str]) -> None:
+    if args.format == "table":
+        text = table()
         payload = text if text.endswith("\n") else text + "\n"
     else:
         payload = ser.canonical_dumps(report)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
 
 def _table(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
     widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
@@ -182,15 +168,17 @@ def _table(rows: list[list[str]]) -> str:
 # -- generate ----------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> CommandResult:
+    given = vars(args)
     if args.corpus:
+        single = ("kind", "n", "m", "clauses", "elements", "out")
+        ignored = [flag for flag in single if given[flag] is not None]
+        if ignored:
+            raise AuctionError(f"--corpus writes a whole corpus; it takes no --{ignored[0]}")
         out_dir = Path(args.out_dir or args.corpus + "-corpus")
         out_dir.mkdir(parents=True, exist_ok=True)
-        corpus = (
-            standard_corpus(args.seed if args.seed is not None else DEFAULT_CORPUS_SEED)
-            if args.corpus == "standard"
-            else truthfulness_corpus(args.seed if args.seed is not None else DEFAULT_CORPUS_SEED)
-        )
+        corpus_of = standard_corpus if args.corpus == "standard" else truthfulness_corpus
+        corpus = corpus_of(DEFAULT_CORPUS_SEED if args.seed is None else args.seed)
         manifest = {"schema": MANIFEST_SCHEMA, "instances": []}
         for item in corpus:
             fname = f"{item.label}.json"
@@ -204,7 +192,9 @@ def cmd_generate(args) -> int:
             )
         ser.save_json(out_dir / "manifest.json", manifest)
         sys.stderr.write(f"wrote {len(corpus)} instances to {out_dir}/\n")
-        return 0
+        return 0, None, None
+    if args.out_dir is not None:
+        raise AuctionError("--out-dir only applies to --corpus")
     if args.kind is None or args.n is None or args.m is None:
         raise AuctionError("generate needs either --corpus or all of --kind/--n/--m")
     params = {}
@@ -219,69 +209,51 @@ def cmd_generate(args) -> int:
     instance = generate(
         args.kind, args.n, args.m, args.seed if args.seed is not None else 0, **params
     )
-    payload = ser.instance_to_dict(instance)
-    if args.out:
-        ser.save_json(args.out, payload)
-    else:
-        sys.stdout.write(ser.canonical_dumps(payload))
-    return 0
+    return 0, ser.instance_to_dict(instance), None
 
 
 # -- solve -------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> CommandResult:
     instance = ser.load_instance(args.instance)
+    flags = _config_flags(args)
     if args.valuations == "proxy":
-        config = _build_config(args, instance.m)
+        config = _build_config(flags, instance.m)
         oracles = instance.proxies(config.c, subset_cap=args.caps["proxy"])
-        objective_kind = "proxy"
     else:
         # the raw objective is the proxy objective at c = 1 (no thinning)
-        c = Fraction(1) if args.c is None else args.c
-        ns = argparse.Namespace(**{**vars(args), "c": c})
-        config = _build_config(ns, instance.m)
+        config = _build_config({"c": Fraction(1), **flags}, instance.m)
         oracles = instance.valuations
-        objective_kind = "raw"
-    started = time.perf_counter()
     if config.solver == SOLVER_COLGEN:
         solution = solve_column_generation(instance, oracles)
     else:
-        lp = build_full_lp(instance, oracles, item_cap=args.caps["lp"])
-        solution = solve_exact(lp)
-    elapsed = time.perf_counter() - started
-    if args.timings:
-        sys.stderr.write(f"solve: {elapsed:.4f}s\n")
+        solution = solve_exact(build_full_lp(instance, oracles, item_cap=args.caps["lp"]))
     report = {
         "schema": REPORT_SCHEMA,
         "command": "solve",
-        "instance": {
-            "path": str(args.instance),
-            "digest": _instance_digest(instance),
-            "n": instance.n,
-            "m": instance.m,
-        },
+        "instance": _instance_block(args.instance, instance),
         "config": ser.config_to_dict(config),
-        "objective_kind": objective_kind,
+        "objective_kind": args.valuations,
         "semantics": config.semantics(),
         "solution": ser.solution_to_dict(solution),
         "query_counts": instance.query_totals(),
     }
-    rows = [["bidder", "bundle", "x"]]
-    for i, bundle, x in solution.support():
-        rows.append([str(i), repr(bundle), str(x)])
-    text = f"objective ({objective_kind}): {solution.objective}\n" + _table(rows)
-    _emit(args, report, text)
-    return 0
+
+    def table() -> str:
+        rows = [["bidder", "bundle", "x"]]
+        rows += [[str(i), repr(bundle), str(x)] for i, bundle, x in solution.support()]
+        return f"objective ({args.valuations}): {solution.objective}\n" + _table(rows)
+
+    return 0, report, table
 
 
 # -- run ---------------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> CommandResult:
     instance = ser.load_instance(args.instance)
-    config = _build_config(args, instance.m)
-    started = time.perf_counter()
+    config = _build_config(_config_flags(args), instance.m)
     pipeline = _pipeline(instance, config, args.caps)
     if args.replications is None:
         seeds = [config.seed]
@@ -289,10 +261,6 @@ def cmd_run(args) -> int:
         seeds = [derive_seed(config.seed, "replication", r) for r in range(args.replications)]
     outcomes = [pipeline.sample(seed) for seed in seeds]
     payments = pipeline.payments() if args.payments else None
-    elapsed = time.perf_counter() - started
-    if args.timings:
-        sys.stderr.write(f"run: {elapsed:.4f}s for {len(seeds)} outcome(s)\n")
-
     outcome_dicts = []
     for seed, outcome in zip(seeds, outcomes):
         entry = ser.outcome_to_dict(outcome)
@@ -302,12 +270,7 @@ def cmd_run(args) -> int:
     report = {
         "schema": REPORT_SCHEMA,
         "command": "run",
-        "instance": {
-            "path": str(args.instance),
-            "digest": _instance_digest(instance),
-            "n": instance.n,
-            "m": instance.m,
-        },
+        "instance": _instance_block(args.instance, instance),
         "config": ser.config_to_dict(config),
         "semantics": config.semantics(),
         "lp": ser.solution_to_dict(pipeline.solution),
@@ -315,23 +278,19 @@ def cmd_run(args) -> int:
         "payments": None if payments is None else [ser.format_value(x) for x in payments],
         "query_counts": instance.query_totals(),
     }
-    rows = [["outcome", "halted", "final bundles", "welfare"]]
-    for k, (outcome, entry) in enumerate(zip(outcomes, outcome_dicts)):
-        rows.append(
-            [
-                str(k),
-                "yes" if outcome.halted else "no",
-                " ".join(repr(b) for b in outcome.final),
-                entry["welfare"],
-            ]
+
+    def table() -> str:
+        rows = [["outcome", "halted", "final bundles", "welfare"]]
+        for k, (outcome, entry) in enumerate(zip(outcomes, outcome_dicts)):
+            final = " ".join(repr(b) for b in outcome.final)
+            rows.append([str(k), "yes" if outcome.halted else "no", final, entry["welfare"]])
+        return (
+            f"LP objective (proxy): {pipeline.solution.objective}\n"
+            + _table(rows)
+            + (f"\npayments: {[str(x) for x in payments]}" if payments is not None else "")
         )
-    text = (
-        f"LP objective (proxy): {pipeline.solution.objective}\n"
-        + _table(rows)
-        + (f"\npayments: {[str(x) for x in payments]}" if payments is not None else "")
-    )
-    _emit(args, report, text)
-    return 0
+
+    return 0, report, table
 
 
 # -- verify ------------------------------------------------------------------
@@ -365,15 +324,7 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
         res = run[name]()
         # truthfulness is recorded, not asserted, under the own-items variant
         asserted = name != "truthfulness" or config.q_variant == Q_HALT
-        results.append(
-            {
-                "check": res.check,
-                "passed": res.passed,
-                "asserted": asserted,
-                "details": res.details,
-                "witness": res.witness,
-            }
-        )
+        results.append({**vars(res), "asserted": asserted})
     return results
 
 
@@ -385,21 +336,20 @@ def _error_record(exc: AuctionError) -> dict:
     return dict(check="error", passed=False, asserted=True, details=details, witness=None)
 
 
-def _verify_worker(payload: tuple) -> tuple[str, list[dict]]:
-    path, config_dict, checks, trials, overrides, caps = payload
+def _verify_worker(payload: tuple) -> list[dict]:
+    path, config_dict, checks, trials, flags, caps = payload
     config = None
     try:
         instance = ser.load_instance(path)
         base = ser.config_from_dict(config_dict) if config_dict else None
-        ns = argparse.Namespace(**overrides)
-        config = _build_config(ns, instance.m, base=base)
+        config = _build_config(flags, instance.m, base=base)
         results = _checks_for(instance, config, checks, trials, caps)
     except AuctionError as exc:  # one bad or oversize instance does not end the run
         results = [_error_record(exc)]
     for r in results:
         r["instance"] = str(path)
         r["config"] = None if config is None else ser.config_to_dict(config)
-    return str(path), results
+    return results
 
 
 def _verify_targets(args) -> list[tuple[str, dict | None]]:
@@ -408,10 +358,13 @@ def _verify_targets(args) -> list[tuple[str, dict | None]]:
         manifest_path = target / "manifest.json"
         if manifest_path.exists():
             manifest = ser.load_json(manifest_path)
-            return [
-                (str(target / item["file"]), item.get("config"))
-                for item in manifest.get("instances", [])
-            ]
+            try:
+                return [
+                    (str(target / item["file"]), item.get("config"))
+                    for item in manifest.get("instances", [])
+                ]
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise FormatError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
         return [(str(p), None) for p in sorted(target.glob("*.json")) if _is_instance_file(p)]
     return [(str(target), None)]
 
@@ -425,7 +378,7 @@ def _is_instance_file(path: Path) -> bool:
     return isinstance(data, dict) and data.get("schema") == ser.INSTANCE_SCHEMA
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> CommandResult:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [name for name in checks if name not in ALL_CHECKS]
     if unknown:
@@ -435,26 +388,15 @@ def cmd_verify(args) -> int:
     targets = _verify_targets(args)
     if not targets:
         raise AuctionError(f"no instances found under {args.target}")
-    overrides = {
-        "c": args.c,
-        "p": args.p,
-        "q_variant": args.q_variant,
-        "seed": args.seed,
-        "solver": args.solver,
-    }
-    payloads = [(path, cfg, checks, args.trials, overrides, args.caps) for path, cfg in targets]
-    started = time.perf_counter()
+    flags = _config_flags(args)
+    payloads = [(path, cfg, checks, args.trials, flags, args.caps) for path, cfg in targets]
     workers = min(args.workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             collected = list(pool.map(_verify_worker, payloads))
     else:
         collected = [_verify_worker(p) for p in payloads]
-    elapsed = time.perf_counter() - started
-    if args.timings:
-        sys.stderr.write(f"verify: {elapsed:.4f}s over {len(targets)} instance(s)\n")
-
-    results = [r for _, rs in collected for r in rs]
+    results = [r for rs in collected for r in rs]
     failed = [r for r in results if r["asserted"] and not r["passed"]]
     report = {
         "schema": VERIFY_SCHEMA,
@@ -463,35 +405,43 @@ def cmd_verify(args) -> int:
         "results": results,
         "passed": not failed,
     }
-    rows = [["result", "check", "instance"]]
-    for r in results:
-        if r["check"] == "error":
-            status = "ERROR"
-        else:
-            status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
-        rows.append([status, r["check"], Path(r["instance"]).name])
-    text = _table(rows) + f"\noverall: {'PASS' if not failed else 'FAIL'}"
-    _emit(args, report, text)
-    return 0 if not failed else 1
+
+    def table() -> str:
+        rows = [["result", "check", "instance"]]
+        for r in results:
+            if r["check"] == "error":
+                status = "ERROR"
+            else:
+                status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
+            rows.append([status, r["check"], Path(r["instance"]).name])
+        return _table(rows) + f"\noverall: {'PASS' if not failed else 'FAIL'}"
+
+    return (1 if failed else 0), report, table
 
 
 # -- bench -------------------------------------------------------------------
 
+# the bench table: (header, record key) per column
+BENCH_COLUMNS = (
+    ("m", "m"),
+    ("columns", "columns"),
+    ("lp-build s", "lp_build_seconds"),
+    ("exact-full s", "exact_full_seconds"),
+    ("pivots", "exact_full_pivots"),
+    ("exact-colgen s", "exact_colgen_seconds"),
+    ("vertex-enum s", "vertex_enum_seconds"),
+    ("sample s", "sample_seconds"),
+    ("objectives", "objectives_agree"),
+)
 
-def cmd_bench(args) -> int:
-    rows = [
-        [
-            "m",
-            "columns",
-            "lp-build s",
-            "exact-full s",
-            "pivots",
-            "exact-colgen s",
-            "vertex-enum s",
-            "sample s",
-            "objectives",
-        ]
-    ]
+
+def _bench_cell(value) -> str:
+    if isinstance(value, bool):
+        return "agree" if value else "MISMATCH"
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
+def cmd_bench(args) -> CommandResult:
     records = []
     sample_seeds = [derive_seed(args.seed, "replication", r) for r in range(BENCH_SAMPLES)]
     for m in args.m_list:
@@ -521,23 +471,6 @@ def cmd_bench(args) -> int:
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
         t_sample, _ = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
-        agree = (
-            sol_exact.objective == sol_colgen.objective
-            and vertex_obj in ("skipped", sol_exact.objective)
-        )
-        rows.append(
-            [
-                str(m),
-                str(len(lp.columns)),
-                f"{t_build:.4f}",
-                f"{t_exact:.4f}",
-                str(sol_exact.pivots),
-                f"{t_colgen:.4f}",
-                t_vertex if vertex_obj == "skipped" else f"{t_vertex:.4f}",
-                f"{t_sample:.4f}",
-                "agree" if agree else "MISMATCH",
-            ]
-        )
         records.append(
             {
                 "m": m,
@@ -550,7 +483,8 @@ def cmd_bench(args) -> int:
                 "vertex_enum_objective": str(vertex_obj),
                 "sample_seconds": t_sample,
                 "objective": str(sol_exact.objective),
-                "objectives_agree": agree,
+                "objectives_agree": sol_exact.objective == sol_colgen.objective
+                and vertex_obj in ("skipped", sol_exact.objective),
             }
         )
     report = {
@@ -566,8 +500,13 @@ def cmd_bench(args) -> int:
         "note": "timings are wall-clock; this report is not byte-reproducible",
         "rows": records,
     }
-    _emit(args, report, _table(rows))
-    return 0 if all(r["objectives_agree"] for r in records) else 1
+
+    def table() -> str:
+        rows = [[header for header, _ in BENCH_COLUMNS]]
+        rows += [[_bench_cell(r[key]) for _, key in BENCH_COLUMNS] for r in records]
+        return _table(rows)
+
+    return (0 if all(r["objectives_agree"] for r in records) else 1), report, table
 
 
 # -- entry -------------------------------------------------------------------
@@ -582,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and exact verification of the mechanism's probabilistic identities."
         ),
     )
+    parser.set_defaults(format="json", timings=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="create instance files or a bundled corpus")
@@ -599,22 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve the configuration LP for an instance")
     s.add_argument("instance")
     s.add_argument("--valuations", choices=["raw", "proxy"], default="raw")
-    _add_config_flags(s)
-    s.add_argument("--format", choices=["json", "table"], default="json")
-    s.add_argument("--out")
-    s.add_argument("--timings", action="store_true", help="print wall-clock to stderr")
     s.set_defaults(func=cmd_solve)
 
     r = sub.add_parser("run", help="execute the mechanism on an instance")
     r.add_argument("instance")
-    _add_config_flags(r)
     r.add_argument(
         "--replications", type=_positive_int, help="sample R outcomes over derived seeds"
     )
     r.add_argument("--payments", action="store_true", help="also compute charges")
-    r.add_argument("--format", choices=["json", "table"], default="json")
-    r.add_argument("--out")
-    r.add_argument("--timings", action="store_true")
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="run certification checks on instances")
@@ -622,11 +554,23 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default=DEFAULT_CHECKS, help=f"comma list from {ALL_CHECKS}")
     v.add_argument("--trials", type=_positive_int, default=10_000, help="Monte Carlo trials")
     v.add_argument("--workers", type=_positive_int, default=1, help="parallel instance workers")
-    _add_config_flags(v)
-    v.add_argument("--format", choices=["json", "table"], default="json")
-    v.add_argument("--out")
-    v.add_argument("--timings", action="store_true")
     v.set_defaults(func=cmd_verify)
+
+    for cmd in (s, r, v):
+        cmd.add_argument("--c", type=_rational, help="keep probability (default: from m)")
+        cmd.add_argument("--p", type=_rational, help="survival probability, a rational like 1/20")
+        cmd.add_argument("--q-variant", choices=[Q_HALT, Q_OWN_ITEMS], help="q event scope")
+        cmd.add_argument("--seed", type=int, help="master seed (default: 0)")
+        cmd.add_argument("--solver", choices=[SOLVER_FULL, SOLVER_COLGEN], help="LP method")
+        cmd.add_argument(
+            "--caps",
+            type=_caps,
+            default="",
+            help=f"comma-separated key=int enumeration caps; keys: {', '.join(CAP_DEFAULTS)}",
+        )
+        cmd.add_argument("--format", choices=["json", "table"], default="json")
+        cmd.add_argument("--out")
+        cmd.add_argument("--timings", action="store_true", help="print wall-clock to stderr")
 
     b = sub.add_parser(
         "bench",
@@ -646,13 +590,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, report, table = args.func(args)
     except AuctionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if report is not None:
+        _emit(args, report, table)
+    if args.timings:
+        sys.stderr.write(f"{args.command}: {time.perf_counter() - started:.4f}s\n")
+    return code
 
 
 if __name__ == "__main__":

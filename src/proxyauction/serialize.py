@@ -68,6 +68,8 @@ def valuation_to_dict(v: Valuation) -> dict:
 
 
 def valuation_from_dict(data: dict, m: int) -> Valuation:
+    if not isinstance(data, dict):
+        raise FormatError(f"a bidder entry must be an object, got {data!r}")
     kind = data.get("kind")
     try:
         if kind == "additive":
@@ -89,7 +91,7 @@ def valuation_from_dict(data: dict, m: int) -> Valuation:
                     raise FormatError(f"explicit table missing bundle {{{key}}}")
                 table[mask] = Fraction(values[key])
             return ExplicitValuation(m, table)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed {kind!r} valuation payload: {exc}") from exc
     raise FormatError(f"unknown valuation kind {kind!r}")
 
@@ -114,13 +116,12 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(m, int) or m < 1:
         raise FormatError(f"bad item count {m!r}")
     bidders = data.get("bidders") or []
-    if not bidders:
-        raise FormatError("an instance needs at least one bidder")
-    return Instance(
-        m,
-        tuple(valuation_from_dict(b, m) for b in bidders),
-        metadata=dict(data.get("metadata") or {}),
-    )
+    if not isinstance(bidders, list) or not bidders:
+        raise FormatError(f"an instance needs a list of at least one bidder, got {bidders!r}")
+    metadata = data.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise FormatError(f"instance metadata must be an object, got {metadata!r}")
+    return Instance(m, tuple(valuation_from_dict(b, m) for b in bidders), metadata=dict(metadata))
 
 
 # -- solutions ---------------------------------------------------------------
@@ -223,6 +224,8 @@ def config_to_dict(config: MechanismConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> MechanismConfig:
+    if not isinstance(data, dict):
+        raise FormatError(f"a mechanism config must be an object, got {data!r}")
     _require_exact(data)
     try:
         return MechanismConfig(
@@ -232,7 +235,7 @@ def config_from_dict(data: dict) -> MechanismConfig:
             seed=int(data.get("seed", 0)),
             solver=data.get("solver", "full"),
         )
-    except (KeyError, ValueError, ZeroDivisionError, ParameterError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, ParameterError) as exc:
         raise FormatError(f"malformed mechanism config: {exc}") from exc
 
 
@@ -246,6 +249,8 @@ def save_json(path: Union[str, Path], obj: dict) -> None:
 def load_json(path: Union[str, Path]) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -444,7 +444,8 @@ class ProxyValuation(Valuation):
         if self.m > self.subset_cap:
             raise CapacityError("proxy table over all bundles", 1 << self.m, 1 << self.subset_cap)
         size = 1 << self.m
-        h, den = over_one_denominator([self.base._value(mask) for mask in range(size)])
+        values, den = self.base.value_table
+        h = list(values)  # transformed in place; the base keeps its table
         k = self.c.denominator
         for j in range(self.m):
             bit = 1 << j

@@ -41,7 +41,14 @@ from . import rng as rngmod
 from .errors import CapacityError
 from .itemsets import EMPTY_SET, ItemSet
 from .lp import ConfigLP, solve_column_generation, solve_exact
-from .mechanism import Q_HALT, SOLVER_FULL, Pipeline, TentativeAssignment, halt_check
+from .mechanism import (
+    Q_HALT,
+    SOLVER_FULL,
+    Pipeline,
+    TentativeAssignment,
+    halt_check,
+    realized_welfare,
+)
 from .valuations import (
     PROXY_SUBSET_CAP,
     AdditiveValuation,
@@ -343,13 +350,11 @@ def check_monte_carlo(pipeline: Pipeline, law: OutcomeDistribution, trials: int)
     ``law`` is ``exact_distribution(pipeline)``; the samples draw from seeds
     derived from ``pipeline.config.seed``.
     """
-    seed, valuations = pipeline.config.seed, pipeline.instance.valuations
-    welfares = []
-    for t in range(trials):
-        outcome = pipeline.sample(rngmod.derive_seed(seed, "replication", t))
-        welfares.append(
-            sum((v._value(b.mask) for v, b in zip(valuations, outcome.final)), Fraction(0))
-        )
+    seed, instance = pipeline.config.seed, pipeline.instance
+    welfares = [
+        realized_welfare(instance, pipeline.sample(rngmod.derive_seed(seed, "replication", t)))
+        for t in range(trials)
+    ]
     mean = sum(welfares, Fraction(0)) / trials
     var = sum(((w - mean) ** 2 for w in welfares), Fraction(0)) / max(trials - 1, 1)
     stderr = math.sqrt(float(var) / trials)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -394,8 +395,9 @@ def test_float_arithmetic_is_rejected(instance_file, tmp_path):
 
 # SHA-256 of reports: the verify digests were taken before float mode was
 # removed, the run-payments digest after the switch to counter-based draws
-# (run-report/2), the auction digests before the simplex took 0/1 supports;
-# a change that alters one byte of a pinned report fails here
+# (run-report/2), the auction digests before the simplex took 0/1 supports,
+# the --format table digests before the commands returned their reports to
+# main; a change that alters one byte of a pinned report fails here
 PINNED_REPORTS = {
     "verify-standard": (
         ["verify", "corpus/standard"],
@@ -413,6 +415,20 @@ PINNED_REPORTS = {
         ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
          "--replications", "50", "--payments"],
         "855733db0a2ea04d7d06b37c5bd22f7e4fb2966d6d60a1b19b8e74662b60228e",
+    ),
+    "run-payments-table": (
+        ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
+         "--replications", "5", "--payments", "--format", "table"],
+        "f20b29f513f4cbeac409b56f24e5928572be37cdc4ab124a1908de68ca3c44bd",
+    ),
+    "verify-standard-table": (
+        ["verify", "corpus/standard", "--format", "table"],
+        "208714ec2e80b45fe8dac0f2e51268c2a1618a8a195f68fc0d27d95d5107de09",
+    ),
+    "solve-proxy-table": (
+        ["solve", "corpus/standard/08-xos-n3-m4.json", "--valuations", "proxy", "--c", "1/2",
+         "--format", "table"],
+        "4836e0abc1fa856fc59cc3930891f7c63ef1e66cf3c1ccbbc361d6d93db5b82d",
     ),
     "run-xos-n3-m6-full": (
         ["run", "xos-n3-m6.json", "--payments", "--solver", "full"],
@@ -474,3 +490,92 @@ def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["solve", "run", "verify"])
+def test_timings_add_one_stderr_line(command, capsys):
+    argv = [command, INSTANCE, "--c", "1/2", "--p", "1/20"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    assert re.fullmatch(rf"{command}: \d+\.\d{{4}}s\n", timed.err)
+
+
+def write_manifest(directory, files, *other_items):
+    items = [{"file": name, "config": {"c": "1/2", "p": "1/20"}} for name in files]
+    (directory / "manifest.json").write_text(
+        json.dumps({"schema": "corpus-manifest/1", "instances": [*items, *other_items]})
+    )
+
+
+def test_a_missing_file_is_a_format_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "nope.json")]) == 2
+    assert "nope.json: cannot read" in capsys.readouterr().err
+    # a manifest naming a missing file: that instance is an error record, the other is checked
+    (tmp_path / "a.json").write_text((CORPUS_DIR / "01-additive-n2-m3.json").read_text())
+    write_manifest(tmp_path, ["a.json", "gone.json"])
+    for workers in ("1", "2"):
+        code = main(["verify", str(tmp_path), "--checks", "welfare", "--workers", workers])
+        good, missing = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert Path(good["instance"]).name == "a.json" and good["passed"]
+        assert Path(missing["instance"]).name == "gone.json" and missing["check"] == "error"
+        assert missing["details"]["error"] == "FormatError"
+
+
+GOOD_INSTANCE = json.loads((CORPUS_DIR / "01-additive-n2-m3.json").read_text())
+# fields replaced in a good m = 3 instance; None stands for a manifest item without "file"
+MALFORMED = {
+    "bidder-not-an-object": {"bidders": ["additive"]},
+    "weights-not-a-list": {"bidders": [{"kind": "additive", "weights": 5}]},
+    "bidders-not-a-list": {"bidders": 5},
+    "null-weight": {"bidders": [{"kind": "additive", "weights": [None, "1", "2"]}]},
+    "cover-element-not-an-int": {
+        "bidders": [{"kind": "coverage", "element_weights": ["1"], "covers": [["0"], [], []]}]
+    },
+    "metadata-not-an-object": {"metadata": "seed 7"},
+    "manifest-item-without-file": None,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_a_format_error(case, tmp_path, capsys):
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_INSTANCE))
+    if MALFORMED[case] is None:
+        write_manifest(tmp_path, ["good.json"], {"label": "no file"})
+        assert main(["verify", str(tmp_path), "--checks", "welfare"]) == 2
+        assert "malformed manifest" in capsys.readouterr().err
+        return
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GOOD_INSTANCE, **MALFORMED[case]}))
+    assert main(["run", str(bad), "--c", "1/2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # in a corpus, the malformed instance is an error record and the other is checked
+    write_manifest(tmp_path, ["good.json", "bad.json"])
+    assert main(["verify", str(tmp_path), "--checks", "welfare"]) == 1
+    good, record = json.loads(capsys.readouterr().out)["results"]
+    assert good["passed"] and record["check"] == "error"
+    assert record["details"]["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--corpus", "standard", "--out", "x.json"],
+        ["--corpus", "standard", "--kind", "xos"],
+        ["--corpus", "truthfulness", "--n", "2"],
+        ["--corpus", "standard", "--m", "3"],
+        ["--corpus", "standard", "--clauses", "2"],
+        ["--corpus", "truthfulness", "--elements", "2"],
+        ["--kind", "xos", "--n", "2", "--m", "3", "--out-dir", "corpus-dir"],
+    ],
+    ids=["corpus-out", "corpus-kind", "corpus-n", "corpus-m", "corpus-clauses",
+         "corpus-elements", "out-dir-without-corpus"],
+)
+def test_generate_rejects_flags_it_would_ignore(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *argv]) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -88,8 +88,9 @@ def test_outcome_round_trip():
 def test_config_round_trip():
     config = MechanismConfig(c=F(1, 3), p=F(1, 8), q_variant="own-items", seed=99)
     assert config_from_dict(config_to_dict(config)) == config
-    with pytest.raises(FormatError):
-        config_from_dict({"c": "0", "p": "1/2"})
+    for malformed in ({"c": "0", "p": "1/2"}, {"c": None, "p": "1/2"}, "c=1/2"):
+        with pytest.raises(FormatError):
+            config_from_dict(malformed)
 
 
 def test_canonical_dumps_is_stable():
