@@ -11,7 +11,7 @@ its report says so. A missing, unreadable or malformed file is a FormatError
 
 Exit status: 0 on success, 1 when verify finds a failed asserted check or an
 instance it could not check, or bench finds solvers disagreeing, 2 on usage
-or input errors.
+or input errors and on output that cannot be written.
 """
 
 from __future__ import annotations
@@ -594,11 +594,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, report, table = args.func(args)
+        if report is not None:
+            _emit(args, report, table)
     except AuctionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if report is not None:
-        _emit(args, report, table)
+    except OSError as exc:  # reads raise FormatError, so this is a write
+        sys.stderr.write(f"error: cannot write {exc.filename} ({exc.strerror})\n")
+        return 2
     if args.timings:
         sys.stderr.write(f"{args.command}: {time.perf_counter() - started:.4f}s\n")
     return code

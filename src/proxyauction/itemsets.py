@@ -39,10 +39,6 @@ class ItemSet:
     def singleton(cls, j: int) -> "ItemSet":
         return cls(1 << j)
 
-    @classmethod
-    def full(cls, m: int) -> "ItemSet":
-        return cls((1 << m) - 1)
-
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
 
@@ -71,15 +67,6 @@ class ItemSet:
     def __or__(self, other: "ItemSet") -> "ItemSet":
         return ItemSet(self.mask | other.mask)
 
-    def __and__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask & other.mask)
-
-    def __sub__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask & ~other.mask)
-
-    def issubset(self, other: "ItemSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def fits_universe(self, m: int) -> bool:
         return self.mask < (1 << m)
 
@@ -96,12 +83,6 @@ class ItemSet:
 
 
 EMPTY_SET = ItemSet(0)
-
-
-def all_subsets(m: int) -> Iterator[ItemSet]:
-    """Every subset of {0..m-1} in increasing mask order."""
-    for mask in range(1 << m):
-        yield ItemSet(mask)
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -2,19 +2,20 @@
 
 A valuation maps bundles of items to nonnegative exact rationals. Five
 structured kinds are supported (explicit table, additive, unit-demand, XOS,
-coverage). Every valuation answers value queries and demand queries; queries
-are tallied in a per-valuation :class:`QueryCounter`, the artifact's stand-in
-for communication cost.
+coverage). Each kind builds one integer table of its values over all ``2^m``
+bundles, indexed by mask over one denominator, and every valuation answers
+value queries and demand queries from that table; queries are tallied in a
+per-valuation :class:`QueryCounter`, the artifact's stand-in for communication
+cost.
 
 ``ProxyValuation`` wraps a base valuation ``v`` with a keep probability ``c``
 (``1/c`` integral) and evaluates the expected value of a bundle after each of
-its items survives independently with probability ``c``. Additive and
-unit-demand bases use closed forms; other kinds fill a table over all ``2^m``
-bundles at once with the subset-sum (zeta) transform over exact integers, so
-the proxy cap bounds ``m``, not the bundle: past it, every bundle raises.
+its items survives independently with probability ``c``. Its table is the
+subset-sum (zeta) transform of the base table over exact integers, so the
+proxy cap bounds ``m``, not the bundle: past it, every bundle raises.
 
-Demand queries without a closed form scan the ``2^m`` bundles as integer
-numerators over one denominator, read from a per-valuation value table.
+Demand queries scan the ``2^m`` bundles as integer numerators over one
+denominator.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, MalformedValuationError, ParameterError
-from .itemsets import EMPTY_SET, ItemSet, submasks, subset_sums
+from .itemsets import ItemSet, submasks, subset_sums
 
-# Default enumeration caps. Proxy tables and demand scans cover all 2^m
-# bundles; the structural checkers scan pairs of bundles, costing up to 4^m.
+# Default enumeration caps. Value tables, and with them every value and demand
+# query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
+# that; the structural checkers scan pairs of bundles, costing up to 4^m.
+TABLE_CAP = 20
 PROXY_SUBSET_CAP = 20
-DEMAND_SCAN_CAP = 20
 PAIR_CHECK_CAP = 10
 
 Value = Fraction
@@ -74,10 +76,12 @@ class QueryCounter:
 class Valuation:
     """Base class: a set function over bundles of items 0..m-1.
 
-    Subclasses implement ``_value(mask)``; the public ``value``/``demand``
-    entry points validate inputs and update the query counter. Valuations are
-    immutable after construction (the counter is the only mutable attachment),
-    so they are safe to share across concurrent readers.
+    Subclasses implement ``_table()``: every bundle's value as integer
+    numerators indexed by mask over one denominator. This class alone answers
+    queries from that table; the public ``value``/``demand`` entry points
+    validate inputs and update the query counter. Valuations are immutable
+    after construction (the counter and the caches are the only mutable
+    attachments), so they are safe to share across concurrent readers.
     """
 
     kind = "abstract"
@@ -87,6 +91,7 @@ class Valuation:
             raise MalformedValuationError("a valuation needs at least one item")
         self.m = m
         self.counter = QueryCounter()
+        self._cache: dict[int, Value] = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -96,7 +101,7 @@ class Valuation:
         self.counter.value_queries += 1
         return self._value(bundle.mask)
 
-    def demand(self, prices: Sequence, *, scan_cap: int = DEMAND_SCAN_CAP) -> ItemSet:
+    def demand(self, prices: Sequence) -> ItemSet:
         """A profit-maximizing bundle at the given item prices.
 
         Maximizes v(S) - sum of prices over S. Ties resolve to the fewest
@@ -105,19 +110,6 @@ class Valuation:
         """
         prices = self._check_prices(prices)
         self.counter.demand_queries += 1
-        return self._demand(prices, scan_cap)
-
-    # -- internals -------------------------------------------------------
-
-    def _value(self, mask: int) -> Value:
-        raise NotImplementedError
-
-    def _demand(self, prices: Sequence[Fraction], scan_cap: int) -> ItemSet:
-        return self._demand_by_scan(prices, scan_cap)
-
-    def _demand_by_scan(self, prices: Sequence[Fraction], scan_cap: int) -> ItemSet:
-        if self.m > scan_cap:
-            raise CapacityError("demand scan over all bundles", 1 << self.m, 1 << scan_cap)
         values, den = self.value_table
         # profit(S) * den * pden as an integer, with prices over pden
         pden = lcm(*(p.denominator for p in prices))
@@ -130,14 +122,29 @@ class Valuation:
         tied = (ItemSet(mask) for mask, profit in enumerate(profits) if profit == best)
         return min(tied, key=ItemSet.selection_key)
 
+    # -- internals -------------------------------------------------------
+
+    def _value(self, mask: int) -> Value:
+        """v(mask) read from the value table, one cached Fraction per mask."""
+        got = self._cache.get(mask)
+        if got is None:
+            values, den = self.value_table
+            got = self._cache[mask] = Fraction(values[mask], den)
+        return got
+
     @cached_property
     def value_table(self) -> tuple[list[int], int]:
         """Every bundle's value as (numerators indexed by mask, one denominator).
 
-        Built on first use and kept: valuations are immutable. Not counted as
-        queries.
+        Built on first use and kept: valuations are immutable. Needs
+        ``m <= TABLE_CAP``. Not counted as queries.
         """
-        return over_one_denominator([self._value(mask) for mask in range(1 << self.m)])
+        if self.m > TABLE_CAP:
+            raise CapacityError("value table over all bundles", 1 << self.m, 1 << TABLE_CAP)
+        return self._table()
+
+    def _table(self) -> tuple[list[int], int]:
+        raise NotImplementedError
 
     def _check_universe(self, bundle: ItemSet) -> None:
         if not bundle.fits_universe(self.m):
@@ -172,20 +179,9 @@ class AdditiveValuation(Valuation):
         super().__init__(len(ws))
         self.weights = ws
 
-    def _value(self, mask: int) -> Value:
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-
-    def _demand(self, prices, scan_cap) -> ItemSet:
-        # Keep exactly the items with positive margin; dropping a zero-margin
-        # item wins the cardinality tie-break.
-        return ItemSet.from_indices(
-            j for j in range(self.m) if self.weights[j] > prices[j]
-        )
+    def _table(self) -> tuple[list[int], int]:
+        nums, den = over_one_denominator(self.weights)
+        return subset_sums(nums), den
 
     def payload(self) -> dict:
         return {"weights": [str(w) for w in self.weights]}
@@ -204,25 +200,13 @@ class UnitDemandValuation(Valuation):
         super().__init__(len(ws))
         self.weights = ws
 
-    def _value(self, mask: int) -> Value:
-        best = Fraction(0)
-        while mask:
-            low = mask & -mask
-            w = self.weights[low.bit_length() - 1]
-            if w > best:
-                best = w
-            mask ^= low
-        return best
-
-    def _demand(self, prices, scan_cap) -> ItemSet:
-        # A best singleton dominates every larger bundle (value is a max,
-        # prices add up), and the empty bundle wins ties at zero profit.
-        best_j, best_margin = None, Fraction(0)
-        for j in range(self.m):
-            margin = self.weights[j] - prices[j]
-            if margin > best_margin:
-                best_j, best_margin = j, margin
-        return EMPTY_SET if best_j is None else ItemSet.singleton(best_j)
+    def _table(self) -> tuple[list[int], int]:
+        # subset_sums' doubling with max in place of +
+        nums, den = over_one_denominator(self.weights)
+        best = [0]
+        for w in nums:
+            best += [max(b, w) for b in best]
+        return best, den
 
     def payload(self) -> dict:
         return {"weights": [str(w) for w in self.weights]}
@@ -248,18 +232,13 @@ class XOSValuation(Valuation):
             parsed.append(ws)
         self.clauses = tuple(parsed)
 
-    def _value(self, mask: int) -> Value:
-        best = Fraction(0)
-        for clause in self.clauses:
-            total = Fraction(0)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                total += clause[low.bit_length() - 1]
-                rest ^= low
-            if total > best:
-                best = total
-        return best
+    def _table(self) -> tuple[list[int], int]:
+        # the elementwise max of each clause's subset sums; zero without clauses
+        nums, den = over_one_denominator([w for clause in self.clauses for w in clause])
+        best = [0] * (1 << self.m)
+        for start in range(0, len(nums), self.m):
+            best = list(map(max, best, subset_sums(nums[start : start + self.m])))
+        return best, den
 
     def payload(self) -> dict:
         return {"clauses": [[str(w) for w in clause] for clause in self.clauses]}
@@ -294,19 +273,14 @@ class CoverageValuation(Valuation):
             masks.append(mask)
         self.cover_masks = tuple(masks)
 
-    def _value(self, mask: int) -> Value:
-        covered = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            covered |= self.cover_masks[low.bit_length() - 1]
-            rest ^= low
-        total = Fraction(0)
-        while covered:
-            low = covered & -covered
-            total += self.element_weights[low.bit_length() - 1]
-            covered ^= low
-        return total
+    def _table(self) -> tuple[list[int], int]:
+        # the covered-element mask of every bundle by doubling, then its weight
+        nums, den = over_one_denominator(self.element_weights)
+        covered = [0]
+        for cover in self.cover_masks:
+            covered += [c | cover for c in covered]
+        weight = {c: sum(w for e, w in enumerate(nums) if c >> e & 1) for c in set(covered)}
+        return [weight[c] for c in covered], den
 
     def payload(self) -> dict:
         return {
@@ -350,11 +324,8 @@ class ExplicitValuation(Valuation):
     def from_valuation(cls, v: Valuation) -> "ExplicitValuation":
         return cls(v.m, {mask: v._value(mask) for mask in range(1 << v.m)})
 
-    def _value(self, mask: int) -> Value:
-        try:
-            return self.table[mask]
-        except KeyError:  # pragma: no cover - construction forbids this
-            raise MalformedValuationError(f"explicit table missing bundle mask {mask}")
+    def _table(self) -> tuple[list[int], int]:
+        return over_one_denominator([self.table[mask] for mask in range(1 << self.m)])
 
     def replace(self, bundle: ItemSet, value) -> "ExplicitValuation":
         table = dict(self.table)
@@ -378,12 +349,10 @@ class ProxyValuation(Valuation):
     """Expected value of a bundle after independent per-item survival.
 
     ``value(S)`` returns E[v(T)] where T keeps each item of S independently
-    with probability ``c``. With c = 1 this is the base valuation itself.
-    Additive and unit-demand bases use closed forms. Other bases fill
-    ``value_table`` for all ``2^m`` bundles on first use, which needs
-    ``m <= subset_cap``: past the cap every query raises ``CapacityError``,
-    however small its bundle. Results are cached per bundle; the caches are
-    evaluation shortcuts and do not affect query counts.
+    with probability ``c``, counted as a proxy value query. With c = 1 this
+    is the base valuation itself. The table covers all ``2^m`` bundles at
+    once, which needs ``m <= subset_cap``: past the cap every query raises
+    ``CapacityError``, however small its bundle.
     """
 
     kind = "proxy"
@@ -399,38 +368,13 @@ class ProxyValuation(Valuation):
         self.c = c
         self.subset_cap = subset_cap
         self.counter = base.counter  # shared: proxy answers come from the same bidder
-        self._cache: dict[int, Value] = {}
 
     def value(self, bundle: ItemSet) -> Value:
         self._check_universe(bundle)
         self.counter.proxy_value_queries += 1
         return self._value(bundle.mask)
 
-    def _value(self, mask: int) -> Value:
-        got = self._cache.get(mask)
-        if got is None:
-            got = self._cache[mask] = self._expected_value(mask)
-        return got
-
-    def _expected_value(self, mask: int) -> Value:
-        c = self.c
-        base = self.base
-        if isinstance(base, AdditiveValuation):
-            return c * base._value(mask)
-        if isinstance(base, UnitDemandValuation):
-            # The max is the heaviest surviving item: weight w_t survives
-            # first (in descending order) with probability c*(1-c)^(t-1).
-            weights = sorted((base.weights[j] for j in ItemSet(mask)), reverse=True)
-            total, miss = Fraction(0), Fraction(1)
-            for w in weights:
-                total += w * c * miss
-                miss *= 1 - c
-            return total
-        values, den = self.value_table
-        return Fraction(values[mask], den)
-
-    @cached_property
-    def value_table(self) -> tuple[list[int], int]:
+    def _table(self) -> tuple[list[int], int]:
         """All ``2^m`` proxy values over one denominator, by the zeta transform.
 
         With k = 1/c, v'(S) = sum over T subset of S of (k-1)^|S-T| v(T) / k^|S|.
@@ -439,8 +383,6 @@ class ProxyValuation(Valuation):
         v'(S) = h[S] / (D k^|S|) (Yates; Bjorklund, Husfeldt, Kaski and
         Koivisto, STOC 2007); the table returns it over D k^m.
         """
-        if isinstance(self.base, (AdditiveValuation, UnitDemandValuation)):
-            return super().value_table  # closed forms, evaluated per bundle
         if self.m > self.subset_cap:
             raise CapacityError("proxy table over all bundles", 1 << self.m, 1 << self.subset_cap)
         size = 1 << self.m
@@ -454,13 +396,6 @@ class ProxyValuation(Valuation):
                     h[mask] += (k - 1) * h[mask ^ bit]
         scale = [k ** (self.m - t) for t in range(self.m + 1)]
         return [x * scale[mask.bit_count()] for mask, x in enumerate(h)], den * k**self.m
-
-    def _demand(self, prices, scan_cap) -> ItemSet:
-        if isinstance(self.base, AdditiveValuation):
-            return ItemSet.from_indices(
-                j for j in range(self.m) if self.c * self.base.weights[j] > prices[j]
-            )
-        return self._demand_by_scan(prices, scan_cap)
 
     def payload(self) -> dict:  # pragma: no cover - proxies are not serialized
         raise NotImplementedError("proxy valuations are derived, not serialized")

@@ -505,22 +505,23 @@ def check_lp_agreement(pipeline: Pipeline) -> CheckResult:
 
     The vertex-enumeration comparison runs when the LP has at most
     ``VERTEX_ENUM_CAP`` bases; the column-generation comparison always runs.
-    Exact equality of objectives is required. The pipeline lends its LP and,
-    under the full solver, its solution, so it must have solved that LP
-    itself rather than been given a ``solution``.
+    Exact equality of objectives is required. The pipeline lends its LP and
+    its solution, which stands for whichever solver built it: only the other
+    solver runs here. So the pipeline must have solved its LP itself rather
+    than been given a ``solution``.
     """
     lp = pipeline.lp
     if pipeline.config.solver == SOLVER_FULL:
-        exact_obj = pipeline.solution.objective  # the pipeline's own solve_exact(lp)
+        exact_obj = pipeline.solution.objective
+        colgen_obj = solve_column_generation(pipeline.instance, pipeline.proxies).objective
     else:
         exact_obj = solve_exact(lp).objective
-    details = {"simplex_objective": str(exact_obj)}
-    passed = True
-
-    colgen = solve_column_generation(pipeline.instance, pipeline.proxies)
-    details["column_generation_objective"] = str(colgen.objective)
-    if colgen.objective != exact_obj:
-        passed = False
+        colgen_obj = pipeline.solution.objective
+    details = {
+        "simplex_objective": str(exact_obj),
+        "column_generation_objective": str(colgen_obj),
+    }
+    passed = colgen_obj == exact_obj
 
     if basis_count(lp) <= VERTEX_ENUM_CAP:
         vertex_obj = enumerate_vertex_optimum(lp)

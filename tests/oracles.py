@@ -30,6 +30,27 @@ def subsets(mask: int):
         sub = (sub | ~mask) + 1 & mask
 
 
+def value_by_definition(v, mask: int) -> Fraction:
+    """v(S) from the kind's public fields: Fraction sums and maxes over item sets."""
+    items = {j for j in range(v.m) if (mask >> j) & 1}
+    if v.kind == "additive":
+        return sum((v.weights[j] for j in items), Fraction(0))
+    if v.kind == "unit-demand":
+        return max((v.weights[j] for j in items), default=Fraction(0))
+    if v.kind == "xos":
+        sums = (sum((clause[j] for j in items), Fraction(0)) for clause in v.clauses)
+        return max(sums, default=Fraction(0))
+    if v.kind == "coverage":
+        elements = range(len(v.element_weights))
+        covered = set()
+        for j in items:
+            covered |= {e for e in elements if (v.cover_masks[j] >> e) & 1}
+        return sum((v.element_weights[e] for e in covered), Fraction(0))
+    if v.kind == "explicit":
+        return v.table[mask]
+    raise ValueError(f"no definition for kind {v.kind!r}")
+
+
 def proxy_by_enumeration(valuation, mask: int, c) -> Fraction:
     """E[v(T)] with each item of the bundle surviving independently w.p. c."""
     c = Fraction(c)

@@ -255,6 +255,25 @@ def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
     assert digest == "a1230a90c4b01408a81f2d01b5d7bedaba561545a7b5d48fb0a4e014562bacba"
 
 
+@pytest.mark.parametrize("solver", ["full", "column-generation"])
+def test_lp_check_runs_only_the_other_solver(solver, monkeypatch):
+    calls = Counter()
+    for module in (mechanism, ver):
+        for name in ("solve_exact", "solve_column_generation"):
+            real = getattr(module, name)
+
+            def wrapper(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    path = str(CORPUS_DIR / "08-xos-n3-m4.json")
+    argv = ["verify", path, "--c", "1/2", "--checks", "lp", "--solver", solver]
+    assert main([*argv, "--out", "/dev/null"]) == 0
+    # one solve by the pipeline's solver, one by the other in the check
+    assert calls == {"solve_exact": 1, "solve_column_generation": 1}
+
+
 def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_path):
     one, four = tmp_path / "one.json", tmp_path / "four.json"
     flags = ["verify", str(instance_file), "--c", "1/2", "--p", "1/20"]
@@ -347,7 +366,7 @@ def test_verify_reports_a_malformed_file_in_a_plain_directory(tmp_path, capsys):
 
 
 def test_verify_corpus_reports_each_oversize_instance(capsys):
-    # proxy=3: only closed-form bidders or m <= 3 fit; the rest become error records
+    # proxy=3: only instances with m <= 3 fit; the rest become error records
     code = main(["verify", str(CORPUS_DIR), "--caps", "proxy=3"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["passed"] is False
@@ -359,8 +378,7 @@ def test_verify_corpus_reports_each_oversize_instance(capsys):
     errors = 0
     for name, records in by_file.items():
         instance = load_json(CORPUS_DIR / name)
-        kinds = {v["kind"] for v in instance["bidders"]}
-        if instance["m"] <= 3 or kinds <= {"additive", "unit-demand"}:
+        if instance["m"] <= 3:
             assert all(r["check"] != "error" and r["passed"] for r in records), name
         else:
             errors += 1
@@ -397,7 +415,9 @@ def test_float_arithmetic_is_rejected(instance_file, tmp_path):
 # removed, the run-payments digest after the switch to counter-based draws
 # (run-report/2), the auction digests before the simplex took 0/1 supports,
 # the --format table digests before the commands returned their reports to
-# main; a change that alters one byte of a pinned report fails here
+# main, the mixed and unit-demand column-generation digests while additive and
+# unit-demand valuations still had closed-form values and demands; a change
+# that alters one byte of a pinned report fails here
 PINNED_REPORTS = {
     "verify-standard": (
         ["verify", "corpus/standard"],
@@ -437,6 +457,16 @@ PINNED_REPORTS = {
     "run-xos-n3-m6-colgen": (
         ["run", "xos-n3-m6.json", "--payments", "--solver", "column-generation"],
         "56fa548b213ecc34b57834ba8382cba131616e45096ee4ea0f9ccabbf6bbbd7b",
+    ),
+    "run-mixed-payments-colgen": (
+        ["run", "corpus/standard/16-mixed-n2-m4.json", "--c", "1/2", "--p", "1/20",
+         "--payments", "--replications", "20", "--solver", "column-generation"],
+        "81cd040101fe1c222f04e184296e8c63d206d875b64cf3a42d8020e9cb641649",
+    ),
+    "solve-unit-demand-raw-colgen": (
+        ["solve", "corpus/standard/05-unit-demand-n3-m5.json", "--valuations", "raw",
+         "--solver", "column-generation"],
+        "62a64955d2897a002bd002a01bc301422ecbdc406a992aa56167fec40a82d0bc",
     ),
 }
 
@@ -501,6 +531,25 @@ def test_timings_add_one_stderr_line(command, capsys):
     timed = capsys.readouterr()
     assert timed.out == plain.out and plain.err == ""
     assert re.fullmatch(rf"{command}: \d+\.\d{{4}}s\n", timed.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", str(CORPUS_DIR / "01-additive-n2-m3.json"), "--c", "1/2", "--out"],
+        ["generate", "--corpus", "standard", "--out-dir"],
+    ],
+    ids=["verify-out", "generate-out-dir"],
+)
+def test_an_unwritable_output_is_an_error(argv, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    target = blocker / "out"
+    assert main([*argv, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert len(captured.err.splitlines()) == 1
 
 
 def write_manifest(directory, files, *other_items):

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from proxyauction.itemsets import EMPTY_SET, ItemSet, all_subsets, submasks
+from proxyauction.itemsets import EMPTY_SET, ItemSet, submasks
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
@@ -12,7 +12,6 @@ def test_basics():
     assert s.indices() == (0, 2)
     assert repr(s) == "{0,2}"
     assert not EMPTY_SET
-    assert ItemSet.full(3).mask == 0b111
 
 
 def test_equality_is_by_membership():
@@ -25,9 +24,6 @@ def test_equality_is_by_membership():
 def test_set_algebra_matches_python_sets(a, b):
     sa, sb = ItemSet(a), ItemSet(b)
     assert set(sa | sb) == set(sa) | set(sb)
-    assert set(sa & sb) == set(sa) & set(sb)
-    assert set(sa - sb) == set(sa) - set(sb)
-    assert sa.issubset(sa | sb)
 
 
 @given(masks)
@@ -39,7 +35,7 @@ def test_submasks_are_exactly_the_subsets(mask):
 
 
 def test_selection_key_orders_by_size_then_lex():
-    keys = sorted(s.selection_key() for s in all_subsets(3))
+    keys = sorted(ItemSet(mask).selection_key() for mask in range(1 << 3))
     assert keys[0] == (0, ())
     assert keys[1] == (1, (0,))
     # {0,1} sorts before {0,2} sorts before {1,2}

@@ -49,7 +49,7 @@ def test_single_bidder_takes_everything():
     inst = Instance(3, (AdditiveValuation([2, 1, 4]),))
     sol = solve_exact(build_full_lp(inst))
     assert sol.objective == 7
-    assert sol.entries == {(0, ItemSet.full(3)): 1}
+    assert sol.entries == {(0, ItemSet(0b111)): 1}
 
 
 def test_two_additive_bidders_integral_split():

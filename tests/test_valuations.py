@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import demand_by_scan, proxy_by_enumeration
+from oracles import demand_by_scan, proxy_by_enumeration, value_by_definition
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.valuations import (
@@ -52,7 +52,7 @@ def test_coverage_value_counts_each_element_once():
     v = CoverageValuation([2, 5], covers=[[0], [0, 1], [1]])
     assert v.value(ItemSet.from_indices([0, 1])) == 7
     assert v.value(ItemSet.from_indices([0])) == 2
-    assert v.value(ItemSet.full(3)) == 7
+    assert v.value(ItemSet(0b111)) == 7
 
 
 def test_explicit_requires_full_table():
@@ -60,6 +60,40 @@ def test_explicit_requires_full_table():
         ExplicitValuation(2, {0: 0, 1: 1, 2: 1})  # missing {0,1}
     with pytest.raises(MalformedValuationError):
         AdditiveValuation([-1])
+
+
+@st.composite
+def any_kind_valuations(draw):
+    """A valuation of any of the five kinds over m <= 6 items.
+
+    XOS may have no clause and coverage no ground element.
+    """
+    value = st.fractions(min_value=0, max_value=10, max_denominator=6)
+    m = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["additive", "unit-demand", "xos", "coverage", "explicit"]))
+    if kind in ("additive", "unit-demand"):
+        weights = draw(st.lists(value, min_size=m, max_size=m))
+        return AdditiveValuation(weights) if kind == "additive" else UnitDemandValuation(weights)
+    if kind == "xos":
+        clause = st.lists(value, min_size=m, max_size=m)
+        return XOSValuation(m, draw(st.lists(clause, max_size=3)))
+    if kind == "coverage":
+        elements = draw(st.lists(value, max_size=5))
+        cover = st.lists(st.integers(0, len(elements) - 1), max_size=5) if elements else st.just([])
+        covers = draw(st.lists(cover, min_size=m, max_size=m))
+        return CoverageValuation(elements, covers)
+    values = draw(st.lists(value, min_size=1 << m, max_size=1 << m))
+    return ExplicitValuation(m, dict(enumerate(values)))
+
+
+@given(any_kind_valuations())
+@settings(max_examples=200, deadline=None)
+def test_value_table_matches_the_definition(v):
+    values, den = v.value_table
+    for mask in range(1 << v.m):
+        expected = value_by_definition(v, mask)
+        assert v._value(mask) == expected
+        assert F(values[mask], den) == expected
 
 
 # -- proxies ----------------------------------------------------------------
@@ -122,7 +156,7 @@ def test_proxy_enumeration_cap():
     v = XOSValuation(25, [[1] * 25])
     pv = ProxyValuation(v, F(1, 2), subset_cap=20)
     with pytest.raises(CapacityError):
-        pv.value(ItemSet.full(25))
+        pv.value(ItemSet((1 << 25) - 1))
 
 
 def test_proxy_table_cap_bounds_the_universe_not_the_bundle():
@@ -133,9 +167,10 @@ def test_proxy_table_cap_bounds_the_universe_not_the_bundle():
     assert (info.value.required, info.value.cap) == (1 << 5, 1 << 4)
     with pytest.raises(CapacityError):
         pv.demand([0] * 5)
-    # closed forms build no table and ignore the cap
+    # every kind reads the same table, so additive and unit-demand bases are capped too
     for base in (AdditiveValuation([1] * 5), UnitDemandValuation([1] * 5)):
-        assert ProxyValuation(base, F(1, 2), subset_cap=4).value(ItemSet.full(5)) > 0
+        with pytest.raises(CapacityError):
+            ProxyValuation(base, F(1, 2), subset_cap=4).value(ItemSet(0b11111))
 
 
 fractions_st = st.fractions(min_value=0, max_value=10, max_denominator=6)
@@ -208,7 +243,7 @@ def test_additive_demand_keeps_positive_margins():
 
 def test_zero_prices_take_everything_when_strictly_monotone():
     v = AdditiveValuation([3, 5])
-    assert v.demand([0, 0]) == ItemSet.full(2)
+    assert v.demand([0, 0]) == ItemSet(0b11)
 
 
 def test_unit_demand_demand_frozen_example():
@@ -291,7 +326,7 @@ def test_demand_ties_go_to_fewest_items_then_lexicographic():
 def test_demand_scan_cap():
     v = XOSValuation(22, [[1] * 22])
     with pytest.raises(CapacityError):
-        v.demand([0] * 22, scan_cap=20)
+        v.demand([0] * 22)
 
 
 def test_demand_validates_prices():
