@@ -430,6 +430,7 @@ BENCH_COLUMNS = (
     ("pivots", "exact_full_pivots"),
     ("exact-colgen s", "exact_colgen_seconds"),
     ("vertex-enum s", "vertex_enum_seconds"),
+    ("integral s", "integral_seconds"),
     ("sample s", "sample_seconds"),
     ("objectives", "objectives_agree"),
 )
@@ -468,6 +469,7 @@ def cmd_bench(args) -> CommandResult:
             t_vertex, vertex_obj = time_it(lambda: ver.enumerate_vertex_optimum(lp))
         else:
             t_vertex = vertex_obj = "skipped"
+        t_integral, _ = time_it(lambda: ver.optimal_integral_welfare(instance))
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
         t_sample, _ = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
@@ -481,6 +483,7 @@ def cmd_bench(args) -> CommandResult:
                 "exact_colgen_seconds": t_colgen,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),
+                "integral_seconds": t_integral,
                 "sample_seconds": t_sample,
                 "objective": str(sol_exact.objective),
                 "objectives_agree": sol_exact.objective == sol_colgen.objective
@@ -488,7 +491,7 @@ def cmd_bench(args) -> CommandResult:
             }
         )
     report = {
-        "schema": "bench-report/4",
+        "schema": "bench-report/5",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,

@@ -20,6 +20,7 @@ lexicographic) and the simplex uses Bland's rule.
 
 from __future__ import annotations
 
+import copy
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,15 +76,17 @@ class ConfigLP:
         )
 
     def zero_bidder(self, bidder: int) -> "ConfigLP":
-        """Same feasible region with one bidder's objective contribution removed."""
-        return ConfigLP(
-            self.n,
-            self.m,
-            tuple(
-                Column(c.bidder, c.bundle, Fraction(0) if c.bidder == bidder else c.coef)
-                for c in self.columns
-            ),
+        """Same feasible region with one bidder's objective contribution removed.
+
+        A zero coefficient keeps every column valid and in column order, so
+        the copy skips the constructor's validation and sort.
+        """
+        zero = Fraction(0)
+        zeroed = copy.copy(self)
+        zeroed.columns = tuple(
+            Column(bidder, c.bundle, zero) if c.bidder == bidder else c for c in self.columns
         )
+        return zeroed
 
 
 @dataclass

@@ -13,10 +13,11 @@ On top of the law sit the certification checks:
     shortfall instead),
   * keep marginals: each support entry survives with probability exactly
     p * x[i,S],
-  * approximation: expected welfare is at least c * p times the brute-force
-    optimal integral welfare,
+  * approximation: expected welfare is at least c * p times the optimal
+    integral welfare, found by a subset DP over the bidders' value tables
+    (n * 3^m integer steps, bounded by ``INTEGRAL_CAP``),
   * proxy bound: proxy values dominate c times the base value on every
-    bundle (requires subadditivity),
+    bundle (requires subadditivity), compared as integers over the tables,
   * halt frequency: Monte Carlo bound on the probability of halting,
   * truthfulness: against finite misreport families, each bidder's exact
     expected utility is maximized by reporting truthfully,
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .errors import CapacityError
-from .itemsets import EMPTY_SET, ItemSet
+from .itemsets import EMPTY_SET, ItemSet, submasks
 from .lp import ConfigLP, solve_column_generation, solve_exact
 from .mechanism import (
     Q_HALT,
@@ -232,35 +233,29 @@ def check_keep_marginals(pipeline: Pipeline, law: OutcomeDistribution) -> CheckR
 
 
 def optimal_integral_welfare(instance: Instance, *, cap: int = INTEGRAL_CAP) -> Fraction:
-    """Brute-force welfare optimum over every assignment of items to bidders.
+    """Welfare optimum over every assignment of disjoint bundles to bidders.
 
-    Each item goes to one bidder or to nobody, giving (n+1)^m assignments.
+    Every bidder gets one bundle, possibly empty, and items may stay
+    unassigned. A subset DP over the bidders' integer value tables, scaled to
+    one denominator: best_k[S] = max over T subset of S of best_{k-1}[S - T]
+    + v_k(T), with best_0 = 0, is the best welfare of bidders 1..k within S,
+    and the optimum is best_n[all items]. That is n * 3^m integer steps,
+    which ``cap`` bounds; the value tables are the only input, so the LP and
+    the mechanism play no part.
     """
     n, m = instance.n, instance.m
-    total_assignments = (n + 1) ** m
-    if total_assignments > cap:
-        raise CapacityError("integral allocation enumeration", total_assignments, cap)
-    best = Fraction(0)
-    masks = [0] * n
-
-    def walk(item: int):
-        nonlocal best
-        if item == m:
-            welfare = sum(
-                (v._value(mask) for v, mask in zip(instance.valuations, masks)),
-                Fraction(0),
-            )
-            if welfare > best:
-                best = welfare
-            return
-        walk(item + 1)  # unassigned
-        for i in range(n):
-            masks[i] |= 1 << item
-            walk(item + 1)
-            masks[i] &= ~(1 << item)
-
-    walk(0)
-    return best
+    required = n * 3**m
+    if required > cap:
+        raise CapacityError("integral optimum by subset DP", required, cap)
+    tables = [v.value_table for v in instance.valuations]
+    den = math.lcm(*(d for _, d in tables))
+    scaled = [[x * (den // d) for x in values] for values, d in tables]
+    full = (1 << m) - 1
+    best = [0] * (full + 1)
+    for values in scaled[:-1]:
+        best = [max([best[s ^ t] + values[t] for t in submasks(s)]) for s in range(full + 1)]
+    last = scaled[-1]
+    return Fraction(max(best[full ^ t] + last[t] for t in range(full + 1)), den)
 
 
 def check_approximation(
@@ -268,8 +263,8 @@ def check_approximation(
 ) -> CheckResult:
     """Expected welfare >= c * p * (optimal integral welfare), exactly.
 
-    ``law`` is ``exact_distribution(pipeline)``; ``cap`` bounds the
-    brute-force integral optimum.
+    ``law`` is ``exact_distribution(pipeline)``; ``cap`` bounds the subset
+    DP's n * 3^m steps for the integral optimum.
     """
     config = pipeline.config
     opt = optimal_integral_welfare(pipeline.instance, cap=cap)
@@ -293,23 +288,27 @@ def check_proxy_bound(
 ) -> CheckResult:
     """proxy_value(S) >= c * value(S) for every bundle, bidder, and c.
 
-    Exhaustive over all 2^m bundles; sound for subadditive valuations.
+    Exhaustive over all 2^m bundles; sound for subadditive valuations. With
+    k = 1/c, the proxy table P over D_p and the base table V over D_v are
+    compared as integers, P[S] * k * D_v >= V[S] * D_p; Fractions are built
+    only for a violation's witness.
     """
     violations = []
     for i, v in enumerate(instance.valuations):
+        values, d_v = v.value_table
         for c in cs:
             proxy = ProxyValuation(v, c, subset_cap=proxy_cap)
-            for mask in range(1 << instance.m):
-                lhs = proxy._value(mask)
-                rhs = Fraction(c) * v._value(mask)
-                if lhs < rhs:
+            proxies, d_p = proxy.value_table
+            lhs_scale = proxy.c.denominator * d_v
+            for mask, (pv, bv) in enumerate(zip(proxies, values)):
+                if pv * lhs_scale < bv * d_p:
                     violations.append(
                         {
                             "bidder": i,
-                            "c": str(Fraction(c)),
+                            "c": str(proxy.c),
                             "bundle": list(ItemSet(mask).indices()),
-                            "proxy": str(lhs),
-                            "scaled_value": str(rhs),
+                            "proxy": str(Fraction(pv, d_p)),
+                            "scaled_value": str(proxy.c * Fraction(bv, d_v)),
                         }
                     )
     return CheckResult(

@@ -1,14 +1,24 @@
-"""Feasible points of the configuration LP built without the simplex, and the
-prepared mechanism the verifier's checks take, for tests."""
+"""Feasible points of the configuration LP built without the simplex, the
+prepared mechanism the verifier's checks take, and hypothesis strategies for
+valuations and instances, for tests."""
 
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from proxyauction.itemsets import ItemSet
 from proxyauction.lp import FractionalSolution
 from proxyauction.mechanism import MechanismConfig, Pipeline
 from proxyauction.rng import derive_seed
-from proxyauction.valuations import AdditiveValuation, Instance, UnitDemandValuation
+from proxyauction.valuations import (
+    AdditiveValuation,
+    CoverageValuation,
+    ExplicitValuation,
+    Instance,
+    UnitDemandValuation,
+    XOSValuation,
+)
 from proxyauction.verify import OutcomeDistribution, exact_distribution
 
 
@@ -86,3 +96,37 @@ def overlap_demo() -> tuple[Instance, FractionalSolution]:
     objective = Fraction(1, 2) * 2 + Fraction(1, 2) * 4 + Fraction(1, 2) * 5
     solution = FractionalSolution(n=3, m=2, entries=entries, objective=objective)
     return instance, solution
+
+
+@st.composite
+def any_kind_valuations(draw, m=None):
+    """A valuation of any of the five kinds over ``m`` items (drawn <= 6 if None).
+
+    XOS may have no clause and coverage no ground element; explicit tables
+    may put value on the empty bundle and need not be monotone.
+    """
+    value = st.fractions(min_value=0, max_value=10, max_denominator=6)
+    if m is None:
+        m = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["additive", "unit-demand", "xos", "coverage", "explicit"]))
+    if kind in ("additive", "unit-demand"):
+        weights = draw(st.lists(value, min_size=m, max_size=m))
+        return AdditiveValuation(weights) if kind == "additive" else UnitDemandValuation(weights)
+    if kind == "xos":
+        clause = st.lists(value, min_size=m, max_size=m)
+        return XOSValuation(m, draw(st.lists(clause, max_size=3)))
+    if kind == "coverage":
+        elements = draw(st.lists(value, max_size=5))
+        cover = st.lists(st.integers(0, len(elements) - 1), max_size=5) if elements else st.just([])
+        covers = draw(st.lists(cover, min_size=m, max_size=m))
+        return CoverageValuation(elements, covers)
+    values = draw(st.lists(value, min_size=1 << m, max_size=1 << m))
+    return ExplicitValuation(m, dict(enumerate(values)))
+
+
+@st.composite
+def any_kind_instances(draw):
+    """An instance of 1 to 3 bidders over 1 to 4 items, of mixed kinds."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=3))
+    return Instance(m, tuple(draw(any_kind_valuations(m)) for _ in range(n)))

@@ -16,6 +16,7 @@ from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.mechanism import Outcome
 from proxyauction.rng import Stream, stream
 from proxyauction.simplex import SimplexResult
+from proxyauction.valuations import PROXY_SUBSET_CAP, ProxyValuation
 from proxyauction.verify import VERTEX_ENUM_CAP
 
 
@@ -80,7 +81,12 @@ def demand_by_scan(valuation, prices) -> int:
 
 
 def integral_welfare_by_products(instance) -> Fraction:
-    """Optimal welfare over every item-to-bidder assignment, via itertools."""
+    """Optimal welfare over every item-to-bidder assignment, via itertools.
+
+    The (n+1)^m enumeration that the subset DP of
+    ``proxyauction.verify.optimal_integral_welfare`` replaced: each item goes to one bidder or to nobody, and
+    every bidder is valued at its bundle, the empty one included.
+    """
     n, m = instance.n, instance.m
     best = Fraction(0)
     for assignment in product(range(n + 1), repeat=m):
@@ -93,6 +99,37 @@ def integral_welfare_by_products(instance) -> Fraction:
         )
         best = max(best, welfare)
     return best
+
+
+def proxy_bound_violations_by_fractions(
+    instance,
+    *,
+    cs: Sequence = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
+    proxy_cap: int = PROXY_SUBSET_CAP,
+) -> list:
+    """Every (bidder, c, bundle) with proxy_value < c * value, compared as Fractions.
+
+    The loop ``proxyauction.verify.check_proxy_bound`` replaced with integer
+    comparisons over the value tables; returns its ``violations`` list.
+    """
+    violations = []
+    for i, v in enumerate(instance.valuations):
+        for c in cs:
+            proxy = ProxyValuation(v, c, subset_cap=proxy_cap)
+            for mask in range(1 << instance.m):
+                lhs = proxy._value(mask)
+                rhs = Fraction(c) * v._value(mask)
+                if lhs < rhs:
+                    violations.append(
+                        {
+                            "bidder": i,
+                            "c": str(Fraction(c)),
+                            "bundle": list(ItemSet(mask).indices()),
+                            "proxy": str(lhs),
+                            "scaled_value": str(rhs),
+                        }
+                    )
+    return violations
 
 
 def additive_lp_optimum(weight_rows) -> Fraction:

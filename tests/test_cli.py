@@ -152,7 +152,7 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/4"
+    assert report["schema"] == "bench-report/5"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -160,6 +160,7 @@ def test_bench_smoke(tmp_path):
     assert report["rows"][0]["objectives_agree"] is True
     assert report["rows"][0]["exact_full_pivots"] > 0
     assert report["rows"][0]["sample_seconds"] > 0
+    assert report["rows"][0]["integral_seconds"] > 0
 
 
 def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
@@ -180,7 +181,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/4"
+    assert report["schema"] == "bench-report/5"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
@@ -344,6 +345,31 @@ def test_truthfulness_honours_the_lp_and_atom_caps(capsys):
     argv = [*CONTENDED, "--checks", "truthfulness"]
     assert cap_error(capsys, [*argv, "--caps", "lp=2"]) == ("full LP column enumeration", 16, 4)
     assert cap_error(capsys, [*argv, "--caps", "atoms=1"]) == ("joint tentative enumeration", 12, 1)
+
+
+def test_approximation_honours_the_integral_cap(capsys):
+    # the subset DP over n = 3 bidders and m = 4 items takes 3 * 3^4 steps
+    argv = [*CONTENDED, "--checks", "approximation"]
+    assert cap_error(capsys, [*argv, "--caps", "integral=242"]) == (
+        "integral optimum by subset DP", 243, 242,
+    )
+    assert main([*argv, "--caps", "integral=243"]) == 0
+
+
+def test_verify_certifies_the_envelope(tmp_path, capsys):
+    # five bidders over ten items: 6^10 item assignments, past the integral
+    # cap for an enumeration; the subset DP takes 5 * 3^10 steps
+    path = tmp_path / "xos-n5-m10.json"
+    assert main(["generate", "--kind", "xos", "--n", "5", "--m", "10", "--seed", "1",
+                 "--out", str(path)]) == 0
+    code = main(["verify", str(path), "--solver", "column-generation",
+                 "--checks", "welfare,marginals,approximation"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["passed"] is True
+    results = report["results"]
+    assert [r["check"] for r in results] == ["welfare-identity", "keep-marginals", "approximation"]
+    assert all(r["passed"] for r in results)
+    assert results[2]["details"]["integral_opt"] == "159/2"
 
 
 def test_verify_reports_a_malformed_file_in_a_plain_directory(tmp_path, capsys):

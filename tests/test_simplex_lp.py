@@ -235,3 +235,18 @@ def test_full_lp_item_cap():
     inst = Instance(13, (AdditiveValuation([1] * 13),))
     with pytest.raises(CapacityError):
         build_full_lp(inst)
+
+
+def test_zero_bidder_equals_a_validated_rebuild(corpus):
+    for item in corpus:
+        lp = build_full_lp(item.instance)
+        for i in range(lp.n):
+            zeroed = lp.zero_bidder(i)
+            rebuilt = ConfigLP(
+                lp.n,
+                lp.m,
+                tuple(Column(c.bidder, c.bundle, F(0) if c.bidder == i else c.coef)
+                      for c in reversed(lp.columns)),
+            )
+            assert zeroed == rebuilt
+        assert lp == build_full_lp(item.instance)  # the original keeps its objective

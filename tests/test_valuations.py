@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import any_kind_valuations
 from oracles import demand_by_scan, proxy_by_enumeration, value_by_definition
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
@@ -60,30 +61,6 @@ def test_explicit_requires_full_table():
         ExplicitValuation(2, {0: 0, 1: 1, 2: 1})  # missing {0,1}
     with pytest.raises(MalformedValuationError):
         AdditiveValuation([-1])
-
-
-@st.composite
-def any_kind_valuations(draw):
-    """A valuation of any of the five kinds over m <= 6 items.
-
-    XOS may have no clause and coverage no ground element.
-    """
-    value = st.fractions(min_value=0, max_value=10, max_denominator=6)
-    m = draw(st.integers(min_value=1, max_value=6))
-    kind = draw(st.sampled_from(["additive", "unit-demand", "xos", "coverage", "explicit"]))
-    if kind in ("additive", "unit-demand"):
-        weights = draw(st.lists(value, min_size=m, max_size=m))
-        return AdditiveValuation(weights) if kind == "additive" else UnitDemandValuation(weights)
-    if kind == "xos":
-        clause = st.lists(value, min_size=m, max_size=m)
-        return XOSValuation(m, draw(st.lists(clause, max_size=3)))
-    if kind == "coverage":
-        elements = draw(st.lists(value, max_size=5))
-        cover = st.lists(st.integers(0, len(elements) - 1), max_size=5) if elements else st.just([])
-        covers = draw(st.lists(cover, min_size=m, max_size=m))
-        return CoverageValuation(elements, covers)
-    values = draw(st.lists(value, min_size=1 << m, max_size=1 << m))
-    return ExplicitValuation(m, dict(enumerate(values)))
 
 
 @given(any_kind_valuations())

@@ -5,8 +5,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import overlap_demo, prepared
-from oracles import integral_welfare_by_products, vertex_optimum_by_combinations
+from fixtures import any_kind_instances, overlap_demo, prepared
+from oracles import (
+    additive_lp_optimum,
+    integral_welfare_by_products,
+    proxy_bound_violations_by_fractions,
+    vertex_optimum_by_combinations,
+)
 from proxyauction.errors import CapacityError
 from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
@@ -14,6 +19,7 @@ from proxyauction.lp import Column, ConfigLP, FractionalSolution, build_full_lp,
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
 from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instance
 from proxyauction.verify import (
+    INTEGRAL_CAP,
     VERTEX_ENUM_CAP,
     check_approximation,
     check_halt_frequency,
@@ -123,18 +129,64 @@ def test_integral_optimum_examples():
     assert optimal_integral_welfare(two) == lp_opt  # additive LP is integral
 
 
-def test_integral_optimum_matches_oracle():
-    for seed in (0, 3, 8):
-        inst = generate("mixed", 2, 3, seed)
+def test_integral_optimum_matches_oracle(corpus, truthful_corpus):
+    for inst in [generate("mixed", 2, 3, seed) for seed in (0, 3, 8)] + [
+        item.instance for item in corpus + truthful_corpus
+    ]:
         assert optimal_integral_welfare(inst) == integral_welfare_by_products(inst)
 
 
-def test_integral_optimum_cap():
-    from proxyauction.errors import CapacityError
+@given(any_kind_instances())
+@settings(max_examples=150, deadline=None)
+def test_integral_optimum_matches_oracle_on_every_kind(inst):
+    assert optimal_integral_welfare(inst) == integral_welfare_by_products(inst)
 
+
+def test_integral_optimum_counts_the_empty_bundle_of_an_abnormal_table():
+    # v(empty) = 3 > v({0,1}) = 2: bidder 0 is best left with nothing
+    abnormal = ExplicitValuation(2, {0: 3, 1: 1, 2: 0, 3: 2})
+    inst = Instance(2, (abnormal, AdditiveValuation([1, 1])))
+    assert optimal_integral_welfare(inst) == integral_welfare_by_products(inst) == 5
+    single = Instance(1, (ExplicitValuation(1, {0: F(7, 2), 1: 1}),))
+    assert optimal_integral_welfare(single) == integral_welfare_by_products(single) == F(7, 2)
+
+
+def test_integral_optimum_past_the_old_enumeration_cap():
+    # (n+1)^m = 6^10 assignments were beyond the enumeration's cap; the DP
+    # takes 5 * 3^10 steps, and additive bidders give each item to its best
+    inst = generate("additive", 5, 10, 4)
+    assert 6**10 > INTEGRAL_CAP >= 5 * 3**10
+    rows = [v.weights for v in inst.valuations]
+    assert optimal_integral_welfare(inst) == additive_lp_optimum(rows)
+
+
+def test_integral_optimum_reads_no_lp_or_mechanism():
+    # an independent route: every global name the DP reads, nested code
+    # included, comes from outside the lp, simplex and mechanism modules
+    import proxyauction.verify as verify_module
+
+    names, codes = set(), [optimal_integral_welfare.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    modules = {
+        getattr(getattr(verify_module, name), "__module__", None) or name
+        for name in names & set(vars(verify_module))
+    }
+    assert not modules & {"proxyauction.lp", "proxyauction.simplex", "proxyauction.mechanism"}
+    assert not names & {"lp", "simplex", "mechanism"}
+
+
+def test_integral_optimum_cap():
     inst = generate("additive", 3, 4, 0)
-    with pytest.raises(CapacityError):
-        optimal_integral_welfare(inst, cap=10)
+    required = 3 * 3**4
+    assert optimal_integral_welfare(inst, cap=required) == integral_welfare_by_products(inst)
+    with pytest.raises(CapacityError) as info:
+        optimal_integral_welfare(inst, cap=required - 1)
+    assert info.value.required == required
+    assert info.value.cap == required - 1
+    assert "subset DP" in info.value.what
 
 
 def test_approximation_equality_for_single_bidder_extreme_params():
@@ -166,12 +218,30 @@ def test_proxy_bound_check(corpus):
     assert res.passed
 
 
+def test_proxy_bound_matches_the_fraction_oracle(corpus, truthful_corpus):
+    for item in corpus + truthful_corpus:
+        res = check_proxy_bound(item.instance)
+        assert res.details["violations"] == proxy_bound_violations_by_fractions(item.instance)
+
+
 def test_proxy_bound_flags_subadditivity_violations():
     # a complement-style table: the bound needs subadditivity and fails here
     v = ExplicitValuation(2, {0: 0, 1: 0, 2: 0, 3: 10})
     res = check_proxy_bound(Instance(2, (v,)), cs=(F(1, 2),))
     assert not res.passed
     assert res.witness["bundle"] == [0, 1]
+
+
+def test_proxy_bound_violation_bytes_match_the_fraction_oracle():
+    # a non-subadditive explicit table with a fractional, abnormal empty value
+    v = ExplicitValuation(3, {0: F(1, 3), 1: 1, 2: 0, 3: 5, 4: F(1, 2), 5: 1, 6: 1, 7: F(27, 4)})
+    inst = Instance(3, (AdditiveValuation([1, 2, 3]), v))
+    res = check_proxy_bound(inst)
+    assert res.details["violations"] == proxy_bound_violations_by_fractions(inst)
+    assert res.witness == {
+        "bidder": 1, "c": "1/2", "bundle": [0, 1], "proxy": "19/12", "scaled_value": "5/2"
+    }
+    assert len(res.details["violations"]) == 7
 
 
 # -- halting frequency ---------------------------------------------------------------
