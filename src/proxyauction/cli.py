@@ -296,9 +296,16 @@ def cmd_run(args) -> CommandResult:
 # -- verify ------------------------------------------------------------------
 
 
+# the checks that read the exact outcome law; every check but proxy-bound reads the mechanism
+LAW_CHECKS = ("welfare", "marginals", "approximation", "monte-carlo")
+
+
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
-    # one mechanism and one outcome law per (instance, config), built on first
-    # use: proxy-bound alone needs neither
+    # One mechanism and one outcome law per (instance, config), built on first
+    # use: proxy-bound alone needs neither. A stage that cannot be built raises
+    # to the caller, which reports the instance as one error record; a check
+    # that raises in its own work becomes that check's error record, and the
+    # other checks keep their results.
     @functools.cache
     def pipeline() -> Pipeline:
         return _pipeline(instance, config, caps)
@@ -321,16 +328,26 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
     }
     results = []
     for name in checks:
-        res = run[name]()
+        if name != "proxy-bound":
+            pipeline()
+        if name in LAW_CHECKS:
+            law()
+        try:
+            res = run[name]()
+        except AuctionError as exc:
+            results.append(_error_record(exc, check=name))
+            continue
         # truthfulness is recorded, not asserted, under the own-items variant
         asserted = name != "truthfulness" or config.q_variant == Q_HALT
         results.append({**vars(res), "asserted": asserted})
     return results
 
 
-def _error_record(exc: AuctionError) -> dict:
-    """A failed result standing for an instance that raised instead of checking."""
+def _error_record(exc: AuctionError, check: Optional[str] = None) -> dict:
+    """A failed result standing for an instance, or one ``check``, that raised instead of checking."""
     details = {"error": type(exc).__name__, "message": str(exc)}
+    if check is not None:
+        details["check"] = check
     if isinstance(exc, CapacityError):
         details.update(what=exc.what, required=exc.required, cap=exc.cap)
     return dict(check="error", passed=False, asserted=True, details=details, witness=None)
@@ -409,11 +426,12 @@ def cmd_verify(args) -> CommandResult:
     def table() -> str:
         rows = [["result", "check", "instance"]]
         for r in results:
-            if r["check"] == "error":
-                status = "ERROR"
+            check = r["check"]
+            if check == "error":
+                status, check = "ERROR", r["details"].get("check", check)
             else:
                 status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
-            rows.append([status, r["check"], Path(r["instance"]).name])
+            rows.append([status, check, Path(r["instance"]).name])
         return _table(rows) + f"\noverall: {'PASS' if not failed else 'FAIL'}"
 
     return (1 if failed else 0), report, table
@@ -432,6 +450,10 @@ BENCH_COLUMNS = (
     ("vertex-enum s", "vertex_enum_seconds"),
     ("integral s", "integral_seconds"),
     ("sample s", "sample_seconds"),
+    ("pay-full s", "payments_full_seconds"),
+    ("pay pivots", "payments_full_pivots"),
+    ("pay-colgen s", "payments_colgen_seconds"),
+    ("pay demands", "payments_colgen_demand_queries"),
     ("objectives", "objectives_agree"),
 )
 
@@ -473,6 +495,14 @@ def cmd_bench(args) -> CommandResult:
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
         t_sample, _ = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
+        pipeline.lp  # built outside the payments timing: lp_build_seconds times it
+        t_pay_full, charges_full = time_it(pipeline.payments)
+        colgen = Pipeline(
+            instance, MechanismConfig(c=c, p=p, solver=SOLVER_COLGEN), solution=sol_colgen
+        )
+        demands = instance.query_totals()["demand_queries"]
+        t_pay_colgen, charges_colgen = time_it(colgen.payments)
+        demands = (instance.query_totals()["demand_queries"] - demands) // args.repeat
         records.append(
             {
                 "m": m,
@@ -485,13 +515,20 @@ def cmd_bench(args) -> CommandResult:
                 "vertex_enum_objective": str(vertex_obj),
                 "integral_seconds": t_integral,
                 "sample_seconds": t_sample,
+                "payments_full_seconds": t_pay_full,
+                "payments_full_pivots": pipeline.payment_pivots,
+                "payments_colgen_seconds": t_pay_colgen,
+                "payments_colgen_demand_queries": demands,
                 "objective": str(sol_exact.objective),
+                # each charge sum is p * (sum of the zeroed optima - (n - 1) * OPT),
+                # which does not depend on the vertex either solver returns
                 "objectives_agree": sol_exact.objective == sol_colgen.objective
+                and sum(charges_full) == sum(charges_colgen)
                 and vertex_obj in ("skipped", sol_exact.objective),
             }
         )
     report = {
-        "schema": "bench-report/5",
+        "schema": "bench-report/6",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
@@ -577,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="time the LP build, the full, column-generation and vertex-enumeration solves and "
-        "1,000 outcome samples, and check that the solvers' objectives agree",
+        help="time the LP build, the full, column-generation and vertex-enumeration solves, "
+        "1,000 outcome samples and both solvers' payments, and check that the solvers' "
+        "objectives and charge sums agree",
     )
     b.add_argument("--kind", choices=GENERATOR_KINDS, default="xos")
     b.add_argument("--n", type=int, default=3)

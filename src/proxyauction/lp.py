@@ -15,7 +15,9 @@ nonempty bundle) and certifies the result in one pass over its columns.
 and prices new columns with per-bidder demand queries at the current item
 duals. Both return an optimal basic solution whose support size is at most
 n + m, and both are deterministic: columns are ordered by (bidder, bundle
-lexicographic) and the simplex uses Bland's rule.
+lexicographic) and the simplex uses Bland's rule. Each solution carries its
+optimal basis, from which either solver can start an LP over the same
+constraints, such as a payment's LP with one bidder's objective zeroed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import copy
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
 from .itemsets import ItemSet, subset_sums
@@ -89,6 +91,17 @@ class ConfigLP:
         return zeroed
 
 
+class Basis(NamedTuple):
+    """A basis of the configuration LP, in a form that both solvers read.
+
+    ``columns`` are the basic columns' (bidder, bundle) keys and ``slacks``
+    the rows whose slacks are basic: bidder rows 0..n-1, then item rows.
+    """
+
+    columns: tuple
+    slacks: tuple
+
+
 @dataclass
 class FractionalSolution:
     """Sparse feasible point of the configuration LP, with optional duals."""
@@ -101,6 +114,8 @@ class FractionalSolution:
     bidder_duals: Optional[tuple] = None
     # simplex pivots spent finding this point: a work counter, not part of it
     pivots: int = field(default=0, compare=False)
+    # the optimal basis the solver ended in, if a solver found this point
+    basis: Optional[Basis] = field(default=None, compare=False)
 
     def support(self) -> list:
         """Sorted (bidder, bundle, x) triples with positive mass."""
@@ -152,27 +167,44 @@ def build_full_lp(
     return ConfigLP(instance.n, instance.m, tuple(columns))
 
 
-def _solve_columns(lp_cols: Sequence[Column], n: int, m: int):
+def _solve_columns(
+    lp_cols: Sequence[Column], n: int, m: int, start: Optional[Basis] = None
+) -> tuple:
+    """The simplex result over ``lp_cols`` and its optimal basis, from ``start`` if given."""
     # Rows are ordered bidder constraints first, then item constraints: on
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
     supports = [[col.bidder, *(n + j for j in col.bundle)] for col in lp_cols]
-    return solve_canonical_max(supports, [col.coef for col in lp_cols], n + m)
+    n_cols = len(lp_cols)
+    start_basis = ()
+    if start is not None:
+        index = {(col.bidder, col.bundle): k for k, col in enumerate(lp_cols)}
+        start_basis = [index[key] for key in start.columns] + [n_cols + r for r in start.slacks]
+    res = solve_canonical_max(
+        supports, [col.coef for col in lp_cols], n + m, start_basis=start_basis
+    )
+    basis = Basis(
+        columns=tuple((lp_cols[j].bidder, lp_cols[j].bundle) for j in res.basis if j < n_cols),
+        slacks=tuple(j - n_cols for j in res.basis if j >= n_cols),
+    )
+    return res, basis
 
 
 def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
     return {(col.bidder, col.bundle): v for col, v in zip(lp_cols, x) if v > 0}
 
 
-def solve_exact(lp: ConfigLP) -> FractionalSolution:
+def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> FractionalSolution:
     """Optimal basic solution of the full LP, with duals.
 
-    The result is certified against its own dual solution (feasibility, dual
+    The simplex starts from ``start_basis`` if given (a feasible basis of an
+    LP with the same constraints), otherwise from the slack basis. The result
+    is certified against its own dual solution (feasibility, dual
     feasibility over every column, and complementary slackness) before it is
     returned.
     """
-    res = _solve_columns(lp.columns, lp.n, lp.m)
+    res, basis = _solve_columns(lp.columns, lp.n, lp.m, start_basis)
     sol = FractionalSolution(
         n=lp.n,
         m=lp.m,
@@ -181,6 +213,7 @@ def solve_exact(lp: ConfigLP) -> FractionalSolution:
         item_duals=tuple(res.duals[lp.n :]),
         bidder_duals=tuple(res.duals[: lp.n]),
         pivots=res.pivots,
+        basis=basis,
     )
     certify_optimal(lp, sol)
     return sol
@@ -250,6 +283,7 @@ def solve_column_generation(
     oracles: Sequence[Valuation],
     *,
     max_rounds: Optional[int] = None,
+    start_basis: Optional[Basis] = None,
 ) -> FractionalSolution:
     """Restricted-master simplex with demand-query pricing.
 
@@ -261,6 +295,13 @@ def solve_column_generation(
     certifies optimality over all 2^m - 1 bundles per bidder. The master is
     kept in ``ConfigLP``'s column order, so each round's solve is the one a
     ``ConfigLP`` of the same columns would get.
+
+    Without ``start_basis`` every round starts from the slack basis, so the
+    vertex returned is a function of the instance alone. With it (a feasible
+    basis of an LP with the same constraints, such as a payment LP's
+    unzeroed original) the master starts as its basic columns, priced by
+    ``oracles``, and every round starts from the previous round's optimal
+    basis: the optimum is the same, in fewer pivots.
     """
     n, m = instance.n, instance.m
     if len(oracles) != n:
@@ -269,11 +310,19 @@ def solve_column_generation(
         max_rounds = 10 * (n + m) * (1 << m)
 
     master: list[Column] = []
-    have = set()
+    if start_basis is not None:
+        master = sorted(
+            (Column(i, bundle, oracles[i].value(bundle)) for i, bundle in start_basis.columns),
+            key=column_order,
+        )
+    have = {(col.bidder, col.bundle.mask) for col in master}
+    basis = start_basis
     rounds = pivots = 0
     while True:
         rounds += 1
-        res = _solve_columns(master, n, m)
+        res, last_basis = _solve_columns(master, n, m, basis)
+        if start_basis is not None:
+            basis = last_basis
         if rounds > max_rounds:
             raise IterationLimitError(rounds, len(master), res.objective)
         pivots += res.pivots
@@ -300,6 +349,7 @@ def solve_column_generation(
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),
                 pivots=pivots,
+                basis=last_basis,
             )
 
 

@@ -376,6 +376,8 @@ class Pipeline:
         self._q_cache: dict[tuple[int, int], Fraction] = {}
         self._tables: Optional[list] = None
         self._survival_cache: dict[tuple[int, int], Fraction] = {}
+        # simplex pivots of the last payments() call: a work counter
+        self.payment_pivots = 0
 
     def _solve(self) -> FractionalSolution:
         if self.config.solver == SOLVER_COLGEN:
@@ -441,6 +443,7 @@ class Pipeline:
         """Expected externality charges over the LP range."""
         p = self.config.p
         support = self.solution.support()
+        self.payment_pivots = 0
         charges = []
         for i in range(self.instance.n):
             others_share = sum(
@@ -458,11 +461,18 @@ class Pipeline:
         return tuple(charges)
 
     def _optimum_without(self, bidder: int) -> Fraction:
+        # The zeroed LP has the main LP's constraints, so the main optimal
+        # basis is a feasible start; a charge reads only the optimum, which
+        # does not depend on where the simplex starts.
+        start = self.solution.basis
         if self.config.solver == SOLVER_COLGEN:
             oracles = list(self.proxies)
             oracles[bidder] = AdditiveValuation([Fraction(0)] * self.instance.m)
-            return solve_column_generation(self.instance, oracles).objective
-        return solve_exact(self.lp.zero_bidder(bidder)).objective
+            zeroed = solve_column_generation(self.instance, oracles, start_basis=start)
+        else:
+            zeroed = solve_exact(self.lp.zero_bidder(bidder), start_basis=start)
+        self.payment_pivots += zeroed.pivots
+        return zeroed.objective
 
 
 def run(

@@ -22,6 +22,14 @@ row has the minimum ratio, ties to the lowest-index basic variable. This
 prevents cycling and makes the returned vertex, duals and pivot count a
 deterministic function of the input ordering, identical to the dense Bland
 tableau's. The all-slack basis is feasible because every capacity is 1.
+
+A start basis replaces that slack basis: its structural columns enter first
+as forced pivots of the same update, each into a row that holds a slack not
+in the start set, and Bland's loop continues from there. A forced pivot may
+be negative, and then ``M``, ``beta``, ``Y`` and ``d`` are all negated so that
+``d`` stays positive, as the ratio test assumes. Bland's rule terminates from
+any feasible basis, so the optimum is the cold one, though on a degenerate
+optimum the vertex and duals reached may differ.
 """
 
 from __future__ import annotations
@@ -42,14 +50,22 @@ class SimplexResult:
 
 
 def solve_canonical_max(
-    supports: Sequence[Sequence[int]], objective: Sequence, n_rows: int
+    supports: Sequence[Sequence[int]],
+    objective: Sequence,
+    n_rows: int,
+    *,
+    start_basis: Sequence[int] = (),
 ) -> SimplexResult:
     """Maximize objective . x subject to A x <= 1, x >= 0 over ``n_rows`` rows.
 
     ``supports[j]`` lists the distinct rows where column j of A has a one;
     every other entry is zero. Returns the optimal basic solution, the
     objective value, and the dual vector (one multiplier per row), all as
-    Fractions.
+    Fractions. ``start_basis`` lists the columns of a feasible start basis
+    (slack r as column ``len(supports) + r``; slacks not listed fill the
+    remaining rows); the default is the all-slack basis. A start basis that
+    is singular or infeasible raises ValueError. ``pivots`` counts the
+    forced start pivots too.
     """
     n_cols = len(supports)
     obj_scale = lcm(*(c.denominator for c in objective))
@@ -62,21 +78,32 @@ def solve_canonical_max(
     basis = [n_cols + r for r in range(n_rows)]
     pivots = 0
 
+    start = iter([j for j in start_basis if j < n_cols])
+    kept = set(start_basis)
+    replaying = True
     while True:
         dual = Y.__getitem__
-        entering = -1
-        for j, support in enumerate(supports):
-            gain = cost[j] * d - sum(map(dual, support))
-            if gain > 0:
-                entering = j
-                break
+        entering = next(start, -1) if replaying else -1
+        if entering >= 0:
+            # a start column enters whatever its reduced cost
+            gain = cost[entering] * d - sum(map(dual, supports[entering]))
         else:
-            for r, y in enumerate(Y):
-                if y < 0:
-                    entering, gain = n_cols + r, -y
+            if replaying:
+                replaying = False
+                if any(b < 0 for b in beta):
+                    raise ValueError("start basis is infeasible")
+            for j, support in enumerate(supports):
+                gain = cost[j] * d - sum(map(dual, support))
+                if gain > 0:
+                    entering = j
                     break
-        if entering < 0:
-            break
+            else:
+                for r, y in enumerate(Y):
+                    if y < 0:
+                        entering, gain = n_cols + r, -y
+                        break
+            if entering < 0:
+                break
 
         if entering < n_cols:
             support = supports[entering]
@@ -85,20 +112,29 @@ def solve_canonical_max(
             alpha = [row[entering - n_cols] for row in M]
 
         leaving = -1
-        for r, a in enumerate(alpha):
-            if a > 0 and (
-                leaving < 0
-                or beta[r] * alpha[leaving] < beta[leaving] * a
-                or (
-                    beta[r] * alpha[leaving] == beta[leaving] * a
-                    and basis[r] < basis[leaving]
-                )
-            ):
-                leaving = r
-        if leaving < 0:
-            # Unreachable for the configuration LP: bidder constraints bound
-            # every structural variable and slacks never improve the cost.
-            raise ValueError("LP is unbounded")
+        if replaying:
+            # the row of a slack outside the start set; none means a singular start
+            for r, a in enumerate(alpha):
+                if a and basis[r] not in kept:
+                    leaving = r
+                    break
+            if leaving < 0:
+                raise ValueError("start basis is singular")
+        else:
+            for r, a in enumerate(alpha):
+                if a > 0 and (
+                    leaving < 0
+                    or beta[r] * alpha[leaving] < beta[leaving] * a
+                    or (
+                        beta[r] * alpha[leaving] == beta[leaving] * a
+                        and basis[r] < basis[leaving]
+                    )
+                ):
+                    leaving = r
+            if leaving < 0:
+                # Unreachable for the configuration LP: bidder constraints bound
+                # every structural variable and slacks never improve the cost.
+                raise ValueError("LP is unbounded")
 
         pivots += 1
         piv = alpha[leaving]
@@ -112,6 +148,11 @@ def solve_canonical_max(
         Y = [(piv * y + gain * v) // d for y, v in zip(Y, piv_row)]
         d = piv
         basis[leaving] = entering
+        if d < 0:  # only a forced pivot can be negative
+            d = -d
+            M = [[-u for u in row] for row in M]
+            beta = [-b for b in beta]
+            Y = [-y for y in Y]
 
     x = [Fraction(0)] * n_cols
     for r, j in enumerate(basis):

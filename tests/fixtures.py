@@ -22,6 +22,10 @@ from proxyauction.valuations import (
 from proxyauction.verify import OutcomeDistribution, exact_distribution
 
 
+# the benchmark's auction instances, generated at seed 1
+AUCTION_SHAPES = (("xos", 3, 6), ("coverage", 3, 6), ("mixed", 3, 7), ("mixed", 4, 7))
+
+
 def prepared(
     instance: Instance, config: MechanismConfig, **kwargs
 ) -> tuple[Pipeline, OutcomeDistribution]:

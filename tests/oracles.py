@@ -13,10 +13,11 @@ from typing import Optional, Sequence
 
 from proxyauction.errors import CapacityError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
-from proxyauction.mechanism import Outcome
+from proxyauction.lp import solve_column_generation, solve_exact
+from proxyauction.mechanism import SOLVER_COLGEN, Outcome
 from proxyauction.rng import Stream, stream
 from proxyauction.simplex import SimplexResult
-from proxyauction.valuations import PROXY_SUBSET_CAP, ProxyValuation
+from proxyauction.valuations import PROXY_SUBSET_CAP, AdditiveValuation, ProxyValuation
 from proxyauction.verify import VERTEX_ENUM_CAP
 
 
@@ -213,6 +214,31 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         final=tuple(final),
         q_values=q_values,
     )
+
+
+def charges_by_cold_solves(pipeline) -> tuple:
+    """The pipeline's charges with every zeroed LP solved from the slack basis.
+
+    charge_i = p * (OPT with bidder i's objective zeroed - the other bidders'
+    proxy value in the pipeline's solution), where the zeroed optimum comes
+    from the pipeline's solver started cold, in every column-generation round
+    too: the payment rule as it stood before payments started warm.
+    """
+    instance, config, solution = pipeline.instance, pipeline.config, pipeline.solution
+    charges = []
+    for i in range(instance.n):
+        if config.solver == SOLVER_COLGEN:
+            oracles = list(pipeline.proxies)
+            oracles[i] = AdditiveValuation([Fraction(0)] * instance.m)
+            opt_without = solve_column_generation(instance, oracles).objective
+        else:
+            opt_without = solve_exact(pipeline.lp.zero_bidder(i)).objective
+        others_share = sum(
+            (x * pipeline.proxies[j].value(bundle) for j, bundle, x in solution.support() if j != i),
+            Fraction(0),
+        )
+        charges.append(config.p * (opt_without - others_share))
+    return tuple(charges)
 
 
 def tableau_simplex(

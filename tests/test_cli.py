@@ -14,7 +14,7 @@ from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.errors import FormatError
-from proxyauction.serialize import config_from_dict, load_json, solution_from_dict
+from proxyauction.serialize import canonical_dumps, config_from_dict, load_json, solution_from_dict
 
 ROOT = Path(__file__).parent.parent
 CORPUS_DIR = ROOT / "corpus" / "standard"
@@ -152,7 +152,7 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/5"
+    assert report["schema"] == "bench-report/6"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -161,6 +161,11 @@ def test_bench_smoke(tmp_path):
     assert report["rows"][0]["exact_full_pivots"] > 0
     assert report["rows"][0]["sample_seconds"] > 0
     assert report["rows"][0]["integral_seconds"] > 0
+    assert report["rows"][0]["payments_full_seconds"] > 0
+    assert report["rows"][0]["payments_colgen_seconds"] > 0
+    # the warm start's forced pivots count, and colgen payments ask demand queries
+    assert report["rows"][0]["payments_full_pivots"] > 0
+    assert report["rows"][0]["payments_colgen_demand_queries"] > 0
 
 
 def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
@@ -175,13 +180,28 @@ def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_bench_exits_nonzero_on_a_charge_sum_mismatch(monkeypatch, capsys):
+    real = mechanism.Pipeline.payments
+
+    def colgen_off_by_one(self):
+        charges = real(self)
+        if self.config.solver == mechanism.SOLVER_COLGEN:
+            charges = (charges[0] + 1, *charges[1:])
+        return charges
+
+    monkeypatch.setattr(mechanism.Pipeline, "payments", colgen_off_by_one)
+    code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "4", "--repeat", "1"])
+    assert code == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
     out = tmp_path / "bench.json"
     code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "2,4",
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/5"
+    assert report["schema"] == "bench-report/6"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
@@ -356,6 +376,21 @@ def test_approximation_honours_the_integral_cap(capsys):
     assert main([*argv, "--caps", "integral=243"]) == 0
 
 
+def test_a_raising_check_keeps_the_other_checks_results(capsys):
+    argv = [*CONTENDED, "--checks", "welfare,approximation", "--caps", "integral=242"]
+    assert main(argv) == 1
+    welfare, error = json.loads(capsys.readouterr().out)["results"]
+    assert welfare["check"] == "welfare-identity" and welfare["passed"]
+    assert error["check"] == "error" and error["asserted"] and not error["passed"]
+    assert error["details"]["check"] == "approximation"
+    assert error["details"]["required"] == 243 and error["config"] is not None
+    assert main([*argv, "--format", "table"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "PASS    welfare-identity  22-xos-n3-m4-contended.json",
+        "ERROR   approximation     22-xos-n3-m4-contended.json",
+    ]
+
+
 def test_verify_certifies_the_envelope(tmp_path, capsys):
     # five bidders over ten items: 6^10 item assignments, past the integral
     # cap for an enumeration; the subset DP takes 5 * 3^10 steps
@@ -482,12 +517,12 @@ PINNED_REPORTS = {
     ),
     "run-xos-n3-m6-colgen": (
         ["run", "xos-n3-m6.json", "--payments", "--solver", "column-generation"],
-        "56fa548b213ecc34b57834ba8382cba131616e45096ee4ea0f9ccabbf6bbbd7b",
+        "991664c26aaae970f6b0fa30ada0467b051cc4363f4d08edba8b1bec1140983d",
     ),
     "run-mixed-payments-colgen": (
         ["run", "corpus/standard/16-mixed-n2-m4.json", "--c", "1/2", "--p", "1/20",
          "--payments", "--replications", "20", "--solver", "column-generation"],
-        "81cd040101fe1c222f04e184296e8c63d206d875b64cf3a42d8020e9cb641649",
+        "5a939bfce283282a576d16323a9b59a18a8a1ab4750d8b59bc9704103a81c8bd",
     ),
     "solve-unit-demand-raw-colgen": (
         ["solve", "corpus/standard/05-unit-demand-n3-m5.json", "--valuations", "raw",
@@ -502,9 +537,8 @@ GENERATED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-def test_reports_keep_their_bytes(name, monkeypatch, capsys, tmp_path):
-    argv, digest = PINNED_REPORTS[name]
+def _pinned_report(name, monkeypatch, capsys, tmp_path) -> str:
+    argv = PINNED_REPORTS[name][0]
     # a relative path keeps the report independent of the checkout
     if argv[1] in GENERATED:
         monkeypatch.chdir(tmp_path)
@@ -513,7 +547,31 @@ def test_reports_keep_their_bytes(name, monkeypatch, capsys, tmp_path):
     else:
         monkeypatch.chdir(ROOT)
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_reports_keep_their_bytes(name, monkeypatch, capsys, tmp_path):
+    out = _pinned_report(name, monkeypatch, capsys, tmp_path)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_REPORTS[name][1]
+
+
+# Column generation's payment runs start warm, so they ask other demand
+# queries than a cold start; everything else in these reports keeps its bytes.
+PINNED_WITHOUT_QUERY_COUNTS = {
+    "run-xos-n3-m6-colgen": "932d1340f55e9a557d8511c1fde2c6b7f68a1dd0eac13f75441e12ca2126514d",
+    "run-mixed-payments-colgen": "65976fe63af543427960ef74248ddb2741bd7dc26b5977e4b1ac3d890fff00ce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITHOUT_QUERY_COUNTS))
+def test_colgen_payment_reports_keep_their_bytes_but_query_counts(
+    name, monkeypatch, capsys, tmp_path
+):
+    report = json.loads(_pinned_report(name, monkeypatch, capsys, tmp_path))
+    del report["query_counts"]
+    digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
+    assert digest == PINNED_WITHOUT_QUERY_COUNTS[name]
 
 
 INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")

@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from fixtures import overlap_demo, random_feasible_solution
-from oracles import sample_by_definition
+from fixtures import AUCTION_SHAPES, overlap_demo, random_feasible_solution
+from oracles import charges_by_cold_solves, sample_by_definition
 
+from proxyauction import mechanism
 from proxyauction.errors import ContractViolationError, ParameterError
+from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import (
+    SOLVER_COLGEN,
+    SOLVER_FULL,
     MechanismConfig,
     Outcome,
     Pipeline,
@@ -398,3 +403,46 @@ def test_payments_nonnegative_and_bounded(corpus):
         for i, charge in enumerate(charges):
             assert charge >= 0
             assert charge <= item.config.p * pipe._optimum_without(i)
+
+
+def payment_cases(corpus, truthful_corpus):
+    for item in [*corpus, *truthful_corpus]:
+        yield item.label, item.instance, item.config
+    for kind, n, m in AUCTION_SHAPES:
+        yield f"{kind}-n{n}-m{m}", generate(kind, n, m, 1), MechanismConfig(*default_params(m))
+
+
+@pytest.mark.parametrize("solver", [SOLVER_FULL, SOLVER_COLGEN])
+def test_warm_charges_equal_cold_charges(solver, corpus, truthful_corpus, monkeypatch):
+    starts = []
+
+    def recording(solve):
+        def wrapped(*args, start_basis=None, **kwargs):
+            starts.append(start_basis)
+            return solve(*args, start_basis=start_basis, **kwargs)
+
+        return wrapped
+
+    for label, instance, config in payment_cases(corpus, truthful_corpus):
+        pipeline = Pipeline(instance, replace(config, solver=solver))
+        with monkeypatch.context() as patch:
+            patch.setattr(mechanism, "solve_exact", recording(mechanism.solve_exact))
+            patch.setattr(
+                mechanism, "solve_column_generation", recording(mechanism.solve_column_generation)
+            )
+            charges = pipeline.payments()
+        # every zeroed LP started from the main solve's optimal basis
+        assert starts == [pipeline.solution.basis] * instance.n, label
+        assert pipeline.solution.basis is not None, label
+        starts.clear()
+        assert charges == charges_by_cold_solves(pipeline), label
+
+
+def test_a_solution_without_a_basis_pays_from_cold_solves(corpus):
+    item = corpus[7]
+    solved = Pipeline(item.instance, item.config).solution
+    given = FractionalSolution(
+        n=solved.n, m=solved.m, entries=solved.entries, objective=solved.objective
+    )
+    pipeline = Pipeline(item.instance, item.config, solution=given)
+    assert pipeline.payments() == charges_by_cold_solves(pipeline)

@@ -7,17 +7,15 @@ objective, duals, basis and pivot count).
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fixtures import AUCTION_SHAPES
 from oracles import tableau_simplex
 from proxyauction import lp as lpmod
 from proxyauction.generators import generate
 from proxyauction.lp import build_full_lp, solve_exact
 from proxyauction.mechanism import default_params
 from proxyauction.simplex import solve_canonical_max
-
-# the benchmark's auction instances, generated at seed 1
-AUCTION_SHAPES = (("xos", 3, 6), ("coverage", 3, 6), ("mixed", 3, 7), ("mixed", 4, 7))
 
 
 def simplex_inputs(monkeypatch, lps):
@@ -36,8 +34,9 @@ def simplex_inputs(monkeypatch, lps):
     return calls
 
 
-def dense(supports, objective, n_rows):
+def dense(supports, objective, n_rows, start_basis=()):
     """The same LP as the tableau takes it: dense 0/1 columns, unit right-hand side."""
+    assert not start_basis  # the tableau starts from the slack basis only
     one, zero = Fraction(1), Fraction(0)
     columns = [[one if r in support else zero for r in range(n_rows)] for support in supports]
     return columns, list(objective), [one] * n_rows
@@ -104,3 +103,28 @@ def unit_lps(draw):
 @given(unit_lps())
 def test_matches_tableau_on_random_rational_lps(lp):
     assert outcome(solve_canonical_max, *lp) == outcome(tableau_simplex, *dense(*lp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_lps(), st.data())
+def test_warm_start_reaches_the_cold_optimum(lp, data):
+    # solve objective A, then objective B from A's optimal basis: the same
+    # feasible region, so A's basis is a feasible start for B
+    supports, objective_a, n_rows = lp
+    objective_b = data.draw(st.lists(rationals, min_size=len(supports), max_size=len(supports)))
+    first = outcome(solve_canonical_max, *lp)
+    assume(first is not ValueError)
+
+    def warm(*args):
+        return solve_canonical_max(*args, start_basis=first.basis)
+
+    results = [
+        outcome(warm, supports, objective_b, n_rows),
+        outcome(solve_canonical_max, supports, objective_b, n_rows),
+        outcome(tableau_simplex, *dense(supports, objective_b, n_rows)),
+    ]
+    objectives = [r if r is ValueError else r.objective for r in results]
+    assert objectives[0] == objectives[1] == objectives[2]
+    if results[0] is not ValueError:
+        forced = sum(j < len(supports) for j in first.basis)
+        assert results[0].pivots >= forced
