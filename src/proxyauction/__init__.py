@@ -32,6 +32,7 @@ from .mechanism import (
     MechanismConfig,
     Outcome,
     Pipeline,
+    Plan,
     Q_HALT,
     Q_OWN_ITEMS,
     TentativeAssignment,
@@ -45,6 +46,7 @@ from .mechanism import (
     run,
     survival_probability,
     tentative_draw,
+    tentative_indices,
 )
 from .valuations import (
     AdditiveValuation,

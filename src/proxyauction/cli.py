@@ -48,7 +48,6 @@ from .mechanism import (
     SOLVER_COLGEN,
     SOLVER_FULL,
     default_params,
-    realized_welfare,
 )
 from .rng import derive_seed
 from .valuations import PROXY_SUBSET_CAP
@@ -261,11 +260,11 @@ def cmd_run(args) -> CommandResult:
         seeds = [derive_seed(config.seed, "replication", r) for r in range(args.replications)]
     outcomes = [pipeline.sample(seed) for seed in seeds]
     payments = pipeline.payments() if args.payments else None
+    encode = ser.OutcomeEncoder(instance)
     outcome_dicts = []
     for seed, outcome in zip(seeds, outcomes):
-        entry = ser.outcome_to_dict(outcome)
+        entry = encode(outcome)
         entry["sample_seed"] = seed
-        entry["welfare"] = ser.format_value(realized_welfare(instance, outcome))
         outcome_dicts.append(entry)
     report = {
         "schema": REPORT_SCHEMA,
@@ -296,23 +295,30 @@ def cmd_run(args) -> CommandResult:
 # -- verify ------------------------------------------------------------------
 
 
-# the checks that read the exact outcome law; every check but proxy-bound reads the mechanism
-LAW_CHECKS = ("welfare", "marginals", "approximation", "monte-carlo")
-
-
 def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
     # One mechanism and one outcome law per (instance, config), built on first
-    # use: proxy-bound alone needs neither. A stage that cannot be built raises
-    # to the caller, which reports the instance as one error record; a check
-    # that raises in its own work becomes that check's error record, and the
-    # other checks keep their results.
+    # use: proxy-bound alone needs neither. A mechanism that cannot be built
+    # raises to the caller, which reports the instance as one error record. A
+    # check that raises, in its own work or in building the outcome law it
+    # reads, becomes that check's error record, and the other checks keep
+    # their results.
     @functools.cache
     def pipeline() -> Pipeline:
         return _pipeline(instance, config, caps)
 
     @functools.cache
+    def law_or_error():
+        try:
+            return ver.exact_distribution(pipeline())
+        except AuctionError as exc:
+            return exc
+
     def law() -> ver.OutcomeDistribution:
-        return ver.exact_distribution(pipeline())
+        # a law that cannot be built is tried once; each check reading it raises
+        got = law_or_error()
+        if isinstance(got, AuctionError):
+            raise got
+        return got
 
     run = {
         "welfare": lambda: ver.check_welfare_identity(pipeline(), law()),
@@ -330,8 +336,6 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
     for name in checks:
         if name != "proxy-bound":
             pipeline()
-        if name in LAW_CHECKS:
-            law()
         try:
             res = run[name]()
         except AuctionError as exc:
@@ -450,6 +454,7 @@ BENCH_COLUMNS = (
     ("vertex-enum s", "vertex_enum_seconds"),
     ("integral s", "integral_seconds"),
     ("sample s", "sample_seconds"),
+    ("plans", "sample_plans"),
     ("pay-full s", "payments_full_seconds"),
     ("pay pivots", "payments_full_pivots"),
     ("pay-colgen s", "payments_colgen_seconds"),
@@ -515,6 +520,8 @@ def cmd_bench(args) -> CommandResult:
                 "vertex_enum_objective": str(vertex_obj),
                 "integral_seconds": t_integral,
                 "sample_seconds": t_sample,
+                # distinct tentative assignments over the samples: each is planned once
+                "sample_plans": len(pipeline.plans),
                 "payments_full_seconds": t_pay_full,
                 "payments_full_pivots": pipeline.payment_pivots,
                 "payments_colgen_seconds": t_pay_colgen,
@@ -528,7 +535,7 @@ def cmd_bench(args) -> CommandResult:
             }
         )
     report = {
-        "schema": "bench-report/6",
+        "schema": "bench-report/7",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import rng as rngmod
 from .errors import (
@@ -133,20 +133,18 @@ def default_params(m: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class TentativeAssignment:
-    """One bundle per bidder (possibly empty) plus per-item holder counts."""
+    """One bundle per bidder (possibly empty) and, per item, its tentative holders."""
 
     bundles: tuple[ItemSet, ...]
     m: int
+    holders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def holder_counts(self) -> list[int]:
-        counts = [0] * self.m
-        for bundle in self.bundles:
+    def __post_init__(self):
+        holders = [[] for _ in range(self.m)]
+        for i, bundle in enumerate(self.bundles):
             for j in bundle:
-                counts[j] += 1
-        return counts
-
-    def holders(self, j: int) -> list[int]:
-        return [i for i, bundle in enumerate(self.bundles) if j in bundle]
+                holders[j].append(i)
+        object.__setattr__(self, "holders", tuple(map(tuple, holders)))
 
 
 @dataclass(frozen=True)
@@ -166,6 +164,20 @@ class Outcome:
             if taken & bundle.mask:
                 raise InfeasibleSolutionError("final bundles overlap")
             taken |= bundle.mask
+
+
+class Plan(NamedTuple):
+    """What every sample with one tentative assignment shares.
+
+    A halted assignment keeps its one ``Outcome``; any other keeps its q
+    values and step-7 survival probabilities, so only the step-6 and step-7
+    draws are made per sample.
+    """
+
+    tentative: TentativeAssignment
+    halted: Optional[Outcome]
+    q_values: Optional[tuple] = None
+    survival: Optional[tuple] = None
 
 
 def draw_tables(solution: FractionalSolution) -> list:
@@ -193,25 +205,35 @@ def draw_tables(solution: FractionalSolution) -> list:
     return tables
 
 
-def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
-    """Step 3: independent per-bidder draw from the draw tables.
+def tentative_indices(tables: Sequence, seed: int) -> tuple[int, ...]:
+    """Step 3: per bidder, the index of its drawn bundle in its draw table.
 
     Bidder i draws one uniform integer below its common denominator from its
     own tentative-stage stream, so draws do not interact across bidders or
     with later stages. The bundle is the first whose threshold exceeds the
-    draw.
+    draw. A denominator of 1 makes the draw certain (it is 0), so that bidder
+    builds no stream; the other bidders' streams are their own either way.
     """
-    bundles = []
-    for i, (options, den, thresholds) in enumerate(tables):
-        u = rngmod.stream(seed, "tentative", i).randrange(den)
-        bundles.append(options[bisect_right(thresholds, u)])
-    return TentativeAssignment(bundles=tuple(bundles), m=m)
+    return tuple(
+        bisect_right(
+            thresholds, 0 if den == 1 else rngmod.stream(seed, "tentative", i).randrange(den)
+        )
+        for i, (_, den, thresholds) in enumerate(tables)
+    )
+
+
+def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
+    """Step 3 as bundles: the tentative assignment of ``tentative_indices``."""
+    picks = tentative_indices(tables, seed)
+    return TentativeAssignment(
+        bundles=tuple(table[0][k] for table, k in zip(tables, picks)), m=m
+    )
 
 
 def halt_check(t: TentativeAssignment, c: Fraction) -> bool:
     """Step 4 predicate: some item is tentatively held more than 1/c times."""
     inv_c = c.denominator
-    return any(k > inv_c for k in t.holder_counts())
+    return any(len(who) > inv_c for who in t.holders)
 
 
 def compute_q(
@@ -294,19 +316,19 @@ def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSe
     passed), so the per-item lottery probabilities sum to at most 1. Item j
     draws from its own lottery-stage stream: a uniform integer u below 1/c,
     and the u-th holder receives the item if there is one, so each holder
-    gets it with probability exactly c.
+    gets it with probability exactly c. At c = 1 the one holder gets the item
+    for certain, and no stream is built.
     """
     inv_c = c.denominator
     kept_masks = [0] * len(t.bundles)
-    for j in range(t.m):
-        holders = t.holders(j)
+    for j, holders in enumerate(t.holders):
         if not holders:
             continue
         if len(holders) > inv_c:
             raise ContractViolationError(
                 f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
             )
-        k = rngmod.stream(seed, "lottery", j).randrange(inv_c)
+        k = 0 if inv_c == 1 else rngmod.stream(seed, "lottery", j).randrange(inv_c)
         if k < len(holders):
             kept_masks[holders[k]] |= 1 << j
     return tuple(ItemSet(mask) for mask in kept_masks)
@@ -351,6 +373,15 @@ class Pipeline:
     Preparing once and sampling many times keeps Monte Carlo replications
     cheap; the LP solve and the q values are deterministic functions of the
     instance and configuration, so sharing them does not affect the law.
+
+    ``sample`` keeps one ``Plan`` per tentative assignment it has drawn, keyed
+    by the drawn index per bidder: the bundles, the per-item holders, the
+    halt verdict (a halted plan holds its shared outcome), the q values and
+    the survival probabilities. A sample then draws step 3, looks its plan up
+    and draws only steps 6 and 7. A plan that raises (q_i > 1 - p, or a capped
+    q enumeration) is not kept, so every sample that draws it raises again.
+    There are at most as many plans as the product of the bidders' support
+    sizes, and never more than samples drawn.
     """
 
     def __init__(
@@ -376,6 +407,8 @@ class Pipeline:
         self._q_cache: dict[tuple[int, int], Fraction] = {}
         self._tables: Optional[list] = None
         self._survival_cache: dict[tuple[int, int], Fraction] = {}
+        # one plan per tentative assignment drawn, keyed by the drawn indices
+        self.plans: dict[tuple[int, ...], Plan] = {}
         # simplex pivots of the last payments() call: a work counter
         self.payment_pivots = 0
 
@@ -404,11 +437,16 @@ class Pipeline:
             )
         return got
 
-    def tentative_sample(self, seed: int) -> TentativeAssignment:
-        """Step 3 over the cached draw tables."""
+    @property
+    def tables(self) -> list:
+        """The step-3 draw tables of the solution, built on first use."""
         if self._tables is None:
             self._tables = draw_tables(self.solution)
-        return tentative_draw(self._tables, self.solution.m, seed)
+        return self._tables
+
+    def tentative_sample(self, seed: int) -> TentativeAssignment:
+        """Step 3 over the cached draw tables."""
+        return tentative_draw(self.tables, self.solution.m, seed)
 
     def survival(self, bidder: int, bundle: ItemSet) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
@@ -420,23 +458,36 @@ class Pipeline:
             )
         return got
 
-    def sample(self, seed: int) -> Outcome:
-        """One rounding pass: steps 3 to 7 with the cached tables and q values."""
-        n = self.instance.n
-        t = self.tentative_sample(seed)
+    def plan(self, picks: tuple[int, ...]) -> Plan:
+        """Steps 4, 5 and the survival probabilities for the drawn table indices."""
+        got = self.plans.get(picks)
+        if got is not None:
+            return got
+        bundles = tuple(table[0][k] for table, k in zip(self.tables, picks))
+        t = TentativeAssignment(bundles=bundles, m=self.solution.m)
         if halt_check(t, self.config.c):
-            empty = (EMPTY_SET,) * n
-            return Outcome(halted=True, tentative=t.bundles, kept=empty, final=empty)
-        q_values = tuple(self.q(i, t.bundles[i]) for i in range(n))
-        kept = item_lottery(t, self.config.c, seed)
-        # the feasibility bound q_i <= 1 - p applies to every bidder
-        survival = [self.survival(i, bundle) for i, bundle in enumerate(t.bundles)]
+            empty = (EMPTY_SET,) * len(bundles)
+            got = Plan(t, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
+        else:
+            q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
+            # the feasibility bound q_i <= 1 - p applies to every bidder
+            survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
+            got = Plan(t, None, q_values, survival)
+        self.plans[picks] = got
+        return got
+
+    def sample(self, seed: int) -> Outcome:
+        """One rounding pass: step 3, the assignment's plan, then steps 6 and 7."""
+        plan = self.plan(tentative_indices(self.tables, seed))
+        if plan.halted is not None:
+            return plan.halted
+        kept = item_lottery(plan.tentative, self.config.c, seed)
         return Outcome(
             halted=False,
-            tentative=t.bundles,
+            tentative=plan.tentative.bundles,
             kept=kept,
-            final=personal_cancel(kept, survival, seed),
-            q_values=q_values,
+            final=personal_cancel(kept, plan.survival, seed),
+            q_values=plan.q_values,
         )
 
     def payments(self) -> tuple[Fraction, ...]:

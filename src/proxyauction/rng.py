@@ -15,21 +15,28 @@ reads ``b = 8 * ceil((den.bit_length() + 64) / 8)`` bits as an integer u. A
 u at or above ``floor(2^b / den) * den`` is rejected and the draw moves to
 block k + 1, so the accepted ``u mod den`` is exactly uniform below ``den``
 for every ``den``, however wide. A rejection happens with probability below
-2^-64.
+2^-64. A draw with ``den = 1`` is certain: it returns 0, reads no block and
+leaves the counter as it was.
+
+The key is assembled from two bounded caches, one of ``repr(seed)`` parts and
+one of ``|repr(label)`` parts, and has the same bytes as the text built in
+full. A label part is cached only for an ``int`` or a ``str`` and is keyed with
+its type, so ``1``, ``True``, ``1.0`` and ``"1"`` never share a part. The
+block size and the rejection limit of each denominator are cached too.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from hashlib import sha256, shake_256
 
-
-def _label_text(seed: int, labels) -> str:
-    return "|".join([repr(int(seed)), *map(repr, labels)])
+# entries per cache: the draws of one sample share a seed and a few labels
+_CACHE_SIZE = 256
 
 
 def derive_seed(seed: int, *labels) -> int:
     """Deterministic child seed from a master seed and a label path."""
-    digest = sha256(_label_text(seed, labels).encode("utf-8")).digest()
+    digest = sha256(_key(seed, labels)).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -46,8 +53,9 @@ class Stream:
         """Uniform integer in [0, den), exactly."""
         if den < 1:
             raise ValueError(f"randrange needs den >= 1, got {den}")
-        size = (den.bit_length() + 71) // 8
-        limit = (1 << (8 * size)) // den * den
+        if den == 1:
+            return 0
+        size, limit = _block_bounds(den)
         while True:
             block = shake_256(self.key + self.counter.to_bytes(8, "big")).digest(size)
             self.counter += 1
@@ -56,6 +64,37 @@ class Stream:
                 return u % den
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _block_bounds(den: int) -> tuple[int, int]:
+    """(bytes per block, first rejected value) for uniform draws below ``den``."""
+    size = (den.bit_length() + 71) // 8
+    return size, (1 << (8 * size)) // den * den
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _seed_part(seed: int) -> bytes:
+    return repr(int(seed)).encode("utf-8")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _label_part(kind: type, label) -> bytes:
+    # kind is read only as part of the cache key: 1 and True are equal keys
+    return b"|" + repr(label).encode("utf-8")
+
+
+def _key(seed: int, labels) -> bytes:
+    """The label text ``repr(seed)|repr(label)|...`` as UTF-8, from cached parts."""
+    key = _seed_part(seed)
+    for label in labels:
+        kind = type(label)
+        # equal ints, or equal strs, share their repr; equal floats may not (0.0, -0.0)
+        if kind is int or kind is str:
+            key += _label_part(kind, label)
+        else:
+            key += b"|" + repr(label).encode("utf-8")
+    return key
+
+
 def stream(seed: int, *labels) -> Stream:
     """Independent stream for one labeled decision site."""
-    return Stream(_label_text(seed, labels).encode("utf-8"))
+    return Stream(_key(seed, labels))

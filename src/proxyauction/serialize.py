@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .errors import FormatError, ParameterError
 from .itemsets import ItemSet
 from .lp import FractionalSolution
-from .mechanism import MechanismConfig, Outcome
+from .mechanism import MechanismConfig, Outcome, realized_welfare
 from .valuations import (
     AdditiveValuation,
     CoverageValuation,
@@ -170,28 +170,61 @@ def solution_from_dict(data: dict) -> FractionalSolution:
 # -- outcomes ----------------------------------------------------------------
 
 
-def _bundles_to_lists(bundles) -> list:
-    return [list(b.indices()) for b in bundles]
-
-
 def _bundles_from_lists(raw) -> tuple:
     return tuple(ItemSet.from_indices(idxs) for idxs in raw)
 
 
+class OutcomeEncoder:
+    """``outcome_to_dict`` over the many outcomes of one report.
+
+    Each bundle list, value string and welfare is built once per distinct
+    value and then shared by every entry that has that value, so the entries
+    must not be mutated in place. Given the ``instance``, every entry also
+    carries the outcome's realized ``welfare``.
+    """
+
+    def __init__(self, instance: Optional[Instance] = None):
+        self.instance = instance
+        self._lists: dict = {}
+        self._strings: dict = {}
+        self._welfare: dict = {}
+
+    def _bundle_lists(self, bundles: tuple) -> list:
+        got = self._lists.get(bundles)
+        if got is None:
+            got = self._lists[bundles] = [list(b.indices()) for b in bundles]
+        return got
+
+    def _value_strings(self, values: Optional[tuple]) -> Optional[list]:
+        if values is None:
+            return None
+        got = self._strings.get(values)
+        if got is None:
+            got = self._strings[values] = [format_value(x) for x in values]
+        return got
+
+    def __call__(self, outcome: Outcome) -> dict:
+        entry = {
+            "schema": OUTCOME_SCHEMA,
+            "halted": outcome.halted,
+            "tentative": self._bundle_lists(outcome.tentative),
+            "kept": self._bundle_lists(outcome.kept),
+            "final": self._bundle_lists(outcome.final),
+            "q_values": self._value_strings(outcome.q_values),
+            "payments": self._value_strings(outcome.payments),
+        }
+        if self.instance is not None:
+            welfare = self._welfare.get(outcome.final)
+            if welfare is None:
+                welfare = self._welfare[outcome.final] = format_value(
+                    realized_welfare(self.instance, outcome)
+                )
+            entry["welfare"] = welfare
+        return entry
+
+
 def outcome_to_dict(outcome: Outcome) -> dict:
-    return {
-        "schema": OUTCOME_SCHEMA,
-        "halted": outcome.halted,
-        "tentative": _bundles_to_lists(outcome.tentative),
-        "kept": _bundles_to_lists(outcome.kept),
-        "final": _bundles_to_lists(outcome.final),
-        "q_values": None
-        if outcome.q_values is None
-        else [format_value(q) for q in outcome.q_values],
-        "payments": None
-        if outcome.payments is None
-        else [format_value(charge) for charge in outcome.payments],
-    }
+    return OutcomeEncoder()(outcome)
 
 
 def outcome_from_dict(data: dict) -> Outcome:

@@ -141,6 +141,11 @@ def additive_lp_optimum(weight_rows) -> Fraction:
     )
 
 
+def stream_key_by_definition(seed: int, labels) -> bytes:
+    """A stream's key built in full: the label text ``repr(seed)|repr(label)|...`` as UTF-8."""
+    return "|".join([repr(int(seed)), *map(repr, labels)]).encode("utf-8")
+
+
 def bernoulli(rng: Stream, prob) -> bool:
     """True with probability exactly ``prob``."""
     prob = Fraction(prob)

@@ -152,7 +152,7 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/6"
+    assert report["schema"] == "bench-report/7"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -160,6 +160,8 @@ def test_bench_smoke(tmp_path):
     assert report["rows"][0]["objectives_agree"] is True
     assert report["rows"][0]["exact_full_pivots"] > 0
     assert report["rows"][0]["sample_seconds"] > 0
+    # at least one tentative assignment, and no more than the samples drawn
+    assert 1 <= report["rows"][0]["sample_plans"] <= 1000
     assert report["rows"][0]["integral_seconds"] > 0
     assert report["rows"][0]["payments_full_seconds"] > 0
     assert report["rows"][0]["payments_colgen_seconds"] > 0
@@ -201,7 +203,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/6"
+    assert report["schema"] == "bench-report/7"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
@@ -353,12 +355,45 @@ CONTENDED = ["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json"), "--c", "
 
 
 def test_verify_law_honours_the_atom_cap(capsys):
-    # the contended instance's law has 12 joint tentative draws
+    # the contended instance's law has 12 joint tentative draws: each check that
+    # reads the law reports the cap, and the checks that do not keep their results
     for cap in (6, 11):
-        assert cap_error(capsys, [*CONTENDED, "--caps", f"atoms={cap}"]) == (
-            "joint tentative enumeration", 12, cap,
-        )
+        assert main([*CONTENDED, "--caps", f"atoms={cap}"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        errors = [r for r in report["results"] if r["check"] == "error"]
+        assert [r["details"]["check"] for r in errors] == ["welfare", "marginals", "approximation"]
+        for record in errors:
+            details = record["details"]
+            assert record["asserted"] and details["error"] == "CapacityError"
+            assert (details["what"], details["required"], details["cap"]) == (
+                "joint tentative enumeration", 12, cap,
+            )
+        passed = [r["check"] for r in report["results"] if r["check"] != "error"]
+        assert passed == ["proxy-bound", "lp-agreement"]
+        assert all(r["passed"] for r in report["results"] if r["check"] != "error")
     assert main([*CONTENDED, "--caps", "atoms=12"]) == 0
+
+
+def test_a_law_that_cannot_be_built_is_tried_once(monkeypatch, capsys):
+    # at p = 9/10 cancellation needs q_i <= 1/10, and the contended instance has q_i = 1/9
+    calls = []
+    real = ver.exact_distribution
+
+    def counting(pipeline):
+        calls.append(pipeline)
+        return real(pipeline)
+
+    monkeypatch.setattr(ver, "exact_distribution", counting)
+    assert main([*CONTENDED[:4], "--p", "9/10"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["check"], r["details"].get("check")) for r in results] == [
+        ("error", "welfare"), ("error", "marginals"), ("error", "approximation"),
+        ("proxy-bound", None), ("lp-agreement", None),
+    ]
+    assert all(r["details"]["error"] == "ParameterError" for r in results[:3])
+    assert all(r["passed"] for r in results[3:])
+    assert len(calls) == 1
 
 
 def test_truthfulness_honours_the_lp_and_atom_caps(capsys):
@@ -528,6 +563,12 @@ PINNED_REPORTS = {
         ["solve", "corpus/standard/05-unit-demand-n3-m5.json", "--valuations", "raw",
          "--solver", "column-generation"],
         "62a64955d2897a002bd002a01bc301422ecbdc406a992aa56167fec40a82d0bc",
+    ),
+    # live q values and halts: every sampling step runs
+    "run-contended-replications": (
+        ["run", "corpus/standard/22-xos-n3-m4-contended.json", "--c", "1/2", "--p", "1/20",
+         "--replications", "2000"],
+        "702011c6f2ef1518830cc7217fed4a24e06b972f1e9960b311a31926e487b014",
     ),
 }
 

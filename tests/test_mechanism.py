@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -200,6 +201,15 @@ def test_lottery_keep_frequency():
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
 
+def test_lottery_at_c_one_builds_no_stream(monkeypatch):
+    def no_stream(*labels):
+        raise AssertionError("a certain lottery built a stream")
+
+    monkeypatch.setattr(mechanism.rngmod, "stream", no_stream)
+    t = TentativeAssignment(bundles=(ItemSet(0b01), ItemSet(0b10)), m=2)
+    assert item_lottery(t, F(1), 3) == t.bundles
+
+
 def test_lottery_requires_halt_check():
     t = TentativeAssignment(bundles=(ItemSet(1), ItemSet(1)), m=1)
     with pytest.raises(ContractViolationError):
@@ -336,6 +346,50 @@ def test_sample_matches_definition_on_both_corpora():
                 assert out == sample_by_definition(pipe, seed), (entry["file"], k)
                 halts += out.halted
     assert halts > 0
+
+
+def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
+    # the LP of 08-xos-n3-m4 at c = 1/2 is integral: every bidder's bundle is certain
+    instance = load_instance(Path(__file__).parent.parent / "corpus/standard/08-xos-n3-m4.json")
+    pipe = Pipeline(instance, MechanismConfig(c=F(1, 2), p=F(1, 20), seed=4))
+    assert all(x == 1 for _, _, x in pipe.solution.support())
+    built = Counter()
+    real = mechanism.rngmod.stream
+
+    def counting(seed, stage, index):
+        built[stage] += 1
+        return real(seed, stage, index)
+
+    monkeypatch.setattr(mechanism.rngmod, "stream", counting)
+    outcomes = [pipe.sample(derive_seed(4, "certain", k)) for k in range(1000)]
+    assert built["tentative"] == 0
+    # one lottery per held item, one cancel draw per bidder that kept an item
+    assert built["lottery"] == 1000 * instance.m
+    assert built["cancel"] == sum(sum(map(bool, out.kept)) for out in outcomes)
+    assert len(pipe.plans) == 1
+
+
+def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
+    # at p = 9/10 cancellation needs q_i <= 1/10, but the contended instance
+    # has q_i = 1/9 for some bundles: exactly the samples drawing them raise
+    item = corpus[22]
+    config = replace(item.config, p=F(9, 10))
+    pipe = Pipeline(item.instance, config)
+    raised = 0
+    for k in range(300):
+        seed = derive_seed(7, "infeasible-q", k)
+        t = pipe.tentative_sample(seed)
+        infeasible = not halt_check(t, config.c) and any(
+            pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(t.bundles)
+        )
+        for _ in range(2):  # a plan that raised is not kept
+            if infeasible:
+                with pytest.raises(ParameterError):
+                    pipe.sample(seed)
+            else:
+                assert pipe.sample(seed) == sample_by_definition(pipe, seed)
+        raised += infeasible
+    assert 0 < raised < 300
 
 
 def test_outcome_invariants_on_samples(corpus):

@@ -1,12 +1,50 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
+from hashlib import sha256
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import bernoulli, categorical
+from oracles import bernoulli, categorical, stream_key_by_definition
 from proxyauction import rng as rngmod
 from proxyauction.rng import derive_seed, stream
+
+# labels that compare equal across types but are rendered differently
+EQUAL_LABELS = (1, True, 1.0, "1", 0, False, 0.0, -0.0, -3, -3.0, "-3")
+LABELS = st.one_of(
+    st.sampled_from(EQUAL_LABELS), st.integers(-(2**70), 2**70), st.text(max_size=4)
+)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    labels=st.lists(LABELS, max_size=4),
+    warm=st.permutations(EQUAL_LABELS),
+)
+def test_stream_key_is_the_label_text(seed, labels, warm):
+    # the cached key parts are filled first by labels equal to, but not the
+    # same as, the ones checked: 1.0 and True before 1, -0.0 before 0.0, ...
+    for label in warm:
+        stream(seed, "warm", label)
+    for label in [*warm, *labels]:
+        assert stream(seed, "warm", label).key == stream_key_by_definition(seed, ["warm", label])
+    key = stream_key_by_definition(seed, labels)
+    assert stream(seed, *labels).key == key
+    assert derive_seed(seed, *labels) == int.from_bytes(sha256(key).digest()[:8], "big")
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    pairs=st.lists(st.tuples(st.text(max_size=3), st.integers()), max_size=3),
+)
+def test_stream_key_of_str_int_pairs(seed, pairs):
+    labels = [part for pair in pairs for part in pair]
+    assert stream(seed, *labels).key == stream_key_by_definition(seed, labels)
+    # the same text and number, swapped in type, name another site
+    swapped = [str(x) if isinstance(x, int) else x for x in labels]
+    if swapped != labels:
+        assert stream(seed, *swapped).key != stream(seed, *labels).key
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():
@@ -62,8 +100,19 @@ def test_randrange_wider_than_one_sha_block():
 
 def test_randrange_edge_denominators():
     assert draws(stream(0, "one"), 5, 1) == [0] * 5
-    with pytest.raises(ValueError):
-        stream(0, "zero").randrange(0)
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            stream(0, "zero").randrange(den)
+
+
+def test_a_certain_draw_reads_no_block(monkeypatch):
+    def no_block(data):
+        raise AssertionError("a draw below 1 hashed a block")
+
+    monkeypatch.setattr(rngmod, "shake_256", no_block)
+    s = stream(5, "certain")
+    assert [s.randrange(1) for _ in range(3)] == [0, 0, 0]
+    assert s.counter == 0
 
 
 @pytest.mark.parametrize("den", [3, 7, 360])
