@@ -250,6 +250,17 @@ def cmd_solve(args) -> CommandResult:
 # -- run ---------------------------------------------------------------------
 
 
+def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
+    """The report's ``outcomes``: each outcome's entry with its sample seed."""
+    encode = ser.OutcomeEncoder(instance)
+    entries = []
+    for seed, outcome in zip(seeds, outcomes):
+        entry = encode(outcome)
+        entry["sample_seed"] = seed
+        entries.append(entry)
+    return entries
+
+
 def cmd_run(args) -> CommandResult:
     instance = ser.load_instance(args.instance)
     config = _build_config(_config_flags(args), instance.m)
@@ -260,12 +271,7 @@ def cmd_run(args) -> CommandResult:
         seeds = [derive_seed(config.seed, "replication", r) for r in range(args.replications)]
     outcomes = [pipeline.sample(seed) for seed in seeds]
     payments = pipeline.payments() if args.payments else None
-    encode = ser.OutcomeEncoder(instance)
-    outcome_dicts = []
-    for seed, outcome in zip(seeds, outcomes):
-        entry = encode(outcome)
-        entry["sample_seed"] = seed
-        outcome_dicts.append(entry)
+    outcome_dicts = _outcome_entries(instance, seeds, outcomes)
     report = {
         "schema": REPORT_SCHEMA,
         "command": "run",
@@ -455,6 +461,8 @@ BENCH_COLUMNS = (
     ("integral s", "integral_seconds"),
     ("sample s", "sample_seconds"),
     ("plans", "sample_plans"),
+    ("outcomes", "sample_outcomes"),
+    ("encode s", "encode_seconds"),
     ("pay-full s", "payments_full_seconds"),
     ("pay pivots", "payments_full_pivots"),
     ("pay-colgen s", "payments_colgen_seconds"),
@@ -499,7 +507,10 @@ def cmd_bench(args) -> CommandResult:
         t_integral, _ = time_it(lambda: ver.optimal_integral_welfare(instance))
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
-        t_sample, _ = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
+        t_sample, outcomes = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
+        t_encode, _ = time_it(
+            lambda: ser.canonical_dumps(_outcome_entries(instance, sample_seeds, outcomes))
+        )
         pipeline.lp  # built outside the payments timing: lp_build_seconds times it
         t_pay_full, charges_full = time_it(pipeline.payments)
         colgen = Pipeline(
@@ -522,6 +533,9 @@ def cmd_bench(args) -> CommandResult:
                 "sample_seconds": t_sample,
                 # distinct tentative assignments over the samples: each is planned once
                 "sample_plans": len(pipeline.plans),
+                "sample_outcomes": len(set(outcomes)),
+                # the samples' entries and their text, as run --replications writes them
+                "encode_seconds": t_encode,
                 "payments_full_seconds": t_pay_full,
                 "payments_full_pivots": pipeline.payment_pivots,
                 "payments_colgen_seconds": t_pay_colgen,
@@ -535,7 +549,7 @@ def cmd_bench(args) -> CommandResult:
             }
         )
     report = {
-        "schema": "bench-report/7",
+        "schema": "bench-report/8",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
@@ -622,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser(
         "bench",
         help="time the LP build, the full, column-generation and vertex-enumeration solves, "
-        "1,000 outcome samples and both solvers' payments, and check that the solvers' "
-        "objectives and charge sums agree",
+        "1,000 outcome samples and their report text, and both solvers' payments, and check "
+        "that the solvers' objectives and charge sums agree",
     )
     b.add_argument("--kind", choices=GENERATOR_KINDS, default="xos")
     b.add_argument("--n", type=int, default=3)

@@ -5,13 +5,19 @@ integers shorthand as "5") so they survive serialization bit-exactly.
 Solutions and configs carry the constant field "arithmetic": "exact", which
 keeps their bytes stable; reading accepts it or its absence and rejects any
 other mode. Serialization is canonical (sorted keys, fixed indentation), so
-identical runs produce byte-identical files.
+identical runs produce byte-identical files: ``canonical_dumps`` writes the
+bytes of ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
+in one pass that writes a list or dict met again at the same indent only
+once, and, like json, takes every ``isinstance`` list, tuple or dict as a
+container. ``OutcomeEncoder`` shares one bundle list per distinct value
+among a report's outcomes, so most of a replications report is reused text.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
@@ -53,7 +59,90 @@ def _require_exact(data: dict) -> None:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    One pass writes every piece of text into one chunk list, joined once at
+    the end. A list or dict met again at the same indent is not walked again:
+    the second visit joins the chunks its first visit wrote, and every later
+    visit reuses that text, so a report whose outcomes share their bundle
+    lists (``OutcomeEncoder``) writes each shared list once. Containers are
+    recognised by ``isinstance``, as json does: a tuple is a list, and an
+    ``OrderedDict`` or other dict subclass is a dict. A cycle raises
+    ``ValueError`` and a value json cannot encode raises ``TypeError``, as
+    json does; unlike json, a dict key that is not a ``str`` raises
+    ``TypeError`` rather than being coerced.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    # (id, indent level) -> (container, start, end) of its first text in
+    # chunks, then (container, text) once it is met again; holding the
+    # container keeps its id from being reused while this call runs
+    written: dict = {}
+    names: dict = {}  # dict key -> its encoded text and ": "
+    active: set = set()  # ids of the containers being written: one met again is a cycle
+
+    def value(prefix: str, o, level: int) -> None:
+        cls = o.__class__
+        if cls is str:
+            append(prefix + encode_basestring(o))
+        elif o is None:
+            append(prefix + "null")
+        elif o is True:
+            append(prefix + "true")
+        elif o is False:
+            append(prefix + "false")
+        elif cls is int:
+            append(prefix + int.__repr__(o))
+        elif isinstance(o, (list, tuple, dict)):
+            is_dict = isinstance(o, dict)
+            if not o:
+                append(prefix + ("{}" if is_dict else "[]"))
+                return
+            append(prefix)
+            key = (id(o), level)
+            got = written.get(key)
+            if got is not None:
+                if len(got) == 3:
+                    got = written[key] = (o, "".join(chunks[got[1] : got[2]]))
+                append(got[1])
+                return
+            if key[0] in active:
+                raise ValueError("Circular reference detected")
+            active.add(key[0])
+            start = len(chunks)
+            inner = level + 1
+            separator = ",\n" + "  " * inner
+            if is_dict:
+                lead = "{" + separator[1:]
+                for k, v in sorted(o.items()):
+                    name = names.get(k)
+                    if name is None:
+                        if not isinstance(k, str):
+                            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                        name = names[k] = encode_basestring(k) + ": "
+                    value(lead + name, v, inner)
+                    lead = separator
+                append("\n" + "  " * level + "}")
+            else:
+                lead = "[" + separator[1:]
+                for v in o:
+                    value(lead, v, inner)
+                    lead = separator
+                append("\n" + "  " * level + "]")
+            active.remove(key[0])
+            written[key] = (o, start, len(chunks))
+        else:
+            # floats, str and int subclasses, and the TypeError for anything else
+            append(prefix + json.dumps(o, ensure_ascii=False))
+
+    try:
+        value("", obj, 0)
+    finally:
+        # value's closure refers to value: without this the cycle keeps the
+        # chunks and every container alive until the garbage collector runs
+        del value
+    append("\n")
+    return "".join(chunks)
 
 
 # -- valuations --------------------------------------------------------------

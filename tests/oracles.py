@@ -5,6 +5,7 @@ the package's own code paths, so a test comparing the two is a genuine
 dual-route check.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -139,6 +140,11 @@ def additive_lp_optimum(weight_rows) -> Fraction:
     return sum(
         (max(Fraction(row[j]) for row in weight_rows) for j in range(m)), Fraction(0)
     )
+
+
+def canonical_dumps_by_json(obj) -> str:
+    """Canonical JSON from the standard library: sorted keys, two-space indent, UTF-8 text."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def stream_key_by_definition(seed: int, labels) -> bytes:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import canonical_dumps_by_json
 from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
@@ -146,13 +147,33 @@ def test_reports_round_trip_as_json(instance_file, tmp_path):
     assert json.loads(canonical_dumps(vreport)) == vreport
 
 
+def _report(argv) -> dict:
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)[1]
+
+
+def test_reports_encode_as_the_json_module_writes_them():
+    manifest = load_json(CORPUS_DIR / "manifest.json")
+    reports = [
+        _report(["run", str(CORPUS_DIR / item["file"]), "--replications", "200",
+                 *(f"--{key}={item['config'][key]}" for key in ("c", "p", "seed"))])
+        for item in manifest["instances"]
+    ]
+    reports.append(_report(["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json")]))
+    # a bench report holds floats
+    reports.append(_report(["bench", "--kind", "additive", "--n", "2", "--m-list", "2",
+                            "--repeat", "1"]))
+    for report in reports:
+        assert canonical_dumps(report) == canonical_dumps_by_json(report)
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "bench.json"
     code = main(["bench", "--kind", "additive", "--n", "2", "--m-list", "4",
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/7"
+    assert report["schema"] == "bench-report/8"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -162,6 +183,9 @@ def test_bench_smoke(tmp_path):
     assert report["rows"][0]["sample_seconds"] > 0
     # at least one tentative assignment, and no more than the samples drawn
     assert 1 <= report["rows"][0]["sample_plans"] <= 1000
+    # distinct outcomes: at least one per plan, and no more than the samples drawn
+    assert report["rows"][0]["sample_plans"] <= report["rows"][0]["sample_outcomes"] <= 1000
+    assert report["rows"][0]["encode_seconds"] > 0
     assert report["rows"][0]["integral_seconds"] > 0
     assert report["rows"][0]["payments_full_seconds"] > 0
     assert report["rows"][0]["payments_colgen_seconds"] > 0
@@ -203,7 +227,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/7"
+    assert report["schema"] == "bench-report/8"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]

@@ -1,8 +1,14 @@
+import gc
 import json
+import math
+import weakref
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import canonical_dumps_by_json
 from proxyauction.errors import FormatError
 from proxyauction.generators import generate
 from proxyauction.itemsets import ItemSet
@@ -98,3 +104,111 @@ def test_canonical_dumps_is_stable():
     b = canonical_dumps({"a": [2, 3], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+class Tagged(dict):
+    """A dict subclass: encoded as a dict, in sorted-key indented form."""
+
+
+class Row(list):
+    """A list subclass: encoded as a list."""
+
+
+# text json must escape: quotes, backslashes, control characters, U+2028 and
+# U+2029, next to non-ASCII text that ensure_ascii=False writes as is
+TRICKY_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+                     "\u00e9", "\u4e2d", "\U0001f600", "a", "/"])
+) | st.text()
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1, 10**30, True, False])
+    | st.integers()
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf, 0.1])
+    | st.floats()
+    | TRICKY_TEXT
+)
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    dicts = st.dictionaries(TRICKY_TEXT, children, max_size=4)
+    return (
+        lists | lists.map(tuple) | lists.map(Row)
+        | dicts | dicts.map(OrderedDict) | dicts.map(Tagged)
+    )
+
+
+JSON_TREES = st.recursive(SCALARS, _containers, max_leaves=20)
+
+
+@st.composite
+def trees_with_shared_parts(draw):
+    """A tree holding one list or dict object twice at one depth and again deeper.
+
+    ``pair`` is itself met twice, so text reused from ``shared`` is reused again
+    inside the text of ``pair``.
+    """
+    shared = draw(_containers(JSON_TREES))
+    other = draw(JSON_TREES)
+    pair = [shared, {"deeper": shared, "other": other}]
+    return draw(st.permutations([shared, other, pair, pair, (shared,), Tagged(x=shared)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON_TREES, trees_with_shared_parts()))
+def test_canonical_dumps_matches_json(tree):
+    assert canonical_dumps(tree) == canonical_dumps_by_json(tree)
+
+
+def test_canonical_dumps_writes_a_dict_subclass_as_a_dict():
+    tree = OrderedDict([("b", [1, True, 0, False]), ("a", Tagged(z=None, y=()))])
+    text = canonical_dumps(tree)
+    assert text == canonical_dumps_by_json(tree)
+    assert text.startswith('{\n  "a": {\n    "y": [],\n    "z": null\n  },')
+
+
+def test_canonical_dumps_frees_what_it_held_on_return():
+    # its state goes with the call, not at the next garbage collection, so a
+    # replications run does not hold every earlier report's text and tree
+    tree = Tagged(a=[1, 2])
+    held = weakref.ref(tree)
+    gc.disable()
+    try:
+        canonical_dumps([tree, tree, tree])
+        del tree
+        assert held() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [{"x": F(1, 2)}, [[F(1, 2)]], F(1, 2), object()],
+    ids=["fraction-in-dict", "fraction-in-list", "fraction", "object"],
+)
+def test_canonical_dumps_rejects_what_json_rejects(tree):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps_by_json(tree)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps(tree)
+
+
+def test_canonical_dumps_rejects_a_cycle():
+    looped = [1, [2]]
+    looped[1].append(looped)
+    knotted = {"a": {}}
+    knotted["a"]["b"] = knotted
+    for tree in (looped, knotted, {"k": [knotted]}):
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_dumps_by_json(tree)
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_dumps(tree)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True, (1, 2)])
+def test_canonical_dumps_rejects_a_key_that_is_not_a_string(key):
+    # json would write the first four keys as strings; no report has such a key
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_dumps({key: "value"})
