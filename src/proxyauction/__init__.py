@@ -23,7 +23,6 @@ from .lp import (
     ConfigLP,
     FractionalSolution,
     build_full_lp,
-    check_feasibility,
     certify_optimal,
     solve_column_generation,
     solve_exact,
@@ -58,8 +57,6 @@ from .valuations import (
     UnitDemandValuation,
     Valuation,
     XOSValuation,
-    is_monotone_normalized,
-    is_subadditive,
 )
 from .verify import (
     CheckResult,

@@ -10,14 +10,15 @@ sum(x[i,S] * coef(i,S)) subject to
 Every constraint is 0/1 with capacity 1, so the simplex receives each column
 as its support: the bidder row, then one row per item of the bundle.
 ``solve_exact`` solves the fully materialized LP (one column per bidder per
-nonempty bundle) and certifies the result in one pass over its columns.
-``solve_column_generation`` keeps one restricted master, sorted as it grows,
-and prices new columns with per-bidder demand queries at the current item
-duals. Both return an optimal basic solution whose support size is at most
-n + m, and both are deterministic: columns are ordered by (bidder, bundle
-lexicographic) and the simplex uses Bland's rule. Each solution carries its
-optimal basis, from which either solver can start an LP over the same
-constraints, such as a payment's LP with one bidder's objective zeroed.
+nonempty bundle). ``solve_column_generation`` keeps one restricted master,
+sorted as it grows, and prices new columns with per-bidder demand queries at
+the current item duals. Both return an optimal basic solution whose support
+size is at most n + m, proved optimal by ``certify_optimal``, whose dual check
+is the demand query at the item duals, the LP's separation oracle (Blumrosen
+and Nisan, SIAM J. Comput. 2009). Both are deterministic: columns are ordered
+by (bidder, bundle lexicographic) and the simplex uses Bland's rule. Each
+solution carries its optimal basis, from which either solver can start an LP
+over the same constraints, such as a payment's LP with one bidder zeroed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
 from .itemsets import ItemSet, subset_sums
 from .simplex import solve_canonical_max
-from .valuations import Instance, Valuation, over_one_denominator
+from .valuations import AdditiveValuation, Instance, Valuation, over_one_denominator
 
 LP_ITEM_CAP = 12
 
@@ -50,11 +51,12 @@ def column_order(col: Column) -> tuple:
 
 @dataclass
 class ConfigLP:
-    """Materialized column list for the configuration LP."""
+    """The configuration LP's columns and the valuations whose values they hold."""
 
     n: int
     m: int
     columns: tuple[Column, ...]
+    objectives: tuple[Valuation, ...] = field(compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -88,7 +90,14 @@ class ConfigLP:
         zeroed.columns = tuple(
             Column(bidder, c.bundle, zero) if c.bidder == bidder else c for c in self.columns
         )
+        zeroed.objectives = zero_objective(self.objectives, bidder)
         return zeroed
+
+
+def zero_objective(objectives: Sequence[Valuation], bidder: int) -> tuple:
+    """``objectives`` with the bidder's replaced by the zero additive valuation."""
+    zero = AdditiveValuation([Fraction(0)] * objectives[bidder].m)
+    return tuple(zero if i == bidder else v for i, v in enumerate(objectives))
 
 
 class Basis(NamedTuple):
@@ -130,18 +139,6 @@ class FractionalSolution:
     def bundles_of(self, bidder: int) -> list:
         return [(bundle, x) for (i, bundle, x) in self.support() if i == bidder]
 
-    def bidder_mass(self, bidder: int) -> Fraction:
-        return sum((x for (i, _), x in self.entries.items() if i == bidder), Fraction(0))
-
-    def item_load(self, j: int) -> Fraction:
-        return sum((x for (_, bundle), x in self.entries.items() if j in bundle), Fraction(0))
-
-
-@dataclass
-class FeasibilityReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
 
 def build_full_lp(
     instance: Instance,
@@ -164,7 +161,7 @@ def build_full_lp(
         for mask in range(1, 1 << instance.m):
             bundle = ItemSet(mask)
             columns.append(Column(i, bundle, v.value(bundle)))
-    return ConfigLP(instance.n, instance.m, tuple(columns))
+    return ConfigLP(instance.n, instance.m, tuple(columns), vals)
 
 
 def _solve_columns(
@@ -196,13 +193,10 @@ def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
 
 
 def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> FractionalSolution:
-    """Optimal basic solution of the full LP, with duals.
+    """Optimal basic solution of the full LP, with duals, certified against ``lp.objectives``.
 
     The simplex starts from ``start_basis`` if given (a feasible basis of an
-    LP with the same constraints), otherwise from the slack basis. The result
-    is certified against its own dual solution (feasibility, dual
-    feasibility over every column, and complementary slackness) before it is
-    returned.
+    LP with the same constraints), otherwise from the slack basis.
     """
     res, basis = _solve_columns(lp.columns, lp.n, lp.m, start_basis)
     sol = FractionalSolution(
@@ -215,67 +209,62 @@ def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> Fractio
         pivots=res.pivots,
         basis=basis,
     )
-    certify_optimal(lp, sol)
+    certify_optimal(sol, lp.objectives)
     return sol
 
 
-def certify_optimal(lp: ConfigLP, sol: FractionalSolution) -> None:
-    """Assert optimality via exact duals; raises InfeasibleSolutionError otherwise.
+def certify_optimal(sol: FractionalSolution, objectives: Sequence[Valuation]) -> None:
+    """Prove ``sol`` optimal by its duals; raises InfeasibleSolutionError otherwise.
 
-    Checks: primal feasibility, every entry an LP column, the stated objective
-    equal to the entry-weighted coefficient sum, nonnegative duals, no column
-    with positive reduced cost, complementary slackness on both primal support
-    and binding duals, and that the primal and dual objectives coincide.
+    ``objectives[i]``'s values are bidder i's LP coefficients. One pass over
+    the entries checks that each is a positive LP variable on a tight column;
+    then no constraint is overfull, the duals are nonnegative and positive only
+    on binding constraints, and entry sum, objective and dual objective agree.
+    Dual feasibility is one scan per bidder over every bundle: the demand query
+    at the item duals, read from the value table, so not counted as a query.
     """
-    report = check_feasibility(sol, lp.n, lp.m)
-    if not report.ok:
-        raise InfeasibleSolutionError("; ".join(report.violations))
+    n, m = sol.n, sol.m
     y, u = sol.item_duals, sol.bidder_duals
     if y is None or u is None:
         raise InfeasibleSolutionError("solution carries no duals to certify against")
-    if any(d < 0 for d in y) or any(d < 0 for d in u):
-        raise InfeasibleSolutionError("negative dual multiplier")
     # duals as integers over one denominator; y summed over every bundle mask
     prices, den = over_one_denominator([*y, *u])
-    item_prices, bidder_prices = subset_sums(prices[: lp.m]), prices[lp.m :]
-    total, matched = Fraction(0), 0
-    for col in lp.columns:
-        coef = col.coef
-        price = item_prices[col.bundle.mask] + bidder_prices[col.bidder]
-        # the reduced cost coef - y(S) - u_i, times den * coef.denominator
-        reduced = coef.numerator * den - price * coef.denominator
-        if reduced > 0:
-            raise InfeasibleSolutionError(
-                f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost "
-                f"{Fraction(reduced, den * coef.denominator)}"
-            )
-        x = sol.entries.get((col.bidder, col.bundle))
-        if x is None:
-            continue
-        matched += 1
-        total += x * coef
-        if x > 0 and reduced != 0:
-            raise InfeasibleSolutionError(
-                f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: "
-                f"{Fraction(reduced, den * coef.denominator)}"
-            )
-    if matched != len(sol.entries):
-        raise InfeasibleSolutionError(
-            f"{len(sol.entries) - matched} of {len(sol.entries)} entries have no LP column"
-        )
-    if total != sol.objective:
-        raise InfeasibleSolutionError(f"objective {sol.objective} != entry sum {total}")
-    for j, d in enumerate(y):
-        if d > 0 and sol.item_load(j) != 1:
-            raise InfeasibleSolutionError(f"item {j} dual positive but constraint slack")
-    for i, d in enumerate(u):
-        if d > 0 and sol.bidder_mass(i) != 1:
-            raise InfeasibleSolutionError(f"bidder {i} dual positive but constraint slack")
+    if any(d < 0 for d in prices):
+        raise InfeasibleSolutionError("negative dual multiplier")
+    item_prices, bidder_prices = subset_sums(prices[:m]), prices[m:]
+    tables = [v.value_table for v in objectives]
+    mass, load, total = [Fraction(0)] * n, [Fraction(0)] * m, Fraction(0)
+    for (i, bundle), x in sol.entries.items():
+        if not (0 <= i < n and bundle and bundle.fits_universe(m) and x > 0):
+            raise InfeasibleSolutionError(f"x[{i},{bundle!r}] = {x} is no positive LP variable")
+        values, vden = tables[i]
+        mask = bundle.mask
+        if values[mask] * den != (item_prices[mask] + bidder_prices[i]) * vden:
+            raise InfeasibleSolutionError(f"support column (bidder {i}, {bundle!r}) not tight")
+        mass[i] += x
+        for j in bundle:
+            load[j] += x
+        total += x * Fraction(values[mask], vden)
+    for kind, used, duals in (("bidder", mass, bidder_prices), ("item", load, prices[:m])):
+        for k, (d, dual) in enumerate(zip(used, duals)):
+            if d > 1:
+                raise InfeasibleSolutionError(f"{kind} {k} over-allocated: total mass {d}")
+            if dual and d != 1:
+                raise InfeasibleSolutionError(f"{kind} {k} dual positive but constraint slack")
     dual_value = sum(y) + sum(u)
-    if dual_value != sol.objective:
+    if not total == sol.objective == dual_value:
         raise InfeasibleSolutionError(
-            f"dual objective {dual_value} differs from primal {sol.objective}"
+            f"entry sum {total}, objective {sol.objective} and dual objective {dual_value} differ"
         )
+    for i, (values, vden) in enumerate(tables):
+        # v_i(S) - y(S) over every bundle, times den * vden, against u_i
+        bound = bidder_prices[i] * vden
+        excess = [v * den - p * vden for v, p in zip(values, item_prices)]
+        excess[0] = bound  # the empty bundle is no column
+        worst = max(excess)
+        if worst > bound:
+            bundle = ItemSet(excess.index(worst))
+            raise InfeasibleSolutionError(f"column (bidder {i}, {bundle!r}) has positive reduced cost")
 
 
 def solve_column_generation(
@@ -291,8 +280,8 @@ def solve_column_generation(
     (typically a proxy valuation). Each round solves the restricted master,
     then asks every bidder for a profit-maximizing bundle at the item duals;
     a bidder's answer enters the master when its reduced cost (against the
-    bidder dual) is positive. Terminates when no bidder can improve, which
-    certifies optimality over all 2^m - 1 bundles per bidder. The master is
+    bidder dual) is positive. Terminates when no bidder can improve; the
+    solution is then certified against ``oracles``. The master is
     kept in ``ConfigLP``'s column order, so each round's solve is the one a
     ``ConfigLP`` of the same columns would get.
 
@@ -341,7 +330,7 @@ def solve_column_generation(
                 have.add((i, bundle.mask))
                 added = True
         if not added:
-            return FractionalSolution(
+            sol = FractionalSolution(
                 n=n,
                 m=m,
                 entries=_positive_entries(master, res.x),
@@ -351,24 +340,6 @@ def solve_column_generation(
                 pivots=pivots,
                 basis=last_basis,
             )
+            certify_optimal(sol, oracles)
+            return sol
 
-
-def check_feasibility(sol: FractionalSolution, n: int, m: int) -> FeasibilityReport:
-    """Verify nonnegativity, item constraints, and bidder constraints exactly."""
-    violations = []
-    for (i, bundle), x in sol.entries.items():
-        if x < 0:
-            violations.append(f"x[{i},{bundle!r}] = {x} is negative")
-        if not bundle.fits_universe(m):
-            violations.append(f"bundle {bundle!r} outside the {m}-item universe")
-        if not 0 <= i < n:
-            violations.append(f"bidder {i} outside range(0, {n})")
-    for j in range(m):
-        load = sol.item_load(j)
-        if load > 1:
-            violations.append(f"item {j} over-allocated: total mass {load}")
-    for i in range(n):
-        mass = sol.bidder_mass(i)
-        if mass > 1:
-            violations.append(f"bidder {i} over-allocated: total mass {mass}")
-    return FeasibilityReport(ok=not violations, violations=violations)

@@ -24,8 +24,9 @@ restricts the event to over-allocation among the items of the bidder's own
 bundle; it ignores halts caused elsewhere, so survival falls short of
 p * x[i,S] on overlapping instances. The verifier quantifies the gap.
 
-Cancellation requires q_i <= 1 - p. Violations raise ParameterError rather
-than clamping, since clamping would silently void the survival identity.
+Cancellation requires q_i <= 1 - p for every bundle a bidder can draw, even
+one whose every draw halts. Violations raise ParameterError rather than
+clamping, since clamping would silently void the survival identity.
 
 Payments are the deterministic expected externality over the LP range:
 charge_i = p * (opt of the LP with bidder i's objective zeroed, minus the
@@ -57,8 +58,9 @@ from .lp import (
     build_full_lp,
     solve_column_generation,
     solve_exact,
+    zero_objective,
 )
-from .valuations import PROXY_SUBSET_CAP, AdditiveValuation, Instance
+from .valuations import PROXY_SUBSET_CAP, Instance
 
 Q_HALT = "halt"
 Q_OWN_ITEMS = "own-items"
@@ -378,8 +380,9 @@ class Pipeline:
     by the drawn index per bidder: the bundles, the per-item holders, the
     halt verdict (a halted plan holds its shared outcome), the q values and
     the survival probabilities. A sample then draws step 3, looks its plan up
-    and draws only steps 6 and 7. A plan that raises (q_i > 1 - p, or a capped
-    q enumeration) is not kept, so every sample that draws it raises again.
+    and draws only steps 6 and 7. A plan that raises (q_i > 1 - p, halted or
+    not, or a capped q enumeration) is not kept, so every sample that draws it
+    raises again.
     There are at most as many plans as the product of the bidders' support
     sizes, and never more than samples drawn.
     """
@@ -464,14 +467,14 @@ class Pipeline:
         if got is not None:
             return got
         bundles = tuple(table[0][k] for table, k in zip(self.tables, picks))
+        # the bound q_i <= 1 - p applies to every drawn bundle, halted or not
+        survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
         t = TentativeAssignment(bundles=bundles, m=self.solution.m)
         if halt_check(t, self.config.c):
             empty = (EMPTY_SET,) * len(bundles)
             got = Plan(t, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
-            # the feasibility bound q_i <= 1 - p applies to every bidder
-            survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
             got = Plan(t, None, q_values, survival)
         self.plans[picks] = got
         return got
@@ -517,8 +520,7 @@ class Pipeline:
         # does not depend on where the simplex starts.
         start = self.solution.basis
         if self.config.solver == SOLVER_COLGEN:
-            oracles = list(self.proxies)
-            oracles[bidder] = AdditiveValuation([Fraction(0)] * self.instance.m)
+            oracles = zero_objective(self.proxies, bidder)
             zeroed = solve_column_generation(self.instance, oracles, start_basis=start)
         else:
             zeroed = solve_exact(self.lp.zero_bidder(bidder), start_basis=start)

@@ -3,13 +3,13 @@
 Everything is UTF-8 JSON. Values are encoded as rational strings ("5/2",
 integers shorthand as "5") so they survive serialization bit-exactly.
 Solutions and configs carry the constant field "arithmetic": "exact", which
-keeps their bytes stable; reading accepts it or its absence and rejects any
-other mode. Serialization is canonical (sorted keys, fixed indentation), so
-identical runs produce byte-identical files: ``canonical_dumps`` writes the
-bytes of ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
-in one pass that writes a list or dict met again at the same indent only
-once, and, like json, takes every ``isinstance`` list, tuple or dict as a
-container. ``OutcomeEncoder`` shares one bundle list per distinct value
+keeps their bytes stable; reading a config accepts it or its absence and
+rejects any other mode. Serialization is canonical (sorted keys, fixed
+indentation), so identical runs produce byte-identical files:
+``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2, ensure_ascii=False)`` in one pass that writes a list or dict met
+again at the same indent only once, and, like json, takes every
+``isinstance`` list, tuple or dict as a container. ``OutcomeEncoder`` shares one bundle list per distinct value
 among a report's outcomes, so most of a replications report is reused text.
 """
 
@@ -236,31 +236,7 @@ def solution_to_dict(sol: FractionalSolution) -> dict:
     }
 
 
-def solution_from_dict(data: dict) -> FractionalSolution:
-    if data.get("schema") != SOLUTION_SCHEMA:
-        raise FormatError(f"expected schema {SOLUTION_SCHEMA}, got {data.get('schema')!r}")
-    _require_exact(data)
-    entries = {}
-    for entry in data.get("entries", []):
-        bundle = ItemSet.from_indices(entry["bundle"])
-        entries[(entry["bidder"], bundle)] = parse_value(entry["x"])
-    duals = data.get("item_duals")
-    bduals = data.get("bidder_duals")
-    return FractionalSolution(
-        n=data["n"],
-        m=data["m"],
-        entries=entries,
-        objective=parse_value(data["objective"]),
-        item_duals=None if duals is None else tuple(parse_value(d) for d in duals),
-        bidder_duals=None if bduals is None else tuple(parse_value(d) for d in bduals),
-    )
-
-
 # -- outcomes ----------------------------------------------------------------
-
-
-def _bundles_from_lists(raw) -> tuple:
-    return tuple(ItemSet.from_indices(idxs) for idxs in raw)
 
 
 class OutcomeEncoder:
@@ -314,21 +290,6 @@ class OutcomeEncoder:
 
 def outcome_to_dict(outcome: Outcome) -> dict:
     return OutcomeEncoder()(outcome)
-
-
-def outcome_from_dict(data: dict) -> Outcome:
-    if data.get("schema") != OUTCOME_SCHEMA:
-        raise FormatError(f"expected schema {OUTCOME_SCHEMA}, got {data.get('schema')!r}")
-    q = data.get("q_values")
-    payments = data.get("payments")
-    return Outcome(
-        halted=data["halted"],
-        tentative=_bundles_from_lists(data["tentative"]),
-        kept=_bundles_from_lists(data["kept"]),
-        final=_bundles_from_lists(data["final"]),
-        q_values=None if q is None else tuple(parse_value(v) for v in q),
-        payments=None if payments is None else tuple(parse_value(v) for v in payments),
-    )
 
 
 # -- configs -----------------------------------------------------------------

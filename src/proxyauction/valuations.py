@@ -24,17 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, MalformedValuationError, ParameterError
-from .itemsets import ItemSet, submasks, subset_sums
+from .itemsets import ItemSet, subset_sums
 
 # Default enumeration caps. Value tables, and with them every value and demand
 # query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
-# that; the structural checkers scan pairs of bundles, costing up to 4^m.
+# that.
 TABLE_CAP = 20
 PROXY_SUBSET_CAP = 20
-PAIR_CHECK_CAP = 10
 
 Value = Fraction
 
@@ -299,8 +298,8 @@ class CoverageValuation(Valuation):
 class ExplicitValuation(Valuation):
     """Full table over every bundle of the universe.
 
-    The table may violate normalization or monotonicity; the structural
-    checkers below detect that. Missing entries are a malformed valuation.
+    The table may violate normalization or monotonicity. Missing entries are
+    a malformed valuation.
     """
 
     kind = "explicit"
@@ -399,43 +398,6 @@ class ProxyValuation(Valuation):
 
     def payload(self) -> dict:  # pragma: no cover - proxies are not serialized
         raise NotImplementedError("proxy valuations are derived, not serialized")
-
-
-# -- structural checks ----------------------------------------------------
-
-
-def is_subadditive(
-    v: Valuation, *, cap: int = PAIR_CHECK_CAP
-) -> tuple[bool, Optional[tuple[ItemSet, ItemSet]]]:
-    """Brute-force v(S) + v(T) >= v(S | T) over all bundle pairs.
-
-    Returns (True, None) or (False, first violating pair) scanning pairs in
-    increasing mask order. Costs 4^m value evaluations.
-    """
-    if v.m > cap:
-        raise CapacityError("subadditivity pair scan", 1 << (2 * v.m), 1 << (2 * cap))
-    table = [v._value(mask) for mask in range(1 << v.m)]
-    for s in range(1, 1 << v.m):
-        for t in range(1, 1 << v.m):
-            if table[s] + table[t] < table[s | t]:
-                return False, (ItemSet(s), ItemSet(t))
-    return True, None
-
-
-def is_monotone_normalized(
-    v: Valuation, *, cap: int = PAIR_CHECK_CAP
-) -> tuple[bool, Optional[str]]:
-    """Check v(empty) = 0 and S subset of T implies v(S) <= v(T)."""
-    if v.m > cap:
-        raise CapacityError("monotonicity scan", 1 << (2 * v.m), 1 << (2 * cap))
-    if v._value(0) != 0:
-        return False, f"value of the empty bundle is {v._value(0)}, not 0"
-    table = [v._value(mask) for mask in range(1 << v.m)]
-    for t in range(1, 1 << v.m):
-        for s in submasks(t):
-            if table[s] > table[t]:
-                return False, f"value drops from {ItemSet(s)!r} ({table[s]}) to {ItemSet(t)!r} ({table[t]})"
-    return True, None
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class EntryLaw:
     bundle: ItemSet
     x: Fraction
     q: Fraction
-    survival: Optional[Fraction]  # p / (1 - q); None if the entry always halts
+    survival: Fraction  # p / (1 - q)
     marginal: Fraction  # P(tentative = bundle and the bidder survives step 7)
 
 
@@ -158,13 +158,10 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
 
     entries = []
     for i, bundle, x in sol.support():
-        q = pipeline.q(i, bundle)
+        # every entry meets the bound q_i <= 1 - p, also one whose every draw halts
+        s = pipeline.survival(i, bundle)
         nh = non_halt_prob.get((i, bundle.mask), Fraction(0))
-        if nh == 0:
-            entries.append(EntryLaw(i, bundle, x, q, None, Fraction(0)))
-        else:
-            s = pipeline.survival(i, bundle)
-            entries.append(EntryLaw(i, bundle, x, q, s, nh * s))
+        entries.append(EntryLaw(i, bundle, x, pipeline.q(i, bundle), s, nh * s))
 
     cross = sum(
         (e.marginal * pipeline.proxies[e.bidder].value(e.bundle) for e in entries),

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from proxyauction.itemsets import ItemSet
-from proxyauction.lp import FractionalSolution
+from proxyauction.lp import ConfigLP, FractionalSolution
 from proxyauction.mechanism import MechanismConfig, Pipeline
 from proxyauction.rng import derive_seed
 from proxyauction.valuations import (
@@ -32,6 +32,31 @@ def prepared(
     """A Pipeline (``kwargs`` as for Pipeline, e.g. ``solution=``) and its exact law."""
     pipeline = Pipeline(instance, config, **kwargs)
     return pipeline, exact_distribution(pipeline)
+
+
+def config_lp(n: int, m: int, columns) -> ConfigLP:
+    """A ConfigLP over ``columns`` whose objectives value every other bundle at 0.
+
+    A zero column never improves the objective, so these objectives give the
+    LP of just ``columns`` its optimum and certify its optimal solutions.
+    """
+    tables = [{mask: Fraction(0) for mask in range(1 << m)} for _ in range(n)]
+    for col in columns:
+        tables[col.bidder][col.bundle.mask] = col.coef
+    return ConfigLP(n, m, tuple(columns), tuple(ExplicitValuation(m, t) for t in tables))
+
+
+def rows_against_columns() -> Instance:
+    """Two unit-weight XOS bidders over the 2 x 2 grid of items 0..3.
+
+    Bidder 0's clauses are the rows {0,1} and {2,3}, bidder 1's the columns
+    {0,2} and {1,3}. At c = 1 the LP puts 1/2 on each clause bundle
+    (objective 4), and every tentative assignment makes a row meet a column,
+    so every run halts and every support entry has q_i = 1.
+    """
+    rows = XOSValuation(4, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    columns = XOSValuation(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    return Instance(4, (rows, columns))
 
 
 def random_feasible_solution(

@@ -12,14 +12,28 @@ from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from proxyauction.errors import CapacityError
-from proxyauction.itemsets import EMPTY_SET, ItemSet
-from proxyauction.lp import solve_column_generation, solve_exact
+from proxyauction.errors import CapacityError, FormatError, InfeasibleSolutionError
+from proxyauction.itemsets import EMPTY_SET, ItemSet, submasks
+from proxyauction.lp import (
+    ConfigLP,
+    FractionalSolution,
+    solve_column_generation,
+    solve_exact,
+)
 from proxyauction.mechanism import SOLVER_COLGEN, Outcome
 from proxyauction.rng import Stream, stream
+from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
-from proxyauction.valuations import PROXY_SUBSET_CAP, AdditiveValuation, ProxyValuation
+from proxyauction.valuations import (
+    PROXY_SUBSET_CAP,
+    AdditiveValuation,
+    ProxyValuation,
+    Valuation,
+)
 from proxyauction.verify import VERTEX_ENUM_CAP
+
+# is_subadditive and is_monotone_normalized scan pairs of bundles, up to 4^m
+PAIR_CHECK_CAP = 10
 
 
 def subsets(mask: int):
@@ -418,3 +432,156 @@ def vertex_optimum_by_combinations(lp, *, cap: int = VERTEX_ENUM_CAP) -> Fractio
         if objective > best:
             best = objective
     return best
+
+
+# -- structural checks and report readers that only tests call ---------------
+
+
+def is_subadditive(
+    v: Valuation, *, cap: int = PAIR_CHECK_CAP
+) -> tuple[bool, Optional[tuple[ItemSet, ItemSet]]]:
+    """Brute-force v(S) + v(T) >= v(S | T) over all bundle pairs.
+
+    Returns (True, None) or (False, first violating pair) scanning pairs in
+    increasing mask order. Costs 4^m value evaluations.
+    """
+    if v.m > cap:
+        raise CapacityError("subadditivity pair scan", 1 << (2 * v.m), 1 << (2 * cap))
+    table = [v._value(mask) for mask in range(1 << v.m)]
+    for s in range(1, 1 << v.m):
+        for t in range(1, 1 << v.m):
+            if table[s] + table[t] < table[s | t]:
+                return False, (ItemSet(s), ItemSet(t))
+    return True, None
+
+
+def is_monotone_normalized(
+    v: Valuation, *, cap: int = PAIR_CHECK_CAP
+) -> tuple[bool, Optional[str]]:
+    """Check v(empty) = 0 and S subset of T implies v(S) <= v(T)."""
+    if v.m > cap:
+        raise CapacityError("monotonicity scan", 1 << (2 * v.m), 1 << (2 * cap))
+    if v._value(0) != 0:
+        return False, f"value of the empty bundle is {v._value(0)}, not 0"
+    table = [v._value(mask) for mask in range(1 << v.m)]
+    for t in range(1, 1 << v.m):
+        for s in submasks(t):
+            if table[s] > table[t]:
+                return False, f"value drops from {ItemSet(s)!r} ({table[s]}) to {ItemSet(t)!r} ({table[t]})"
+    return True, None
+
+
+def solution_from_dict(data: dict) -> FractionalSolution:
+    if data.get("schema") != SOLUTION_SCHEMA:
+        raise FormatError(f"expected schema {SOLUTION_SCHEMA}, got {data.get('schema')!r}")
+    _require_exact(data)
+    entries = {}
+    for entry in data.get("entries", []):
+        bundle = ItemSet.from_indices(entry["bundle"])
+        entries[(entry["bidder"], bundle)] = parse_value(entry["x"])
+    duals = data.get("item_duals")
+    bduals = data.get("bidder_duals")
+    return FractionalSolution(
+        n=data["n"],
+        m=data["m"],
+        entries=entries,
+        objective=parse_value(data["objective"]),
+        item_duals=None if duals is None else tuple(parse_value(d) for d in duals),
+        bidder_duals=None if bduals is None else tuple(parse_value(d) for d in bduals),
+    )
+
+
+def _bundles_from_lists(raw) -> tuple:
+    return tuple(ItemSet.from_indices(idxs) for idxs in raw)
+
+
+def outcome_from_dict(data: dict) -> Outcome:
+    if data.get("schema") != OUTCOME_SCHEMA:
+        raise FormatError(f"expected schema {OUTCOME_SCHEMA}, got {data.get('schema')!r}")
+    q = data.get("q_values")
+    payments = data.get("payments")
+    return Outcome(
+        halted=data["halted"],
+        tentative=_bundles_from_lists(data["tentative"]),
+        kept=_bundles_from_lists(data["kept"]),
+        final=_bundles_from_lists(data["final"]),
+        q_values=None if q is None else tuple(parse_value(v) for v in q),
+        payments=None if payments is None else tuple(parse_value(v) for v in payments),
+    )
+
+
+# -- the rescans that ``proxyauction.lp.certify_optimal`` replaced -----------
+
+
+def feasibility_violations(sol: FractionalSolution, n: int, m: int) -> list:
+    """Every way ``sol`` leaves the LP's feasible region, rescanning the entries per constraint."""
+    violations = []
+    for (i, bundle), x in sol.entries.items():
+        if x < 0:
+            violations.append(f"x[{i},{bundle!r}] = {x} is negative")
+        if not bundle.fits_universe(m):
+            violations.append(f"bundle {bundle!r} outside the {m}-item universe")
+        if not 0 <= i < n:
+            violations.append(f"bidder {i} outside range(0, {n})")
+    for j in range(m):
+        load = sum((x for (_, bundle), x in sol.entries.items() if j in bundle), Fraction(0))
+        if load > 1:
+            violations.append(f"item {j} over-allocated: total mass {load}")
+    for i in range(n):
+        mass = sum((x for (k, _), x in sol.entries.items() if k == i), Fraction(0))
+        if mass > 1:
+            violations.append(f"bidder {i} over-allocated: total mass {mass}")
+    return violations
+
+
+def certify_by_columns(lp: ConfigLP, sol: FractionalSolution) -> None:
+    """The per-column certificate that ``proxyauction.lp.certify_optimal`` replaced.
+
+    Raises InfeasibleSolutionError unless ``sol`` is feasible, every entry is
+    an LP column, the objective is the entry-weighted coefficient sum, the
+    duals are nonnegative, no column of the materialized LP has positive
+    reduced cost, the support is tight, every positive dual's constraint
+    binds, and the dual objective equals the primal one.
+    """
+    violations = feasibility_violations(sol, lp.n, lp.m)
+    if violations:
+        raise InfeasibleSolutionError("; ".join(violations))
+    y, u = sol.item_duals, sol.bidder_duals
+    if y is None or u is None:
+        raise InfeasibleSolutionError("solution carries no duals to certify against")
+    if any(d < 0 for d in y) or any(d < 0 for d in u):
+        raise InfeasibleSolutionError("negative dual multiplier")
+    total, matched = Fraction(0), 0
+    for col in lp.columns:
+        reduced = col.coef - sum(y[j] for j in col.bundle) - u[col.bidder]
+        if reduced > 0:
+            raise InfeasibleSolutionError(
+                f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost {reduced}"
+            )
+        x = sol.entries.get((col.bidder, col.bundle))
+        if x is None:
+            continue
+        matched += 1
+        total += x * col.coef
+        if x > 0 and reduced != 0:
+            raise InfeasibleSolutionError(
+                f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: {reduced}"
+            )
+    if matched != len(sol.entries):
+        raise InfeasibleSolutionError(
+            f"{len(sol.entries) - matched} of {len(sol.entries)} entries have no LP column"
+        )
+    if total != sol.objective:
+        raise InfeasibleSolutionError(f"objective {sol.objective} != entry sum {total}")
+    for j, d in enumerate(y):
+        load = sum((x for (_, bundle), x in sol.entries.items() if j in bundle), Fraction(0))
+        if d > 0 and load != 1:
+            raise InfeasibleSolutionError(f"item {j} dual positive but constraint slack")
+    for i, d in enumerate(u):
+        mass = sum((x for (k, _), x in sol.entries.items() if k == i), Fraction(0))
+        if d > 0 and mass != 1:
+            raise InfeasibleSolutionError(f"bidder {i} dual positive but constraint slack")
+    if sum(y) + sum(u) != sol.objective:
+        raise InfeasibleSolutionError(
+            f"dual objective {sum(y) + sum(u)} differs from primal {sol.objective}"
+        )

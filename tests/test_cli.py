@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_dumps_by_json
+from fixtures import rows_against_columns
+from oracles import canonical_dumps_by_json, solution_from_dict
 from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.errors import FormatError
-from proxyauction.serialize import canonical_dumps, config_from_dict, load_json, solution_from_dict
+from proxyauction.serialize import canonical_dumps, config_from_dict, load_json, save_instance
 
 ROOT = Path(__file__).parent.parent
 CORPUS_DIR = ROOT / "corpus" / "standard"
@@ -418,6 +419,24 @@ def test_a_law_that_cannot_be_built_is_tried_once(monkeypatch, capsys):
     assert all(r["details"]["error"] == "ParameterError" for r in results[:3])
     assert all(r["passed"] for r in results[3:])
     assert len(calls) == 1
+
+
+def test_a_plan_that_always_halts_meets_the_cancellation_bound(tmp_path, capsys):
+    # every tentative draw halts, so q_i = 1 > 1 - p for every support entry
+    path = tmp_path / "rows-against-columns.json"
+    save_instance(path, rows_against_columns())
+    assert main(["run", str(path), "--c", "1", "--p", "1/20", "--payments"]) == 2
+    assert "q_i = 1 >" in capsys.readouterr().err
+    argv = ["verify", str(path), "--c", "1", "--p", "1/20",
+            "--checks", "welfare,marginals,truthfulness,lp"]
+    assert main(argv) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["check"], r["details"].get("check")) for r in results] == [
+        ("error", "welfare"), ("error", "marginals"), ("error", "truthfulness"),
+        ("lp-agreement", None),
+    ]
+    assert all(r["details"]["error"] == "ParameterError" for r in results[:3])
+    assert results[3]["passed"]
 
 
 def test_truthfulness_honours_the_lp_and_atom_caps(capsys):

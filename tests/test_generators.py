@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from fixtures import overlap_demo, random_feasible_solution
+from oracles import feasibility_violations, is_monotone_normalized, is_subadditive
 from proxyauction.errors import CapacityError, ParameterError
 from proxyauction.generators import (
     generate,
@@ -11,13 +12,8 @@ from proxyauction.generators import (
     standard_corpus,
     truthfulness_corpus,
 )
-from proxyauction.lp import check_feasibility
 from proxyauction.serialize import instance_to_dict
-from proxyauction.valuations import (
-    ExplicitValuation,
-    is_monotone_normalized,
-    is_subadditive,
-)
+from proxyauction.valuations import ExplicitValuation
 
 
 def test_generation_is_deterministic():
@@ -120,13 +116,13 @@ def test_corpus_is_reproducible():
 def test_random_feasible_solutions_are_feasible():
     for seed in range(8):
         sol = random_feasible_solution(6, 10, seed)
-        assert check_feasibility(sol, 6, 10).ok
+        assert feasibility_violations(sol, 6, 10) == []
         assert sol.entries
 
 
 def test_overlap_demo_consistency():
     inst, sol = overlap_demo()
-    assert check_feasibility(sol, inst.n, inst.m).ok
+    assert feasibility_violations(sol, inst.n, inst.m) == []
     proxies = inst.proxies(F(1))
     recomputed = sum((x * proxies[i]._value(b.mask) for (i, b), x in sol.entries.items()), F(0))
     assert recomputed == sol.objective

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from fixtures import AUCTION_SHAPES, overlap_demo, random_feasible_solution
+from fixtures import AUCTION_SHAPES, overlap_demo, random_feasible_solution, rows_against_columns
 from oracles import charges_by_cold_solves, sample_by_definition
 
 from proxyauction import mechanism
@@ -36,6 +36,7 @@ from proxyauction.mechanism import (
 from proxyauction.rng import derive_seed
 from proxyauction.serialize import config_from_dict, load_instance, load_json
 from proxyauction.valuations import AdditiveValuation, Instance, UnitDemandValuation
+from proxyauction.verify import exact_distribution
 
 
 def within_3_sigma(freq, prob, trials):
@@ -371,7 +372,8 @@ def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
 
 def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
     # at p = 9/10 cancellation needs q_i <= 1/10, but the contended instance
-    # has q_i = 1/9 for some bundles: exactly the samples drawing them raise
+    # has q_i = 1/9 for some bundles: exactly the samples drawing them raise,
+    # halted or not
     item = corpus[22]
     config = replace(item.config, p=F(9, 10))
     pipe = Pipeline(item.instance, config)
@@ -379,7 +381,7 @@ def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
     for k in range(300):
         seed = derive_seed(7, "infeasible-q", k)
         t = pipe.tentative_sample(seed)
-        infeasible = not halt_check(t, config.c) and any(
+        infeasible = any(
             pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(t.bundles)
         )
         for _ in range(2):  # a plan that raised is not kept
@@ -390,6 +392,21 @@ def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
                 assert pipe.sample(seed) == sample_by_definition(pipe, seed)
         raised += infeasible
     assert 0 < raised < 300
+
+
+def test_the_cancellation_bound_holds_when_every_draw_halts():
+    instance = rows_against_columns()
+    pipe = Pipeline(instance, MechanismConfig(c=F(1), p=F(1, 20)))
+    assert pipe.solution.objective == 4
+    assert all(x == F(1, 2) for _, _, x in pipe.solution.support())
+    for k in range(20):
+        seed = derive_seed(3, "always-halts", k)
+        assert halt_check(pipe.tentative_sample(seed), F(1))
+        with pytest.raises(ParameterError, match="q_i = 1 >"):
+            pipe.sample(seed)
+    assert pipe.plans == {}
+    with pytest.raises(ParameterError, match="q_i = 1 >"):
+        exact_distribution(pipe)
 
 
 def test_outcome_invariants_on_samples(corpus):

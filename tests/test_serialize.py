@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_dumps_by_json
+from oracles import canonical_dumps_by_json, outcome_from_dict, solution_from_dict
 from proxyauction.errors import FormatError
 from proxyauction.generators import generate
 from proxyauction.itemsets import ItemSet
@@ -21,10 +21,8 @@ from proxyauction.serialize import (
     format_value,
     instance_from_dict,
     instance_to_dict,
-    outcome_from_dict,
     outcome_to_dict,
     parse_value,
-    solution_from_dict,
     solution_to_dict,
     valuation_from_dict,
     valuation_to_dict,

@@ -1,10 +1,18 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import additive_lp_optimum, integral_welfare_by_products
+from fixtures import any_kind_instances
+from oracles import (
+    additive_lp_optimum,
+    certify_by_columns,
+    feasibility_violations,
+    integral_welfare_by_products,
+)
 from proxyauction.errors import (
     CapacityError,
     InfeasibleSolutionError,
@@ -19,9 +27,9 @@ from proxyauction.lp import (
     FractionalSolution,
     build_full_lp,
     certify_optimal,
-    check_feasibility,
     solve_column_generation,
     solve_exact,
+    zero_objective,
 )
 from proxyauction.valuations import (
     AdditiveValuation,
@@ -154,28 +162,89 @@ def test_additive_lp_equals_per_item_max():
     assert solve_exact(build_full_lp(inst)).objective == additive_lp_optimum(rows)
 
 
-def test_check_feasibility_reports_violations():
-    ok = FractionalSolution(
-        n=2, m=1, entries={(0, ItemSet(1)): F(3, 5), (1, ItemSet(1)): F(3, 5)},
-        objective=F(0),
-    )
-    report = check_feasibility(ok, 2, 1)
-    assert not report.ok
-    assert any("item 0" in v for v in report.violations)
-    empty = FractionalSolution(n=2, m=1, entries={}, objective=F(0))
-    assert check_feasibility(empty, 2, 1).ok
-
-
 def test_solver_output_is_feasible(corpus):
     item = corpus[7]
     proxies = item.instance.proxies(item.config.c)
     lp = build_full_lp(item.instance, proxies)
     sol = solve_exact(lp)
-    assert check_feasibility(sol, lp.n, lp.m).ok
-    certify_optimal(lp, sol)
+    assert feasibility_violations(sol, lp.n, lp.m) == []
+    certify_optimal(sol, lp.objectives)
+    certify_by_columns(lp, sol)
+
+
+def verdict(certify, *args) -> bool:
+    try:
+        certify(*args)
+    except InfeasibleSolutionError:
+        return False
+    return True
+
+
+def perturbed(sol):
+    """The solution with its objective moved and each dual raised, lowered and negated.
+
+    Last come the shifts of an item's dual to the bidder dual of a support
+    entry holding it, which keep that entry tight and the dual objective.
+    """
+    out = [replace(sol, objective=sol.objective + F(1, 7))]
+    for field in ("item_duals", "bidder_duals"):
+        duals = getattr(sol, field)
+        for k in range(len(duals)):
+            for change in (lambda d: d + F(1, 3), lambda d: d - F(1, 3), lambda d: -d - 1):
+                moved = tuple(change(d) if j == k else d for j, d in enumerate(duals))
+                out.append(replace(sol, **{field: moved}))
+    for i, bundle, _ in sol.support():
+        for j in bundle:
+            shift = sol.item_duals[j]
+            y = tuple(d - shift if k == j else d for k, d in enumerate(sol.item_duals))
+            u = tuple(d + shift if k == i else d for k, d in enumerate(sol.bidder_duals))
+            out.append(replace(sol, item_duals=y, bidder_duals=u))
+    return out
+
+
+def certified_solves(instance, proxies):
+    """(LP, solution) for both solvers' main solves and every zeroed-bidder payment solve."""
+    lp = build_full_lp(instance, proxies)
+    full, colgen = solve_exact(lp), solve_column_generation(instance, proxies)
+    out = [(lp, full), (lp, colgen)]
+    for i in range(instance.n):
+        zeroed = lp.zero_bidder(i)
+        oracles = zero_objective(proxies, i)
+        out.append((zeroed, solve_exact(zeroed, start_basis=full.basis)))
+        out.append((zeroed, solve_column_generation(instance, oracles, start_basis=colgen.basis)))
+    return out
+
+
+def test_certificate_agrees_with_the_per_column_oracle_on_both_corpora(corpus, truthful_corpus):
+    verdicts = Counter()
+    for item in [*corpus, *truthful_corpus]:
+        proxies = item.instance.proxies(item.config.c)
+        for lp, sol in certified_solves(item.instance, proxies):
+            certify_optimal(sol, lp.objectives)
+            certify_by_columns(lp, sol)
+            for bad in perturbed(sol):
+                ok = verdict(certify_optimal, bad, lp.objectives)
+                assert ok == verdict(certify_by_columns, lp, bad), (item.label, bad)
+                verdicts[ok] += 1
+    # degenerate optima have other optimal duals, so some shifts are accepted
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_kind_instances(), st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+def test_certificate_accepts_both_solvers_on_any_kind_instances(instance, c):
+    proxies = instance.proxies(c)
+    for lp, sol in certified_solves(instance, proxies):
+        certify_optimal(sol, lp.objectives)
+        certify_by_columns(lp, sol)
+        for bad in perturbed(sol)[:4]:
+            ok = verdict(certify_optimal, bad, lp.objectives)
+            assert ok == verdict(certify_by_columns, lp, bad)
 
 
 def two_additive_bidders():
+    # the optimum gives item 0 to bidder 0 and item 1 to bidder 1, with
+    # duals y = (1, 5) and u = (2, 0)
     inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
     lp = build_full_lp(inst)
     return lp, solve_exact(lp)
@@ -183,24 +252,54 @@ def two_additive_bidders():
 
 def test_certify_rejects_corrupted_duals():
     lp, sol = two_additive_bidders()
-    bad = replace(sol, item_duals=tuple(d + 1 for d in sol.item_duals))
+    raised = replace(sol, item_duals=tuple(d + 1 for d in sol.item_duals))
+    with pytest.raises(InfeasibleSolutionError, match="not tight"):
+        certify_optimal(raised, lp.objectives)
+    lowered = replace(sol, bidder_duals=(sol.bidder_duals[0] - 1, sol.bidder_duals[1]))
+    with pytest.raises(InfeasibleSolutionError, match="not tight"):
+        certify_optimal(lowered, lp.objectives)
+    negative = replace(sol, bidder_duals=(sol.bidder_duals[0], F(-1)))
+    with pytest.raises(InfeasibleSolutionError, match="negative dual"):
+        certify_optimal(negative, lp.objectives)
+
+
+def test_certify_rejects_a_lowered_dual_that_keeps_the_support_tight():
+    lp, sol = two_additive_bidders()
+    # moving 1 from y_0 to u_0 keeps both support columns tight and the dual
+    # objective at 8, but bidder 1 now gains 1 - y_0 - u_1 = 1 from item 0
+    (y0, y1), (u0, u1) = sol.item_duals, sol.bidder_duals
+    shifted = replace(sol, item_duals=(y0 - 1, y1), bidder_duals=(u0 + 1, u1))
+    with pytest.raises(InfeasibleSolutionError, match=r"bidder 1, \{0\}\) has positive reduced cost"):
+        certify_optimal(shifted, lp.objectives)
+
+
+def test_certify_rejects_a_corrupted_column_generation_dual():
+    inst = Instance(2, (AdditiveValuation([3, 1]), AdditiveValuation([1, 5])))
+    sol = solve_column_generation(inst, inst.valuations)
+    certify_optimal(sol, inst.valuations)
+    bad = replace(sol, item_duals=(sol.item_duals[0] + F(1, 2), sol.item_duals[1]))
     with pytest.raises(InfeasibleSolutionError):
-        certify_optimal(lp, bad)
+        certify_optimal(bad, inst.valuations)
 
 
 def test_certify_rejects_a_wrong_objective():
     lp, sol = two_additive_bidders()
     with pytest.raises(InfeasibleSolutionError, match="entry sum"):
-        certify_optimal(lp, replace(sol, objective=sol.objective + F(1, 7)))
+        certify_optimal(replace(sol, objective=sol.objective + F(1, 7)), lp.objectives)
 
 
-def test_certify_rejects_an_entry_without_a_column():
+def test_certify_rejects_an_entry_outside_the_lp():
     lp, sol = two_additive_bidders()
-    dropped = (0, ItemSet.from_indices([0]))
-    assert sol.entries[dropped] == 1
-    rest = ConfigLP(lp.n, lp.m, tuple(c for c in lp.columns if (c.bidder, c.bundle) != dropped))
-    with pytest.raises(InfeasibleSolutionError, match="no LP column"):
-        certify_optimal(rest, sol)
+    for key, x in [
+        ((0, ItemSet(0b100)), F(1, 2)),  # outside the 2-item universe
+        ((0, EMPTY_SET), F(1, 2)),
+        ((2, ItemSet(1)), F(1, 2)),  # no bidder 2
+        ((0, ItemSet(0b10)), F(0)),
+    ]:
+        with pytest.raises(InfeasibleSolutionError, match="no positive LP variable"):
+            certify_optimal(replace(sol, entries={**sol.entries, key: x}), lp.objectives)
+    with pytest.raises(InfeasibleSolutionError, match="no duals"):
+        certify_optimal(replace(sol, item_duals=None), lp.objectives)
 
 
 def test_certify_rejects_a_support_column_that_is_not_tight():
@@ -208,7 +307,7 @@ def test_certify_rejects_a_support_column_that_is_not_tight():
     # the swapped assignment is feasible and its objective is its entry sum, 1 + 1
     swapped = {(0, ItemSet.from_indices([1])): F(1), (1, ItemSet.from_indices([0])): F(1)}
     with pytest.raises(InfeasibleSolutionError, match="not tight"):
-        certify_optimal(lp, replace(sol, entries=swapped, objective=F(2)))
+        certify_optimal(replace(sol, entries=swapped, objective=F(2)), lp.objectives)
 
 
 def test_certify_rejects_a_positive_dual_on_a_slack_item():
@@ -216,19 +315,51 @@ def test_certify_rejects_a_positive_dual_on_a_slack_item():
     inst = Instance(2, (UnitDemandValuation([1, 1]),))
     lp = build_full_lp(inst)
     sol = solve_exact(lp)
-    (slack,) = [j for j in range(2) if sol.item_load(j) == 0]
+    (slack,) = [j for j in range(2) if not any(j in bundle for _, bundle in sol.entries)]
     duals = tuple(d + (j == slack) for j, d in enumerate(sol.item_duals))
     with pytest.raises(InfeasibleSolutionError, match=f"item {slack} dual positive"):
-        certify_optimal(lp, replace(sol, item_duals=duals))
+        certify_optimal(replace(sol, item_duals=duals), lp.objectives)
+
+
+def test_certify_rejects_a_positive_dual_on_a_slack_bidder():
+    # bidder 1 loses the one item to bidder 0 and holds no mass
+    inst = Instance(1, (AdditiveValuation([2]), AdditiveValuation([1])))
+    lp = build_full_lp(inst)
+    sol = solve_exact(lp)
+    assert sol.entries == {(0, ItemSet(1)): 1}
+    bad = replace(sol, bidder_duals=(sol.bidder_duals[0], sol.bidder_duals[1] + 1))
+    with pytest.raises(InfeasibleSolutionError, match="bidder 1 dual positive"):
+        certify_optimal(bad, lp.objectives)
+
+
+def test_certify_rejects_over_allocation():
+    # every entry below is tight at its duals, so only the constraint fails
+    both = Instance(1, (AdditiveValuation([1]), AdditiveValuation([1])))
+    shared = FractionalSolution(
+        n=2, m=1, entries={(0, ItemSet(1)): F(3, 5), (1, ItemSet(1)): F(3, 5)},
+        objective=F(6, 5), item_duals=(F(1),), bidder_duals=(F(0), F(0)),
+    )
+    with pytest.raises(InfeasibleSolutionError, match="item 0 over-allocated: total mass 6/5"):
+        certify_optimal(shared, both.valuations)
+    assert feasibility_violations(shared, 2, 1) == ["item 0 over-allocated: total mass 6/5"]
+    one = Instance(2, (AdditiveValuation([1, 1]),))
+    twice = FractionalSolution(
+        n=1, m=2, entries={(0, ItemSet(1)): F(1), (0, ItemSet(2)): F(1)},
+        objective=F(2), item_duals=(F(1), F(1)), bidder_duals=(F(0),),
+    )
+    with pytest.raises(InfeasibleSolutionError, match="bidder 0 over-allocated: total mass 2"):
+        certify_optimal(twice, one.valuations)
+    empty = FractionalSolution(n=2, m=1, entries={}, objective=F(0))
+    assert feasibility_violations(empty, 2, 1) == []
 
 
 def test_configlp_validation():
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, EMPTY_SET, F(1)),))
+        ConfigLP(1, 2, (Column(0, EMPTY_SET, F(1)),), ())
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, ItemSet(1), F(-1)),))
+        ConfigLP(1, 2, (Column(0, ItemSet(1), F(-1)),), ())
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, ItemSet(1), F(1)), Column(0, ItemSet(1), F(2))))
+        ConfigLP(1, 2, (Column(0, ItemSet(1), F(1)), Column(0, ItemSet(1), F(2))), ())
 
 
 def test_full_lp_item_cap():
@@ -247,6 +378,10 @@ def test_zero_bidder_equals_a_validated_rebuild(corpus):
                 lp.m,
                 tuple(Column(c.bidder, c.bundle, F(0) if c.bidder == i else c.coef)
                       for c in reversed(lp.columns)),
+                (),
             )
             assert zeroed == rebuilt
+            # the zeroed objectives price exactly the zeroed columns
+            for col in zeroed.columns:
+                assert zeroed.objectives[col.bidder]._value(col.bundle.mask) == col.coef
         assert lp == build_full_lp(item.instance)  # the original keeps its objective

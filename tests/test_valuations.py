@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import any_kind_valuations
-from oracles import demand_by_scan, proxy_by_enumeration, value_by_definition
+from oracles import (
+    demand_by_scan,
+    is_monotone_normalized,
+    is_subadditive,
+    proxy_by_enumeration,
+    value_by_definition,
+)
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.valuations import (
@@ -16,8 +22,6 @@ from proxyauction.valuations import (
     ProxyValuation,
     UnitDemandValuation,
     XOSValuation,
-    is_monotone_normalized,
-    is_subadditive,
 )
 
 S01 = ItemSet.from_indices([0, 1])

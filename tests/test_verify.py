@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import any_kind_instances, overlap_demo, prepared
+from fixtures import any_kind_instances, config_lp, overlap_demo, prepared
 from oracles import (
     additive_lp_optimum,
     integral_welfare_by_products,
@@ -15,7 +15,7 @@ from oracles import (
 from proxyauction.errors import CapacityError
 from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
-from proxyauction.lp import Column, ConfigLP, FractionalSolution, build_full_lp, solve_exact
+from proxyauction.lp import Column, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
 from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instance
 from proxyauction.verify import (
@@ -365,9 +365,9 @@ def small_config_lps(draw):
         forced += [(i, (1 << m) - 1) for i in range(n)]
         chosen = list(dict.fromkeys(forced + chosen))
     columns = tuple(Column(i, ItemSet(mask), draw(coefs)) for i, mask in chosen)
-    lp = ConfigLP(n, m, columns)
+    lp = config_lp(n, m, columns)
     while bases(lp) > 3000:  # keep the oracle quick
-        lp = ConfigLP(n, m, lp.columns[:-1])
+        lp = config_lp(n, m, lp.columns[:-1])
     return lp
 
 
