@@ -458,6 +458,7 @@ BENCH_COLUMNS = (
     ("pivots", "exact_full_pivots"),
     ("exact-colgen s", "exact_colgen_seconds"),
     ("vertex-enum s", "vertex_enum_seconds"),
+    ("points", "vertex_enum_points"),
     ("integral s", "integral_seconds"),
     ("sample s", "sample_seconds"),
     ("plans", "sample_plans"),
@@ -501,9 +502,16 @@ def cmd_bench(args) -> CommandResult:
             lambda: solve_column_generation(instance, instance.proxies(c))
         )
         if ver.basis_count(lp) <= VERTEX_ENUM_CAP:
-            t_vertex, vertex_obj = time_it(lambda: ver.enumerate_vertex_optimum(lp))
+
+            def cold_vertex_optimum():
+                # the points are cached per constraint matrix: time the walk
+                ver._feasible_points.cache_clear()
+                return ver.enumerate_vertex_optimum(lp)
+
+            t_vertex, vertex_obj = time_it(cold_vertex_optimum)
+            vertex_points = len(ver.basic_feasible_points(lp))
         else:
-            t_vertex = vertex_obj = "skipped"
+            t_vertex = vertex_obj = vertex_points = "skipped"
         t_integral, _ = time_it(lambda: ver.optimal_integral_welfare(instance))
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
@@ -529,6 +537,8 @@ def cmd_bench(args) -> CommandResult:
                 "exact_colgen_seconds": t_colgen,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),
+                # distinct basic feasible points the walk found
+                "vertex_enum_points": vertex_points,
                 "integral_seconds": t_integral,
                 "sample_seconds": t_sample,
                 # distinct tentative assignments over the samples: each is planned once
@@ -549,7 +559,7 @@ def cmd_bench(args) -> CommandResult:
             }
         )
     report = {
-        "schema": "bench-report/8",
+        "schema": "bench-report/9",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,
@@ -573,7 +583,10 @@ def cmd_bench(args) -> CommandResult:
 # -- entry -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once, on first use; each parse converts
+    the string defaults of ``--caps`` and ``--m-list`` afresh."""
     parser = argparse.ArgumentParser(
         prog="proxyauction",
         description=(

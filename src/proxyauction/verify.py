@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -62,6 +63,7 @@ from .valuations import (
 
 INTEGRAL_CAP = 10**7
 VERTEX_ENUM_CAP = 200_000
+VERTEX_CACHE_SIZE = 16  # constraint matrices whose basic feasible points are kept
 MONTE_CARLO_SIGMAS = 4.0
 
 
@@ -373,17 +375,54 @@ def check_monte_carlo(pipeline: Pipeline, law: OutcomeDistribution, trials: int)
 
 
 def basis_count(lp: ConfigLP) -> int:
-    """Column choices that ``enumerate_vertex_optimum`` checks against its cap."""
+    """Column choices that ``basic_feasible_points`` checks against its cap."""
     n_rows = lp.n + lp.m
     return math.comb(len(lp.columns) + n_rows, n_rows)
 
 
-def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
-    """Optimum by enumerating every basic solution of the slack-extended system.
+def basic_feasible_points(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> tuple:
+    """The distinct basic feasible points of the LP's constraints.
 
-    Independent of the simplex. The system is [A | I] x = 1 over the 0/1
-    item and bidder rows; the choices of n + m basis columns are walked depth
-    first, in the order of ``itertools.combinations``:
+    Each point is ``(den, ((column, num), ...))``: x = num / den on the
+    listed columns (ascending indices into ``lp.columns``) and 0 elsewhere,
+    in lowest terms. Every right-hand side is 1, so the columns' (bidder,
+    bundle) keys fix the points, which are cached by those keys and shared by
+    LPs of any coefficients, such as ``ConfigLP.zero_bidder``'s. The cap is
+    checked first, also for cached constraints.
+    """
+    bases = basis_count(lp)
+    if bases > cap:
+        raise CapacityError("basic-solution enumeration", bases, cap)
+    return _feasible_points(lp.n, lp.m, tuple((col.bidder, col.bundle.mask) for col in lp.columns))
+
+
+def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
+    """Optimum over every basic feasible point of the slack-extended system.
+
+    Independent of the simplex: ``basic_feasible_points`` lists the points,
+    once per constraint matrix. The objective coefficients are scaled once to
+    integers ``w`` over one denominator, each point scores ``w . num / den``,
+    scores are compared as integer ratios, and one ``Fraction`` is built, for
+    the optimum. Intended for tiny instances: the number of bases is capped.
+    """
+    points = basic_feasible_points(lp, cap=cap)
+    coefs = [col.coef for col in lp.columns]
+    den = math.lcm(*(coef.denominator for coef in coefs))
+    weights = [coef.numerator * (den // coef.denominator) for coef in coefs]
+    best_num, best_den = 0, 1  # x = 0, the all-slack basis, is always feasible
+    for point_den, support in points:
+        score = sum(weights[j] * num for j, num in support)
+        if score * best_den > best_num * point_den:
+            best_num, best_den = score, point_den
+    return Fraction(best_num, den * best_den)
+
+
+@lru_cache(maxsize=VERTEX_CACHE_SIZE)
+def _feasible_points(n: int, m: int, columns: tuple) -> tuple:
+    """Distinct basic feasible points of [A | I] x = 1 over (bidder, mask) columns.
+
+    The rows are the m items, then the n bidders. The choices of n + m basis
+    columns are walked depth first, in the order of ``itertools.combinations``:
 
       * each depth adds one column and takes one fraction-free Bareiss step
         on it, and the same step reduces the right-hand side and every later
@@ -393,50 +432,43 @@ def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fra
         it is singular and the walk drops it with its whole subtree;
       * at a full basis with last pivot ``det``, Cramer's rule makes
         ``y = |det| * x`` an integer vector, so back-substitution divides
-        exactly; the basis is rejected at the first negative ``y_i``. A
-        feasible basis scores ``w . y / |det|`` against objective
-        coefficients scaled once to integers ``w`` over one denominator;
-        scores are compared as integer ratios and one ``Fraction`` is built,
-        for the optimum.
+        exactly; the basis is rejected at the first negative ``y_i``, or the
+        first zero one on a structural column.
 
-    Intended for tiny instances: the number of bases is capped.
+    So a point is recorded only at a basis whose structural values are all
+    positive. Every vertex has one: its support plus the slacks of the rows
+    outside a set on which the support's columns are nonsingular.
     """
-    bases = basis_count(lp)
-    if bases > cap:
-        raise CapacityError("basic-solution enumeration", bases, cap)
-    n_rows = lp.n + lp.m
-
-    columns = []
-    for col in lp.columns:
-        vec = [0] * n_rows
-        for j in col.bundle:
-            vec[j] = 1
-        vec[lp.m + col.bidder] = 1
-        columns.append(vec)
+    n_rows = n + m
+    n_struct = len(columns)
+    vectors = []
+    for bidder, mask in columns:
+        vec = [(mask >> j) & 1 for j in range(m)] + [0] * n
+        vec[m + bidder] = 1
+        vectors.append(vec)
     for s in range(n_rows):
         vec = [0] * n_rows
         vec[s] = 1
-        columns.append(vec)
-    den = math.lcm(*(col.coef.denominator for col in lp.columns))
-    weights = [col.coef.numerator * (den // col.coef.denominator) for col in lp.columns]
-    weights += [0] * n_rows  # slacks score nothing
+        vectors.append(vec)
+    # a basic column of the LP must be positive, a basic slack nonnegative
+    floors = [1] * n_struct + [0] * n_rows
 
     last = n_rows - 1
     # per depth t: the pivot row, the pivot, the reduced right-hand side on
-    # the pivot row and the chosen column's weight; upper[t][s] is the entry
-    # of the column chosen at depth s > t on t's pivot row, which no later
-    # step changes
+    # the pivot row, and the chosen column with its floor; upper[t][s] is the
+    # entry of the column chosen at depth s > t on t's pivot row, which no
+    # later step changes
     pivot_row = [0] * n_rows
     pivot = [0] * n_rows
     upper = [[0] * n_rows for _ in range(n_rows)]
     rhs_at = [0] * n_rows
-    weight_at = [0] * n_rows
-    best_num, best_den = 0, 1  # x = 0, the all-slack basis, is always feasible
+    column_at = [0] * n_rows
+    floor_at = [0] * n_rows
+    points: dict = {}
 
     def full_bases(cands: list, rhs: list[int], row: int) -> None:
         # One unpivoted row is left: each candidate completes a basis whose
         # last pivot is its entry on that row (nonzero, dependents dropped).
-        nonlocal best_num, best_den
         b = rhs[row]
         y = [0] * n_rows
         for j, vec in cands:
@@ -444,22 +476,24 @@ def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fra
             y_last = b
             if det < 0:
                 det, y_last = -det, -b
-            if y_last < 0:
+            if y_last < floors[j]:
                 continue
-            score = weights[j] * y_last
             for t in range(last - 1, -1, -1):
                 above = upper[t]
                 acc = det * rhs_at[t] - vec[pivot_row[t]] * y_last
                 for s in range(t + 1, last):
                     acc -= above[s] * y[s]
                 acc //= pivot[t]  # exact, by Cramer's rule
-                if acc < 0:
+                if acc < floor_at[t]:
                     break
                 y[t] = acc
-                score += weight_at[t] * acc
             else:
-                if score * best_den > best_num * det:
-                    best_num, best_den = score, det
+                # columns rise with depth, so the support is in column order
+                support = [(column_at[t], y[t]) for t in range(last) if floor_at[t]]
+                if j < n_struct:
+                    support.append((j, y_last))
+                g = math.gcd(det, *(num for _, num in support))
+                points[det // g, tuple((c, num // g) for c, num in support)] = None
 
     def walk(depth: int, cands: list, rhs: list[int], free: list[int]) -> None:
         if depth == last:
@@ -489,18 +523,20 @@ def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fra
             pivot_row[depth], pivot[depth] = p, piv
             for t in range(depth):
                 upper[t][depth] = vec[pivot_row[t]]
-            rhs_at[depth], weight_at[depth] = rhs[p], weights[j]
+            rhs_at[depth], column_at[depth], floor_at[depth] = rhs[p], j, floors[j]
             walk(depth + 1, nxt, r2, rest)
 
-    walk(0, list(enumerate(columns)), [1] * n_rows, list(range(n_rows)))
-    return Fraction(best_num, den * best_den)
+    walk(0, list(enumerate(vectors)), [1] * n_rows, list(range(n_rows)))
+    return tuple(points)
 
 
 def check_lp_agreement(pipeline: Pipeline) -> CheckResult:
     """solve_exact vs. independent vertex enumeration and column generation.
 
     The vertex-enumeration comparison runs when the LP has at most
-    ``VERTEX_ENUM_CAP`` bases; the column-generation comparison always runs.
+    ``VERTEX_ENUM_CAP`` bases; it walks the bases once per constraint matrix,
+    so the instances of one shape score cached points. The column-generation
+    comparison always runs.
     Exact equality of objectives is required. The pipeline lends its LP and
     its solution, which stands for whichever solver built it: only the other
     solver runs here. So the pipeline must have solved its LP itself rather

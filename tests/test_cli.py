@@ -174,7 +174,7 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/8"
+    assert report["schema"] == "bench-report/9"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -228,14 +228,45 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/8"
+    assert report["schema"] == "bench-report/9"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]
     assert small["vertex_enum_seconds"] >= 0
+    # n = 2, m = 2: zero, each of the six columns alone, the two pairs of
+    # disjoint singletons, and two half-integral points where one bidder
+    # splits over both singletons and the other takes half of the pair
+    assert small["vertex_enum_points"] == 11
     # n = 2, m = 4: 1,947,792 bases, beyond the enumeration cap
     assert large["vertex_enum_seconds"] == large["vertex_enum_objective"] == "skipped"
+    assert large["vertex_enum_points"] == "skipped"
     assert large["objectives_agree"] is True
+
+
+def test_main_parses_fresh_defaults_on_every_call(monkeypatch):
+    # the parser is built once per process; each parse converts the string
+    # defaults of --caps and --m-list afresh, so no call sees another's values
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parse, seen = parser.parse_args, []
+
+    def recording(argv):
+        args = parse(argv)
+        seen.append(args)
+        args.func = lambda args: (0, None, None)
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    for argv in (["verify", "x.json", "--caps", "lp=3"], ["verify", "x.json"],
+                 ["verify", "x.json"], ["bench", "--m-list", "2,3"], ["bench"], ["bench"]):
+        assert main(argv) == 0
+    capped, plain, again, listed, default, default_again = seen
+    assert capped.caps == {**cli.CAP_DEFAULTS, "lp": 3}
+    assert plain.caps == again.caps == cli.CAP_DEFAULTS
+    assert plain.caps is not again.caps and plain.caps is not cli.CAP_DEFAULTS
+    assert listed.m_list == [2, 3]
+    assert default.m_list == default_again.m_list == [4, 6, 8]
+    assert default.m_list is not default_again.m_list
 
 
 def test_bench_exits_nonzero_on_vertex_enumeration_mismatch(monkeypatch, capsys):

@@ -21,6 +21,8 @@ from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instan
 from proxyauction.verify import (
     INTEGRAL_CAP,
     VERTEX_ENUM_CAP,
+    _feasible_points,
+    basic_feasible_points,
     check_approximation,
     check_halt_frequency,
     check_keep_marginals,
@@ -160,12 +162,12 @@ def test_integral_optimum_past_the_old_enumeration_cap():
     assert optimal_integral_welfare(inst) == additive_lp_optimum(rows)
 
 
-def test_integral_optimum_reads_no_lp_or_mechanism():
-    # an independent route: every global name the DP reads, nested code
+def assert_reads_no_lp_or_mechanism(*functions):
+    # an independent route: every global name the functions read, nested code
     # included, comes from outside the lp, simplex and mechanism modules
     import proxyauction.verify as verify_module
 
-    names, codes = set(), [optimal_integral_welfare.__code__]
+    names, codes = set(), [fn.__code__ for fn in functions]
     while codes:
         code = codes.pop()
         names.update(code.co_names)
@@ -176,6 +178,10 @@ def test_integral_optimum_reads_no_lp_or_mechanism():
     }
     assert not modules & {"proxyauction.lp", "proxyauction.simplex", "proxyauction.mechanism"}
     assert not names & {"lp", "simplex", "mechanism"}
+
+
+def test_integral_optimum_reads_no_lp_or_mechanism():
+    assert_reads_no_lp_or_mechanism(optimal_integral_welfare)
 
 
 def test_integral_optimum_cap():
@@ -333,16 +339,51 @@ def bases(lp):
 
 
 def test_vertex_enumeration_matches_combinations_oracle(corpus, truthful_corpus):
-    """Every full proxy LP of both corpora under the cap, with its zeroed-bidder LPs."""
+    """Every full proxy LP of both corpora under the cap, with its zeroed-bidder LPs.
+
+    After the cache is cleared, the LP walks its constraints once (a miss);
+    its zeroed-bidder LPs and the LP itself again score the cached points.
+    """
     checked = 0
     for item in [*corpus, *truthful_corpus]:
         lp = build_full_lp(item.instance, item.instance.proxies(item.config.c))
         if bases(lp) > VERTEX_ENUM_CAP:
             continue
-        for variant in [lp] + [lp.zero_bidder(i) for i in range(lp.n)]:
+        _feasible_points.cache_clear()
+        for k, variant in enumerate([lp] + [lp.zero_bidder(i) for i in range(lp.n)]):
             assert enumerate_vertex_optimum(variant) == vertex_optimum_by_combinations(variant)
+            info = _feasible_points.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, k, 1), item.label
             checked += 1
+        assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
+        assert _feasible_points.cache_info().misses == 1
     assert checked == 62  # 19 LPs under the cap and their 43 zeroed-bidder variants
+
+
+def test_vertex_points_are_cached_per_constraint_matrix():
+    # equal (n, m) but different columns: two walks and two entries; equal
+    # columns under other coefficients: one entry, scored again
+    keys = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+    first = config_lp(2, 2, [Column(i, ItemSet(mask), F(1 + mask, 2)) for i, mask in keys])
+    second = config_lp(2, 2, [Column(i, ItemSet(mask), F(1 + mask, 2)) for i, mask in keys[:4]])
+    recosted = config_lp(2, 2, [Column(i, ItemSet(mask), F(3 - i)) for i, mask in keys])
+    _feasible_points.cache_clear()
+    for lp, misses in ((first, 1), (second, 2), (recosted, 2)):
+        assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
+        assert _feasible_points.cache_info().misses == misses
+    assert _feasible_points.cache_info().currsize == 2
+    assert len(basic_feasible_points(first)) == 11
+    assert basic_feasible_points(recosted) is basic_feasible_points(first)
+    for den, support in basic_feasible_points(first):
+        assert den > 0 and all(num > 0 for _, num in support)
+        assert math.gcd(den, *(num for _, num in support)) == 1
+        assert [j for j, _ in support] == sorted({j for j, _ in support})
+
+
+def test_vertex_enumeration_reads_no_lp_or_mechanism():
+    assert_reads_no_lp_or_mechanism(
+        enumerate_vertex_optimum, basic_feasible_points, _feasible_points.__wrapped__
+    )
 
 
 coefs = st.fractions(min_value=0, max_value=5, max_denominator=6) | st.just(F(0))
@@ -396,6 +437,12 @@ def test_vertex_enumeration_cap_matches_combinations_oracle(corpus):
     assert enumerate_vertex_optimum(small, cap=210) == vertex_optimum_by_combinations(
         small, cap=210
     )
+    # small's points are cached now; the cap is still checked, before the lookup
+    hits = _feasible_points.cache_info().hits
+    assert capacity(enumerate_vertex_optimum, small, cap=209) == (
+        "basic-solution enumeration", 210, 209
+    )
+    assert _feasible_points.cache_info().hits == hits
 
 
 def test_monte_carlo_check(corpus):
