@@ -215,8 +215,10 @@ def cmd_generate(args) -> CommandResult:
 
 
 def cmd_solve(args) -> CommandResult:
-    instance = ser.load_instance(args.instance)
     flags = _config_flags(args)
+    if args.valuations == "raw" and "c" in flags:
+        raise AuctionError("--c only applies to --valuations proxy")
+    instance = ser.load_instance(args.instance)
     if args.valuations == "proxy":
         config = _build_config(flags, instance.m)
         oracles = instance.proxies(config.c, subset_cap=args.caps["proxy"])

@@ -17,21 +17,22 @@ size is at most n + m, proved optimal by ``certify_optimal``, whose dual check
 is the demand query at the item duals, the LP's separation oracle (Blumrosen
 and Nisan, SIAM J. Comput. 2009). Both are deterministic: columns are ordered
 by (bidder, bundle lexicographic) and the simplex uses Bland's rule. Each
-solution carries its optimal basis, from which either solver can start an LP
-over the same constraints, such as a payment's LP with one bidder zeroed.
+solution carries the basis its solve ended in, with the simplex's basis
+inverse, from which either solver resumes an LP over the same constraints,
+such as a payment's LP with one bidder zeroed.
 """
 
 from __future__ import annotations
 
 import copy
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
 from .itemsets import ItemSet, subset_sums
-from .simplex import solve_canonical_max
+from .simplex import SimplexResult, solve_canonical_max
 from .valuations import AdditiveValuation, Instance, Valuation, over_one_denominator
 
 LP_ITEM_CAP = 12
@@ -101,14 +102,16 @@ def zero_objective(objectives: Sequence[Valuation], bidder: int) -> tuple:
 
 
 class Basis(NamedTuple):
-    """A basis of the configuration LP, in a form that both solvers read.
+    """The basis a solve ended in, from which a solve over the same rows resumes.
 
-    ``columns`` are the basic columns' (bidder, bundle) keys and ``slacks``
-    the rows whose slacks are basic: bidder rows 0..n-1, then item rows.
+    ``keys[r]`` names the variable basic in row r: a column's (bidder, bundle),
+    or the row of a slack (bidder rows 0..n-1, then item rows). ``result`` is
+    that solve's simplex result, whose basis inverse depends only on the
+    basic columns, so it carries over to any LP that holds them.
     """
 
-    columns: tuple
-    slacks: tuple
+    keys: tuple
+    result: SimplexResult
 
 
 @dataclass
@@ -167,25 +170,18 @@ def build_full_lp(
 def _solve_columns(
     lp_cols: Sequence[Column], n: int, m: int, start: Optional[Basis] = None
 ) -> tuple:
-    """The simplex result over ``lp_cols`` and its optimal basis, from ``start`` if given."""
+    """The simplex result over ``lp_cols`` and its optimal basis, resuming ``start`` if given."""
     # Rows are ordered bidder constraints first, then item constraints: on
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
     supports = [[col.bidder, *(n + j for j in col.bundle)] for col in lp_cols]
-    n_cols = len(lp_cols)
-    start_basis = ()
+    keys = [(col.bidder, col.bundle) for col in lp_cols] + list(range(n + m))
     if start is not None:
-        index = {(col.bidder, col.bundle): k for k, col in enumerate(lp_cols)}
-        start_basis = [index[key] for key in start.columns] + [n_cols + r for r in start.slacks]
-    res = solve_canonical_max(
-        supports, [col.coef for col in lp_cols], n + m, start_basis=start_basis
-    )
-    basis = Basis(
-        columns=tuple((lp_cols[j].bidder, lp_cols[j].bundle) for j in res.basis if j < n_cols),
-        slacks=tuple(j - n_cols for j in res.basis if j >= n_cols),
-    )
-    return res, basis
+        index = {key: j for j, key in enumerate(keys)}
+        start = replace(start.result, basis=[index[key] for key in start.keys])
+    res = solve_canonical_max(supports, [col.coef for col in lp_cols], n + m, start=start)
+    return res, Basis(tuple(keys[j] for j in res.basis), res)
 
 
 def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
@@ -195,8 +191,8 @@ def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
 def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> FractionalSolution:
     """Optimal basic solution of the full LP, with duals, certified against ``lp.objectives``.
 
-    The simplex starts from ``start_basis`` if given (a feasible basis of an
-    LP with the same constraints), otherwise from the slack basis.
+    The simplex resumes from ``start_basis`` if given (the basis of a solve
+    over the same constraints), otherwise it starts from the slack basis.
     """
     res, basis = _solve_columns(lp.columns, lp.n, lp.m, start_basis)
     sol = FractionalSolution(
@@ -286,11 +282,11 @@ def solve_column_generation(
     ``ConfigLP`` of the same columns would get.
 
     Without ``start_basis`` every round starts from the slack basis, so the
-    vertex returned is a function of the instance alone. With it (a feasible
-    basis of an LP with the same constraints, such as a payment LP's
-    unzeroed original) the master starts as its basic columns, priced by
-    ``oracles``, and every round starts from the previous round's optimal
-    basis: the optimum is the same, in fewer pivots.
+    vertex returned is a function of the instance alone. With it (the basis
+    of a solve over the same constraints, such as a payment LP's unzeroed
+    original) the master starts as its basic columns, priced by ``oracles``,
+    and every round resumes from the previous round's basis: the optimum is
+    the same, in fewer pivots.
     """
     n, m = instance.n, instance.m
     if len(oracles) != n:
@@ -300,10 +296,11 @@ def solve_column_generation(
 
     master: list[Column] = []
     if start_basis is not None:
-        master = sorted(
-            (Column(i, bundle, oracles[i].value(bundle)) for i, bundle in start_basis.columns),
-            key=column_order,
-        )
+        for key in start_basis.keys:
+            if isinstance(key, tuple):  # a column; a slack's key is its row
+                i, bundle = key
+                master.append(Column(i, bundle, oracles[i].value(bundle)))
+        master.sort(key=column_order)
     have = {(col.bidder, col.bundle.mask) for col in master}
     basis = start_basis
     rounds = pivots = 0

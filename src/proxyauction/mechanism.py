@@ -515,8 +515,8 @@ class Pipeline:
         return tuple(charges)
 
     def _optimum_without(self, bidder: int) -> Fraction:
-        # The zeroed LP has the main LP's constraints, so the main optimal
-        # basis is a feasible start; a charge reads only the optimum, which
+        # The zeroed LP has the main LP's constraints, so the simplex resumes
+        # from the main solve's basis; a charge reads only the optimum, which
         # does not depend on where the simplex starts.
         start = self.solution.basis
         if self.config.solver == SOLVER_COLGEN:

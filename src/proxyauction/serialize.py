@@ -202,7 +202,7 @@ def instance_from_dict(data: dict) -> Instance:
     if schema != INSTANCE_SCHEMA:
         raise FormatError(f"expected schema {INSTANCE_SCHEMA}, got {schema!r}")
     m = data.get("m")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # a JSON integer: no float, string or bool
         raise FormatError(f"bad item count {m!r}")
     bidders = data.get("bidders") or []
     if not isinstance(bidders, list) or not bidders:
@@ -310,12 +310,15 @@ def config_from_dict(data: dict) -> MechanismConfig:
     if not isinstance(data, dict):
         raise FormatError(f"a mechanism config must be an object, got {data!r}")
     _require_exact(data)
+    seed = data.get("seed", 0)
+    if type(seed) is not int:  # a JSON integer: no float, string or bool
+        raise FormatError(f"malformed mechanism config: seed {seed!r} is not an integer")
     try:
         return MechanismConfig(
             c=Fraction(data["c"]),
             p=Fraction(data["p"]),
             q_variant=data.get("q_variant", "halt"),
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             solver=data.get("solver", "full"),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError, ParameterError) as exc:

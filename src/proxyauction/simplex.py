@@ -23,21 +23,21 @@ prevents cycling and makes the returned vertex, duals and pivot count a
 deterministic function of the input ordering, identical to the dense Bland
 tableau's. The all-slack basis is feasible because every capacity is 1.
 
-A start basis replaces that slack basis: its structural columns enter first
-as forced pivots of the same update, each into a row that holds a slack not
-in the start set, and Bland's loop continues from there. A forced pivot may
-be negative, and then ``M``, ``beta``, ``Y`` and ``d`` are all negated so that
-``d`` stays positive, as the ratio test assumes. Bland's rule terminates from
-any feasible basis, so the optimum is the cold one, though on a degenerate
+A solve can resume from an earlier result over the same rows instead: its
+final ``basis``, ``M``, ``beta`` and ``d`` depend only on the basic columns,
+not on the costs, so they are a feasible start for any objective, and only
+``Y`` is recomputed from the new costs. Every pivot, cold or resumed, is one
+of Bland's, so ``d`` stays positive. Bland's rule terminates from any
+feasible basis, so the optimum is the cold one, though on a degenerate
 optimum the vertex and duals reached may differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass
@@ -47,6 +47,11 @@ class SimplexResult:
     duals: list
     basis: list
     pivots: int
+    # the final basis inverse M / d and basic values beta / d, from which a
+    # later solve over the same rows resumes: solver state, not the solution
+    M: Optional[list] = field(default=None, compare=False, repr=False)
+    beta: Optional[list] = field(default=None, compare=False, repr=False)
+    d: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 def solve_canonical_max(
@@ -54,56 +59,51 @@ def solve_canonical_max(
     objective: Sequence,
     n_rows: int,
     *,
-    start_basis: Sequence[int] = (),
+    start: Optional[SimplexResult] = None,
 ) -> SimplexResult:
     """Maximize objective . x subject to A x <= 1, x >= 0 over ``n_rows`` rows.
 
     ``supports[j]`` lists the distinct rows where column j of A has a one;
     every other entry is zero. Returns the optimal basic solution, the
     objective value, and the dual vector (one multiplier per row), all as
-    Fractions. ``start_basis`` lists the columns of a feasible start basis
-    (slack r as column ``len(supports) + r``; slacks not listed fill the
-    remaining rows); the default is the all-slack basis. A start basis that
-    is singular or infeasible raises ValueError. ``pivots`` counts the
-    forced start pivots too.
+    Fractions. ``start`` is an earlier result over the same rows whose
+    ``basis`` indexes these columns (slack r as column ``len(supports) + r``);
+    the solve resumes from its basis and leaves it unchanged. The default is
+    the all-slack basis.
     """
     n_cols = len(supports)
     obj_scale = lcm(*(c.denominator for c in objective))
     cost = [c.numerator * (obj_scale // c.denominator) for c in objective]
 
-    d = 1
-    M = [[1 if k == r else 0 for k in range(n_rows)] for r in range(n_rows)]
-    beta = [1] * n_rows  # d * B^-1 1: the basic values over d
+    if start is None:
+        d = 1
+        M = [[1 if k == r else 0 for k in range(n_rows)] for r in range(n_rows)]
+        beta = [1] * n_rows  # d * B^-1 1: the basic values over d
+        basis = [n_cols + r for r in range(n_rows)]
+    else:
+        # rows of M are replaced, never changed in place, so the start's stay as they are
+        d, M, beta, basis = start.d, list(start.M), list(start.beta), list(start.basis)
     Y = [0] * n_rows  # c_B M: the scaled duals over d
-    basis = [n_cols + r for r in range(n_rows)]
+    for row, j in zip(M, basis):
+        if j < n_cols and cost[j]:
+            Y = [y + cost[j] * u for y, u in zip(Y, row)]
     pivots = 0
 
-    start = iter([j for j in start_basis if j < n_cols])
-    kept = set(start_basis)
-    replaying = True
     while True:
         dual = Y.__getitem__
-        entering = next(start, -1) if replaying else -1
-        if entering >= 0:
-            # a start column enters whatever its reduced cost
-            gain = cost[entering] * d - sum(map(dual, supports[entering]))
-        else:
-            if replaying:
-                replaying = False
-                if any(b < 0 for b in beta):
-                    raise ValueError("start basis is infeasible")
-            for j, support in enumerate(supports):
-                gain = cost[j] * d - sum(map(dual, support))
-                if gain > 0:
-                    entering = j
-                    break
-            else:
-                for r, y in enumerate(Y):
-                    if y < 0:
-                        entering, gain = n_cols + r, -y
-                        break
-            if entering < 0:
+        entering = -1
+        for j, support in enumerate(supports):
+            gain = cost[j] * d - sum(map(dual, support))
+            if gain > 0:
+                entering = j
                 break
+        else:
+            for r, y in enumerate(Y):
+                if y < 0:
+                    entering, gain = n_cols + r, -y
+                    break
+        if entering < 0:
+            break
 
         if entering < n_cols:
             support = supports[entering]
@@ -112,29 +112,20 @@ def solve_canonical_max(
             alpha = [row[entering - n_cols] for row in M]
 
         leaving = -1
-        if replaying:
-            # the row of a slack outside the start set; none means a singular start
-            for r, a in enumerate(alpha):
-                if a and basis[r] not in kept:
-                    leaving = r
-                    break
-            if leaving < 0:
-                raise ValueError("start basis is singular")
-        else:
-            for r, a in enumerate(alpha):
-                if a > 0 and (
-                    leaving < 0
-                    or beta[r] * alpha[leaving] < beta[leaving] * a
-                    or (
-                        beta[r] * alpha[leaving] == beta[leaving] * a
-                        and basis[r] < basis[leaving]
-                    )
-                ):
-                    leaving = r
-            if leaving < 0:
-                # Unreachable for the configuration LP: bidder constraints bound
-                # every structural variable and slacks never improve the cost.
-                raise ValueError("LP is unbounded")
+        for r, a in enumerate(alpha):
+            if a > 0 and (
+                leaving < 0
+                or beta[r] * alpha[leaving] < beta[leaving] * a
+                or (
+                    beta[r] * alpha[leaving] == beta[leaving] * a
+                    and basis[r] < basis[leaving]
+                )
+            ):
+                leaving = r
+        if leaving < 0:
+            # Unreachable for the configuration LP: bidder constraints bound
+            # every structural variable and slacks never improve the cost.
+            raise ValueError("LP is unbounded")
 
         pivots += 1
         piv = alpha[leaving]
@@ -148,21 +139,11 @@ def solve_canonical_max(
         Y = [(piv * y + gain * v) // d for y, v in zip(Y, piv_row)]
         d = piv
         basis[leaving] = entering
-        if d < 0:  # only a forced pivot can be negative
-            d = -d
-            M = [[-u for u in row] for row in M]
-            beta = [-b for b in beta]
-            Y = [-y for y in Y]
 
     x = [Fraction(0)] * n_cols
     for r, j in enumerate(basis):
         if j < n_cols:
             x[j] = Fraction(beta[r], d)
     scale = d * obj_scale
-    return SimplexResult(
-        x=x,
-        objective=Fraction(sum(Y), scale),
-        duals=[Fraction(y, scale) for y in Y],
-        basis=list(basis),
-        pivots=pivots,
-    )
+    duals = [Fraction(y, scale) for y in Y]
+    return SimplexResult(x, Fraction(sum(Y), scale), duals, basis, pivots, M, beta, d)

@@ -400,6 +400,20 @@ def vertex_optimum_by_combinations(lp, *, cap: int = VERTEX_ENUM_CAP) -> Fractio
     system is solved by exact elimination; feasible solutions (all variables
     nonnegative) are scored directly. Intended for tiny instances.
     """
+    [best] = vertex_optima_by_combinations([lp], cap=cap)
+    return best
+
+
+def vertex_optima_by_combinations(lps, *, cap: int = VERTEX_ENUM_CAP) -> list:
+    """``vertex_optimum_by_combinations`` of each LP, over one walk of their shared bases.
+
+    The LPs must have the same columns, (bidder, bundle) in the same order,
+    and differ only in coefficients, as an LP and its ``zero_bidder`` copies do.
+    """
+    lp = lps[0]
+    keys = {tuple((col.bidder, col.bundle) for col in other.columns) for other in lps}
+    if len(keys) != 1:
+        raise ValueError("the LPs differ in their columns")
     n_rows = lp.n + lp.m
     n_struct = len(lp.columns)
     total_cols = n_struct + n_rows
@@ -419,18 +433,19 @@ def vertex_optimum_by_combinations(lp, *, cap: int = VERTEX_ENUM_CAP) -> Fractio
         vec[s] = 1
         dense.append(vec)
 
-    best = Fraction(0)  # x = 0 is always feasible
+    best = [Fraction(0)] * len(lps)  # x = 0 is always feasible
     for basis in combinations(range(total_cols), n_rows):
         matrix = [[dense[b][r] for b in basis] for r in range(n_rows)]
         values = _solve_unit_system(matrix)
         if values is None or any(v < 0 for v in values):
             continue
-        objective = sum(
-            (v * lp.columns[b].coef for b, v in zip(basis, values) if b < n_struct),
-            Fraction(0),
-        )
-        if objective > best:
-            best = objective
+        for k, scored in enumerate(lps):
+            objective = sum(
+                (v * scored.columns[b].coef for b, v in zip(basis, values) if b < n_struct),
+                Fraction(0),
+            )
+            if objective > best[k]:
+                best[k] = objective
     return best
 
 

@@ -561,6 +561,19 @@ def test_verify_corpus_reports_each_oversize_instance(capsys):
     assert errors > 0
 
 
+def test_raw_solve_rejects_c(instance_file, tmp_path, capsys):
+    # the raw objective has no c, so a report must not record one
+    out = tmp_path / "solve.json"
+    argv = ["solve", str(instance_file), "--valuations", "raw", "--out", str(out)]
+    assert main([*argv, "--c", "1/2"]) == 2
+    assert "--c only applies to --valuations proxy" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+    assert load_json(out)["config"]["c"] == "1"
+    assert main([*argv[:3], "proxy", *argv[4:], "--c", "1/2"]) == 0
+    assert load_json(out)["config"]["c"] == "1/2"
+
+
 def test_missing_generate_arguments():
     assert main(["generate", "--kind", "additive"]) == 2
 
@@ -723,7 +736,9 @@ def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "run", "verify"])
 def test_timings_add_one_stderr_line(command, capsys):
-    argv = [command, INSTANCE, "--c", "1/2", "--p", "1/20"]
+    # solve takes --c only for the proxy objective
+    objective = ["--valuations", "proxy"] if command == "solve" else []
+    argv = [command, INSTANCE, *objective, "--c", "1/2", "--p", "1/20"]
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert main([*argv, "--timings"]) == 0
@@ -784,6 +799,7 @@ MALFORMED = {
         "bidders": [{"kind": "coverage", "element_weights": ["1"], "covers": [["0"], [], []]}]
     },
     "metadata-not-an-object": {"metadata": "seed 7"},
+    "m-a-bool": {"m": True},
     "manifest-item-without-file": None,
 }
 
@@ -806,6 +822,22 @@ def test_malformed_input_is_a_format_error(case, tmp_path, capsys):
     good, record = json.loads(capsys.readouterr().out)["results"]
     assert good["passed"] and record["check"] == "error"
     assert record["details"]["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("seed", [1.9, True, "12", None], ids=["float", "bool", "string", "null"])
+def test_a_manifest_seed_that_is_not_an_integer_is_a_format_error(seed, tmp_path, capsys):
+    (tmp_path / "good.json").write_text(json.dumps(GOOD_INSTANCE))
+    (tmp_path / "bad.json").write_text(json.dumps(GOOD_INSTANCE))
+    write_manifest(tmp_path, ["good.json"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    config = {"c": "1/2", "p": "1/20", "seed": seed}
+    manifest["instances"].append({"file": "bad.json", "config": config})
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", str(tmp_path), "--checks", "welfare"]) == 1
+    good, record = json.loads(capsys.readouterr().out)["results"]
+    assert good["passed"] and record["check"] == "error" and record["config"] is None
+    assert record["details"]["error"] == "FormatError"
+    assert "seed" in record["details"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -483,6 +483,12 @@ def payment_cases(corpus, truthful_corpus):
         yield f"{kind}-n{n}-m{m}", generate(kind, n, m, 1), MechanismConfig(*default_params(m))
 
 
+def basis_state(basis):
+    """A basis's keys and simplex state as plain values (results compare without M, beta, d)."""
+    res = basis.result
+    return basis.keys, list(res.basis), [list(row) for row in res.M], list(res.beta), res.d
+
+
 @pytest.mark.parametrize("solver", [SOLVER_FULL, SOLVER_COLGEN])
 def test_warm_charges_equal_cold_charges(solver, corpus, truthful_corpus, monkeypatch):
     starts = []
@@ -496,15 +502,17 @@ def test_warm_charges_equal_cold_charges(solver, corpus, truthful_corpus, monkey
 
     for label, instance, config in payment_cases(corpus, truthful_corpus):
         pipeline = Pipeline(instance, replace(config, solver=solver))
+        before = basis_state(pipeline.solution.basis)
         with monkeypatch.context() as patch:
             patch.setattr(mechanism, "solve_exact", recording(mechanism.solve_exact))
             patch.setattr(
                 mechanism, "solve_column_generation", recording(mechanism.solve_column_generation)
             )
             charges = pipeline.payments()
-        # every zeroed LP started from the main solve's optimal basis
+        # every zeroed LP resumed from the main solve's basis and left it as it was
         assert starts == [pipeline.solution.basis] * instance.n, label
         assert pipeline.solution.basis is not None, label
+        assert basis_state(pipeline.solution.basis) == before, label
         starts.clear()
         assert charges == charges_by_cold_solves(pipeline), label
 

@@ -65,6 +65,24 @@ def test_instance_schema_enforced():
         instance_from_dict({"schema": "something-else", "m": 1, "bidders": []})
 
 
+@pytest.mark.parametrize("m", [True, 1.0, "1", None, 0])
+def test_item_count_must_be_a_positive_json_integer(m):
+    bidders = [{"kind": "additive", "weights": ["1"]}]
+    data = {"schema": "auction-instance/1", "m": 1, "bidders": bidders}
+    assert instance_from_dict(data).m == 1
+    with pytest.raises(FormatError, match="bad item count"):
+        instance_from_dict({**data, "m": m})
+
+
+@pytest.mark.parametrize("seed", [1.9, True, "12", None])
+def test_config_seed_must_be_a_json_integer(seed):
+    config = {"c": "1/2", "p": "1/20"}
+    assert config_from_dict(config).seed == 0
+    assert config_from_dict({**config, "seed": 12}).seed == 12
+    with pytest.raises(FormatError, match="seed"):
+        config_from_dict({**config, "seed": seed})
+
+
 def test_solution_round_trip():
     inst = generate("xos", 2, 3, 3)
     sol = solve_exact(build_full_lp(inst))

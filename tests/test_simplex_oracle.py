@@ -5,6 +5,7 @@ takes the same LP densified. Both must return equal SimplexResults (x,
 objective, duals, basis and pivot count).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -34,9 +35,9 @@ def simplex_inputs(monkeypatch, lps):
     return calls
 
 
-def dense(supports, objective, n_rows, start_basis=()):
+def dense(supports, objective, n_rows, start=None):
     """The same LP as the tableau takes it: dense 0/1 columns, unit right-hand side."""
-    assert not start_basis  # the tableau starts from the slack basis only
+    assert start is None  # the tableau starts from the slack basis only
     one, zero = Fraction(1), Fraction(0)
     columns = [[one if r in support else zero for r in range(n_rows)] for support in supports]
     return columns, list(objective), [one] * n_rows
@@ -108,15 +109,16 @@ def test_matches_tableau_on_random_rational_lps(lp):
 @settings(max_examples=150, deadline=None)
 @given(unit_lps(), st.data())
 def test_warm_start_reaches_the_cold_optimum(lp, data):
-    # solve objective A, then objective B from A's optimal basis: the same
+    # solve objective A, then objective B resuming A's final basis: the same
     # feasible region, so A's basis is a feasible start for B
     supports, objective_a, n_rows = lp
     objective_b = data.draw(st.lists(rationals, min_size=len(supports), max_size=len(supports)))
     first = outcome(solve_canonical_max, *lp)
     assume(first is not ValueError)
+    before = (list(first.basis), [list(row) for row in first.M], list(first.beta), first.d)
 
     def warm(*args):
-        return solve_canonical_max(*args, start_basis=first.basis)
+        return solve_canonical_max(*args, start=first)
 
     results = [
         outcome(warm, supports, objective_b, n_rows),
@@ -125,6 +127,8 @@ def test_warm_start_reaches_the_cold_optimum(lp, data):
     ]
     objectives = [r if r is ValueError else r.objective for r in results]
     assert objectives[0] == objectives[1] == objectives[2]
+    assert (first.basis, first.M, first.beta, first.d) == before
     if results[0] is not ValueError:
-        forced = sum(j < len(supports) for j in first.basis)
-        assert results[0].pivots >= forced
+        # the warm optimum's own state resumes to itself
+        again = solve_canonical_max(supports, objective_b, n_rows, start=results[0])
+        assert again == replace(results[0], pivots=0)

@@ -44,43 +44,42 @@ def test_fractional_vertex():
     assert res.x == [F(1, 2), F(1, 2), F(1, 2)]
 
 
-def test_start_basis_with_a_negative_forced_pivot():
-    # max x0 + x1 + x2  s.t.  x0 + x1 <= 1, x0 + x2 <= 1, from the basis {x0, x1}.
-    # x0 enters row 0; then x1's column is (1, -1) against the basis {x0, slack 1},
-    # and the only row it may replace is row 1, so it enters on the pivot -1.
-    supports, objective = [[0, 1], [0], [1]], [F(1)] * 3
-    res = solve_canonical_max(supports, objective, 2, start_basis=[0, 1])
-    cold = solve_canonical_max(supports, objective, 2)
-    assert res.objective == cold.objective == 2
-    assert res.x == [F(0), F(1), F(1)]
-    assert res.duals == [F(1), F(1)]
-    assert sorted(res.basis) == [1, 2]
-    assert res.pivots == 3  # two forced pivots, then x2 replaces x0
-
-
-def test_start_basis_at_the_optimum_needs_only_the_forced_pivots():
-    lp = ([[0, 2], [1, 2]], [F(1, 2), F(2, 3)], 3)
-    cold = solve_canonical_max(*lp)
-    # the cold optimum's basis: x1 and the slacks of rows 0 and 1 (columns 2 and 3)
-    res = solve_canonical_max(*lp, start_basis=[1, 2, 3])
-    assert (res.x, res.objective, res.duals, res.basis) == (
-        cold.x, cold.objective, cold.duals, cold.basis,
-    )
-    assert (res.pivots, cold.pivots) == (1, 3)
+def state(res):
+    """What a later solve resumes from: the basis and the basis inverse state."""
+    return res.basis, [list(row) for row in res.M], list(res.beta), res.d
 
 
 @pytest.mark.parametrize(
-    "supports, start, reason",
+    "lp",
     [
-        # x2 = x0 + x1, so the three columns span only two rows
-        ([[0], [1], [0, 1]], [0, 1, 2], "singular"),
-        # the same column twice
-        ([[0], [1]], [0, 0], "singular"),
-        # x1 = x2 = 1 forces x0 = -1 in row 0
-        ([[0], [0, 1], [0, 2]], [0, 1, 2], "infeasible"),
+        ([[0, 2], [1, 2]], [F(1, 2), F(2, 3)], 3),
+        ([[0, 1], [0], [1]], [F(1)] * 3, 2),
+        ([[0, 2], [0, 1], [1, 2]], [F(1)] * 3, 3),
     ],
-    ids=["dependent-columns", "repeated-column", "negative-values"],
+    ids=["two-variable", "overlapping-pairs", "fractional-vertex"],
 )
-def test_bad_start_basis_is_rejected(supports, start, reason):
-    with pytest.raises(ValueError, match=reason):
-        solve_canonical_max(supports, [F(1)] * len(supports), 3, start_basis=start)
+def test_resuming_an_optimum_takes_no_pivots(lp):
+    cold = solve_canonical_max(*lp)
+    res = solve_canonical_max(*lp, start=cold)
+    assert (res.x, res.objective, res.duals, res.basis) == (
+        cold.x, cold.objective, cold.duals, cold.basis,
+    )
+    assert res.pivots == 0 < cold.pivots
+    assert state(res) == state(cold)
+
+
+def test_two_solves_from_one_start_are_equal_and_leave_it_unchanged():
+    # max x0 + x1 + x2  s.t.  x0 + x1 <= 1, x0 + x2 <= 1; first with x0 worth 3
+    supports = [[0, 1], [0], [1]]
+    start = solve_canonical_max(supports, [F(3), F(1), F(1)], 2)
+    assert start.x == [F(1), F(0), F(0)]
+    before = state(start)
+    first, second = (solve_canonical_max(supports, [F(1)] * 3, 2, start=start) for _ in "ab")
+    assert first == second and state(first) == state(second)
+    assert state(start) == before
+    cold = solve_canonical_max(supports, [F(1)] * 3, 2)
+    assert (first.x, first.objective, first.duals) == ([F(0), F(1), F(1)], 2, [F(1), F(1)])
+    assert (first.x, first.objective, first.duals) == (cold.x, cold.objective, cold.duals)
+    # the start's basis is {x0, x2} (x2 at zero), so x1 replacing x0 is all it takes
+    assert start.basis == [0, 2]
+    assert (first.basis, first.pivots, cold.pivots) == ([1, 2], 1, 3)

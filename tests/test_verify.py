@@ -10,6 +10,7 @@ from oracles import (
     additive_lp_optimum,
     integral_welfare_by_products,
     proxy_bound_violations_by_fractions,
+    vertex_optima_by_combinations,
     vertex_optimum_by_combinations,
 )
 from proxyauction.errors import CapacityError
@@ -343,20 +344,34 @@ def test_vertex_enumeration_matches_combinations_oracle(corpus, truthful_corpus)
 
     After the cache is cleared, the LP walks its constraints once (a miss);
     its zeroed-bidder LPs and the LP itself again score the cached points.
+    The oracle walks each constraint matrix once and scores every LP over it.
     """
-    checked = 0
+    lps = {}
     for item in [*corpus, *truthful_corpus]:
         lp = build_full_lp(item.instance, item.instance.proxies(item.config.c))
-        if bases(lp) > VERTEX_ENUM_CAP:
-            continue
+        if bases(lp) <= VERTEX_ENUM_CAP:
+            lps[item.label] = [lp] + [lp.zero_bidder(i) for i in range(lp.n)]
+    by_matrix = {}
+    for label, variants in lps.items():
+        for k, variant in enumerate(variants):
+            columns = tuple((col.bidder, col.bundle.mask) for col in variant.columns)
+            by_matrix.setdefault(columns, []).append((label, k, variant))
+    optimum = {}
+    for group in by_matrix.values():
+        values = vertex_optima_by_combinations([variant for _, _, variant in group])
+        for (label, k, _), value in zip(group, values):
+            optimum[label, k] = value
+    checked = 0
+    for label, variants in lps.items():
         _feasible_points.cache_clear()
-        for k, variant in enumerate([lp] + [lp.zero_bidder(i) for i in range(lp.n)]):
-            assert enumerate_vertex_optimum(variant) == vertex_optimum_by_combinations(variant)
+        for k, variant in enumerate(variants):
+            assert enumerate_vertex_optimum(variant) == optimum[label, k], label
             info = _feasible_points.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (1, k, 1), item.label
+            assert (info.misses, info.hits, info.currsize) == (1, k, 1), label
             checked += 1
-        assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
+        assert enumerate_vertex_optimum(variants[0]) == optimum[label, 0]
         assert _feasible_points.cache_info().misses == 1
+    assert (len(lps), len(by_matrix)) == (19, 4)  # (n, m) = (1, 4), (2, 3), (3, 2), (2, 2)
     assert checked == 62  # 19 LPs under the cap and their 43 zeroed-bidder variants
 
 
