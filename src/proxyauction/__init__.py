@@ -39,8 +39,6 @@ from .mechanism import (
     default_params,
     draw_tables,
     halt_check,
-    item_lottery,
-    personal_cancel,
     realized_welfare,
     run,
     survival_probability,

@@ -49,7 +49,7 @@ from .mechanism import (
     SOLVER_FULL,
     default_params,
 )
-from .rng import derive_seed
+from .rng import derive_seeds
 from .valuations import PROXY_SUBSET_CAP
 from .verify import INTEGRAL_CAP, VERTEX_ENUM_CAP
 
@@ -253,13 +253,19 @@ def cmd_solve(args) -> CommandResult:
 
 
 def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
-    """The report's ``outcomes``: each outcome's entry with its sample seed."""
+    """The report's ``outcomes``: each outcome's entry with its sample seed.
+
+    A pipeline returns one ``Outcome`` object for a repeated outcome, so each
+    distinct object is encoded once and its entry copied per sample seed.
+    """
     encode = ser.OutcomeEncoder(instance)
+    encoded: dict[int, dict] = {}  # by id: ``outcomes`` holds every object alive
     entries = []
     for seed, outcome in zip(seeds, outcomes):
-        entry = encode(outcome)
-        entry["sample_seed"] = seed
-        entries.append(entry)
+        entry = encoded.get(id(outcome))
+        if entry is None:
+            entry = encoded[id(outcome)] = encode(outcome)
+        entries.append({**entry, "sample_seed": seed})
     return entries
 
 
@@ -270,7 +276,7 @@ def cmd_run(args) -> CommandResult:
     if args.replications is None:
         seeds = [config.seed]
     else:
-        seeds = [derive_seed(config.seed, "replication", r) for r in range(args.replications)]
+        seeds = derive_seeds(config.seed, "replication", args.replications)
     outcomes = [pipeline.sample(seed) for seed in seeds]
     payments = pipeline.payments() if args.payments else None
     outcome_dicts = _outcome_entries(instance, seeds, outcomes)
@@ -482,7 +488,7 @@ def _bench_cell(value) -> str:
 
 def cmd_bench(args) -> CommandResult:
     records = []
-    sample_seeds = [derive_seed(args.seed, "replication", r) for r in range(BENCH_SAMPLES)]
+    sample_seeds = derive_seeds(args.seed, "replication", BENCH_SAMPLES)
     for m in args.m_list:
         instance = generate(args.kind, args.n, m, args.seed)
         c, p = default_params(m) if m >= 4 else (Fraction(1, 2), Fraction(1, 20))

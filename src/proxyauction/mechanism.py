@@ -41,7 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .errors import (
@@ -168,18 +168,59 @@ class Outcome:
             taken |= bundle.mask
 
 
-class Plan(NamedTuple):
+@dataclass(eq=False)
+class Plan:
     """What every sample with one tentative assignment shares.
 
-    A halted assignment keeps its one ``Outcome``; any other keeps its q
-    values and step-7 survival probabilities, so only the step-6 and step-7
-    draws are made per sample.
+    A halted assignment keeps its one ``Outcome``. Any other keeps its q values
+    and its draw sites, each listed once:
+
+    - the base masks: at c = 1 every item has at most one holder, who keeps it
+      for certain, so the bundles themselves; below c = 1 no item is certain;
+    - one lottery site per held item with a draw to make, with the item's bit
+      and its holders, and 1/c, the denominator of every lottery draw;
+    - one cancel site per bidder whose step-7 survival a/b is not certain,
+      with a and b (a bidder that keeps nothing draws nothing);
+    - the outcomes drawn so far, one per (kept masks, final masks).
     """
 
     tentative: TentativeAssignment
     halted: Optional[Outcome]
     q_values: Optional[tuple] = None
-    survival: Optional[tuple] = None
+    base: tuple = ()
+    lottery: tuple = ()
+    inv_c: int = 1
+    cancel: tuple = ()
+    outcomes: dict = field(default_factory=dict, repr=False)
+
+    def draw(self, root: rngmod.Stream) -> Outcome:
+        """Steps 6 and 7 of a sample whose root stream is ``root``.
+
+        Each site draws from its own child stream of the root, so a site draws
+        what ``rng.stream(seed, stage, index)`` would: item j's lottery holder
+        is the u-th for a uniform u below 1/c (nobody when u is past the last),
+        and bidder i survives when a uniform integer below b is less than a.
+        """
+        kept, inv_c = list(self.base), self.inv_c
+        for site, bit, holders in self.lottery:
+            k = root.child(site).randrange(inv_c)
+            if k < len(holders):
+                kept[holders[k]] |= bit
+        final = kept.copy()
+        for i, site, a, b in self.cancel:
+            if kept[i] and root.child(site).randrange(b) >= a:
+                final[i] = 0
+        key = (*kept, *final)
+        got = self.outcomes.get(key)
+        if got is None:
+            got = self.outcomes[key] = Outcome(
+                halted=False,
+                tentative=self.tentative.bundles,
+                kept=tuple(map(ItemSet, kept)),
+                final=tuple(map(ItemSet, final)),
+                q_values=self.q_values,
+            )
+        return got
 
 
 def draw_tables(solution: FractionalSolution) -> list:
@@ -207,18 +248,20 @@ def draw_tables(solution: FractionalSolution) -> list:
     return tables
 
 
-def tentative_indices(tables: Sequence, seed: int) -> tuple[int, ...]:
+def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
     """Step 3: per bidder, the index of its drawn bundle in its draw table.
 
-    Bidder i draws one uniform integer below its common denominator from its
-    own tentative-stage stream, so draws do not interact across bidders or
+    ``root`` is the sample's root stream, ``rng.stream(seed)``. Bidder i draws
+    one uniform integer below its common denominator from its own
+    tentative-stage child stream, so draws do not interact across bidders or
     with later stages. The bundle is the first whose threshold exceeds the
     draw. A denominator of 1 makes the draw certain (it is 0), so that bidder
     builds no stream; the other bidders' streams are their own either way.
     """
     return tuple(
         bisect_right(
-            thresholds, 0 if den == 1 else rngmod.stream(seed, "tentative", i).randrange(den)
+            thresholds,
+            0 if den == 1 else root.child(rngmod.site("tentative", i)).randrange(den),
         )
         for i, (_, den, thresholds) in enumerate(tables)
     )
@@ -226,7 +269,7 @@ def tentative_indices(tables: Sequence, seed: int) -> tuple[int, ...]:
 
 def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
     """Step 3 as bundles: the tentative assignment of ``tentative_indices``."""
-    picks = tentative_indices(tables, seed)
+    picks = tentative_indices(tables, rngmod.stream(seed))
     return TentativeAssignment(
         bundles=tuple(table[0][k] for table, k in zip(tables, picks)), m=m
     )
@@ -311,53 +354,6 @@ def compute_q(
     return total
 
 
-def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSet, ...]:
-    """Step 6: per item, each tentative holder receives it with probability c.
-
-    Requires every holder count to be at most 1/c (the halt check must have
-    passed), so the per-item lottery probabilities sum to at most 1. Item j
-    draws from its own lottery-stage stream: a uniform integer u below 1/c,
-    and the u-th holder receives the item if there is one, so each holder
-    gets it with probability exactly c. At c = 1 the one holder gets the item
-    for certain, and no stream is built.
-    """
-    inv_c = c.denominator
-    kept_masks = [0] * len(t.bundles)
-    for j, holders in enumerate(t.holders):
-        if not holders:
-            continue
-        if len(holders) > inv_c:
-            raise ContractViolationError(
-                f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
-            )
-        k = 0 if inv_c == 1 else rngmod.stream(seed, "lottery", j).randrange(inv_c)
-        if k < len(holders):
-            kept_masks[holders[k]] |= 1 << j
-    return tuple(ItemSet(mask) for mask in kept_masks)
-
-
-def personal_cancel(
-    kept: Sequence[ItemSet], survival: Sequence, seed: int
-) -> tuple[ItemSet, ...]:
-    """Step 7: bidder i keeps everything with probability survival[i], else nothing.
-
-    A nonempty bundle draws from bidder i's cancel-stage stream: a survival
-    probability a/b keeps the bundle when a uniform integer below b is less
-    than a, which happens with probability exactly a/b. An empty bundle, or a
-    survival probability of 1, draws nothing, since the outcome is certain.
-    """
-    final = []
-    for i, (bundle, keep) in enumerate(zip(kept, survival)):
-        if not bundle:
-            final.append(EMPTY_SET)
-            continue
-        survives = keep == 1 if keep.denominator == 1 else (
-            rngmod.stream(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
-        )
-        final.append(bundle if survives else EMPTY_SET)
-    return tuple(final)
-
-
 def survival_probability(q, p: Fraction, bidder: int) -> Fraction:
     """Step-7 keep probability p / (1 - q_i); raises ParameterError if q_i > 1 - p."""
     q = Fraction(q)
@@ -376,13 +372,15 @@ class Pipeline:
     cheap; the LP solve and the q values are deterministic functions of the
     instance and configuration, so sharing them does not affect the law.
 
-    ``sample`` keeps one ``Plan`` per tentative assignment it has drawn, keyed
-    by the drawn index per bidder: the bundles, the per-item holders, the
-    halt verdict (a halted plan holds its shared outcome), the q values and
-    the survival probabilities. A sample then draws step 3, looks its plan up
-    and draws only steps 6 and 7. A plan that raises (q_i > 1 - p, halted or
-    not, or a capped q enumeration) is not kept, so every sample that draws it
-    raises again.
+    ``sample`` builds one root stream per seed, ``rng.stream(seed)``, and draws
+    every site of the sample from it. It keeps one ``Plan`` per tentative
+    assignment it has drawn, keyed by the drawn index per bidder: the bundles,
+    the per-item holders, the halt verdict (a halted plan holds its shared
+    outcome), the q values and the step-6 and step-7 draw sites. A sample then
+    draws step 3, looks its plan up and draws only the plan's sites; a
+    repeated outcome is the plan's earlier ``Outcome`` object. A plan that
+    raises (q_i > 1 - p, halted or not, or a capped q enumeration) is not
+    kept, so every sample that draws it raises again.
     There are at most as many plans as the product of the bidders' support
     sizes, and never more than samples drawn.
     """
@@ -462,7 +460,7 @@ class Pipeline:
         return got
 
     def plan(self, picks: tuple[int, ...]) -> Plan:
-        """Steps 4, 5 and the survival probabilities for the drawn table indices."""
+        """Steps 4, 5 and the step-6 and step-7 draw sites for the drawn table indices."""
         got = self.plans.get(picks)
         if got is not None:
             return got
@@ -475,23 +473,32 @@ class Pipeline:
             got = Plan(t, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
-            got = Plan(t, None, q_values, survival)
+            inv_c = self.config.inv_c
+            if inv_c == 1:
+                base, lottery = tuple(bundle.mask for bundle in bundles), ()
+            else:
+                base = (0,) * len(bundles)
+                lottery = tuple(
+                    (rngmod.site("lottery", j), 1 << j, holders)
+                    for j, holders in enumerate(t.holders)
+                    if holders
+                )
+            cancel = tuple(
+                (i, rngmod.site("cancel", i), keep.numerator, keep.denominator)
+                for i, (bundle, keep) in enumerate(zip(bundles, survival))
+                if bundle and keep.denominator != 1
+            )
+            got = Plan(t, None, q_values, base, lottery, inv_c, cancel)
         self.plans[picks] = got
         return got
 
     def sample(self, seed: int) -> Outcome:
-        """One rounding pass: step 3, the assignment's plan, then steps 6 and 7."""
-        plan = self.plan(tentative_indices(self.tables, seed))
+        """One rounding pass: step 3, the assignment's plan, then its sites' draws."""
+        root = rngmod.stream(seed)
+        plan = self.plan(tentative_indices(self.tables, root))
         if plan.halted is not None:
             return plan.halted
-        kept = item_lottery(plan.tentative, self.config.c, seed)
-        return Outcome(
-            halted=False,
-            tentative=plan.tentative.bundles,
-            kept=kept,
-            final=personal_cancel(kept, plan.survival, seed),
-            q_values=plan.q_values,
-        )
+        return plan.draw(root)
 
     def payments(self) -> tuple[Fraction, ...]:
         """Expected externality charges over the LP range."""

@@ -3,7 +3,10 @@
 Every random decision in the pipeline draws from its own stream, named by
 the master seed together with a (stage, index) label path. Adding new
 instrumentation or reordering independent draws therefore never perturbs the
-outcome of existing stages.
+outcome of existing stages. A site's key is its seed's root key followed by
+the site's label bytes (``site``), so a sampler that builds ``stream(seed)``
+once can draw each site from ``root.child(site)`` with the same key as
+``stream(seed, *labels)``, and can list its sites' bytes once for many seeds.
 
 A stream is counter based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): it holds no generator state beyond its key and a block
@@ -23,6 +26,8 @@ one of ``|repr(label)`` parts, and has the same bytes as the text built in
 full. A label part is cached only for an ``int`` or a ``str`` and is keyed with
 its type, so ``1``, ``True``, ``1.0`` and ``"1"`` never share a part. The
 block size and the rejection limit of each denominator are cached too.
+``derive_seeds`` derives a run of child seeds, one per index, from one shared
+key prefix, since a run's indices reach past the label cache.
 """
 
 from __future__ import annotations
@@ -40,6 +45,15 @@ def derive_seed(seed: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def derive_seeds(seed: int, label, count: int) -> list[int]:
+    """``[derive_seed(seed, label, r) for r in range(count)]``, from one key prefix."""
+    prefix = _key(seed, (label,)) + b"|"
+    return [
+        int.from_bytes(sha256(prefix + repr(r).encode("utf-8")).digest()[:8], "big")
+        for r in range(count)
+    ]
+
+
 class Stream:
     """Exact uniform draws for one labeled decision site."""
 
@@ -48,6 +62,10 @@ class Stream:
     def __init__(self, key: bytes):
         self.key = key
         self.counter = 0
+
+    def child(self, site: bytes) -> "Stream":
+        """The stream keyed by this stream's key followed by ``site`` (from ``site()``)."""
+        return Stream(self.key + site)
 
     def randrange(self, den: int) -> int:
         """Uniform integer in [0, den), exactly."""
@@ -82,17 +100,22 @@ def _label_part(kind: type, label) -> bytes:
     return b"|" + repr(label).encode("utf-8")
 
 
-def _key(seed: int, labels) -> bytes:
-    """The label text ``repr(seed)|repr(label)|...`` as UTF-8, from cached parts."""
-    key = _seed_part(seed)
+def site(*labels) -> bytes:
+    """The label text ``|repr(label)|...`` as UTF-8, from cached parts."""
+    text = b""
     for label in labels:
         kind = type(label)
         # equal ints, or equal strs, share their repr; equal floats may not (0.0, -0.0)
         if kind is int or kind is str:
-            key += _label_part(kind, label)
+            text += _label_part(kind, label)
         else:
-            key += b"|" + repr(label).encode("utf-8")
-    return key
+            text += b"|" + repr(label).encode("utf-8")
+    return text
+
+
+def _key(seed: int, labels) -> bytes:
+    """The label text ``repr(seed)|repr(label)|...`` as UTF-8, from cached parts."""
+    return _seed_part(seed) + site(*labels)
 
 
 def stream(seed: int, *labels) -> Stream:

@@ -46,10 +46,23 @@ def format_value(x) -> str:
 
 
 def parse_value(raw) -> Fraction:
+    """An exact value read from JSON: a string such as "5/2" or an integer.
+
+    A float or a bool is refused, since neither is an exact rational as written.
+    """
+    if type(raw) is not str and type(raw) is not int:
+        raise FormatError(f"bad exact value {raw!r}: write a string or an integer")
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad exact value {raw!r}: {exc}") from exc
+
+
+def _cover(raw) -> list:
+    """A coverage cover read from JSON: a list of integers, no bools."""
+    if not isinstance(raw, list) or any(type(e) is not int for e in raw):
+        raise FormatError(f"a coverage cover lists integer elements, got {raw!r}")
+    return raw
 
 
 def _require_exact(data: dict) -> None:
@@ -162,23 +175,24 @@ def valuation_from_dict(data: dict, m: int) -> Valuation:
     kind = data.get("kind")
     try:
         if kind == "additive":
-            return AdditiveValuation([Fraction(w) for w in data["weights"]])
+            return AdditiveValuation([parse_value(w) for w in data["weights"]])
         if kind == "unit-demand":
-            return UnitDemandValuation([Fraction(w) for w in data["weights"]])
+            return UnitDemandValuation([parse_value(w) for w in data["weights"]])
         if kind == "xos":
-            return XOSValuation(m, [[Fraction(w) for w in cl] for cl in data["clauses"]])
+            return XOSValuation(m, [[parse_value(w) for w in cl] for cl in data["clauses"]])
         if kind == "coverage":
             return CoverageValuation(
-                [Fraction(w) for w in data["element_weights"]], data["covers"]
+                [parse_value(w) for w in data["element_weights"]],
+                [_cover(cover) for cover in data["covers"]],
             )
         if kind == "explicit":
             values = data["values"]
-            table = {0: Fraction(values.get("", "0"))}
+            table = {0: parse_value(values.get("", "0"))}
             for mask in range(1, 1 << m):
                 key = _bundle_key(mask)
                 if key not in values:
                     raise FormatError(f"explicit table missing bundle {{{key}}}")
-                table[mask] = Fraction(values[key])
+                table[mask] = parse_value(values[key])
             return ExplicitValuation(m, table)
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed {kind!r} valuation payload: {exc}") from exc

@@ -328,9 +328,8 @@ def check_halt_frequency(pipeline: Pipeline, trials: int) -> CheckResult:
     """
     config, m = pipeline.config, pipeline.instance.m
     halts = 0
-    for t in range(trials):
-        draw = pipeline.tentative_sample(rngmod.derive_seed(config.seed, "halt-trial", t))
-        if halt_check(draw, config.c):
+    for seed in rngmod.derive_seeds(config.seed, "halt-trial", trials):
+        if halt_check(pipeline.tentative_sample(seed), config.c):
             halts += 1
     freq = halts / trials
     bound = 1 / m + 3 * math.sqrt(1 / (m * trials))
@@ -350,8 +349,8 @@ def check_monte_carlo(pipeline: Pipeline, law: OutcomeDistribution, trials: int)
     """
     seed, instance = pipeline.config.seed, pipeline.instance
     welfares = [
-        realized_welfare(instance, pipeline.sample(rngmod.derive_seed(seed, "replication", t)))
-        for t in range(trials)
+        realized_welfare(instance, pipeline.sample(sample_seed))
+        for sample_seed in rngmod.derive_seeds(seed, "replication", trials)
     ]
     mean = sum(welfares, Fraction(0)) / trials
     var = sum(((w - mean) ** 2 for w in welfares), Fraction(0)) / max(trials - 1, 1)

@@ -12,7 +12,12 @@ from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from proxyauction.errors import CapacityError, FormatError, InfeasibleSolutionError
+from proxyauction.errors import (
+    CapacityError,
+    ContractViolationError,
+    FormatError,
+    InfeasibleSolutionError,
+)
 from proxyauction.itemsets import EMPTY_SET, ItemSet, submasks
 from proxyauction.lp import (
     ConfigLP,
@@ -20,7 +25,13 @@ from proxyauction.lp import (
     solve_column_generation,
     solve_exact,
 )
-from proxyauction.mechanism import SOLVER_COLGEN, Outcome
+from proxyauction.mechanism import (
+    SOLVER_COLGEN,
+    Outcome,
+    TentativeAssignment,
+    halt_check,
+    tentative_draw,
+)
 from proxyauction.rng import Stream, stream
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
@@ -238,6 +249,75 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         kept=tuple(ItemSet(mask) for mask in kept),
         final=tuple(final),
         q_values=q_values,
+    )
+
+
+def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSet, ...]:
+    """Step 6: per item, each tentative holder receives it with probability c.
+
+    Requires every holder count to be at most 1/c (the halt check must have
+    passed), so the per-item lottery probabilities sum to at most 1. Item j
+    draws from its own (seed, "lottery", j) stream: a uniform integer u below
+    1/c, and the u-th holder receives the item if there is one, so each holder
+    gets it with probability exactly c. At c = 1 the one holder gets the item
+    for certain, and no stream is built.
+    """
+    inv_c = c.denominator
+    kept_masks = [0] * len(t.bundles)
+    for j, holders in enumerate(t.holders):
+        if not holders:
+            continue
+        if len(holders) > inv_c:
+            raise ContractViolationError(
+                f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
+            )
+        k = 0 if inv_c == 1 else stream(seed, "lottery", j).randrange(inv_c)
+        if k < len(holders):
+            kept_masks[holders[k]] |= 1 << j
+    return tuple(ItemSet(mask) for mask in kept_masks)
+
+
+def personal_cancel(kept: Sequence[ItemSet], survival: Sequence, seed: int) -> tuple:
+    """Step 7: bidder i keeps everything with probability survival[i], else nothing.
+
+    A nonempty bundle draws from bidder i's (seed, "cancel", i) stream: a
+    survival probability a/b keeps the bundle when a uniform integer below b
+    is less than a. An empty bundle, or a survival probability of 1, draws
+    nothing, since the outcome is certain.
+    """
+    final = []
+    for i, (bundle, keep) in enumerate(zip(kept, survival)):
+        if not bundle:
+            final.append(EMPTY_SET)
+            continue
+        survives = keep == 1 if keep.denominator == 1 else (
+            stream(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
+        )
+        final.append(bundle if survives else EMPTY_SET)
+    return tuple(final)
+
+
+def sample_by_steps(pipeline, seed: int) -> Outcome:
+    """``Pipeline.sample`` composed of the per-step functions, one stream per site.
+
+    Step 3 is the package's ``tentative_draw``, step 4 its ``halt_check``, and
+    steps 6 and 7 are ``item_lottery`` and ``personal_cancel`` above, each of
+    which builds its own ``stream(seed, stage, index)`` per draw. As in the
+    package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
+    or not. The q values and survival probabilities come from ``pipeline``.
+    """
+    t = tentative_draw(pipeline.tables, pipeline.solution.m, seed)
+    survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(t.bundles)]
+    if halt_check(t, pipeline.config.c):
+        empty = (EMPTY_SET,) * len(t.bundles)
+        return Outcome(halted=True, tentative=t.bundles, kept=empty, final=empty)
+    kept = item_lottery(t, pipeline.config.c, seed)
+    return Outcome(
+        halted=False,
+        tentative=t.bundles,
+        kept=kept,
+        final=personal_cancel(kept, survival, seed),
+        q_values=tuple(pipeline.q(i, bundle) for i, bundle in enumerate(t.bundles)),
     )
 
 

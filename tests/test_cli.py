@@ -657,11 +657,26 @@ PINNED_REPORTS = {
          "--replications", "2000"],
         "702011c6f2ef1518830cc7217fed4a24e06b972f1e9960b311a31926e487b014",
     ),
+    # c = 1: every kept item comes from the plan's base masks, with live
+    # tentative draws and halts (the contended corpus instances draw q_i = 1 there)
+    "run-mixed-c1-own-items-replications": (
+        ["run", "mixed-n3-m4.json", "--c", "1", "--p", "1/20", "--q-variant", "own-items",
+         "--replications", "2000"],
+        "cb77ef098703a791980d9c9784de19806bbf11078fcb82e74cbb0a67472c693f",
+    ),
+    "run-truthfulness-own-items-colgen-replications": (
+        ["run", "corpus/truthfulness/T12-explicit-n3-m4-contended.json", "--c", "1/2",
+         "--p", "1/20", "--q-variant", "own-items", "--solver", "column-generation",
+         "--seed", "27", "--replications", "2000"],
+        "dab3d1fdff6fc1abd3e07028a57f8d1aac944c6e1b64f24bed1caea5ffca2f17",
+    ),
 }
 
-# instances generated into the working directory: the benchmark's xos auction shape
+# instances generated into the working directory: the benchmark's xos auction
+# shape, and a mixed instance whose LP is fractional at c = 1
 GENERATED = {
     "xos-n3-m6.json": ["generate", "--kind", "xos", "--n", "3", "--m", "6", "--seed", "1"],
+    "mixed-n3-m4.json": ["generate", "--kind", "mixed", "--n", "3", "--m", "4", "--seed", "8"],
 }
 
 

@@ -5,10 +5,24 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from fixtures import AUCTION_SHAPES, overlap_demo, random_feasible_solution, rows_against_columns
-from oracles import charges_by_cold_solves, sample_by_definition
+from fixtures import (
+    AUCTION_SHAPES,
+    any_kind_instances,
+    overlap_demo,
+    random_feasible_solution,
+    rows_against_columns,
+)
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    charges_by_cold_solves,
+    item_lottery,
+    personal_cancel,
+    sample_by_definition,
+    sample_by_steps,
+)
 
 from proxyauction import mechanism
+from proxyauction import rng as rngmod
 from proxyauction.errors import ContractViolationError, ParameterError
 from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
@@ -26,14 +40,13 @@ from proxyauction.mechanism import (
     default_params,
     draw_tables,
     halt_check,
-    item_lottery,
-    personal_cancel,
     realized_welfare,
     run,
     survival_probability,
     tentative_draw,
+    tentative_indices,
 )
-from proxyauction.rng import derive_seed
+from proxyauction.rng import derive_seed, derive_seeds
 from proxyauction.serialize import config_from_dict, load_instance, load_json
 from proxyauction.valuations import AdditiveValuation, Instance, UnitDemandValuation
 from proxyauction.verify import exact_distribution
@@ -179,6 +192,9 @@ def test_q_atom_cap():
 
 
 # -- item lottery ----------------------------------------------------------------
+# item_lottery and personal_cancel are the per-step oracle of Pipeline.sample
+# (tests/oracles.py); the tests below fix their law, and the sample tests
+# further down compare the pipeline with them seed for seed.
 
 
 def test_lottery_saturated_item_always_assigned():
@@ -206,7 +222,7 @@ def test_lottery_at_c_one_builds_no_stream(monkeypatch):
     def no_stream(*labels):
         raise AssertionError("a certain lottery built a stream")
 
-    monkeypatch.setattr(mechanism.rngmod, "stream", no_stream)
+    monkeypatch.setattr(rngmod, "stream", no_stream)
     t = TentativeAssignment(bundles=(ItemSet(0b01), ItemSet(0b10)), m=2)
     assert item_lottery(t, F(1), 3) == t.bundles
 
@@ -331,22 +347,153 @@ def test_run_monte_carlo_tracks_exact_expectation():
     assert abs(float(mean - target)) <= 3 * math.sqrt(float(var) / trials)
 
 
-def test_sample_matches_definition_on_both_corpora():
-    # Pipeline.sample against the step-3..7 definitions, seed for seed; the
-    # contended instances make some outcomes halt
+def corpus_cases():
+    """(file, instance, manifest config) for every instance of both corpora."""
     corpus_root = Path(__file__).parent.parent / "corpus"
-    halts = 0
     for name in ("standard", "truthfulness"):
         for entry in load_json(corpus_root / name / "manifest.json")["instances"]:
             instance = load_instance(corpus_root / name / entry["file"])
-            config = config_from_dict(entry["config"])
-            pipe = Pipeline(instance, config)
-            for k in range(200):
-                seed = derive_seed(config.seed, "equivalence", k)
-                out = pipe.sample(seed)
-                assert out == sample_by_definition(pipe, seed), (entry["file"], k)
-                halts += out.halted
+            yield entry["file"], instance, config_from_dict(entry["config"])
+
+
+def test_sample_matches_definition_on_both_corpora():
+    # Pipeline.sample against the step-3..7 definitions, seed for seed; the
+    # contended instances make some outcomes halt
+    halts = 0
+    for label, instance, config in corpus_cases():
+        pipe = Pipeline(instance, config)
+        for k in range(200):
+            seed = derive_seed(config.seed, "equivalence", k)
+            out = pipe.sample(seed)
+            assert out == sample_by_definition(pipe, seed), (label, k)
+            halts += out.halted
     assert halts > 0
+
+
+def assert_sample_matches_steps(pipe, seeds, label=""):
+    """Pipeline.sample(s) == sample_by_steps(s), or both raise ParameterError; the outcomes."""
+    outcomes = []
+    for k, seed in enumerate(seeds):
+        try:
+            expected = sample_by_steps(pipe, seed)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                pipe.sample(seed)
+            continue
+        out = pipe.sample(seed)
+        assert out == expected, (label, k)
+        outcomes.append(out)
+    return outcomes
+
+
+def hashes_by_stage(monkeypatch) -> Counter:
+    """Count SHAKE blocks by the stage label read from each hashed key."""
+    real = rngmod.shake_256
+    hashed = Counter()
+
+    def counting(data):
+        # data is repr(seed)|repr(stage)|repr(index) and an 8-byte block counter
+        hashed[data[:-8].decode("utf-8").split("|")[1]] += 1
+        return real(data)
+
+    monkeypatch.setattr(rngmod, "shake_256", counting)
+    return hashed
+
+
+def test_sample_matches_the_step_functions_on_both_corpora():
+    halts = 0
+    for label, instance, config in corpus_cases():
+        pipe = Pipeline(instance, config)
+        outcomes = assert_sample_matches_steps(
+            pipe, derive_seeds(config.seed, "steps", 2000), label
+        )
+        assert len(outcomes) == 2000, label
+        halts += sum(out.halted for out in outcomes)
+    assert halts > 0
+
+
+CONTENDED = (
+    "corpus/standard/22-xos-n3-m4-contended.json",
+    "corpus/truthfulness/T12-explicit-n3-m4-contended.json",
+)
+
+
+@pytest.mark.parametrize("q_variant", [Q_HALT, Q_OWN_ITEMS])
+@pytest.mark.parametrize("solver", [SOLVER_FULL, SOLVER_COLGEN])
+def test_sample_matches_the_step_functions_for_each_variant_and_solver(q_variant, solver):
+    root = Path(__file__).parent.parent
+    for path in CONTENDED:
+        config = MechanismConfig(c=F(1, 2), p=F(1, 20), q_variant=q_variant, solver=solver)
+        pipe = Pipeline(load_instance(root / path), config)
+        outcomes = assert_sample_matches_steps(pipe, derive_seeds(27, "variants", 2000), path)
+        assert len(outcomes) == 2000
+        assert any(out.halted for out in outcomes)
+        assert any(any(out.final) for out in outcomes)
+
+
+def test_sample_matches_the_step_functions_at_c_one(monkeypatch):
+    # at c = 1 every kept item comes from the plan's base masks: no lottery site.
+    # The generated mixed instance has a fractional LP there, so step 3 and the
+    # halt are live; every corpus instance is integral at c = 1, or raises
+    instance = generate("mixed", 3, 4, 8)
+    config = MechanismConfig(c=F(1), p=F(1, 20), q_variant=Q_OWN_ITEMS)
+    pipe = Pipeline(instance, config)
+    hashed = hashes_by_stage(monkeypatch)
+    outcomes = [pipe.sample(seed) for seed in derive_seeds(1, "c1", 2000)]
+    assert hashed["'lottery'"] == 0 and hashed["'tentative'"] > 0 and hashed["'cancel'"] > 0
+    assert all(plan.lottery == () for plan in pipe.plans.values())
+    assert outcomes == assert_sample_matches_steps(pipe, derive_seeds(1, "c1", 2000))
+    assert any(out.halted for out in outcomes)
+    raising = []
+    for label, instance, config in corpus_cases():
+        pipe = Pipeline(instance, replace(config, c=F(1)))
+        if len(assert_sample_matches_steps(pipe, derive_seeds(2, "c1", 200), label)) < 200:
+            raising.append(label)
+    # some bundles of the two contended instances have q_i = 1 at c = 1
+    assert sorted(raising) == ["22-xos-n3-m4-contended.json", "T12-explicit-n3-m4-contended.json"]
+
+
+@given(
+    instance=any_kind_instances(),
+    c=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    p=st.sampled_from([F(1, 20), F(1, 4), F(1)]),
+    q_variant=st.sampled_from([Q_HALT, Q_OWN_ITEMS]),
+    solver=st.sampled_from([SOLVER_FULL, SOLVER_COLGEN]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_matches_the_step_functions_on_generated_instances(
+    instance, c, p, q_variant, solver, seed
+):
+    pipe = Pipeline(instance, MechanismConfig(c=c, p=p, q_variant=q_variant, solver=solver))
+    assert_sample_matches_steps(pipe, derive_seeds(seed, "generated", 100))
+
+
+def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkeypatch):
+    # every stream's first block reads as all ones: past the last whole multiple
+    # of any denominator that is not a power of two, so those draws move to block 1
+    real = rngmod.shake_256
+    firsts = Counter()
+
+    class AllOnesFirst:
+        def __init__(self, data):
+            self.data = data
+
+        def digest(self, size):
+            first = self.data.endswith(bytes(8))
+            firsts[first] += 1
+            return b"\xff" * size if first else real(self.data).digest(size)
+
+    monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
+    root = Path(__file__).parent.parent
+    for path in CONTENDED:
+        for c in (F(1, 2), F(1, 3)):
+            pipe = Pipeline(load_instance(root / path), MechanismConfig(c=c, p=F(1, 20)))
+            seeds = derive_seeds(5, "reject", 300)
+            assert len(assert_sample_matches_steps(pipe, seeds, path)) == len(seeds)
+            for seed in seeds[:50]:
+                assert pipe.sample(seed) == sample_by_definition(pipe, seed)
+    assert firsts[True] > 0 and firsts[False] > 0  # some draws read a second block
 
 
 def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
@@ -354,20 +501,51 @@ def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
     instance = load_instance(Path(__file__).parent.parent / "corpus/standard/08-xos-n3-m4.json")
     pipe = Pipeline(instance, MechanismConfig(c=F(1, 2), p=F(1, 20), seed=4))
     assert all(x == 1 for _, _, x in pipe.solution.support())
-    built = Counter()
+    roots = Counter()
     real = mechanism.rngmod.stream
 
-    def counting(seed, stage, index):
-        built[stage] += 1
-        return real(seed, stage, index)
+    def counting(seed, *labels):
+        roots[labels] += 1
+        return real(seed, *labels)
 
     monkeypatch.setattr(mechanism.rngmod, "stream", counting)
-    outcomes = [pipe.sample(derive_seed(4, "certain", k)) for k in range(1000)]
-    assert built["tentative"] == 0
+    hashed = hashes_by_stage(monkeypatch)
+    outcomes = [pipe.sample(seed) for seed in derive_seeds(4, "certain", 1000)]
+    assert roots == {(): 1000}  # one root stream per sample, every site a child of it
+    assert hashed["'tentative'"] == 0
     # one lottery per held item, one cancel draw per bidder that kept an item
-    assert built["lottery"] == 1000 * instance.m
-    assert built["cancel"] == sum(sum(map(bool, out.kept)) for out in outcomes)
+    assert hashed["'lottery'"] == 1000 * instance.m
+    assert hashed["'cancel'"] == sum(sum(map(bool, out.kept)) for out in outcomes)
+    assert set(hashed) == {"'lottery'", "'cancel'"}
     assert len(pipe.plans) == 1
+
+
+def test_a_repeated_outcome_is_one_object(corpus):
+    item = corpus[22]
+    pipe = Pipeline(item.instance, item.config)
+    first = {}
+    for seed in derive_seeds(6, "shared", 2000):
+        out = pipe.sample(seed)
+        # tentative bundles name the plan; kept and final masks its outcome
+        assert first.setdefault((out.tentative, out.kept, out.final), out) is out
+    assert len(first) < 500  # 2,000 samples, about 200 distinct outcomes
+    drawn = sum(len(plan.outcomes) for plan in pipe.plans.values())
+    assert drawn + sum(plan.halted is not None for plan in pipe.plans.values()) == len(first)
+
+
+def test_a_plan_that_raises_is_not_kept(corpus):
+    # at p = 9/10 some bundles of the contended instance have q_i = 1/9 > 1 - p
+    item = corpus[22]
+    pipe = Pipeline(item.instance, replace(item.config, p=F(9, 10)))
+    raised = set()
+    for seed in derive_seeds(8, "raises", 300):
+        picks = tentative_indices(pipe.tables, rngmod.stream(seed))
+        try:
+            pipe.sample(seed)
+        except ParameterError:
+            raised.add(picks)
+        assert (picks in raised) != (picks in pipe.plans)
+    assert raised and pipe.plans
 
 
 def test_every_sample_of_an_infeasible_q_plan_raises(corpus):

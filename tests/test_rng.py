@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import bernoulli, categorical, stream_key_by_definition
 from proxyauction import rng as rngmod
-from proxyauction.rng import derive_seed, stream
+from proxyauction.rng import derive_seed, derive_seeds, site, stream
 
 # labels that compare equal across types but are rendered differently
 EQUAL_LABELS = (1, True, 1.0, "1", 0, False, 0.0, -0.0, -3, -3.0, "-3")
@@ -31,6 +31,8 @@ def test_stream_key_is_the_label_text(seed, labels, warm):
         assert stream(seed, "warm", label).key == stream_key_by_definition(seed, ["warm", label])
     key = stream_key_by_definition(seed, labels)
     assert stream(seed, *labels).key == key
+    # a site under the seed's root stream has the key of the full label path
+    assert stream(seed).child(site(*labels)).key == key
     assert derive_seed(seed, *labels) == int.from_bytes(sha256(key).digest()[:8], "big")
 
 
@@ -45,6 +47,15 @@ def test_stream_key_of_str_int_pairs(seed, pairs):
     swapped = [str(x) if isinstance(x, int) else x for x in labels]
     if swapped != labels:
         assert stream(seed, *swapped).key != stream(seed, *labels).key
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("label", ["replication", "halt-trial", 3])
+def test_derive_seeds_equals_derive_seed_for_every_index(seed, label):
+    # the indices run past the label-part cache, and 1000 is the replicate count
+    got = derive_seeds(seed, label, 1300)
+    assert got == [derive_seed(seed, label, r) for r in range(1300)]
+    assert derive_seeds(seed, label, 0) == []
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():

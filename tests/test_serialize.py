@@ -74,6 +74,49 @@ def test_item_count_must_be_a_positive_json_integer(m):
         instance_from_dict({**data, "m": m})
 
 
+def test_exact_values_are_json_strings_or_integers():
+    weights = {"kind": "additive", "weights": ["1/10", 2]}
+    assert valuation_from_dict(weights, 2)._value(0b11) == F(21, 10)
+    for bad in ([0.1, True], ["1", True], ["1", 0.5], ["1", None], ["1", "x"]):
+        with pytest.raises(FormatError, match="bad exact value"):
+            valuation_from_dict({**weights, "weights": bad}, 2)
+    with pytest.raises(FormatError, match="bad exact value"):
+        valuation_from_dict({"kind": "xos", "clauses": [["1", 1.0]]}, 2)
+    with pytest.raises(FormatError, match="bad exact value"):
+        valuation_from_dict({"kind": "explicit", "values": {"0": "1", "1": 1.5, "0,1": "2"}}, 2)
+    with pytest.raises(FormatError, match="bad exact value"):
+        parse_value(False)
+
+
+def test_coverage_covers_list_json_integers():
+    coverage = {"kind": "coverage", "element_weights": ["1", "2"], "covers": [[0, 1], []]}
+    assert valuation_from_dict(coverage, 2)._value(0b01) == 3
+    for covers in ([[True], []], [[0], [1.0]], [[0], ["1"]], [[0], 1]):
+        with pytest.raises(FormatError, match="coverage cover"):
+            valuation_from_dict({**coverage, "covers": covers}, 2)
+    with pytest.raises(FormatError, match="bad exact value"):
+        valuation_from_dict({**coverage, "element_weights": ["1", True]}, 2)
+
+
+def test_an_instance_with_float_or_bool_values_is_refused():
+    # the example instance solved before: weights [0.1, true] and a cover [true]
+    data = {
+        "schema": "auction-instance/1",
+        "m": 2,
+        "bidders": [
+            {"kind": "additive", "weights": [0.1, True]},
+            {"kind": "coverage", "element_weights": ["1"], "covers": [[True], []]},
+        ],
+    }
+    with pytest.raises(FormatError):
+        instance_from_dict(data)
+    data["bidders"][0]["weights"] = ["1/10", 1]
+    with pytest.raises(FormatError, match="coverage cover"):
+        instance_from_dict(data)
+    data["bidders"][1]["covers"] = [[0], []]
+    assert instance_from_dict(data).m == 2
+
+
 @pytest.mark.parametrize("seed", [1.9, True, "12", None])
 def test_config_seed_must_be_a_json_integer(seed):
     config = {"c": "1/2", "p": "1/20"}
