@@ -465,6 +465,7 @@ BENCH_COLUMNS = (
     ("exact-full s", "exact_full_seconds"),
     ("pivots", "exact_full_pivots"),
     ("exact-colgen s", "exact_colgen_seconds"),
+    ("colgen pivots", "exact_colgen_pivots"),
     ("vertex-enum s", "vertex_enum_seconds"),
     ("points", "vertex_enum_points"),
     ("integral s", "integral_seconds"),
@@ -475,6 +476,7 @@ BENCH_COLUMNS = (
     ("pay-full s", "payments_full_seconds"),
     ("pay pivots", "payments_full_pivots"),
     ("pay-colgen s", "payments_colgen_seconds"),
+    ("pay-colgen pivots", "payments_colgen_pivots"),
     ("pay demands", "payments_colgen_demand_queries"),
     ("objectives", "objectives_agree"),
 )
@@ -543,6 +545,8 @@ def cmd_bench(args) -> CommandResult:
                 "exact_full_seconds": t_exact,
                 "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,
+                # every master round's pivots
+                "exact_colgen_pivots": sol_colgen.pivots,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),
                 # distinct basic feasible points the walk found
@@ -557,6 +561,7 @@ def cmd_bench(args) -> CommandResult:
                 "payments_full_seconds": t_pay_full,
                 "payments_full_pivots": pipeline.payment_pivots,
                 "payments_colgen_seconds": t_pay_colgen,
+                "payments_colgen_pivots": colgen.payment_pivots,
                 "payments_colgen_demand_queries": demands,
                 "objective": str(sol_exact.objective),
                 # each charge sum is p * (sum of the zeroed optima - (n - 1) * OPT),
@@ -567,7 +572,7 @@ def cmd_bench(args) -> CommandResult:
             }
         )
     report = {
-        "schema": "bench-report/9",
+        "schema": "bench-report/10",
         "command": "bench",
         "kind": args.kind,
         "n": args.n,

@@ -74,10 +74,6 @@ class ItemSet:
         """Sorted index tuple; lexicographic comparison of these orders bundles."""
         return self.indices()
 
-    def selection_key(self) -> tuple:
-        """Tie-break key for demand queries: fewest items first, then lexicographic."""
-        return (len(self), self.indices())
-
     def __repr__(self) -> str:
         return "{" + ",".join(str(j) for j in self) + "}"
 

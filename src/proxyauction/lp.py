@@ -8,7 +8,7 @@ sum(x[i,S] * coef(i,S)) subject to
   * nonnegativity.
 
 Every constraint is 0/1 with capacity 1, so the simplex receives each column
-as its support: the bidder row, then one row per item of the bundle.
+as its bidder and its bundle's item mask.
 ``solve_exact`` solves the fully materialized LP (one column per bidder per
 nonempty bundle). ``solve_column_generation`` keeps one restricted master,
 sorted as it grows, and prices new columns with per-bidder demand queries at
@@ -175,17 +175,25 @@ def _solve_columns(
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
-    supports = [[col.bidder, *(n + j for j in col.bundle)] for col in lp_cols]
-    keys = [(col.bidder, col.bundle) for col in lp_cols] + list(range(n + m))
+    columns = [(col.bidder, col.bundle.mask) for col in lp_cols]
+    n_cols = len(columns)
     if start is not None:
-        index = {key: j for j, key in enumerate(keys)}
-        start = replace(start.result, basis=[index[key] for key in start.keys])
-    res = solve_canonical_max(supports, [col.coef for col in lp_cols], n + m, start=start)
-    return res, Basis(tuple(keys[j] for j in res.basis), res)
+        index = {key: j for j, key in enumerate(columns)}
+        start = replace(start.result, basis=[
+            index[key[0], key[1].mask] if isinstance(key, tuple) else n_cols + key
+            for key in start.keys
+        ])
+    res = solve_canonical_max(columns, [col.coef for col in lp_cols], n, m, start=start)
+    keys = tuple(
+        (lp_cols[j].bidder, lp_cols[j].bundle) if j < n_cols else j - n_cols for j in res.basis
+    )
+    return res, Basis(keys, res)
 
 
-def _positive_entries(lp_cols: Sequence[Column], x: Sequence) -> dict:
-    return {(col.bidder, col.bundle): v for col, v in zip(lp_cols, x) if v > 0}
+def _positive_entries(lp_cols: Sequence[Column], res: SimplexResult) -> dict:
+    """The positive basic variables by (bidder, bundle), in column order."""
+    basic = sorted(j for j in res.basis if j < len(lp_cols))
+    return {(lp_cols[j].bidder, lp_cols[j].bundle): res.x[j] for j in basic if res.x[j] > 0}
 
 
 def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> FractionalSolution:
@@ -198,7 +206,7 @@ def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> Fractio
     sol = FractionalSolution(
         n=lp.n,
         m=lp.m,
-        entries=_positive_entries(lp.columns, res.x),
+        entries=_positive_entries(lp.columns, res),
         objective=res.objective,
         item_duals=tuple(res.duals[lp.n :]),
         bidder_duals=tuple(res.duals[: lp.n]),
@@ -330,7 +338,7 @@ def solve_column_generation(
             sol = FractionalSolution(
                 n=n,
                 m=m,
-                entries=_positive_entries(master, res.x),
+                entries=_positive_entries(master, res),
                 objective=res.objective,
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),

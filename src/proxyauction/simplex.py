@@ -1,18 +1,20 @@
 """Fraction-free revised simplex for the configuration LP: max c.x s.t. Ax <= 1, x >= 0.
 
-Every column of A is 0/1: it is given as its support, the rows where it has
-a one, and every row has capacity 1. The basis inverse is kept as an integer
-matrix ``M`` over one positive common denominator ``d`` (B^-1 = M / d, where d
-is the determinant of the basis). A pivot on row p with entering column
-alpha = M A_e updates it by Bareiss's integer-preserving rule (Bareiss 1968)
+Every column of A is a configuration-LP column ``(bidder, mask)``: a one in
+its bidder's row and in the row of each item of the mask, zeros elsewhere.
+Rows are the n bidder rows, then the m item rows, and every row has capacity
+1. The basis inverse is kept as an integer matrix ``M`` over one positive
+common denominator ``d`` (B^-1 = M / d, where d is the determinant of the
+basis). A pivot on row p with entering column alpha = M A_e updates it by
+Bareiss's integer-preserving rule (Bareiss 1968)
 
     M'_r = (alpha_p * M_r - alpha_r * M_p) // d,    M'_p = M_p,    d' = alpha_p,
 
 where every division is exact. The objective is scaled to integers by the
 lcm of its denominators; a positive scaling changes no reduced-cost sign and
 no ratio-test order, so the pivots are the ones an exact dense tableau would
-make. With unit entries, pricing a column and forming alpha are sums over its
-support.
+make. With unit entries, a column's price is its bidder's dual plus the item
+duals summed over its mask, and alpha sums the same columns of ``M``.
 
 Pivoting follows Bland's rule (Bland 1977): the entering column is the
 lowest-index column with positive reduced cost (structural columns first,
@@ -22,6 +24,12 @@ row has the minimum ratio, ties to the lowest-index basic variable. This
 prevents cycling and makes the returned vertex, duals and pivot count a
 deterministic function of the input ordering, identical to the dense Bland
 tableau's. The all-slack basis is feasible because every capacity is 1.
+
+Each pivot forms the item-dual sums of the masks it prices in one of two
+ways, chosen by the column count. An LP with at least ``2^m`` columns, such
+as the full LP, prices from one ``subset_sums`` table of the item duals over
+every mask; a smaller one, such as a column-generation master, sums the duals
+over each distinct mask's items, which costs less than the table there.
 
 A solve can resume from an earlier result over the same rows instead: its
 final ``basis``, ``M``, ``beta`` and ``d`` depend only on the basic columns,
@@ -39,6 +47,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .itemsets import ItemSet, subset_sums
+
 
 @dataclass
 class SimplexResult:
@@ -55,25 +65,31 @@ class SimplexResult:
 
 
 def solve_canonical_max(
-    supports: Sequence[Sequence[int]],
+    columns: Sequence[tuple[int, int]],
     objective: Sequence,
-    n_rows: int,
+    n: int,
+    m: int,
     *,
     start: Optional[SimplexResult] = None,
 ) -> SimplexResult:
-    """Maximize objective . x subject to A x <= 1, x >= 0 over ``n_rows`` rows.
+    """Maximize objective . x subject to A x <= 1, x >= 0 over n bidder and m item rows.
 
-    ``supports[j]`` lists the distinct rows where column j of A has a one;
-    every other entry is zero. Returns the optimal basic solution, the
-    objective value, and the dual vector (one multiplier per row), all as
-    Fractions. ``start`` is an earlier result over the same rows whose
-    ``basis`` indexes these columns (slack r as column ``len(supports) + r``);
-    the solve resumes from its basis and leaves it unchanged. The default is
-    the all-slack basis.
+    ``columns[j]`` is ``(bidder, mask)``: column j of A has a one in row
+    ``bidder`` and in row ``n + i`` for each item i of ``mask``, and zeros
+    elsewhere. Returns the optimal basic solution, the objective value, and
+    the dual vector (one multiplier per row), all as Fractions. ``start`` is
+    an earlier result over the same rows whose ``basis`` indexes these
+    columns (slack r as column ``len(columns) + r``); the solve resumes from
+    its basis and leaves it unchanged. The default is the all-slack basis.
     """
-    n_cols = len(supports)
+    n_cols, n_rows = len(columns), n + m
     obj_scale = lcm(*(c.denominator for c in objective))
     cost = [c.numerator * (obj_scale // c.denominator) for c in objective]
+    # a full LP prices from one table of item-dual sums over every mask; a
+    # smaller one sums the item duals over each column's item rows
+    by_table = n_cols >= 1 << m
+    if not by_table:
+        item_rows = [[n + i for i in ItemSet(mask)] for _, mask in columns]
 
     if start is None:
         d = 1
@@ -91,9 +107,13 @@ def solve_canonical_max(
 
     while True:
         dual = Y.__getitem__
+        if by_table:
+            sums = subset_sums(Y[n:])
         entering = -1
-        for j, support in enumerate(supports):
-            gain = cost[j] * d - sum(map(dual, support))
+        for j, (bidder, mask) in enumerate(columns):
+            gain = cost[j] * d - Y[bidder] - (
+                sums[mask] if by_table else sum(map(dual, item_rows[j]))
+            )
             if gain > 0:
                 entering = j
                 break
@@ -106,8 +126,9 @@ def solve_canonical_max(
             break
 
         if entering < n_cols:
-            support = supports[entering]
-            alpha = [sum(map(row.__getitem__, support)) for row in M]
+            bidder, mask = columns[entering]
+            items = [n + i for i in ItemSet(mask)] if by_table else item_rows[entering]
+            alpha = [row[bidder] + sum(map(row.__getitem__, items)) for row in M]
         else:
             alpha = [row[entering - n_cols] for row in M]
 
@@ -123,8 +144,8 @@ def solve_canonical_max(
             ):
                 leaving = r
         if leaving < 0:
-            # Unreachable for the configuration LP: bidder constraints bound
-            # every structural variable and slacks never improve the cost.
+            # Unreachable: each column's bidder row bounds it, and slacks
+            # never improve the cost.
             raise ValueError("LP is unbounded")
 
         pivots += 1

@@ -118,8 +118,16 @@ class Valuation:
         best = max(profits)
         if profits.count(best) == 1:
             return ItemSet(profits.index(best))
-        tied = (ItemSet(mask) for mask, profit in enumerate(profits) if profit == best)
-        return min(tied, key=ItemSet.selection_key)
+        tied = [mask for mask, profit in enumerate(profits) if profit == best]
+        fewest = min(mask.bit_count() for mask in tied)
+        chosen, *others = [mask for mask in tied if mask.bit_count() == fewest]
+        for mask in others:
+            # of two sets of one size, the lexicographically smaller index
+            # tuple holds the lowest item of their symmetric difference
+            diff = mask ^ chosen
+            if mask & diff & -diff:
+                chosen = mask
+        return ItemSet(chosen)
 
     # -- internals -------------------------------------------------------
 

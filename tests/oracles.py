@@ -90,14 +90,18 @@ def proxy_by_enumeration(valuation, mask: int, c) -> Fraction:
     return total
 
 
+def selection_key(bundle: ItemSet) -> tuple:
+    """Tie-break key for demand queries: fewest items first, then the lexicographic index tuple."""
+    return (len(bundle), bundle.indices())
+
+
 def demand_by_scan(valuation, prices) -> int:
-    """Argmax bundle mask of v(S) - price(S); ties to fewest items then lex order."""
+    """Argmax bundle mask of v(S) - price(S); ties to the least ``selection_key``."""
     m = valuation.m
     prices = [Fraction(p) for p in prices]
 
     def key(mask):
-        idx = tuple(j for j in range(m) if (mask >> j) & 1)
-        return (len(idx), idx)
+        return selection_key(ItemSet(mask))
 
     best_mask, best_profit = 0, Fraction(0)
     for mask in range(1, 1 << m):

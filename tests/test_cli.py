@@ -174,7 +174,7 @@ def test_bench_smoke(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/9"
+    assert report["schema"] == "bench-report/10"
     assert report["repeat"] == 1
     assert report["samples"] == 1000
     assert report["python"] == platform.python_version()
@@ -193,6 +193,9 @@ def test_bench_smoke(tmp_path):
     # the warm start's forced pivots count, and colgen payments ask demand queries
     assert report["rows"][0]["payments_full_pivots"] > 0
     assert report["rows"][0]["payments_colgen_demand_queries"] > 0
+    # column generation's master rounds pivot, in the main solve and the payments
+    assert report["rows"][0]["exact_colgen_pivots"] > 0
+    assert report["rows"][0]["payments_colgen_pivots"] > 0
 
 
 def test_bench_exits_nonzero_on_solver_mismatch(monkeypatch, capsys):
@@ -228,7 +231,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
                  "--repeat", "1", "--format", "json", "--out", str(out)])
     assert code == 0
     report = load_json(out)
-    assert report["schema"] == "bench-report/9"
+    assert report["schema"] == "bench-report/10"
     small, large = report["rows"]
     assert not any("float" in key for key in small)
     assert small["vertex_enum_objective"] == small["objective"]

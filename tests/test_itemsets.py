@@ -1,5 +1,6 @@
 from hypothesis import given, strategies as st
 
+from oracles import selection_key
 from proxyauction.itemsets import EMPTY_SET, ItemSet, submasks
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
@@ -35,7 +36,7 @@ def test_submasks_are_exactly_the_subsets(mask):
 
 
 def test_selection_key_orders_by_size_then_lex():
-    keys = sorted(ItemSet(mask).selection_key() for mask in range(1 << 3))
+    keys = sorted(selection_key(ItemSet(mask)) for mask in range(1 << 3))
     assert keys[0] == (0, ())
     assert keys[1] == (1, (0,))
     # {0,1} sorts before {0,2} sorts before {1,2}

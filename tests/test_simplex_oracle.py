@@ -1,19 +1,20 @@
 """The revised simplex against the dense Bland tableau in ``oracles``.
 
-The simplex takes 0/1 column supports under unit capacities; the tableau
-takes the same LP densified. Both must return equal SimplexResults (x,
-objective, duals, basis and pivot count).
+The simplex takes (bidder, item mask) columns under unit capacities; the
+tableau takes the same LP densified. Both must return equal SimplexResults
+(x, objective, duals, basis and pivot count).
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fixtures import AUCTION_SHAPES
 from oracles import tableau_simplex
-from proxyauction import lp as lpmod
+from proxyauction import lp as lpmod, simplex
 from proxyauction.generators import generate
+from proxyauction.itemsets import subset_sums
 from proxyauction.lp import build_full_lp, solve_exact
 from proxyauction.mechanism import default_params
 from proxyauction.simplex import solve_canonical_max
@@ -35,12 +36,16 @@ def simplex_inputs(monkeypatch, lps):
     return calls
 
 
-def dense(supports, objective, n_rows, start=None):
+def dense(columns, objective, n, m, start=None):
     """The same LP as the tableau takes it: dense 0/1 columns, unit right-hand side."""
     assert start is None  # the tableau starts from the slack basis only
     one, zero = Fraction(1), Fraction(0)
-    columns = [[one if r in support else zero for r in range(n_rows)] for support in supports]
-    return columns, list(objective), [one] * n_rows
+    rows = range(n + m)
+    matrix = [
+        [one if r == bidder or (r >= n and mask >> (r - n) & 1) else zero for r in rows]
+        for bidder, mask in columns
+    ]
+    return matrix, list(objective), [one] * (n + m)
 
 
 def proxy_lps(instance, c):
@@ -73,37 +78,58 @@ def test_matches_tableau_on_auction_lps(monkeypatch):
     assert pivots > len(lps)  # the comparison covers real pivoting, not slack bases
 
 
-def outcome(solver, *lp):
-    try:
-        return solver(*lp)
-    except ValueError as exc:  # unbounded
-        return type(exc)
-
-
 rationals = st.fractions(min_value=-1, max_value=3, max_denominator=6)
+
+
+def by_table(lp):
+    """Whether the simplex prices ``lp`` from the subset-sum table of the item duals."""
+    columns, _, _, m = lp
+    return len(columns) >= 1 << m
 
 
 @st.composite
 def unit_lps(draw):
-    n_rows = draw(st.integers(1, 6))
-    support = st.lists(
-        st.integers(0, n_rows - 1), unique=True, min_size=1, max_size=n_rows
-    ).map(sorted)
-    base = draw(st.lists(support, min_size=1, max_size=8))
-    # repeated columns make degenerate ratio and pricing ties
-    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=3))
-    supports = base + [list(base[j]) for j in repeats]
-    # an empty column is unbounded when its cost is positive
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    column = st.tuples(st.integers(0, n - 1), st.integers(0, (1 << m) - 1))
+    # at least as many columns as masks are priced from the table, fewer by sums
     if draw(st.booleans()):
-        supports.insert(draw(st.integers(0, len(supports))), [])
-    objective = draw(st.lists(rationals, min_size=len(supports), max_size=len(supports)))
-    return supports, objective, n_rows
+        size = draw(st.integers(1 << m, (1 << m) + 8))
+    else:
+        size = draw(st.integers(1, (1 << m) - 1))
+    base = draw(st.lists(column, min_size=1, max_size=size))
+    # repeated columns make degenerate ratio and pricing ties
+    extra = size - len(base)
+    columns = base + draw(st.lists(st.sampled_from(base), min_size=extra, max_size=extra))
+    objective = draw(st.lists(rationals, min_size=size, max_size=size))
+    return columns, objective, n, m
+
+
+def pricing_tables(lp):
+    """The simplex's result on ``lp`` and how many subset-sum tables it built."""
+    built = []
+
+    def counted(weights):
+        built.append(weights)
+        return subset_sums(weights)
+
+    real, simplex.subset_sums = simplex.subset_sums, counted
+    try:
+        return solve_canonical_max(*lp), len(built)
+    finally:
+        simplex.subset_sums = real
 
 
 @settings(max_examples=300, deadline=None)
 @given(unit_lps())
+# one pivoting example of each pricing path, whatever the draws
+@example(([(0, 0b01), (0, 0b10), (1, 0b11)], [Fraction(1)] * 3, 2, 2))
+@example(([(0, 0b1), (1, 0b1)], [Fraction(1, 2), Fraction(2, 3)], 2, 1))
 def test_matches_tableau_on_random_rational_lps(lp):
-    assert outcome(solve_canonical_max, *lp) == outcome(tableau_simplex, *dense(*lp))
+    res, tables = pricing_tables(lp)
+    assert res == tableau_simplex(*dense(*lp))
+    # the table is built once per pricing pass on its path, never on the other
+    assert tables == (res.pivots + 1 if by_table(lp) else 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,24 +137,15 @@ def test_matches_tableau_on_random_rational_lps(lp):
 def test_warm_start_reaches_the_cold_optimum(lp, data):
     # solve objective A, then objective B resuming A's final basis: the same
     # feasible region, so A's basis is a feasible start for B
-    supports, objective_a, n_rows = lp
-    objective_b = data.draw(st.lists(rationals, min_size=len(supports), max_size=len(supports)))
-    first = outcome(solve_canonical_max, *lp)
-    assume(first is not ValueError)
+    columns, _, n, m = lp
+    objective_b = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+    first = solve_canonical_max(*lp)
     before = (list(first.basis), [list(row) for row in first.M], list(first.beta), first.d)
-
-    def warm(*args):
-        return solve_canonical_max(*args, start=first)
-
-    results = [
-        outcome(warm, supports, objective_b, n_rows),
-        outcome(solve_canonical_max, supports, objective_b, n_rows),
-        outcome(tableau_simplex, *dense(supports, objective_b, n_rows)),
-    ]
-    objectives = [r if r is ValueError else r.objective for r in results]
-    assert objectives[0] == objectives[1] == objectives[2]
+    lp_b = (columns, objective_b, n, m)
+    warm = solve_canonical_max(*lp_b, start=first)
+    cold = solve_canonical_max(*lp_b)
+    assert warm.objective == cold.objective == tableau_simplex(*dense(*lp_b)).objective
     assert (first.basis, first.M, first.beta, first.d) == before
-    if results[0] is not ValueError:
-        # the warm optimum's own state resumes to itself
-        again = solve_canonical_max(supports, objective_b, n_rows, start=results[0])
-        assert again == replace(results[0], pivots=0)
+    # the warm optimum's own state resumes to itself
+    again = solve_canonical_max(*lp_b, start=warm)
+    assert again == replace(warm, pivots=0)

@@ -10,6 +10,7 @@ from oracles import (
     is_monotone_normalized,
     is_subadditive,
     proxy_by_enumeration,
+    selection_key,
     value_by_definition,
 )
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
@@ -277,6 +278,45 @@ def test_demand_matches_scan_oracle_with_ties(v, c, data):
     for w in (v, pv):
         prices = data.draw(tie_prices(w))
         assert w.demand(prices).mask == demand_by_scan(w, prices)
+
+
+@st.composite
+def tied_demands(draw):
+    """A valuation and prices drawn from few distinct values, so profits tie.
+
+    Weights are zero or equal, explicit tables repeat a handful of values,
+    and every price is zero or one shared level.
+    """
+    m = draw(st.integers(min_value=2, max_value=5))
+    level = st.sampled_from([F(0), F(1), F(2)])
+    kind = draw(st.sampled_from(["additive", "unit-demand", "xos", "explicit"]))
+    if kind == "additive":
+        v = AdditiveValuation(draw(st.lists(level, min_size=m, max_size=m)))
+    elif kind == "unit-demand":
+        v = UnitDemandValuation(draw(st.lists(level, min_size=m, max_size=m)))
+    elif kind == "xos":
+        clause = st.lists(level, min_size=m, max_size=m)
+        v = XOSValuation(m, draw(st.lists(clause, min_size=1, max_size=3)))
+    else:
+        values = draw(st.lists(st.sampled_from([F(0), F(1), F(2), F(3)]), min_size=1 << m,
+                               max_size=1 << m))
+        v = ExplicitValuation(m, dict(enumerate(values)))
+    price = draw(st.sampled_from([F(0), F(1), F(1, 2)]))
+    prices = [draw(st.sampled_from([F(0), price])) for _ in range(m)]
+    return v, prices
+
+
+@given(tied_demands())
+@settings(max_examples=200, deadline=None)
+def test_demand_returns_the_tied_bundle_with_the_least_selection_key(drawn):
+    v, prices = drawn
+    profits = {0: F(0)}  # the empty bundle earns zero, whatever v(empty)
+    for mask in range(1, 1 << v.m):
+        bundle = ItemSet(mask)
+        profits[mask] = v._value(mask) - sum((prices[j] for j in bundle), F(0))
+    best = max(profits.values())
+    tied = [ItemSet(mask) for mask, profit in profits.items() if profit == best]
+    assert v.demand(prices) == min(tied, key=selection_key)
 
 
 @given(weights_st, keep_st, st.data())
