@@ -44,6 +44,7 @@ from .mechanism import (
     survival_probability,
     tentative_draw,
     tentative_indices,
+    tentative_law,
 )
 from .valuations import (
     AdditiveValuation,

@@ -256,15 +256,15 @@ def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
     """The report's ``outcomes``: each outcome's entry with its sample seed.
 
     A pipeline returns one ``Outcome`` object for a repeated outcome, so each
-    distinct object is encoded once and its entry copied per sample seed.
+    distinct object is encoded once and its entry copied per sample seed; the
+    copies share the entry's lists, so they must not be mutated in place.
     """
-    encode = ser.OutcomeEncoder(instance)
     encoded: dict[int, dict] = {}  # by id: ``outcomes`` holds every object alive
     entries = []
     for seed, outcome in zip(seeds, outcomes):
         entry = encoded.get(id(outcome))
         if entry is None:
-            entry = encoded[id(outcome)] = encode(outcome)
+            entry = encoded[id(outcome)] = ser.outcome_to_dict(outcome, instance)
         entries.append({**entry, "sample_seed": seed})
     return entries
 

@@ -41,6 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -223,28 +224,37 @@ class Plan:
         return got
 
 
-def draw_tables(solution: FractionalSolution) -> list:
-    """Step-3 draw tables: per bidder, (bundles, denominator, thresholds).
+def tentative_law(solution: FractionalSolution, bidder: int) -> list:
+    """Step 3's law for one bidder: (bundle, probability) pairs.
 
-    The denominator is the lcm of the bidder's mass denominators and the
-    thresholds are the cumulative integer numerators over it, so a uniform
-    integer below the common denominator lands on bundle S with probability
-    exactly x[i,S] and past the last threshold with exactly the residual
-    mass. ``bundles`` ends with the empty bundle, the residual atom.
+    The bidder's support in ``support()`` order, then the empty bundle with
+    the residual mass when that mass is positive. A support whose mass
+    exceeds 1 raises ``InfeasibleSolutionError``.
+    """
+    law = solution.bundles_of(bidder)
+    residual = 1 - sum(x for _, x in law)
+    if residual < 0:
+        raise InfeasibleSolutionError(f"bidder {bidder} bundle mass {1 - residual} exceeds 1")
+    if residual > 0:
+        law.append((EMPTY_SET, residual))
+    return law
+
+
+def draw_tables(solution: FractionalSolution) -> list:
+    """Step-3 draw tables: per bidder, (bundles, denominator, thresholds, site).
+
+    ``bundles`` is the bidder's ``tentative_law`` in order, the denominator
+    the lcm of its probabilities' denominators and the thresholds the
+    cumulative integer numerators over it, so a uniform integer below the
+    denominator lands on each bundle with exactly its probability. ``site``
+    is the bidder's tentative-stage draw site.
     """
     tables = []
     for i in range(solution.n):
-        options = solution.bundles_of(i)
-        masses = [x for _, x in options]
-        mass = sum(masses, Fraction(0))
-        if mass > 1:
-            raise InfeasibleSolutionError(f"bidder {i} bundle mass {mass} exceeds 1")
-        den = math.lcm(*(x.denominator for x in masses))
-        acc, thresholds = 0, []
-        for x in masses:
-            acc += x.numerator * (den // x.denominator)
-            thresholds.append(acc)
-        tables.append(([b for b, _ in options] + [EMPTY_SET], den, thresholds))
+        law = tentative_law(solution, i)
+        den = math.lcm(*(x.denominator for _, x in law))
+        thresholds = list(accumulate(x.numerator * (den // x.denominator) for _, x in law))
+        tables.append(([b for b, _ in law], den, thresholds, rngmod.site("tentative", i)))
     return tables
 
 
@@ -259,11 +269,8 @@ def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
     builds no stream; the other bidders' streams are their own either way.
     """
     return tuple(
-        bisect_right(
-            thresholds,
-            0 if den == 1 else root.child(rngmod.site("tentative", i)).randrange(den),
-        )
-        for i, (_, den, thresholds) in enumerate(tables)
+        bisect_right(thresholds, 0 if den == 1 else root.child(site).randrange(den))
+        for _, den, thresholds, site in tables
     )
 
 
@@ -281,6 +288,18 @@ def halt_check(t: TentativeAssignment, c: Fraction) -> bool:
     return any(len(who) > inv_c for who in t.holders)
 
 
+def _overfilled(masks: list, inv_c: int) -> int:
+    """The mask of the items held by more than ``inv_c`` of ``masks``."""
+    if len(masks) <= inv_c:
+        return 0
+    more = [0] * (inv_c + 1)  # more[t]: the items held by more than t masks so far
+    for mask in masks:
+        for t in range(inv_c, 0, -1):
+            more[t] |= more[t - 1] & mask
+        more[0] |= mask
+    return more[inv_c]
+
+
 def compute_q(
     solution: FractionalSolution,
     bidder: int,
@@ -292,65 +311,27 @@ def compute_q(
 ) -> Fraction:
     """Exact probability of the q event for one bidder and tentative bundle.
 
-    Enumerates the product law of all other bidders' tentative draws (each
-    support bundle plus the residual empty atom). Under "halt" the event is
-    the step-4 halt predicate on the combined assignment (others' draws plus
-    this bidder holding ``bundle``) over all items; under "own-items" it is
-    restricted to over-allocation of the items inside ``bundle``.
+    Enumerates the product of all other bidders' ``tentative_law``s. Under
+    "halt" the event is the step-4 halt predicate on the combined assignment
+    (others' draws plus this bidder holding ``bundle``) over all items; under
+    "own-items" it is restricted to over-allocation of the items inside
+    ``bundle``. A bidder whose mass exceeds 1, this one included, raises
+    ``InfeasibleSolutionError``.
     """
     if variant not in Q_VARIANTS:
         raise ParameterError(f"unknown q variant {variant!r}")
-    inv_c = c.denominator
-
-    supports = []
-    size = 1
-    for i in range(solution.n):
-        if i == bidder:
-            continue
-        options = solution.bundles_of(i)
-        residual = 1 - sum(x for _, x in options)
-        atoms = [(b.mask, x) for b, x in options]
-        if residual > 0:
-            atoms.append((0, residual))
-        supports.append(atoms)
-        size *= len(atoms)
+    laws = [tentative_law(solution, i) for i in range(solution.n)]
+    del laws[bidder]
+    size = math.prod(map(len, laws))
     if size > atom_cap:
         raise CapacityError("q enumeration over joint draws", size, atom_cap)
-
-    own_mask = bundle.mask
-    m = solution.m
+    own = bundle.mask
+    scope = -1 if variant == Q_HALT else own
+    inv_c = c.denominator
     total = Fraction(0)
-
-    def fires(counts: list[int]) -> bool:
-        for j in range(m):
-            k = counts[j]
-            if (own_mask >> j) & 1:
-                if k + 1 > inv_c:
-                    return True
-            elif variant == Q_HALT and k > inv_c:
-                return True
-        return False
-
-    def walk(idx: int, prob, counts: list[int]):
-        nonlocal total
-        if idx == len(supports):
-            if fires(counts):
-                total += prob
-            return
-        for mask, x in supports[idx]:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                counts[low.bit_length() - 1] += 1
-                rest ^= low
-            walk(idx + 1, prob * x, counts)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                counts[low.bit_length() - 1] -= 1
-                rest ^= low
-
-    walk(0, Fraction(1), [0] * m)
+    for draw in product(*laws):
+        if _overfilled([own, *(b.mask for b, _ in draw)], inv_c) & scope:
+            total += math.prod(x for _, x in draw)
     return total
 
 

@@ -21,22 +21,15 @@ for every ``den``, however wide. A rejection happens with probability below
 2^-64. A draw with ``den = 1`` is certain: it returns 0, reads no block and
 leaves the counter as it was.
 
-The key is assembled from two bounded caches, one of ``repr(seed)`` parts and
-one of ``|repr(label)`` parts, and has the same bytes as the text built in
-full. A label part is cached only for an ``int`` or a ``str`` and is keyed with
-its type, so ``1``, ``True``, ``1.0`` and ``"1"`` never share a part. The
-block size and the rejection limit of each denominator are cached too.
+The block size and the rejection limit of each denominator are cached.
 ``derive_seeds`` derives a run of child seeds, one per index, from one shared
-key prefix, since a run's indices reach past the label cache.
+key prefix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from hashlib import sha256, shake_256
-
-# entries per cache: the draws of one sample share a seed and a few labels
-_CACHE_SIZE = 256
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -82,40 +75,21 @@ class Stream:
                 return u % den
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=256)
 def _block_bounds(den: int) -> tuple[int, int]:
     """(bytes per block, first rejected value) for uniform draws below ``den``."""
     size = (den.bit_length() + 71) // 8
     return size, (1 << (8 * size)) // den * den
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _seed_part(seed: int) -> bytes:
-    return repr(int(seed)).encode("utf-8")
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _label_part(kind: type, label) -> bytes:
-    # kind is read only as part of the cache key: 1 and True are equal keys
-    return b"|" + repr(label).encode("utf-8")
-
-
 def site(*labels) -> bytes:
-    """The label text ``|repr(label)|...`` as UTF-8, from cached parts."""
-    text = b""
-    for label in labels:
-        kind = type(label)
-        # equal ints, or equal strs, share their repr; equal floats may not (0.0, -0.0)
-        if kind is int or kind is str:
-            text += _label_part(kind, label)
-        else:
-            text += b"|" + repr(label).encode("utf-8")
-    return text
+    """The label text ``|repr(label)|...`` as UTF-8."""
+    return "".join("|" + repr(label) for label in labels).encode("utf-8")
 
 
 def _key(seed: int, labels) -> bytes:
-    """The label text ``repr(seed)|repr(label)|...`` as UTF-8, from cached parts."""
-    return _seed_part(seed) + site(*labels)
+    """The label text ``repr(seed)|repr(label)|...`` as UTF-8."""
+    return "|".join(map(repr, (int(seed), *labels))).encode("utf-8")
 
 
 def stream(seed: int, *labels) -> Stream:

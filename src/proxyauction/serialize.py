@@ -9,8 +9,7 @@ indentation), so identical runs produce byte-identical files:
 ``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2, ensure_ascii=False)`` in one pass that writes a list or dict met
 again at the same indent only once, and, like json, takes every
-``isinstance`` list, tuple or dict as a container. ``OutcomeEncoder`` shares one bundle list per distinct value
-among a report's outcomes, so most of a replications report is reused text.
+``isinstance`` list, tuple or dict as a container.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError
 from .itemsets import ItemSet
 from .lp import FractionalSolution
 from .mechanism import MechanismConfig, Outcome, realized_welfare
@@ -39,6 +38,7 @@ INSTANCE_SCHEMA = "auction-instance/1"
 SOLUTION_SCHEMA = "fractional-solution/1"
 OUTCOME_SCHEMA = "outcome/1"
 EXACT = "exact"
+VALUE_LENGTH_CAP = 100  # characters of one exact value as written
 
 
 def format_value(x) -> str:
@@ -48,10 +48,19 @@ def format_value(x) -> str:
 def parse_value(raw) -> Fraction:
     """An exact value read from JSON: a string such as "5/2" or an integer.
 
-    A float or a bool is refused, since neither is an exact rational as written.
+    A float or a bool is refused, since neither is an exact rational as written,
+    and so is an exponent ("1e5000"), which writes a huge number in a few
+    characters. A value of more than ``VALUE_LENGTH_CAP`` characters raises
+    ``CapacityError``. Both checks read the text alone, so no refused value
+    builds a number.
     """
     if type(raw) is not str and type(raw) is not int:
         raise FormatError(f"bad exact value {raw!r}: write a string or an integer")
+    text = raw if type(raw) is str else str(raw)
+    if len(text) > VALUE_LENGTH_CAP:
+        raise CapacityError("exact value characters", len(text), VALUE_LENGTH_CAP)
+    if "e" in text or "E" in text:
+        raise FormatError(f"bad exact value {raw!r}: write it without an exponent")
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -77,8 +86,8 @@ def canonical_dumps(obj) -> str:
     One pass writes every piece of text into one chunk list, joined once at
     the end. A list or dict met again at the same indent is not walked again:
     the second visit joins the chunks its first visit wrote, and every later
-    visit reuses that text, so a report whose outcomes share their bundle
-    lists (``OutcomeEncoder``) writes each shared list once. Containers are
+    visit reuses that text, so the samples of a replications report that
+    share one outcome's bundle lists write those lists once. Containers are
     recognised by ``isinstance``, as json does: a tuple is a list, and an
     ``OrderedDict`` or other dict subclass is a dict. A cycle raises
     ``ValueError`` and a value json cannot encode raises ``TypeError``, as
@@ -253,57 +262,21 @@ def solution_to_dict(sol: FractionalSolution) -> dict:
 # -- outcomes ----------------------------------------------------------------
 
 
-class OutcomeEncoder:
-    """``outcome_to_dict`` over the many outcomes of one report.
-
-    Each bundle list, value string and welfare is built once per distinct
-    value and then shared by every entry that has that value, so the entries
-    must not be mutated in place. Given the ``instance``, every entry also
-    carries the outcome's realized ``welfare``.
-    """
-
-    def __init__(self, instance: Optional[Instance] = None):
-        self.instance = instance
-        self._lists: dict = {}
-        self._strings: dict = {}
-        self._welfare: dict = {}
-
-    def _bundle_lists(self, bundles: tuple) -> list:
-        got = self._lists.get(bundles)
-        if got is None:
-            got = self._lists[bundles] = [list(b.indices()) for b in bundles]
-        return got
-
-    def _value_strings(self, values: Optional[tuple]) -> Optional[list]:
-        if values is None:
-            return None
-        got = self._strings.get(values)
-        if got is None:
-            got = self._strings[values] = [format_value(x) for x in values]
-        return got
-
-    def __call__(self, outcome: Outcome) -> dict:
-        entry = {
-            "schema": OUTCOME_SCHEMA,
-            "halted": outcome.halted,
-            "tentative": self._bundle_lists(outcome.tentative),
-            "kept": self._bundle_lists(outcome.kept),
-            "final": self._bundle_lists(outcome.final),
-            "q_values": self._value_strings(outcome.q_values),
-            "payments": self._value_strings(outcome.payments),
-        }
-        if self.instance is not None:
-            welfare = self._welfare.get(outcome.final)
-            if welfare is None:
-                welfare = self._welfare[outcome.final] = format_value(
-                    realized_welfare(self.instance, outcome)
-                )
-            entry["welfare"] = welfare
-        return entry
-
-
-def outcome_to_dict(outcome: Outcome) -> dict:
-    return OutcomeEncoder()(outcome)
+def outcome_to_dict(outcome: Outcome, instance: Optional[Instance] = None) -> dict:
+    """One report entry of ``outcome``; given the ``instance``, with its realized ``welfare``."""
+    q, pay = outcome.q_values, outcome.payments
+    entry = {
+        "schema": OUTCOME_SCHEMA,
+        "halted": outcome.halted,
+        "tentative": [list(b.indices()) for b in outcome.tentative],
+        "kept": [list(b.indices()) for b in outcome.kept],
+        "final": [list(b.indices()) for b in outcome.final],
+        "q_values": None if q is None else [format_value(x) for x in q],
+        "payments": None if pay is None else [format_value(x) for x in pay],
+    }
+    if instance is not None:
+        entry["welfare"] = format_value(realized_welfare(instance, outcome))
+    return entry
 
 
 # -- configs -----------------------------------------------------------------
@@ -353,6 +326,8 @@ def load_json(path: Union[str, Path]) -> dict:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(f"{path}: unreadable number ({exc})") from exc
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

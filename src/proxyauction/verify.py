@@ -1,7 +1,7 @@
 """Independent brute-force verification of the mechanism's outcome law.
 
 ``exact_distribution`` enumerates every joint tentative assignment an LP
-solution can produce (each bidder's support plus the residual empty atom),
+solution can produce (the product of the bidders' ``tentative_law``s),
 evaluates the halt predicate on each, and aggregates the exact expected
 welfare of the thinned, survival-filtered allocation. Every quantity is an
 exact rational; no sampling is involved.
@@ -37,11 +37,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .errors import CapacityError
-from .itemsets import EMPTY_SET, ItemSet, submasks
+from .itemsets import ItemSet, submasks
 from .lp import ConfigLP, solve_column_generation, solve_exact
 from .mechanism import (
     Q_HALT,
@@ -50,6 +51,7 @@ from .mechanism import (
     TentativeAssignment,
     halt_check,
     realized_welfare,
+    tentative_law,
 )
 from .valuations import (
     PROXY_SUBSET_CAP,
@@ -114,18 +116,8 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
     draws are capped by ``pipeline.atom_cap``.
     """
     instance, config, sol = pipeline.instance, pipeline.config, pipeline.solution
-    n = instance.n
-
-    supports = []
-    size = 1
-    for i in range(n):
-        options = sol.bundles_of(i)
-        residual = 1 - sum(x for _, x in options)
-        atoms = list(options)
-        if residual > 0:
-            atoms.append((EMPTY_SET, residual))
-        supports.append(atoms)
-        size *= len(atoms)
+    laws = [tentative_law(sol, i) for i in range(instance.n)]
+    size = math.prod(map(len, laws))
     if size > pipeline.atom_cap:
         raise CapacityError("joint tentative enumeration", size, pipeline.atom_cap)
 
@@ -133,29 +125,19 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
     non_halt_prob: dict[tuple[int, int], Fraction] = {}
     expected = Fraction(0)
     total_prob = Fraction(0)
-
-    chosen = [None] * n
-
-    def walk(idx: int, prob: Fraction):
-        nonlocal expected, total_prob
-        if idx == n:
-            bundles = tuple(b for b, _ in chosen)
-            halted = halt_check(TentativeAssignment(bundles=bundles, m=instance.m), config.c)
-            atoms.append(AtomRecord(bundles=bundles, probability=prob, halted=halted))
-            total_prob += prob
-            if not halted:
-                for i, (bundle, _) in enumerate(chosen):
-                    if bundle:
-                        key = (i, bundle.mask)
-                        non_halt_prob[key] = non_halt_prob.get(key, Fraction(0)) + prob
-                        value = pipeline.proxies[i].value(bundle)
-                        expected += prob * pipeline.survival(i, bundle) * value
-            return
-        for option in supports[idx]:
-            chosen[idx] = option
-            walk(idx + 1, prob * option[1])
-
-    walk(0, Fraction(1))
+    for draw in product(*laws):
+        bundles = tuple(b for b, _ in draw)
+        prob = math.prod(x for _, x in draw)
+        halted = halt_check(TentativeAssignment(bundles=bundles, m=instance.m), config.c)
+        atoms.append(AtomRecord(bundles=bundles, probability=prob, halted=halted))
+        total_prob += prob
+        if not halted:
+            for i, bundle in enumerate(bundles):
+                if bundle:
+                    key = (i, bundle.mask)
+                    non_halt_prob[key] = non_halt_prob.get(key, Fraction(0)) + prob
+                    value = pipeline.proxies[i].value(bundle)
+                    expected += prob * pipeline.survival(i, bundle) * value
     assert total_prob == 1, "atom probabilities must sum to one"
 
     entries = []

@@ -84,7 +84,11 @@ def random_feasible_solution(
                 continue
             chosen.add(bundle.mask)
             entries[(i, bundle)] = Fraction(rng.randint(1, 6), 12)
-    # scale down to feasibility
+    return scaled_to_feasible(n, m, entries)
+
+
+def scaled_to_feasible(n: int, m: int, entries: dict) -> FractionalSolution:
+    """The point of ``entries`` scaled down until every item and bidder constraint holds."""
     worst = Fraction(1)
     for j in range(m):
         load = sum((x for (i, b), x in entries.items() if j in b), Fraction(0))
@@ -159,3 +163,15 @@ def any_kind_instances(draw):
     m = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=3))
     return Instance(m, tuple(draw(any_kind_valuations(m)) for _ in range(n)))
+
+
+@st.composite
+def feasible_solutions(draw, max_n=4, max_m=4):
+    """A hand-built feasible point: up to 3 bundles per bidder, scaled to feasibility."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    entries = {}
+    for i in range(n):
+        for mask in draw(st.lists(st.integers(1, (1 << m) - 1), max_size=3, unique=True)):
+            entries[(i, ItemSet(mask))] = Fraction(draw(st.integers(1, 12)), 12)
+    return scaled_to_feasible(n, m, entries)

@@ -26,6 +26,7 @@ from proxyauction.lp import (
     solve_exact,
 )
 from proxyauction.mechanism import (
+    Q_HALT,
     SOLVER_COLGEN,
     Outcome,
     TentativeAssignment,
@@ -254,6 +255,36 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         final=tuple(final),
         q_values=q_values,
     )
+
+
+def q_by_assignments(
+    solution: FractionalSolution, bidder: int, bundle: ItemSet, c: Fraction, variant: str
+) -> Fraction:
+    """q_i from every joint draw of the other bidders, built as tentative assignments.
+
+    Each other bidder draws one of its ``bundles_of`` entries or the empty
+    bundle with the rest of its mass (an atom of mass 0 included); the bidder
+    holds ``bundle`` in every draw. A draw counts when ``halt_check`` fires
+    ("halt") or when an item of ``bundle`` has more than 1/c holders
+    ("own-items").
+    """
+    choices = []
+    for i in range(solution.n):
+        if i == bidder:
+            choices.append([(bundle, Fraction(1))])
+        else:
+            options = solution.bundles_of(i)
+            choices.append([*options, (EMPTY_SET, 1 - sum(x for _, x in options))])
+    total = Fraction(0)
+    for draw in product(*choices):
+        t = TentativeAssignment(bundles=tuple(b for b, _ in draw), m=solution.m)
+        if variant == Q_HALT:
+            fires = halt_check(t, c)
+        else:
+            fires = any(len(t.holders[j]) > c.denominator for j in bundle)
+        if fires:
+            total += math.prod(x for _, x in draw)
+    return total
 
 
 def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSet, ...]:

@@ -842,6 +842,28 @@ def test_malformed_input_is_a_format_error(case, tmp_path, capsys):
     assert record["details"]["error"] == "FormatError"
 
 
+# exact values past Python's 4,300-digit int-to-str limit, as written or once parsed
+OVERSIZE = {"exponent": '"1e5000"', "long-string": f'"{"1" * 5000}"', "long-integer": "1" * 5000}
+
+
+@pytest.mark.parametrize("case", OVERSIZE)
+def test_an_oversize_exact_value_is_an_error_record(case, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_INSTANCE))
+    bad = json.loads(good.read_text())
+    bad["bidders"][0]["weights"][0] = "@"
+    (tmp_path / "bad.json").write_text(json.dumps(bad).replace('"@"', OVERSIZE[case]))
+    assert main(["solve", str(tmp_path / "bad.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # next to a good file, the bad one is an error record and the good one is checked
+    assert main(["verify", str(tmp_path), "--c", "1/2", "--p", "1/20", "--checks", "welfare"]) == 1
+    record, checked = json.loads(capsys.readouterr().out)["results"]
+    assert Path(record["instance"]).name == "bad.json" and record["check"] == "error"
+    assert record["details"]["error"] == ("CapacityError" if case == "long-string" else "FormatError")
+    assert Path(checked["instance"]).name == "good.json" and checked["passed"]
+
+
 @pytest.mark.parametrize("seed", [1.9, True, "12", None], ids=["float", "bool", "string", "null"])
 def test_a_manifest_seed_that_is_not_an_integer_is_a_format_error(seed, tmp_path, capsys):
     (tmp_path / "good.json").write_text(json.dumps(GOOD_INSTANCE))

@@ -8,6 +8,7 @@ import pytest
 from fixtures import (
     AUCTION_SHAPES,
     any_kind_instances,
+    feasible_solutions,
     overlap_demo,
     random_feasible_solution,
     rows_against_columns,
@@ -17,13 +18,14 @@ from oracles import (
     charges_by_cold_solves,
     item_lottery,
     personal_cancel,
+    q_by_assignments,
     sample_by_definition,
     sample_by_steps,
 )
 
 from proxyauction import mechanism
 from proxyauction import rng as rngmod
-from proxyauction.errors import ContractViolationError, ParameterError
+from proxyauction.errors import ContractViolationError, InfeasibleSolutionError, ParameterError
 from proxyauction.generators import generate
 from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
@@ -45,6 +47,7 @@ from proxyauction.mechanism import (
     survival_probability,
     tentative_draw,
     tentative_indices,
+    tentative_law,
 )
 from proxyauction.rng import derive_seed, derive_seeds
 from proxyauction.serialize import config_from_dict, load_instance, load_json
@@ -114,14 +117,49 @@ def test_tentative_draw_frequency():
 
 
 def test_tentative_draw_rejects_overweight_bidder():
-    from proxyauction.errors import InfeasibleSolutionError
-
     sol = FractionalSolution(
         n=1, m=2, entries={(0, ItemSet(1)): F(3, 4), (0, ItemSet(2)): F(1, 2)},
         objective=F(0),
     )
     with pytest.raises(InfeasibleSolutionError):
         draw_tables(sol)
+
+
+def test_tentative_law_is_the_support_then_a_positive_residual():
+    sol = FractionalSolution(
+        n=2, m=2,
+        entries={(0, ItemSet(2)): F(1, 3), (0, ItemSet(1)): F(1, 6), (1, ItemSet(3)): F(1)},
+        objective=F(0),
+    )
+    assert tentative_law(sol, 0) == [(ItemSet(1), F(1, 6)), (ItemSet(2), F(1, 3)),
+                                     (EMPTY_SET, F(1, 2))]
+    assert tentative_law(sol, 1) == [(ItemSet(3), F(1))]
+    # the draw tables follow the laws: no empty bundle after a full mass
+    assert [table[0] for table in draw_tables(sol)] == [
+        [ItemSet(1), ItemSet(2), EMPTY_SET], [ItemSet(3)]
+    ]
+
+
+@pytest.mark.parametrize("stage", ["tentative_law", "draw_tables", "compute_q", "exact"])
+def test_an_overfull_bidder_raises_a_typed_error(stage):
+    # bidder 0's masses sum to 5/4 while every item constraint holds
+    sol = FractionalSolution(
+        n=2, m=2,
+        entries={(0, ItemSet(1)): F(3, 4), (0, ItemSet(2)): F(1, 2), (1, ItemSet(1)): F(1, 4)},
+        objective=F(0),
+    )
+    instance = Instance(2, (AdditiveValuation([1, 1]), AdditiveValuation([1, 1])))
+    calls = {
+        "tentative_law": lambda: tentative_law(sol, 0),
+        "draw_tables": lambda: draw_tables(sol),
+        # bidder 1's q reads bidder 0's law
+        "compute_q": lambda: compute_q(sol, 1, ItemSet(1), F(1)),
+        "exact": lambda: exact_distribution(
+            Pipeline(instance, MechanismConfig(c=F(1), p=F(1, 20)), solution=sol)
+        ),
+    }
+    with pytest.raises(InfeasibleSolutionError):
+        calls[stage]()
 
 
 # -- halt check ----------------------------------------------------------------
@@ -189,6 +227,36 @@ def test_q_atom_cap():
     sol = overlap_two_bidder_solution()
     with pytest.raises(CapacityError):
         compute_q(sol, 0, ItemSet(1), F(1), Q_HALT, atom_cap=1)
+
+
+def test_q_equals_the_assignment_oracle_on_both_corpora():
+    live = 0
+    for label, instance, config in corpus_cases():
+        sol = Pipeline(instance, config).solution
+        for c in (F(1), F(1, 2), F(1, 3)):
+            for variant in (Q_HALT, Q_OWN_ITEMS):
+                for i, bundle, _ in sol.support():
+                    q = compute_q(sol, i, bundle, c, variant)
+                    assert q == q_by_assignments(sol, i, bundle, c, variant), (label, c, i)
+                    live += q > 0
+    assert live > 0
+
+
+@given(
+    sol=feasible_solutions(),
+    c=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+    mask=st.integers(0, 15),
+)
+@settings(max_examples=100, deadline=None)
+def test_q_equals_the_assignment_oracle_on_hand_built_solutions(sol, c, mask):
+    # every support entry, and per bidder one bundle drawn from all of them
+    bundles = [(i, bundle) for i, bundle, _ in sol.support()]
+    bundles += [(i, ItemSet(mask % (1 << sol.m))) for i in range(sol.n)]
+    for variant in (Q_HALT, Q_OWN_ITEMS):
+        for i, bundle in bundles:
+            assert compute_q(sol, i, bundle, c, variant) == q_by_assignments(
+                sol, i, bundle, c, variant
+            )
 
 
 # -- item lottery ----------------------------------------------------------------

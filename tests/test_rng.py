@@ -23,8 +23,8 @@ LABELS = st.one_of(
     warm=st.permutations(EQUAL_LABELS),
 )
 def test_stream_key_is_the_label_text(seed, labels, warm):
-    # the cached key parts are filled first by labels equal to, but not the
-    # same as, the ones checked: 1.0 and True before 1, -0.0 before 0.0, ...
+    # labels equal to, but not the same as, the ones checked are keyed
+    # first: 1.0 and True before 1, -0.0 before 0.0, ...
     for label in warm:
         stream(seed, "warm", label)
     for label in [*warm, *labels]:
@@ -52,7 +52,7 @@ def test_stream_key_of_str_int_pairs(seed, pairs):
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 @pytest.mark.parametrize("label", ["replication", "halt-trial", 3])
 def test_derive_seeds_equals_derive_seed_for_every_index(seed, label):
-    # the indices run past the label-part cache, and 1000 is the replicate count
+    # 1000 is the replicate count
     got = derive_seeds(seed, label, 1300)
     assert got == [derive_seed(seed, label, r) for r in range(1300)]
     assert derive_seeds(seed, label, 0) == []

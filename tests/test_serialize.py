@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import canonical_dumps_by_json, outcome_from_dict, solution_from_dict
-from proxyauction.errors import FormatError
+from proxyauction import serialize
+from proxyauction.errors import CapacityError, FormatError
 from proxyauction.generators import generate
 from proxyauction.itemsets import ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, run
 from proxyauction.serialize import (
+    VALUE_LENGTH_CAP,
     canonical_dumps,
     config_from_dict,
     config_to_dict,
@@ -86,6 +88,30 @@ def test_exact_values_are_json_strings_or_integers():
         valuation_from_dict({"kind": "explicit", "values": {"0": "1", "1": 1.5, "0,1": "2"}}, 2)
     with pytest.raises(FormatError, match="bad exact value"):
         parse_value(False)
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ("1e5", FormatError),
+        ("2E-3", FormatError),
+        ("3/1e2", FormatError),
+        ("1" * (VALUE_LENGTH_CAP + 1), CapacityError),
+        (int("9" * (VALUE_LENGTH_CAP + 1)), CapacityError),
+    ],
+    ids=["exponent", "upper-exponent", "exponent-denominator", "long-string", "long-integer"],
+)
+def test_a_refused_value_never_reaches_fraction(raw, error, monkeypatch):
+    calls = []
+    monkeypatch.setattr(serialize, "Fraction", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        parse_value(raw)
+    assert calls == []
+
+
+def test_a_value_at_the_length_cap_is_read():
+    assert parse_value("1" * VALUE_LENGTH_CAP) == int("1" * VALUE_LENGTH_CAP)
+    assert parse_value(-int("9" * (VALUE_LENGTH_CAP - 1))) == -int("9" * (VALUE_LENGTH_CAP - 1))
 
 
 def test_coverage_covers_list_json_integers():
