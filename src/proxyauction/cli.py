@@ -256,8 +256,10 @@ def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
     """The report's ``outcomes``: each outcome's entry with its sample seed.
 
     A pipeline returns one ``Outcome`` object for a repeated outcome, so each
-    distinct object is encoded once and its entry copied per sample seed; the
-    copies share the entry's lists, so they must not be mutated in place.
+    distinct object is encoded once and each sample's entry is that entry
+    ``Filled`` with its seed, which ``canonical_dumps`` writes from one
+    template; the entries share the base entry and its lists, so they must
+    not be mutated in place.
     """
     encoded: dict[int, dict] = {}  # by id: ``outcomes`` holds every object alive
     entries = []
@@ -265,7 +267,7 @@ def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
         entry = encoded.get(id(outcome))
         if entry is None:
             entry = encoded[id(outcome)] = ser.outcome_to_dict(outcome, instance)
-        entries.append({**entry, "sample_seed": seed})
+        entries.append(ser.Filled(entry, "sample_seed", seed))
     return entries
 
 

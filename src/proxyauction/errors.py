@@ -12,7 +12,7 @@ class CapacityError(AuctionError):
         self.what = what
         self.required = required
         self.cap = cap
-        super().__init__(f"{what} needs {required} steps, exceeding the cap of {cap}")
+        super().__init__(f"{what}: {required} exceeds the cap of {cap}")
 
 
 class MalformedValuationError(AuctionError):

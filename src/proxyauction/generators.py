@@ -18,6 +18,7 @@ from .errors import CapacityError, ParameterError
 from .mechanism import MechanismConfig, Q_HALT
 from .rng import derive_seed
 from .valuations import (
+    INSTANCE_ITEM_CAP,
     AdditiveValuation,
     CoverageValuation,
     ExplicitValuation,
@@ -123,6 +124,8 @@ def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
         raise ParameterError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
     if n < 1 or m < 1:
         raise ParameterError("need n >= 1 bidders and m >= 1 items")
+    if m > INSTANCE_ITEM_CAP:
+        raise CapacityError("items of one instance", m, INSTANCE_ITEM_CAP)
     valuations: list[Valuation] = []
     for i in range(n):
         rng = random.Random(derive_seed(seed, "bidder", kind, n, m, i))

@@ -178,10 +178,10 @@ class Plan:
 
     - the base masks: at c = 1 every item has at most one holder, who keeps it
       for certain, so the bundles themselves; below c = 1 no item is certain;
-    - one lottery site per held item with a draw to make, with the item's bit
-      and its holders, and 1/c, the denominator of every lottery draw;
-    - one cancel site per bidder whose step-7 survival a/b is not certain,
-      with a and b (a bidder that keeps nothing draws nothing);
+    - one lottery ``rng.draw_site`` below 1/c per held item with a draw to
+      make, with the item's bit and its holders;
+    - one cancel ``rng.draw_site`` below b per bidder whose step-7 survival
+      a/b is not certain, with a (a bidder that keeps nothing draws nothing);
     - the outcomes drawn so far, one per (kept masks, final masks).
     """
 
@@ -190,26 +190,25 @@ class Plan:
     q_values: Optional[tuple] = None
     base: tuple = ()
     lottery: tuple = ()
-    inv_c: int = 1
     cancel: tuple = ()
     outcomes: dict = field(default_factory=dict, repr=False)
 
     def draw(self, root: rngmod.Stream) -> Outcome:
         """Steps 6 and 7 of a sample whose root stream is ``root``.
 
-        Each site draws from its own child stream of the root, so a site draws
+        Each site is one ``rng.draw`` under the root's key, so a site draws
         what ``rng.stream(seed, stage, index)`` would: item j's lottery holder
         is the u-th for a uniform u below 1/c (nobody when u is past the last),
         and bidder i survives when a uniform integer below b is less than a.
         """
-        kept, inv_c = list(self.base), self.inv_c
-        for site, bit, holders in self.lottery:
-            k = root.child(site).randrange(inv_c)
+        kept, key, draw = list(self.base), root.key, rngmod.draw
+        for at, bit, holders in self.lottery:
+            k = draw(key, at)
             if k < len(holders):
                 kept[holders[k]] |= bit
         final = kept.copy()
-        for i, site, a, b in self.cancel:
-            if kept[i] and root.child(site).randrange(b) >= a:
+        for i, at, a in self.cancel:
+            if kept[i] and draw(key, at) >= a:
                 final[i] = 0
         key = (*kept, *final)
         got = self.outcomes.get(key)
@@ -241,20 +240,22 @@ def tentative_law(solution: FractionalSolution, bidder: int) -> list:
 
 
 def draw_tables(solution: FractionalSolution) -> list:
-    """Step-3 draw tables: per bidder, (bundles, denominator, thresholds, site).
+    """Step-3 draw tables: per bidder, (bundles, thresholds, site).
 
-    ``bundles`` is the bidder's ``tentative_law`` in order, the denominator
-    the lcm of its probabilities' denominators and the thresholds the
-    cumulative integer numerators over it, so a uniform integer below the
-    denominator lands on each bundle with exactly its probability. ``site``
-    is the bidder's tentative-stage draw site.
+    ``bundles`` is the bidder's ``tentative_law`` in order and the thresholds
+    the cumulative integer numerators over the lcm of its probabilities'
+    denominators, so a uniform integer below that lcm lands on each bundle
+    with exactly its probability. ``site`` is the bidder's tentative-stage
+    ``rng.draw_site`` below the lcm, or None when the lcm is 1 and the draw
+    is certain.
     """
     tables = []
     for i in range(solution.n):
         law = tentative_law(solution, i)
         den = math.lcm(*(x.denominator for _, x in law))
         thresholds = list(accumulate(x.numerator * (den // x.denominator) for _, x in law))
-        tables.append(([b for b, _ in law], den, thresholds, rngmod.site("tentative", i)))
+        at = None if den == 1 else rngmod.draw_site(den, "tentative", i)
+        tables.append(([b for b, _ in law], thresholds, at))
     return tables
 
 
@@ -262,15 +263,17 @@ def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
     """Step 3: per bidder, the index of its drawn bundle in its draw table.
 
     ``root`` is the sample's root stream, ``rng.stream(seed)``. Bidder i draws
-    one uniform integer below its common denominator from its own
-    tentative-stage child stream, so draws do not interact across bidders or
-    with later stages. The bundle is the first whose threshold exceeds the
-    draw. A denominator of 1 makes the draw certain (it is 0), so that bidder
-    builds no stream; the other bidders' streams are their own either way.
+    one uniform integer below its common denominator at its own
+    tentative-stage site under the root's key (``rng.draw``), so draws do not
+    interact across bidders or with later stages. The bundle is the first
+    whose threshold exceeds the draw. A denominator of 1 makes the draw
+    certain (it is 0), so that bidder hashes nothing; the other bidders'
+    draws are their own either way.
     """
+    key, draw = root.key, rngmod.draw
     return tuple(
-        bisect_right(thresholds, 0 if den == 1 else root.child(site).randrange(den))
-        for _, den, thresholds, site in tables
+        bisect_right(thresholds, 0 if at is None else draw(key, at))
+        for _, thresholds, at in tables
     )
 
 
@@ -354,7 +357,7 @@ class Pipeline:
     instance and configuration, so sharing them does not affect the law.
 
     ``sample`` builds one root stream per seed, ``rng.stream(seed)``, and draws
-    every site of the sample from it. It keeps one ``Plan`` per tentative
+    every site of the sample under its key. It keeps one ``Plan`` per tentative
     assignment it has drawn, keyed by the drawn index per bidder: the bundles,
     the per-item holders, the halt verdict (a halted plan holds its shared
     outcome), the q values and the step-6 and step-7 draw sites. A sample then
@@ -460,16 +463,16 @@ class Pipeline:
             else:
                 base = (0,) * len(bundles)
                 lottery = tuple(
-                    (rngmod.site("lottery", j), 1 << j, holders)
+                    (rngmod.draw_site(inv_c, "lottery", j), 1 << j, holders)
                     for j, holders in enumerate(t.holders)
                     if holders
                 )
             cancel = tuple(
-                (i, rngmod.site("cancel", i), keep.numerator, keep.denominator)
+                (i, rngmod.draw_site(keep.denominator, "cancel", i), keep.numerator)
                 for i, (bundle, keep) in enumerate(zip(bundles, survival))
                 if bundle and keep.denominator != 1
             )
-            got = Plan(t, None, q_values, base, lottery, inv_c, cancel)
+            got = Plan(t, None, q_values, base, lottery, cancel)
         self.plans[picks] = got
         return got
 

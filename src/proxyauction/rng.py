@@ -4,9 +4,9 @@ Every random decision in the pipeline draws from its own stream, named by
 the master seed together with a (stage, index) label path. Adding new
 instrumentation or reordering independent draws therefore never perturbs the
 outcome of existing stages. A site's key is its seed's root key followed by
-the site's label bytes (``site``), so a sampler that builds ``stream(seed)``
-once can draw each site from ``root.child(site)`` with the same key as
-``stream(seed, *labels)``, and can list its sites' bytes once for many seeds.
+the site's label bytes (``site``), so a sampler lists each site once as a
+``draw_site`` and draws it under any seed's root key with one hash:
+``draw(stream(seed).key, at)`` is ``stream(seed, *labels).randrange(den)``.
 
 A stream is counter based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): it holds no generator state beyond its key and a block
@@ -56,23 +56,24 @@ class Stream:
         self.key = key
         self.counter = 0
 
-    def child(self, site: bytes) -> "Stream":
-        """The stream keyed by this stream's key followed by ``site`` (from ``site()``)."""
-        return Stream(self.key + site)
-
     def randrange(self, den: int) -> int:
         """Uniform integer in [0, den), exactly."""
         if den < 1:
             raise ValueError(f"randrange needs den >= 1, got {den}")
         if den == 1:
             return 0
-        size, limit = _block_bounds(den)
-        while True:
-            block = shake_256(self.key + self.counter.to_bytes(8, "big")).digest(size)
-            self.counter += 1
-            u = int.from_bytes(block, "big")
-            if u < limit:
-                return u % den
+        u, self.counter = _accept(self.key, self.counter, *_block_bounds(den))
+        return u % den
+
+
+def _accept(key: bytes, counter: int, size: int, limit: int) -> tuple[int, int]:
+    """The first block from ``counter`` on that reads below ``limit``, and the counter past it."""
+    while True:
+        block = shake_256(key + counter.to_bytes(8, "big")).digest(size)
+        counter += 1
+        u = int.from_bytes(block, "big")
+        if u < limit:
+            return u, counter
 
 
 @lru_cache(maxsize=256)
@@ -80,6 +81,23 @@ def _block_bounds(den: int) -> tuple[int, int]:
     """(bytes per block, first rejected value) for uniform draws below ``den``."""
     size = (den.bit_length() + 71) // 8
     return size, (1 << (8 * size)) // den * den
+
+
+def draw_site(den: int, *labels) -> tuple[bytes, int, int, int]:
+    """(``site(*labels)`` and block counter 0, den, block size, rejection limit) for den >= 2."""
+    return (site(*labels) + bytes(8), den, *_block_bounds(den))
+
+
+def draw(key: bytes, at: tuple) -> int:
+    """``Stream(key + site).randrange(den)`` for ``at = draw_site(den, site's labels)``.
+
+    One hash of block 0; only a rejected block reads on, as ``randrange`` does.
+    """
+    suffix, den, size, limit = at
+    u = int.from_bytes(shake_256(key + suffix).digest(size), "big")
+    if u >= limit:
+        u = _accept(key + suffix[:-8], 1, size, limit)[0]
+    return u % den
 
 
 def site(*labels) -> bytes:

@@ -9,7 +9,8 @@ indentation), so identical runs produce byte-identical files:
 ``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2, ensure_ascii=False)`` in one pass that writes a list or dict met
 again at the same indent only once, and, like json, takes every
-``isinstance`` list, tuple or dict as a container.
+``isinstance`` list, tuple or dict as a container. A ``Filled`` entry, one
+shared dict with one key filled in, is written from its base's template.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .itemsets import ItemSet
 from .lp import FractionalSolution
 from .mechanism import MechanismConfig, Outcome, realized_welfare
 from .valuations import (
+    INSTANCE_ITEM_CAP,
     AdditiveValuation,
     CoverageValuation,
     ExplicitValuation,
@@ -39,6 +41,7 @@ SOLUTION_SCHEMA = "fractional-solution/1"
 OUTCOME_SCHEMA = "outcome/1"
 EXACT = "exact"
 VALUE_LENGTH_CAP = 100  # characters of one exact value as written
+NESTING_CAP = 64  # lists and objects inside one another in a file as read
 
 
 def format_value(x) -> str:
@@ -80,6 +83,19 @@ def _require_exact(data: dict) -> None:
         raise FormatError(f"unsupported arithmetic {mode!r}: values are exact rationals")
 
 
+class Filled(dict):
+    """``{**base, key: value}`` naming its shared ``base`` and ``key``, which
+    ``canonical_dumps`` writes from one template: neither may change while it runs."""
+
+    __slots__ = ("base", "key")
+
+    def __init__(self, base: dict, key: str, value):
+        dict.__init__(self, base)
+        self[key] = value
+        self.base = base
+        self.key = key
+
+
 def canonical_dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
 
@@ -89,7 +105,10 @@ def canonical_dumps(obj) -> str:
     visit reuses that text, so the samples of a replications report that
     share one outcome's bundle lists write those lists once. Containers are
     recognised by ``isinstance``, as json does: a tuple is a list, and an
-    ``OrderedDict`` or other dict subclass is a dict. A cycle raises
+    ``OrderedDict`` or other dict subclass is a dict. The first ``Filled``
+    entry of a base and key at an indent is written as a dict, and its text
+    around the filled-in value is kept as a template: each later one writes
+    the template's head, its own value and the tail. A cycle raises
     ``ValueError`` and a value json cannot encode raises ``TypeError``, as
     json does; unlike json, a dict key that is not a ``str`` raises
     ``TypeError`` rather than being coerced.
@@ -102,6 +121,8 @@ def canonical_dumps(obj) -> str:
     written: dict = {}
     names: dict = {}  # dict key -> its encoded text and ": "
     active: set = set()  # ids of the containers being written: one met again is a cycle
+    # (id of a Filled base, key, indent level) -> (base, head, tail)
+    templates: dict = {}
 
     def value(prefix: str, o, level: int) -> None:
         cls = o.__class__
@@ -115,6 +136,15 @@ def canonical_dumps(obj) -> str:
             append(prefix + "false")
         elif cls is int:
             append(prefix + int.__repr__(o))
+        elif cls is Filled and (template := templates.get((id(o.base), o.key, level))):
+            _, head, tail = template
+            if id(o) in active:
+                raise ValueError("Circular reference detected")
+            active.add(id(o))
+            append(prefix + head)
+            value("", o[o.key], level + 1)
+            append(tail)
+            active.remove(id(o))
         elif isinstance(o, (list, tuple, dict)):
             is_dict = isinstance(o, dict)
             if not o:
@@ -136,15 +166,28 @@ def canonical_dumps(obj) -> str:
             separator = ",\n" + "  " * inner
             if is_dict:
                 lead = "{" + separator[1:]
+                slot = o.key if cls is Filled else None
                 for k, v in sorted(o.items()):
                     name = names.get(k)
                     if name is None:
                         if not isinstance(k, str):
                             raise TypeError(f"keys must be str, not {k.__class__.__name__}")
                         name = names[k] = encode_basestring(k) + ": "
-                    value(lead + name, v, inner)
+                    if k == slot:
+                        append(lead + name)
+                        split = len(chunks)
+                        value("", v, inner)
+                        resume = len(chunks)
+                    else:
+                        value(lead + name, v, inner)
                     lead = separator
                 append("\n" + "  " * level + "}")
+                if slot is not None:
+                    templates[id(o.base), slot, level] = (
+                        o.base,
+                        "".join(chunks[start:split]),
+                        "".join(chunks[resume:]),
+                    )
             else:
                 lead = "[" + separator[1:]
                 for v in o:
@@ -227,6 +270,8 @@ def instance_from_dict(data: dict) -> Instance:
     m = data.get("m")
     if type(m) is not int or m < 1:  # a JSON integer: no float, string or bool
         raise FormatError(f"bad item count {m!r}")
+    if m > INSTANCE_ITEM_CAP:
+        raise CapacityError("items of one instance", m, INSTANCE_ITEM_CAP)
     bidders = data.get("bidders") or []
     if not isinstance(bidders, list) or not bidders:
         raise FormatError(f"an instance needs a list of at least one bidder, got {bidders!r}")
@@ -319,15 +364,33 @@ def save_json(path: Union[str, Path], obj: dict) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
 
+def _nested_past_cap(data) -> bool:
+    """Whether ``data`` holds lists and objects more than ``NESTING_CAP`` deep."""
+    layer = [data]
+    for _ in range(NESTING_CAP + 1):
+        layer = [o for o in layer if isinstance(o, (list, dict))]
+        if not layer:
+            return False
+        layer = [v for o in layer for v in (o.values() if isinstance(o, dict) else o)]
+    return True
+
+
 def load_json(path: Union[str, Path]) -> dict:
+    """A JSON file's contents; unreadable, or nested past ``NESTING_CAP``, is a ``FormatError``."""
+    too_deep = f"{path}: lists and objects nested more than {NESTING_CAP} deep"
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:  # nested past the decoder's own limit
+        raise FormatError(too_deep) from exc
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise FormatError(f"{path}: unreadable number ({exc})") from exc
+    if _nested_past_cap(data):
+        raise FormatError(too_deep)
+    return data
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

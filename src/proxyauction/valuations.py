@@ -33,6 +33,8 @@ from .itemsets import ItemSet, subset_sums
 # query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
 # that.
 TABLE_CAP = 20
+# items of one instance: past it, a cap over 2^m bundles could not print its count
+INSTANCE_ITEM_CAP = 1000
 PROXY_SUBSET_CAP = 20
 
 Value = Fraction

@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import re
+import tempfile
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import rows_against_columns
 from oracles import canonical_dumps_by_json, solution_from_dict
@@ -16,7 +20,14 @@ from proxyauction import cli, mechanism
 from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.errors import FormatError
-from proxyauction.serialize import canonical_dumps, config_from_dict, load_json, save_instance
+from proxyauction.serialize import (
+    NESTING_CAP,
+    VALUE_LENGTH_CAP,
+    canonical_dumps,
+    config_from_dict,
+    load_json,
+    save_instance,
+)
 
 ROOT = Path(__file__).parent.parent
 CORPUS_DIR = ROOT / "corpus" / "standard"
@@ -856,12 +867,98 @@ def test_an_oversize_exact_value_is_an_error_record(case, tmp_path, capsys):
     assert main(["solve", str(tmp_path / "bad.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if case == "long-string":
+        assert err.endswith("exact value characters: 5000 exceeds the cap of 100\n")
     # next to a good file, the bad one is an error record and the good one is checked
     assert main(["verify", str(tmp_path), "--c", "1/2", "--p", "1/20", "--checks", "welfare"]) == 1
     record, checked = json.loads(capsys.readouterr().out)["results"]
     assert Path(record["instance"]).name == "bad.json" and record["check"] == "error"
     assert record["details"]["error"] == ("CapacityError" if case == "long-string" else "FormatError")
     assert Path(checked["instance"]).name == "good.json" and checked["passed"]
+
+
+INSTANCE_FILES = sorted(p.name for p in CORPUS_DIR.glob("*.json") if p.name != "manifest.json")
+
+
+def nested_text(depth: int) -> str:
+    return "[" * depth + "1" + "]" * depth
+
+
+# what a mutation writes in place of a value: other JSON types, exponent and
+# decimal strings, values around the length cap, lists of other lengths, and
+# nesting around the nesting cap and past the decoder's own limit (written as
+# text, since json.dumps cannot write it)
+REPLACEMENTS = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 2, 7, 10**5, 0.5, -1e308, "", "x", [], {}]),
+    st.sampled_from(["1e5", "2E-3", "1/1e2", "0.5", "-0.0", ".5", "1_000", " 3", "1/0",
+                     "nan", "inf", "3/-4", "\u0663", "0x10"]),
+    st.integers(1, 3 * VALUE_LENGTH_CAP).map(lambda k: "9" * k),
+    st.integers(0, 12).map(lambda k: ["1"] * k),
+    st.sampled_from([2, NESTING_CAP - 2, NESTING_CAP + 1, 5000]).map(nested_text),
+)
+
+
+@st.composite
+def mutated_instance_texts(draw):
+    """A standard-corpus instance file with one to three values replaced, removed or added.
+
+    Each mutation walks from the top down a random path and then replaces the
+    value it reached, removes it from its list or object, or adds an extra key
+    beside it.
+    """
+    doc = json.loads((CORPUS_DIR / draw(st.sampled_from(INSTANCE_FILES))).read_text())
+    texts = {}  # marker string -> the text that replaces it
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (list, dict)) and node and draw(st.booleans()):
+            parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                     else range(len(node))))
+            node = parent[key]
+        new = draw(REPLACEMENTS)
+        if isinstance(new, str) and new.startswith("["):
+            texts[f"@{len(texts)}@"] = new
+            new = f"@{len(texts) - 1}@"
+        action = draw(st.sampled_from(["replace", "remove", "add"]))
+        if parent is None:
+            doc = new if action == "replace" else doc
+        elif action == "replace":
+            parent[key] = new
+        elif action == "remove":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "m", "kind", "weights", ""]))] = new
+        else:
+            parent.append(new)
+    text = json.dumps(doc)
+    for marker, replacement in texts.items():
+        text = text.replace(json.dumps(marker), replacement)
+    return text
+
+
+def quiet_main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_instance_texts())
+def test_a_mutated_instance_file_ends_in_a_report_or_an_error(text):
+    # an exception other than AuctionError would leave main() with a traceback
+    with tempfile.TemporaryDirectory() as workdir:
+        folder = Path(workdir)
+        (folder / "bad.json").write_text(text, encoding="utf-8")
+        (folder / "good.json").write_text(json.dumps(GOOD_INSTANCE))
+        code, out, err = quiet_main(["solve", str(folder / "bad.json")])
+        assert (code, err[:7]) in ((0, ""), (2, "error: ")) and "Traceback" not in err
+        write_manifest(folder, ["bad.json", "good.json"])
+        code, out, err = quiet_main(["verify", str(folder), "--checks", "welfare"])
+        assert code in (0, 1) and err == ""
+        records = json.loads(out)["results"]
+        assert [Path(r["instance"]).name for r in records] == ["bad.json", "good.json"]
+        assert records[1]["passed"]
 
 
 @pytest.mark.parametrize("seed", [1.9, True, "12", None], ids=["float", "bool", "string", "null"])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import bernoulli, categorical, stream_key_by_definition
 from proxyauction import rng as rngmod
-from proxyauction.rng import derive_seed, derive_seeds, site, stream
+from proxyauction.rng import derive_seed, derive_seeds, draw, draw_site, site, stream
 
 # labels that compare equal across types but are rendered differently
 EQUAL_LABELS = (1, True, 1.0, "1", 0, False, 0.0, -0.0, -3, -3.0, "-3")
@@ -32,7 +32,7 @@ def test_stream_key_is_the_label_text(seed, labels, warm):
     key = stream_key_by_definition(seed, labels)
     assert stream(seed, *labels).key == key
     # a site under the seed's root stream has the key of the full label path
-    assert stream(seed).child(site(*labels)).key == key
+    assert stream(seed).key + site(*labels) == key
     assert derive_seed(seed, *labels) == int.from_bytes(sha256(key).digest()[:8], "big")
 
 
@@ -98,6 +98,38 @@ def test_randrange_rejects_a_block_past_the_last_whole_multiple(monkeypatch):
     assert inputs == [s.key + (0).to_bytes(8, "big"), second]
     assert got == int.from_bytes(real(second).digest(9), "big") % 3
     assert s.counter == 2
+
+
+# 3^700 has 1,110 bits: wider than one SHAKE-256 block of 1,088
+DENOMINATORS = st.one_of(st.integers(2, 2**70), st.sampled_from([3, 2**64, 3**300, 3**700]))
+
+
+@given(seed=st.integers(0, 2**64 - 1), labels=st.lists(LABELS, max_size=3), den=DENOMINATORS)
+def test_a_site_draw_is_the_site_streams_first_draw(seed, labels, den):
+    at = draw_site(den, *labels)
+    assert at[0] == site(*labels) + bytes(8)
+    assert draw(stream(seed).key, at) == stream(seed, *labels).randrange(den)
+
+
+def test_a_site_draw_reads_on_after_a_rejected_first_block(monkeypatch):
+    # as in the randrange test: all ones in block 0 is the value rejected for den 3
+    real = rngmod.shake_256
+    inputs = []
+
+    class AllOnesFirst:
+        def __init__(self, data):
+            inputs.append(data)
+            self.data = data
+
+        def digest(self, size):
+            return b"\xff" * size if len(inputs) == 1 else real(self.data).digest(size)
+
+    monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
+    key = stream(3).key + site("reject")
+    got = draw(stream(3).key, draw_site(3, "reject"))
+    assert inputs == [key + (0).to_bytes(8, "big"), key + (1).to_bytes(8, "big")]
+    inputs.clear()
+    assert got == stream(3, "reject").randrange(3)
 
 
 def test_randrange_wider_than_one_sha_block():

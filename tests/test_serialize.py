@@ -17,6 +17,7 @@ from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, run
 from proxyauction.serialize import (
     VALUE_LENGTH_CAP,
+    Filled,
     canonical_dumps,
     config_from_dict,
     config_to_dict,
@@ -29,7 +30,12 @@ from proxyauction.serialize import (
     valuation_from_dict,
     valuation_to_dict,
 )
-from proxyauction.valuations import ExplicitValuation, Instance, UnitDemandValuation
+from proxyauction.valuations import (
+    INSTANCE_ITEM_CAP,
+    ExplicitValuation,
+    Instance,
+    UnitDemandValuation,
+)
 
 
 def test_value_strings_are_exact():
@@ -74,6 +80,20 @@ def test_item_count_must_be_a_positive_json_integer(m):
     assert instance_from_dict(data).m == 1
     with pytest.raises(FormatError, match="bad item count"):
         instance_from_dict({**data, "m": m})
+
+
+def test_an_item_count_past_the_cap_is_refused_before_any_valuation():
+    # 15,000 items: 2^m has more digits than an int may print, so the value
+    # table's cap could not word its error; the item cap comes first
+    for m in (INSTANCE_ITEM_CAP + 1, 15_000):
+        data = {"schema": "auction-instance/1", "m": m,
+                "bidders": [{"kind": "additive", "weights": ["1"] * m}]}
+        with pytest.raises(CapacityError) as caught:
+            instance_from_dict(data)
+        assert str(caught.value) == f"items of one instance: {m} exceeds the cap of 1000"
+    with pytest.raises(CapacityError):
+        generate("additive", 1, INSTANCE_ITEM_CAP + 1, 0)
+    assert generate("additive", 1, INSTANCE_ITEM_CAP, 0).m == INSTANCE_ITEM_CAP
 
 
 def test_exact_values_are_json_strings_or_integers():
@@ -286,6 +306,60 @@ def test_canonical_dumps_rejects_a_cycle():
     knotted = {"a": {}}
     knotted["a"]["b"] = knotted
     for tree in (looped, knotted, {"k": [knotted]}):
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_dumps_by_json(tree)
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_dumps(tree)
+
+
+@st.composite
+def trees_with_filled_entries(draw):
+    """A list of ``Filled`` entries over a few shared bases, as run's outcomes are.
+
+    A base may be empty, may already hold the filled-in key, and is also met
+    as a plain dict; an entry is met at the list's indent, one deeper inside a
+    list, and twice as two values of one dict.
+    """
+    small_trees = st.recursive(SCALARS, _containers, max_leaves=4)
+    bases = draw(st.lists(st.dictionaries(TRICKY_TEXT, small_trees, max_size=4),
+                          min_size=1, max_size=3))
+    keys = draw(st.lists(TRICKY_TEXT, min_size=1, max_size=2))
+    tree = []
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from(bases))
+        keys_here = [*keys, *base][:3]
+        entry = Filled(base, draw(st.sampled_from(keys_here)), draw(small_trees))
+        tree.append(draw(st.sampled_from([base, entry, [entry], {"a": entry, "b": entry}])))
+    return tree
+
+
+@settings(max_examples=120, deadline=None)
+@given(trees_with_filled_entries())
+def test_canonical_dumps_writes_filled_entries_as_json_does(tree):
+    assert canonical_dumps(tree) == canonical_dumps_by_json(tree)
+
+
+def test_filled_entries_of_one_base_at_two_indents():
+    base = {"kept": [[0, 1]], "welfare": "5/2"}
+    empty = {}
+    slots = [None, True, False, 7, -(2**70), 0.5, "seed \u2028", [1, [2]], {"k": []}, (), {}]
+    tree = [
+        base,
+        *(Filled(base, "sample_seed", x) for x in slots),
+        [Filled(base, "sample_seed", x) for x in slots],
+        {"deeper": [Filled(empty, "s", x) for x in slots], "flat": Filled(empty, "s", 1)},
+        Filled(empty, "s", 2),
+    ]
+    assert canonical_dumps(tree) == canonical_dumps_by_json(tree)
+    assert dict(Filled(base, "welfare", "1")) == {"kept": [[0, 1]], "welfare": "1"}
+
+
+def test_a_filled_entry_that_holds_itself_is_a_cycle():
+    base = {"a": 1}
+    first, looped = Filled(base, "k", 1), Filled(base, "k", [])
+    looped["k"].append(looped)
+    # met first it is written as a dict; met after first, from the template
+    for tree in ([looped], [first, looped]):
         with pytest.raises(ValueError, match="Circular reference"):
             canonical_dumps_by_json(tree)
         with pytest.raises(ValueError, match="Circular reference"):
