@@ -34,7 +34,6 @@ from .mechanism import (
     Plan,
     Q_HALT,
     Q_OWN_ITEMS,
-    TentativeAssignment,
     compute_q,
     default_params,
     draw_tables,
@@ -42,7 +41,6 @@ from .mechanism import (
     realized_welfare,
     run,
     survival_probability,
-    tentative_draw,
     tentative_indices,
     tentative_law,
 )

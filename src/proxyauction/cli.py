@@ -84,9 +84,9 @@ CAP_DEFAULTS = {
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational like 1/20, got {text!r}") from None
+        return ser.parse_value(text)
+    except AuctionError as exc:  # a FormatError, or a CapacityError past the length cap
+        raise argparse.ArgumentTypeError(f"expected a rational like 1/20 ({exc})") from None
 
 
 def _positive_int(text: str) -> int:

@@ -135,22 +135,6 @@ def default_params(m: int) -> tuple[Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class TentativeAssignment:
-    """One bundle per bidder (possibly empty) and, per item, its tentative holders."""
-
-    bundles: tuple[ItemSet, ...]
-    m: int
-    holders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        holders = [[] for _ in range(self.m)]
-        for i, bundle in enumerate(self.bundles):
-            for j in bundle:
-                holders[j].append(i)
-        object.__setattr__(self, "holders", tuple(map(tuple, holders)))
-
-
-@dataclass(frozen=True)
 class Outcome:
     """Realized result of one mechanism run."""
 
@@ -173,7 +157,8 @@ class Outcome:
 class Plan:
     """What every sample with one tentative assignment shares.
 
-    A halted assignment keeps its one ``Outcome``. Any other keeps its q values
+    ``tentative`` is the assignment's bundles, one per bidder. A halted
+    assignment keeps its one ``Outcome``. Any other keeps its q values
     and its draw sites, each listed once:
 
     - the base masks: at c = 1 every item has at most one holder, who keeps it
@@ -185,7 +170,7 @@ class Plan:
     - the outcomes drawn so far, one per (kept masks, final masks).
     """
 
-    tentative: TentativeAssignment
+    tentative: tuple[ItemSet, ...]
     halted: Optional[Outcome]
     q_values: Optional[tuple] = None
     base: tuple = ()
@@ -215,7 +200,7 @@ class Plan:
         if got is None:
             got = self.outcomes[key] = Outcome(
                 halted=False,
-                tentative=self.tentative.bundles,
+                tentative=self.tentative,
                 kept=tuple(map(ItemSet, kept)),
                 final=tuple(map(ItemSet, final)),
                 q_values=self.q_values,
@@ -277,18 +262,9 @@ def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
     )
 
 
-def tentative_draw(tables: Sequence, m: int, seed: int) -> TentativeAssignment:
-    """Step 3 as bundles: the tentative assignment of ``tentative_indices``."""
-    picks = tentative_indices(tables, rngmod.stream(seed))
-    return TentativeAssignment(
-        bundles=tuple(table[0][k] for table, k in zip(tables, picks)), m=m
-    )
-
-
-def halt_check(t: TentativeAssignment, c: Fraction) -> bool:
+def halt_check(bundles: Sequence[ItemSet], c: Fraction) -> bool:
     """Step 4 predicate: some item is tentatively held more than 1/c times."""
-    inv_c = c.denominator
-    return any(len(who) > inv_c for who in t.holders)
+    return _overfilled([b.mask for b in bundles], c.denominator) != 0
 
 
 def _overfilled(masks: list, inv_c: int) -> int:
@@ -359,12 +335,12 @@ class Pipeline:
     ``sample`` builds one root stream per seed, ``rng.stream(seed)``, and draws
     every site of the sample under its key. It keeps one ``Plan`` per tentative
     assignment it has drawn, keyed by the drawn index per bidder: the bundles,
-    the per-item holders, the halt verdict (a halted plan holds its shared
-    outcome), the q values and the step-6 and step-7 draw sites. A sample then
-    draws step 3, looks its plan up and draws only the plan's sites; a
-    repeated outcome is the plan's earlier ``Outcome`` object. A plan that
-    raises (q_i > 1 - p, halted or not, or a capped q enumeration) is not
-    kept, so every sample that draws it raises again.
+    the halt verdict (a halted plan holds its shared outcome), the q values
+    and the step-6 and step-7 draw sites. A sample then draws step 3, looks
+    its plan up and draws only the plan's sites; a repeated outcome is the
+    plan's earlier ``Outcome`` object. A plan that raises (q_i > 1 - p,
+    halted or not, or a capped q enumeration) is not kept, so every sample
+    that draws it raises again.
     There are at most as many plans as the product of the bidders' support
     sizes, and never more than samples drawn.
     """
@@ -429,9 +405,12 @@ class Pipeline:
             self._tables = draw_tables(self.solution)
         return self._tables
 
-    def tentative_sample(self, seed: int) -> TentativeAssignment:
-        """Step 3 over the cached draw tables."""
-        return tentative_draw(self.tables, self.solution.m, seed)
+    def _bundles(self, picks: tuple[int, ...]) -> tuple[ItemSet, ...]:
+        return tuple(table[0][k] for table, k in zip(self.tables, picks))
+
+    def tentative_sample(self, seed: int) -> tuple[ItemSet, ...]:
+        """Step 3 over the cached draw tables: one tentative bundle per bidder."""
+        return self._bundles(tentative_indices(self.tables, rngmod.stream(seed)))
 
     def survival(self, bidder: int, bundle: ItemSet) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
@@ -448,13 +427,12 @@ class Pipeline:
         got = self.plans.get(picks)
         if got is not None:
             return got
-        bundles = tuple(table[0][k] for table, k in zip(self.tables, picks))
+        bundles = self._bundles(picks)
         # the bound q_i <= 1 - p applies to every drawn bundle, halted or not
         survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
-        t = TentativeAssignment(bundles=bundles, m=self.solution.m)
-        if halt_check(t, self.config.c):
+        if halt_check(bundles, self.config.c):
             empty = (EMPTY_SET,) * len(bundles)
-            got = Plan(t, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
+            got = Plan(bundles, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
             inv_c = self.config.inv_c
@@ -464,15 +442,15 @@ class Pipeline:
                 base = (0,) * len(bundles)
                 lottery = tuple(
                     (rngmod.draw_site(inv_c, "lottery", j), 1 << j, holders)
-                    for j, holders in enumerate(t.holders)
-                    if holders
+                    for j in range(self.solution.m)
+                    if (holders := tuple(i for i, b in enumerate(bundles) if b.mask >> j & 1))
                 )
             cancel = tuple(
                 (i, rngmod.draw_site(keep.denominator, "cancel", i), keep.numerator)
                 for i, (bundle, keep) in enumerate(zip(bundles, survival))
                 if bundle and keep.denominator != 1
             )
-            got = Plan(t, None, q_values, base, lottery, cancel)
+            got = Plan(bundles, None, q_values, base, lottery, cancel)
         self.plans[picks] = got
         return got
 

@@ -7,8 +7,7 @@ keeps their bytes stable; reading a config accepts it or its absence and
 rejects any other mode. Serialization is canonical (sorted keys, fixed
 indentation), so identical runs produce byte-identical files:
 ``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2, ensure_ascii=False)`` in one pass that writes a list or dict met
-again at the same indent only once, and, like json, takes every
+indent=2, ensure_ascii=False)`` in one pass and, like json, takes every
 ``isinstance`` list, tuple or dict as a container. A ``Filled`` entry, one
 shared dict with one key filled in, is written from its base's template.
 """
@@ -77,6 +76,18 @@ def _cover(raw) -> list:
     return raw
 
 
+def _list(raw, what: str) -> list:
+    """``raw`` if it is a JSON list; a string, whose characters would read as items, is not."""
+    if not isinstance(raw, list):
+        raise FormatError(f"{what} must be a list, got {raw!r}")
+    return raw
+
+
+def _values(raw, what: str) -> list:
+    """A JSON list of exact values."""
+    return [parse_value(w) for w in _list(raw, what)]
+
+
 def _require_exact(data: dict) -> None:
     mode = data.get("arithmetic", EXACT)
     if mode != EXACT:
@@ -100,25 +111,18 @@ def canonical_dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
 
     One pass writes every piece of text into one chunk list, joined once at
-    the end. A list or dict met again at the same indent is not walked again:
-    the second visit joins the chunks its first visit wrote, and every later
-    visit reuses that text, so the samples of a replications report that
-    share one outcome's bundle lists write those lists once. Containers are
-    recognised by ``isinstance``, as json does: a tuple is a list, and an
-    ``OrderedDict`` or other dict subclass is a dict. The first ``Filled``
-    entry of a base and key at an indent is written as a dict, and its text
-    around the filled-in value is kept as a template: each later one writes
-    the template's head, its own value and the tail. A cycle raises
-    ``ValueError`` and a value json cannot encode raises ``TypeError``, as
-    json does; unlike json, a dict key that is not a ``str`` raises
-    ``TypeError`` rather than being coerced.
+    the end. Containers are recognised by ``isinstance``, as json does: a
+    tuple is a list, and an ``OrderedDict`` or other dict subclass is a dict.
+    The first ``Filled`` entry of a base and key at an indent is written as a
+    dict, and its text around the filled-in value is kept as a template: each
+    later one writes the template's head, its own value and the tail, so the
+    samples of a replications report that share one outcome write its lists
+    once. A cycle raises ``ValueError`` and a value json cannot encode raises
+    ``TypeError``, as json does; unlike json, a dict key that is not a
+    ``str`` raises ``TypeError`` rather than being coerced.
     """
     chunks: list[str] = []
     append = chunks.append
-    # (id, indent level) -> (container, start, end) of its first text in
-    # chunks, then (container, text) once it is met again; holding the
-    # container keeps its id from being reused while this call runs
-    written: dict = {}
     names: dict = {}  # dict key -> its encoded text and ": "
     active: set = set()  # ids of the containers being written: one met again is a cycle
     # (id of a Filled base, key, indent level) -> (base, head, tail)
@@ -150,17 +154,10 @@ def canonical_dumps(obj) -> str:
             if not o:
                 append(prefix + ("{}" if is_dict else "[]"))
                 return
-            append(prefix)
-            key = (id(o), level)
-            got = written.get(key)
-            if got is not None:
-                if len(got) == 3:
-                    got = written[key] = (o, "".join(chunks[got[1] : got[2]]))
-                append(got[1])
-                return
-            if key[0] in active:
+            if id(o) in active:
                 raise ValueError("Circular reference detected")
-            active.add(key[0])
+            active.add(id(o))
+            append(prefix)
             start = len(chunks)
             inner = level + 1
             separator = ",\n" + "  " * inner
@@ -194,8 +191,7 @@ def canonical_dumps(obj) -> str:
                     value(lead, v, inner)
                     lead = separator
                 append("\n" + "  " * level + "]")
-            active.remove(key[0])
-            written[key] = (o, start, len(chunks))
+            active.remove(id(o))
         else:
             # floats, str and int subclasses, and the TypeError for anything else
             append(prefix + json.dumps(o, ensure_ascii=False))
@@ -227,18 +223,21 @@ def valuation_from_dict(data: dict, m: int) -> Valuation:
     kind = data.get("kind")
     try:
         if kind == "additive":
-            return AdditiveValuation([parse_value(w) for w in data["weights"]])
+            return AdditiveValuation(_values(data["weights"], "weights"))
         if kind == "unit-demand":
-            return UnitDemandValuation([parse_value(w) for w in data["weights"]])
+            return UnitDemandValuation(_values(data["weights"], "weights"))
         if kind == "xos":
-            return XOSValuation(m, [[parse_value(w) for w in cl] for cl in data["clauses"]])
+            clauses = _list(data["clauses"], "clauses")
+            return XOSValuation(m, [_values(cl, "an xos clause") for cl in clauses])
         if kind == "coverage":
             return CoverageValuation(
-                [parse_value(w) for w in data["element_weights"]],
-                [_cover(cover) for cover in data["covers"]],
+                _values(data["element_weights"], "element_weights"),
+                [_cover(cover) for cover in _list(data["covers"], "covers")],
             )
         if kind == "explicit":
             values = data["values"]
+            if not isinstance(values, dict):
+                raise FormatError(f"explicit values must be an object, got {values!r}")
             table = {0: parse_value(values.get("", "0"))}
             for mask in range(1, 1 << m):
                 key = _bundle_key(mask)
@@ -347,8 +346,8 @@ def config_from_dict(data: dict) -> MechanismConfig:
         raise FormatError(f"malformed mechanism config: seed {seed!r} is not an integer")
     try:
         return MechanismConfig(
-            c=Fraction(data["c"]),
-            p=Fraction(data["p"]),
+            c=parse_value(data["c"]),
+            p=parse_value(data["p"]),
             q_variant=data.get("q_variant", "halt"),
             seed=seed,
             solver=data.get("solver", "full"),

@@ -48,7 +48,6 @@ from .mechanism import (
     Q_HALT,
     SOLVER_FULL,
     Pipeline,
-    TentativeAssignment,
     halt_check,
     realized_welfare,
     tentative_law,
@@ -128,7 +127,7 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
     for draw in product(*laws):
         bundles = tuple(b for b, _ in draw)
         prob = math.prod(x for _, x in draw)
-        halted = halt_check(TentativeAssignment(bundles=bundles, m=instance.m), config.c)
+        halted = halt_check(bundles, config.c)
         atoms.append(AtomRecord(bundles=bundles, probability=prob, halted=halted))
         total_prob += prob
         if not halted:

@@ -29,9 +29,6 @@ from proxyauction.mechanism import (
     Q_HALT,
     SOLVER_COLGEN,
     Outcome,
-    TentativeAssignment,
-    halt_check,
-    tentative_draw,
 )
 from proxyauction.rng import Stream, stream
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
@@ -212,6 +209,12 @@ def categorical(rng: Stream, probs: Sequence) -> Optional[int]:
     return None
 
 
+def holders_of(bundles: Sequence[ItemSet]) -> list:
+    """Per item up to the last one held, the bidders whose bundle holds it, in bidder order."""
+    m = max((b.mask.bit_length() for b in bundles), default=0)
+    return [[i for i, b in enumerate(bundles) if (b.mask >> j) & 1] for j in range(m)]
+
+
 def sample_by_definition(pipeline, seed: int) -> Outcome:
     """One rounding pass (steps 3-7) composed straight from the definitions.
 
@@ -222,7 +225,7 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     predicate. Only the LP solution and the q values come from ``pipeline``.
     """
     sol, config = pipeline.solution, pipeline.config
-    n, m = sol.n, sol.m
+    n = sol.n
 
     tentative = []
     for i in range(n):
@@ -231,7 +234,7 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
         tentative.append(EMPTY_SET if pick is None else options[pick][0])
     tentative = tuple(tentative)
 
-    holders = [[i for i in range(n) if (tentative[i].mask >> j) & 1] for j in range(m)]
+    holders = holders_of(tentative)
     if any(len(h) > config.c.denominator for h in holders):
         empty = (EMPTY_SET,) * n
         return Outcome(halted=True, tentative=tentative, kept=empty, final=empty)
@@ -264,9 +267,9 @@ def q_by_assignments(
 
     Each other bidder draws one of its ``bundles_of`` entries or the empty
     bundle with the rest of its mass (an atom of mass 0 included); the bidder
-    holds ``bundle`` in every draw. A draw counts when ``halt_check`` fires
-    ("halt") or when an item of ``bundle`` has more than 1/c holders
-    ("own-items").
+    holds ``bundle`` in every draw. A draw counts when some item ("halt") or
+    some item of ``bundle`` ("own-items") has more than 1/c holders, counted
+    here rather than by the package's step-4 predicate.
     """
     choices = []
     for i in range(solution.n):
@@ -277,17 +280,14 @@ def q_by_assignments(
             choices.append([*options, (EMPTY_SET, 1 - sum(x for _, x in options))])
     total = Fraction(0)
     for draw in product(*choices):
-        t = TentativeAssignment(bundles=tuple(b for b, _ in draw), m=solution.m)
-        if variant == Q_HALT:
-            fires = halt_check(t, c)
-        else:
-            fires = any(len(t.holders[j]) > c.denominator for j in bundle)
-        if fires:
+        holders = holders_of([b for b, _ in draw])
+        items = range(len(holders)) if variant == Q_HALT else bundle
+        if any(len(holders[j]) > c.denominator for j in items):
             total += math.prod(x for _, x in draw)
     return total
 
 
-def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSet, ...]:
+def item_lottery(bundles: Sequence[ItemSet], c: Fraction, seed: int) -> tuple[ItemSet, ...]:
     """Step 6: per item, each tentative holder receives it with probability c.
 
     Requires every holder count to be at most 1/c (the halt check must have
@@ -298,8 +298,8 @@ def item_lottery(t: TentativeAssignment, c: Fraction, seed: int) -> tuple[ItemSe
     for certain, and no stream is built.
     """
     inv_c = c.denominator
-    kept_masks = [0] * len(t.bundles)
-    for j, holders in enumerate(t.holders):
+    kept_masks = [0] * len(bundles)
+    for j, holders in enumerate(holders_of(bundles)):
         if not holders:
             continue
         if len(holders) > inv_c:
@@ -335,24 +335,25 @@ def personal_cancel(kept: Sequence[ItemSet], survival: Sequence, seed: int) -> t
 def sample_by_steps(pipeline, seed: int) -> Outcome:
     """``Pipeline.sample`` composed of the per-step functions, one stream per site.
 
-    Step 3 is the package's ``tentative_draw``, step 4 its ``halt_check``, and
-    steps 6 and 7 are ``item_lottery`` and ``personal_cancel`` above, each of
-    which builds its own ``stream(seed, stage, index)`` per draw. As in the
-    package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
-    or not. The q values and survival probabilities come from ``pipeline``.
+    Step 3 is the package's ``Pipeline.tentative_sample``; step 4 counts
+    holders here rather than calling the package's predicate; steps 6 and 7
+    are ``item_lottery`` and ``personal_cancel`` above, each of which builds
+    its own ``stream(seed, stage, index)`` per draw. As in the package, the
+    bound q_i <= 1 - p is checked for every drawn bundle, halted or not. The
+    q values and survival probabilities come from ``pipeline``.
     """
-    t = tentative_draw(pipeline.tables, pipeline.solution.m, seed)
-    survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(t.bundles)]
-    if halt_check(t, pipeline.config.c):
-        empty = (EMPTY_SET,) * len(t.bundles)
-        return Outcome(halted=True, tentative=t.bundles, kept=empty, final=empty)
-    kept = item_lottery(t, pipeline.config.c, seed)
+    bundles = pipeline.tentative_sample(seed)
+    survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(bundles)]
+    if any(len(who) > pipeline.config.c.denominator for who in holders_of(bundles)):
+        empty = (EMPTY_SET,) * len(bundles)
+        return Outcome(halted=True, tentative=bundles, kept=empty, final=empty)
+    kept = item_lottery(bundles, pipeline.config.c, seed)
     return Outcome(
         halted=False,
-        tentative=t.bundles,
+        tentative=bundles,
         kept=kept,
         final=personal_cancel(kept, survival, seed),
-        q_values=tuple(pipeline.q(i, bundle) for i, bundle in enumerate(t.bundles)),
+        q_values=tuple(pipeline.q(i, bundle) for i, bundle in enumerate(bundles)),
     )
 
 

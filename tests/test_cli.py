@@ -740,6 +740,13 @@ INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
         (["run", INSTANCE, "--c", "abc"], "argument --c: expected a rational"),
         (["run", INSTANCE, "--c", "1/0"], "argument --c: expected a rational"),
         (["run", INSTANCE, "--p", "x"], "argument --p: expected a rational"),
+        # past the interpreter's 4,300-digit limit once written out
+        (["solve", INSTANCE, "--valuations", "proxy", "--c", "1e-5000"],
+         "argument --c: expected a rational like 1/20 (bad exact value '1e-5000': "
+         "write it without an exponent)"),
+        (["run", INSTANCE, "--c", "1/2", "--p", "1e-5000"], "argument --p: expected a rational"),
+        (["run", INSTANCE, "--c", "1/" + "9" * 200],
+         "argument --c: expected a rational like 1/20 (exact value characters: 202 exceeds"),
         (["verify", INSTANCE, "--checks", "monte-carlo", "--trials", "0"],
          "argument --trials: expected a positive integer"),
         (["bench", "--repeat", "0"], "argument --repeat: expected a positive integer"),
@@ -753,7 +760,8 @@ INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
          "argument --caps: bad entry 'proxy=\u00b2'"),
         (["run", INSTANCE, "--caps", "atoms"], "argument --caps: bad entry 'atoms'"),
     ],
-    ids=["c-text", "c-zero-denominator", "p-text", "trials-zero", "repeat-zero", "m-list-text",
+    ids=["c-text", "c-zero-denominator", "p-text", "c-exponent", "p-exponent", "c-oversize",
+         "trials-zero", "repeat-zero", "m-list-text",
          "replications-negative", "clauses-zero", "caps-superscript", "caps-without-value"],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
@@ -827,6 +835,18 @@ MALFORMED = {
     "cover-element-not-an-int": {
         "bidders": [{"kind": "coverage", "element_weights": ["1"], "covers": [["0"], [], []]}]
     },
+    # a string where a list belongs would iterate as its characters
+    "weights-a-string": {"bidders": [{"kind": "additive", "weights": "123"}]},
+    "unit-demand-weights-a-string": {"bidders": [{"kind": "unit-demand", "weights": "123"}]},
+    "clauses-a-string": {"bidders": [{"kind": "xos", "clauses": "123"}]},
+    "clause-a-string": {"bidders": [{"kind": "xos", "clauses": ["123"]}]},
+    "element-weights-a-string": {
+        "bidders": [{"kind": "coverage", "element_weights": "12", "covers": [[0], [1], []]}]
+    },
+    "covers-a-string": {
+        "bidders": [{"kind": "coverage", "element_weights": ["1"], "covers": "000"}]
+    },
+    "explicit-values-a-list": {"bidders": [{"kind": "explicit", "values": ["1"] * 8}]},
     "metadata-not-an-object": {"metadata": "seed 7"},
     "m-a-bool": {"m": True},
     "manifest-item-without-file": None,
@@ -843,14 +863,33 @@ def test_malformed_input_is_a_format_error(case, tmp_path, capsys):
         return
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**GOOD_INSTANCE, **MALFORMED[case]}))
-    assert main(["run", str(bad), "--c", "1/2"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for argv in (["run", str(bad), "--c", "1/2"], ["solve", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
     # in a corpus, the malformed instance is an error record and the other is checked
     write_manifest(tmp_path, ["good.json", "bad.json"])
     assert main(["verify", str(tmp_path), "--checks", "welfare"]) == 1
     good, record = json.loads(capsys.readouterr().out)["results"]
     assert good["passed"] and record["check"] == "error"
     assert record["details"]["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("field", ["c", "p"])
+def test_a_manifest_config_past_the_digit_limit_is_an_error_record(field, tmp_path, capsys):
+    for name in ("good.json", "bad.json"):
+        (tmp_path / name).write_text(json.dumps(GOOD_INSTANCE))
+    config = {"c": "1/2", "p": "1/20", field: "1e-5000"}
+    write_manifest(tmp_path, ["good.json"], {"file": "bad.json", "config": config})
+    assert main(["verify", str(tmp_path), "--checks", "welfare"]) == 1
+    good, record = json.loads(capsys.readouterr().out)["results"]
+    assert good["passed"] and Path(good["instance"]).name == "good.json"
+    assert Path(record["instance"]).name == "bad.json" and record["check"] == "error"
+    assert record["details"] == {
+        "error": "FormatError",
+        "message": "bad exact value '1e-5000': write it without an exponent",
+    }
+    assert record["config"] is None
 
 
 # exact values past Python's 4,300-digit int-to-str limit, as written or once parsed

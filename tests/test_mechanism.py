@@ -37,7 +37,6 @@ from proxyauction.mechanism import (
     Pipeline,
     Q_HALT,
     Q_OWN_ITEMS,
-    TentativeAssignment,
     compute_q,
     default_params,
     draw_tables,
@@ -45,7 +44,6 @@ from proxyauction.mechanism import (
     realized_welfare,
     run,
     survival_probability,
-    tentative_draw,
     tentative_indices,
     tentative_law,
 )
@@ -94,15 +92,21 @@ def test_config_validation():
 # -- tentative draw -----------------------------------------------------------
 
 
+def drawn_bundles(tables, seed):
+    """Step 3's bundles for ``seed``: the table entries ``tentative_indices`` picks."""
+    picks = tentative_indices(tables, rngmod.stream(seed))
+    return tuple(bundles[k] for (bundles, _, _), k in zip(tables, picks))
+
+
 def test_tentative_draw_deterministic_mass_one():
     sol = one_bidder_solution(1)
     for seed in range(25):
-        assert tentative_draw(draw_tables(sol), sol.m, seed).bundles == (ItemSet(1),)
+        assert drawn_bundles(draw_tables(sol), seed) == (ItemSet(1),)
 
 
 def test_tentative_draw_empty_solution():
     sol = FractionalSolution(n=3, m=2, entries={}, objective=F(0))
-    assert tentative_draw(draw_tables(sol), sol.m, 7).bundles == (EMPTY_SET,) * 3
+    assert drawn_bundles(draw_tables(sol), 7) == (EMPTY_SET,) * 3
 
 
 def test_tentative_draw_frequency():
@@ -110,7 +114,7 @@ def test_tentative_draw_frequency():
     tables = draw_tables(sol)
     trials = 10_000
     hits = sum(
-        tentative_draw(tables, sol.m, derive_seed(3, "t", k)).bundles[0] == ItemSet(1)
+        drawn_bundles(tables, derive_seed(3, "t", k))[0] == ItemSet(1)
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
@@ -166,14 +170,27 @@ def test_an_overfull_bidder_raises_a_typed_error(stage):
 
 
 def test_halt_is_strictly_more_than_inv_c():
-    t = TentativeAssignment(bundles=(ItemSet(1), ItemSet(1)), m=1)
-    assert not halt_check(t, F(1, 2))  # two holders, 1/c = 2: not more than 1/c
-    assert halt_check(t, F(1))
+    bundles = (ItemSet(1), ItemSet(1))
+    assert not halt_check(bundles, F(1, 2))  # two holders, 1/c = 2: not more than 1/c
+    assert halt_check(bundles, F(1))
 
 
 def test_halt_disjoint_never():
-    t = TentativeAssignment(bundles=(ItemSet(1), ItemSet(2)), m=2)
-    assert not halt_check(t, F(1))
+    assert not halt_check((ItemSet(1), ItemSet(2)), F(1))
+
+
+@given(
+    m=st.integers(1, 6),
+    masks=st.lists(st.integers(0, 63), min_size=1, max_size=5),
+    c=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_halt_check_counts_holders_per_item(m, masks, c):
+    bundles = tuple(ItemSet(mask % (1 << m)) for mask in masks)
+    counted = any(
+        sum(j in bundle for bundle in bundles) > c.denominator for j in range(m)
+    )
+    assert halt_check(bundles, c) == counted
 
 
 # -- q computation --------------------------------------------------------------
@@ -266,22 +283,19 @@ def test_q_equals_the_assignment_oracle_on_hand_built_solutions(sol, c, mask):
 
 
 def test_lottery_saturated_item_always_assigned():
-    t = TentativeAssignment(bundles=(ItemSet(1), ItemSet(1)), m=1)
     for seed in range(40):
-        kept = item_lottery(t, F(1, 2), seed)
+        kept = item_lottery((ItemSet(1), ItemSet(1)), F(1, 2), seed)
         assert sum(len(k) for k in kept) == 1  # probabilities sum to exactly 1
 
 
 def test_lottery_unheld_item_goes_nowhere():
-    t = TentativeAssignment(bundles=(EMPTY_SET,), m=2)
-    assert item_lottery(t, F(1, 2), 0) == (EMPTY_SET,)
+    assert item_lottery((EMPTY_SET,), F(1, 2), 0) == (EMPTY_SET,)
 
 
 def test_lottery_keep_frequency():
-    t = TentativeAssignment(bundles=(ItemSet(1),), m=1)
     trials = 10_000
     hits = sum(
-        bool(item_lottery(t, F(1, 2), derive_seed(1, "l", k))[0]) for k in range(trials)
+        bool(item_lottery((ItemSet(1),), F(1, 2), derive_seed(1, "l", k))[0]) for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
@@ -291,25 +305,24 @@ def test_lottery_at_c_one_builds_no_stream(monkeypatch):
         raise AssertionError("a certain lottery built a stream")
 
     monkeypatch.setattr(rngmod, "stream", no_stream)
-    t = TentativeAssignment(bundles=(ItemSet(0b01), ItemSet(0b10)), m=2)
-    assert item_lottery(t, F(1), 3) == t.bundles
+    bundles = (ItemSet(0b01), ItemSet(0b10))
+    assert item_lottery(bundles, F(1), 3) == bundles
 
 
 def test_lottery_requires_halt_check():
-    t = TentativeAssignment(bundles=(ItemSet(1), ItemSet(1)), m=1)
     with pytest.raises(ContractViolationError):
-        item_lottery(t, F(1), 0)
+        item_lottery((ItemSet(1), ItemSet(1)), F(1), 0)
 
 
 def test_lottery_joint_law_is_independent_per_item():
     # bidder 0 holds {0,1}, bidder 1 holds {1}: P(bidder 0 keeps both) = c * c,
     # and item decisions are independent across items
-    t = TentativeAssignment(bundles=(ItemSet.from_indices([0, 1]), ItemSet(2)), m=2)
+    bundles = (ItemSet.from_indices([0, 1]), ItemSet(2))
     c = F(1, 2)
     trials = 10_000
     counts = {}
     for k in range(trials):
-        kept = item_lottery(t, c, derive_seed(8, "joint", k))
+        kept = item_lottery(bundles, c, derive_seed(8, "joint", k))
         counts[kept[0].mask] = counts.get(kept[0].mask, 0) + 1
     # per-item keep probability for bidder 0 is c for item 0 and c for item 1
     expect = {0b11: c * c, 0b01: c * (1 - c), 0b10: (1 - c) * c, 0b00: (1 - c) ** 2}
@@ -626,9 +639,9 @@ def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
     raised = 0
     for k in range(300):
         seed = derive_seed(7, "infeasible-q", k)
-        t = pipe.tentative_sample(seed)
+        bundles = pipe.tentative_sample(seed)
         infeasible = any(
-            pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(t.bundles)
+            pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(bundles)
         )
         for _ in range(2):  # a plan that raised is not kept
             if infeasible:

@@ -199,7 +199,13 @@ def test_outcome_round_trip():
 def test_config_round_trip():
     config = MechanismConfig(c=F(1, 3), p=F(1, 8), q_variant="own-items", seed=99)
     assert config_from_dict(config_to_dict(config)) == config
-    for malformed in ({"c": "0", "p": "1/2"}, {"c": None, "p": "1/2"}, "c=1/2"):
+    for malformed in (
+        {"c": "0", "p": "1/2"},
+        {"c": None, "p": "1/2"},
+        "c=1/2",
+        {"c": "1e-5000", "p": "1/2"},  # the exponent, not its 5,000 digits, is refused
+        {"c": "1/2", "p": 0.5},  # a float is not exact as written
+    ):
         with pytest.raises(FormatError):
             config_from_dict(malformed)
 
@@ -252,8 +258,8 @@ JSON_TREES = st.recursive(SCALARS, _containers, max_leaves=20)
 def trees_with_shared_parts(draw):
     """A tree holding one list or dict object twice at one depth and again deeper.
 
-    ``pair`` is itself met twice, so text reused from ``shared`` is reused again
-    inside the text of ``pair``.
+    ``pair``, which holds ``shared`` at two depths, is itself met twice, so a
+    shared object is written at several indents and none of them is a cycle.
     """
     shared = draw(_containers(JSON_TREES))
     other = draw(JSON_TREES)
