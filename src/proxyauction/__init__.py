@@ -18,7 +18,6 @@ from .errors import (
     MalformedValuationError,
     ParameterError,
 )
-from .itemsets import EMPTY_SET, ItemSet
 from .lp import (
     ConfigLP,
     FractionalSolution,

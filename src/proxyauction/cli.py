@@ -38,6 +38,7 @@ from .generators import (
     standard_corpus,
     truthfulness_corpus,
 )
+from .itemsets import bundle_text
 from .lp import LP_ITEM_CAP, build_full_lp, solve_column_generation, solve_exact
 from .mechanism import (
     ATOM_CAP,
@@ -243,7 +244,7 @@ def cmd_solve(args) -> CommandResult:
 
     def table() -> str:
         rows = [["bidder", "bundle", "x"]]
-        rows += [[str(i), repr(bundle), str(x)] for i, bundle, x in solution.support()]
+        rows += [[str(i), bundle_text(bundle), str(x)] for i, bundle, x in solution.support()]
         return f"objective ({args.valuations}): {solution.objective}\n" + _table(rows)
 
     return 0, report, table
@@ -297,7 +298,7 @@ def cmd_run(args) -> CommandResult:
     def table() -> str:
         rows = [["outcome", "halted", "final bundles", "welfare"]]
         for k, (outcome, entry) in enumerate(zip(outcomes, outcome_dicts)):
-            final = " ".join(repr(b) for b in outcome.final)
+            final = " ".join(map(bundle_text, outcome.final))
             rows.append([str(k), "yes" if outcome.halted else "no", final, entry["welfare"]])
         return (
             f"LP objective (proxy): {pipeline.solution.objective}\n"

@@ -1,84 +1,35 @@
-"""Item bundles as immutable dense bit-sets.
+"""Item bundles as int masks.
 
-Items are integers 0..m-1; a bundle is the set bits of ``mask``. Equality and
-hashing are purely by membership, so bundles over different universes compare
-equal when their members coincide.
+Items are integers 0..m-1, and a bundle is the int whose set bits are its
+items: item j is in ``mask`` when ``mask >> j & 1``. Every layer takes and
+returns the mask itself; the functions below read it at the edges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
-class ItemSet:
-    """Immutable set of item indices backed by an int bitmask."""
+def items(mask: int) -> tuple[int, ...]:
+    """The items of ``mask`` in ascending order.
 
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int = 0):
-        if mask < 0:
-            raise ValueError("item-set mask must be nonnegative")
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ItemSet is immutable")
-
-    def __reduce__(self):
-        return (ItemSet, (self.mask,))
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "ItemSet":
-        mask = 0
-        for j in indices:
-            if j < 0:
-                raise ValueError("item indices must be nonnegative")
-            mask |= 1 << j
-        return cls(mask)
-
-    @classmethod
-    def singleton(cls, j: int) -> "ItemSet":
-        return cls(1 << j)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __contains__(self, j: int) -> bool:
-        return j >= 0 and (self.mask >> j) & 1 == 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ItemSet) and other.mask == self.mask
-
-    def __hash__(self) -> int:
-        return hash(("ItemSet", self.mask))
-
-    def __or__(self, other: "ItemSet") -> "ItemSet":
-        return ItemSet(self.mask | other.mask)
-
-    def fits_universe(self, m: int) -> bool:
-        return self.mask < (1 << m)
-
-    def lex_key(self) -> tuple[int, ...]:
-        """Sorted index tuple; lexicographic comparison of these orders bundles."""
-        return self.indices()
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(str(j) for j in self) + "}"
+    Lexicographic comparison of these tuples is the bundle order of the LP's
+    columns and of a solution's support. A negative mask, whose set bits never
+    run out, raises ``ValueError``.
+    """
+    if mask < 0:
+        raise ValueError(f"an item mask is nonnegative, got {mask}")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-EMPTY_SET = ItemSet(0)
+def bundle_text(mask: int) -> str:
+    """The bundle as ``"{0,2}"``, for table cells, labels and messages."""
+    return "{" + ",".join(map(str, items(mask))) + "}"
 
 
 def submasks(mask: int) -> Iterator[int]:

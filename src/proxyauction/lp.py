@@ -7,8 +7,8 @@ sum(x[i,S] * coef(i,S)) subject to
   * bidder constraints: each bidder's total mass is <= 1,
   * nonnegativity.
 
-Every constraint is 0/1 with capacity 1, so the simplex receives each column
-as its bidder and its bundle's item mask.
+A bundle is an int item mask (``itemsets``). Every constraint is 0/1 with
+capacity 1, so the simplex receives each column as its bidder and its mask.
 ``solve_exact`` solves the fully materialized LP (one column per bidder per
 nonempty bundle). ``solve_column_generation`` keeps one restricted master,
 sorted as it grows, and prices new columns with per-bidder demand queries at
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
-from .itemsets import ItemSet, subset_sums
+from .itemsets import bundle_text, items, subset_sums
 from .simplex import SimplexResult, solve_canonical_max
 from .valuations import AdditiveValuation, Instance, Valuation, over_one_denominator
 
@@ -41,13 +41,13 @@ LP_ITEM_CAP = 12
 @dataclass(frozen=True)
 class Column:
     bidder: int
-    bundle: ItemSet
+    bundle: int  # item mask
     coef: Fraction
 
 
 def column_order(col: Column) -> tuple:
     """The LP's column order: by bidder, then bundle lexicographic."""
-    return (col.bidder, col.bundle.lex_key())
+    return (col.bidder, items(col.bundle))
 
 
 @dataclass
@@ -62,17 +62,15 @@ class ConfigLP:
     def __post_init__(self):
         seen = set()
         for col in self.columns:
-            if not col.bundle:
-                raise ParameterError("LP columns must have nonempty bundles")
-            if not col.bundle.fits_universe(self.m):
-                raise ParameterError(f"bundle {col.bundle!r} outside the {self.m}-item universe")
+            if not 0 < col.bundle < 1 << self.m:
+                raise ParameterError(f"bundle mask {col.bundle} is empty or outside {self.m} items")
             if not 0 <= col.bidder < self.n:
                 raise ParameterError(f"bidder {col.bidder} outside range(0, {self.n})")
             if col.coef < 0:
                 raise ParameterError("LP coefficients must be nonnegative")
-            key = (col.bidder, col.bundle.mask)
+            key = (col.bidder, col.bundle)
             if key in seen:
-                raise ParameterError(f"duplicate column for bidder {col.bidder}, bundle {col.bundle!r}")
+                raise ParameterError(f"duplicate column (bidder {col.bidder}, {bundle_text(col.bundle)})")
             seen.add(key)
         object.__setattr__(
             self,
@@ -120,7 +118,7 @@ class FractionalSolution:
 
     n: int
     m: int
-    entries: dict  # (bidder, ItemSet) -> value
+    entries: dict  # (bidder, mask) -> value
     objective: object
     item_duals: Optional[tuple] = None
     bidder_duals: Optional[tuple] = None
@@ -131,13 +129,8 @@ class FractionalSolution:
 
     def support(self) -> list:
         """Sorted (bidder, bundle, x) triples with positive mass."""
-        out = [
-            (i, bundle, x)
-            for (i, bundle), x in self.entries.items()
-            if x > 0
-        ]
-        out.sort(key=lambda t: (t[0], t[1].lex_key()))
-        return out
+        out = [(i, bundle, x) for (i, bundle), x in self.entries.items() if x > 0]
+        return sorted(out, key=lambda t: (t[0], items(t[1])))
 
     def bundles_of(self, bidder: int) -> list:
         return [(bundle, x) for (i, bundle, x) in self.support() if i == bidder]
@@ -162,8 +155,7 @@ def build_full_lp(
     columns = []
     for i, v in enumerate(vals):
         for mask in range(1, 1 << instance.m):
-            bundle = ItemSet(mask)
-            columns.append(Column(i, bundle, v.value(bundle)))
+            columns.append(Column(i, mask, v.value(mask)))
     return ConfigLP(instance.n, instance.m, tuple(columns), vals)
 
 
@@ -175,18 +167,16 @@ def _solve_columns(
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
     # terminate without spurious rounds.
-    columns = [(col.bidder, col.bundle.mask) for col in lp_cols]
+    columns = [(col.bidder, col.bundle) for col in lp_cols]
     n_cols = len(columns)
     if start is not None:
         index = {key: j for j, key in enumerate(columns)}
         start = replace(start.result, basis=[
-            index[key[0], key[1].mask] if isinstance(key, tuple) else n_cols + key
+            index[key] if isinstance(key, tuple) else n_cols + key
             for key in start.keys
         ])
     res = solve_canonical_max(columns, [col.coef for col in lp_cols], n, m, start=start)
-    keys = tuple(
-        (lp_cols[j].bidder, lp_cols[j].bundle) if j < n_cols else j - n_cols for j in res.basis
-    )
+    keys = tuple(columns[j] if j < n_cols else j - n_cols for j in res.basis)
     return res, Basis(keys, res)
 
 
@@ -238,15 +228,14 @@ def certify_optimal(sol: FractionalSolution, objectives: Sequence[Valuation]) ->
     item_prices, bidder_prices = subset_sums(prices[:m]), prices[m:]
     tables = [v.value_table for v in objectives]
     mass, load, total = [Fraction(0)] * n, [Fraction(0)] * m, Fraction(0)
-    for (i, bundle), x in sol.entries.items():
-        if not (0 <= i < n and bundle and bundle.fits_universe(m) and x > 0):
-            raise InfeasibleSolutionError(f"x[{i},{bundle!r}] = {x} is no positive LP variable")
+    for (i, mask), x in sol.entries.items():
+        if not (0 <= i < n and 0 < mask < 1 << m and x > 0):
+            raise InfeasibleSolutionError(f"x[{i}, mask {mask}] = {x} is no positive LP variable")
         values, vden = tables[i]
-        mask = bundle.mask
         if values[mask] * den != (item_prices[mask] + bidder_prices[i]) * vden:
-            raise InfeasibleSolutionError(f"support column (bidder {i}, {bundle!r}) not tight")
+            raise InfeasibleSolutionError(f"support column (bidder {i}, {bundle_text(mask)}) not tight")
         mass[i] += x
-        for j in bundle:
+        for j in items(mask):
             load[j] += x
         total += x * Fraction(values[mask], vden)
     for kind, used, duals in (("bidder", mass, bidder_prices), ("item", load, prices[:m])):
@@ -267,8 +256,8 @@ def certify_optimal(sol: FractionalSolution, objectives: Sequence[Valuation]) ->
         excess[0] = bound  # the empty bundle is no column
         worst = max(excess)
         if worst > bound:
-            bundle = ItemSet(excess.index(worst))
-            raise InfeasibleSolutionError(f"column (bidder {i}, {bundle!r}) has positive reduced cost")
+            bundle = bundle_text(excess.index(worst))
+            raise InfeasibleSolutionError(f"column (bidder {i}, {bundle}) has positive reduced cost")
 
 
 def solve_column_generation(
@@ -309,7 +298,7 @@ def solve_column_generation(
                 i, bundle = key
                 master.append(Column(i, bundle, oracles[i].value(bundle)))
         master.sort(key=column_order)
-    have = {(col.bidder, col.bundle.mask) for col in master}
+    have = {(col.bidder, col.bundle) for col in master}
     basis = start_basis
     rounds = pivots = 0
     while True:
@@ -325,14 +314,14 @@ def solve_column_generation(
         added = False
         for i in range(n):
             bundle = oracles[i].demand(y)
-            if not bundle or (i, bundle.mask) in have:
+            if not bundle or (i, bundle) in have:
                 continue
             coef = oracles[i].value(bundle)
-            reduced = coef - sum(y[j] for j in bundle) - u[i]
+            reduced = coef - sum(y[j] for j in items(bundle)) - u[i]
             if reduced > 0:
                 # res.x indexes the old master, but it is read only when nothing entered
                 insort(master, Column(i, bundle, coef), key=column_order)
-                have.add((i, bundle.mask))
+                have.add((i, bundle))
                 added = True
         if not added:
             sol = FractionalSolution(

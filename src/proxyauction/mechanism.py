@@ -1,6 +1,7 @@
 """The randomized allocation mechanism and its payment rule.
 
-Pipeline for one run, given an instance and a configuration (c, p, seed):
+Pipeline for one run, given an instance and a configuration (c, p, seed),
+where every bundle is an int item mask and 0 is the empty bundle:
 
   1. wrap each valuation in its keep-probability proxy (ProxyValuation),
   2. solve the configuration LP over the proxy objectives,
@@ -51,7 +52,6 @@ from .errors import (
     InfeasibleSolutionError,
     ParameterError,
 )
-from .itemsets import EMPTY_SET, ItemSet
 from .lp import (
     LP_ITEM_CAP,
     ConfigLP,
@@ -139,18 +139,18 @@ class Outcome:
     """Realized result of one mechanism run."""
 
     halted: bool
-    tentative: tuple[ItemSet, ...]
-    kept: tuple[ItemSet, ...]
-    final: tuple[ItemSet, ...]
+    tentative: tuple[int, ...]
+    kept: tuple[int, ...]
+    final: tuple[int, ...]
     q_values: Optional[tuple] = None
     payments: Optional[tuple] = None
 
     def __post_init__(self):
         taken = 0
         for bundle in self.final:
-            if taken & bundle.mask:
+            if taken & bundle:
                 raise InfeasibleSolutionError("final bundles overlap")
-            taken |= bundle.mask
+            taken |= bundle
 
 
 @dataclass(eq=False)
@@ -170,7 +170,7 @@ class Plan:
     - the outcomes drawn so far, one per (kept masks, final masks).
     """
 
-    tentative: tuple[ItemSet, ...]
+    tentative: tuple[int, ...]
     halted: Optional[Outcome]
     q_values: Optional[tuple] = None
     base: tuple = ()
@@ -201,8 +201,8 @@ class Plan:
             got = self.outcomes[key] = Outcome(
                 halted=False,
                 tentative=self.tentative,
-                kept=tuple(map(ItemSet, kept)),
-                final=tuple(map(ItemSet, final)),
+                kept=tuple(kept),
+                final=tuple(final),
                 q_values=self.q_values,
             )
         return got
@@ -220,7 +220,7 @@ def tentative_law(solution: FractionalSolution, bidder: int) -> list:
     if residual < 0:
         raise InfeasibleSolutionError(f"bidder {bidder} bundle mass {1 - residual} exceeds 1")
     if residual > 0:
-        law.append((EMPTY_SET, residual))
+        law.append((0, residual))
     return law
 
 
@@ -262,12 +262,12 @@ def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
     )
 
 
-def halt_check(bundles: Sequence[ItemSet], c: Fraction) -> bool:
+def halt_check(bundles: Sequence[int], c: Fraction) -> bool:
     """Step 4 predicate: some item is tentatively held more than 1/c times."""
-    return _overfilled([b.mask for b in bundles], c.denominator) != 0
+    return _overfilled(bundles, c.denominator) != 0
 
 
-def _overfilled(masks: list, inv_c: int) -> int:
+def _overfilled(masks: Sequence[int], inv_c: int) -> int:
     """The mask of the items held by more than ``inv_c`` of ``masks``."""
     if len(masks) <= inv_c:
         return 0
@@ -282,7 +282,7 @@ def _overfilled(masks: list, inv_c: int) -> int:
 def compute_q(
     solution: FractionalSolution,
     bidder: int,
-    bundle: ItemSet,
+    bundle: int,
     c: Fraction,
     variant: str = Q_HALT,
     *,
@@ -304,12 +304,11 @@ def compute_q(
     size = math.prod(map(len, laws))
     if size > atom_cap:
         raise CapacityError("q enumeration over joint draws", size, atom_cap)
-    own = bundle.mask
-    scope = -1 if variant == Q_HALT else own
+    scope = -1 if variant == Q_HALT else bundle
     inv_c = c.denominator
     total = Fraction(0)
     for draw in product(*laws):
-        if _overfilled([own, *(b.mask for b, _ in draw)], inv_c) & scope:
+        if _overfilled([bundle, *(b for b, _ in draw)], inv_c) & scope:
             total += math.prod(x for _, x in draw)
     return total
 
@@ -384,8 +383,8 @@ class Pipeline:
             self._lp = build_full_lp(self.instance, self.proxies, item_cap=self.lp_cap)
         return self._lp
 
-    def q(self, bidder: int, bundle: ItemSet) -> Fraction:
-        key = (bidder, bundle.mask)
+    def q(self, bidder: int, bundle: int) -> Fraction:
+        key = (bidder, bundle)
         got = self._q_cache.get(key)
         if got is None:
             got = self._q_cache[key] = compute_q(
@@ -405,16 +404,16 @@ class Pipeline:
             self._tables = draw_tables(self.solution)
         return self._tables
 
-    def _bundles(self, picks: tuple[int, ...]) -> tuple[ItemSet, ...]:
+    def _bundles(self, picks: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(table[0][k] for table, k in zip(self.tables, picks))
 
-    def tentative_sample(self, seed: int) -> tuple[ItemSet, ...]:
+    def tentative_sample(self, seed: int) -> tuple[int, ...]:
         """Step 3 over the cached draw tables: one tentative bundle per bidder."""
         return self._bundles(tentative_indices(self.tables, rngmod.stream(seed)))
 
-    def survival(self, bidder: int, bundle: ItemSet) -> Fraction:
+    def survival(self, bidder: int, bundle: int) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
-        key = (bidder, bundle.mask)
+        key = (bidder, bundle)
         got = self._survival_cache.get(key)
         if got is None:
             got = self._survival_cache[key] = survival_probability(
@@ -431,19 +430,19 @@ class Pipeline:
         # the bound q_i <= 1 - p applies to every drawn bundle, halted or not
         survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
         if halt_check(bundles, self.config.c):
-            empty = (EMPTY_SET,) * len(bundles)
+            empty = (0,) * len(bundles)
             got = Plan(bundles, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
             inv_c = self.config.inv_c
             if inv_c == 1:
-                base, lottery = tuple(bundle.mask for bundle in bundles), ()
+                base, lottery = bundles, ()
             else:
                 base = (0,) * len(bundles)
                 lottery = tuple(
                     (rngmod.draw_site(inv_c, "lottery", j), 1 << j, holders)
                     for j in range(self.solution.m)
-                    if (holders := tuple(i for i, b in enumerate(bundles) if b.mask >> j & 1))
+                    if (holders := tuple(i for i, b in enumerate(bundles) if b >> j & 1))
                 )
             cancel = tuple(
                 (i, rngmod.draw_site(keep.denominator, "cancel", i), keep.numerator)
@@ -519,6 +518,6 @@ def realized_welfare(instance: Instance, outcome: Outcome):
     run, not communication with the bidders.
     """
     return sum(
-        (v._value(bundle.mask) for v, bundle in zip(instance.valuations, outcome.final)),
+        (v._value(bundle) for v, bundle in zip(instance.valuations, outcome.final)),
         Fraction(0),
     )

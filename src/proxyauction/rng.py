@@ -23,13 +23,19 @@ leaves the counter as it was.
 
 The block size and the rejection limit of each denominator are cached.
 ``derive_seeds`` derives a run of child seeds, one per index, from one shared
-key prefix.
+key prefix; a run longer than ``SAMPLE_CAP`` raises ``CapacityError`` before
+any seed is hashed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from hashlib import sha256, shake_256
+
+from .errors import CapacityError
+
+# child seeds of one derive_seeds call: run --replications, verify --trials
+SAMPLE_CAP = 100_000
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -40,6 +46,8 @@ def derive_seed(seed: int, *labels) -> int:
 
 def derive_seeds(seed: int, label, count: int) -> list[int]:
     """``[derive_seed(seed, label, r) for r in range(count)]``, from one key prefix."""
+    if count > SAMPLE_CAP:
+        raise CapacityError("derived seeds", count, SAMPLE_CAP)
     prefix = _key(seed, (label,)) + b"|"
     return [
         int.from_bytes(sha256(prefix + repr(r).encode("utf-8")).digest()[:8], "big")

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import CapacityError, FormatError, ParameterError
-from .itemsets import ItemSet
+from .itemsets import items
 from .lp import FractionalSolution
 from .mechanism import MechanismConfig, Outcome, realized_welfare
 from .valuations import (
@@ -210,7 +210,7 @@ def canonical_dumps(obj) -> str:
 
 
 def _bundle_key(mask: int) -> str:
-    return ",".join(str(j) for j in ItemSet(mask))
+    return ",".join(map(str, items(mask)))
 
 
 def valuation_to_dict(v: Valuation) -> dict:
@@ -291,7 +291,7 @@ def solution_to_dict(sol: FractionalSolution) -> dict:
         "m": sol.m,
         "objective": format_value(sol.objective),
         "entries": [
-            {"bidder": i, "bundle": list(bundle.indices()), "x": format_value(x)}
+            {"bidder": i, "bundle": list(items(bundle)), "x": format_value(x)}
             for i, bundle, x in sol.support()
         ],
         "item_duals": None
@@ -312,9 +312,9 @@ def outcome_to_dict(outcome: Outcome, instance: Optional[Instance] = None) -> di
     entry = {
         "schema": OUTCOME_SCHEMA,
         "halted": outcome.halted,
-        "tentative": [list(b.indices()) for b in outcome.tentative],
-        "kept": [list(b.indices()) for b in outcome.kept],
-        "final": [list(b.indices()) for b in outcome.final],
+        "tentative": [list(items(b)) for b in outcome.tentative],
+        "kept": [list(items(b)) for b in outcome.kept],
+        "final": [list(items(b)) for b in outcome.final],
         "q_values": None if q is None else [format_value(x) for x in q],
         "payments": None if pay is None else [format_value(x) for x in pay],
     }

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .itemsets import ItemSet, subset_sums
+from .itemsets import items, subset_sums
 
 
 @dataclass
@@ -89,7 +89,7 @@ def solve_canonical_max(
     # smaller one sums the item duals over each column's item rows
     by_table = n_cols >= 1 << m
     if not by_table:
-        item_rows = [[n + i for i in ItemSet(mask)] for _, mask in columns]
+        item_rows = [[n + i for i in items(mask)] for _, mask in columns]
 
     if start is None:
         d = 1
@@ -127,8 +127,8 @@ def solve_canonical_max(
 
         if entering < n_cols:
             bidder, mask = columns[entering]
-            items = [n + i for i in ItemSet(mask)] if by_table else item_rows[entering]
-            alpha = [row[bidder] + sum(map(row.__getitem__, items)) for row in M]
+            rows = [n + i for i in items(mask)] if by_table else item_rows[entering]
+            alpha = [row[bidder] + sum(map(row.__getitem__, rows)) for row in M]
         else:
             alpha = [row[entering - n_cols] for row in M]
 

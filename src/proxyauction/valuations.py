@@ -1,12 +1,13 @@
 """Bidder valuations, demand oracles, and the keep-probability proxy transform.
 
-A valuation maps bundles of items to nonnegative exact rationals. Five
-structured kinds are supported (explicit table, additive, unit-demand, XOS,
-coverage). Each kind builds one integer table of its values over all ``2^m``
-bundles, indexed by mask over one denominator, and every valuation answers
-value queries and demand queries from that table; queries are tallied in a
-per-valuation :class:`QueryCounter`, the artifact's stand-in for communication
-cost.
+A valuation maps bundles of items, each an int item mask, to nonnegative
+exact rationals. Five structured kinds are supported (explicit table,
+additive, unit-demand, XOS, coverage). Each kind builds one integer table of
+its values over all ``2^m`` bundles, indexed by mask over one denominator,
+and every valuation answers value queries and demand queries from that
+table; a mask outside ``0 <= mask < 2^m`` raises ``MalformedValuationError``.
+Queries are tallied in a per-valuation :class:`QueryCounter`, the artifact's
+stand-in for communication cost.
 
 ``ProxyValuation`` wraps a base valuation ``v`` with a keep probability ``c``
 (``1/c`` integral) and evaluates the expected value of a bundle after each of
@@ -27,7 +28,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, MalformedValuationError, ParameterError
-from .itemsets import ItemSet, subset_sums
+from .itemsets import items, subset_sums
 
 # Default enumeration caps. Value tables, and with them every value and demand
 # query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
@@ -96,14 +97,14 @@ class Valuation:
 
     # -- queries ---------------------------------------------------------
 
-    def value(self, bundle: ItemSet) -> Value:
-        """v(bundle); counted as one value query."""
-        self._check_universe(bundle)
+    def value(self, mask: int) -> Value:
+        """v(mask); counted as one value query."""
+        self._check_universe(mask)
         self.counter.value_queries += 1
-        return self._value(bundle.mask)
+        return self._value(mask)
 
-    def demand(self, prices: Sequence) -> ItemSet:
-        """A profit-maximizing bundle at the given item prices.
+    def demand(self, prices: Sequence) -> int:
+        """The mask of a profit-maximizing bundle at the given item prices.
 
         Maximizes v(S) - sum of prices over S. Ties resolve to the fewest
         items, then to the lexicographically smallest index tuple, so the
@@ -119,7 +120,7 @@ class Valuation:
         profits[0] = 0  # the empty bundle is the zero-profit fallback, whatever v(empty)
         best = max(profits)
         if profits.count(best) == 1:
-            return ItemSet(profits.index(best))
+            return profits.index(best)
         tied = [mask for mask, profit in enumerate(profits) if profit == best]
         fewest = min(mask.bit_count() for mask in tied)
         chosen, *others = [mask for mask in tied if mask.bit_count() == fewest]
@@ -129,7 +130,7 @@ class Valuation:
             diff = mask ^ chosen
             if mask & diff & -diff:
                 chosen = mask
-        return ItemSet(chosen)
+        return chosen
 
     # -- internals -------------------------------------------------------
 
@@ -155,11 +156,9 @@ class Valuation:
     def _table(self) -> tuple[list[int], int]:
         raise NotImplementedError
 
-    def _check_universe(self, bundle: ItemSet) -> None:
-        if not bundle.fits_universe(self.m):
-            raise MalformedValuationError(
-                f"bundle {bundle!r} is outside the {self.m}-item universe"
-            )
+    def _check_universe(self, mask: int) -> None:
+        if not 0 <= mask < 1 << self.m:
+            raise MalformedValuationError(f"bundle mask {mask} is outside the {self.m}-item universe")
 
     def _check_prices(self, prices: Sequence) -> tuple[Fraction, ...]:
         if len(prices) != self.m:
@@ -318,7 +317,7 @@ class ExplicitValuation(Valuation):
         super().__init__(m)
         full = {}
         for key, raw in table.items():
-            mask = key.mask if isinstance(key, ItemSet) else int(key)
+            mask = int(key)
             if not 0 <= mask < (1 << m):
                 raise MalformedValuationError(f"table bundle {mask} outside 2^{m} universe")
             full[mask] = as_value(raw)
@@ -336,14 +335,14 @@ class ExplicitValuation(Valuation):
     def _table(self) -> tuple[list[int], int]:
         return over_one_denominator([self.table[mask] for mask in range(1 << self.m)])
 
-    def replace(self, bundle: ItemSet, value) -> "ExplicitValuation":
+    def replace(self, mask: int, value) -> "ExplicitValuation":
         table = dict(self.table)
-        table[bundle.mask] = as_value(value)
+        table[mask] = as_value(value)
         return ExplicitValuation(self.m, table)
 
     def payload(self) -> dict:
         values = {
-            ",".join(str(j) for j in ItemSet(mask)): str(self.table[mask])
+            ",".join(map(str, items(mask))): str(self.table[mask])
             for mask in range(1, 1 << self.m)
         }
         if self.table[0] != 0:
@@ -378,10 +377,10 @@ class ProxyValuation(Valuation):
         self.subset_cap = subset_cap
         self.counter = base.counter  # shared: proxy answers come from the same bidder
 
-    def value(self, bundle: ItemSet) -> Value:
-        self._check_universe(bundle)
+    def value(self, mask: int) -> Value:
+        self._check_universe(mask)
         self.counter.proxy_value_queries += 1
-        return self._value(bundle.mask)
+        return self._value(mask)
 
     def _table(self) -> tuple[list[int], int]:
         """All ``2^m`` proxy values over one denominator, by the zeta transform.

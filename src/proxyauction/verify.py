@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from . import rng as rngmod
 from .errors import CapacityError
-from .itemsets import ItemSet, submasks
+from .itemsets import bundle_text, items, submasks
 from .lp import ConfigLP, solve_column_generation, solve_exact
 from .mechanism import (
     Q_HALT,
@@ -72,7 +72,7 @@ MONTE_CARLO_SIGMAS = 4.0
 class AtomRecord:
     """One joint tentative assignment with its probability and halt flag."""
 
-    bundles: tuple[ItemSet, ...]
+    bundles: tuple[int, ...]  # item masks
     probability: Fraction
     halted: bool
 
@@ -82,7 +82,7 @@ class EntryLaw:
     """Exact conditional law of one LP support entry (bidder, bundle)."""
 
     bidder: int
-    bundle: ItemSet
+    bundle: int  # item mask
     x: Fraction
     q: Fraction
     survival: Fraction  # p / (1 - q)
@@ -133,7 +133,7 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
         if not halted:
             for i, bundle in enumerate(bundles):
                 if bundle:
-                    key = (i, bundle.mask)
+                    key = (i, bundle)
                     non_halt_prob[key] = non_halt_prob.get(key, Fraction(0)) + prob
                     value = pipeline.proxies[i].value(bundle)
                     expected += prob * pipeline.survival(i, bundle) * value
@@ -143,7 +143,7 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
     for i, bundle, x in sol.support():
         # every entry meets the bound q_i <= 1 - p, also one whose every draw halts
         s = pipeline.survival(i, bundle)
-        nh = non_halt_prob.get((i, bundle.mask), Fraction(0))
+        nh = non_halt_prob.get((i, bundle), Fraction(0))
         entries.append(EntryLaw(i, bundle, x, pipeline.q(i, bundle), s, nh * s))
 
     cross = sum(
@@ -198,7 +198,7 @@ def check_keep_marginals(pipeline: Pipeline, law: OutcomeDistribution) -> CheckR
             deficits.append(
                 {
                     "bidder": e.bidder,
-                    "bundle": list(e.bundle.indices()),
+                    "bundle": list(items(e.bundle)),
                     "x": str(e.x),
                     "target": str(want),
                     "marginal": str(e.marginal),
@@ -286,7 +286,7 @@ def check_proxy_bound(
                         {
                             "bidder": i,
                             "c": str(proxy.c),
-                            "bundle": list(ItemSet(mask).indices()),
+                            "bundle": list(items(mask)),
                             "proxy": str(Fraction(pv, d_p)),
                             "scaled_value": str(proxy.c * Fraction(bv, d_v)),
                         }
@@ -373,7 +373,7 @@ def basic_feasible_points(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> tuple:
     bases = basis_count(lp)
     if bases > cap:
         raise CapacityError("basic-solution enumeration", bases, cap)
-    return _feasible_points(lp.n, lp.m, tuple((col.bidder, col.bundle.mask) for col in lp.columns))
+    return _feasible_points(lp.n, lp.m, tuple((col.bidder, col.bundle) for col in lp.columns))
 
 
 def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
@@ -568,12 +568,11 @@ def misreport_family(v: Valuation, *, perturbation=Fraction(1, 3)) -> list[tuple
         out.append(("swap-unit-demand", UnitDemandValuation(singletons)))
     if isinstance(v, ExplicitValuation):
         for mask in range(1, 1 << v.m):
-            bundle = ItemSet(mask)
             up = v.table[mask] + perturbation
             down = max(Fraction(0), v.table[mask] - perturbation)
-            out.append((f"bump+{bundle!r}", v.replace(bundle, up)))
+            out.append((f"bump+{bundle_text(mask)}", v.replace(mask, up)))
             if down != v.table[mask]:
-                out.append((f"cut-{bundle!r}", v.replace(bundle, down)))
+                out.append((f"cut-{bundle_text(mask)}", v.replace(mask, down)))
     return out
 
 
@@ -588,7 +587,7 @@ def expected_true_value(
     c-thinned expectation of S under the true valuation.
     """
     return sum(
-        (e.marginal * true_proxy._value(e.bundle.mask) for e in dist.entries if e.bidder == bidder),
+        (e.marginal * true_proxy._value(e.bundle) for e in dist.entries if e.bidder == bidder),
         Fraction(0),
     )
 

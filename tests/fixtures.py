@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from proxyauction.itemsets import ItemSet
 from proxyauction.lp import ConfigLP, FractionalSolution
 from proxyauction.mechanism import MechanismConfig, Pipeline
 from proxyauction.rng import derive_seed
@@ -20,6 +19,8 @@ from proxyauction.valuations import (
     XOSValuation,
 )
 from proxyauction.verify import OutcomeDistribution, exact_distribution
+
+from oracles import mask_of
 
 
 # the benchmark's auction instances, generated at seed 1
@@ -42,7 +43,7 @@ def config_lp(n: int, m: int, columns) -> ConfigLP:
     """
     tables = [{mask: Fraction(0) for mask in range(1 << m)} for _ in range(n)]
     for col in columns:
-        tables[col.bidder][col.bundle.mask] = col.coef
+        tables[col.bidder][col.bundle] = col.coef
     return ConfigLP(n, m, tuple(columns), tuple(ExplicitValuation(m, t) for t in tables))
 
 
@@ -79,10 +80,10 @@ def random_feasible_solution(
         chosen = set()
         for _ in range(bundles_per_bidder):
             size = rng.randint(1, min(max_bundle_items, m))
-            bundle = ItemSet.from_indices(rng.sample(range(m), size))
-            if bundle.mask in chosen:
+            bundle = mask_of(rng.sample(range(m), size))
+            if bundle in chosen:
                 continue
-            chosen.add(bundle.mask)
+            chosen.add(bundle)
             entries[(i, bundle)] = Fraction(rng.randint(1, 6), 12)
     return scaled_to_feasible(n, m, entries)
 
@@ -91,7 +92,7 @@ def scaled_to_feasible(n: int, m: int, entries: dict) -> FractionalSolution:
     """The point of ``entries`` scaled down until every item and bidder constraint holds."""
     worst = Fraction(1)
     for j in range(m):
-        load = sum((x for (i, b), x in entries.items() if j in b), Fraction(0))
+        load = sum((x for (i, b), x in entries.items() if (b >> j) & 1), Fraction(0))
         worst = max(worst, load)
     for i in range(n):
         mass = sum((x for (k, _), x in entries.items() if k == i), Fraction(0))
@@ -121,9 +122,9 @@ def overlap_demo() -> tuple[Instance, FractionalSolution]:
         metadata={"generator": "overlap-demo", "seed": 0, "n": 3, "m": 2},
     )
     entries = {
-        (0, ItemSet.from_indices([0])): Fraction(1, 2),
-        (1, ItemSet.from_indices([1])): Fraction(1, 2),
-        (2, ItemSet.from_indices([1])): Fraction(1, 2),
+        (0, 0b01): Fraction(1, 2),
+        (1, 0b10): Fraction(1, 2),
+        (2, 0b10): Fraction(1, 2),
     }
     # objective under c = 1 proxies (identity): sum of x * v(S)
     objective = Fraction(1, 2) * 2 + Fraction(1, 2) * 4 + Fraction(1, 2) * 5
@@ -173,5 +174,5 @@ def feasible_solutions(draw, max_n=4, max_m=4):
     entries = {}
     for i in range(n):
         for mask in draw(st.lists(st.integers(1, (1 << m) - 1), max_size=3, unique=True)):
-            entries[(i, ItemSet(mask))] = Fraction(draw(st.integers(1, 12)), 12)
+            entries[(i, mask)] = Fraction(draw(st.integers(1, 12)), 12)
     return scaled_to_feasible(n, m, entries)

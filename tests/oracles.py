@@ -18,7 +18,7 @@ from proxyauction.errors import (
     FormatError,
     InfeasibleSolutionError,
 )
-from proxyauction.itemsets import EMPTY_SET, ItemSet, submasks
+from proxyauction.itemsets import submasks
 from proxyauction.lp import (
     ConfigLP,
     FractionalSolution,
@@ -88,9 +88,28 @@ def proxy_by_enumeration(valuation, mask: int, c) -> Fraction:
     return total
 
 
-def selection_key(bundle: ItemSet) -> tuple:
+def mask_of(indices) -> int:
+    """The item mask with bit j set for each item j of ``indices``."""
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
+
+
+def index_list(mask: int) -> list:
+    """The items of ``mask`` in ascending order, read bit by bit."""
+    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def text_of(mask: int) -> str:
+    """A bundle as written in tables, labels and messages: ``"{0,2}"``."""
+    return "{" + ",".join(str(j) for j in index_list(mask)) + "}"
+
+
+def selection_key(mask: int) -> tuple:
     """Tie-break key for demand queries: fewest items first, then the lexicographic index tuple."""
-    return (len(bundle), bundle.indices())
+    items = index_list(mask)
+    return (len(items), tuple(items))
 
 
 def demand_by_scan(valuation, prices) -> int:
@@ -98,13 +117,12 @@ def demand_by_scan(valuation, prices) -> int:
     m = valuation.m
     prices = [Fraction(p) for p in prices]
 
-    def key(mask):
-        return selection_key(ItemSet(mask))
-
     best_mask, best_profit = 0, Fraction(0)
     for mask in range(1, 1 << m):
         profit = valuation._value(mask) - sum(prices[j] for j in range(m) if (mask >> j) & 1)
-        if profit > best_profit or (profit == best_profit and key(mask) < key(best_mask)):
+        if profit > best_profit or (
+            profit == best_profit and selection_key(mask) < selection_key(best_mask)
+        ):
             best_mask, best_profit = mask, profit
     return best_mask
 
@@ -153,7 +171,7 @@ def proxy_bound_violations_by_fractions(
                         {
                             "bidder": i,
                             "c": str(Fraction(c)),
-                            "bundle": list(ItemSet(mask).indices()),
+                            "bundle": index_list(mask),
                             "proxy": str(lhs),
                             "scaled_value": str(rhs),
                         }
@@ -209,10 +227,10 @@ def categorical(rng: Stream, probs: Sequence) -> Optional[int]:
     return None
 
 
-def holders_of(bundles: Sequence[ItemSet]) -> list:
+def holders_of(bundles: Sequence[int]) -> list:
     """Per item up to the last one held, the bidders whose bundle holds it, in bidder order."""
-    m = max((b.mask.bit_length() for b in bundles), default=0)
-    return [[i for i, b in enumerate(bundles) if (b.mask >> j) & 1] for j in range(m)]
+    m = max((b.bit_length() for b in bundles), default=0)
+    return [[i for i, b in enumerate(bundles) if (b >> j) & 1] for j in range(m)]
 
 
 def sample_by_definition(pipeline, seed: int) -> Outcome:
@@ -231,12 +249,12 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     for i in range(n):
         options = sol.bundles_of(i)
         pick = categorical(stream(seed, "tentative", i), [x for _, x in options])
-        tentative.append(EMPTY_SET if pick is None else options[pick][0])
+        tentative.append(0 if pick is None else options[pick][0])
     tentative = tuple(tentative)
 
     holders = holders_of(tentative)
     if any(len(h) > config.c.denominator for h in holders):
-        empty = (EMPTY_SET,) * n
+        empty = (0,) * n
         return Outcome(halted=True, tentative=tentative, kept=empty, final=empty)
     q_values = tuple(pipeline.q(i, tentative[i]) for i in range(n))
 
@@ -250,18 +268,18 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     final = []
     for i, q in enumerate(q_values):
         survives = bernoulli(stream(seed, "cancel", i), config.p / (1 - q))
-        final.append(ItemSet(kept[i]) if survives else EMPTY_SET)
+        final.append(kept[i] if survives else 0)
     return Outcome(
         halted=False,
         tentative=tentative,
-        kept=tuple(ItemSet(mask) for mask in kept),
+        kept=tuple(kept),
         final=tuple(final),
         q_values=q_values,
     )
 
 
 def q_by_assignments(
-    solution: FractionalSolution, bidder: int, bundle: ItemSet, c: Fraction, variant: str
+    solution: FractionalSolution, bidder: int, bundle: int, c: Fraction, variant: str
 ) -> Fraction:
     """q_i from every joint draw of the other bidders, built as tentative assignments.
 
@@ -277,17 +295,17 @@ def q_by_assignments(
             choices.append([(bundle, Fraction(1))])
         else:
             options = solution.bundles_of(i)
-            choices.append([*options, (EMPTY_SET, 1 - sum(x for _, x in options))])
+            choices.append([*options, (0, 1 - sum(x for _, x in options))])
     total = Fraction(0)
     for draw in product(*choices):
         holders = holders_of([b for b, _ in draw])
-        items = range(len(holders)) if variant == Q_HALT else bundle
+        items = range(len(holders)) if variant == Q_HALT else index_list(bundle)
         if any(len(holders[j]) > c.denominator for j in items):
             total += math.prod(x for _, x in draw)
     return total
 
 
-def item_lottery(bundles: Sequence[ItemSet], c: Fraction, seed: int) -> tuple[ItemSet, ...]:
+def item_lottery(bundles: Sequence[int], c: Fraction, seed: int) -> tuple[int, ...]:
     """Step 6: per item, each tentative holder receives it with probability c.
 
     Requires every holder count to be at most 1/c (the halt check must have
@@ -309,10 +327,10 @@ def item_lottery(bundles: Sequence[ItemSet], c: Fraction, seed: int) -> tuple[It
         k = 0 if inv_c == 1 else stream(seed, "lottery", j).randrange(inv_c)
         if k < len(holders):
             kept_masks[holders[k]] |= 1 << j
-    return tuple(ItemSet(mask) for mask in kept_masks)
+    return tuple(kept_masks)
 
 
-def personal_cancel(kept: Sequence[ItemSet], survival: Sequence, seed: int) -> tuple:
+def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple:
     """Step 7: bidder i keeps everything with probability survival[i], else nothing.
 
     A nonempty bundle draws from bidder i's (seed, "cancel", i) stream: a
@@ -323,12 +341,12 @@ def personal_cancel(kept: Sequence[ItemSet], survival: Sequence, seed: int) -> t
     final = []
     for i, (bundle, keep) in enumerate(zip(kept, survival)):
         if not bundle:
-            final.append(EMPTY_SET)
+            final.append(0)
             continue
         survives = keep == 1 if keep.denominator == 1 else (
             stream(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
         )
-        final.append(bundle if survives else EMPTY_SET)
+        final.append(bundle if survives else 0)
     return tuple(final)
 
 
@@ -345,7 +363,7 @@ def sample_by_steps(pipeline, seed: int) -> Outcome:
     bundles = pipeline.tentative_sample(seed)
     survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(bundles)]
     if any(len(who) > pipeline.config.c.denominator for who in holders_of(bundles)):
-        empty = (EMPTY_SET,) * len(bundles)
+        empty = (0,) * len(bundles)
         return Outcome(halted=True, tentative=bundles, kept=empty, final=empty)
     kept = item_lottery(bundles, pipeline.config.c, seed)
     return Outcome(
@@ -540,7 +558,7 @@ def vertex_optima_by_combinations(lps, *, cap: int = VERTEX_ENUM_CAP) -> list:
     dense = []
     for col in lp.columns:
         vec = [0] * n_rows
-        for j in col.bundle:
+        for j in index_list(col.bundle):
             vec[j] = 1
         vec[lp.m + col.bidder] = 1
         dense.append(vec)
@@ -570,7 +588,7 @@ def vertex_optima_by_combinations(lps, *, cap: int = VERTEX_ENUM_CAP) -> list:
 
 def is_subadditive(
     v: Valuation, *, cap: int = PAIR_CHECK_CAP
-) -> tuple[bool, Optional[tuple[ItemSet, ItemSet]]]:
+) -> tuple[bool, Optional[tuple[int, int]]]:
     """Brute-force v(S) + v(T) >= v(S | T) over all bundle pairs.
 
     Returns (True, None) or (False, first violating pair) scanning pairs in
@@ -582,7 +600,7 @@ def is_subadditive(
     for s in range(1, 1 << v.m):
         for t in range(1, 1 << v.m):
             if table[s] + table[t] < table[s | t]:
-                return False, (ItemSet(s), ItemSet(t))
+                return False, (s, t)
     return True, None
 
 
@@ -598,7 +616,7 @@ def is_monotone_normalized(
     for t in range(1, 1 << v.m):
         for s in submasks(t):
             if table[s] > table[t]:
-                return False, f"value drops from {ItemSet(s)!r} ({table[s]}) to {ItemSet(t)!r} ({table[t]})"
+                return False, f"value drops from {text_of(s)} ({table[s]}) to {text_of(t)} ({table[t]})"
     return True, None
 
 
@@ -608,8 +626,7 @@ def solution_from_dict(data: dict) -> FractionalSolution:
     _require_exact(data)
     entries = {}
     for entry in data.get("entries", []):
-        bundle = ItemSet.from_indices(entry["bundle"])
-        entries[(entry["bidder"], bundle)] = parse_value(entry["x"])
+        entries[(entry["bidder"], mask_of(entry["bundle"]))] = parse_value(entry["x"])
     duals = data.get("item_duals")
     bduals = data.get("bidder_duals")
     return FractionalSolution(
@@ -623,7 +640,7 @@ def solution_from_dict(data: dict) -> FractionalSolution:
 
 
 def _bundles_from_lists(raw) -> tuple:
-    return tuple(ItemSet.from_indices(idxs) for idxs in raw)
+    return tuple(mask_of(idxs) for idxs in raw)
 
 
 def outcome_from_dict(data: dict) -> Outcome:
@@ -649,13 +666,13 @@ def feasibility_violations(sol: FractionalSolution, n: int, m: int) -> list:
     violations = []
     for (i, bundle), x in sol.entries.items():
         if x < 0:
-            violations.append(f"x[{i},{bundle!r}] = {x} is negative")
-        if not bundle.fits_universe(m):
-            violations.append(f"bundle {bundle!r} outside the {m}-item universe")
+            violations.append(f"x[{i},{text_of(bundle)}] = {x} is negative")
+        if not bundle < 1 << m:
+            violations.append(f"bundle {text_of(bundle)} outside the {m}-item universe")
         if not 0 <= i < n:
             violations.append(f"bidder {i} outside range(0, {n})")
     for j in range(m):
-        load = sum((x for (_, bundle), x in sol.entries.items() if j in bundle), Fraction(0))
+        load = sum((x for (_, b), x in sol.entries.items() if (b >> j) & 1), Fraction(0))
         if load > 1:
             violations.append(f"item {j} over-allocated: total mass {load}")
     for i in range(n):
@@ -684,10 +701,10 @@ def certify_by_columns(lp: ConfigLP, sol: FractionalSolution) -> None:
         raise InfeasibleSolutionError("negative dual multiplier")
     total, matched = Fraction(0), 0
     for col in lp.columns:
-        reduced = col.coef - sum(y[j] for j in col.bundle) - u[col.bidder]
+        reduced = col.coef - sum(y[j] for j in index_list(col.bundle)) - u[col.bidder]
         if reduced > 0:
             raise InfeasibleSolutionError(
-                f"column (bidder {col.bidder}, {col.bundle!r}) has positive reduced cost {reduced}"
+                f"column (bidder {col.bidder}, {text_of(col.bundle)}) has positive reduced cost {reduced}"
             )
         x = sol.entries.get((col.bidder, col.bundle))
         if x is None:
@@ -696,7 +713,7 @@ def certify_by_columns(lp: ConfigLP, sol: FractionalSolution) -> None:
         total += x * col.coef
         if x > 0 and reduced != 0:
             raise InfeasibleSolutionError(
-                f"support column (bidder {col.bidder}, {col.bundle!r}) not tight: {reduced}"
+                f"support column (bidder {col.bidder}, {text_of(col.bundle)}) not tight: {reduced}"
             )
     if matched != len(sol.entries):
         raise InfeasibleSolutionError(
@@ -705,7 +722,7 @@ def certify_by_columns(lp: ConfigLP, sol: FractionalSolution) -> None:
     if total != sol.objective:
         raise InfeasibleSolutionError(f"objective {sol.objective} != entry sum {total}")
     for j, d in enumerate(y):
-        load = sum((x for (_, bundle), x in sol.entries.items() if j in bundle), Fraction(0))
+        load = sum((x for (_, b), x in sol.entries.items() if (b >> j) & 1), Fraction(0))
         if d > 0 and load != 1:
             raise InfeasibleSolutionError(f"item {j} dual positive but constraint slack")
     for i, d in enumerate(u):

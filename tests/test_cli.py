@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fixtures import rows_against_columns
 from oracles import canonical_dumps_by_json, solution_from_dict
 from proxyauction import cli, mechanism
+from proxyauction import rng as rngmod
 from proxyauction import verify as ver
 from proxyauction.cli import main
 from proxyauction.errors import FormatError
@@ -419,6 +420,18 @@ def cap_error(capsys, argv) -> tuple:
     assert record["check"] == "error" and record["details"]["error"] == "CapacityError"
     details = record["details"]
     return details["what"], details["required"], details["cap"]
+
+
+def test_run_and_verify_refuse_sample_counts_past_the_cap(monkeypatch, capsys):
+    def no_hash(data):
+        raise AssertionError("a refused count hashed a seed")
+
+    monkeypatch.setattr(rngmod, "sha256", no_hash)
+    path = str(CORPUS_DIR / "08-xos-n3-m4.json")
+    assert main(["run", path, "--c", "1/2", "--p", "1/20", "--replications", "100001"]) == 2
+    assert capsys.readouterr().err == "error: derived seeds: 100001 exceeds the cap of 100000\n"
+    argv = ["verify", path, "--trials", "100001", "--checks", "halt-freq"]
+    assert cap_error(capsys, argv) == ("derived seeds", 100_001, 100_000)
 
 
 CONTENDED = ["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json"), "--c", "1/2", "--p", "1/20"]

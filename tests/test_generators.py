@@ -124,5 +124,5 @@ def test_overlap_demo_consistency():
     inst, sol = overlap_demo()
     assert feasibility_violations(sol, inst.n, inst.m) == []
     proxies = inst.proxies(F(1))
-    recomputed = sum((x * proxies[i]._value(b.mask) for (i, b), x in sol.entries.items()), F(0))
+    recomputed = sum((x * proxies[i]._value(b) for (i, b), x in sol.entries.items()), F(0))
     assert recomputed == sol.objective

@@ -27,7 +27,6 @@ from proxyauction import mechanism
 from proxyauction import rng as rngmod
 from proxyauction.errors import ContractViolationError, InfeasibleSolutionError, ParameterError
 from proxyauction.generators import generate
-from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import (
     SOLVER_COLGEN,
@@ -57,7 +56,7 @@ def within_3_sigma(freq, prob, trials):
     return abs(freq - float(prob)) <= 3 * math.sqrt(float(prob) * (1 - float(prob)) / trials)
 
 
-def one_bidder_solution(mass, bundle=ItemSet(1), n=1, m=1, bidder=0):
+def one_bidder_solution(mass, bundle=1, n=1, m=1, bidder=0):
     return FractionalSolution(n=n, m=m, entries={(bidder, bundle): F(mass)}, objective=F(0))
 
 
@@ -101,12 +100,12 @@ def drawn_bundles(tables, seed):
 def test_tentative_draw_deterministic_mass_one():
     sol = one_bidder_solution(1)
     for seed in range(25):
-        assert drawn_bundles(draw_tables(sol), seed) == (ItemSet(1),)
+        assert drawn_bundles(draw_tables(sol), seed) == (1,)
 
 
 def test_tentative_draw_empty_solution():
     sol = FractionalSolution(n=3, m=2, entries={}, objective=F(0))
-    assert drawn_bundles(draw_tables(sol), 7) == (EMPTY_SET,) * 3
+    assert drawn_bundles(draw_tables(sol), 7) == (0,) * 3
 
 
 def test_tentative_draw_frequency():
@@ -114,7 +113,7 @@ def test_tentative_draw_frequency():
     tables = draw_tables(sol)
     trials = 10_000
     hits = sum(
-        drawn_bundles(tables, derive_seed(3, "t", k))[0] == ItemSet(1)
+        drawn_bundles(tables, derive_seed(3, "t", k))[0] == 1
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
@@ -122,7 +121,7 @@ def test_tentative_draw_frequency():
 
 def test_tentative_draw_rejects_overweight_bidder():
     sol = FractionalSolution(
-        n=1, m=2, entries={(0, ItemSet(1)): F(3, 4), (0, ItemSet(2)): F(1, 2)},
+        n=1, m=2, entries={(0, 1): F(3, 4), (0, 2): F(1, 2)},
         objective=F(0),
     )
     with pytest.raises(InfeasibleSolutionError):
@@ -132,16 +131,13 @@ def test_tentative_draw_rejects_overweight_bidder():
 def test_tentative_law_is_the_support_then_a_positive_residual():
     sol = FractionalSolution(
         n=2, m=2,
-        entries={(0, ItemSet(2)): F(1, 3), (0, ItemSet(1)): F(1, 6), (1, ItemSet(3)): F(1)},
+        entries={(0, 2): F(1, 3), (0, 1): F(1, 6), (1, 3): F(1)},
         objective=F(0),
     )
-    assert tentative_law(sol, 0) == [(ItemSet(1), F(1, 6)), (ItemSet(2), F(1, 3)),
-                                     (EMPTY_SET, F(1, 2))]
-    assert tentative_law(sol, 1) == [(ItemSet(3), F(1))]
+    assert tentative_law(sol, 0) == [(1, F(1, 6)), (2, F(1, 3)), (0, F(1, 2))]
+    assert tentative_law(sol, 1) == [(3, F(1))]
     # the draw tables follow the laws: no empty bundle after a full mass
-    assert [table[0] for table in draw_tables(sol)] == [
-        [ItemSet(1), ItemSet(2), EMPTY_SET], [ItemSet(3)]
-    ]
+    assert [table[0] for table in draw_tables(sol)] == [[1, 2, 0], [3]]
 
 
 @pytest.mark.parametrize("stage", ["tentative_law", "draw_tables", "compute_q", "exact"])
@@ -149,7 +145,7 @@ def test_an_overfull_bidder_raises_a_typed_error(stage):
     # bidder 0's masses sum to 5/4 while every item constraint holds
     sol = FractionalSolution(
         n=2, m=2,
-        entries={(0, ItemSet(1)): F(3, 4), (0, ItemSet(2)): F(1, 2), (1, ItemSet(1)): F(1, 4)},
+        entries={(0, 1): F(3, 4), (0, 2): F(1, 2), (1, 1): F(1, 4)},
         objective=F(0),
     )
     instance = Instance(2, (AdditiveValuation([1, 1]), AdditiveValuation([1, 1])))
@@ -157,7 +153,7 @@ def test_an_overfull_bidder_raises_a_typed_error(stage):
         "tentative_law": lambda: tentative_law(sol, 0),
         "draw_tables": lambda: draw_tables(sol),
         # bidder 1's q reads bidder 0's law
-        "compute_q": lambda: compute_q(sol, 1, ItemSet(1), F(1)),
+        "compute_q": lambda: compute_q(sol, 1, 1, F(1)),
         "exact": lambda: exact_distribution(
             Pipeline(instance, MechanismConfig(c=F(1), p=F(1, 20)), solution=sol)
         ),
@@ -170,13 +166,13 @@ def test_an_overfull_bidder_raises_a_typed_error(stage):
 
 
 def test_halt_is_strictly_more_than_inv_c():
-    bundles = (ItemSet(1), ItemSet(1))
+    bundles = (1, 1)
     assert not halt_check(bundles, F(1, 2))  # two holders, 1/c = 2: not more than 1/c
     assert halt_check(bundles, F(1))
 
 
 def test_halt_disjoint_never():
-    assert not halt_check((ItemSet(1), ItemSet(2)), F(1))
+    assert not halt_check((1, 2), F(1))
 
 
 @given(
@@ -186,9 +182,9 @@ def test_halt_disjoint_never():
 )
 @settings(max_examples=300, deadline=None)
 def test_halt_check_counts_holders_per_item(m, masks, c):
-    bundles = tuple(ItemSet(mask % (1 << m)) for mask in masks)
+    bundles = tuple(mask % (1 << m) for mask in masks)
     counted = any(
-        sum(j in bundle for bundle in bundles) > c.denominator for j in range(m)
+        sum((bundle >> j) & 1 for bundle in bundles) > c.denominator for j in range(m)
     )
     assert halt_check(bundles, c) == counted
 
@@ -201,7 +197,7 @@ def overlap_two_bidder_solution():
     return FractionalSolution(
         n=2,
         m=2,
-        entries={(1, ItemSet(1)): F(1, 2), (1, ItemSet(2)): F(1, 2)},
+        entries={(1, 1): F(1, 2), (1, 2): F(1, 2)},
         objective=F(0),
     )
 
@@ -209,33 +205,33 @@ def overlap_two_bidder_solution():
 def test_q_half_when_other_bidder_splits():
     sol = overlap_two_bidder_solution()
     for variant in (Q_HALT, Q_OWN_ITEMS):
-        assert compute_q(sol, 0, ItemSet(1), F(1), variant) == F(1, 2)
+        assert compute_q(sol, 0, 1, F(1), variant) == F(1, 2)
 
 
 def test_q_zero_without_other_bidders():
     sol = one_bidder_solution(1)
-    assert compute_q(sol, 0, ItemSet(1), F(1), Q_HALT) == 0
+    assert compute_q(sol, 0, 1, F(1), Q_HALT) == 0
 
 
 def test_q_zero_when_no_overlap_possible():
     sol = FractionalSolution(
-        n=2, m=2, entries={(1, ItemSet(2)): F(1)}, objective=F(0)
+        n=2, m=2, entries={(1, 2): F(1)}, objective=F(0)
     )
-    assert compute_q(sol, 0, ItemSet(1), F(1), Q_HALT) == 0
-    assert compute_q(sol, 0, ItemSet(1), F(1), Q_OWN_ITEMS) == 0
+    assert compute_q(sol, 0, 1, F(1), Q_HALT) == 0
+    assert compute_q(sol, 0, 1, F(1), Q_OWN_ITEMS) == 0
 
 
 def test_q_variants_differ_on_outside_items():
     # halts caused by items outside the bidder's bundle are invisible to own-items
     _, sol = overlap_demo()
-    assert compute_q(sol, 0, ItemSet(1), F(1), Q_HALT) == F(1, 4)
-    assert compute_q(sol, 0, ItemSet(1), F(1), Q_OWN_ITEMS) == 0
+    assert compute_q(sol, 0, 1, F(1), Q_HALT) == F(1, 4)
+    assert compute_q(sol, 0, 1, F(1), Q_OWN_ITEMS) == 0
 
 
 def test_q_for_empty_bundle():
     _, sol = overlap_demo()
-    assert compute_q(sol, 0, EMPTY_SET, F(1), Q_HALT) == F(1, 4)
-    assert compute_q(sol, 0, EMPTY_SET, F(1), Q_OWN_ITEMS) == 0
+    assert compute_q(sol, 0, 0, F(1), Q_HALT) == F(1, 4)
+    assert compute_q(sol, 0, 0, F(1), Q_OWN_ITEMS) == 0
 
 
 def test_q_atom_cap():
@@ -243,7 +239,7 @@ def test_q_atom_cap():
 
     sol = overlap_two_bidder_solution()
     with pytest.raises(CapacityError):
-        compute_q(sol, 0, ItemSet(1), F(1), Q_HALT, atom_cap=1)
+        compute_q(sol, 0, 1, F(1), Q_HALT, atom_cap=1)
 
 
 def test_q_equals_the_assignment_oracle_on_both_corpora():
@@ -268,7 +264,7 @@ def test_q_equals_the_assignment_oracle_on_both_corpora():
 def test_q_equals_the_assignment_oracle_on_hand_built_solutions(sol, c, mask):
     # every support entry, and per bidder one bundle drawn from all of them
     bundles = [(i, bundle) for i, bundle, _ in sol.support()]
-    bundles += [(i, ItemSet(mask % (1 << sol.m))) for i in range(sol.n)]
+    bundles += [(i, mask % (1 << sol.m)) for i in range(sol.n)]
     for variant in (Q_HALT, Q_OWN_ITEMS):
         for i, bundle in bundles:
             assert compute_q(sol, i, bundle, c, variant) == q_by_assignments(
@@ -284,18 +280,18 @@ def test_q_equals_the_assignment_oracle_on_hand_built_solutions(sol, c, mask):
 
 def test_lottery_saturated_item_always_assigned():
     for seed in range(40):
-        kept = item_lottery((ItemSet(1), ItemSet(1)), F(1, 2), seed)
-        assert sum(len(k) for k in kept) == 1  # probabilities sum to exactly 1
+        kept = item_lottery((1, 1), F(1, 2), seed)
+        assert sum(bin(k).count("1") for k in kept) == 1  # probabilities sum to exactly 1
 
 
 def test_lottery_unheld_item_goes_nowhere():
-    assert item_lottery((EMPTY_SET,), F(1, 2), 0) == (EMPTY_SET,)
+    assert item_lottery((0,), F(1, 2), 0) == (0,)
 
 
 def test_lottery_keep_frequency():
     trials = 10_000
     hits = sum(
-        bool(item_lottery((ItemSet(1),), F(1, 2), derive_seed(1, "l", k))[0]) for k in range(trials)
+        bool(item_lottery((1,), F(1, 2), derive_seed(1, "l", k))[0]) for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
@@ -305,25 +301,25 @@ def test_lottery_at_c_one_builds_no_stream(monkeypatch):
         raise AssertionError("a certain lottery built a stream")
 
     monkeypatch.setattr(rngmod, "stream", no_stream)
-    bundles = (ItemSet(0b01), ItemSet(0b10))
+    bundles = (0b01, 0b10)
     assert item_lottery(bundles, F(1), 3) == bundles
 
 
 def test_lottery_requires_halt_check():
     with pytest.raises(ContractViolationError):
-        item_lottery((ItemSet(1), ItemSet(1)), F(1), 0)
+        item_lottery((1, 1), F(1), 0)
 
 
 def test_lottery_joint_law_is_independent_per_item():
     # bidder 0 holds {0,1}, bidder 1 holds {1}: P(bidder 0 keeps both) = c * c,
     # and item decisions are independent across items
-    bundles = (ItemSet.from_indices([0, 1]), ItemSet(2))
+    bundles = (0b11, 2)
     c = F(1, 2)
     trials = 10_000
     counts = {}
     for k in range(trials):
         kept = item_lottery(bundles, c, derive_seed(8, "joint", k))
-        counts[kept[0].mask] = counts.get(kept[0].mask, 0) + 1
+        counts[kept[0]] = counts.get(kept[0], 0) + 1
     # per-item keep probability for bidder 0 is c for item 0 and c for item 1
     expect = {0b11: c * c, 0b01: c * (1 - c), 0b10: (1 - c) * c, 0b00: (1 - c) ** 2}
     for mask, prob in expect.items():
@@ -349,7 +345,7 @@ def test_q_bound_under_default_parameters():
 
 
 def test_cancel_keep_probability_exact_cases():
-    kept = (ItemSet(1),)
+    kept = (1,)
     survival = [survival_probability(F(0), F(1, 20), 0)]
     trials = 10_000
     hits = sum(
@@ -360,11 +356,11 @@ def test_cancel_keep_probability_exact_cases():
     # q = 1 - p keeps with probability one
     survival = [survival_probability(F(19, 20), F(1, 20), 0)]
     for seed in range(30):
-        assert personal_cancel(kept, survival, seed)[0] == ItemSet(1)
+        assert personal_cancel(kept, survival, seed)[0] == 1
 
 
 def test_cancel_half_when_q_half_p_quarter():
-    kept = (ItemSet(1),)
+    kept = (1,)
     survival = [survival_probability(F(1, 2), F(1, 4), 0)]
     trials = 10_000
     hits = sum(
@@ -391,8 +387,8 @@ def test_single_bidder_run_law():
     full = 0
     for k in range(trials):
         out = pipe.sample(derive_seed(0, "r", k))
-        assert out.final[0] in (EMPTY_SET, ItemSet(0b11))
-        full += out.final[0] == ItemSet(0b11)
+        assert out.final[0] in (0, 0b11)
+        full += out.final[0] == 0b11
     assert within_3_sigma(full / trials, F(1, 2), trials)
 
 
@@ -400,7 +396,7 @@ def test_zero_valuations_run():
     inst = Instance(2, (AdditiveValuation([0, 0]), AdditiveValuation([0, 0])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20), seed=3)
     out = run(inst, config)
-    assert out.final == (EMPTY_SET, EMPTY_SET)
+    assert out.final == (0, 0)
     assert realized_welfare(inst, out) == 0
 
 
@@ -675,9 +671,9 @@ def test_outcome_invariants_on_samples(corpus):
         out = pipe.sample(derive_seed(5, "inv", k))
         taken = 0
         for tent, kept, final in zip(out.tentative, out.kept, out.final):
-            assert kept.mask & ~tent.mask == 0 and final.mask & ~kept.mask == 0
-            assert not (taken & final.mask)
-            taken |= final.mask
+            assert kept & ~tent == 0 and final & ~kept == 0
+            assert not (taken & final)
+            taken |= final
         if out.halted:
             assert all(not b for b in out.final)
 
@@ -688,9 +684,9 @@ def test_outcome_rejects_overlapping_finals():
     with pytest.raises(InfeasibleSolutionError):
         Outcome(
             halted=False,
-            tentative=(ItemSet(1), ItemSet(1)),
-            kept=(ItemSet(1), ItemSet(1)),
-            final=(ItemSet(1), ItemSet(1)),
+            tentative=(1, 1),
+            kept=(1, 1),
+            final=(1, 1),
         )
 
 
@@ -714,7 +710,7 @@ def test_identical_unit_demand_bidders_single_item():
     inst = Instance(1, (UnitDemandValuation([1]), UnitDemandValuation([1])))
     config = MechanismConfig(c=F(1), p=F(1, 20))
     pipe = Pipeline(inst, config)
-    assert pipe.solution.entries == {(0, ItemSet(1)): 1}
+    assert pipe.solution.entries == {(0, 1): 1}
     assert pipe.payments() == (F(1, 20), F(0))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from oracles import bernoulli, categorical, stream_key_by_definition
 from proxyauction import rng as rngmod
+from proxyauction.errors import CapacityError
 from proxyauction.rng import derive_seed, derive_seeds, draw, draw_site, site, stream
 
 # labels that compare equal across types but are rendered differently
@@ -56,6 +57,20 @@ def test_derive_seeds_equals_derive_seed_for_every_index(seed, label):
     got = derive_seeds(seed, label, 1300)
     assert got == [derive_seed(seed, label, r) for r in range(1300)]
     assert derive_seeds(seed, label, 0) == []
+
+
+def test_derive_seeds_refuses_a_count_past_the_cap_before_hashing(monkeypatch):
+    assert len(derive_seeds(0, "replication", rngmod.SAMPLE_CAP)) == rngmod.SAMPLE_CAP
+
+    def no_hash(data):
+        raise AssertionError("a refused count hashed a seed")
+
+    monkeypatch.setattr(rngmod, "sha256", no_hash)
+    with pytest.raises(CapacityError) as info:
+        derive_seeds(0, "replication", rngmod.SAMPLE_CAP + 1)
+    assert (info.value.what, info.value.required, info.value.cap) == (
+        "derived seeds", 100_001, 100_000,
+    )
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():

@@ -12,7 +12,6 @@ from oracles import canonical_dumps_by_json, outcome_from_dict, solution_from_di
 from proxyauction import serialize
 from proxyauction.errors import CapacityError, FormatError
 from proxyauction.generators import generate
-from proxyauction.itemsets import ItemSet
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, run
 from proxyauction.serialize import (
@@ -182,7 +181,7 @@ def test_solution_round_trip():
 def test_hand_built_solution_round_trip():
     sol = FractionalSolution(
         n=2, m=2,
-        entries={(0, ItemSet.from_indices([0, 1])): F(2, 7), (1, ItemSet(1)): F(1, 3)},
+        entries={(0, 0b11): F(2, 7), (1, 1): F(1, 3)},
         objective=F(22, 21),
     )
     assert solution_from_dict(solution_to_dict(sol)) == sol

@@ -11,6 +11,7 @@ from oracles import (
     additive_lp_optimum,
     certify_by_columns,
     feasibility_violations,
+    index_list,
     integral_welfare_by_products,
 )
 from proxyauction.errors import (
@@ -20,7 +21,6 @@ from proxyauction.errors import (
     ParameterError,
 )
 from proxyauction.generators import generate
-from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import (
     Column,
     ConfigLP,
@@ -49,15 +49,15 @@ def test_full_lp_column_counts():
 def test_full_lp_coefficients_for_additive_bidder():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     lp = build_full_lp(inst)
-    coefs = {col.bundle.indices(): col.coef for col in lp.columns}
-    assert coefs == {(0,): 3, (1,): 5, (0, 1): 8}
+    coefs = {col.bundle: col.coef for col in lp.columns}
+    assert coefs == {0b01: 3, 0b10: 5, 0b11: 8}
 
 
 def test_single_bidder_takes_everything():
     inst = Instance(3, (AdditiveValuation([2, 1, 4]),))
     sol = solve_exact(build_full_lp(inst))
     assert sol.objective == 7
-    assert sol.entries == {(0, ItemSet(0b111)): 1}
+    assert sol.entries == {(0, 0b111): 1}
 
 
 def test_two_additive_bidders_integral_split():
@@ -65,8 +65,8 @@ def test_two_additive_bidders_integral_split():
     sol = solve_exact(build_full_lp(inst))
     assert sol.objective == 8
     assert sol.entries == {
-        (0, ItemSet.from_indices([0])): 1,
-        (1, ItemSet.from_indices([1])): 1,
+        (0, 0b1): 1,
+        (1, 0b10): 1,
     }
 
 
@@ -194,7 +194,7 @@ def perturbed(sol):
                 moved = tuple(change(d) if j == k else d for j, d in enumerate(duals))
                 out.append(replace(sol, **{field: moved}))
     for i, bundle, _ in sol.support():
-        for j in bundle:
+        for j in index_list(bundle):
             shift = sol.item_duals[j]
             y = tuple(d - shift if k == j else d for k, d in enumerate(sol.item_duals))
             u = tuple(d + shift if k == i else d for k, d in enumerate(sol.bidder_duals))
@@ -291,10 +291,10 @@ def test_certify_rejects_a_wrong_objective():
 def test_certify_rejects_an_entry_outside_the_lp():
     lp, sol = two_additive_bidders()
     for key, x in [
-        ((0, ItemSet(0b100)), F(1, 2)),  # outside the 2-item universe
-        ((0, EMPTY_SET), F(1, 2)),
-        ((2, ItemSet(1)), F(1, 2)),  # no bidder 2
-        ((0, ItemSet(0b10)), F(0)),
+        ((0, 0b100), F(1, 2)),  # outside the 2-item universe
+        ((0, 0), F(1, 2)),
+        ((2, 1), F(1, 2)),  # no bidder 2
+        ((0, 0b10), F(0)),
     ]:
         with pytest.raises(InfeasibleSolutionError, match="no positive LP variable"):
             certify_optimal(replace(sol, entries={**sol.entries, key: x}), lp.objectives)
@@ -305,7 +305,7 @@ def test_certify_rejects_an_entry_outside_the_lp():
 def test_certify_rejects_a_support_column_that_is_not_tight():
     lp, sol = two_additive_bidders()
     # the swapped assignment is feasible and its objective is its entry sum, 1 + 1
-    swapped = {(0, ItemSet.from_indices([1])): F(1), (1, ItemSet.from_indices([0])): F(1)}
+    swapped = {(0, 0b10): F(1), (1, 0b1): F(1)}
     with pytest.raises(InfeasibleSolutionError, match="not tight"):
         certify_optimal(replace(sol, entries=swapped, objective=F(2)), lp.objectives)
 
@@ -315,7 +315,7 @@ def test_certify_rejects_a_positive_dual_on_a_slack_item():
     inst = Instance(2, (UnitDemandValuation([1, 1]),))
     lp = build_full_lp(inst)
     sol = solve_exact(lp)
-    (slack,) = [j for j in range(2) if not any(j in bundle for _, bundle in sol.entries)]
+    (slack,) = [j for j in range(2) if not any((bundle >> j) & 1 for _, bundle in sol.entries)]
     duals = tuple(d + (j == slack) for j, d in enumerate(sol.item_duals))
     with pytest.raises(InfeasibleSolutionError, match=f"item {slack} dual positive"):
         certify_optimal(replace(sol, item_duals=duals), lp.objectives)
@@ -326,7 +326,7 @@ def test_certify_rejects_a_positive_dual_on_a_slack_bidder():
     inst = Instance(1, (AdditiveValuation([2]), AdditiveValuation([1])))
     lp = build_full_lp(inst)
     sol = solve_exact(lp)
-    assert sol.entries == {(0, ItemSet(1)): 1}
+    assert sol.entries == {(0, 1): 1}
     bad = replace(sol, bidder_duals=(sol.bidder_duals[0], sol.bidder_duals[1] + 1))
     with pytest.raises(InfeasibleSolutionError, match="bidder 1 dual positive"):
         certify_optimal(bad, lp.objectives)
@@ -336,7 +336,7 @@ def test_certify_rejects_over_allocation():
     # every entry below is tight at its duals, so only the constraint fails
     both = Instance(1, (AdditiveValuation([1]), AdditiveValuation([1])))
     shared = FractionalSolution(
-        n=2, m=1, entries={(0, ItemSet(1)): F(3, 5), (1, ItemSet(1)): F(3, 5)},
+        n=2, m=1, entries={(0, 1): F(3, 5), (1, 1): F(3, 5)},
         objective=F(6, 5), item_duals=(F(1),), bidder_duals=(F(0), F(0)),
     )
     with pytest.raises(InfeasibleSolutionError, match="item 0 over-allocated: total mass 6/5"):
@@ -344,7 +344,7 @@ def test_certify_rejects_over_allocation():
     assert feasibility_violations(shared, 2, 1) == ["item 0 over-allocated: total mass 6/5"]
     one = Instance(2, (AdditiveValuation([1, 1]),))
     twice = FractionalSolution(
-        n=1, m=2, entries={(0, ItemSet(1)): F(1), (0, ItemSet(2)): F(1)},
+        n=1, m=2, entries={(0, 1): F(1), (0, 2): F(1)},
         objective=F(2), item_duals=(F(1), F(1)), bidder_duals=(F(0),),
     )
     with pytest.raises(InfeasibleSolutionError, match="bidder 0 over-allocated: total mass 2"):
@@ -355,11 +355,14 @@ def test_certify_rejects_over_allocation():
 
 def test_configlp_validation():
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, EMPTY_SET, F(1)),), ())
+        ConfigLP(1, 2, (Column(0, 0, F(1)),), ())
+    for mask in (-1, 0b100):  # outside the masks of 2 items
+        with pytest.raises(ParameterError, match="empty or outside 2 items"):
+            ConfigLP(1, 2, (Column(0, mask, F(1)),), ())
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, ItemSet(1), F(-1)),), ())
+        ConfigLP(1, 2, (Column(0, 1, F(-1)),), ())
     with pytest.raises(ParameterError):
-        ConfigLP(1, 2, (Column(0, ItemSet(1), F(1)), Column(0, ItemSet(1), F(2))), ())
+        ConfigLP(1, 2, (Column(0, 1, F(1)), Column(0, 1, F(2))), ())
 
 
 def test_full_lp_item_cap():
@@ -383,5 +386,5 @@ def test_zero_bidder_equals_a_validated_rebuild(corpus):
             assert zeroed == rebuilt
             # the zeroed objectives price exactly the zeroed columns
             for col in zeroed.columns:
-                assert zeroed.objectives[col.bidder]._value(col.bundle.mask) == col.coef
+                assert zeroed.objectives[col.bidder]._value(col.bundle) == col.coef
         assert lp == build_full_lp(item.instance)  # the original keeps its objective

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fixtures import any_kind_valuations
 from oracles import (
     demand_by_scan,
+    index_list,
     is_monotone_normalized,
     is_subadditive,
     proxy_by_enumeration,
@@ -14,7 +15,6 @@ from oracles import (
     value_by_definition,
 )
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
-from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.valuations import (
     AdditiveValuation,
     CoverageValuation,
@@ -25,7 +25,7 @@ from proxyauction.valuations import (
     XOSValuation,
 )
 
-S01 = ItemSet.from_indices([0, 1])
+S01 = 0b11
 
 weights_st = st.lists(
     st.fractions(min_value=0, max_value=10, max_denominator=4), min_size=1, max_size=6
@@ -38,27 +38,36 @@ weights_st = st.lists(
 def test_additive_value():
     v = AdditiveValuation([3, 5])
     assert v.value(S01) == 8
-    assert v.value(EMPTY_SET) == 0
+    assert v.value(0) == 0
 
 
 def test_unit_demand_value():
     v = UnitDemandValuation([2, 1])
     assert v.value(S01) == 2
-    assert v.value(EMPTY_SET) == 0
+    assert v.value(0) == 0
 
 
 def test_xos_value_is_best_clause():
     v = XOSValuation(3, [[1, 0, 2], [0, 3, 0]])
-    assert v.value(ItemSet.from_indices([0, 2])) == 3
-    assert v.value(ItemSet.from_indices([1, 2])) == 3  # clause 2 gives 3, clause 1 gives 2
-    assert v.value(EMPTY_SET) == 0
+    assert v.value(0b101) == 3
+    assert v.value(0b110) == 3  # clause 2 gives 3, clause 1 gives 2
+    assert v.value(0) == 0
 
 
 def test_coverage_value_counts_each_element_once():
     v = CoverageValuation([2, 5], covers=[[0], [0, 1], [1]])
-    assert v.value(ItemSet.from_indices([0, 1])) == 7
-    assert v.value(ItemSet.from_indices([0])) == 2
-    assert v.value(ItemSet(0b111)) == 7
+    assert v.value(0b11) == 7
+    assert v.value(0b1) == 2
+    assert v.value(0b111) == 7
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 3])
+def test_value_queries_refuse_a_mask_outside_the_universe(mask):
+    base = AdditiveValuation([1, 2, 3])
+    for v in (base, ProxyValuation(base, F(1, 2))):
+        with pytest.raises(MalformedValuationError, match="outside the 3-item universe"):
+            v.value(mask)
+    assert base.counter.value_queries == base.counter.proxy_value_queries == 0
 
 
 def test_explicit_requires_full_table():
@@ -84,7 +93,7 @@ def test_value_table_matches_the_definition(v):
 def test_proxy_additive_is_linear():
     pv = ProxyValuation(AdditiveValuation([3, 5]), F(1, 2))
     assert pv.value(S01) == 4
-    assert pv.value(EMPTY_SET) == 0
+    assert pv.value(0) == 0
 
 
 def test_proxy_unit_demand_survival_formula():
@@ -138,21 +147,21 @@ def test_proxy_enumeration_cap():
     v = XOSValuation(25, [[1] * 25])
     pv = ProxyValuation(v, F(1, 2), subset_cap=20)
     with pytest.raises(CapacityError):
-        pv.value(ItemSet((1 << 25) - 1))
+        pv.value((1 << 25) - 1)
 
 
 def test_proxy_table_cap_bounds_the_universe_not_the_bundle():
     # the table covers all 2^m bundles, so even a one-item bundle needs m <= cap
     pv = ProxyValuation(XOSValuation(5, [[1] * 5]), F(1, 2), subset_cap=4)
     with pytest.raises(CapacityError) as info:
-        pv.value(ItemSet.singleton(0))
+        pv.value(1)
     assert (info.value.required, info.value.cap) == (1 << 5, 1 << 4)
     with pytest.raises(CapacityError):
         pv.demand([0] * 5)
     # every kind reads the same table, so additive and unit-demand bases are capped too
     for base in (AdditiveValuation([1] * 5), UnitDemandValuation([1] * 5)):
         with pytest.raises(CapacityError):
-            ProxyValuation(base, F(1, 2), subset_cap=4).value(ItemSet(0b11111))
+            ProxyValuation(base, F(1, 2), subset_cap=4).value(0b11111)
 
 
 fractions_st = st.fractions(min_value=0, max_value=10, max_denominator=6)
@@ -196,7 +205,7 @@ def test_proxy_table_matches_enumeration(v, c):
 def test_proxy_table_keeps_a_nonzero_empty_value():
     v = ExplicitValuation(2, {0: 3, 1: 1, 2: 0, 3: 5})
     pv = ProxyValuation(v, F(1, 2))
-    assert pv.value(EMPTY_SET) == 3
+    assert pv.value(0) == 3
     assert pv.value(S01) == F(3 + 1 + 0 + 5, 4)
 
 
@@ -219,19 +228,19 @@ def test_proxy_dominates_scaled_value_exhaustive_small():
 
 def test_additive_demand_keeps_positive_margins():
     v = AdditiveValuation([3, 5])
-    assert v.demand([4, 1]) == ItemSet.from_indices([1])
-    assert v.demand([3, 5]) == EMPTY_SET  # zero margins are dropped
+    assert v.demand([4, 1]) == 0b10
+    assert v.demand([3, 5]) == 0  # zero margins are dropped
 
 
 def test_zero_prices_take_everything_when_strictly_monotone():
     v = AdditiveValuation([3, 5])
-    assert v.demand([0, 0]) == ItemSet(0b11)
+    assert v.demand([0, 0]) == 0b11
 
 
 def test_unit_demand_demand_frozen_example():
     # profits: {} 0, {0} 1/2, {1} 4/5, {0,1} 3/10 -> {1}
     v = UnitDemandValuation([2, 1])
-    assert v.demand([F(3, 2), F(1, 5)]) == ItemSet.from_indices([1])
+    assert v.demand([F(3, 2), F(1, 5)]) == 0b10
 
 
 @given(weights_st, st.data())
@@ -246,7 +255,7 @@ def test_demand_matches_full_scan(weights, data):
         )
     )
     for v in (AdditiveValuation(weights), UnitDemandValuation(weights)):
-        assert v.demand(prices).mask == demand_by_scan(v, prices)
+        assert v.demand(prices) == demand_by_scan(v, prices)
 
 
 def test_proxy_demand_matches_scan():
@@ -254,9 +263,9 @@ def test_proxy_demand_matches_scan():
     xos = XOSValuation(4, [[rng.randint(0, 6) for _ in range(4)] for _ in range(2)])
     pv = ProxyValuation(xos, F(1, 2))
     prices = [F(rng.randint(0, 3), 2) for _ in range(4)]
-    assert pv.demand(prices).mask == demand_by_scan(pv, prices)
+    assert pv.demand(prices) == demand_by_scan(pv, prices)
     pa = ProxyValuation(AdditiveValuation([3, 5, 1, 0]), F(1, 2))
-    assert pa.demand(prices).mask == demand_by_scan(pa, prices)
+    assert pa.demand(prices) == demand_by_scan(pa, prices)
 
 
 @st.composite
@@ -277,7 +286,7 @@ def test_demand_matches_scan_oracle_with_ties(v, c, data):
     pv = ProxyValuation(v, c)
     for w in (v, pv):
         prices = data.draw(tie_prices(w))
-        assert w.demand(prices).mask == demand_by_scan(w, prices)
+        assert w.demand(prices) == demand_by_scan(w, prices)
 
 
 @st.composite
@@ -312,10 +321,9 @@ def test_demand_returns_the_tied_bundle_with_the_least_selection_key(drawn):
     v, prices = drawn
     profits = {0: F(0)}  # the empty bundle earns zero, whatever v(empty)
     for mask in range(1, 1 << v.m):
-        bundle = ItemSet(mask)
-        profits[mask] = v._value(mask) - sum((prices[j] for j in bundle), F(0))
+        profits[mask] = v._value(mask) - sum((prices[j] for j in index_list(mask)), F(0))
     best = max(profits.values())
-    tied = [ItemSet(mask) for mask, profit in profits.items() if profit == best]
+    tied = [mask for mask, profit in profits.items() if profit == best]
     assert v.demand(prices) == min(tied, key=selection_key)
 
 
@@ -325,7 +333,7 @@ def test_closed_form_proxy_demand_matches_scan_oracle(weights, c, data):
     for base in (AdditiveValuation(weights), UnitDemandValuation(weights)):
         pv = ProxyValuation(base, c)
         prices = data.draw(tie_prices(pv))
-        assert pv.demand(prices).mask == demand_by_scan(pv, prices)
+        assert pv.demand(prices) == demand_by_scan(pv, prices)
 
 
 def test_demand_ties_go_to_fewest_items_then_lexicographic():
@@ -335,13 +343,13 @@ def test_demand_ties_go_to_fewest_items_then_lexicographic():
     prices = [1, 1, 1, 1]
     # {0,1} (mask 3), {2} and {3} each earn 2: fewest items, then {2} before {3}
     v = table({0b0011: 4, 0b0100: 3, 0b1000: 3})
-    assert v.demand(prices) == ItemSet.from_indices([2])
+    assert v.demand(prices) == 0b100
     # {1,2} (mask 6) and {0,3} (mask 9) each earn 2: (0, 3) < (1, 2)
     v = table({0b0110: 4, 0b1001: 4})
-    assert v.demand(prices) == ItemSet.from_indices([0, 3])
+    assert v.demand(prices) == 0b1001
     # nothing beats the empty bundle's zero profit, even with v(empty) > 0
     v = table({0: 5, 0b0001: 1})
-    assert v.demand(prices) == EMPTY_SET
+    assert v.demand(prices) == 0
 
 
 def test_demand_scan_cap():
@@ -397,7 +405,7 @@ def test_subadditivity_counterexample():
     v = ExplicitValuation(2, {0: 0, 1: 1, 2: 1, 3: 3})
     ok, witness = is_subadditive(v)
     assert not ok
-    assert witness == (ItemSet(1), ItemSet(2))
+    assert witness == (1, 2)
 
 
 def test_monotone_normalized_counterexamples():
@@ -421,7 +429,7 @@ def test_check_caps():
 def test_query_counters():
     v = AdditiveValuation([3, 5])
     v.value(S01)
-    v.value(EMPTY_SET)
+    v.value(0)
     v.demand([1, 1])
     pv = ProxyValuation(v, F(1, 2))
     pv.value(S01)

@@ -15,7 +15,6 @@ from oracles import (
 )
 from proxyauction.errors import CapacityError
 from proxyauction.generators import generate
-from proxyauction.itemsets import EMPTY_SET, ItemSet
 from proxyauction.lp import Column, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
 from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instance
@@ -81,10 +80,10 @@ def test_overlap_demo_hand_enumerated_law():
     assert all(atom.probability == F(1, 8) for atom in dist.atoms)
     assert sum(a.probability for a in dist.atoms if a.halted) == F(1, 4)
     for atom in dist.atoms:
-        should_halt = atom.bundles[1] == ItemSet(2) and atom.bundles[2] == ItemSet(2)
+        should_halt = atom.bundles[1] == 2 and atom.bundles[2] == 2
         assert atom.halted == should_halt
 
-    by_key = {(e.bidder, e.bundle.mask): e for e in dist.entries}
+    by_key = {(e.bidder, e.bundle): e for e in dist.entries}
     e0 = by_key[(0, 1)]
     assert (e0.q, e0.survival, e0.marginal) == (F(1, 4), p / F(3, 4), p / 2)
     e1 = by_key[(1, 2)]
@@ -97,7 +96,7 @@ def test_overlap_demo_hand_enumerated_law():
 
     own = exact_distribution(Pipeline(inst, own_cfg, solution=sol))
     assert own.expected_welfare == F(21, 80)
-    o0 = {(e.bidder, e.bundle.mask): e for e in own.entries}[(0, 1)]
+    o0 = {(e.bidder, e.bundle): e for e in own.entries}[(0, 1)]
     assert o0.q == 0 and o0.marginal == F(3, 8) * p
     assert p * o0.x - o0.marginal == F(1, 160)  # the exact own-items deficit
 
@@ -354,7 +353,7 @@ def test_vertex_enumeration_matches_combinations_oracle(corpus, truthful_corpus)
     by_matrix = {}
     for label, variants in lps.items():
         for k, variant in enumerate(variants):
-            columns = tuple((col.bidder, col.bundle.mask) for col in variant.columns)
+            columns = tuple((col.bidder, col.bundle) for col in variant.columns)
             by_matrix.setdefault(columns, []).append((label, k, variant))
     optimum = {}
     for group in by_matrix.values():
@@ -379,9 +378,9 @@ def test_vertex_points_are_cached_per_constraint_matrix():
     # equal (n, m) but different columns: two walks and two entries; equal
     # columns under other coefficients: one entry, scored again
     keys = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
-    first = config_lp(2, 2, [Column(i, ItemSet(mask), F(1 + mask, 2)) for i, mask in keys])
-    second = config_lp(2, 2, [Column(i, ItemSet(mask), F(1 + mask, 2)) for i, mask in keys[:4]])
-    recosted = config_lp(2, 2, [Column(i, ItemSet(mask), F(3 - i)) for i, mask in keys])
+    first = config_lp(2, 2, [Column(i, mask, F(1 + mask, 2)) for i, mask in keys])
+    second = config_lp(2, 2, [Column(i, mask, F(1 + mask, 2)) for i, mask in keys[:4]])
+    recosted = config_lp(2, 2, [Column(i, mask, F(3 - i)) for i, mask in keys])
     _feasible_points.cache_clear()
     for lp, misses in ((first, 1), (second, 2), (recosted, 2)):
         assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
@@ -420,7 +419,7 @@ def small_config_lps(draw):
         forced = [(0, 1), (0, 2), (0, 3)] if m >= 2 else [(0, 1)]
         forced += [(i, (1 << m) - 1) for i in range(n)]
         chosen = list(dict.fromkeys(forced + chosen))
-    columns = tuple(Column(i, ItemSet(mask), draw(coefs)) for i, mask in chosen)
+    columns = tuple(Column(i, mask, draw(coefs)) for i, mask in chosen)
     lp = config_lp(n, m, columns)
     while bases(lp) > 3000:  # keep the oracle quick
         lp = config_lp(n, m, lp.columns[:-1])
