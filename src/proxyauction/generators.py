@@ -29,6 +29,9 @@ from .valuations import (
 )
 
 EXPLICIT_ITEM_CAP = 8
+# bidders, xos clauses and coverage elements of one generated instance: each
+# costs generate time and output in proportion
+GENERATED_COUNT_CAP = 1000
 GENERATOR_KINDS = ("additive", "unit-demand", "xos", "coverage", "explicit-subadditive", "mixed")
 
 DEFAULT_CORPUS_SEED = 20260810
@@ -118,7 +121,8 @@ def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
     """Deterministic n-bidder, m-item instance of the requested kind.
 
     ``mixed`` draws each bidder's kind independently (explicit tables only
-    when m allows them).
+    when m allows them). More than ``GENERATED_COUNT_CAP`` bidders, clauses
+    or elements raise ``CapacityError`` before any valuation is built.
     """
     if kind not in GENERATOR_KINDS:
         raise ParameterError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
@@ -126,6 +130,9 @@ def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
         raise ParameterError("need n >= 1 bidders and m >= 1 items")
     if m > INSTANCE_ITEM_CAP:
         raise CapacityError("items of one instance", m, INSTANCE_ITEM_CAP)
+    for what, count in (("bidders", n), *params.items()):
+        if count > GENERATED_COUNT_CAP:
+            raise CapacityError(f"generated {what}", count, GENERATED_COUNT_CAP)
     valuations: list[Valuation] = []
     for i in range(n):
         rng = random.Random(derive_seed(seed, "bidder", kind, n, m, i))

@@ -178,15 +178,15 @@ class Plan:
     cancel: tuple = ()
     outcomes: dict = field(default_factory=dict, repr=False)
 
-    def draw(self, root: rngmod.Stream) -> Outcome:
-        """Steps 6 and 7 of a sample whose root stream is ``root``.
+    def draw(self, key: bytes) -> Outcome:
+        """Steps 6 and 7 of a sample whose root stream key is ``key``.
 
-        Each site is one ``rng.draw`` under the root's key, so a site draws
-        what ``rng.stream(seed, stage, index)`` would: item j's lottery holder
-        is the u-th for a uniform u below 1/c (nobody when u is past the last),
-        and bidder i survives when a uniform integer below b is less than a.
+        Each site is one ``rng.draw`` under that key, the first draw of
+        ``rng.stream(seed, stage, index)``: item j's lottery holder is the
+        u-th for a uniform u below 1/c (nobody when u is past the last), and
+        bidder i survives when a uniform integer below b is less than a.
         """
-        kept, key, draw = list(self.base), root.key, rngmod.draw
+        kept, draw = list(self.base), rngmod.draw
         for at, bit, holders in self.lottery:
             k = draw(key, at)
             if k < len(holders):
@@ -195,10 +195,10 @@ class Plan:
         for i, at, a in self.cancel:
             if kept[i] and draw(key, at) >= a:
                 final[i] = 0
-        key = (*kept, *final)
-        got = self.outcomes.get(key)
+        masks = (*kept, *final)
+        got = self.outcomes.get(masks)
         if got is None:
-            got = self.outcomes[key] = Outcome(
+            got = self.outcomes[masks] = Outcome(
                 halted=False,
                 tentative=self.tentative,
                 kept=tuple(kept),
@@ -244,18 +244,18 @@ def draw_tables(solution: FractionalSolution) -> list:
     return tables
 
 
-def tentative_indices(tables: Sequence, root: rngmod.Stream) -> tuple[int, ...]:
+def tentative_indices(tables: Sequence, key: bytes) -> tuple[int, ...]:
     """Step 3: per bidder, the index of its drawn bundle in its draw table.
 
-    ``root`` is the sample's root stream, ``rng.stream(seed)``. Bidder i draws
-    one uniform integer below its common denominator at its own
-    tentative-stage site under the root's key (``rng.draw``), so draws do not
+    ``key`` is the sample's root stream key, ``rng.stream(seed)``. Bidder i
+    draws one uniform integer below its common denominator at its own
+    tentative-stage site under that key (``rng.draw``), so draws do not
     interact across bidders or with later stages. The bundle is the first
     whose threshold exceeds the draw. A denominator of 1 makes the draw
     certain (it is 0), so that bidder hashes nothing; the other bidders'
     draws are their own either way.
     """
-    key, draw = root.key, rngmod.draw
+    draw = rngmod.draw
     return tuple(
         bisect_right(thresholds, 0 if at is None else draw(key, at))
         for _, thresholds, at in tables
@@ -455,11 +455,11 @@ class Pipeline:
 
     def sample(self, seed: int) -> Outcome:
         """One rounding pass: step 3, the assignment's plan, then its sites' draws."""
-        root = rngmod.stream(seed)
-        plan = self.plan(tentative_indices(self.tables, root))
+        key = rngmod.stream(seed)
+        plan = self.plan(tentative_indices(self.tables, key))
         if plan.halted is not None:
             return plan.halted
-        return plan.draw(root)
+        return plan.draw(key)
 
     def payments(self) -> tuple[Fraction, ...]:
         """Expected externality charges over the LP range."""

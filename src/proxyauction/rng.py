@@ -3,23 +3,26 @@
 Every random decision in the pipeline draws from its own stream, named by
 the master seed together with a (stage, index) label path. Adding new
 instrumentation or reordering independent draws therefore never perturbs the
-outcome of existing stages. A site's key is its seed's root key followed by
+outcome of existing stages. A stream is its key, ``stream(seed, *labels)``:
+the label text ``repr(seed)|repr(label)|...`` encoded as UTF-8, so ``1`` and
+``"1"`` name different sites. A site's key is its seed's root key followed by
 the site's label bytes (``site``), so a sampler lists each site once as a
-``draw_site`` and draws it under any seed's root key with one hash:
-``draw(stream(seed).key, at)`` is ``stream(seed, *labels).randrange(den)``.
+``draw_site`` and draws it under any seed's root key with one hash,
+``draw(stream(seed), at)``.
 
 A stream is counter based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): it holds no generator state beyond its key and a block
-counter k. The key is the label text ``repr(seed)|repr(label)|...`` encoded
-as UTF-8, so ``1`` and ``"1"`` name different sites. Block k hashes
-``key || k`` (k as 8 big-endian bytes; the key is everything before those
-last 8 bytes, so no two (key, k) pairs share an input) with SHAKE-256 and
-reads ``b = 8 * ceil((den.bit_length() + 64) / 8)`` bits as an integer u. A
-u at or above ``floor(2^b / den) * den`` is rejected and the draw moves to
-block k + 1, so the accepted ``u mod den`` is exactly uniform below ``den``
-for every ``den``, however wide. A rejection happens with probability below
-2^-64. A draw with ``den = 1`` is certain: it returns 0, reads no block and
-leaves the counter as it was.
+counter k, which starts at 0. Block k hashes ``key || k`` (k as 8 big-endian
+bytes; the key is everything before those last 8 bytes, so no two (key, k)
+pairs share an input) with SHAKE-256 and reads
+``b = 8 * ceil((den.bit_length() + 64) / 8)`` bits as an integer u. A u at
+or above ``floor(2^b / den) * den`` is rejected and the draw moves to block
+k + 1; the accepted ``u mod den`` is the draw, exactly uniform below ``den``
+for every ``den``, however wide, and the stream's next draw starts at the
+block after it. A rejection happens with probability below 2^-64. A draw with
+``den = 1`` is certain: it returns 0, reads no block and leaves the counter
+as it was. Every site of the package draws once, so ``draw`` is a stream's
+first draw.
 
 The block size and the rejection limit of each denominator are cached.
 ``derive_seeds`` derives a run of child seeds, one per index, from one shared
@@ -55,35 +58,6 @@ def derive_seeds(seed: int, label, count: int) -> list[int]:
     ]
 
 
-class Stream:
-    """Exact uniform draws for one labeled decision site."""
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: bytes):
-        self.key = key
-        self.counter = 0
-
-    def randrange(self, den: int) -> int:
-        """Uniform integer in [0, den), exactly."""
-        if den < 1:
-            raise ValueError(f"randrange needs den >= 1, got {den}")
-        if den == 1:
-            return 0
-        u, self.counter = _accept(self.key, self.counter, *_block_bounds(den))
-        return u % den
-
-
-def _accept(key: bytes, counter: int, size: int, limit: int) -> tuple[int, int]:
-    """The first block from ``counter`` on that reads below ``limit``, and the counter past it."""
-    while True:
-        block = shake_256(key + counter.to_bytes(8, "big")).digest(size)
-        counter += 1
-        u = int.from_bytes(block, "big")
-        if u < limit:
-            return u, counter
-
-
 @lru_cache(maxsize=256)
 def _block_bounds(den: int) -> tuple[int, int]:
     """(bytes per block, first rejected value) for uniform draws below ``den``."""
@@ -97,14 +71,18 @@ def draw_site(den: int, *labels) -> tuple[bytes, int, int, int]:
 
 
 def draw(key: bytes, at: tuple) -> int:
-    """``Stream(key + site).randrange(den)`` for ``at = draw_site(den, site's labels)``.
+    """The first draw below den of the stream ``key + site(*labels)``, for
+    ``at = draw_site(den, *labels)``.
 
-    One hash of block 0; only a rejected block reads on, as ``randrange`` does.
+    One hash of block 0; only a rejected block reads on to blocks 1, 2, ...
     """
     suffix, den, size, limit = at
     u = int.from_bytes(shake_256(key + suffix).digest(size), "big")
-    if u >= limit:
-        u = _accept(key + suffix[:-8], 1, size, limit)[0]
+    block = 0
+    while u >= limit:
+        block += 1
+        data = key + suffix[:-8] + block.to_bytes(8, "big")
+        u = int.from_bytes(shake_256(data).digest(size), "big")
     return u % den
 
 
@@ -118,6 +96,6 @@ def _key(seed: int, labels) -> bytes:
     return "|".join(map(repr, (int(seed), *labels))).encode("utf-8")
 
 
-def stream(seed: int, *labels) -> Stream:
-    """Independent stream for one labeled decision site."""
-    return Stream(_key(seed, labels))
+def stream(seed: int, *labels) -> bytes:
+    """The key of the stream of one labeled decision site: ``repr(seed)|repr(label)|...``."""
+    return _key(seed, labels)

@@ -2,6 +2,10 @@
 
 Everything is UTF-8 JSON. Values are encoded as rational strings ("5/2",
 integers shorthand as "5") so they survive serialization bit-exactly.
+The instance format is stated here alone: ``valuation_to_dict`` writes each
+valuation kind's parameters and ``valuation_from_dict`` reads them back,
+branch for branch. An explicit table's bundle {0,2} is the key "0,2", and
+the empty bundle is written only when its value is not 0.
 Solutions and configs carry the constant field "arithmetic": "exact", which
 keeps their bytes stable; reading a config accepts it or its absence and
 rejects any other mode. Serialization is canonical (sorted keys, fixed
@@ -20,7 +24,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import AuctionError, CapacityError, FormatError, ParameterError
 from .itemsets import items
 from .lp import FractionalSolution
 from .mechanism import MechanismConfig, Outcome, realized_welfare
@@ -214,7 +218,25 @@ def _bundle_key(mask: int) -> str:
 
 
 def valuation_to_dict(v: Valuation) -> dict:
-    return {"kind": v.kind, **v.payload()}
+    """One bidder's entry of an instance file, as ``valuation_from_dict`` reads it."""
+    if isinstance(v, AdditiveValuation):
+        return {"kind": "additive", "weights": list(map(format_value, v.weights))}
+    if isinstance(v, UnitDemandValuation):
+        return {"kind": "unit-demand", "weights": list(map(format_value, v.weights))}
+    if isinstance(v, XOSValuation):
+        return {"kind": "xos", "clauses": [list(map(format_value, cl)) for cl in v.clauses]}
+    if isinstance(v, CoverageValuation):
+        return {
+            "kind": "coverage",
+            "element_weights": list(map(format_value, v.element_weights)),
+            "covers": [list(items(mask)) for mask in v.cover_masks],
+        }
+    if isinstance(v, ExplicitValuation):
+        values = {_bundle_key(mask): format_value(v.table[mask]) for mask in range(1, 1 << v.m)}
+        if v.table[0] != 0:
+            values[""] = format_value(v.table[0])  # abnormal table; keep it exact
+        return {"kind": "explicit", "values": values}
+    raise AuctionError(f"{v.kind!r} valuations are derived, not written to instance files")
 
 
 def valuation_from_dict(data: dict, m: int) -> Valuation:

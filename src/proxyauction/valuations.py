@@ -2,10 +2,13 @@
 
 A valuation maps bundles of items, each an int item mask, to nonnegative
 exact rationals. Five structured kinds are supported (explicit table,
-additive, unit-demand, XOS, coverage). Each kind builds one integer table of
-its values over all ``2^m`` bundles, indexed by mask over one denominator,
-and every valuation answers value queries and demand queries from that
-table; a mask outside ``0 <= mask < 2^m`` raises ``MalformedValuationError``.
+additive, unit-demand, XOS, coverage). A kind is its constructor, which
+checks and keeps its parameters, and its ``_table()``, which builds one
+integer table of its values over all ``2^m`` bundles, indexed by mask over
+one denominator; every valuation answers value queries and demand queries
+from that table, and a mask outside ``0 <= mask < 2^m`` raises
+``MalformedValuationError``. The instance file format, which stores each
+kind's parameters, belongs to ``serialize``.
 Queries are tallied in a per-valuation :class:`QueryCounter`, the artifact's
 stand-in for communication cost.
 
@@ -28,7 +31,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, MalformedValuationError, ParameterError
-from .itemsets import items, subset_sums
+from .itemsets import subset_sums
 
 # Default enumeration caps. Value tables, and with them every value and demand
 # query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
@@ -61,18 +64,6 @@ class QueryCounter:
     value_queries: int = 0
     demand_queries: int = 0
     proxy_value_queries: int = 0
-
-    def merge(self, other: "QueryCounter") -> None:
-        self.value_queries += other.value_queries
-        self.demand_queries += other.demand_queries
-        self.proxy_value_queries += other.proxy_value_queries
-
-    def as_dict(self) -> dict:
-        return {
-            "value_queries": self.value_queries,
-            "demand_queries": self.demand_queries,
-            "proxy_value_queries": self.proxy_value_queries,
-        }
 
 
 class Valuation:
@@ -168,14 +159,6 @@ class Valuation:
             raise ParameterError("item prices must be nonnegative")
         return out
 
-    def payload(self) -> dict:
-        """Kind-specific serialization payload (rationals as strings)."""
-        raise NotImplementedError
-
-    def scaled(self, factor: Fraction) -> "Valuation":
-        """Same-kind valuation with every value multiplied by ``factor`` >= 0."""
-        raise NotImplementedError
-
 
 class AdditiveValuation(Valuation):
     """v(S) = sum of per-item weights over S."""
@@ -190,12 +173,6 @@ class AdditiveValuation(Valuation):
     def _table(self) -> tuple[list[int], int]:
         nums, den = over_one_denominator(self.weights)
         return subset_sums(nums), den
-
-    def payload(self) -> dict:
-        return {"weights": [str(w) for w in self.weights]}
-
-    def scaled(self, factor: Fraction) -> "AdditiveValuation":
-        return AdditiveValuation([w * factor for w in self.weights])
 
 
 class UnitDemandValuation(Valuation):
@@ -215,12 +192,6 @@ class UnitDemandValuation(Valuation):
         for w in nums:
             best += [max(b, w) for b in best]
         return best, den
-
-    def payload(self) -> dict:
-        return {"weights": [str(w) for w in self.weights]}
-
-    def scaled(self, factor: Fraction) -> "UnitDemandValuation":
-        return UnitDemandValuation([w * factor for w in self.weights])
 
 
 class XOSValuation(Valuation):
@@ -247,12 +218,6 @@ class XOSValuation(Valuation):
         for start in range(0, len(nums), self.m):
             best = list(map(max, best, subset_sums(nums[start : start + self.m])))
         return best, den
-
-    def payload(self) -> dict:
-        return {"clauses": [[str(w) for w in clause] for clause in self.clauses]}
-
-    def scaled(self, factor: Fraction) -> "XOSValuation":
-        return XOSValuation(self.m, [[w * factor for w in cl] for cl in self.clauses])
 
 
 class CoverageValuation(Valuation):
@@ -290,19 +255,6 @@ class CoverageValuation(Valuation):
         weight = {c: sum(w for e, w in enumerate(nums) if c >> e & 1) for c in set(covered)}
         return [weight[c] for c in covered], den
 
-    def payload(self) -> dict:
-        return {
-            "element_weights": [str(w) for w in self.element_weights],
-            "covers": [
-                [e for e in range(len(self.element_weights)) if (mask >> e) & 1]
-                for mask in self.cover_masks
-            ],
-        }
-
-    def scaled(self, factor: Fraction) -> "CoverageValuation":
-        covers = self.payload()["covers"]
-        return CoverageValuation([w * factor for w in self.element_weights], covers)
-
 
 class ExplicitValuation(Valuation):
     """Full table over every bundle of the universe.
@@ -334,23 +286,6 @@ class ExplicitValuation(Valuation):
 
     def _table(self) -> tuple[list[int], int]:
         return over_one_denominator([self.table[mask] for mask in range(1 << self.m)])
-
-    def replace(self, mask: int, value) -> "ExplicitValuation":
-        table = dict(self.table)
-        table[mask] = as_value(value)
-        return ExplicitValuation(self.m, table)
-
-    def payload(self) -> dict:
-        values = {
-            ",".join(map(str, items(mask))): str(self.table[mask])
-            for mask in range(1, 1 << self.m)
-        }
-        if self.table[0] != 0:
-            values[""] = str(self.table[0])  # abnormal table; keep it exact
-        return {"values": values}
-
-    def scaled(self, factor: Fraction) -> "ExplicitValuation":
-        return ExplicitValuation(self.m, {k: v * factor for k, v in self.table.items()})
 
 
 class ProxyValuation(Valuation):
@@ -405,9 +340,6 @@ class ProxyValuation(Valuation):
         scale = [k ** (self.m - t) for t in range(self.m + 1)]
         return [x * scale[mask.bit_count()] for mask, x in enumerate(h)], den * k**self.m
 
-    def payload(self) -> dict:  # pragma: no cover - proxies are not serialized
-        raise NotImplementedError("proxy valuations are derived, not serialized")
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -433,10 +365,11 @@ class Instance:
         return len(self.valuations)
 
     def query_totals(self) -> dict:
-        total = QueryCounter()
-        for v in self.valuations:
-            total.merge(v.counter)
-        return total.as_dict()
+        """Each query tally summed over the bidders."""
+        return {
+            name: sum(getattr(v.counter, name) for v in self.valuations)
+            for name in ("value_queries", "demand_queries", "proxy_value_queries")
+        }
 
     def proxies(self, c, *, subset_cap: int = PROXY_SUBSET_CAP) -> tuple[ProxyValuation, ...]:
         return tuple(ProxyValuation(v, c, subset_cap=subset_cap) for v in self.valuations)

@@ -66,6 +66,7 @@ INTEGRAL_CAP = 10**7
 VERTEX_ENUM_CAP = 200_000
 VERTEX_CACHE_SIZE = 16  # constraint matrices whose basic feasible points are kept
 MONTE_CARLO_SIGMAS = 4.0
+MISREPORT_PERTURBATION = Fraction(1, 3)  # an explicit table's bump and cut
 
 
 @dataclass(frozen=True)
@@ -548,18 +549,20 @@ def check_lp_agreement(pipeline: Pipeline) -> CheckResult:
 # -- truthfulness ------------------------------------------------------------
 
 
-def misreport_family(v: Valuation, *, perturbation=Fraction(1, 3)) -> list[tuple[str, Valuation]]:
+def misreport_family(v: Valuation) -> list[tuple[str, Valuation]]:
     """Finite, documented family of alternative reports for one bidder.
 
-    Scalings by 1/2 and 2 for every kind; swaps to additive and unit-demand
-    valuations built from the singleton values; for explicit tables also a
-    +delta and a -delta (floored at zero) perturbation of each nonempty
-    bundle. The family is finite by design: the harness certifies
-    no-counterexample-in-family, not global optimality of truth-telling.
+    Scalings of the whole table by 1/2 and 2 for every kind; swaps to
+    additive and unit-demand valuations built from the singleton values; for
+    explicit tables also a +delta and a -delta (floored at zero)
+    perturbation of each nonempty bundle, delta = ``MISREPORT_PERTURBATION``.
+    Scalings, bumps and cuts are explicit tables. The family is finite by
+    design: the harness certifies no-counterexample-in-family, not global
+    optimality of truth-telling.
     """
     out: list[tuple[str, Valuation]] = [
-        ("scale-1/2", v.scaled(Fraction(1, 2))),
-        ("scale-2", v.scaled(Fraction(2))),
+        (label, ExplicitValuation(v.m, {mask: f * v._value(mask) for mask in range(1 << v.m)}))
+        for label, f in (("scale-1/2", Fraction(1, 2)), ("scale-2", Fraction(2)))
     ]
     singletons = [v._value(1 << j) for j in range(v.m)]
     if v.kind != "additive":
@@ -568,11 +571,12 @@ def misreport_family(v: Valuation, *, perturbation=Fraction(1, 3)) -> list[tuple
         out.append(("swap-unit-demand", UnitDemandValuation(singletons)))
     if isinstance(v, ExplicitValuation):
         for mask in range(1, 1 << v.m):
-            up = v.table[mask] + perturbation
-            down = max(Fraction(0), v.table[mask] - perturbation)
-            out.append((f"bump+{bundle_text(mask)}", v.replace(mask, up)))
-            if down != v.table[mask]:
-                out.append((f"cut-{bundle_text(mask)}", v.replace(mask, down)))
+            x, text = v.table[mask], bundle_text(mask)
+            up = x + MISREPORT_PERTURBATION
+            down = max(Fraction(0), x - MISREPORT_PERTURBATION)
+            out.append((f"bump+{text}", ExplicitValuation(v.m, {**v.table, mask: up})))
+            if down != x:
+                out.append((f"cut-{text}", ExplicitValuation(v.m, {**v.table, mask: down})))
     return out
 
 

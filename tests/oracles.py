@@ -8,6 +8,7 @@ dual-route check.
 import json
 import math
 from fractions import Fraction
+from hashlib import shake_256
 from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
@@ -30,7 +31,6 @@ from proxyauction.mechanism import (
     SOLVER_COLGEN,
     Outcome,
 )
-from proxyauction.rng import Stream, stream
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
 from proxyauction.valuations import (
@@ -197,6 +197,45 @@ def stream_key_by_definition(seed: int, labels) -> bytes:
     return "|".join([repr(int(seed)), *map(repr, labels)]).encode("utf-8")
 
 
+class Stream:
+    """Successive exact uniform draws of one stream, as ``rng``'s docstring defines them.
+
+    The package draws only a stream's first draw (``rng.draw``); this is the
+    reference for it, and for the samplers below, which draw one stream per
+    site as the definitions read.
+    """
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.counter = 0  # the next block to read
+
+    def randrange(self, den: int) -> int:
+        """Uniform integer in [0, den), exactly.
+
+        Block k hashes ``key || k`` (k as 8 big-endian bytes) with SHAKE-256
+        and reads b = 8 * ceil((bits of den + 64) / 8) bits as u. A u at or
+        above the largest multiple of den up to 2^b is rejected and the draw
+        reads the next block. A draw below 1 is 0 and reads no block.
+        """
+        if den < 1:
+            raise ValueError(f"randrange needs den >= 1, got {den}")
+        if den == 1:
+            return 0
+        nbytes = math.ceil((den.bit_length() + 64) / 8)
+        limit = 2 ** (8 * nbytes) // den * den
+        while True:
+            block = shake_256(self.key + self.counter.to_bytes(8, "big")).digest(nbytes)
+            self.counter += 1
+            u = int.from_bytes(block, "big")
+            if u < limit:
+                return u % den
+
+
+def stream_by_definition(seed: int, *labels) -> Stream:
+    """The stream of the site ``(seed, *labels)``, from its key built in full."""
+    return Stream(stream_key_by_definition(seed, labels))
+
+
 def bernoulli(rng: Stream, prob) -> bool:
     """True with probability exactly ``prob``."""
     prob = Fraction(prob)
@@ -248,7 +287,7 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     tentative = []
     for i in range(n):
         options = sol.bundles_of(i)
-        pick = categorical(stream(seed, "tentative", i), [x for _, x in options])
+        pick = categorical(stream_by_definition(seed, "tentative", i), [x for _, x in options])
         tentative.append(0 if pick is None else options[pick][0])
     tentative = tuple(tentative)
 
@@ -261,13 +300,13 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     kept = [0] * n
     for j, who in enumerate(holders):
         if who:
-            pick = categorical(stream(seed, "lottery", j), [config.c] * len(who))
+            pick = categorical(stream_by_definition(seed, "lottery", j), [config.c] * len(who))
             if pick is not None:
                 kept[who[pick]] |= 1 << j
 
     final = []
     for i, q in enumerate(q_values):
-        survives = bernoulli(stream(seed, "cancel", i), config.p / (1 - q))
+        survives = bernoulli(stream_by_definition(seed, "cancel", i), config.p / (1 - q))
         final.append(kept[i] if survives else 0)
     return Outcome(
         halted=False,
@@ -324,7 +363,7 @@ def item_lottery(bundles: Sequence[int], c: Fraction, seed: int) -> tuple[int, .
             raise ContractViolationError(
                 f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
             )
-        k = 0 if inv_c == 1 else stream(seed, "lottery", j).randrange(inv_c)
+        k = 0 if inv_c == 1 else stream_by_definition(seed, "lottery", j).randrange(inv_c)
         if k < len(holders):
             kept_masks[holders[k]] |= 1 << j
     return tuple(kept_masks)
@@ -344,7 +383,7 @@ def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple
             final.append(0)
             continue
         survives = keep == 1 if keep.denominator == 1 else (
-            stream(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
+            stream_by_definition(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
         )
         final.append(bundle if survives else 0)
     return tuple(final)
@@ -356,9 +395,9 @@ def sample_by_steps(pipeline, seed: int) -> Outcome:
     Step 3 is the package's ``Pipeline.tentative_sample``; step 4 counts
     holders here rather than calling the package's predicate; steps 6 and 7
     are ``item_lottery`` and ``personal_cancel`` above, each of which builds
-    its own ``stream(seed, stage, index)`` per draw. As in the package, the
-    bound q_i <= 1 - p is checked for every drawn bundle, halted or not. The
-    q values and survival probabilities come from ``pipeline``.
+    its own ``stream_by_definition(seed, stage, index)`` per draw. As in the
+    package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
+    or not. The q values and survival probabilities come from ``pipeline``.
     """
     bundles = pipeline.tentative_sample(seed)
     survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(bundles)]

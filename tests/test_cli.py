@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import rows_against_columns
 from oracles import canonical_dumps_by_json, solution_from_dict
-from proxyauction import cli, mechanism
+from proxyauction import cli, generators, mechanism
 from proxyauction import rng as rngmod
 from proxyauction import verify as ver
 from proxyauction.cli import main
@@ -432,6 +432,37 @@ def test_run_and_verify_refuse_sample_counts_past_the_cap(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: derived seeds: 100001 exceeds the cap of 100000\n"
     argv = ["verify", path, "--trials", "100001", "--checks", "halt-freq"]
     assert cap_error(capsys, argv) == ("derived seeds", 100_001, 100_000)
+
+
+@pytest.mark.parametrize(
+    "flags, what",
+    [
+        (["--kind", "additive", "--n", "1001"], "generated bidders"),
+        (["--kind", "xos", "--n", "1", "--clauses", "1001"], "generated clauses"),
+        (["--kind", "coverage", "--n", "1", "--elements", "1001"], "generated elements"),
+    ],
+    ids=["n", "clauses", "elements"],
+)
+def test_generate_refuses_counts_past_the_cap(flags, what, monkeypatch, capsys):
+    def no_valuation(*args):
+        raise AssertionError("a refused count built a valuation")
+
+    monkeypatch.setattr(generators.random, "Random", no_valuation)
+    assert main(["generate", *flags, "--m", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what}: 1001 exceeds the cap of 1000\n"
+
+
+@pytest.mark.parametrize("corpus", ["standard", "truthfulness"])
+def test_generate_corpus_writes_the_committed_files(corpus, tmp_path, capsys):
+    # the writer side of the instance format: every kind, manifests included
+    assert main(["generate", "--corpus", corpus, "--out-dir", str(tmp_path)]) == 0
+    committed = ROOT / "corpus" / corpus
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in committed.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 CONTENDED = ["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json"), "--c", "1/2", "--p", "1/20"]

@@ -5,8 +5,10 @@ import pytest
 
 from fixtures import overlap_demo, random_feasible_solution
 from oracles import feasibility_violations, is_monotone_normalized, is_subadditive
+from proxyauction import generators
 from proxyauction.errors import CapacityError, ParameterError
 from proxyauction.generators import (
+    GENERATED_COUNT_CAP,
     generate,
     repair_monotone_subadditive,
     standard_corpus,
@@ -38,6 +40,27 @@ def test_generated_valuations_are_well_behaved(kind):
 def test_explicit_generator_cap():
     with pytest.raises(CapacityError):
         generate("explicit-subadditive", 1, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, n, params, what",
+    [
+        ("additive", 1001, {}, "generated bidders"),
+        ("xos", 1, {"clauses": 1001}, "generated clauses"),
+        ("coverage", 1, {"elements": 1001}, "generated elements"),
+    ],
+)
+def test_counts_past_the_cap_are_refused_before_any_valuation(kind, n, params, what, monkeypatch):
+    # a count at the cap is generated
+    generate(kind, min(n, GENERATED_COUNT_CAP), 2, 0, **{key: 1000 for key in params})
+
+    def no_valuation(*args):
+        raise AssertionError("a refused count built a valuation")
+
+    monkeypatch.setattr(generators.random, "Random", no_valuation)
+    with pytest.raises(CapacityError) as info:
+        generate(kind, n, 2, 0, **params)
+    assert (info.value.what, info.value.required, info.value.cap) == (what, 1001, 1000)
 
 
 def test_unknown_kind():

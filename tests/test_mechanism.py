@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
+import oracles
 import pytest
 from fixtures import (
     AUCTION_SHAPES,
@@ -300,7 +301,7 @@ def test_lottery_at_c_one_builds_no_stream(monkeypatch):
     def no_stream(*labels):
         raise AssertionError("a certain lottery built a stream")
 
-    monkeypatch.setattr(rngmod, "stream", no_stream)
+    monkeypatch.setattr(oracles, "stream_by_definition", no_stream)
     bundles = (0b01, 0b10)
     assert item_lottery(bundles, F(1), 3) == bundles
 
@@ -547,8 +548,9 @@ def test_sample_matches_the_step_functions_on_generated_instances(
 
 
 def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkeypatch):
-    # every stream's first block reads as all ones: past the last whole multiple
-    # of any denominator that is not a power of two, so those draws move to block 1
+    # every stream's first block reads as all ones, in the package and in the
+    # reference streams of tests/oracles.py: past the last whole multiple of any
+    # denominator that is not a power of two, so those draws move to block 1
     real = rngmod.shake_256
     firsts = Counter()
 
@@ -562,6 +564,7 @@ def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkey
             return b"\xff" * size if first else real(self.data).digest(size)
 
     monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
+    monkeypatch.setattr(oracles, "shake_256", AllOnesFirst)
     root = Path(__file__).parent.parent
     for path in CONTENDED:
         for c in (F(1, 2), F(1, 3)):

@@ -1,12 +1,13 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
-from hashlib import sha256
+from hashlib import sha256, shake_256
 
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bernoulli, categorical, stream_key_by_definition
+from oracles import bernoulli, categorical, stream_by_definition, stream_key_by_definition
 from proxyauction import rng as rngmod
 from proxyauction.errors import CapacityError
 from proxyauction.rng import derive_seed, derive_seeds, draw, draw_site, site, stream
@@ -29,11 +30,11 @@ def test_stream_key_is_the_label_text(seed, labels, warm):
     for label in warm:
         stream(seed, "warm", label)
     for label in [*warm, *labels]:
-        assert stream(seed, "warm", label).key == stream_key_by_definition(seed, ["warm", label])
+        assert stream(seed, "warm", label) == stream_key_by_definition(seed, ["warm", label])
     key = stream_key_by_definition(seed, labels)
-    assert stream(seed, *labels).key == key
+    assert stream(seed, *labels) == key
     # a site under the seed's root stream has the key of the full label path
-    assert stream(seed).key + site(*labels) == key
+    assert stream(seed) + site(*labels) == key
     assert derive_seed(seed, *labels) == int.from_bytes(sha256(key).digest()[:8], "big")
 
 
@@ -43,11 +44,11 @@ def test_stream_key_is_the_label_text(seed, labels, warm):
 )
 def test_stream_key_of_str_int_pairs(seed, pairs):
     labels = [part for pair in pairs for part in pair]
-    assert stream(seed, *labels).key == stream_key_by_definition(seed, labels)
+    assert stream(seed, *labels) == stream_key_by_definition(seed, labels)
     # the same text and number, swapped in type, name another site
     swapped = [str(x) if isinstance(x, int) else x for x in labels]
     if swapped != labels:
-        assert stream(seed, *swapped).key != stream(seed, *labels).key
+        assert stream(seed, *swapped) != stream(seed, *labels)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
@@ -80,23 +81,24 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
     assert derive_seed(7, "tentative", 0) != derive_seed(8, "tentative", 0)
 
 
-def draws(s, k=5, den=2**64):
-    return [s.randrange(den) for _ in range(k)]
+def draws(seed, *labels, k=5, den=2**64):
+    """``rng.draw`` at the sites (*labels, 0) to (*labels, k - 1) under the seed's root key."""
+    key = stream(seed)
+    return [draw(key, draw_site(den, *labels, r)) for r in range(k)]
 
 
 def test_streams_reproduce():
-    assert draws(stream(42, "stage", 3)) == draws(stream(42, "stage", 3))
-    first = draws(stream(42, "stage", 3))
-    assert len(set(first)) == len(first)  # the counter moves the stream on
-    for other in (stream(42, "stage", 4), stream(42, "other", 3), stream(43, "stage", 3),
-                  stream(42, "stage", "3")):
-        assert draws(other) != first
+    first = draws(42, "stage", 3)
+    assert draws(42, "stage", 3) == first
+    assert len(set(first)) == len(first)  # each site draws its own value
+    for other in (draws(42, "stage", 4), draws(42, "other", 3), draws(43, "stage", 3),
+                  draws(42, "stage", "3")):
+        assert other != first
 
 
-def test_randrange_rejects_a_block_past_the_last_whole_multiple(monkeypatch):
-    # 2^72 = 1 mod 3, so an all-ones 9-byte block is the one value rejected for den 3
-    real = rngmod.shake_256
-    inputs = []
+def all_ones_first(inputs: list, rejected: int = 1):
+    """A stand-in for ``shake_256`` that records each input in ``inputs`` and
+    reads its first ``rejected`` blocks as all ones."""
 
     class AllOnesFirst:
         def __init__(self, data):
@@ -104,14 +106,21 @@ def test_randrange_rejects_a_block_past_the_last_whole_multiple(monkeypatch):
             self.data = data
 
         def digest(self, size):
-            return b"\xff" * size if len(inputs) == 1 else real(self.data).digest(size)
+            return b"\xff" * size if len(inputs) <= rejected else shake_256(self.data).digest(size)
 
-    monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
-    s = stream(3, "reject")
+    return AllOnesFirst
+
+
+def test_randrange_rejects_a_block_past_the_last_whole_multiple(monkeypatch):
+    # the reference stream of tests/oracles.py: 2^72 = 1 mod 3, so an all-ones
+    # 9-byte block is the one value rejected for den 3
+    inputs = []
+    monkeypatch.setattr(oracles, "shake_256", all_ones_first(inputs))
+    s = stream_by_definition(3, "reject")
     got = s.randrange(3)
     second = s.key + (1).to_bytes(8, "big")
     assert inputs == [s.key + (0).to_bytes(8, "big"), second]
-    assert got == int.from_bytes(real(second).digest(9), "big") % 3
+    assert got == int.from_bytes(shake_256(second).digest(9), "big") % 3
     assert s.counter == 2
 
 
@@ -123,33 +132,25 @@ DENOMINATORS = st.one_of(st.integers(2, 2**70), st.sampled_from([3, 2**64, 3**30
 def test_a_site_draw_is_the_site_streams_first_draw(seed, labels, den):
     at = draw_site(den, *labels)
     assert at[0] == site(*labels) + bytes(8)
-    assert draw(stream(seed).key, at) == stream(seed, *labels).randrange(den)
+    assert draw(stream(seed), at) == stream_by_definition(seed, *labels).randrange(den)
 
 
 def test_a_site_draw_reads_on_after_a_rejected_first_block(monkeypatch):
-    # as in the randrange test: all ones in block 0 is the value rejected for den 3
-    real = rngmod.shake_256
-    inputs = []
-
-    class AllOnesFirst:
-        def __init__(self, data):
-            inputs.append(data)
-            self.data = data
-
-        def digest(self, size):
-            return b"\xff" * size if len(inputs) == 1 else real(self.data).digest(size)
-
-    monkeypatch.setattr(rngmod, "shake_256", AllOnesFirst)
-    key = stream(3).key + site("reject")
-    got = draw(stream(3).key, draw_site(3, "reject"))
-    assert inputs == [key + (0).to_bytes(8, "big"), key + (1).to_bytes(8, "big")]
-    inputs.clear()
-    assert got == stream(3, "reject").randrange(3)
+    # as in the reference's test: all ones is the value rejected for den 3
+    key = stream(3) + site("reject")
+    for rejected in (1, 2):
+        package, reference = [], []
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(package, rejected))
+        monkeypatch.setattr(oracles, "shake_256", all_ones_first(reference, rejected))
+        got = draw(stream(3), draw_site(3, "reject"))
+        assert package == [key + k.to_bytes(8, "big") for k in range(rejected + 1)]
+        assert got == stream_by_definition(3, "reject").randrange(3)
+        assert reference == package
 
 
 def test_randrange_wider_than_one_sha_block():
     den = 3**300  # 476 bits, wider than a 256-bit digest
-    a, b = draws(stream(11, "wide"), 3, den), draws(stream(11, "wide"), 3, den)
+    a, b = draws(11, "wide", k=3, den=den), draws(11, "wide", k=3, den=den)
     assert a == b
     assert all(0 <= u < den for u in a)
     assert len(set(a)) == 3
@@ -157,18 +158,20 @@ def test_randrange_wider_than_one_sha_block():
 
 
 def test_randrange_edge_denominators():
-    assert draws(stream(0, "one"), 5, 1) == [0] * 5
+    # the reference stream's edges; the package draws only below den >= 2
+    s = stream_by_definition(0, "one")
+    assert [s.randrange(1) for _ in range(5)] == [0] * 5
     for den in (0, -1):
         with pytest.raises(ValueError):
-            stream(0, "zero").randrange(den)
+            stream_by_definition(0, "zero").randrange(den)
 
 
 def test_a_certain_draw_reads_no_block(monkeypatch):
     def no_block(data):
         raise AssertionError("a draw below 1 hashed a block")
 
-    monkeypatch.setattr(rngmod, "shake_256", no_block)
-    s = stream(5, "certain")
+    monkeypatch.setattr(oracles, "shake_256", no_block)
+    s = stream_by_definition(5, "certain")
     assert [s.randrange(1) for _ in range(3)] == [0, 0, 0]
     assert s.counter == 0
 
@@ -176,8 +179,8 @@ def test_a_certain_draw_reads_no_block(monkeypatch):
 @pytest.mark.parametrize("den", [3, 7, 360])
 def test_randrange_frequency(den):
     trials = 30_000
-    s = stream(13, "uniform", den)
-    counts = Counter(s.randrange(den) for _ in range(trials))
+    key = stream(13)
+    counts = Counter(draw(key, draw_site(den, "uniform", den, k)) for k in range(trials))
     assert set(counts) <= set(range(den))
     p = 1 / den
     # 4.5 sigma per value, so a false alarm over all 370 values tested stays rare
@@ -192,7 +195,7 @@ def test_label_types_matter():
 
 
 def test_bernoulli_boundaries():
-    r = stream(1, "b")
+    r = stream_by_definition(1, "b")
     assert bernoulli(r, F(1)) is True
     assert bernoulli(r, F(0)) is False
     with pytest.raises(ValueError):
@@ -201,7 +204,7 @@ def test_bernoulli_boundaries():
 
 def test_bernoulli_frequency_exact_third():
     trials = 30_000
-    hits = sum(bernoulli(stream(5, "bern", k), F(1, 3)) for k in range(trials))
+    hits = sum(bernoulli(stream_by_definition(5, "bern", k), F(1, 3)) for k in range(trials))
     p = 1 / 3
     assert abs(hits / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
@@ -209,7 +212,7 @@ def test_bernoulli_frequency_exact_third():
 def test_categorical_law_with_residual():
     probs = [F(1, 3), F(1, 6)]  # residual mass 1/2 maps to None
     trials = 30_000
-    counts = Counter(categorical(stream(9, "cat", k), probs) for k in range(trials))
+    counts = Counter(categorical(stream_by_definition(9, "cat", k), probs) for k in range(trials))
     for key, prob in ((0, 1 / 3), (1, 1 / 6), (None, 1 / 2)):
         freq = counts[key] / trials
         assert abs(freq - prob) <= 3 * math.sqrt(prob * (1 - prob) / trials), key
@@ -217,10 +220,10 @@ def test_categorical_law_with_residual():
 
 def test_categorical_validates_mass():
     with pytest.raises(ValueError):
-        categorical(stream(0, "x"), [F(3, 4), F(1, 2)])
+        categorical(stream_by_definition(0, "x"), [F(3, 4), F(1, 2)])
     with pytest.raises(ValueError):
-        categorical(stream(0, "x"), [F(-1, 4)])
+        categorical(stream_by_definition(0, "x"), [F(-1, 4)])
 
 
 def test_categorical_empty_support_is_residual():
-    assert categorical(stream(0, "e"), []) is None
+    assert categorical(stream_by_definition(0, "e"), []) is None

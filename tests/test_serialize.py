@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import canonical_dumps_by_json, outcome_from_dict, solution_from_dict
 from proxyauction import serialize
-from proxyauction.errors import CapacityError, FormatError
+from proxyauction.errors import AuctionError, CapacityError, FormatError
 from proxyauction.generators import generate
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, run
@@ -33,6 +33,7 @@ from proxyauction.valuations import (
     INSTANCE_ITEM_CAP,
     ExplicitValuation,
     Instance,
+    ProxyValuation,
     UnitDemandValuation,
 )
 
@@ -60,6 +61,12 @@ def test_abnormal_explicit_table_round_trips():
     v = ExplicitValuation(1, {0: F(1, 3), 1: F(1, 7)})  # non-normalized on purpose
     back = valuation_from_dict(valuation_to_dict(v), 1)
     assert back._value(0) == F(1, 3) and back._value(1) == F(1, 7)
+
+
+def test_a_proxy_is_not_written_to_an_instance_file():
+    proxy = ProxyValuation(UnitDemandValuation([1, 2]), F(1, 2))
+    with pytest.raises(AuctionError, match="'proxy' valuations are derived"):
+        valuation_to_dict(proxy)
 
 
 def test_explicit_missing_entry_rejected():

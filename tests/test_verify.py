@@ -10,16 +10,18 @@ from oracles import (
     additive_lp_optimum,
     integral_welfare_by_products,
     proxy_bound_violations_by_fractions,
+    text_of,
     vertex_optima_by_combinations,
     vertex_optimum_by_combinations,
 )
 from proxyauction.errors import CapacityError
-from proxyauction.generators import generate
+from proxyauction.generators import GENERATOR_KINDS, generate
 from proxyauction.lp import Column, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
 from proxyauction.valuations import AdditiveValuation, ExplicitValuation, Instance
 from proxyauction.verify import (
     INTEGRAL_CAP,
+    MISREPORT_PERTURBATION,
     VERTEX_ENUM_CAP,
     _feasible_points,
     basic_feasible_points,
@@ -288,6 +290,39 @@ def test_misreport_family_shapes():
     add = AdditiveValuation([1, 2])
     add_labels = [label for label, _ in misreport_family(add)]
     assert "swap-additive" not in add_labels and "swap-unit-demand" in add_labels
+
+
+def exact_table(v) -> list:
+    """v's value table as exact values indexed by mask."""
+    nums, den = v.value_table
+    return [F(x, den) for x in nums]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_misreport_tables_scale_or_perturb_the_true_table(kind, m):
+    delta = MISREPORT_PERTURBATION
+    for v in generate(kind, 3, m, 11).valuations:
+        truth = exact_table(v)
+        family = misreport_family(v)
+        reports = dict(family)
+        assert len(reports) == len(family)  # labels are distinct
+        for label, f in (("scale-1/2", F(1, 2)), ("scale-2", F(2))):
+            assert exact_table(reports[label]) == [f * x for x in truth], label
+        perturbed = 0
+        for label, report in family:
+            sign, _, text = label.partition("{")
+            if sign not in ("bump+", "cut-"):
+                continue
+            perturbed += 1
+            table = exact_table(report)
+            [mask] = [mask for mask, (x, y) in enumerate(zip(truth, table)) if x != y]
+            assert text_of(mask) == "{" + text
+            want = truth[mask] + delta if sign == "bump+" else max(F(0), truth[mask] - delta)
+            assert table[mask] == want, label
+        bumps = (1 << m) - 1 if isinstance(v, ExplicitValuation) else 0
+        cuts = sum(x > 0 for x in truth[1:]) if bumps else 0
+        assert perturbed == bumps + cuts
 
 
 def test_single_bidder_truthfulness():
