@@ -39,9 +39,8 @@ from .generators import (
     truthfulness_corpus,
 )
 from .itemsets import bundle_text
-from .lp import LP_ITEM_CAP, build_full_lp, solve_column_generation, solve_exact
+from .lp import build_full_lp, solve_column_generation, solve_exact
 from .mechanism import (
-    ATOM_CAP,
     MechanismConfig,
     Pipeline,
     Q_HALT,
@@ -51,8 +50,6 @@ from .mechanism import (
     default_params,
 )
 from .rng import derive_seeds
-from .valuations import PROXY_SUBSET_CAP
-from .verify import INTEGRAL_CAP, VERTEX_ENUM_CAP
 
 MANIFEST_SCHEMA = "corpus-manifest/1"
 REPORT_SCHEMA = "run-report/2"
@@ -75,12 +72,6 @@ ALL_CHECKS = (
 
 CONFIG_FIELDS = ("c", "p", "q_variant", "seed", "solver")
 CommandResult = tuple[int, Optional[dict], Optional[Callable[[], str]]]
-CAP_DEFAULTS = {
-    "proxy": PROXY_SUBSET_CAP,
-    "lp": LP_ITEM_CAP,
-    "atoms": ATOM_CAP,
-    "integral": INTEGRAL_CAP,
-}
 
 
 def _rational(text: str) -> Fraction:
@@ -102,26 +93,6 @@ def _positive_int(text: str) -> int:
 
 def _positive_ints(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
-
-
-def _caps(text: str) -> dict[str, int]:
-    """Every cap: the key=integer pairs given, the defaults for the rest."""
-    caps = dict(CAP_DEFAULTS)
-    for part in text.split(",") if text else ():
-        key, _, value = part.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in caps or not (value.isascii() and value.isdigit()):
-            raise argparse.ArgumentTypeError(
-                f"bad entry {part!r}; expected key=integer with keys {', '.join(CAP_DEFAULTS)}"
-            )
-        caps[key] = int(value)
-    return caps
-
-
-def _pipeline(instance, config, caps: dict) -> Pipeline:
-    return Pipeline(
-        instance, config, atom_cap=caps["atoms"], proxy_cap=caps["proxy"], lp_cap=caps["lp"]
-    )
 
 
 def _config_flags(args) -> dict:
@@ -222,7 +193,7 @@ def cmd_solve(args) -> CommandResult:
     instance = ser.load_instance(args.instance)
     if args.valuations == "proxy":
         config = _build_config(flags, instance.m)
-        oracles = instance.proxies(config.c, subset_cap=args.caps["proxy"])
+        oracles = instance.proxies(config.c)
     else:
         # the raw objective is the proxy objective at c = 1 (no thinning)
         config = _build_config({"c": Fraction(1), **flags}, instance.m)
@@ -230,7 +201,7 @@ def cmd_solve(args) -> CommandResult:
     if config.solver == SOLVER_COLGEN:
         solution = solve_column_generation(instance, oracles)
     else:
-        solution = solve_exact(build_full_lp(instance, oracles, item_cap=args.caps["lp"]))
+        solution = solve_exact(build_full_lp(instance, oracles))
     report = {
         "schema": REPORT_SCHEMA,
         "command": "solve",
@@ -275,7 +246,7 @@ def _outcome_entries(instance, seeds: list, outcomes: list) -> list[dict]:
 def cmd_run(args) -> CommandResult:
     instance = ser.load_instance(args.instance)
     config = _build_config(_config_flags(args), instance.m)
-    pipeline = _pipeline(instance, config, args.caps)
+    pipeline = Pipeline(instance, config)
     if args.replications is None:
         seeds = [config.seed]
     else:
@@ -312,7 +283,7 @@ def cmd_run(args) -> CommandResult:
 # -- verify ------------------------------------------------------------------
 
 
-def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) -> list[dict]:
+def _checks_for(instance, config, checks: list[str], trials: int) -> list[dict]:
     # One mechanism and one outcome law per (instance, config), built on first
     # use: proxy-bound alone needs neither. A mechanism that cannot be built
     # raises to the caller, which reports the instance as one error record. A
@@ -321,7 +292,7 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
     # their results.
     @functools.cache
     def pipeline() -> Pipeline:
-        return _pipeline(instance, config, caps)
+        return Pipeline(instance, config)
 
     @functools.cache
     def law_or_error():
@@ -340,10 +311,8 @@ def _checks_for(instance, config, checks: list[str], trials: int, caps: dict) ->
     run = {
         "welfare": lambda: ver.check_welfare_identity(pipeline(), law()),
         "marginals": lambda: ver.check_keep_marginals(pipeline(), law()),
-        "approximation": lambda: ver.check_approximation(
-            pipeline(), law(), cap=caps["integral"]
-        ),
-        "proxy-bound": lambda: ver.check_proxy_bound(instance, proxy_cap=caps["proxy"]),
+        "approximation": lambda: ver.check_approximation(pipeline(), law()),
+        "proxy-bound": lambda: ver.check_proxy_bound(instance),
         "lp": lambda: ver.check_lp_agreement(pipeline()),
         "halt-freq": lambda: ver.check_halt_frequency(pipeline(), trials),
         "monte-carlo": lambda: ver.check_monte_carlo(pipeline(), law(), trials),
@@ -375,13 +344,13 @@ def _error_record(exc: AuctionError, check: Optional[str] = None) -> dict:
 
 
 def _verify_worker(payload: tuple) -> list[dict]:
-    path, config_dict, checks, trials, flags, caps = payload
+    path, config_dict, checks, trials, flags = payload
     config = None
     try:
         instance = ser.load_instance(path)
         base = ser.config_from_dict(config_dict) if config_dict else None
         config = _build_config(flags, instance.m, base=base)
-        results = _checks_for(instance, config, checks, trials, caps)
+        results = _checks_for(instance, config, checks, trials)
     except AuctionError as exc:  # one bad or oversize instance does not end the run
         results = [_error_record(exc)]
     for r in results:
@@ -427,7 +396,7 @@ def cmd_verify(args) -> CommandResult:
     if not targets:
         raise AuctionError(f"no instances found under {args.target}")
     flags = _config_flags(args)
-    payloads = [(path, cfg, checks, args.trials, flags, args.caps) for path, cfg in targets]
+    payloads = [(path, cfg, checks, args.trials, flags) for path, cfg in targets]
     workers = min(args.workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -514,7 +483,7 @@ def cmd_bench(args) -> CommandResult:
         t_colgen, sol_colgen = time_it(
             lambda: solve_column_generation(instance, instance.proxies(c))
         )
-        if ver.basis_count(lp) <= VERTEX_ENUM_CAP:
+        if ver.basis_count(lp) <= ver.VERTEX_ENUM_CAP:
 
             def cold_vertex_optimum():
                 # the points are cached per constraint matrix: time the walk
@@ -602,7 +571,7 @@ def cmd_bench(args) -> CommandResult:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once, on first use; each parse converts
-    the string defaults of ``--caps`` and ``--m-list`` afresh."""
+    the string default of ``--m-list`` afresh."""
     parser = argparse.ArgumentParser(
         prog="proxyauction",
         description=(
@@ -652,12 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--q-variant", choices=[Q_HALT, Q_OWN_ITEMS], help="q event scope")
         cmd.add_argument("--seed", type=int, help="master seed (default: 0)")
         cmd.add_argument("--solver", choices=[SOLVER_FULL, SOLVER_COLGEN], help="LP method")
-        cmd.add_argument(
-            "--caps",
-            type=_caps,
-            default="",
-            help=f"comma-separated key=int enumeration caps; keys: {', '.join(CAP_DEFAULTS)}",
-        )
         cmd.add_argument("--format", choices=["json", "table"], default="json")
         cmd.add_argument("--out")
         cmd.add_argument("--timings", action="store_true", help="print wall-clock to stderr")

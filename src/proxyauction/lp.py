@@ -137,10 +137,7 @@ class FractionalSolution:
 
 
 def build_full_lp(
-    instance: Instance,
-    valuations: Optional[Sequence[Valuation]] = None,
-    *,
-    item_cap: int = LP_ITEM_CAP,
+    instance: Instance, valuations: Optional[Sequence[Valuation]] = None
 ) -> ConfigLP:
     """One column per bidder per nonempty bundle, coefficients by value query.
 
@@ -150,8 +147,8 @@ def build_full_lp(
     vals = tuple(valuations) if valuations is not None else instance.valuations
     if len(vals) != instance.n:
         raise ParameterError("need exactly one valuation per bidder")
-    if instance.m > item_cap:
-        raise CapacityError("full LP column enumeration", 1 << instance.m, 1 << item_cap)
+    if instance.m > LP_ITEM_CAP:
+        raise CapacityError("full LP column enumeration", 1 << instance.m, 1 << LP_ITEM_CAP)
     columns = []
     for i, v in enumerate(vals):
         for mask in range(1, 1 << instance.m):

@@ -53,7 +53,6 @@ from .errors import (
     ParameterError,
 )
 from .lp import (
-    LP_ITEM_CAP,
     ConfigLP,
     FractionalSolution,
     build_full_lp,
@@ -61,7 +60,7 @@ from .lp import (
     solve_exact,
     zero_objective,
 )
-from .valuations import PROXY_SUBSET_CAP, Instance
+from .valuations import Instance
 
 Q_HALT = "halt"
 Q_OWN_ITEMS = "own-items"
@@ -80,7 +79,7 @@ class MechanismConfig:
     c: per-item keep probability, a reciprocal integer in (0, 1].
     p: survival probability of step 7, a rational in (0, 1].
     q_variant: "halt" or "own-items" (see module docstring).
-    seed: master seed; every stage stream is derived from it.
+    seed: master seed, an int in [0, 2^64); every stage stream is derived from it.
     solver: "full" or "column-generation" for the LP step.
     """
 
@@ -102,8 +101,9 @@ class MechanismConfig:
             raise ParameterError(f"unknown q variant {self.q_variant!r}")
         if self.solver not in (SOLVER_FULL, SOLVER_COLGEN):
             raise ParameterError(f"unknown solver {self.solver!r}")
-        if not 0 <= int(self.seed) < (1 << 64):
-            raise ParameterError("seed must fit in 64 unsigned bits")
+        # an int itself: a bool, float or Fraction seed could not be written back as one
+        if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
+            raise ParameterError(f"seed must be an int in 64 unsigned bits, got {self.seed!r}")
 
     @property
     def inv_c(self) -> int:
@@ -280,13 +280,7 @@ def _overfilled(masks: Sequence[int], inv_c: int) -> int:
 
 
 def compute_q(
-    solution: FractionalSolution,
-    bidder: int,
-    bundle: int,
-    c: Fraction,
-    variant: str = Q_HALT,
-    *,
-    atom_cap: int = ATOM_CAP,
+    solution: FractionalSolution, bidder: int, bundle: int, c: Fraction, variant: str = Q_HALT
 ) -> Fraction:
     """Exact probability of the q event for one bidder and tentative bundle.
 
@@ -302,8 +296,8 @@ def compute_q(
     laws = [tentative_law(solution, i) for i in range(solution.n)]
     del laws[bidder]
     size = math.prod(map(len, laws))
-    if size > atom_cap:
-        raise CapacityError("q enumeration over joint draws", size, atom_cap)
+    if size > ATOM_CAP:
+        raise CapacityError("q enumeration over joint draws", size, ATOM_CAP)
     scope = -1 if variant == Q_HALT else bundle
     inv_c = c.denominator
     total = Fraction(0)
@@ -350,16 +344,10 @@ class Pipeline:
         config: MechanismConfig,
         *,
         solution: Optional[FractionalSolution] = None,
-        atom_cap: int = ATOM_CAP,
-        proxy_cap: int = PROXY_SUBSET_CAP,
-        lp_cap: int = LP_ITEM_CAP,
     ):
         self.instance = instance
         self.config = config
-        self.atom_cap = atom_cap
-        self.proxy_cap = proxy_cap
-        self.lp_cap = lp_cap
-        self.proxies = instance.proxies(config.c, subset_cap=proxy_cap)
+        self.proxies = instance.proxies(config.c)
         self._lp: Optional[ConfigLP] = None
         if solution is None:
             solution = self._solve()
@@ -380,7 +368,7 @@ class Pipeline:
     @property
     def lp(self) -> ConfigLP:
         if self._lp is None:
-            self._lp = build_full_lp(self.instance, self.proxies, item_cap=self.lp_cap)
+            self._lp = build_full_lp(self.instance, self.proxies)
         return self._lp
 
     def q(self, bidder: int, bundle: int) -> Fraction:
@@ -388,12 +376,7 @@ class Pipeline:
         got = self._q_cache.get(key)
         if got is None:
             got = self._q_cache[key] = compute_q(
-                self.solution,
-                bidder,
-                bundle,
-                self.config.c,
-                self.config.q_variant,
-                atom_cap=self.atom_cap,
+                self.solution, bidder, bundle, self.config.c, self.config.q_variant
             )
         return got
 

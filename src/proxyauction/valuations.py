@@ -15,8 +15,8 @@ stand-in for communication cost.
 ``ProxyValuation`` wraps a base valuation ``v`` with a keep probability ``c``
 (``1/c`` integral) and evaluates the expected value of a bundle after each of
 its items survives independently with probability ``c``. Its table is the
-subset-sum (zeta) transform of the base table over exact integers, so the
-proxy cap bounds ``m``, not the bundle: past it, every bundle raises.
+subset-sum (zeta) transform of the base table over exact integers, so
+``TABLE_CAP`` bounds ``m``, not the bundle: past it, every bundle raises.
 
 Demand queries scan the ``2^m`` bundles as integer numerators over one
 denominator.
@@ -33,13 +33,11 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, MalformedValuationError, ParameterError
 from .itemsets import subset_sums
 
-# Default enumeration caps. Value tables, and with them every value and demand
-# query, cover all 2^m bundles; the proxy cap bounds the proxy tables below
-# that.
+# Value tables, base and proxy, and with them every value and demand query,
+# cover all 2^m bundles.
 TABLE_CAP = 20
 # items of one instance: past it, a cap over 2^m bundles could not print its count
 INSTANCE_ITEM_CAP = 1000
-PROXY_SUBSET_CAP = 20
 
 Value = Fraction
 
@@ -294,13 +292,13 @@ class ProxyValuation(Valuation):
     ``value(S)`` returns E[v(T)] where T keeps each item of S independently
     with probability ``c``, counted as a proxy value query. With c = 1 this
     is the base valuation itself. The table covers all ``2^m`` bundles at
-    once, which needs ``m <= subset_cap``: past the cap every query raises
+    once, which needs ``m <= TABLE_CAP``: past the cap every query raises
     ``CapacityError``, however small its bundle.
     """
 
     kind = "proxy"
 
-    def __init__(self, base: Valuation, c, *, subset_cap: int = PROXY_SUBSET_CAP):
+    def __init__(self, base: Valuation, c):
         if isinstance(base, ProxyValuation):
             raise ParameterError("proxy valuations do not nest")
         c = Fraction(c)
@@ -309,7 +307,6 @@ class ProxyValuation(Valuation):
         super().__init__(base.m)
         self.base = base
         self.c = c
-        self.subset_cap = subset_cap
         self.counter = base.counter  # shared: proxy answers come from the same bidder
 
     def value(self, mask: int) -> Value:
@@ -326,8 +323,6 @@ class ProxyValuation(Valuation):
         v'(S) = h[S] / (D k^|S|) (Yates; Bjorklund, Husfeldt, Kaski and
         Koivisto, STOC 2007); the table returns it over D k^m.
         """
-        if self.m > self.subset_cap:
-            raise CapacityError("proxy table over all bundles", 1 << self.m, 1 << self.subset_cap)
         size = 1 << self.m
         values, den = self.base.value_table
         h = list(values)  # transformed in place; the base keeps its table
@@ -371,5 +366,5 @@ class Instance:
             for name in ("value_queries", "demand_queries", "proxy_value_queries")
         }
 
-    def proxies(self, c, *, subset_cap: int = PROXY_SUBSET_CAP) -> tuple[ProxyValuation, ...]:
-        return tuple(ProxyValuation(v, c, subset_cap=subset_cap) for v in self.valuations)
+    def proxies(self, c) -> tuple[ProxyValuation, ...]:
+        return tuple(ProxyValuation(v, c) for v in self.valuations)

@@ -26,9 +26,12 @@ On top of the law sit the certification checks:
 
 Every check takes the prepared ``Pipeline`` it certifies, and the checks that
 read the outcome law also take its ``exact_distribution``, so one mechanism
-and one law serve every check of an instance, under that pipeline's caps. The
-checks return CheckResult records rather than raising, so a harness can
-collect and serialize them; the acceptance suite asserts on the records.
+and one law serve every check of an instance. Each enumeration is bounded
+by one module constant, read where it is checked (``INTEGRAL_CAP`` and
+``VERTEX_ENUM_CAP`` here, the others in the modules that own them), and
+raises ``CapacityError`` past it. The checks return CheckResult records
+rather than raising, so a harness can collect and serialize them; the
+acceptance suite asserts on the records.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
+from . import mechanism
 from . import rng as rngmod
 from .errors import CapacityError
 from .itemsets import bundle_text, items, submasks
@@ -53,7 +57,6 @@ from .mechanism import (
     tentative_law,
 )
 from .valuations import (
-    PROXY_SUBSET_CAP,
     AdditiveValuation,
     ExplicitValuation,
     Instance,
@@ -113,13 +116,13 @@ def exact_distribution(pipeline: Pipeline) -> OutcomeDistribution:
 
     The law is that of ``pipeline.solution``, which may be a hand-built
     feasible point (``Pipeline(instance, config, solution=...)``); the joint
-    draws are capped by ``pipeline.atom_cap``.
+    draws are capped by ``mechanism.ATOM_CAP``, the cap of the q enumeration.
     """
     instance, config, sol = pipeline.instance, pipeline.config, pipeline.solution
     laws = [tentative_law(sol, i) for i in range(instance.n)]
     size = math.prod(map(len, laws))
-    if size > pipeline.atom_cap:
-        raise CapacityError("joint tentative enumeration", size, pipeline.atom_cap)
+    if size > mechanism.ATOM_CAP:
+        raise CapacityError("joint tentative enumeration", size, mechanism.ATOM_CAP)
 
     atoms: list[AtomRecord] = []
     non_halt_prob: dict[tuple[int, int], Fraction] = {}
@@ -213,7 +216,7 @@ def check_keep_marginals(pipeline: Pipeline, law: OutcomeDistribution) -> CheckR
     return CheckResult("keep-marginals", True, details)
 
 
-def optimal_integral_welfare(instance: Instance, *, cap: int = INTEGRAL_CAP) -> Fraction:
+def optimal_integral_welfare(instance: Instance) -> Fraction:
     """Welfare optimum over every assignment of disjoint bundles to bidders.
 
     Every bidder gets one bundle, possibly empty, and items may stay
@@ -221,13 +224,13 @@ def optimal_integral_welfare(instance: Instance, *, cap: int = INTEGRAL_CAP) -> 
     one denominator: best_k[S] = max over T subset of S of best_{k-1}[S - T]
     + v_k(T), with best_0 = 0, is the best welfare of bidders 1..k within S,
     and the optimum is best_n[all items]. That is n * 3^m integer steps,
-    which ``cap`` bounds; the value tables are the only input, so the LP and
-    the mechanism play no part.
+    which ``INTEGRAL_CAP`` bounds; the value tables are the only input, so
+    the LP and the mechanism play no part.
     """
     n, m = instance.n, instance.m
     required = n * 3**m
-    if required > cap:
-        raise CapacityError("integral optimum by subset DP", required, cap)
+    if required > INTEGRAL_CAP:
+        raise CapacityError("integral optimum by subset DP", required, INTEGRAL_CAP)
     tables = [v.value_table for v in instance.valuations]
     den = math.lcm(*(d for _, d in tables))
     scaled = [[x * (den // d) for x in values] for values, d in tables]
@@ -239,16 +242,14 @@ def optimal_integral_welfare(instance: Instance, *, cap: int = INTEGRAL_CAP) -> 
     return Fraction(max(best[full ^ t] + last[t] for t in range(full + 1)), den)
 
 
-def check_approximation(
-    pipeline: Pipeline, law: OutcomeDistribution, *, cap: int = INTEGRAL_CAP
-) -> CheckResult:
+def check_approximation(pipeline: Pipeline, law: OutcomeDistribution) -> CheckResult:
     """Expected welfare >= c * p * (optimal integral welfare), exactly.
 
-    ``law`` is ``exact_distribution(pipeline)``; ``cap`` bounds the subset
-    DP's n * 3^m steps for the integral optimum.
+    ``law`` is ``exact_distribution(pipeline)``; ``INTEGRAL_CAP`` bounds the
+    subset DP's n * 3^m steps for the integral optimum.
     """
     config = pipeline.config
-    opt = optimal_integral_welfare(pipeline.instance, cap=cap)
+    opt = optimal_integral_welfare(pipeline.instance)
     bound = config.c * config.p * opt
     return CheckResult(
         "approximation",
@@ -265,7 +266,6 @@ def check_proxy_bound(
     instance: Instance,
     *,
     cs: Sequence = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
-    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> CheckResult:
     """proxy_value(S) >= c * value(S) for every bundle, bidder, and c.
 
@@ -278,7 +278,7 @@ def check_proxy_bound(
     for i, v in enumerate(instance.valuations):
         values, d_v = v.value_table
         for c in cs:
-            proxy = ProxyValuation(v, c, subset_cap=proxy_cap)
+            proxy = ProxyValuation(v, c)
             proxies, d_p = proxy.value_table
             lhs_scale = proxy.c.denominator * d_v
             for mask, (pv, bv) in enumerate(zip(proxies, values)):
@@ -361,23 +361,23 @@ def basis_count(lp: ConfigLP) -> int:
     return math.comb(len(lp.columns) + n_rows, n_rows)
 
 
-def basic_feasible_points(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> tuple:
+def basic_feasible_points(lp: ConfigLP) -> tuple:
     """The distinct basic feasible points of the LP's constraints.
 
     Each point is ``(den, ((column, num), ...))``: x = num / den on the
     listed columns (ascending indices into ``lp.columns``) and 0 elsewhere,
     in lowest terms. Every right-hand side is 1, so the columns' (bidder,
     bundle) keys fix the points, which are cached by those keys and shared by
-    LPs of any coefficients, such as ``ConfigLP.zero_bidder``'s. The cap is
-    checked first, also for cached constraints.
+    LPs of any coefficients, such as ``ConfigLP.zero_bidder``'s.
+    ``VERTEX_ENUM_CAP`` is checked first, also for cached constraints.
     """
     bases = basis_count(lp)
-    if bases > cap:
-        raise CapacityError("basic-solution enumeration", bases, cap)
+    if bases > VERTEX_ENUM_CAP:
+        raise CapacityError("basic-solution enumeration", bases, VERTEX_ENUM_CAP)
     return _feasible_points(lp.n, lp.m, tuple((col.bidder, col.bundle) for col in lp.columns))
 
 
-def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fraction:
+def enumerate_vertex_optimum(lp: ConfigLP) -> Fraction:
     """Optimum over every basic feasible point of the slack-extended system.
 
     Independent of the simplex: ``basic_feasible_points`` lists the points,
@@ -386,7 +386,7 @@ def enumerate_vertex_optimum(lp: ConfigLP, *, cap: int = VERTEX_ENUM_CAP) -> Fra
     scores are compared as integer ratios, and one ``Fraction`` is built, for
     the optimum. Intended for tiny instances: the number of bases is capped.
     """
-    points = basic_feasible_points(lp, cap=cap)
+    points = basic_feasible_points(lp)
     coefs = [col.coef for col in lp.columns]
     den = math.lcm(*(coef.denominator for coef in coefs))
     weights = [coef.numerator * (den // coef.denominator) for coef in coefs]
@@ -602,11 +602,10 @@ def check_truthfulness(pipeline: Pipeline) -> CheckResult:
     Utility is p-weighted expected true value minus the deterministic charge,
     both exact. ``pipeline`` is the truthful run; the mechanism (LP, q
     values, payments) is recomputed from each misreported profile exactly as
-    it would be for real reports, under the truthful run's caps. Also checks
-    that truthful utility is nonnegative.
+    it would be for real reports. Also checks that truthful utility is
+    nonnegative.
     """
     instance, config = pipeline.instance, pipeline.config
-    caps = dict(atom_cap=pipeline.atom_cap, proxy_cap=pipeline.proxy_cap, lp_cap=pipeline.lp_cap)
     truth_dist = exact_distribution(pipeline)
     truth_charges = pipeline.payments()
 
@@ -626,7 +625,7 @@ def check_truthfulness(pipeline: Pipeline) -> CheckResult:
                 instance.m,
                 tuple(report if j == i else v for j, v in enumerate(instance.valuations)),
             )
-            dev_pipeline = Pipeline(reported, config, **caps)
+            dev_pipeline = Pipeline(reported, config)
             dev_dist = exact_distribution(dev_pipeline)
             dev_charges = dev_pipeline.payments()
             dev_utility = expected_true_value(dev_dist, i, true_proxy) - dev_charges[i]

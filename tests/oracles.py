@@ -34,7 +34,6 @@ from proxyauction.mechanism import (
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
 from proxyauction.valuations import (
-    PROXY_SUBSET_CAP,
     AdditiveValuation,
     ProxyValuation,
     Valuation,
@@ -152,7 +151,6 @@ def proxy_bound_violations_by_fractions(
     instance,
     *,
     cs: Sequence = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
-    proxy_cap: int = PROXY_SUBSET_CAP,
 ) -> list:
     """Every (bidder, c, bundle) with proxy_value < c * value, compared as Fractions.
 
@@ -162,7 +160,7 @@ def proxy_bound_violations_by_fractions(
     violations = []
     for i, v in enumerate(instance.valuations):
         for c in cs:
-            proxy = ProxyValuation(v, c, subset_cap=proxy_cap)
+            proxy = ProxyValuation(v, c)
             for mask in range(1 << instance.m):
                 lhs = proxy._value(mask)
                 rhs = Fraction(c) * v._value(mask)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import rows_against_columns
 from oracles import canonical_dumps_by_json, solution_from_dict
-from proxyauction import cli, generators, mechanism
+from proxyauction import cli, generators, lp, mechanism, valuations
 from proxyauction import rng as rngmod
 from proxyauction import verify as ver
 from proxyauction.cli import main
@@ -260,7 +260,7 @@ def test_bench_checks_vertex_enumeration_under_the_cap(tmp_path):
 
 def test_main_parses_fresh_defaults_on_every_call(monkeypatch):
     # the parser is built once per process; each parse converts the string
-    # defaults of --caps and --m-list afresh, so no call sees another's values
+    # default of --m-list afresh, so no call sees another's values
     parser = cli.build_parser()
     assert cli.build_parser() is parser
     parse, seen = parser.parse_args, []
@@ -272,13 +272,9 @@ def test_main_parses_fresh_defaults_on_every_call(monkeypatch):
         return args
 
     monkeypatch.setattr(parser, "parse_args", recording)
-    for argv in (["verify", "x.json", "--caps", "lp=3"], ["verify", "x.json"],
-                 ["verify", "x.json"], ["bench", "--m-list", "2,3"], ["bench"], ["bench"]):
+    for argv in (["bench", "--m-list", "2,3"], ["bench"], ["bench"]):
         assert main(argv) == 0
-    capped, plain, again, listed, default, default_again = seen
-    assert capped.caps == {**cli.CAP_DEFAULTS, "lp": 3}
-    assert plain.caps == again.caps == cli.CAP_DEFAULTS
-    assert plain.caps is not again.caps and plain.caps is not cli.CAP_DEFAULTS
+    listed, default, default_again = seen
     assert listed.m_list == [2, 3]
     assert default.m_list == default_again.m_list == [4, 6, 8]
     assert default.m_list is not default_again.m_list
@@ -381,34 +377,58 @@ def test_verify_workers_clamp_to_the_targets(monkeypatch, instance_file, tmp_pat
     assert four.read_bytes() == one.read_bytes()
 
 
-def test_verify_and_run_honour_the_proxy_cap(capsys):
-    # an xos proxy over m = 4 items needs a 2^4-bundle table
+def test_verify_and_run_honour_the_proxy_cap(monkeypatch, capsys):
+    # an xos proxy over m = 4 items needs a 2^4-bundle table, bounded like
+    # every value table by TABLE_CAP
     path = str(CORPUS_DIR / "08-xos-n3-m4.json")
-    assert main(["run", path, "--caps", "proxy=2"]) == 2
-    assert "proxy table over all bundles" in capsys.readouterr().err
-    assert main(["verify", path, "--caps", "proxy=2", "--checks", "lp"]) == 1
+    monkeypatch.setattr(valuations, "TABLE_CAP", 2)
+    assert main(["run", path]) == 2
+    assert "value table over all bundles" in capsys.readouterr().err
+    assert main(["verify", path, "--checks", "lp"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
     [record] = report["results"]
     assert record["check"] == "error"
     assert record["details"]["error"] == "CapacityError"
     assert (record["details"]["required"], record["details"]["cap"]) == (16, 4)
-    assert main(["verify", path, "--caps", "proxy=4", "--checks", "lp"]) == 0
+    monkeypatch.setattr(valuations, "TABLE_CAP", 4)
+    assert main(["verify", path, "--checks", "lp"]) == 0
 
 
-def test_verify_and_run_honour_the_lp_cap(capsys):
+def test_verify_and_run_honour_the_lp_cap(monkeypatch, capsys):
     # the full LP over m = 5 items has 2^5 - 1 columns per bidder
     path = str(CORPUS_DIR / "05-unit-demand-n3-m5.json")
-    assert main(["run", path, "--caps", "lp=2"]) == 2
+    monkeypatch.setattr(lp, "LP_ITEM_CAP", 2)
+    assert main(["run", path]) == 2
     assert "full LP column enumeration" in capsys.readouterr().err
-    assert main(["verify", path, "--caps", "lp=2", "--checks", "lp"]) == 1
+    assert main(["verify", path, "--checks", "lp"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
     [record] = report["results"]
     assert record["check"] == "error"
     assert record["details"]["error"] == "CapacityError"
     assert (record["details"]["required"], record["details"]["cap"]) == (32, 4)
-    assert main(["verify", path, "--caps", "lp=5", "--checks", "lp"]) == 0
+    monkeypatch.setattr(lp, "LP_ITEM_CAP", 5)
+    assert main(["verify", path, "--checks", "lp"]) == 0
+
+
+@pytest.mark.parametrize(
+    "m, solver, what",
+    [
+        (lp.LP_ITEM_CAP + 1, "full", "full LP column enumeration"),
+        (valuations.TABLE_CAP + 1, "column-generation", "value table over all bundles"),
+    ],
+    ids=["lp", "table"],
+)
+def test_the_default_caps_refuse_one_item_more(m, solver, what, tmp_path, capsys):
+    # one item past a cap over 2^m bundles: run exits 2, and verify reports the instance
+    path = str(tmp_path / "wide.json")
+    assert main(["generate", "--kind", "additive", "--n", "2", "--m", str(m), "--out", path]) == 0
+    assert main(["run", path, "--solver", solver]) == 2
+    message = f"error: {what}: {1 << m} exceeds the cap of {1 << (m - 1)}\n"
+    assert capsys.readouterr().err == message
+    argv = ["verify", path, "--solver", solver, "--checks", "lp"]
+    assert cap_error(capsys, argv) == (what, 1 << m, 1 << (m - 1))
 
 
 def cap_error(capsys, argv) -> tuple:
@@ -468,11 +488,12 @@ def test_generate_corpus_writes_the_committed_files(corpus, tmp_path, capsys):
 CONTENDED = ["verify", str(CORPUS_DIR / "22-xos-n3-m4-contended.json"), "--c", "1/2", "--p", "1/20"]
 
 
-def test_verify_law_honours_the_atom_cap(capsys):
+def test_verify_law_honours_the_atom_cap(monkeypatch, capsys):
     # the contended instance's law has 12 joint tentative draws: each check that
     # reads the law reports the cap, and the checks that do not keep their results
     for cap in (6, 11):
-        assert main([*CONTENDED, "--caps", f"atoms={cap}"]) == 1
+        monkeypatch.setattr(mechanism, "ATOM_CAP", cap)
+        assert main(CONTENDED) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         errors = [r for r in report["results"] if r["check"] == "error"]
@@ -486,7 +507,8 @@ def test_verify_law_honours_the_atom_cap(capsys):
         passed = [r["check"] for r in report["results"] if r["check"] != "error"]
         assert passed == ["proxy-bound", "lp-agreement"]
         assert all(r["passed"] for r in report["results"] if r["check"] != "error")
-    assert main([*CONTENDED, "--caps", "atoms=12"]) == 0
+    monkeypatch.setattr(mechanism, "ATOM_CAP", 12)
+    assert main(CONTENDED) == 0
 
 
 def test_a_law_that_cannot_be_built_is_tried_once(monkeypatch, capsys):
@@ -528,23 +550,27 @@ def test_a_plan_that_always_halts_meets_the_cancellation_bound(tmp_path, capsys)
     assert results[3]["passed"]
 
 
-def test_truthfulness_honours_the_lp_and_atom_caps(capsys):
+def test_truthfulness_honours_the_lp_and_atom_caps(monkeypatch, capsys):
     argv = [*CONTENDED, "--checks", "truthfulness"]
-    assert cap_error(capsys, [*argv, "--caps", "lp=2"]) == ("full LP column enumeration", 16, 4)
-    assert cap_error(capsys, [*argv, "--caps", "atoms=1"]) == ("joint tentative enumeration", 12, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "LP_ITEM_CAP", 2)
+        assert cap_error(capsys, argv) == ("full LP column enumeration", 16, 4)
+    monkeypatch.setattr(mechanism, "ATOM_CAP", 1)
+    assert cap_error(capsys, argv) == ("joint tentative enumeration", 12, 1)
 
 
-def test_approximation_honours_the_integral_cap(capsys):
+def test_approximation_honours_the_integral_cap(monkeypatch, capsys):
     # the subset DP over n = 3 bidders and m = 4 items takes 3 * 3^4 steps
     argv = [*CONTENDED, "--checks", "approximation"]
-    assert cap_error(capsys, [*argv, "--caps", "integral=242"]) == (
-        "integral optimum by subset DP", 243, 242,
-    )
-    assert main([*argv, "--caps", "integral=243"]) == 0
+    monkeypatch.setattr(ver, "INTEGRAL_CAP", 242)
+    assert cap_error(capsys, argv) == ("integral optimum by subset DP", 243, 242)
+    monkeypatch.setattr(ver, "INTEGRAL_CAP", 243)
+    assert main(argv) == 0
 
 
-def test_a_raising_check_keeps_the_other_checks_results(capsys):
-    argv = [*CONTENDED, "--checks", "welfare,approximation", "--caps", "integral=242"]
+def test_a_raising_check_keeps_the_other_checks_results(monkeypatch, capsys):
+    monkeypatch.setattr(ver, "INTEGRAL_CAP", 242)
+    argv = [*CONTENDED, "--checks", "welfare,approximation"]
     assert main(argv) == 1
     welfare, error = json.loads(capsys.readouterr().out)["results"]
     assert welfare["check"] == "welfare-identity" and welfare["passed"]
@@ -593,9 +619,10 @@ def test_verify_reports_a_malformed_file_in_a_plain_directory(tmp_path, capsys):
     assert record["details"]["error"] == "FormatError"
 
 
-def test_verify_corpus_reports_each_oversize_instance(capsys):
-    # proxy=3: only instances with m <= 3 fit; the rest become error records
-    code = main(["verify", str(CORPUS_DIR), "--caps", "proxy=3"])
+def test_verify_corpus_reports_each_oversize_instance(monkeypatch, capsys):
+    # a table cap of 3: only instances with m <= 3 fit; the rest become error records
+    monkeypatch.setattr(valuations, "TABLE_CAP", 3)
+    code = main(["verify", str(CORPUS_DIR)])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["passed"] is False
     by_file = {}
@@ -613,7 +640,7 @@ def test_verify_corpus_reports_each_oversize_instance(capsys):
             [record] = records
             assert record["check"] == "error" and record["asserted"], name
             details = record["details"]
-            assert details["what"] == "proxy table over all bundles", name
+            assert details["what"] == "value table over all bundles", name
             assert (details["required"], details["cap"]) == (1 << instance["m"], 8), name
             assert record["config"] is not None
     assert errors > 0
@@ -799,14 +826,12 @@ INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
          "argument --replications: expected a positive integer"),
         (["generate", "--kind", "xos", "--n", "2", "--m", "3", "--clauses", "0"],
          "argument --clauses: expected a positive integer"),
-        # a superscript digit passes str.isdigit but not int()
-        (["verify", INSTANCE, "--caps", "proxy=\u00b2"],
-         "argument --caps: bad entry 'proxy=\u00b2'"),
-        (["run", INSTANCE, "--caps", "atoms"], "argument --caps: bad entry 'atoms'"),
+        # every cap is a module constant, not a flag
+        (["verify", INSTANCE, "--caps", "lp=3"], "unrecognized arguments: --caps lp=3"),
     ],
     ids=["c-text", "c-zero-denominator", "p-text", "c-exponent", "p-exponent", "c-oversize",
          "trials-zero", "repeat-zero", "m-list-text",
-         "replications-negative", "clauses-zero", "caps-superscript", "caps-without-value"],
+         "replications-negative", "clauses-zero", "caps-unrecognized"],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

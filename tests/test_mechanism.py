@@ -87,6 +87,17 @@ def test_config_validation():
         MechanismConfig(c=F(1, 2), p=F(1, 2), q_variant="sometimes")
     with pytest.raises(ParameterError):
         MechanismConfig(c=F(1, 2), p=F(1, 2), seed=-1)
+    with pytest.raises(ParameterError):
+        MechanismConfig(c=F(1, 2), p=F(1, 2), seed=1 << 64)
+    MechanismConfig(c=F(1, 2), p=F(1, 2), seed=(1 << 64) - 1)
+
+
+@pytest.mark.parametrize("seed", [True, 7.0, 7.9, F(7)], ids=["true", "7.0", "7.9", "fraction-7"])
+def test_config_refuses_a_seed_that_is_not_an_int(seed):
+    # each converts by int(), but the written config would not read back (a bool
+    # or float), would draw as another seed (7.9 as 7), or would not encode (Fraction)
+    with pytest.raises(ParameterError, match="seed must be an int"):
+        MechanismConfig(c=F(1, 2), p=F(1, 2), seed=seed)
 
 
 # -- tentative draw -----------------------------------------------------------
@@ -235,12 +246,19 @@ def test_q_for_empty_bundle():
     assert compute_q(sol, 0, 0, F(1), Q_OWN_ITEMS) == 0
 
 
-def test_q_atom_cap():
+def test_q_atom_cap(monkeypatch):
     from proxyauction.errors import CapacityError
 
     sol = overlap_two_bidder_solution()
-    with pytest.raises(CapacityError):
-        compute_q(sol, 0, 1, F(1), Q_HALT, atom_cap=1)
+    size = len(tentative_law(sol, 1))  # the other bidder's draws
+    monkeypatch.setattr(mechanism, "ATOM_CAP", size - 1)
+    with pytest.raises(CapacityError) as info:
+        compute_q(sol, 0, 1, F(1), Q_HALT)
+    assert (info.value.what, info.value.required, info.value.cap) == (
+        "q enumeration over joint draws", size, size - 1,
+    )
+    monkeypatch.setattr(mechanism, "ATOM_CAP", size)
+    assert compute_q(sol, 0, 1, F(1), Q_HALT) == F(1, 2)
 
 
 def test_q_equals_the_assignment_oracle_on_both_corpora():

@@ -16,6 +16,7 @@ from oracles import (
 )
 from proxyauction.errors import CapacityError, MalformedValuationError, ParameterError
 from proxyauction.valuations import (
+    TABLE_CAP,
     AdditiveValuation,
     CoverageValuation,
     ExplicitValuation,
@@ -145,23 +146,27 @@ def test_proxy_requires_reciprocal_integer():
 
 def test_proxy_enumeration_cap():
     v = XOSValuation(25, [[1] * 25])
-    pv = ProxyValuation(v, F(1, 2), subset_cap=20)
-    with pytest.raises(CapacityError):
+    pv = ProxyValuation(v, F(1, 2))
+    with pytest.raises(CapacityError) as info:
         pv.value((1 << 25) - 1)
+    assert (info.value.what, info.value.required, info.value.cap) == (
+        "value table over all bundles", 1 << 25, 1 << TABLE_CAP,
+    )
 
 
 def test_proxy_table_cap_bounds_the_universe_not_the_bundle():
-    # the table covers all 2^m bundles, so even a one-item bundle needs m <= cap
-    pv = ProxyValuation(XOSValuation(5, [[1] * 5]), F(1, 2), subset_cap=4)
+    # the table covers all 2^m bundles, so even a one-item bundle needs m <= TABLE_CAP
+    m = TABLE_CAP + 1
+    pv = ProxyValuation(XOSValuation(m, [[1] * m]), F(1, 2))
     with pytest.raises(CapacityError) as info:
         pv.value(1)
-    assert (info.value.required, info.value.cap) == (1 << 5, 1 << 4)
+    assert (info.value.required, info.value.cap) == (1 << m, 1 << TABLE_CAP)
     with pytest.raises(CapacityError):
-        pv.demand([0] * 5)
+        pv.demand([0] * m)
     # every kind reads the same table, so additive and unit-demand bases are capped too
-    for base in (AdditiveValuation([1] * 5), UnitDemandValuation([1] * 5)):
+    for base in (AdditiveValuation([1] * m), UnitDemandValuation([1] * m)):
         with pytest.raises(CapacityError):
-            ProxyValuation(base, F(1, 2), subset_cap=4).value(0b11111)
+            ProxyValuation(base, F(1, 2)).value(0b11111)
 
 
 fractions_st = st.fractions(min_value=0, max_value=10, max_denominator=6)

@@ -5,15 +5,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import any_kind_instances, config_lp, overlap_demo, prepared
+from fixtures import any_kind_instances, config_lp, overlap_demo, prepared, rows_against_columns
 from oracles import (
     additive_lp_optimum,
+    index_list,
     integral_welfare_by_products,
     proxy_bound_violations_by_fractions,
     text_of,
     vertex_optima_by_combinations,
     vertex_optimum_by_combinations,
 )
+from proxyauction import verify as ver
 from proxyauction.errors import CapacityError
 from proxyauction.generators import GENERATOR_KINDS, generate
 from proxyauction.lp import Column, FractionalSolution, build_full_lp, solve_exact
@@ -186,12 +188,14 @@ def test_integral_optimum_reads_no_lp_or_mechanism():
     assert_reads_no_lp_or_mechanism(optimal_integral_welfare)
 
 
-def test_integral_optimum_cap():
+def test_integral_optimum_cap(monkeypatch):
     inst = generate("additive", 3, 4, 0)
     required = 3 * 3**4
-    assert optimal_integral_welfare(inst, cap=required) == integral_welfare_by_products(inst)
+    monkeypatch.setattr(ver, "INTEGRAL_CAP", required)
+    assert optimal_integral_welfare(inst) == integral_welfare_by_products(inst)
+    monkeypatch.setattr(ver, "INTEGRAL_CAP", required - 1)
     with pytest.raises(CapacityError) as info:
-        optimal_integral_welfare(inst, cap=required - 1)
+        optimal_integral_welfare(inst)
     assert info.value.required == required
     assert info.value.cap == required - 1
     assert "subset DP" in info.value.what
@@ -467,7 +471,7 @@ def test_vertex_enumeration_matches_combinations_oracle_on_small_lps(lp):
     assert enumerate_vertex_optimum(lp) == vertex_optimum_by_combinations(lp)
 
 
-def test_vertex_enumeration_cap_matches_combinations_oracle(corpus):
+def test_vertex_enumeration_cap_matches_combinations_oracle(corpus, monkeypatch):
     def capacity(fn, lp, **kwargs):
         with pytest.raises(CapacityError) as info:
             fn(lp, **kwargs)
@@ -481,16 +485,16 @@ def test_vertex_enumeration_cap_matches_combinations_oracle(corpus):
 
     small = build_full_lp(corpus[12].instance)  # n = 2, m = 2: 210 bases
     assert bases(small) == 210
-    for fn in (enumerate_vertex_optimum, vertex_optimum_by_combinations):
-        assert capacity(fn, small, cap=209) == ("basic-solution enumeration", 210, 209)
-    assert enumerate_vertex_optimum(small, cap=210) == vertex_optimum_by_combinations(
-        small, cap=210
-    )
+    want = ("basic-solution enumeration", 210, 209)
+    monkeypatch.setattr(ver, "VERTEX_ENUM_CAP", 209)
+    assert capacity(enumerate_vertex_optimum, small) == want
+    assert capacity(vertex_optimum_by_combinations, small, cap=209) == want
+    monkeypatch.setattr(ver, "VERTEX_ENUM_CAP", 210)
+    assert enumerate_vertex_optimum(small) == vertex_optimum_by_combinations(small, cap=210)
     # small's points are cached now; the cap is still checked, before the lookup
     hits = _feasible_points.cache_info().hits
-    assert capacity(enumerate_vertex_optimum, small, cap=209) == (
-        "basic-solution enumeration", 210, 209
-    )
+    monkeypatch.setattr(ver, "VERTEX_ENUM_CAP", 209)
+    assert capacity(enumerate_vertex_optimum, small) == want
     assert _feasible_points.cache_info().hits == hits
 
 
@@ -512,3 +516,114 @@ def test_truthfulness_holds_under_column_generation_solver(truthful_corpus):
     cfg = replace(item.config, solver="column-generation")
     res = check_truthfulness(Pipeline(item.instance, cfg))
     assert res.passed, res.witness
+
+
+# -- each check fails on a broken input ---------------------------------------------
+# The input is broken and the check runs as written: a law shifted with
+# dataclasses.replace, a pipeline given a non-optimal solution or another LP,
+# a mechanism that charges nothing, a mechanism that always halts.
+
+
+def contended_law(corpus):
+    item = corpus[22]  # xos n3 m4 at c = 1/2: halts, and every q is live
+    return prepared(item.instance, item.config)
+
+
+def test_welfare_identity_fails_on_a_shifted_expected_welfare(corpus):
+    pipeline, law = contended_law(corpus)
+    res = check_welfare_identity(pipeline, replace(law, expected_welfare=law.expected_welfare + 1))
+    assert res.passed is False
+    assert res.details["gap"] == "-1"
+    assert res.details["p_times_objective"] == str(pipeline.config.p * law.objective)
+
+
+def test_keep_marginals_fails_on_one_shifted_marginal(corpus):
+    pipeline, law = contended_law(corpus)
+    first, *rest = law.entries
+    shifted = replace(first, marginal=first.marginal + F(1, 100))
+    res = check_keep_marginals(pipeline, replace(law, entries=(shifted, *rest)))
+    assert res.passed is False
+    assert res.details["deficits"] == [res.witness]
+    assert res.witness == {
+        "bidder": first.bidder,
+        "bundle": index_list(first.bundle),
+        "x": str(first.x),
+        "target": str(pipeline.config.p * first.x),
+        "marginal": str(shifted.marginal),
+        "deficit": "-1/100",
+    }
+
+
+def test_approximation_fails_on_a_law_of_zero_welfare(corpus):
+    pipeline, law = contended_law(corpus)
+    res = check_approximation(pipeline, replace(law, expected_welfare=F(0)))
+    assert res.passed is False
+    # c * p * OPT = 1/2 * 1/20 * 24
+    assert (res.details["integral_opt"], res.details["c_p_opt"]) == ("24", "3/5")
+
+
+def test_monte_carlo_fails_on_a_shifted_exact_mean(corpus):
+    pipeline, law = contended_law(corpus)
+    res = check_monte_carlo(pipeline, replace(law, expected_welfare=law.expected_welfare + 1), 200)
+    assert res.passed is False
+    assert res.details["exact_mean"] == str(law.expected_welfare + 1)
+    assert check_monte_carlo(pipeline, law, 200).passed
+
+
+def half_of(solution: FractionalSolution) -> FractionalSolution:
+    """A feasible, non-optimal point: every entry and the objective halved."""
+    entries = {key: x / 2 for key, x in solution.entries.items()}
+    return replace(solution, entries=entries, objective=solution.objective / 2)
+
+
+@pytest.mark.parametrize(
+    "index, reported, optimum, vertex",
+    [(8, "15/2", "15", "skipped (beyond cap)"), (12, "3/8", "3/4", "3/4")],
+    ids=["08-beyond-the-vertex-cap", "12-under-the-vertex-cap"],
+)
+def test_lp_agreement_fails_on_a_non_optimal_solution(corpus, index, reported, optimum, vertex):
+    item = corpus[index]
+    solution = half_of(Pipeline(item.instance, item.config).solution)
+    res = check_lp_agreement(Pipeline(item.instance, item.config, solution=solution))
+    assert res.passed is False
+    assert res.details == {
+        "simplex_objective": reported,
+        "column_generation_objective": optimum,
+        "vertex_enumeration_objective": vertex,
+    }
+
+
+def test_lp_agreement_fails_when_only_vertex_enumeration_disagrees(corpus):
+    # column generation prices the pipeline's proxies and agrees with its
+    # solution; the LP the pipeline lends scores bidder 0 at zero
+    item = corpus[12]
+    pipeline = Pipeline(item.instance, item.config)
+    pipeline._lp = pipeline.lp.zero_bidder(0)
+    res = check_lp_agreement(pipeline)
+    assert res.passed is False
+    assert res.details == {
+        "simplex_objective": "3/4",
+        "column_generation_objective": "3/4",
+        "vertex_enumeration_objective": "3/8",
+    }
+
+
+def test_truthfulness_fails_when_nobody_is_charged(truthful_corpus, monkeypatch):
+    # with no charge, reporting twice the true table wins more of the LP
+    monkeypatch.setattr(Pipeline, "payments", lambda self: [F(0)] * self.instance.n)
+    failing = {}
+    for item in truthful_corpus:
+        res = check_truthfulness(Pipeline(item.instance, item.config))
+        if not res.passed:
+            assert res.witness == res.details["violations"][0]
+            failing[item.label[:3]] = res.witness["misreport"]
+    assert failing == dict.fromkeys(["T01", "T06", "T09", "T11", "T12"], "scale-2")
+
+
+def test_halt_frequency_fails_when_every_run_halts():
+    # rows against columns at c = 1: every tentative assignment halts
+    pipeline = Pipeline(rows_against_columns(), MechanismConfig(c=F(1), p=F(1, 20)))
+    res = check_halt_frequency(pipeline, 200)
+    assert res.passed is False
+    assert (res.details["halts"], res.details["trials"]) == (200, 200)
+    assert res.details["frequency"] == 1.0 and res.details["bound"] < 0.36
