@@ -517,7 +517,7 @@ def cmd_bench(args) -> CommandResult:
                 "exact_full_seconds": t_exact,
                 "exact_full_pivots": sol_exact.pivots,
                 "exact_colgen_seconds": t_colgen,
-                # every master round's pivots
+                # the pivots every master round performed
                 "exact_colgen_pivots": sol_colgen.pivots,
                 "vertex_enum_seconds": t_vertex,
                 "vertex_enum_objective": str(vertex_obj),

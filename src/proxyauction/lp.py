@@ -30,9 +30,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CapacityError, InfeasibleSolutionError, IterationLimitError, ParameterError
+from .errors import (
+    CapacityError,
+    ContractViolationError,
+    InfeasibleSolutionError,
+    IterationLimitError,
+    ParameterError,
+)
 from .itemsets import bundle_text, items, subset_sums
-from .simplex import SimplexResult, solve_canonical_max
+from .simplex import Pass, SimplexResult, solve_canonical_max
 from .valuations import AdditiveValuation, Instance, Valuation, over_one_denominator
 
 LP_ITEM_CAP = 12
@@ -104,12 +110,13 @@ class Basis(NamedTuple):
 
     ``keys[r]`` names the variable basic in row r: a column's (bidder, bundle),
     or the row of a slack (bidder rows 0..n-1, then item rows). ``result`` is
-    that solve's simplex result, whose basis inverse depends only on the
-    basic columns, so it carries over to any LP that holds them.
+    that solve's simplex result, or a pass on its path, whose basis inverse
+    depends only on the basic columns, so it carries over to any LP that
+    holds them.
     """
 
     keys: tuple
-    result: SimplexResult
+    result: SimplexResult | Pass
 
 
 @dataclass
@@ -157,9 +164,14 @@ def build_full_lp(
 
 
 def _solve_columns(
-    lp_cols: Sequence[Column], n: int, m: int, start: Optional[Basis] = None
+    lp_cols: Sequence[Column], n: int, m: int, start: Optional[Basis] = None,
+    record: Optional[list] = None,
 ) -> tuple:
-    """The simplex result over ``lp_cols`` and its optimal basis, resuming ``start`` if given."""
+    """The simplex result over ``lp_cols`` and its optimal basis, resuming ``start`` if given.
+
+    With ``record``, each pricing pass is appended to it; a pass names its
+    columns by (bidder, bundle).
+    """
     # Rows are ordered bidder constraints first, then item constraints: on
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
     # keeps gratuitous weight off the item duals and lets demand-query pricing
@@ -172,9 +184,43 @@ def _solve_columns(
             index[key] if isinstance(key, tuple) else n_cols + key
             for key in start.keys
         ])
-    res = solve_canonical_max(columns, [col.coef for col in lp_cols], n, m, start=start)
-    keys = tuple(columns[j] if j < n_cols else j - n_cols for j in res.basis)
-    return res, Basis(keys, res)
+    res = solve_canonical_max(columns, [c.coef for c in lp_cols], n, m, start=start, record=record)
+    return res, Basis(_basis_keys(columns, res.basis), res)
+
+
+def _basis_keys(columns: Sequence[tuple], basis: Sequence[int]) -> tuple:
+    """The basic variables by key: a column's (bidder, bundle), or a slack's row."""
+    n_cols = len(columns)
+    return tuple(columns[j] if j < n_cols else j - n_cols for j in basis)
+
+
+def _split_pass(record: Sequence[Pass], added: Sequence[Column], n: int) -> int:
+    """The first pass of ``record`` at which an added column changes Bland's path.
+
+    That is the first pass at which an added column prices positive ahead of
+    the variable that entered (after every old column, if a slack entered or
+    the pass is the optimum). A cold solve of the master with ``added``
+    inserted pivots as ``record`` did up to there: each old column's price
+    keeps its sign, and the ratio test reads only the entering column, the
+    basic values and the basic variables' order, which insertion keeps.
+    Each pass prices at its own objective scale, which the added columns'
+    coefficients may have changed since.
+    """
+    orders = [column_order(col) for col in added]
+    for t, step in enumerate(record):
+        e = step.entering
+        if e is not None and e < len(step.columns):
+            bidder, bundle = step.columns[e]
+            ahead = (bidder, items(bundle))
+        else:
+            ahead = None
+        for col, order in zip(added, orders):
+            if ahead is not None and order > ahead:
+                continue
+            price = step.Y[col.bidder] + sum(step.Y[n + j] for j in items(col.bundle))
+            if col.coef.numerator * step.scale * step.d > price * col.coef.denominator:
+                return t
+    raise ContractViolationError("no added column prices positive at the optimum it entered against")
 
 
 def _positive_entries(lp_cols: Sequence[Column], res: SimplexResult) -> dict:
@@ -275,12 +321,16 @@ def solve_column_generation(
     kept in ``ConfigLP``'s column order, so each round's solve is the one a
     ``ConfigLP`` of the same columns would get.
 
-    Without ``start_basis`` every round starts from the slack basis, so the
-    vertex returned is a function of the instance alone. With it (the basis
-    of a solve over the same constraints, such as a payment LP's unzeroed
-    original) the master starts as its basic columns, priced by ``oracles``,
-    and every round resumes from the previous round's basis: the optimum is
-    the same, in fewer pivots.
+    Without ``start_basis`` every round takes the path a cold solve from the
+    slack basis would, so the vertex returned is a function of the instance
+    alone. It does not re-walk that path: each round resumes from the pass
+    of the previous round's path where the new columns first change it, and
+    the passes before it carry over (``_split_pass``). With ``start_basis``
+    (the basis of a solve over the same constraints, such as a payment LP's
+    unzeroed original) the master starts as its basic columns, priced by
+    ``oracles``, and every round resumes from the previous round's basis:
+    the optimum is the same, in fewer pivots. ``pivots`` counts the pivots
+    performed.
     """
     n, m = instance.n, instance.m
     if len(oracles) != n:
@@ -297,10 +347,12 @@ def solve_column_generation(
         master.sort(key=column_order)
     have = {(col.bidder, col.bundle) for col in master}
     basis = start_basis
+    # the passes of the cold path on the current master
+    record = [] if start_basis is None else None
     rounds = pivots = 0
     while True:
         rounds += 1
-        res, last_basis = _solve_columns(master, n, m, basis)
+        res, last_basis = _solve_columns(master, n, m, basis, record)
         if start_basis is not None:
             basis = last_basis
         if rounds > max_rounds:
@@ -308,7 +360,7 @@ def solve_column_generation(
         pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
-        added = False
+        added = []
         for i in range(n):
             bundle = oracles[i].demand(y)
             if not bundle or (i, bundle) in have:
@@ -317,9 +369,9 @@ def solve_column_generation(
             reduced = coef - sum(y[j] for j in items(bundle)) - u[i]
             if reduced > 0:
                 # res.x indexes the old master, but it is read only when nothing entered
-                insort(master, Column(i, bundle, coef), key=column_order)
+                added.append(Column(i, bundle, coef))
+                insort(master, added[-1], key=column_order)
                 have.add((i, bundle))
-                added = True
         if not added:
             sol = FractionalSolution(
                 n=n,
@@ -333,4 +385,9 @@ def solve_column_generation(
             )
             certify_optimal(sol, oracles)
             return sol
+        if record is not None:
+            t = _split_pass(record, added, n)
+            step = record[t]
+            basis = Basis(_basis_keys(step.columns, step.basis), step)
+            del record[t:]
 

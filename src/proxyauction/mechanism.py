@@ -78,6 +78,7 @@ class MechanismConfig:
 
     c: per-item keep probability, a reciprocal integer in (0, 1].
     p: survival probability of step 7, a rational in (0, 1].
+    Both are given exactly, as a Fraction or an int.
     q_variant: "halt" or "own-items" (see module docstring).
     seed: master seed, an int in [0, 2^64); every stage stream is derived from it.
     solver: "full" or "column-generation" for the LP step.
@@ -90,6 +91,10 @@ class MechanismConfig:
     solver: str = SOLVER_FULL
 
     def __post_init__(self):
+        # a float is its binary value, not the rational it was written as
+        for name, value in (("c", self.c), ("p", self.p)):
+            if type(value) not in (Fraction, int):
+                raise ParameterError(f"{name} must be a Fraction or an int, got {value!r}")
         c, p = Fraction(self.c), Fraction(self.p)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "p", p)

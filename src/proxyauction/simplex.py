@@ -38,6 +38,13 @@ not on the costs, so they are a feasible start for any objective, and only
 of Bland's, so ``d`` stays positive. Bland's rule terminates from any
 feasible basis, so the optimum is the cold one, though on a degenerate
 optimum the vertex and duals reached may differ.
+
+A solve can also record its path: one ``Pass`` per pricing pass, holding the
+state it priced, its duals and what entered. Each pass is itself a start.
+Resumed from a pass on its path, a solve over more columns, inserted in the
+order, pivots exactly as its cold solve would for as long as no new column
+prices positive ahead of the pass's entering variable, which is how column
+generation replays each round's shared prefix instead of re-walking it.
 """
 
 from __future__ import annotations
@@ -64,13 +71,35 @@ class SimplexResult:
     d: Optional[int] = field(default=None, compare=False, repr=False)
 
 
+@dataclass(frozen=True)
+class Pass:
+    """One pricing pass of a solve: the state it priced and what it chose.
+
+    ``columns`` are the solve's columns. ``d``, ``M``, ``beta`` and ``basis``
+    are the basis inverse, basic values and basic variables the pass priced,
+    a start for a later solve. ``Y`` is its dual numerators over
+    ``d * scale``, where ``scale`` is the solve's objective scale, and
+    ``entering`` the variable that entered, or None at the optimum.
+    """
+
+    columns: Sequence[tuple[int, int]]
+    d: int
+    M: list
+    beta: list
+    basis: list
+    Y: list
+    scale: int
+    entering: Optional[int]
+
+
 def solve_canonical_max(
     columns: Sequence[tuple[int, int]],
     objective: Sequence,
     n: int,
     m: int,
     *,
-    start: Optional[SimplexResult] = None,
+    start: Optional[SimplexResult | Pass] = None,
+    record: Optional[list] = None,
 ) -> SimplexResult:
     """Maximize objective . x subject to A x <= 1, x >= 0 over n bidder and m item rows.
 
@@ -81,6 +110,8 @@ def solve_canonical_max(
     an earlier result over the same rows whose ``basis`` indexes these
     columns (slack r as column ``len(columns) + r``); the solve resumes from
     its basis and leaves it unchanged. The default is the all-slack basis.
+    A ``Pass`` of an earlier solve is a start too. If ``record`` is given,
+    each pricing pass is appended to it.
     """
     n_cols, n_rows = len(columns), n + m
     obj_scale = lcm(*(c.denominator for c in objective))
@@ -122,6 +153,12 @@ def solve_canonical_max(
                 if y < 0:
                     entering, gain = n_cols + r, -y
                     break
+        if record is not None:
+            # rows of M are replaced, never changed in place, so a shallow copy keeps them
+            record.append(Pass(
+                columns, d, list(M), list(beta), list(basis), Y, obj_scale,
+                entering if entering >= 0 else None,
+            ))
         if entering < 0:
             break
 

@@ -23,7 +23,6 @@ from proxyauction.itemsets import submasks
 from proxyauction.lp import (
     ConfigLP,
     FractionalSolution,
-    solve_column_generation,
     solve_exact,
 )
 from proxyauction.mechanism import (
@@ -417,8 +416,9 @@ def charges_by_cold_solves(pipeline) -> tuple:
 
     charge_i = p * (OPT with bidder i's objective zeroed - the other bidders'
     proxy value in the pipeline's solution), where the zeroed optimum comes
-    from the pipeline's solver started cold, in every column-generation round
-    too: the payment rule as it stood before payments started warm.
+    from the full solver started cold, or for column generation from
+    ``column_generation_by_cold_rounds``: the payment rule as it stood before
+    payments started warm.
     """
     instance, config, solution = pipeline.instance, pipeline.config, pipeline.solution
     charges = []
@@ -426,7 +426,7 @@ def charges_by_cold_solves(pipeline) -> tuple:
         if config.solver == SOLVER_COLGEN:
             oracles = list(pipeline.proxies)
             oracles[i] = AdditiveValuation([Fraction(0)] * instance.m)
-            opt_without = solve_column_generation(instance, oracles).objective
+            opt_without = column_generation_by_cold_rounds(instance, oracles)["objective"]
         else:
             opt_without = solve_exact(pipeline.lp.zero_bidder(i)).objective
         others_share = sum(
@@ -437,8 +437,64 @@ def charges_by_cold_solves(pipeline) -> tuple:
     return tuple(charges)
 
 
+def column_generation_by_cold_rounds(instance, oracles) -> dict:
+    """Column generation that solves every round's master cold with the dense tableau.
+
+    The master starts empty and is kept in (bidder, ``index_list(mask)``)
+    order. Each round solves it with ``tableau_simplex`` from the slack basis,
+    over the bidder rows then the item rows, all of capacity 1. Each bidder's
+    ``demand_by_scan`` bundle at the item duals enters when its value, read
+    with ``_value``, exceeds its price plus the bidder dual. The last round's
+    solution is returned as ``entries``, ``item_duals``, ``bidder_duals``,
+    ``basis`` (each row's basic column as (bidder, mask), or a slack's row)
+    and ``objective``. ``pivots`` sums every round's cold pivots, and
+    ``unshared_pivots`` counts only those off the previous round's path: a
+    round's pivots less the leading ones whose entering variables equal the
+    previous round's.
+    """
+    n, m = instance.n, instance.m
+    master: list = []
+    pivots = unshared = 0
+    previous: list = []
+    while True:
+        columns = [
+            [Fraction(r == i) for r in range(n)] + [Fraction(mask >> j & 1) for j in range(m)]
+            for i, mask in master
+        ]
+        entering: list = []
+        res = tableau_simplex(
+            columns, [oracles[i]._value(mask) for i, mask in master], [Fraction(1)] * (n + m), entering
+        )
+        path = [master[j] if j < len(master) else j - len(master) for j in entering]
+        shared = 0
+        while shared < min(len(path), len(previous)) and path[shared] == previous[shared]:
+            shared += 1
+        pivots += res.pivots
+        unshared += res.pivots - shared
+        previous = path
+        u, y = res.duals[:n], res.duals[n:]
+        added = []
+        for i in range(n):
+            mask = demand_by_scan(oracles[i], y)
+            reduced = oracles[i]._value(mask) - sum(y[j] for j in index_list(mask)) - u[i]
+            if mask and (i, mask) not in master and reduced > 0:
+                added.append((i, mask))
+        if not added:
+            break
+        master = sorted(master + added, key=lambda key: (key[0], index_list(key[1])))
+    return {
+        "entries": {master[j]: x for j, x in enumerate(res.x) if x > 0},
+        "item_duals": tuple(y),
+        "bidder_duals": tuple(u),
+        "basis": tuple(master[j] if j < len(master) else j - len(master) for j in res.basis),
+        "objective": res.objective,
+        "pivots": pivots,
+        "unshared_pivots": unshared,
+    }
+
+
 def tableau_simplex(
-    columns: Sequence[Sequence], objective: Sequence, rhs: Sequence
+    columns: Sequence[Sequence], objective: Sequence, rhs: Sequence, path: Optional[list] = None
 ) -> SimplexResult:
     """The dense Bland tableau that ``proxyauction.simplex`` replaced.
 
@@ -446,7 +502,9 @@ def tableau_simplex(
 
     ``columns[j]`` is the j-th column of the constraint matrix (length =
     number of rows). Returns the optimal basic solution, the objective value,
-    and the dual vector (one multiplier per row).
+    and the dual vector (one multiplier per row). If ``path`` is given, the
+    entering variable of each pivot is appended to it (slack r as
+    ``len(columns) + r``).
     """
     n_rows = len(rhs)
     n_cols = len(columns)
@@ -498,6 +556,8 @@ def tableau_simplex(
             raise ValueError("LP is unbounded")
 
         pivots += 1
+        if path is not None:
+            path.append(entering)
 
         piv_row = rows[leaving_row]
         piv = piv_row[entering]

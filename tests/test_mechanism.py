@@ -92,6 +92,18 @@ def test_config_validation():
     MechanismConfig(c=F(1, 2), p=F(1, 2), seed=(1 << 64) - 1)
 
 
+@pytest.mark.parametrize(
+    "c, p",
+    [(F(1, 2), 0.05), (True, F(1, 20)), (0.5, F(1, 20)), ("1/2", F(1, 20))],
+    ids=["p-0.05", "c-true", "c-0.5", "c-text"],
+)
+def test_config_refuses_c_and_p_that_are_not_exact_numbers(c, p):
+    # a float would be taken as its binary value (0.05 is not 1/20) and True as 1
+    with pytest.raises(ParameterError, match="must be a Fraction or an int"):
+        MechanismConfig(c=c, p=p)
+    assert MechanismConfig(c=1, p=F(1, 20)).c == 1
+
+
 @pytest.mark.parametrize("seed", [True, 7.0, 7.9, F(7)], ids=["true", "7.0", "7.9", "fraction-7"])
 def test_config_refuses_a_seed_that_is_not_an_int(seed):
     # each converts by int(), but the written config would not read back (a bool

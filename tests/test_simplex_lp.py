@@ -10,21 +10,25 @@ from fixtures import any_kind_instances
 from oracles import (
     additive_lp_optimum,
     certify_by_columns,
+    column_generation_by_cold_rounds,
     feasibility_violations,
     index_list,
     integral_welfare_by_products,
 )
 from proxyauction.errors import (
     CapacityError,
+    ContractViolationError,
     InfeasibleSolutionError,
     IterationLimitError,
     ParameterError,
 )
-from proxyauction.generators import generate
+from proxyauction.generators import GENERATOR_KINDS, generate
 from proxyauction.lp import (
     Column,
     ConfigLP,
     FractionalSolution,
+    _solve_columns,
+    _split_pass,
     build_full_lp,
     certify_optimal,
     solve_column_generation,
@@ -103,6 +107,51 @@ def test_column_generation_matches_exact_on_random_instances():
         cg = solve_column_generation(inst, proxies)
         assert cg.objective == full.objective, (kind, n, m, seed)
         assert len(cg.entries) <= n + m
+
+
+def replays_the_cold_rounds(instance, c) -> tuple:
+    """The package's column generation against the cold-round oracle; returns both pivot counts."""
+    proxies = instance.proxies(c)
+    sol = solve_column_generation(instance, proxies)
+    cold = column_generation_by_cold_rounds(instance, proxies)
+    assert (sol.entries, sol.item_duals, sol.bidder_duals, sol.basis.keys, sol.objective) == (
+        cold["entries"], cold["item_duals"], cold["bidder_duals"], cold["basis"], cold["objective"]
+    )
+    # each round performs only the pivots off the previous round's path
+    assert sol.pivots == cold["unshared_pivots"] <= cold["pivots"]
+    return sol.pivots, cold["pivots"]
+
+
+def test_column_generation_replays_the_cold_rounds_on_both_corpora(corpus, truthful_corpus):
+    fewer = 0
+    for item in [*corpus, *truthful_corpus]:
+        for c in sorted({item.config.c, F(1), F(1, 2), F(1, 3)}):
+            pivots, cold = replays_the_cold_rounds(item.instance, c)
+            fewer += pivots < cold
+    assert fewer > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GENERATOR_KINDS),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(0, 2**16),
+    st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+)
+def test_column_generation_replays_the_cold_rounds_on_generated_instances(kind, n, m, seed, c):
+    replays_the_cold_rounds(generate(kind, n, m, seed), c)
+
+
+def test_a_split_needs_an_added_column_that_prices_positive():
+    # one bidder, two items: the master {0} at 2 ends with bidder dual 2, so
+    # {1} at 1 prices positive only before {0} entered, where it comes after it
+    record = []
+    _solve_columns([Column(0, 0b01, F(2))], 1, 2, record=record)
+    assert [step.entering for step in record] == [0, None]
+    with pytest.raises(ContractViolationError):
+        _split_pass(record, [Column(0, 0b10, F(1))], 1)
+    assert _split_pass(record, [Column(0, 0b10, F(3))], 1) == 1
 
 
 def test_column_generation_single_additive_bidder_two_rounds():

@@ -36,9 +36,10 @@ def simplex_inputs(monkeypatch, lps):
     return calls
 
 
-def dense(columns, objective, n, m, start=None):
+def dense(columns, objective, n, m, start=None, record=None):
     """The same LP as the tableau takes it: dense 0/1 columns, unit right-hand side."""
     assert start is None  # the tableau starts from the slack basis only
+    assert record is None  # and a full solve records no path
     one, zero = Fraction(1), Fraction(0)
     rows = range(n + m)
     matrix = [
