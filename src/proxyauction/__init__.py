@@ -14,7 +14,6 @@ from .errors import (
     ContractViolationError,
     FormatError,
     InfeasibleSolutionError,
-    IterationLimitError,
     MalformedValuationError,
     ParameterError,
 )

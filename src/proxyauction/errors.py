@@ -31,18 +31,5 @@ class ContractViolationError(AuctionError):
     """An internal pipeline stage was invoked out of order or on invalid state."""
 
 
-class IterationLimitError(AuctionError):
-    """An iterative solve failed to terminate within its iteration budget."""
-
-    def __init__(self, rounds: int, columns: int, objective):
-        self.rounds = rounds
-        self.columns = columns
-        self.objective = objective
-        super().__init__(
-            f"iteration cap hit after {rounds} steps "
-            f"({columns} columns, current objective {objective})"
-        )
-
-
 class FormatError(AuctionError):
     """A serialized file does not match the expected schema."""

@@ -17,9 +17,9 @@ size is at most n + m, proved optimal by ``certify_optimal``, whose dual check
 is the demand query at the item duals, the LP's separation oracle (Blumrosen
 and Nisan, SIAM J. Comput. 2009). Both are deterministic: columns are ordered
 by (bidder, bundle lexicographic) and the simplex uses Bland's rule. Each
-solution carries the basis its solve ended in, with the simplex's basis
-inverse, from which either solver resumes an LP over the same constraints,
-such as a payment's LP with one bidder zeroed.
+solution carries the simplex pass its solve ended in (``simplex.Pass``), from
+which either solver resumes an LP over the same constraints, such as a
+payment's LP with one bidder zeroed.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ import copy
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     CapacityError,
     ContractViolationError,
     InfeasibleSolutionError,
-    IterationLimitError,
     ParameterError,
 )
 from .itemsets import bundle_text, items, subset_sums
@@ -105,20 +104,6 @@ def zero_objective(objectives: Sequence[Valuation], bidder: int) -> tuple:
     return tuple(zero if i == bidder else v for i, v in enumerate(objectives))
 
 
-class Basis(NamedTuple):
-    """The basis a solve ended in, from which a solve over the same rows resumes.
-
-    ``keys[r]`` names the variable basic in row r: a column's (bidder, bundle),
-    or the row of a slack (bidder rows 0..n-1, then item rows). ``result`` is
-    that solve's simplex result, or a pass on its path, whose basis inverse
-    depends only on the basic columns, so it carries over to any LP that
-    holds them.
-    """
-
-    keys: tuple
-    result: SimplexResult | Pass
-
-
 @dataclass
 class FractionalSolution:
     """Sparse feasible point of the configuration LP, with optional duals."""
@@ -131,8 +116,8 @@ class FractionalSolution:
     bidder_duals: Optional[tuple] = None
     # simplex pivots spent finding this point: a work counter, not part of it
     pivots: int = field(default=0, compare=False)
-    # the optimal basis the solver ended in, if a solver found this point
-    basis: Optional[Basis] = field(default=None, compare=False)
+    # the optimum pass the solver ended in, if a solver found this point
+    basis: Optional[Pass] = field(default=None, compare=False)
 
     def support(self) -> list:
         """Sorted (bidder, bundle, x) triples with positive mass."""
@@ -164,13 +149,14 @@ def build_full_lp(
 
 
 def _solve_columns(
-    lp_cols: Sequence[Column], n: int, m: int, start: Optional[Basis] = None,
+    lp_cols: Sequence[Column], n: int, m: int, start: Optional[Pass] = None,
     record: Optional[list] = None,
-) -> tuple:
-    """The simplex result over ``lp_cols`` and its optimal basis, resuming ``start`` if given.
+) -> SimplexResult:
+    """The simplex result over ``lp_cols``, resuming ``start`` if given.
 
-    With ``record``, each pricing pass is appended to it; a pass names its
-    columns by (bidder, bundle).
+    ``start`` is a pass of a solve over the same rows; its basic columns are
+    found in ``lp_cols`` by key. With ``record``, each pricing pass is
+    appended to it; a pass names its columns by (bidder, bundle).
     """
     # Rows are ordered bidder constraints first, then item constraints: on
     # degenerate ratio-test ties Bland then retires bidder slacks first, which
@@ -180,18 +166,11 @@ def _solve_columns(
     n_cols = len(columns)
     if start is not None:
         index = {key: j for j, key in enumerate(columns)}
-        start = replace(start.result, basis=[
+        start = replace(start, columns=columns, basis=[
             index[key] if isinstance(key, tuple) else n_cols + key
             for key in start.keys
         ])
-    res = solve_canonical_max(columns, [c.coef for c in lp_cols], n, m, start=start, record=record)
-    return res, Basis(_basis_keys(columns, res.basis), res)
-
-
-def _basis_keys(columns: Sequence[tuple], basis: Sequence[int]) -> tuple:
-    """The basic variables by key: a column's (bidder, bundle), or a slack's row."""
-    n_cols = len(columns)
-    return tuple(columns[j] if j < n_cols else j - n_cols for j in basis)
+    return solve_canonical_max(columns, [c.coef for c in lp_cols], n, m, start=start, record=record)
 
 
 def _split_pass(record: Sequence[Pass], added: Sequence[Column], n: int) -> int:
@@ -204,9 +183,11 @@ def _split_pass(record: Sequence[Pass], added: Sequence[Column], n: int) -> int:
     keeps its sign, and the ratio test reads only the entering column, the
     basic values and the basic variables' order, which insertion keeps.
     Each pass prices at its own objective scale, which the added columns'
-    coefficients may have changed since.
+    coefficients may have changed since. An added column was never priced at
+    any pass, so the walk starts at the first.
     """
-    orders = [column_order(col) for col in added]
+    # each added column's order key and item rows, built once for every pass
+    keyed = [(col, column_order(col), [n + j for j in items(col.bundle)]) for col in added]
     for t, step in enumerate(record):
         e = step.entering
         if e is not None and e < len(step.columns):
@@ -214,10 +195,10 @@ def _split_pass(record: Sequence[Pass], added: Sequence[Column], n: int) -> int:
             ahead = (bidder, items(bundle))
         else:
             ahead = None
-        for col, order in zip(added, orders):
+        for col, order, rows in keyed:
             if ahead is not None and order > ahead:
                 continue
-            price = step.Y[col.bidder] + sum(step.Y[n + j] for j in items(col.bundle))
+            price = step.Y[col.bidder] + sum(map(step.Y.__getitem__, rows))
             if col.coef.numerator * step.scale * step.d > price * col.coef.denominator:
                 return t
     raise ContractViolationError("no added column prices positive at the optimum it entered against")
@@ -229,13 +210,13 @@ def _positive_entries(lp_cols: Sequence[Column], res: SimplexResult) -> dict:
     return {(lp_cols[j].bidder, lp_cols[j].bundle): res.x[j] for j in basic if res.x[j] > 0}
 
 
-def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> FractionalSolution:
+def solve_exact(lp: ConfigLP, *, start_basis: Optional[Pass] = None) -> FractionalSolution:
     """Optimal basic solution of the full LP, with duals, certified against ``lp.objectives``.
 
-    The simplex resumes from ``start_basis`` if given (the basis of a solve
-    over the same constraints), otherwise it starts from the slack basis.
+    The simplex resumes from ``start_basis`` if given (the optimum pass of a
+    solve over the same constraints), otherwise it starts from the slack basis.
     """
-    res, basis = _solve_columns(lp.columns, lp.n, lp.m, start_basis)
+    res = _solve_columns(lp.columns, lp.n, lp.m, start_basis)
     sol = FractionalSolution(
         n=lp.n,
         m=lp.m,
@@ -244,7 +225,7 @@ def solve_exact(lp: ConfigLP, *, start_basis: Optional[Basis] = None) -> Fractio
         item_duals=tuple(res.duals[lp.n :]),
         bidder_duals=tuple(res.duals[: lp.n]),
         pivots=res.pivots,
-        basis=basis,
+        basis=res.final,
     )
     certify_optimal(sol, lp.objectives)
     return sol
@@ -307,8 +288,7 @@ def solve_column_generation(
     instance: Instance,
     oracles: Sequence[Valuation],
     *,
-    max_rounds: Optional[int] = None,
-    start_basis: Optional[Basis] = None,
+    start_basis: Optional[Pass] = None,
 ) -> FractionalSolution:
     """Restricted-master simplex with demand-query pricing.
 
@@ -317,26 +297,25 @@ def solve_column_generation(
     then asks every bidder for a profit-maximizing bundle at the item duals;
     a bidder's answer enters the master when its reduced cost (against the
     bidder dual) is positive. Terminates when no bidder can improve; the
-    solution is then certified against ``oracles``. The master is
-    kept in ``ConfigLP``'s column order, so each round's solve is the one a
-    ``ConfigLP`` of the same columns would get.
+    solution is then certified against ``oracles``. Each round adds a column
+    the master lacks or ends the solve, so there are at most n (2^m - 1) + 1
+    rounds. The master is kept in ``ConfigLP``'s column order, so each
+    round's solve is the one a ``ConfigLP`` of the same columns would get.
 
     Without ``start_basis`` every round takes the path a cold solve from the
     slack basis would, so the vertex returned is a function of the instance
     alone. It does not re-walk that path: each round resumes from the pass
     of the previous round's path where the new columns first change it, and
     the passes before it carry over (``_split_pass``). With ``start_basis``
-    (the basis of a solve over the same constraints, such as a payment LP's
-    unzeroed original) the master starts as its basic columns, priced by
-    ``oracles``, and every round resumes from the previous round's basis:
-    the optimum is the same, in fewer pivots. ``pivots`` counts the pivots
-    performed.
+    (the optimum pass of a solve over the same constraints, such as a payment
+    LP's unzeroed original) the master starts as its basic columns, priced by
+    ``oracles``, and every round resumes from the previous round's optimum
+    pass: the optimum is the same, in fewer pivots. ``pivots`` counts the
+    pivots performed.
     """
     n, m = instance.n, instance.m
     if len(oracles) != n:
         raise ParameterError("need one demand oracle per bidder")
-    if max_rounds is None:
-        max_rounds = 10 * (n + m) * (1 << m)
 
     master: list[Column] = []
     if start_basis is not None:
@@ -346,17 +325,12 @@ def solve_column_generation(
                 master.append(Column(i, bundle, oracles[i].value(bundle)))
         master.sort(key=column_order)
     have = {(col.bidder, col.bundle) for col in master}
-    basis = start_basis
+    start = start_basis
     # the passes of the cold path on the current master
     record = [] if start_basis is None else None
-    rounds = pivots = 0
+    pivots = 0
     while True:
-        rounds += 1
-        res, last_basis = _solve_columns(master, n, m, basis, record)
-        if start_basis is not None:
-            basis = last_basis
-        if rounds > max_rounds:
-            raise IterationLimitError(rounds, len(master), res.objective)
+        res = _solve_columns(master, n, m, start, record)
         pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
@@ -381,13 +355,14 @@ def solve_column_generation(
                 item_duals=tuple(y),
                 bidder_duals=tuple(u),
                 pivots=pivots,
-                basis=last_basis,
+                basis=res.final,
             )
             certify_optimal(sol, oracles)
             return sol
-        if record is not None:
+        if record is None:
+            start = res.final
+        else:
             t = _split_pass(record, added, n)
-            step = record[t]
-            basis = Basis(_basis_keys(step.columns, step.basis), step)
+            start = record[t]
             del record[t:]
 

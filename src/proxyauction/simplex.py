@@ -31,20 +31,23 @@ as the full LP, prices from one ``subset_sums`` table of the item duals over
 every mask; a smaller one, such as a column-generation master, sums the duals
 over each distinct mask's items, which costs less than the table there.
 
-A solve can resume from an earlier result over the same rows instead: its
-final ``basis``, ``M``, ``beta`` and ``d`` depend only on the basic columns,
-not on the costs, so they are a feasible start for any objective, and only
-``Y`` is recomputed from the new costs. Every pivot, cold or resumed, is one
-of Bland's, so ``d`` stays positive. Bland's rule terminates from any
-feasible basis, so the optimum is the cold one, though on a degenerate
-optimum the vertex and duals reached may differ.
+A solve's state is a ``Pass``: the basis inverse, basic values and basic
+variables one pricing pass priced, with the duals it priced at and what
+entered. A solve returns its optimum pass as ``SimplexResult.final`` and can
+resume from any pass over the same rows: ``basis``, ``M``, ``beta`` and ``d``
+depend only on the basic columns, not on the costs, so they are a feasible
+start for any objective, and only ``Y`` is recomputed from the new costs.
+Every pivot, cold or resumed, is one of Bland's, so ``d`` stays positive.
+Bland's rule terminates from any feasible basis, so the optimum is the cold
+one, though on a degenerate optimum the vertex and duals reached may differ.
 
-A solve can also record its path: one ``Pass`` per pricing pass, holding the
-state it priced, its duals and what entered. Each pass is itself a start.
-Resumed from a pass on its path, a solve over more columns, inserted in the
-order, pivots exactly as its cold solve would for as long as no new column
-prices positive ahead of the pass's entering variable, which is how column
-generation replays each round's shared prefix instead of re-walking it.
+A solve can also record its path: one ``Pass`` per pricing pass, the last of
+them its optimum. Each pass is itself a start: resumed from pass t, the solve
+ends where it did, in t fewer pivots. Resumed from a pass on its path, a
+solve over more columns, inserted in the order, pivots exactly as its cold
+solve would for as long as no new column prices positive ahead of the pass's
+entering variable, which is how column generation replays each round's shared
+prefix instead of re-walking it.
 """
 
 from __future__ import annotations
@@ -57,29 +60,15 @@ from typing import Optional, Sequence
 from .itemsets import items, subset_sums
 
 
-@dataclass
-class SimplexResult:
-    x: list
-    objective: object
-    duals: list
-    basis: list
-    pivots: int
-    # the final basis inverse M / d and basic values beta / d, from which a
-    # later solve over the same rows resumes: solver state, not the solution
-    M: Optional[list] = field(default=None, compare=False, repr=False)
-    beta: Optional[list] = field(default=None, compare=False, repr=False)
-    d: Optional[int] = field(default=None, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class Pass:
     """One pricing pass of a solve: the state it priced and what it chose.
 
     ``columns`` are the solve's columns. ``d``, ``M``, ``beta`` and ``basis``
     are the basis inverse, basic values and basic variables the pass priced,
-    a start for a later solve. ``Y`` is its dual numerators over
-    ``d * scale``, where ``scale`` is the solve's objective scale, and
-    ``entering`` the variable that entered, or None at the optimum.
+    a start for a later solve over the same rows. ``Y`` is its dual
+    numerators over ``d * scale``, where ``scale`` is the solve's objective
+    scale, and ``entering`` the variable that entered, or None at the optimum.
     """
 
     columns: Sequence[tuple[int, int]]
@@ -91,6 +80,28 @@ class Pass:
     scale: int
     entering: Optional[int]
 
+    @property
+    def keys(self) -> tuple:
+        """The basic variables by key: a column's (bidder, mask), or a slack's row."""
+        n_cols = len(self.columns)
+        return tuple(self.columns[j] if j < n_cols else j - n_cols for j in self.basis)
+
+
+@dataclass
+class SimplexResult:
+    """An optimal basic solution and its duals, with ``final``, the optimum pass.
+
+    ``final`` is solver state, from which a later solve resumes, not part of
+    the solution.
+    """
+
+    x: list
+    objective: object
+    duals: list
+    basis: list
+    pivots: int
+    final: Pass = field(compare=False, repr=False)
+
 
 def solve_canonical_max(
     columns: Sequence[tuple[int, int]],
@@ -98,7 +109,7 @@ def solve_canonical_max(
     n: int,
     m: int,
     *,
-    start: Optional[SimplexResult | Pass] = None,
+    start: Optional[Pass] = None,
     record: Optional[list] = None,
 ) -> SimplexResult:
     """Maximize objective . x subject to A x <= 1, x >= 0 over n bidder and m item rows.
@@ -106,12 +117,12 @@ def solve_canonical_max(
     ``columns[j]`` is ``(bidder, mask)``: column j of A has a one in row
     ``bidder`` and in row ``n + i`` for each item i of ``mask``, and zeros
     elsewhere. Returns the optimal basic solution, the objective value, and
-    the dual vector (one multiplier per row), all as Fractions. ``start`` is
-    an earlier result over the same rows whose ``basis`` indexes these
-    columns (slack r as column ``len(columns) + r``); the solve resumes from
-    its basis and leaves it unchanged. The default is the all-slack basis.
-    A ``Pass`` of an earlier solve is a start too. If ``record`` is given,
-    each pricing pass is appended to it.
+    the dual vector (one multiplier per row), all as Fractions, with the
+    optimum pass. ``start`` is a pass of an earlier solve over the same rows
+    whose ``basis`` indexes these columns (slack r as column
+    ``len(columns) + r``); the solve resumes from it and leaves it unchanged.
+    The default is the all-slack basis. If ``record`` is given, each pricing
+    pass is appended to it.
     """
     n_cols, n_rows = len(columns), n + m
     obj_scale = lcm(*(c.denominator for c in objective))
@@ -204,4 +215,5 @@ def solve_canonical_max(
             x[j] = Fraction(beta[r], d)
     scale = d * obj_scale
     duals = [Fraction(y, scale) for y in Y]
-    return SimplexResult(x, Fraction(sum(Y), scale), duals, basis, pivots, M, beta, d)
+    final = Pass(columns, d, M, beta, basis, Y, obj_scale, None)
+    return SimplexResult(x, Fraction(sum(Y), scale), duals, basis, pivots, final)

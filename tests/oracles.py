@@ -502,13 +502,18 @@ def tableau_simplex(
 
     ``columns[j]`` is the j-th column of the constraint matrix (length =
     number of rows). Returns the optimal basic solution, the objective value,
-    and the dual vector (one multiplier per row). If ``path`` is given, the
-    entering variable of each pivot is appended to it (slack r as
-    ``len(columns) + r``).
+    and the dual vector (one multiplier per row), with no solver state as
+    ``final``. If ``path`` is given, the entering variable of each pivot is
+    appended to it (slack r as ``len(columns) + r``). Every entry of
+    ``columns``, ``objective`` and ``rhs`` must be a Fraction: an int entry
+    would make the pivot row's ``1 / piv`` a float, so it raises TypeError.
     """
     n_rows = len(rhs)
     n_cols = len(columns)
     zero = Fraction(0)
+    for entry in (*(a for col in columns for a in col), *objective, *rhs):
+        if not isinstance(entry, Fraction):
+            raise TypeError(f"tableau entry {entry!r} is a {type(entry).__name__}, not a Fraction")
 
     if any(b < zero for b in rhs):
         raise ValueError("canonical form requires a nonnegative right-hand side")
@@ -585,7 +590,7 @@ def tableau_simplex(
         if b < n_cols:
             x[b] = rows[r][-1]
     duals = [zero - cost[n_cols + r] for r in range(n_rows)]
-    return SimplexResult(x=x, objective=value, duals=duals, basis=list(basis), pivots=pivots)
+    return SimplexResult(x=x, objective=value, duals=duals, basis=list(basis), pivots=pivots, final=None)
 
 
 def _solve_unit_system(rows: list[list[int]]) -> Optional[list[Fraction]]:

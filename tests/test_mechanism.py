@@ -772,9 +772,8 @@ def payment_cases(corpus, truthful_corpus):
 
 
 def basis_state(basis):
-    """A basis's keys and simplex state as plain values (results compare without M, beta, d)."""
-    res = basis.result
-    return basis.keys, list(res.basis), [list(row) for row in res.M], list(res.beta), res.d
+    """An optimum pass's keys and basis inverse state as plain values, copied."""
+    return basis.keys, list(basis.basis), [list(row) for row in basis.M], list(basis.beta), basis.d
 
 
 @pytest.mark.parametrize("solver", [SOLVER_FULL, SOLVER_COLGEN])

@@ -19,7 +19,6 @@ from proxyauction.errors import (
     CapacityError,
     ContractViolationError,
     InfeasibleSolutionError,
-    IterationLimitError,
     ParameterError,
 )
 from proxyauction.generators import GENERATOR_KINDS, generate
@@ -156,17 +155,11 @@ def test_a_split_needs_an_added_column_that_prices_positive():
 
 def test_column_generation_single_additive_bidder_two_rounds():
     inst = Instance(3, (AdditiveValuation([2, 3, 4]),))
-    # one pricing round adds the full bundle, the second certifies optimality
-    sol = solve_column_generation(inst, inst.valuations, max_rounds=2)
+    # one pricing round adds the full bundle, the second certifies optimality:
+    # each round asks the one bidder for one demand
+    sol = solve_column_generation(inst, inst.valuations)
     assert sol.objective == 9
-
-
-def test_column_generation_round_cap_raises():
-    inst = Instance(3, (AdditiveValuation([2, 3, 4]),))
-    # the second round needs to run, so a one-round budget stops with the master's state
-    with pytest.raises(IterationLimitError) as err:
-        solve_column_generation(inst, inst.valuations, max_rounds=1)
-    assert (err.value.rounds, err.value.columns, err.value.objective) == (2, 1, 9)
+    assert inst.valuations[0].counter.demand_queries == 2
 
 
 def test_basic_support_bound(corpus):

@@ -5,9 +5,11 @@ tableau takes the same LP densified. Both must return equal SimplexResults
 (x, objective, duals, basis and pivot count).
 """
 
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fixtures import AUCTION_SHAPES
@@ -133,6 +135,36 @@ def test_matches_tableau_on_random_rational_lps(lp):
     assert tables == (res.pivots + 1 if by_table(lp) else 0)
 
 
+def state(step):
+    """The state a pass priced and resumes from."""
+    return step.d, step.M, step.beta, step.basis, step.Y
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_lps())
+def test_each_recorded_pass_resumes_to_the_cold_result(lp):
+    # each pass of a cold solve's path is a start: resumed from pass t, the
+    # solve ends at the cold result in t fewer pivots
+    record = []
+    res = solve_canonical_max(*lp, record=record)
+    assert len(record) == res.pivots + 1
+    assert state(res.final) == state(record[-1])
+    before = deepcopy(list(map(state, record)))
+    for t, step in enumerate(record):
+        assert solve_canonical_max(*lp, start=step) == replace(res, pivots=res.pivots - t)
+    assert list(map(state, record)) == before
+
+
+@pytest.mark.parametrize("part", ["columns", "objective", "rhs"])
+def test_tableau_refuses_int_entries(part):
+    # int entries would pivot in floats, so the oracle takes Fractions only
+    one, zero = Fraction(1), Fraction(0)
+    lp = {"columns": [[one, zero, one]], "objective": [one], "rhs": [one] * 3}
+    lp[part] = {"columns": [[1, 0, 1]], "objective": [1], "rhs": [1] * 3}[part]
+    with pytest.raises(TypeError):
+        tableau_simplex(**lp)
+
+
 @settings(max_examples=150, deadline=None)
 @given(unit_lps(), st.data())
 def test_warm_start_reaches_the_cold_optimum(lp, data):
@@ -140,7 +172,7 @@ def test_warm_start_reaches_the_cold_optimum(lp, data):
     # feasible region, so A's basis is a feasible start for B
     columns, _, n, m = lp
     objective_b = data.draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
-    first = solve_canonical_max(*lp)
+    first = solve_canonical_max(*lp).final
     before = (list(first.basis), [list(row) for row in first.M], list(first.beta), first.d)
     lp_b = (columns, objective_b, n, m)
     warm = solve_canonical_max(*lp_b, start=first)
@@ -148,5 +180,5 @@ def test_warm_start_reaches_the_cold_optimum(lp, data):
     assert warm.objective == cold.objective == tableau_simplex(*dense(*lp_b)).objective
     assert (first.basis, first.M, first.beta, first.d) == before
     # the warm optimum's own state resumes to itself
-    again = solve_canonical_max(*lp_b, start=warm)
+    again = solve_canonical_max(*lp_b, start=warm.final)
     assert again == replace(warm, pivots=0)

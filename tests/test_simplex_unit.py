@@ -47,8 +47,9 @@ def test_fractional_vertex():
 
 
 def state(res):
-    """What a later solve resumes from: the basis and the basis inverse state."""
-    return res.basis, [list(row) for row in res.M], list(res.beta), res.d
+    """What a later solve resumes from: the optimum pass's basis and basis inverse state."""
+    final = res.final
+    return final.basis, [list(row) for row in final.M], list(final.beta), final.d
 
 
 @pytest.mark.parametrize(
@@ -62,7 +63,7 @@ def state(res):
 )
 def test_resuming_an_optimum_takes_no_pivots(lp):
     cold = solve_canonical_max(*lp)
-    res = solve_canonical_max(*lp, start=cold)
+    res = solve_canonical_max(*lp, start=cold.final)
     assert (res.x, res.objective, res.duals, res.basis) == (
         cold.x, cold.objective, cold.duals, cold.basis,
     )
@@ -77,7 +78,9 @@ def test_two_solves_from_one_start_are_equal_and_leave_it_unchanged():
     start = solve_canonical_max(columns, [F(3), F(1), F(1)], 2, 1)
     assert start.x == [F(1), F(0), F(0)]
     before = state(start)
-    first, second = (solve_canonical_max(columns, [F(1)] * 3, 2, 1, start=start) for _ in "ab")
+    first, second = (
+        solve_canonical_max(columns, [F(1)] * 3, 2, 1, start=start.final) for _ in "ab"
+    )
     assert first == second and state(first) == state(second)
     assert state(start) == before
     cold = solve_canonical_max(columns, [F(1)] * 3, 2, 1)
