@@ -296,7 +296,8 @@ def solve_column_generation(
     (typically a proxy valuation). Each round solves the restricted master,
     then asks every bidder for a profit-maximizing bundle at the item duals;
     a bidder's answer enters the master when its reduced cost (against the
-    bidder dual) is positive. Terminates when no bidder can improve; the
+    bidder dual) is positive, a sign read on the optimum pass's integer duals
+    and objective scale, as ``_split_pass`` reads it. Terminates when no bidder can improve; the
     solution is then certified against ``oracles``. Each round adds a column
     the master lacks or ends the solve, so there are at most n (2^m - 1) + 1
     rounds. The master is kept in ``ConfigLP``'s column order, so each
@@ -334,14 +335,16 @@ def solve_column_generation(
         pivots += res.pivots
         u = res.duals[:n]
         y = res.duals[n:]
+        # the duals are Y over d * scale: a reduced cost's sign is read on those integers
+        Y, scale = res.final.Y, res.final.d * res.final.scale
         added = []
         for i in range(n):
             bundle = oracles[i].demand(y)
             if not bundle or (i, bundle) in have:
                 continue
             coef = oracles[i].value(bundle)
-            reduced = coef - sum(y[j] for j in items(bundle)) - u[i]
-            if reduced > 0:
+            price = Y[i] + sum(Y[n + j] for j in items(bundle))
+            if coef.numerator * scale > price * coef.denominator:
                 # res.x indexes the old master, but it is read only when nothing entered
                 added.append(Column(i, bundle, coef))
                 insort(master, added[-1], key=column_order)

@@ -354,6 +354,8 @@ class Pipeline:
         self.config = config
         self.proxies = instance.proxies(config.c)
         self._lp: Optional[ConfigLP] = None
+        # a solution solved here is certified optimal; one passed in need not be
+        self._optimal = solution is None
         if solution is None:
             solution = self._solve()
         self.solution = solution
@@ -450,9 +452,21 @@ class Pipeline:
         return plan.draw(key)
 
     def payments(self) -> tuple[Fraction, ...]:
-        """Expected externality charges over the LP range."""
+        """Expected externality charges over the LP range.
+
+        charge_i = p * (OPT_-i - the other bidders' share of the solution),
+        where OPT_-i is the optimum of the LP with bidder i's objective
+        zeroed. If this pipeline solved the LP itself, so its solution is
+        certified optimal, and bidder i holds no mass in it, OPT_-i is the
+        solution's objective and no LP is solved: the solution is feasible
+        with i zeroed and keeps its value, and zeroing i's objective, which is
+        nonnegative, cannot raise the optimum. Such a bidder pays 0, and its
+        zeroed column-generation solve's queries are not asked. A solution
+        passed in need not be optimal, so each of its bidders gets a zeroed solve.
+        """
         p = self.config.p
         support = self.solution.support()
+        holders = {i for i, _, _ in support}
         self.payment_pivots = 0
         charges = []
         for i in range(self.instance.n):
@@ -460,7 +474,10 @@ class Pipeline:
                 (x * self.proxies[j].value(bundle) for j, bundle, x in support if j != i),
                 Fraction(0),
             )
-            opt_without = self._optimum_without(i)
+            if self._optimal and i not in holders:
+                opt_without = self.solution.objective
+            else:
+                opt_without = self._optimum_without(i)
             charge = p * (opt_without - others_share)
             if charge < 0:
                 raise ContractViolationError(

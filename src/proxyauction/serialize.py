@@ -5,7 +5,10 @@ integers shorthand as "5") so they survive serialization bit-exactly.
 The instance format is stated here alone: ``valuation_to_dict`` writes each
 valuation kind's parameters and ``valuation_from_dict`` reads them back,
 branch for branch. An explicit table's bundle {0,2} is the key "0,2", and
-the empty bundle is written only when its value is not 0.
+the empty bundle is written only when its value is not 0; reader and writer
+build a table's keys together, by doubling, and the reader refuses any other
+key, such as "2,0", rather than drop its value. Values already exact are
+written as they are, not rebuilt.
 Solutions and configs carry the constant field "arithmetic": "exact", which
 keeps their bytes stable; reading a config accepts it or its absence and
 rejects any other mode. Serialization is canonical (sorted keys, fixed
@@ -48,7 +51,7 @@ NESTING_CAP = 64  # lists and objects inside one another in a file as read
 
 
 def format_value(x) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def parse_value(raw) -> Fraction:
@@ -217,6 +220,19 @@ def _bundle_key(mask: int) -> str:
     return ",".join(map(str, items(mask)))
 
 
+def _bundle_keys(m: int) -> list[str]:
+    """``_bundle_key(mask)`` for every mask below ``2^m``, indexed by mask.
+
+    Built by doubling: item j is above every item of a mask below ``1 << j``,
+    so the key of ``mask | 1 << j`` is that mask's key with ",j" appended.
+    """
+    keys = [""]
+    for j in range(m):
+        item = str(j)
+        keys += [key + "," + item if key else item for key in keys]
+    return keys
+
+
 def valuation_to_dict(v: Valuation) -> dict:
     """One bidder's entry of an instance file, as ``valuation_from_dict`` reads it."""
     if isinstance(v, AdditiveValuation):
@@ -232,11 +248,40 @@ def valuation_to_dict(v: Valuation) -> dict:
             "covers": [list(items(mask)) for mask in v.cover_masks],
         }
     if isinstance(v, ExplicitValuation):
-        values = {_bundle_key(mask): format_value(v.table[mask]) for mask in range(1, 1 << v.m)}
+        keys = _bundle_keys(v.m)
+        values = {keys[mask]: format_value(v.table[mask]) for mask in range(1, 1 << v.m)}
         if v.table[0] != 0:
             values[""] = format_value(v.table[0])  # abnormal table; keep it exact
         return {"kind": "explicit", "values": values}
     raise AuctionError(f"{v.kind!r} valuations are derived, not written to instance files")
+
+
+def _explicit_table(values: dict, m: int) -> dict:
+    """An explicit table by mask from its file entries, keyed as ``_bundle_key`` writes them.
+
+    Every nonempty bundle needs an entry; the empty bundle's is optional.
+    Until the file holds at least one entry per nonempty bundle, the first
+    missing bundle is found without building all ``2^m`` keys, so a large m
+    with few entries fails at once. A key that names no bundle (out of order,
+    repeated, past m, or no item list at all) is refused rather than dropped.
+    """
+    if len(values) < (1 << m) - 1:
+        mask = 1
+        while _bundle_key(mask) in values:
+            mask += 1
+        raise FormatError(f"explicit table missing bundle {{{_bundle_key(mask)}}}")
+    keys = _bundle_keys(m)
+    table = {0: parse_value(values.get("", "0"))}
+    for mask in range(1, 1 << m):
+        key = keys[mask]
+        if key not in values:
+            raise FormatError(f"explicit table missing bundle {{{key}}}")
+        table[mask] = parse_value(values[key])
+    if len(values) > (1 << m) - 1 + ("" in values):
+        known = set(keys)
+        stray = next(key for key in values if key not in known)
+        raise FormatError(f"explicit table key {stray!r} names no bundle")
+    return table
 
 
 def valuation_from_dict(data: dict, m: int) -> Valuation:
@@ -260,13 +305,7 @@ def valuation_from_dict(data: dict, m: int) -> Valuation:
             values = data["values"]
             if not isinstance(values, dict):
                 raise FormatError(f"explicit values must be an object, got {values!r}")
-            table = {0: parse_value(values.get("", "0"))}
-            for mask in range(1, 1 << m):
-                key = _bundle_key(mask)
-                if key not in values:
-                    raise FormatError(f"explicit table missing bundle {{{key}}}")
-                table[mask] = parse_value(values[key])
-            return ExplicitValuation(m, table)
+            return ExplicitValuation(m, _explicit_table(values, m))
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed {kind!r} valuation payload: {exc}") from exc
     raise FormatError(f"unknown valuation kind {kind!r}")

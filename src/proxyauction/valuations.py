@@ -43,8 +43,8 @@ Value = Fraction
 
 
 def as_value(x) -> Fraction:
-    v = Fraction(x)
-    if v < 0:
+    v = x if type(x) is Fraction else Fraction(x)
+    if v.numerator < 0:
         raise MalformedValuationError(f"values must be nonnegative, got {v}")
     return v
 
@@ -152,8 +152,8 @@ class Valuation:
     def _check_prices(self, prices: Sequence) -> tuple[Fraction, ...]:
         if len(prices) != self.m:
             raise ParameterError(f"expected {self.m} prices, got {len(prices)}")
-        out = tuple(Fraction(p) for p in prices)
-        if any(p < 0 for p in out):
+        out = tuple(p if type(p) is Fraction else Fraction(p) for p in prices)
+        if any(p.numerator < 0 for p in out):
             raise ParameterError("item prices must be nonnegative")
         return out
 

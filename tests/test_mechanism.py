@@ -796,12 +796,29 @@ def test_warm_charges_equal_cold_charges(solver, corpus, truthful_corpus, monkey
                 mechanism, "solve_column_generation", recording(mechanism.solve_column_generation)
             )
             charges = pipeline.payments()
-        # every zeroed LP resumed from the main solve's basis and left it as it was
-        assert starts == [pipeline.solution.basis] * instance.n, label
+        # a bidder without mass pays 0 unsolved; every other bidder's zeroed LP
+        # resumed from the main solve's basis and left it as it was
+        holders = {i for i, _, _ in pipeline.solution.support()}
+        assert starts == [pipeline.solution.basis] * len(holders), label
         assert pipeline.solution.basis is not None, label
         assert basis_state(pipeline.solution.basis) == before, label
         starts.clear()
         assert charges == charges_by_cold_solves(pipeline), label
+
+
+@pytest.mark.parametrize("solver", [SOLVER_FULL, SOLVER_COLGEN])
+def test_a_given_solution_solves_every_zeroed_lp(solver, corpus):
+    # the empty allocation is feasible but not optimal: nobody holds mass in
+    # it, yet OPT without a bidder is positive, and so is the charge
+    item = corpus[7]
+    pipeline = Pipeline(
+        item.instance, replace(item.config, solver=solver), solution=FractionalSolution(
+            n=item.instance.n, m=item.instance.m, entries={}, objective=F(0)
+        )
+    )
+    charges = pipeline.payments()
+    assert all(charge > 0 for charge in charges)
+    assert charges == charges_by_cold_solves(pipeline)
 
 
 def test_a_solution_without_a_basis_pays_from_cold_solves(corpus):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import time
 import weakref
 from collections import OrderedDict
 from fractions import Fraction as F
@@ -72,6 +73,29 @@ def test_a_proxy_is_not_written_to_an_instance_file():
 def test_explicit_missing_entry_rejected():
     with pytest.raises(FormatError):
         valuation_from_dict({"kind": "explicit", "values": {"0": "1"}}, 2)
+
+
+def test_doubled_bundle_keys_are_the_key_of_each_mask():
+    for m in range(11):
+        assert serialize._bundle_keys(m) == [serialize._bundle_key(mask) for mask in range(1 << m)]
+
+
+def test_a_large_explicit_stub_names_its_first_missing_bundle_at_once():
+    # 2^40 - 1 bundles: building every key first would not finish
+    stub = {"kind": "explicit", "values": {"0": "1", "1": "1", "0,1": "2"}}
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=r"explicit table missing bundle \{2\}"):
+        valuation_from_dict(stub, 40)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("stray", ["1,0", "2", "0,0", "banana", "00", " 0", "0,1,", ","])
+def test_an_explicit_key_that_names_no_bundle_is_refused(stray):
+    # "1,0" names {0,1} out of order: read as before, its 50 was silently lost
+    values = {"": "0", "0": "1", "1": "1", "0,1": "2"}
+    assert valuation_from_dict({"kind": "explicit", "values": values}, 2)._value(0b11) == 2
+    with pytest.raises(FormatError, match=f"explicit table key {stray!r} names no bundle"):
+        valuation_from_dict({"kind": "explicit", "values": {**values, stray: "50"}}, 2)
 
 
 def test_instance_schema_enforced():

@@ -367,8 +367,20 @@ def test_demand_validates_prices():
     v = AdditiveValuation([1, 2])
     with pytest.raises(ParameterError):
         v.demand([1])
-    with pytest.raises(ParameterError):
-        v.demand([1, -1])
+    for negative in (-1, F(-1, 3), "-1/3"):
+        with pytest.raises(ParameterError):
+            v.demand([1, negative])
+    assert v.demand([0, F(0)]) == 0b11  # zero is not negative
+
+
+def test_demand_reads_fraction_int_and_str_prices_alike():
+    v = XOSValuation(3, [[3, 1, 2], [1, 4, 1]])
+    answers = []
+    for prices in ([F(2), F(1), F(1, 2)], [2, 1, F(1, 2)], ["2", "1", "1/2"]):
+        before = (v.counter.demand_queries, v.counter.value_queries)
+        answers.append(v.demand(prices))
+        assert (v.counter.demand_queries, v.counter.value_queries) == (before[0] + 1, before[1])
+    assert answers == [0b110] * 3
 
 
 # -- structural checks -------------------------------------------------------
