@@ -251,7 +251,7 @@ def cmd_run(args) -> CommandResult:
         seeds = [config.seed]
     else:
         seeds = derive_seeds(config.seed, "replication", args.replications)
-    outcomes = [pipeline.sample(seed) for seed in seeds]
+    outcomes = pipeline.sample(seeds)
     payments = pipeline.payments() if args.payments else None
     outcome_dicts = _outcome_entries(instance, seeds, outcomes)
     report = {
@@ -497,7 +497,7 @@ def cmd_bench(args) -> CommandResult:
         t_integral, _ = time_it(lambda: ver.optimal_integral_welfare(instance))
         # the first repeat also fills the pipeline's q cache
         pipeline = Pipeline(instance, MechanismConfig(c=c, p=p), solution=sol_exact)
-        t_sample, outcomes = time_it(lambda: [pipeline.sample(seed) for seed in sample_seeds])
+        t_sample, outcomes = time_it(lambda: pipeline.sample(sample_seeds))
         t_encode, _ = time_it(
             lambda: ser.canonical_dumps(_outcome_entries(instance, sample_seeds, outcomes))
         )

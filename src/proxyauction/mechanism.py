@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from typing import Optional, Sequence
 
 from . import rng as rngmod
@@ -183,23 +184,46 @@ class Plan:
     cancel: tuple = ()
     outcomes: dict = field(default_factory=dict, repr=False)
 
-    def draw(self, key: bytes) -> Outcome:
-        """Steps 6 and 7 of a sample whose root stream key is ``key``.
+    def draw(self, keys: Sequence[bytes]) -> list[Outcome]:
+        """Steps 6 and 7 of the samples whose root stream keys are ``keys``, in order.
 
-        Each site is one ``rng.draw`` under that key, the first draw of
+        Each site is one ``rng.draw`` under a sample's key, the first draw of
         ``rng.stream(seed, stage, index)``: item j's lottery holder is the
         u-th for a uniform u below 1/c (nobody when u is past the last), and
         bidder i survives when a uniform integer below b is less than a.
+        Each lottery site is drawn over all the keys (``rng.draws``) and the
+        samples are grouped by their lottery draws; within a group, which
+        shares its kept masks, each cancel site of a bidder that kept items
+        is drawn over the group's keys.
         """
-        kept, draw = list(self.base), rngmod.draw
-        for at, bit, holders in self.lottery:
-            k = draw(key, at)
-            if k < len(holders):
-                kept[holders[k]] |= bit
-        final = kept.copy()
-        for i, at, a in self.cancel:
-            if kept[i] and draw(key, at) >= a:
-                final[i] = 0
+        draws = rngmod.draws
+        lotteries: dict[tuple, list[int]] = defaultdict(list)
+        columns = [draws(keys, at) for at, _, _ in self.lottery]
+        for row, drawn in enumerate(_rows(columns, len(keys))):
+            lotteries[drawn].append(row)
+        outcomes = [None] * len(keys)
+        for drawn, rows in lotteries.items():
+            kept = list(self.base)
+            for (_, bit, holders), k in zip(self.lottery, drawn):
+                if k < len(holders):
+                    kept[holders[k]] |= bit
+            cancel = [(i, at, a) for i, at, a in self.cancel if kept[i]]
+            group = [keys[row] for row in rows]
+            losses = _rows([[u >= a for u in draws(group, at)] for _, at, a in cancel], len(rows))
+            by_lost: dict[tuple, Outcome] = {}
+            for row, lost in zip(rows, losses):
+                got = by_lost.get(lost)
+                if got is None:
+                    final = kept.copy()
+                    for (i, _, _), gone in zip(cancel, lost):
+                        if gone:
+                            final[i] = 0
+                    got = by_lost[lost] = self._outcome(kept, final)
+                outcomes[row] = got
+        return outcomes
+
+    def _outcome(self, kept: list, final: list) -> Outcome:
+        """The plan's one ``Outcome`` with these kept and final masks."""
         masks = (*kept, *final)
         got = self.outcomes.get(masks)
         if got is None:
@@ -211,6 +235,11 @@ class Plan:
                 q_values=self.q_values,
             )
         return got
+
+
+def _rows(columns: list, count: int):
+    """The rows of equal-length ``columns``, or ``count`` empty rows when there are none."""
+    return zip(*columns) if columns else repeat((), count)
 
 
 def tentative_law(solution: FractionalSolution, bidder: int) -> list:
@@ -249,22 +278,25 @@ def draw_tables(solution: FractionalSolution) -> list:
     return tables
 
 
-def tentative_indices(tables: Sequence, key: bytes) -> tuple[int, ...]:
-    """Step 3: per bidder, the index of its drawn bundle in its draw table.
+def tentative_indices(tables: Sequence, keys: Sequence[bytes]) -> list[tuple[int, ...]]:
+    """Step 3 for each sample: per bidder, the index of its drawn bundle in its draw table.
 
-    ``key`` is the sample's root stream key, ``rng.stream(seed)``. Bidder i
-    draws one uniform integer below its common denominator at its own
-    tentative-stage site under that key (``rng.draw``), so draws do not
-    interact across bidders or with later stages. The bundle is the first
-    whose threshold exceeds the draw. A denominator of 1 makes the draw
-    certain (it is 0), so that bidder hashes nothing; the other bidders'
-    draws are their own either way.
+    ``keys`` are the samples' root stream keys, ``rng.stream(seed)``. Bidder
+    i draws one uniform integer below its common denominator at its own
+    tentative-stage site under each key (``rng.draws``, one bidder column at
+    a time), so draws do not interact across bidders or with later stages.
+    The bundle is the first whose threshold exceeds the draw. A denominator
+    of 1 makes the draw certain (it is 0), so that bidder hashes nothing; the
+    other bidders' draws are their own either way.
     """
-    draw = rngmod.draw
-    return tuple(
-        bisect_right(thresholds, 0 if at is None else draw(key, at))
+    draws = rngmod.draws
+    columns = [
+        [bisect_right(thresholds, 0)] * len(keys)
+        if at is None
+        else [bisect_right(thresholds, u) for u in draws(keys, at)]
         for _, thresholds, at in tables
-    )
+    ]
+    return list(zip(*columns))
 
 
 def halt_check(bundles: Sequence[int], c: Fraction) -> bool:
@@ -330,15 +362,20 @@ class Pipeline:
     cheap; the LP solve and the q values are deterministic functions of the
     instance and configuration, so sharing them does not affect the law.
 
-    ``sample`` builds one root stream per seed, ``rng.stream(seed)``, and draws
-    every site of the sample under its key. It keeps one ``Plan`` per tentative
-    assignment it has drawn, keyed by the drawn index per bidder: the bundles,
-    the halt verdict (a halted plan holds its shared outcome), the q values
-    and the step-6 and step-7 draw sites. A sample then draws step 3, looks
-    its plan up and draws only the plan's sites; a repeated outcome is the
-    plan's earlier ``Outcome`` object. A plan that raises (q_i > 1 - p,
-    halted or not, or a capped q enumeration) is not kept, so every sample
-    that draws it raises again.
+    ``sample`` takes a run's seeds and draws site by site over all of them:
+    every draw is a pure function of its seed's root key,
+    ``rng.stream(seed)``, and its site, so the order of the draws changes no
+    outcome. It builds each seed's root key, draws step 3 one bidder column
+    at a time and groups the samples by their drawn indices, in order of
+    first appearance. It keeps one ``Plan`` per tentative assignment, keyed
+    by those indices: the bundles, the halt verdict (a halted plan holds its
+    shared outcome), the q values and the step-6 and step-7 draw sites. Each
+    plan then draws its sites over its own samples only; a repeated outcome
+    is the plan's earlier ``Outcome`` object. A plan that raises (q_i > 1 - p,
+    halted or not, or a capped q enumeration) is not kept, so every run that
+    draws it raises again. Plans are made in order of first appearance, so
+    the plan that raises, and the plans kept before it, are those of a
+    sample-by-sample loop over the same seeds.
     There are at most as many plans as the product of the bidders' support
     sizes, and never more than samples drawn.
     """
@@ -397,9 +434,10 @@ class Pipeline:
     def _bundles(self, picks: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(table[0][k] for table, k in zip(self.tables, picks))
 
-    def tentative_sample(self, seed: int) -> tuple[int, ...]:
-        """Step 3 over the cached draw tables: one tentative bundle per bidder."""
-        return self._bundles(tentative_indices(self.tables, rngmod.stream(seed)))
+    def tentative_sample(self, seeds: Sequence[int]) -> list[tuple[int, ...]]:
+        """Step 3 over the cached draw tables for each seed: one tentative bundle per bidder."""
+        keys = [rngmod.stream(seed) for seed in seeds]
+        return [self._bundles(picks) for picks in tentative_indices(self.tables, keys)]
 
     def survival(self, bidder: int, bundle: int) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
@@ -443,13 +481,29 @@ class Pipeline:
         self.plans[picks] = got
         return got
 
-    def sample(self, seed: int) -> Outcome:
-        """One rounding pass: step 3, the assignment's plan, then its sites' draws."""
-        key = rngmod.stream(seed)
-        plan = self.plan(tentative_indices(self.tables, key))
-        if plan.halted is not None:
-            return plan.halted
-        return plan.draw(key)
+    def sample(self, seeds: Sequence[int]) -> list[Outcome]:
+        """One rounding pass per seed, in order: step 3, the plans, then their sites' draws.
+
+        A single int seed gives its one ``Outcome``.
+        """
+        if isinstance(seeds, int):
+            return self.sample([seeds])[0]
+        keys = [rngmod.stream(seed) for seed in seeds]
+        rows_of: dict[tuple, list[int]] = defaultdict(list)
+        for row, picks in enumerate(tentative_indices(self.tables, keys)):
+            rows_of[picks].append(row)
+        # every plan is made before any is drawn: the first to raise is the first seed's to raise
+        plans = [(self.plan(picks), rows) for picks, rows in rows_of.items()]
+        outcomes = [None] * len(keys)
+        for plan, rows in plans:
+            drawn = (
+                [plan.halted] * len(rows)
+                if plan.halted is not None
+                else plan.draw([keys[row] for row in rows])
+            )
+            for row, outcome in zip(rows, drawn):
+                outcomes[row] = outcome
+        return outcomes
 
     def payments(self) -> tuple[Fraction, ...]:
         """Expected externality charges over the LP range.
@@ -510,7 +564,7 @@ def run(
 ) -> Outcome:
     """Execute the full pipeline once, deterministically in (instance, config)."""
     pipeline = Pipeline(instance, config, solution=solution)
-    outcome = pipeline.sample(config.seed)
+    [outcome] = pipeline.sample([config.seed])
     if with_payments:
         outcome = replace(outcome, payments=pipeline.payments())
     return outcome

@@ -8,7 +8,8 @@ the label text ``repr(seed)|repr(label)|...`` encoded as UTF-8, so ``1`` and
 ``"1"`` name different sites. A site's key is its seed's root key followed by
 the site's label bytes (``site``), so a sampler lists each site once as a
 ``draw_site`` and draws it under any seed's root key with one hash,
-``draw(stream(seed), at)``.
+``draw(stream(seed), at)``; ``draws(keys, at)`` draws one site under each of
+a run's root keys.
 
 A stream is counter based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): it holds no generator state beyond its key and a block
@@ -22,7 +23,9 @@ for every ``den``, however wide, and the stream's next draw starts at the
 block after it. A rejection happens with probability below 2^-64. A draw with
 ``den = 1`` is certain: it returns 0, reads no block and leaves the counter
 as it was. Every site of the package draws once, so ``draw`` is a stream's
-first draw.
+first draw. Since a draw is a pure function of its key and site, a run's
+draws can be made in any order, site by site over all of its keys, and each
+returns the same integer.
 
 The block size and the rejection limit of each denominator are cached.
 ``derive_seeds`` derives a run of child seeds, one per index, from one shared
@@ -72,18 +75,34 @@ def draw_site(den: int, *labels) -> tuple[bytes, int, int, int]:
 
 def draw(key: bytes, at: tuple) -> int:
     """The first draw below den of the stream ``key + site(*labels)``, for
-    ``at = draw_site(den, *labels)``.
+    ``at = draw_site(den, *labels)``: ``draws([key], at)[0]``."""
+    return draws((key,), at)[0]
 
-    One hash of block 0; only a rejected block reads on to blocks 1, 2, ...
+
+def draws(keys, at: tuple) -> list[int]:
+    """``[draw(key, at) for key in keys]``: one site's draw under each root key.
+
+    One hash of block 0 per key; only a rejected block reads on to blocks 1, 2, ...
     """
     suffix, den, size, limit = at
-    u = int.from_bytes(shake_256(key + suffix).digest(size), "big")
-    block = 0
-    while u >= limit:
+    shake, from_bytes = shake_256, int.from_bytes
+    return [
+        u % den
+        if (u := from_bytes(shake(key + suffix).digest(size), "big")) < limit
+        else _read_on(key + suffix[:-8], den, size, limit)
+        for key in keys
+    ]
+
+
+def _read_on(prefix: bytes, den: int, size: int, limit: int) -> int:
+    """The draw of a stream ``prefix`` whose block 0 was rejected: its first
+    accepted block from block 1 on."""
+    block = 1
+    while True:
+        u = int.from_bytes(shake_256(prefix + block.to_bytes(8, "big")).digest(size), "big")
+        if u < limit:
+            return u % den
         block += 1
-        data = key + suffix[:-8] + block.to_bytes(8, "big")
-        u = int.from_bytes(shake_256(data).digest(size), "big")
-    return u % den
 
 
 def site(*labels) -> bytes:
@@ -92,8 +111,9 @@ def site(*labels) -> bytes:
 
 
 def _key(seed: int, labels) -> bytes:
-    """The label text ``repr(seed)|repr(label)|...`` as UTF-8."""
-    return "|".join(map(repr, (int(seed), *labels))).encode("utf-8")
+    """The label text ``repr(seed)|repr(label)|...`` as UTF-8: the root key, then ``site``."""
+    root = repr(int(seed)).encode("utf-8")
+    return root + site(*labels) if labels else root
 
 
 def stream(seed: int, *labels) -> bytes:

@@ -436,10 +436,23 @@ def _nested_past_cap(data) -> bool:
 
 
 def load_json(path: Union[str, Path]) -> dict:
-    """A JSON file's contents; unreadable, or nested past ``NESTING_CAP``, is a ``FormatError``."""
+    """A JSON file's contents; unreadable, nested past ``NESTING_CAP`` or with a
+    key repeated in one object, is a ``FormatError``."""
     too_deep = f"{path}: lists and objects nested more than {NESTING_CAP} deep"
+
+    def unique_keys(pairs: list) -> dict:
+        # json's default keeps a repeated key's last value and drops the others
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f"{path}: key {key!r} repeated in one object")
+                seen.add(key)
+        return obj
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except RecursionError as exc:  # nested past the decoder's own limit
         raise FormatError(too_deep) from exc
     except OSError as exc:

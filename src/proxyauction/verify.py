@@ -309,10 +309,8 @@ def check_halt_frequency(pipeline: Pipeline, trials: int) -> CheckResult:
     derived from ``pipeline.config.seed``.
     """
     config, m = pipeline.config, pipeline.instance.m
-    halts = 0
-    for seed in rngmod.derive_seeds(config.seed, "halt-trial", trials):
-        if halt_check(pipeline.tentative_sample(seed), config.c):
-            halts += 1
+    seeds = rngmod.derive_seeds(config.seed, "halt-trial", trials)
+    halts = sum(halt_check(bundles, config.c) for bundles in pipeline.tentative_sample(seeds))
     freq = halts / trials
     bound = 1 / m + 3 * math.sqrt(1 / (m * trials))
     return CheckResult(
@@ -331,8 +329,8 @@ def check_monte_carlo(pipeline: Pipeline, law: OutcomeDistribution, trials: int)
     """
     seed, instance = pipeline.config.seed, pipeline.instance
     welfares = [
-        realized_welfare(instance, pipeline.sample(sample_seed))
-        for sample_seed in rngmod.derive_seeds(seed, "replication", trials)
+        realized_welfare(instance, outcome)
+        for outcome in pipeline.sample(rngmod.derive_seeds(seed, "replication", trials))
     ]
     mean = sum(welfares, Fraction(0)) / trials
     var = sum(((w - mean) ** 2 for w in welfares), Fraction(0)) / max(trials - 1, 1)

@@ -389,14 +389,14 @@ def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple
 def sample_by_steps(pipeline, seed: int) -> Outcome:
     """``Pipeline.sample`` composed of the per-step functions, one stream per site.
 
-    Step 3 is the package's ``Pipeline.tentative_sample``; step 4 counts
+    Step 3 is the package's ``Pipeline.tentative_sample`` of ``[seed]``; step 4 counts
     holders here rather than calling the package's predicate; steps 6 and 7
     are ``item_lottery`` and ``personal_cancel`` above, each of which builds
     its own ``stream_by_definition(seed, stage, index)`` per draw. As in the
     package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
     or not. The q values and survival probabilities come from ``pipeline``.
     """
-    bundles = pipeline.tentative_sample(seed)
+    [bundles] = pipeline.tentative_sample([seed])
     survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(bundles)]
     if any(len(who) > pipeline.config.c.denominator for who in holders_of(bundles)):
         empty = (0,) * len(bundles)

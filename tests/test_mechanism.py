@@ -115,31 +115,30 @@ def test_config_refuses_a_seed_that_is_not_an_int(seed):
 # -- tentative draw -----------------------------------------------------------
 
 
-def drawn_bundles(tables, seed):
-    """Step 3's bundles for ``seed``: the table entries ``tentative_indices`` picks."""
-    picks = tentative_indices(tables, rngmod.stream(seed))
-    return tuple(bundles[k] for (bundles, _, _), k in zip(tables, picks))
+def drawn_bundles(tables, seeds):
+    """Step 3's bundles for each seed: the table entries ``tentative_indices`` picks."""
+    return [
+        tuple(bundles[k] for (bundles, _, _), k in zip(tables, picks))
+        for picks in tentative_indices(tables, [rngmod.stream(seed) for seed in seeds])
+    ]
 
 
 def test_tentative_draw_deterministic_mass_one():
     sol = one_bidder_solution(1)
-    for seed in range(25):
-        assert drawn_bundles(draw_tables(sol), seed) == (1,)
+    assert drawn_bundles(draw_tables(sol), range(25)) == [(1,)] * 25
 
 
 def test_tentative_draw_empty_solution():
     sol = FractionalSolution(n=3, m=2, entries={}, objective=F(0))
-    assert drawn_bundles(draw_tables(sol), 7) == (0,) * 3
+    assert drawn_bundles(draw_tables(sol), [7]) == [(0,) * 3]
 
 
 def test_tentative_draw_frequency():
     sol = one_bidder_solution(F(1, 2))
     tables = draw_tables(sol)
     trials = 10_000
-    hits = sum(
-        drawn_bundles(tables, derive_seed(3, "t", k))[0] == 1
-        for k in range(trials)
-    )
+    seeds = [derive_seed(3, "t", k) for k in range(trials)]
+    hits = sum(bundles[0] == 1 for bundles in drawn_bundles(tables, seeds))
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
 
@@ -416,8 +415,7 @@ def test_single_bidder_run_law():
     pipe = Pipeline(inst, config)
     trials = 10_000
     full = 0
-    for k in range(trials):
-        out = pipe.sample(derive_seed(0, "r", k))
+    for out in pipe.sample([derive_seed(0, "r", k) for k in range(trials)]):
         assert out.final[0] in (0, 0b11)
         full += out.final[0] == 0b11
     assert within_3_sigma(full / trials, F(1, 2), trials)
@@ -446,8 +444,8 @@ def test_run_monte_carlo_tracks_exact_expectation():
     trials = 10_000
     total = F(0)
     values = []
-    for k in range(trials):
-        w = realized_welfare(inst, pipe.sample(derive_seed(9, "mc", k)))
+    for out in pipe.sample([derive_seed(9, "mc", k) for k in range(trials)]):
+        w = realized_welfare(inst, out)
         total += w
         values.append(w)
     mean = total / trials
@@ -470,27 +468,31 @@ def test_sample_matches_definition_on_both_corpora():
     halts = 0
     for label, instance, config in corpus_cases():
         pipe = Pipeline(instance, config)
-        for k in range(200):
-            seed = derive_seed(config.seed, "equivalence", k)
-            out = pipe.sample(seed)
+        seeds = [derive_seed(config.seed, "equivalence", k) for k in range(200)]
+        for k, (seed, out) in enumerate(zip(seeds, pipe.sample(seeds))):
             assert out == sample_by_definition(pipe, seed), (label, k)
             halts += out.halted
     assert halts > 0
 
 
 def assert_sample_matches_steps(pipe, seeds, label=""):
-    """Pipeline.sample(s) == sample_by_steps(s), or both raise ParameterError; the outcomes."""
-    outcomes = []
-    for k, seed in enumerate(seeds):
+    """Pipeline.sample == sample_by_steps over the seeds where the steps do not raise
+    ParameterError; every seed where they do raises alone and in the whole list. The outcomes.
+    """
+    expected, raising = {}, []
+    for seed in seeds:
         try:
-            expected = sample_by_steps(pipe, seed)
+            expected[seed] = sample_by_steps(pipe, seed)
         except ParameterError:
-            with pytest.raises(ParameterError):
-                pipe.sample(seed)
-            continue
-        out = pipe.sample(seed)
-        assert out == expected, (label, k)
-        outcomes.append(out)
+            raising.append(seed)
+    for seed in raising:
+        with pytest.raises(ParameterError):
+            pipe.sample([seed])
+    if raising:
+        with pytest.raises(ParameterError):
+            pipe.sample(seeds)
+    outcomes = pipe.sample([seed for seed in seeds if seed in expected])
+    assert outcomes == list(expected.values()), label
     return outcomes
 
 
@@ -547,7 +549,7 @@ def test_sample_matches_the_step_functions_at_c_one(monkeypatch):
     config = MechanismConfig(c=F(1), p=F(1, 20), q_variant=Q_OWN_ITEMS)
     pipe = Pipeline(instance, config)
     hashed = hashes_by_stage(monkeypatch)
-    outcomes = [pipe.sample(seed) for seed in derive_seeds(1, "c1", 2000)]
+    outcomes = pipe.sample(derive_seeds(1, "c1", 2000))
     assert hashed["'lottery'"] == 0 and hashed["'tentative'"] > 0 and hashed["'cancel'"] > 0
     assert all(plan.lottery == () for plan in pipe.plans.values())
     assert outcomes == assert_sample_matches_steps(pipe, derive_seeds(1, "c1", 2000))
@@ -601,8 +603,8 @@ def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkey
             pipe = Pipeline(load_instance(root / path), MechanismConfig(c=c, p=F(1, 20)))
             seeds = derive_seeds(5, "reject", 300)
             assert len(assert_sample_matches_steps(pipe, seeds, path)) == len(seeds)
-            for seed in seeds[:50]:
-                assert pipe.sample(seed) == sample_by_definition(pipe, seed)
+            for seed, out in zip(seeds[:50], pipe.sample(seeds[:50])):
+                assert out == sample_by_definition(pipe, seed)
     assert firsts[True] > 0 and firsts[False] > 0  # some draws read a second block
 
 
@@ -620,7 +622,7 @@ def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
 
     monkeypatch.setattr(mechanism.rngmod, "stream", counting)
     hashed = hashes_by_stage(monkeypatch)
-    outcomes = [pipe.sample(seed) for seed in derive_seeds(4, "certain", 1000)]
+    outcomes = pipe.sample(derive_seeds(4, "certain", 1000))
     assert roots == {(): 1000}  # one root stream per sample, every site a child of it
     assert hashed["'tentative'"] == 0
     # one lottery per held item, one cancel draw per bidder that kept an item
@@ -634,8 +636,7 @@ def test_a_repeated_outcome_is_one_object(corpus):
     item = corpus[22]
     pipe = Pipeline(item.instance, item.config)
     first = {}
-    for seed in derive_seeds(6, "shared", 2000):
-        out = pipe.sample(seed)
+    for out in pipe.sample(derive_seeds(6, "shared", 2000)):
         # tentative bundles name the plan; kept and final masks its outcome
         assert first.setdefault((out.tentative, out.kept, out.final), out) is out
     assert len(first) < 500  # 2,000 samples, about 200 distinct outcomes
@@ -649,13 +650,39 @@ def test_a_plan_that_raises_is_not_kept(corpus):
     pipe = Pipeline(item.instance, replace(item.config, p=F(9, 10)))
     raised = set()
     for seed in derive_seeds(8, "raises", 300):
-        picks = tentative_indices(pipe.tables, rngmod.stream(seed))
+        [picks] = tentative_indices(pipe.tables, [rngmod.stream(seed)])
         try:
-            pipe.sample(seed)
+            pipe.sample([seed])
         except ParameterError:
             raised.add(picks)
         assert (picks in raised) != (picks in pipe.plans)
     assert raised and pipe.plans
+
+
+@pytest.mark.parametrize("feasible_first", [0, 3, 12])
+def test_a_run_raises_as_its_seeds_one_by_one_would(corpus, feasible_first):
+    # at p = 9/10 some plans of the contended instance raise: a run whose seeds
+    # mix feasible and infeasible plans raises the message the first raising
+    # seed gives alone, and keeps the plans made before it, in the same order
+    item = corpus[22]
+    config = replace(item.config, p=F(9, 10))
+    pool = derive_seeds(8, "raises", 300)
+    probe = Pipeline(item.instance, config)
+    feasible = [
+        seed for seed, bundles in zip(pool, probe.tentative_sample(pool))
+        if all(probe.q(i, bundle) <= 1 - config.p for i, bundle in enumerate(bundles))
+    ]
+    seeds = feasible[:feasible_first] + pool
+    one_by_one = Pipeline(item.instance, config)
+    with pytest.raises(ParameterError) as first:
+        for seed in seeds:
+            one_by_one.sample([seed])
+    run = Pipeline(item.instance, config)
+    with pytest.raises(ParameterError) as got:
+        run.sample(seeds)
+    assert str(got.value) == str(first.value)
+    assert list(run.plans) == list(one_by_one.plans)
+    assert len(run.plans) >= min(feasible_first, 2)  # the feasible plans drawn first are kept
 
 
 def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
@@ -668,16 +695,16 @@ def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
     raised = 0
     for k in range(300):
         seed = derive_seed(7, "infeasible-q", k)
-        bundles = pipe.tentative_sample(seed)
+        [bundles] = pipe.tentative_sample([seed])
         infeasible = any(
             pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(bundles)
         )
         for _ in range(2):  # a plan that raised is not kept
             if infeasible:
                 with pytest.raises(ParameterError):
-                    pipe.sample(seed)
+                    pipe.sample([seed])
             else:
-                assert pipe.sample(seed) == sample_by_definition(pipe, seed)
+                assert pipe.sample([seed]) == [sample_by_definition(pipe, seed)]
         raised += infeasible
     assert 0 < raised < 300
 
@@ -689,9 +716,10 @@ def test_the_cancellation_bound_holds_when_every_draw_halts():
     assert all(x == F(1, 2) for _, _, x in pipe.solution.support())
     for k in range(20):
         seed = derive_seed(3, "always-halts", k)
-        assert halt_check(pipe.tentative_sample(seed), F(1))
+        [bundles] = pipe.tentative_sample([seed])
+        assert halt_check(bundles, F(1))
         with pytest.raises(ParameterError, match="q_i = 1 >"):
-            pipe.sample(seed)
+            pipe.sample([seed])
     assert pipe.plans == {}
     with pytest.raises(ParameterError, match="q_i = 1 >"):
         exact_distribution(pipe)
@@ -700,8 +728,7 @@ def test_the_cancellation_bound_holds_when_every_draw_halts():
 def test_outcome_invariants_on_samples(corpus):
     item = corpus[22]
     pipe = Pipeline(item.instance, item.config)
-    for k in range(200):
-        out = pipe.sample(derive_seed(5, "inv", k))
+    for out in pipe.sample([derive_seed(5, "inv", k) for k in range(200)]):
         taken = 0
         for tent, kept, final in zip(out.tentative, out.kept, out.final):
             assert kept & ~tent == 0 and final & ~kept == 0

@@ -148,6 +148,34 @@ def test_a_site_draw_reads_on_after_a_rejected_first_block(monkeypatch):
         assert reference == package
 
 
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+    labels=st.lists(LABELS, max_size=3),
+    den=DENOMINATORS,
+)
+def test_a_sites_draws_over_many_keys_are_its_draws_key_by_key(seeds, labels, den):
+    at = draw_site(den, *labels)
+    keys = [stream(seed) for seed in seeds]
+    assert rngmod.draws(keys, at) == [draw(key, at) for key in keys]
+
+
+def test_draws_over_many_keys_read_on_after_a_rejected_first_block(monkeypatch):
+    # the first blocks hashed read as all ones, the value rejected for den 3:
+    # the first key's draw reads on to its next blocks, the others' their block 0
+    at = draw_site(3, "reject")
+    keys = [stream(seed) for seed in range(4)]
+    first = keys[0] + site("reject")
+    for rejected in (1, 2):
+        batch, one_by_one = [], []
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(batch, rejected))
+        got = rngmod.draws(keys, at)
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(one_by_one, rejected))
+        assert got == [draw(key, at) for key in keys]
+        assert batch == one_by_one
+        assert batch[: rejected + 1] == [first + k.to_bytes(8, "big") for k in range(rejected + 1)]
+        assert len(batch) == rejected + len(keys)  # no block is hashed twice
+
+
 def test_randrange_wider_than_one_sha_block():
     den = 3**300  # 476 bits, wider than a 256-bit digest
     a, b = draws(11, "wide", k=3, den=den), draws(11, "wide", k=3, den=den)

@@ -24,6 +24,8 @@ from proxyauction.serialize import (
     format_value,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
+    load_json,
     outcome_to_dict,
     parse_value,
     solution_to_dict,
@@ -96,6 +98,21 @@ def test_an_explicit_key_that_names_no_bundle_is_refused(stray):
     assert valuation_from_dict({"kind": "explicit", "values": values}, 2)._value(0b11) == 2
     with pytest.raises(FormatError, match=f"explicit table key {stray!r} names no bundle"):
         valuation_from_dict({"kind": "explicit", "values": {**values, stray: "50"}}, 2)
+
+
+def test_a_key_repeated_in_one_object_is_refused(tmp_path):
+    # json keeps a repeated key's last value: the first "0,1" would be silently lost
+    good = '{"schema": "auction-instance/1", "m": 2, "bidders": [{"kind": "explicit", '
+    path = tmp_path / "repeated.json"
+    path.write_text(good + '"values": {"0": "1", "1": "1", "0,1": "2"}}]}')
+    assert load_instance(path).valuations[0]._value(0b11) == 2
+    path.write_text(good + '"values": {"0": "1", "1": "1", "0,1": "2", "0,1": "50"}}]}')
+    with pytest.raises(FormatError, match="key '0,1' repeated in one object"):
+        load_instance(path)
+    # at any depth, the top level included
+    path.write_text('{"m": 2, "schema": "auction-instance/1", "m": 3}')
+    with pytest.raises(FormatError, match="key 'm' repeated in one object"):
+        load_json(path)
 
 
 def test_instance_schema_enforced():
