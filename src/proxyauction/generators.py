@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CapacityError, ParameterError
 from .mechanism import MechanismConfig, Q_HALT
@@ -29,8 +28,7 @@ from .valuations import (
 )
 
 EXPLICIT_ITEM_CAP = 8
-# bidders, xos clauses and coverage elements of one generated instance: each
-# costs generate time and output in proportion
+# bidders of one generated instance: each costs generate time and output in proportion
 GENERATED_COUNT_CAP = 1000
 GENERATOR_KINDS = ("additive", "unit-demand", "xos", "coverage", "explicit-subadditive", "mixed")
 
@@ -49,17 +47,17 @@ def _unit_demand(m: int, rng: random.Random) -> UnitDemandValuation:
     return UnitDemandValuation([_rand_value(rng) for _ in range(m)])
 
 
-def _xos(m: int, rng: random.Random, clauses: int = 3) -> XOSValuation:
+def _xos(m: int, rng: random.Random) -> XOSValuation:
     rows = []
-    for _ in range(clauses):
+    for _ in range(3):
         rows.append(
             [Fraction(0) if rng.random() < 0.34 else _rand_value(rng) for _ in range(m)]
         )
     return XOSValuation(m, rows)
 
 
-def _coverage(m: int, rng: random.Random, elements: Optional[int] = None) -> CoverageValuation:
-    u = elements if elements is not None else m + rng.randint(0, 2)
+def _coverage(m: int, rng: random.Random) -> CoverageValuation:
+    u = m + rng.randint(0, 2)
     weights = [_rand_value(rng) for _ in range(u)]
     covers = [[e for e in range(u) if rng.random() < 0.5] for _ in range(m)]
     return CoverageValuation(weights, covers)
@@ -117,12 +115,12 @@ _BUILDERS = {
 }
 
 
-def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
+def generate(kind: str, n: int, m: int, seed: int) -> Instance:
     """Deterministic n-bidder, m-item instance of the requested kind.
 
     ``mixed`` draws each bidder's kind independently (explicit tables only
-    when m allows them). More than ``GENERATED_COUNT_CAP`` bidders, clauses
-    or elements raise ``CapacityError`` before any valuation is built.
+    when m allows them). More than ``GENERATED_COUNT_CAP`` bidders raise
+    ``CapacityError`` before any valuation is built.
     """
     if kind not in GENERATOR_KINDS:
         raise ParameterError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
@@ -130,9 +128,8 @@ def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
         raise ParameterError("need n >= 1 bidders and m >= 1 items")
     if m > INSTANCE_ITEM_CAP:
         raise CapacityError("items of one instance", m, INSTANCE_ITEM_CAP)
-    for what, count in (("bidders", n), *params.items()):
-        if count > GENERATED_COUNT_CAP:
-            raise CapacityError(f"generated {what}", count, GENERATED_COUNT_CAP)
+    if n > GENERATED_COUNT_CAP:
+        raise CapacityError("generated bidders", n, GENERATED_COUNT_CAP)
     valuations: list[Valuation] = []
     for i in range(n):
         rng = random.Random(derive_seed(seed, "bidder", kind, n, m, i))
@@ -141,12 +138,20 @@ def generate(kind: str, n: int, m: int, seed: int, **params) -> Instance:
             bidder_kind = rng.choice(sorted(pool))
             valuations.append(_BUILDERS[bidder_kind](m, rng))
         else:
-            valuations.append(_BUILDERS[kind](m, rng, **params))
+            valuations.append(_BUILDERS[kind](m, rng))
     return Instance(
         m,
         tuple(valuations),
         metadata={"generator": kind, "seed": seed, "n": n, "m": m},
     )
+
+
+# The instance both corpora end with, as ``generate``'s arguments, and its
+# config: the LP optimum shares one item among all three bidders, so the halt
+# event has positive probability (exactly 1/27 at c = 1/2) and the q
+# machinery is exercised non-trivially.
+CONTENDED = ("xos", 3, 4, 27)
+CONTENDED_CONFIG = MechanismConfig(c=Fraction(1, 2), p=Fraction(1, 20), q_variant=Q_HALT, seed=27)
 
 
 @dataclass(frozen=True)
@@ -193,27 +198,18 @@ def standard_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusInstance]:
         inst = generate(kind, n, m, derive_seed(seed, "corpus", idx))
         config = MechanismConfig(c=c, p=p, q_variant=Q_HALT, seed=derive_seed(seed, "run", idx))
         corpus.append(CorpusInstance(f"{idx:02d}-{kind}-n{n}-m{m}", inst, config))
-    # A pinned instance whose LP optimum shares one item among all three
-    # bidders, so the halt event has positive probability (exactly 1/27 at
-    # c = 1/2) and the q machinery is exercised non-trivially.
-    contended = generate("xos", 3, 4, 27)
-    corpus.append(
-        CorpusInstance(
-            f"{len(shapes):02d}-xos-n3-m4-contended",
-            contended,
-            MechanismConfig(c=Fraction(1, 2), p=Fraction(1, 20), q_variant=Q_HALT, seed=27),
-        )
-    )
+    label = f"{len(shapes):02d}-xos-n3-m4-contended"
+    corpus.append(CorpusInstance(label, generate(*CONTENDED), CONTENDED_CONFIG))
     return corpus
 
 
 def truthfulness_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusInstance]:
     """Explicit-table instances for the misreport certification (>= 10).
 
-    The final entry is the contended three-bidder instance converted to
-    explicit tables: its optimum puts three bidders on one item, so the
-    certification also covers runs where halting and the q correction are
-    live rather than identically zero.
+    The final entry is ``CONTENDED`` converted to explicit tables: its
+    optimum puts three bidders on one item, so the certification also covers
+    runs where halting and the q correction are live rather than identically
+    zero.
     """
     shapes = [(2, 2), (2, 2), (2, 3), (2, 3), (2, 3), (3, 2), (3, 2), (2, 3), (3, 3), (2, 2), (3, 2), (2, 3)]
     corpus = []
@@ -224,16 +220,12 @@ def truthfulness_corpus(seed: int = DEFAULT_CORPUS_SEED) -> list[CorpusInstance]
             seed=derive_seed(seed, "truthful-run", idx),
         )
         corpus.append(CorpusInstance(f"T{idx:02d}-explicit-n{n}-m{m}", inst, config))
-    contended = generate("xos", 3, 4, 27)
-    corpus.append(
-        CorpusInstance(
-            f"T{len(shapes):02d}-explicit-n3-m4-contended",
-            Instance(
-                4,
-                tuple(ExplicitValuation.from_valuation(v) for v in contended.valuations),
-                metadata={"generator": "explicit-contended", "seed": 27, "n": 3, "m": 4},
-            ),
-            MechanismConfig(c=Fraction(1, 2), p=Fraction(1, 20), q_variant=Q_HALT, seed=27),
-        )
+    contended = generate(*CONTENDED)
+    explicit = Instance(
+        contended.m,
+        tuple(ExplicitValuation.from_valuation(v) for v in contended.valuations),
+        metadata={**contended.metadata, "generator": "explicit-contended"},
     )
+    label = f"T{len(shapes):02d}-explicit-n3-m4-contended"
+    corpus.append(CorpusInstance(label, explicit, CONTENDED_CONFIG))
     return corpus

@@ -113,7 +113,7 @@ def test_criterion_06_halt_frequency_bound():
         sol = random_feasible_solution(12, m, s, bundles_per_bidder=4, max_bundle_items=6)
         pipeline = Pipeline(instance, replace(config, seed=s), solution=sol)
         res = check_halt_frequency(pipeline, trials)
-        assert res.passed, res.details
+        assert res.asserted and res.passed, res.details  # 1/c = 233 is the paper's regime
         freqs.append(res.details["frequency"])
     report(6, f"halt frequency {max(freqs):.5f} <= {bound:.5f} over 5 feasible "
               f"solutions at m=64, 1/c={config.inv_c}, {trials} trials each")

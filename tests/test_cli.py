@@ -340,9 +340,10 @@ def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert calls == {"solve_exact": 1}
-    # the report each check built its own Pipeline for, byte for byte
+    # the report each check built its own Pipeline for, byte for byte, but
+    # halt-frequency's ``asserted``: c = 1/2 lies outside the paper's regime
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "a1230a90c4b01408a81f2d01b5d7bedaba561545a7b5d48fb0a4e014562bacba"
+    assert digest == "664f137543d868aeb0fe34e0e10425913029b5a39ba36c31decdec1922d80016"
 
 
 @pytest.mark.parametrize("solver", ["full", "column-generation"])
@@ -458,10 +459,8 @@ def test_run_and_verify_refuse_sample_counts_past_the_cap(monkeypatch, capsys):
     "flags, what",
     [
         (["--kind", "additive", "--n", "1001"], "generated bidders"),
-        (["--kind", "xos", "--n", "1", "--clauses", "1001"], "generated clauses"),
-        (["--kind", "coverage", "--n", "1", "--elements", "1001"], "generated elements"),
     ],
-    ids=["n", "clauses", "elements"],
+    ids=["n"],
 )
 def test_generate_refuses_counts_past_the_cap(flags, what, monkeypatch, capsys):
     def no_valuation(*args):
@@ -582,6 +581,32 @@ def test_a_raising_check_keeps_the_other_checks_results(monkeypatch, capsys):
         "PASS    welfare-identity  22-xos-n3-m4-contended.json",
         "ERROR   approximation     22-xos-n3-m4-contended.json",
     ]
+
+
+def test_own_items_checks_report_without_asserting(tmp_path, monkeypatch, capsys):
+    # the mixed instance's LP is fractional at c = 1, where own-items
+    # undercancels: each check fails, and none is asserted
+    monkeypatch.chdir(tmp_path)
+    assert main([*GENERATED["mixed-n3-m4.json"], "--out", "mixed.json"]) == 0
+    argv = ["verify", "mixed.json", "--c", "1", "--q-variant", "own-items",
+            "--checks", "welfare,marginals,truthfulness"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert [(r["check"], r["passed"], r["asserted"]) for r in report["results"]] == [
+        ("welfare-identity", False, False),
+        ("keep-marginals", False, False),
+        ("truthfulness", False, False),
+    ]
+    assert main([*argv, "--format", "table"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:-1]] == ["info"] * 3
+    assert rows[-1] == "overall: PASS"
+    # a check that raises is an error record, asserted under either variant
+    monkeypatch.setattr(mechanism, "ATOM_CAP", 1)
+    assert main(argv) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["check"], r["asserted"]) for r in results] == [("error", True)] * 3
 
 
 def test_verify_certifies_the_envelope(tmp_path, capsys):
@@ -824,14 +849,12 @@ INSTANCE = str(CORPUS_DIR / "08-xos-n3-m4.json")
         (["bench", "--m-list", "x"], "argument --m-list: expected a positive integer"),
         (["run", INSTANCE, "--replications", "-3"],
          "argument --replications: expected a positive integer"),
-        (["generate", "--kind", "xos", "--n", "2", "--m", "3", "--clauses", "0"],
-         "argument --clauses: expected a positive integer"),
         # every cap is a module constant, not a flag
         (["verify", INSTANCE, "--caps", "lp=3"], "unrecognized arguments: --caps lp=3"),
     ],
     ids=["c-text", "c-zero-denominator", "p-text", "c-exponent", "p-exponent", "c-oversize",
          "trials-zero", "repeat-zero", "m-list-text",
-         "replications-negative", "clauses-zero", "caps-unrecognized"],
+         "replications-negative", "caps-unrecognized"],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1092,12 +1115,9 @@ def test_a_manifest_seed_that_is_not_an_integer_is_a_format_error(seed, tmp_path
         ["--corpus", "standard", "--kind", "xos"],
         ["--corpus", "truthfulness", "--n", "2"],
         ["--corpus", "standard", "--m", "3"],
-        ["--corpus", "standard", "--clauses", "2"],
-        ["--corpus", "truthfulness", "--elements", "2"],
         ["--kind", "xos", "--n", "2", "--m", "3", "--out-dir", "corpus-dir"],
     ],
-    ids=["corpus-out", "corpus-kind", "corpus-n", "corpus-m", "corpus-clauses",
-         "corpus-elements", "out-dir-without-corpus"],
+    ids=["corpus-out", "corpus-kind", "corpus-n", "corpus-m", "out-dir-without-corpus"],
 )
 def test_generate_rejects_flags_it_would_ignore(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -46,8 +46,6 @@ def test_explicit_generator_cap():
     "kind, n, params, what",
     [
         ("additive", 1001, {}, "generated bidders"),
-        ("xos", 1, {"clauses": 1001}, "generated clauses"),
-        ("coverage", 1, {"elements": 1001}, "generated elements"),
     ],
 )
 def test_counts_past_the_cap_are_refused_before_any_valuation(kind, n, params, what, monkeypatch):

@@ -115,11 +115,11 @@ def test_own_items_variant_reports_without_asserting():
     inst, sol = overlap_demo()
     _, own_cfg = overlap_configs()
     w = check_welfare_identity(*prepared(inst, own_cfg, solution=sol))
-    assert w.passed  # informational under own-items
+    assert not w.passed and not w.asserted  # informational under own-items
     assert F(w.details["gap"]) == F(11, 40) - F(21, 80)
     m = check_keep_marginals(*prepared(inst, own_cfg, solution=sol))
-    assert m.passed
-    assert len(m.details["deficits"]) == 1
+    assert not m.passed and not m.asserted
+    assert m.details["deficits"] == [m.witness]
     assert F(m.details["deficits"][0]["deficit"]) == F(1, 160)
 
 
@@ -359,6 +359,7 @@ def test_truthfulness_under_own_items_is_recorded_not_asserted():
     config = MechanismConfig(c=F(1, 2), p=F(1, 20), q_variant=Q_OWN_ITEMS)
     res = check_truthfulness(Pipeline(inst, config))
     assert isinstance(res.passed, bool)  # outcome recorded either way
+    assert not res.asserted
 
 
 # -- composite checks ---------------------------------------------------------------------
@@ -627,3 +628,18 @@ def test_halt_frequency_fails_when_every_run_halts():
     assert res.passed is False
     assert (res.details["halts"], res.details["trials"]) == (200, 200)
     assert res.details["frequency"] == 1.0 and res.details["bound"] < 0.36
+    # c = 1 lies outside the paper's regime, c <= default_params(4)'s 1/200
+    assert res.asserted is False
+
+
+def test_halt_frequency_fails_asserted_in_the_papers_regime():
+    # at m = 4 and c = 1/200 = default_params(4)'s c, 201 bidders each
+    # holding item 0 with mass 1 overfill it on every run
+    n = 201
+    inst = Instance(4, tuple(AdditiveValuation([1, 0, 0, 0]) for _ in range(n)))
+    sol = FractionalSolution(n=n, m=4, entries={(i, 0b0001): F(1) for i in range(n)},
+                             objective=F(n, 200))
+    pipeline = Pipeline(inst, MechanismConfig(c=F(1, 200), p=F(1, 20)), solution=sol)
+    res = check_halt_frequency(pipeline, 200)
+    assert res.asserted and res.passed is False
+    assert (res.details["halts"], res.details["inv_c"]) == (200, 200)
