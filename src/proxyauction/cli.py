@@ -303,9 +303,9 @@ def _checks_for(instance, config, checks: list[str], trials: int) -> list[dict]:
         "approximation": lambda: ver.check_approximation(pipeline(), law()),
         "proxy-bound": lambda: ver.check_proxy_bound(instance),
         "lp": lambda: ver.check_lp_agreement(pipeline()),
-        "halt-freq": lambda: ver.check_halt_frequency(pipeline(), trials),
+        "halt-freq": lambda: ver.check_halt_frequency(pipeline()),
         "monte-carlo": lambda: ver.check_monte_carlo(pipeline(), law(), trials),
-        "truthfulness": lambda: ver.check_truthfulness(pipeline()),
+        "truthfulness": lambda: ver.check_truthfulness(pipeline(), law()),
     }
     results = []
     for name in checks:
@@ -405,7 +405,7 @@ def cmd_verify(args) -> CommandResult:
             if check == "error":
                 status, check = "ERROR", r["details"].get("check", check)
             else:
-                status = "PASS" if r["passed"] else ("FAIL" if r["asserted"] else "info")
+                status = ("PASS" if r["passed"] else "FAIL") if r["asserted"] else "info"
             rows.append([status, check, Path(r["instance"]).name])
         return _table(rows) + f"\noverall: {'PASS' if not failed else 'FAIL'}"
 
@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run certification checks on instances")
     v.add_argument("target", help="instance file, corpus directory, or manifest directory")
     v.add_argument("--checks", default=DEFAULT_CHECKS, help=f"comma list from {ALL_CHECKS}")
-    v.add_argument("--trials", type=_positive_int, default=10_000, help="Monte Carlo trials")
+    v.add_argument("--trials", type=_positive_int, default=10_000, help="monte-carlo samples")
     v.add_argument("--workers", type=_positive_int, default=1, help="parallel instance workers")
     v.set_defaults(func=cmd_verify)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ParameterError
+from .itemsets import submasks
 from .mechanism import MechanismConfig, Q_HALT
 from .rng import derive_seed
 from .valuations import (
@@ -81,17 +82,9 @@ def repair_monotone_subadditive(raw: dict[int, Fraction], m: int) -> dict[int, F
         if mask == 0 or mask.bit_count() == 1:
             continue
         low = mask & -mask
-        best = capped[mask]
-        # part containing the lowest item runs over submasks including it
-        sub = mask
-        while sub:
-            if sub & low and sub != mask:
-                other = mask ^ sub
-                split = capped[sub] + capped[other]
-                if split < best:
-                    best = split
-            sub = (sub - 1) & mask
-        capped[mask] = best
+        # the part containing the lowest item runs over the proper submasks including it
+        parts = [sub for sub in submasks(mask) if sub & low and sub != mask]
+        capped[mask] = min(capped[mask], *(capped[sub] + capped[mask ^ sub] for sub in parts))
     return {mask: capped[mask] for mask in range(size)}
 
 

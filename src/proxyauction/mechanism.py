@@ -326,17 +326,20 @@ def compute_q(
     (others' draws plus this bidder holding ``bundle``) over all items; under
     "own-items" it is restricted to over-allocation of the items inside
     ``bundle``. A bidder whose mass exceeds 1, this one included, raises
-    ``InfeasibleSolutionError``.
+    ``InfeasibleSolutionError``. With at most 1/c bidders no item can have
+    more than 1/c holders, so q is 0 with no enumeration and no cap.
     """
     if variant not in Q_VARIANTS:
         raise ParameterError(f"unknown q variant {variant!r}")
     laws = [tentative_law(solution, i) for i in range(solution.n)]
     del laws[bidder]
+    inv_c = c.denominator
+    if len(laws) < inv_c:
+        return Fraction(0)
     size = math.prod(map(len, laws))
     if size > ATOM_CAP:
         raise CapacityError("q enumeration over joint draws", size, ATOM_CAP)
     scope = -1 if variant == Q_HALT else bundle
-    inv_c = c.denominator
     total = Fraction(0)
     for draw in product(*laws):
         if _overfilled([bundle, *(b for b, _ in draw)], inv_c) & scope:
@@ -431,14 +434,6 @@ class Pipeline:
             self._tables = draw_tables(self.solution)
         return self._tables
 
-    def _bundles(self, picks: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(table[0][k] for table, k in zip(self.tables, picks))
-
-    def tentative_sample(self, seeds: Sequence[int]) -> list[tuple[int, ...]]:
-        """Step 3 over the cached draw tables for each seed: one tentative bundle per bidder."""
-        keys = [rngmod.stream(seed) for seed in seeds]
-        return [self._bundles(picks) for picks in tentative_indices(self.tables, keys)]
-
     def survival(self, bidder: int, bundle: int) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
         key = (bidder, bundle)
@@ -454,7 +449,7 @@ class Pipeline:
         got = self.plans.get(picks)
         if got is not None:
             return got
-        bundles = self._bundles(picks)
+        bundles = tuple(table[0][k] for table, k in zip(self.tables, picks))
         # the bound q_i <= 1 - p applies to every drawn bundle, halted or not
         survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
         if halt_check(bundles, self.config.c):

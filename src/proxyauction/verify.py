@@ -17,22 +17,24 @@ On top of the law sit the certification checks:
     (n * 3^m integer steps, bounded by ``INTEGRAL_CAP``),
   * proxy bound: proxy values dominate c times the base value on every
     bundle (requires subadditivity), compared as integers over the tables,
-  * halt frequency: Monte Carlo bound on the probability of halting,
+  * halt frequency: the exact probability of halting is at most 1/m,
+  * monte carlo: the sampled mean welfare lies near the exact one,
   * truthfulness: against finite misreport families, each bidder's exact
     expected utility is maximized by reporting truthfully,
   * LP agreement: the simplex matches an independent enumeration of all
     basic solutions, and column generation matches the full solve.
 
 Every check takes the prepared ``Pipeline`` it certifies, and the checks that
-read the outcome law also take its ``exact_distribution``, so one mechanism
-and one law serve every check of an instance. Each enumeration is bounded
-by one module constant, read where it is checked (``INTEGRAL_CAP`` and
-``VERTEX_ENUM_CAP`` here, the others in the modules that own them), and
-raises ``CapacityError`` past it. The checks return CheckResult records
-rather than raising, so a harness can collect and serialize them; the
-acceptance suite asserts on the records. Each check sets ``asserted``: welfare
-identity, keep marginals and truthfulness only under the "halt" q variant,
-halt frequency only in the paper's regime, and the others always.
+read the outcome law, truthfulness among them, also take its
+``exact_distribution``, so one mechanism and one law serve every check of an
+instance. Each enumeration is bounded by one module constant, read where it
+is checked (``INTEGRAL_CAP`` and ``VERTEX_ENUM_CAP`` here, the others in the
+modules that own them), and raises ``CapacityError`` past it. The checks
+return CheckResult records rather than raising, so a harness can collect and
+serialize them; the acceptance suite asserts on the records. Each check sets
+``asserted``: welfare identity, keep marginals and truthfulness only under
+the "halt" q variant, halt frequency only in the paper's regime, and the
+others always.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .mechanism import (
     Q_HALT,
     SOLVER_FULL,
     Pipeline,
+    compute_q,
     default_params,
     halt_check,
     realized_welfare,
@@ -303,25 +306,25 @@ def check_proxy_bound(
     )
 
 
-def check_halt_frequency(pipeline: Pipeline, trials: int) -> CheckResult:
-    """Monte Carlo bound on the halt probability of the tentative draw.
+def check_halt_frequency(pipeline: Pipeline) -> CheckResult:
+    """The exact probability that step 4 halts is at most 1/m.
 
-    Passes when the observed frequency is at most 1/m plus a three-sigma
-    one-sided slack of sqrt(1/(m * trials)). The bound is the paper's only in
-    its regime, m >= 4 and c at most ``default_params(m)``'s c, so it is
-    asserted only there. The trials draw from seeds derived from
-    ``pipeline.config.seed``.
+    Under "halt", q is the probability of a halt given one bidder's bundle,
+    so P(halt) is the sum over bidder 0's ``tentative_law`` of x * q(S),
+    whatever the pipeline's q variant: no outcome law is built and nothing
+    is sampled. The bound is the paper's only in its regime, m >= 4 and c at
+    most ``default_params(m)``'s c, so it is asserted only there.
     """
-    config, m = pipeline.config, pipeline.instance.m
-    seeds = rngmod.derive_seeds(config.seed, "halt-trial", trials)
-    halts = sum(halt_check(bundles, config.c) for bundles in pipeline.tentative_sample(seeds))
-    freq = halts / trials
-    bound = 1 / m + 3 * math.sqrt(1 / (m * trials))
+    config, sol, m = pipeline.config, pipeline.solution, pipeline.instance.m
+    halt = sum(
+        (x * compute_q(sol, 0, bundle, config.c, Q_HALT) for bundle, x in tentative_law(sol, 0)),
+        Fraction(0),
+    )
+    bound = Fraction(1, m)
     return CheckResult(
         "halt-frequency",
-        freq <= bound,
-        {"halts": halts, "trials": trials, "frequency": freq, "bound": bound,
-         "inv_c": config.inv_c},
+        halt <= bound,
+        {"halt_probability": str(halt), "bound": str(bound), "inv_c": config.inv_c},
         asserted=m >= 4 and config.c <= default_params(m)[0],
     )
 
@@ -599,24 +602,24 @@ def expected_true_value(
     )
 
 
-def check_truthfulness(pipeline: Pipeline) -> CheckResult:
+def check_truthfulness(pipeline: Pipeline, law: OutcomeDistribution) -> CheckResult:
     """No bidder gains in exact expected utility from any family misreport.
 
     Utility is p-weighted expected true value minus the deterministic charge,
-    both exact. ``pipeline`` is the truthful run; the mechanism (LP, q
-    values, payments) is recomputed from each misreported profile exactly as
-    it would be for real reports. Also checks that truthful utility is
-    nonnegative. Asserted only under the halt variant.
+    both exact. ``pipeline`` is the truthful run and ``law`` its
+    ``exact_distribution``; the mechanism (LP, q values, payments) is
+    recomputed from each misreported profile exactly as it would be for real
+    reports. Also checks that truthful utility is nonnegative. Asserted only
+    under the halt variant.
     """
     instance, config = pipeline.instance, pipeline.config
-    truth_dist = exact_distribution(pipeline)
     truth_charges = pipeline.payments()
 
     violations = []
     cases = 0
     for i, true_v in enumerate(instance.valuations):
         true_proxy = pipeline.proxies[i]
-        truth_utility = expected_true_value(truth_dist, i, true_proxy) - truth_charges[i]
+        truth_utility = expected_true_value(law, i, true_proxy) - truth_charges[i]
         if truth_utility < 0:
             violations.append(
                 {"bidder": i, "misreport": "truth", "truth_utility": str(truth_utility),

@@ -60,6 +60,33 @@ def rows_against_columns() -> Instance:
     return Instance(4, (rows, columns))
 
 
+def affine_plane(n: int) -> Instance:
+    """n XOS bidders over the 9 points of the affine plane over Z/3, item 3x + y at (x, y).
+
+    Bidders 0..n-2 take the lines of slopes 0..n-2, {(x, (a*x + b) mod 3)},
+    and the last bidder the vertical lines {(b, y)}; each bidder has one
+    clause per line, in order of b. Every point of a clause draws its weight
+    ``randint(4, 6) / 5`` from one ``random.Random(1)`` shared by the bidders.
+    Two lines of different slopes meet in exactly one point, so every pair of
+    bidders contends for items.
+    """
+    rng = random.Random(1)
+    valuations = []
+    for i in range(n):
+        if i < n - 1:
+            lines = [[3 * x + (i * x + b) % 3 for x in range(3)] for b in range(3)]
+        else:
+            lines = [[3 * b + y for y in range(3)] for b in range(3)]
+        clauses = []
+        for line in lines:
+            weights = [Fraction(0)] * 9
+            for point in line:
+                weights[point] = Fraction(rng.randint(4, 6), 5)
+            clauses.append(weights)
+        valuations.append(XOSValuation(9, clauses))
+    return Instance(9, tuple(valuations))
+
+
 def random_feasible_solution(
     n: int,
     m: int,

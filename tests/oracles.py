@@ -29,7 +29,9 @@ from proxyauction.mechanism import (
     Q_HALT,
     SOLVER_COLGEN,
     Outcome,
+    tentative_indices,
 )
+from proxyauction.rng import stream
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
 from proxyauction.valuations import (
@@ -386,17 +388,25 @@ def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple
     return tuple(final)
 
 
+def tentative_bundles(pipeline, seeds: Sequence[int]) -> list[tuple[int, ...]]:
+    """Step 3 for each seed: the package's ``tentative_indices`` over the
+    pipeline's draw tables, read as one bundle per bidder."""
+    tables = pipeline.tables
+    picked = tentative_indices(tables, [stream(seed) for seed in seeds])
+    return [tuple(table[0][k] for table, k in zip(tables, picks)) for picks in picked]
+
+
 def sample_by_steps(pipeline, seed: int) -> Outcome:
     """``Pipeline.sample`` composed of the per-step functions, one stream per site.
 
-    Step 3 is the package's ``Pipeline.tentative_sample`` of ``[seed]``; step 4 counts
+    Step 3 is ``tentative_bundles`` of ``[seed]``; step 4 counts
     holders here rather than calling the package's predicate; steps 6 and 7
     are ``item_lottery`` and ``personal_cancel`` above, each of which builds
     its own ``stream_by_definition(seed, stage, index)`` per draw. As in the
     package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
     or not. The q values and survival probabilities come from ``pipeline``.
     """
-    [bundles] = pipeline.tentative_sample([seed])
+    [bundles] = tentative_bundles(pipeline, [seed])
     survival = [pipeline.survival(i, bundle) for i, bundle in enumerate(bundles)]
     if any(len(who) > pipeline.config.c.denominator for who in holders_of(bundles)):
         empty = (0,) * len(bundles)

@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. Every
-equality here is exact rational equality (zero tolerance); the two sampling
-criteria use the normal-approximation slack stated in their bounds.
+equality here is exact rational equality (zero tolerance); the one sampling
+criterion, Monte Carlo welfare, uses the normal-approximation slack stated in
+its bound.
 """
 
-import math
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -92,7 +92,7 @@ def test_criterion_05_truthfulness_in_expectation():
     assert any("contended" in item.label for item in corpus)  # halts live on one
     cases = 0
     for item in corpus:
-        res = check_truthfulness(Pipeline(item.instance, item.config))
+        res = check_truthfulness(*prepared(item.instance, item.config))
         assert res.passed, (item.label, res.witness)
         cases += res.details["misreports_checked"]
     elapsed = time.perf_counter() - started
@@ -103,20 +103,19 @@ def test_criterion_05_truthfulness_in_expectation():
 
 
 def test_criterion_06_halt_frequency_bound():
-    m, trials = 64, 10_000
+    m = 64
     c, p = default_params(m)
     config = MechanismConfig(c=c, p=p, seed=64)
     instance = Instance(m, tuple(AdditiveValuation([1] * m) for _ in range(12)))
-    bound = 1 / m + 3 * math.sqrt(1 / (m * trials))
-    freqs = []
     for s in range(5):
         sol = random_feasible_solution(12, m, s, bundles_per_bidder=4, max_bundle_items=6)
         pipeline = Pipeline(instance, replace(config, seed=s), solution=sol)
-        res = check_halt_frequency(pipeline, trials)
+        res = check_halt_frequency(pipeline)
         assert res.asserted and res.passed, res.details  # 1/c = 233 is the paper's regime
-        freqs.append(res.details["frequency"])
-    report(6, f"halt frequency {max(freqs):.5f} <= {bound:.5f} over 5 feasible "
-              f"solutions at m=64, 1/c={config.inv_c}, {trials} trials each")
+        # no item can have more than n = 12 <= 1/c holders
+        assert res.details == {"halt_probability": "0", "bound": "1/64", "inv_c": 233}
+    report(6, f"exact halt probability 0 <= 1/{m} over 5 feasible solutions "
+              f"at m={m}, n=12, 1/c={config.inv_c}")
 
 
 def test_criterion_07_lp_cross_validation():

@@ -316,11 +316,13 @@ def test_verify_builds_one_mechanism_per_instance(monkeypatch, instance_file, tm
     assert main([*flags, "--out", "/dev/null"]) == 0
     assert calls == {"Pipeline": 1, "build_full_lp": 1, "solve_exact": 1, "exact_distribution": 1}
 
-    # the truthful run is the verified pipeline; each misreport builds its own
+    # the truthful run is the verified pipeline with its one law; each
+    # misreport builds its own of both
     calls.clear()
     assert main([*flags, "--checks", "welfare,truthfulness", "--out", str(out)]) == 0
     [_, truthfulness] = load_json(out)["results"]
-    assert calls["Pipeline"] == 1 + truthfulness["details"]["misreports_checked"]
+    misreports = truthfulness["details"]["misreports_checked"]
+    assert calls["Pipeline"] == calls["exact_distribution"] == 1 + misreports
 
 
 def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
@@ -341,9 +343,10 @@ def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
     assert code == 0
     assert calls == {"solve_exact": 1}
     # the report each check built its own Pipeline for, byte for byte, but
-    # halt-frequency's ``asserted``: c = 1/2 lies outside the paper's regime
+    # halt-frequency's ``asserted`` (c = 1/2 lies outside the paper's regime)
+    # and its details, the exact halt probability in place of sampled halts
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "664f137543d868aeb0fe34e0e10425913029b5a39ba36c31decdec1922d80016"
+    assert digest == "5a1eb60b6dcc8898cd12fdcfa974f69766140293edc06b9a7cceecf30232c92b"
 
 
 @pytest.mark.parametrize("solver", ["full", "column-generation"])
@@ -451,7 +454,7 @@ def test_run_and_verify_refuse_sample_counts_past_the_cap(monkeypatch, capsys):
     path = str(CORPUS_DIR / "08-xos-n3-m4.json")
     assert main(["run", path, "--c", "1/2", "--p", "1/20", "--replications", "100001"]) == 2
     assert capsys.readouterr().err == "error: derived seeds: 100001 exceeds the cap of 100000\n"
-    argv = ["verify", path, "--trials", "100001", "--checks", "halt-freq"]
+    argv = ["verify", path, "--trials", "100001", "--checks", "monte-carlo"]
     assert cap_error(capsys, argv) == ("derived seeds", 100_001, 100_000)
 
 
@@ -609,6 +612,21 @@ def test_own_items_checks_report_without_asserting(tmp_path, monkeypatch, capsys
     assert [(r["check"], r["asserted"]) for r in results] == [("error", True)] * 3
 
 
+def test_a_passing_check_that_is_not_asserted_reads_info(capsys):
+    # no halt at c = 1/2 on instance 08, a verdict outside the paper's regime
+    argv = ["verify", str(CORPUS_DIR / "08-xos-n3-m4.json"), "--c", "1/2", "--p", "1/20",
+            "--checks", "halt-freq"]
+    assert main(argv) == 0
+    [record] = json.loads(capsys.readouterr().out)["results"]
+    assert (record["passed"], record["asserted"]) == (True, False)
+    assert main([*argv, "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "result  check           instance",
+        "info    halt-frequency  08-xos-n3-m4.json",
+        "overall: PASS",
+    ]
+
+
 def test_verify_certifies_the_envelope(tmp_path, capsys):
     # five bidders over ten items: 6^10 item assignments, past the integral
     # cap for an enumeration; the subset DP takes 5 * 3^10 steps
@@ -737,6 +755,11 @@ PINNED_REPORTS = {
     "verify-standard-table": (
         ["verify", "corpus/standard", "--format", "table"],
         "208714ec2e80b45fe8dac0f2e51268c2a1618a8a195f68fc0d27d95d5107de09",
+    ),
+    # exact halt probabilities, at the manifests' c, outside the paper's regime
+    "verify-standard-halt-freq": (
+        ["verify", "corpus/standard", "--checks", "halt-freq"],
+        "acb8caf94c6794b5635ec23ecabfb3c2dd613495ef51ba0daa9194abf42a5db7",
     ),
     "solve-proxy-table": (
         ["solve", "corpus/standard/08-xos-n3-m4.json", "--valuations", "proxy", "--c", "1/2",

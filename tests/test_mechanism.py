@@ -22,11 +22,17 @@ from oracles import (
     q_by_assignments,
     sample_by_definition,
     sample_by_steps,
+    tentative_bundles,
 )
 
 from proxyauction import mechanism
 from proxyauction import rng as rngmod
-from proxyauction.errors import ContractViolationError, InfeasibleSolutionError, ParameterError
+from proxyauction.errors import (
+    CapacityError,
+    ContractViolationError,
+    InfeasibleSolutionError,
+    ParameterError,
+)
 from proxyauction.generators import generate
 from proxyauction.lp import FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import (
@@ -258,8 +264,6 @@ def test_q_for_empty_bundle():
 
 
 def test_q_atom_cap(monkeypatch):
-    from proxyauction.errors import CapacityError
-
     sol = overlap_two_bidder_solution()
     size = len(tentative_law(sol, 1))  # the other bidder's draws
     monkeypatch.setattr(mechanism, "ATOM_CAP", size - 1)
@@ -270,6 +274,29 @@ def test_q_atom_cap(monkeypatch):
     )
     monkeypatch.setattr(mechanism, "ATOM_CAP", size)
     assert compute_q(sol, 0, 1, F(1), Q_HALT) == F(1, 2)
+
+
+def test_q_is_zero_without_an_enumeration_when_n_is_at_most_inv_c():
+    # twelve bidders, each with mass 1/12 on every singleton of four items:
+    # the other bidders' joint draws number 5^11, past the cap
+    entries = {(i, 1 << j): F(1, 12) for i in range(12) for j in range(4)}
+    sol = FractionalSolution(n=12, m=4, entries=entries, objective=F(0))
+    assert 5**11 > mechanism.ATOM_CAP
+    for variant in (Q_HALT, Q_OWN_ITEMS):
+        assert compute_q(sol, 0, 1, F(1, 12), variant) == 0
+    # n = 1/c + 1: the enumeration runs, and meets its cap
+    with pytest.raises(CapacityError) as info:
+        compute_q(sol, 0, 1, F(1, 11))
+    assert info.value.required == 5**11
+    # bidder 5's mass is 13/12: its law raises before the shortcut
+    overfull = FractionalSolution(
+        n=12, m=4, entries={**entries, (5, 0b1111): F(3, 4)}, objective=F(0)
+    )
+    with pytest.raises(InfeasibleSolutionError):
+        compute_q(overfull, 0, 1, F(1, 12))
+    # n = 1/c + 1 on the overlap demo: bidders 1 and 2 join bidder 0 on item 1
+    _, demo = overlap_demo()
+    assert compute_q(demo, 0, 0b10, F(1, 2)) == F(1, 4)
 
 
 def test_q_equals_the_assignment_oracle_on_both_corpora():
@@ -669,7 +696,7 @@ def test_a_run_raises_as_its_seeds_one_by_one_would(corpus, feasible_first):
     pool = derive_seeds(8, "raises", 300)
     probe = Pipeline(item.instance, config)
     feasible = [
-        seed for seed, bundles in zip(pool, probe.tentative_sample(pool))
+        seed for seed, bundles in zip(pool, tentative_bundles(probe, pool))
         if all(probe.q(i, bundle) <= 1 - config.p for i, bundle in enumerate(bundles))
     ]
     seeds = feasible[:feasible_first] + pool
@@ -695,7 +722,7 @@ def test_every_sample_of_an_infeasible_q_plan_raises(corpus):
     raised = 0
     for k in range(300):
         seed = derive_seed(7, "infeasible-q", k)
-        [bundles] = pipe.tentative_sample([seed])
+        [bundles] = tentative_bundles(pipe, [seed])
         infeasible = any(
             pipe.q(i, bundle) > 1 - config.p for i, bundle in enumerate(bundles)
         )
@@ -716,7 +743,7 @@ def test_the_cancellation_bound_holds_when_every_draw_halts():
     assert all(x == F(1, 2) for _, _, x in pipe.solution.support())
     for k in range(20):
         seed = derive_seed(3, "always-halts", k)
-        [bundles] = pipe.tentative_sample([seed])
+        [bundles] = tentative_bundles(pipe, [seed])
         assert halt_check(bundles, F(1))
         with pytest.raises(ParameterError, match="q_i = 1 >"):
             pipe.sample([seed])

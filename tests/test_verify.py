@@ -5,7 +5,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import any_kind_instances, config_lp, overlap_demo, prepared, rows_against_columns
+from fixtures import (
+    affine_plane,
+    any_kind_instances,
+    config_lp,
+    feasible_solutions,
+    overlap_demo,
+    prepared,
+    rows_against_columns,
+)
 from oracles import (
     additive_lp_optimum,
     index_list,
@@ -16,7 +24,7 @@ from oracles import (
     vertex_optimum_by_combinations,
 )
 from proxyauction import verify as ver
-from proxyauction.errors import CapacityError
+from proxyauction.errors import CapacityError, ParameterError
 from proxyauction.generators import GENERATOR_KINDS, generate
 from proxyauction.lp import Column, FractionalSolution, build_full_lp, solve_exact
 from proxyauction.mechanism import MechanismConfig, Pipeline, Q_HALT, Q_OWN_ITEMS
@@ -262,24 +270,74 @@ def test_proxy_bound_violation_bytes_match_the_fraction_oracle():
 def test_halt_frequency_zero_for_disjoint_supports():
     inst = Instance(2, (AdditiveValuation([3, 0]), AdditiveValuation([0, 5])))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_halt_frequency(Pipeline(inst, config), trials=400)
-    assert res.passed and res.details["halts"] == 0
+    res = check_halt_frequency(Pipeline(inst, config))
+    assert res.passed and res.details["halt_probability"] == "0"
 
 
 def test_halt_frequency_impossible_when_inv_c_at_least_n():
     inst = generate("xos", 3, 4, 1)
     config = MechanismConfig(c=F(1, 3), p=F(1, 20))  # 1/c = 3 = n
-    res = check_halt_frequency(Pipeline(inst, config), trials=400)
-    assert res.details["halts"] == 0
+    res = check_halt_frequency(Pipeline(inst, config))
+    assert res.details == {"halt_probability": "0", "bound": "1/4", "inv_c": 3}
 
 
 def test_halt_frequency_matches_exact_probability():
+    # bidders 1 and 2 collide on item 1 with probability 1/2 * 1/2, whichever
+    # q variant the pipeline cancels by
     inst, sol = overlap_demo()
-    halt_cfg, _ = overlap_configs()
-    trials = 10_000
-    res = check_halt_frequency(Pipeline(inst, replace(halt_cfg, seed=17), solution=sol), trials)
-    freq = res.details["halts"] / trials
-    assert abs(freq - 0.25) <= 3 * (0.25 * 0.75 / trials) ** 0.5
+    for config in overlap_configs():
+        res = check_halt_frequency(Pipeline(inst, config, solution=sol))
+        assert res.details == {"halt_probability": "1/4", "bound": "1/2", "inv_c": 1}
+        assert res.passed
+
+
+@pytest.mark.parametrize("solver", ["full", "column-generation"])
+@pytest.mark.parametrize("n, objective, halt", [(3, "131/30", "1/3"), (4, "71/15", "7/54")])
+def test_halt_frequency_on_the_affine_plane(n, objective, halt, solver):
+    # lines of n slopes over 9 points at c = 1/2: the exact halt probability
+    # exceeds 1/9 at both sizes, and m = 9 with 1/c = 2 is outside the paper's regime
+    config = MechanismConfig(c=F(1, 2), p=F(1, 20), solver=solver)
+    pipeline = Pipeline(affine_plane(n), config)
+    assert str(pipeline.solution.objective) == objective
+    res = check_halt_frequency(pipeline)
+    assert res.details == {"halt_probability": halt, "bound": "1/9", "inv_c": 2}
+    assert (res.passed, res.asserted) == (False, False)
+
+
+def test_halt_frequency_is_the_laws_halted_mass(corpus, truthful_corpus):
+    # the exact outcome law as the oracle, wherever it builds (it raises
+    # where some q_i > 1 - p)
+    compared = halting = 0
+    for item in (*corpus, *truthful_corpus):
+        for c in sorted({item.config.c, F(1), F(1, 2), F(1, 3)}):
+            for solver in ("full", "column-generation"):
+                config = replace(item.config, c=c, solver=solver)
+                pipeline = Pipeline(item.instance, config)
+                try:
+                    law = exact_distribution(pipeline)
+                except ParameterError:
+                    continue
+                halted = sum((a.probability for a in law.atoms if a.halted), F(0))
+                res = check_halt_frequency(pipeline)
+                assert res.details["halt_probability"] == str(halted), (item.label, c, solver)
+                assert res.passed == (halted <= F(1, item.instance.m))
+                compared += 1
+                halting += halted > 0
+    # 4 of the 216 cases raise, and 4 of the rest halt with positive probability
+    assert (compared, halting) == (212, 4)
+
+
+@given(sol=feasible_solutions(), c=st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+@settings(max_examples=100, deadline=None)
+def test_halt_frequency_is_the_laws_halted_mass_on_hand_built_solutions(sol, c):
+    inst = Instance(sol.m, tuple(AdditiveValuation([1] * sol.m) for _ in range(sol.n)))
+    pipeline = Pipeline(inst, MechanismConfig(c=c, p=F(1, 20)), solution=sol)
+    try:
+        law = exact_distribution(pipeline)
+    except ParameterError:
+        return
+    halted = sum((a.probability for a in law.atoms if a.halted), F(0))
+    assert check_halt_frequency(pipeline).details["halt_probability"] == str(halted)
 
 
 # -- truthfulness ----------------------------------------------------------------------
@@ -332,7 +390,7 @@ def test_misreport_tables_scale_or_perturb_the_true_table(kind, m):
 def test_single_bidder_truthfulness():
     inst = Instance(2, (AdditiveValuation([3, 5]),))
     config = MechanismConfig(c=F(1, 2), p=F(1, 20))
-    res = check_truthfulness(Pipeline(inst, config))
+    res = check_truthfulness(*prepared(inst, config))
     assert res.passed
 
 
@@ -349,7 +407,7 @@ def test_expected_value_marginal_consistency(corpus):
 
 def test_truthfulness_on_explicit_instance(truthful_corpus):
     item = truthful_corpus[0]
-    res = check_truthfulness(Pipeline(item.instance, item.config))
+    res = check_truthfulness(*prepared(item.instance, item.config))
     assert res.passed, res.witness
     assert res.details["misreports_checked"] > 0
 
@@ -357,7 +415,7 @@ def test_truthfulness_on_explicit_instance(truthful_corpus):
 def test_truthfulness_under_own_items_is_recorded_not_asserted():
     inst = generate("explicit-subadditive", 2, 2, 5)
     config = MechanismConfig(c=F(1, 2), p=F(1, 20), q_variant=Q_OWN_ITEMS)
-    res = check_truthfulness(Pipeline(inst, config))
+    res = check_truthfulness(*prepared(inst, config))
     assert isinstance(res.passed, bool)  # outcome recorded either way
     assert not res.asserted
 
@@ -515,7 +573,7 @@ def test_identities_hold_under_column_generation_solver(corpus):
 def test_truthfulness_holds_under_column_generation_solver(truthful_corpus):
     item = truthful_corpus[0]
     cfg = replace(item.config, solver="column-generation")
-    res = check_truthfulness(Pipeline(item.instance, cfg))
+    res = check_truthfulness(*prepared(item.instance, cfg))
     assert res.passed, res.witness
 
 
@@ -614,7 +672,7 @@ def test_truthfulness_fails_when_nobody_is_charged(truthful_corpus, monkeypatch)
     monkeypatch.setattr(Pipeline, "payments", lambda self: [F(0)] * self.instance.n)
     failing = {}
     for item in truthful_corpus:
-        res = check_truthfulness(Pipeline(item.instance, item.config))
+        res = check_truthfulness(*prepared(item.instance, item.config))
         if not res.passed:
             assert res.witness == res.details["violations"][0]
             failing[item.label[:3]] = res.witness["misreport"]
@@ -624,10 +682,9 @@ def test_truthfulness_fails_when_nobody_is_charged(truthful_corpus, monkeypatch)
 def test_halt_frequency_fails_when_every_run_halts():
     # rows against columns at c = 1: every tentative assignment halts
     pipeline = Pipeline(rows_against_columns(), MechanismConfig(c=F(1), p=F(1, 20)))
-    res = check_halt_frequency(pipeline, 200)
+    res = check_halt_frequency(pipeline)
     assert res.passed is False
-    assert (res.details["halts"], res.details["trials"]) == (200, 200)
-    assert res.details["frequency"] == 1.0 and res.details["bound"] < 0.36
+    assert res.details == {"halt_probability": "1", "bound": "1/4", "inv_c": 1}
     # c = 1 lies outside the paper's regime, c <= default_params(4)'s 1/200
     assert res.asserted is False
 
@@ -640,6 +697,6 @@ def test_halt_frequency_fails_asserted_in_the_papers_regime():
     sol = FractionalSolution(n=n, m=4, entries={(i, 0b0001): F(1) for i in range(n)},
                              objective=F(n, 200))
     pipeline = Pipeline(inst, MechanismConfig(c=F(1, 200), p=F(1, 20)), solution=sol)
-    res = check_halt_frequency(pipeline, 200)
+    res = check_halt_frequency(pipeline)
     assert res.asserted and res.passed is False
-    assert (res.details["halts"], res.details["inv_c"]) == (200, 200)
+    assert res.details == {"halt_probability": "1", "bound": "1/4", "inv_c": 200}
