@@ -49,7 +49,7 @@ from .mechanism import (
     SOLVER_FULL,
     default_params,
 )
-from .rng import derive_seeds
+from .rng import SAMPLE_STREAM, derive_seeds
 
 MANIFEST_SCHEMA = "corpus-manifest/1"
 REPORT_SCHEMA = "run-report/2"
@@ -248,7 +248,8 @@ def cmd_run(args) -> CommandResult:
         "command": "run",
         "instance": _instance_block(args.instance, instance),
         "config": ser.config_to_dict(config),
-        "semantics": config.semantics(),
+        # what produced the outcomes: only run reports sample
+        "semantics": {**config.semantics(), "sample_stream": SAMPLE_STREAM},
         "lp": ser.solution_to_dict(pipeline.solution),
         "outcomes": outcome_dicts,
         "payments": None if payments is None else [ser.format_value(x) for x in payments],

@@ -81,7 +81,7 @@ class MechanismConfig:
     p: survival probability of step 7, a rational in (0, 1].
     Both are given exactly, as a Fraction or an int.
     q_variant: "halt" or "own-items" (see module docstring).
-    seed: master seed, an int in [0, 2^64); every stage stream is derived from it.
+    seed: master seed, an int in [0, 2^64); every draw is derived from it.
     solver: "full" or "column-generation" for the LP step.
     """
 
@@ -169,9 +169,9 @@ class Plan:
 
     - the base masks: at c = 1 every item has at most one holder, who keeps it
       for certain, so the bundles themselves; below c = 1 no item is certain;
-    - one lottery ``rng.draw_site`` below 1/c per held item with a draw to
+    - one lottery ``rng.word_site`` below 1/c per held item with a draw to
       make, with the item's bit and its holders;
-    - one cancel ``rng.draw_site`` below b per bidder whose step-7 survival
+    - one cancel ``rng.word_site`` below b per bidder whose step-7 survival
       a/b is not certain, with a (a bidder that keeps nothing draws nothing);
     - the outcomes drawn so far, one per (kept masks, final masks).
     """
@@ -184,31 +184,30 @@ class Plan:
     cancel: tuple = ()
     outcomes: dict = field(default_factory=dict, repr=False)
 
-    def draw(self, keys: Sequence[bytes]) -> list[Outcome]:
-        """Steps 6 and 7 of the samples whose root stream keys are ``keys``, in order.
+    def draw(self, samples: Sequence[tuple]) -> list[Outcome]:
+        """Steps 6 and 7 of ``samples``, ``rng.sample_words`` pairs, in order.
 
-        Each site is one ``rng.draw`` under a sample's key, the first draw of
-        ``rng.stream(seed, stage, index)``: item j's lottery holder is the
-        u-th for a uniform u below 1/c (nobody when u is past the last), and
-        bidder i survives when a uniform integer below b is less than a.
-        Each lottery site is drawn over all the keys (``rng.draws``) and the
-        samples are grouped by their lottery draws; within a group, which
-        shares its kept masks, each cancel site of a bidder that kept items
-        is drawn over the group's keys.
+        Each site is one word draw of a sample (``rng.word_draws``): item j's
+        lottery holder is the u-th for a uniform u below 1/c (nobody when u
+        is past the last), and bidder i survives when a uniform integer
+        below b is less than a. Each lottery site is drawn over all the
+        samples and the samples are grouped by their lottery draws; within a
+        group, which shares its kept masks, each cancel site of a bidder
+        that kept items is drawn over the group's samples.
         """
-        draws = rngmod.draws
+        draws = rngmod.word_draws
         lotteries: dict[tuple, list[int]] = defaultdict(list)
-        columns = [draws(keys, at) for at, _, _ in self.lottery]
-        for row, drawn in enumerate(_rows(columns, len(keys))):
+        columns = [draws(samples, at) for at, _, _ in self.lottery]
+        for row, drawn in enumerate(_rows(columns, len(samples))):
             lotteries[drawn].append(row)
-        outcomes = [None] * len(keys)
+        outcomes = [None] * len(samples)
         for drawn, rows in lotteries.items():
             kept = list(self.base)
             for (_, bit, holders), k in zip(self.lottery, drawn):
                 if k < len(holders):
                     kept[holders[k]] |= bit
             cancel = [(i, at, a) for i, at, a in self.cancel if kept[i]]
-            group = [keys[row] for row in rows]
+            group = [samples[row] for row in rows]
             losses = _rows([[u >= a for u in draws(group, at)] for _, at, a in cancel], len(rows))
             by_lost: dict[tuple, Outcome] = {}
             for row, lost in zip(rows, losses):
@@ -264,8 +263,8 @@ def draw_tables(solution: FractionalSolution) -> list:
     ``bundles`` is the bidder's ``tentative_law`` in order and the thresholds
     the cumulative integer numerators over the lcm of its probabilities'
     denominators, so a uniform integer below that lcm lands on each bundle
-    with exactly its probability. ``site`` is the bidder's tentative-stage
-    ``rng.draw_site`` below the lcm, or None when the lcm is 1 and the draw
+    with exactly its probability. ``site`` is bidder i's tentative
+    ``rng.word_site`` below the lcm, or None when the lcm is 1 and the draw
     is certain.
     """
     tables = []
@@ -273,27 +272,27 @@ def draw_tables(solution: FractionalSolution) -> list:
         law = tentative_law(solution, i)
         den = math.lcm(*(x.denominator for _, x in law))
         thresholds = list(accumulate(x.numerator * (den // x.denominator) for _, x in law))
-        at = None if den == 1 else rngmod.draw_site(den, "tentative", i)
+        at = None if den == 1 else rngmod.word_site(den, solution.n, solution.m, "tentative", i)
         tables.append(([b for b, _ in law], thresholds, at))
     return tables
 
 
-def tentative_indices(tables: Sequence, keys: Sequence[bytes]) -> list[tuple[int, ...]]:
+def tentative_indices(tables: Sequence, samples: Sequence[tuple]) -> list[tuple[int, ...]]:
     """Step 3 for each sample: per bidder, the index of its drawn bundle in its draw table.
 
-    ``keys`` are the samples' root stream keys, ``rng.stream(seed)``. Bidder
-    i draws one uniform integer below its common denominator at its own
-    tentative-stage site under each key (``rng.draws``, one bidder column at
-    a time), so draws do not interact across bidders or with later stages.
-    The bundle is the first whose threshold exceeds the draw. A denominator
-    of 1 makes the draw certain (it is 0), so that bidder hashes nothing; the
-    other bidders' draws are their own either way.
+    ``samples`` are ``rng.sample_words`` pairs. Bidder i draws one uniform
+    integer below its common denominator from its own word of each sample
+    (``rng.word_draws``, one bidder column at a time), so draws do not
+    interact across bidders or with later stages. The bundle is the first
+    whose threshold exceeds the draw. A denominator of 1 makes the draw
+    certain (it is 0), so that bidder reads no word; the other bidders'
+    draws are their own either way.
     """
-    draws = rngmod.draws
+    draws = rngmod.word_draws
     columns = [
-        [bisect_right(thresholds, 0)] * len(keys)
+        [bisect_right(thresholds, 0)] * len(samples)
         if at is None
-        else [bisect_right(thresholds, u) for u in draws(keys, at)]
+        else [bisect_right(thresholds, u) for u in draws(samples, at)]
         for _, thresholds, at in tables
     ]
     return list(zip(*columns))
@@ -368,7 +367,8 @@ class Pipeline:
     ``sample`` takes a run's seeds and draws site by site over all of them:
     every draw is a pure function of its seed's root key,
     ``rng.stream(seed)``, and its site, so the order of the draws changes no
-    outcome. It builds each seed's root key, draws step 3 one bidder column
+    outcome. It builds each seed's root key and reads its XOF once
+    (``rng.sample_words``), draws step 3 one bidder column
     at a time and groups the samples by their drawn indices, in order of
     first appearance. It keeps one ``Plan`` per tentative assignment, keyed
     by those indices: the bundles, the halt verdict (a halted plan holds its
@@ -458,17 +458,18 @@ class Pipeline:
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
             inv_c = self.config.inv_c
+            n, m = self.solution.n, self.solution.m
             if inv_c == 1:
                 base, lottery = bundles, ()
             else:
                 base = (0,) * len(bundles)
                 lottery = tuple(
-                    (rngmod.draw_site(inv_c, "lottery", j), 1 << j, holders)
-                    for j in range(self.solution.m)
+                    (rngmod.word_site(inv_c, n, m, "lottery", j), 1 << j, holders)
+                    for j in range(m)
                     if (holders := tuple(i for i, b in enumerate(bundles) if b >> j & 1))
                 )
             cancel = tuple(
-                (i, rngmod.draw_site(keep.denominator, "cancel", i), keep.numerator)
+                (i, rngmod.word_site(keep.denominator, n, m, "cancel", i), keep.numerator)
                 for i, (bundle, keep) in enumerate(zip(bundles, survival))
                 if bundle and keep.denominator != 1
             )
@@ -477,24 +478,26 @@ class Pipeline:
         return got
 
     def sample(self, seeds: Sequence[int]) -> list[Outcome]:
-        """One rounding pass per seed, in order: step 3, the plans, then their sites' draws.
+        """One rounding pass per seed, in order: one XOF read per seed, step 3,
+        the plans, then their sites' draws.
 
         A single int seed gives its one ``Outcome``.
         """
         if isinstance(seeds, int):
             return self.sample([seeds])[0]
         keys = [rngmod.stream(seed) for seed in seeds]
+        samples = rngmod.sample_words(keys, self.solution.n, self.solution.m)
         rows_of: dict[tuple, list[int]] = defaultdict(list)
-        for row, picks in enumerate(tentative_indices(self.tables, keys)):
+        for row, picks in enumerate(tentative_indices(self.tables, samples)):
             rows_of[picks].append(row)
         # every plan is made before any is drawn: the first to raise is the first seed's to raise
         plans = [(self.plan(picks), rows) for picks, rows in rows_of.items()]
-        outcomes = [None] * len(keys)
+        outcomes = [None] * len(samples)
         for plan, rows in plans:
             drawn = (
                 [plan.halted] * len(rows)
                 if plan.halted is not None
-                else plan.draw([keys[row] for row in rows])
+                else plan.draw([samples[row] for row in rows])
             )
             for row, outcome in zip(rows, drawn):
                 outcomes[row] = outcome

@@ -31,7 +31,7 @@ from proxyauction.mechanism import (
     Outcome,
     tentative_indices,
 )
-from proxyauction.rng import stream
+from proxyauction.rng import sample_words, stream
 from proxyauction.serialize import OUTCOME_SCHEMA, SOLUTION_SCHEMA, _require_exact, parse_value
 from proxyauction.simplex import SimplexResult
 from proxyauction.valuations import (
@@ -196,12 +196,18 @@ def stream_key_by_definition(seed: int, labels) -> bytes:
     return "|".join([repr(int(seed)), *map(repr, labels)]).encode("utf-8")
 
 
-class Stream:
-    """Successive exact uniform draws of one stream, as ``rng``'s docstring defines them.
+def _bounds(den: int) -> tuple[int, int]:
+    """(bytes read per draw below ``den``, first rejected value): b = 8 * ceil((bits + 64) / 8)."""
+    nbytes = math.ceil((den.bit_length() + 64) / 8)
+    return nbytes, 2 ** (8 * nbytes) // den * den
 
-    The package draws only a stream's first draw (``rng.draw``); this is the
-    reference for it, and for the samplers below, which draw one stream per
-    site as the definitions read.
+
+class Stream:
+    """Successive exact uniform draws of one labelled stream, as ``rng``'s docstring defines them.
+
+    A site falls back to its labelled stream's first draw (``rng.draw``) when
+    its word is rejected or its den is 2^64 or more; this is the reference
+    for that draw.
     """
 
     def __init__(self, key: bytes):
@@ -220,8 +226,7 @@ class Stream:
             raise ValueError(f"randrange needs den >= 1, got {den}")
         if den == 1:
             return 0
-        nbytes = math.ceil((den.bit_length() + 64) / 8)
-        limit = 2 ** (8 * nbytes) // den * den
+        nbytes, limit = _bounds(den)
         while True:
             block = shake_256(self.key + self.counter.to_bytes(8, "big")).digest(nbytes)
             self.counter += 1
@@ -231,12 +236,46 @@ class Stream:
 
 
 def stream_by_definition(seed: int, *labels) -> Stream:
-    """The stream of the site ``(seed, *labels)``, from its key built in full."""
+    """The labelled stream of the site ``(seed, *labels)``, from its key built in full."""
     return Stream(stream_key_by_definition(seed, labels))
 
 
-def bernoulli(rng: Stream, prob) -> bool:
-    """True with probability exactly ``prob``."""
+class Site:
+    """The one draw of a site of the sample ``seed``, as ``rng``'s docstring defines it.
+
+    The site's word is the 16 bytes at its ``slot`` of the SHAKE-256 XOF of
+    the root key ``repr(seed)``, read here only as far as that word. A draw
+    below den reads u from the word's first b / 8 bytes when they fit in it
+    and keeps u mod den when u is under the rejection limit; otherwise it is
+    the first draw of the labelled stream ``(seed, *labels)``. A draw below 1
+    is 0 and reads nothing.
+    """
+
+    def __init__(self, seed: int, slot: int, *labels):
+        self.seed, self.slot, self.labels = seed, slot, labels
+
+    def randrange(self, den: int) -> int:
+        if den < 1:
+            raise ValueError(f"randrange needs den >= 1, got {den}")
+        if den == 1:
+            return 0
+        nbytes, limit = _bounds(den)
+        if nbytes <= 16:
+            xof = shake_256(repr(int(self.seed)).encode("utf-8")).digest(16 * (self.slot + 1))
+            u = int.from_bytes(xof[16 * self.slot:][:nbytes], "big")
+            if u < limit:
+                return u % den
+        return stream_by_definition(self.seed, *self.labels).randrange(den)
+
+
+def sample_site(seed: int, n: int, m: int, stage: str, index: int) -> Site:
+    """The (stage, index) ``Site`` of a sample of an auction with n bidders and
+    m items: tentative i at slot i, lottery j at n + j, cancel i at n + m + i."""
+    return Site(seed, index + {"tentative": 0, "lottery": n, "cancel": n + m}[stage], stage, index)
+
+
+def bernoulli(rng, prob) -> bool:
+    """True with probability exactly ``prob``, drawn from a ``Stream`` or ``Site``."""
     prob = Fraction(prob)
     if not 0 <= prob <= 1:
         raise ValueError(f"probability {prob} outside [0, 1]")
@@ -245,8 +284,9 @@ def bernoulli(rng: Stream, prob) -> bool:
     return rng.randrange(prob.denominator) < prob.numerator
 
 
-def categorical(rng: Stream, probs: Sequence) -> Optional[int]:
-    """Index drawn with the given probabilities; None for the residual mass.
+def categorical(rng, probs: Sequence) -> Optional[int]:
+    """Index drawn from a ``Stream`` or ``Site`` with the given probabilities;
+    None for the residual mass.
 
     ``probs`` may sum to less than one; the leftover probability maps to
     None. The draw is a uniform integer below the lcm of denominators, so
@@ -274,19 +314,19 @@ def holders_of(bundles: Sequence[int]) -> list:
 def sample_by_definition(pipeline, seed: int) -> Outcome:
     """One rounding pass (steps 3-7) composed straight from the definitions.
 
-    Every decision draws from its own (seed, stage, index) stream: bidder i's
-    tentative bundle from (seed, "tentative", i), item j's lottery from
-    (seed, "lottery", j), bidder i's survival from (seed, "cancel", i). The
-    halt test counts holders here rather than calling the package's
-    predicate. Only the LP solution and the q values come from ``pipeline``.
+    Every decision is its own ``sample_site``: bidder i's tentative
+    bundle (seed, "tentative", i), item j's lottery (seed, "lottery", j),
+    bidder i's survival (seed, "cancel", i). The halt test counts holders
+    here rather than calling the package's predicate. Only the LP solution
+    and the q values come from ``pipeline``.
     """
     sol, config = pipeline.solution, pipeline.config
-    n = sol.n
+    n, m = sol.n, sol.m
 
     tentative = []
     for i in range(n):
         options = sol.bundles_of(i)
-        pick = categorical(stream_by_definition(seed, "tentative", i), [x for _, x in options])
+        pick = categorical(sample_site(seed, n, m, "tentative", i), [x for _, x in options])
         tentative.append(0 if pick is None else options[pick][0])
     tentative = tuple(tentative)
 
@@ -299,13 +339,13 @@ def sample_by_definition(pipeline, seed: int) -> Outcome:
     kept = [0] * n
     for j, who in enumerate(holders):
         if who:
-            pick = categorical(stream_by_definition(seed, "lottery", j), [config.c] * len(who))
+            pick = categorical(sample_site(seed, n, m, "lottery", j), [config.c] * len(who))
             if pick is not None:
                 kept[who[pick]] |= 1 << j
 
     final = []
     for i, q in enumerate(q_values):
-        survives = bernoulli(stream_by_definition(seed, "cancel", i), config.p / (1 - q))
+        survives = bernoulli(sample_site(seed, n, m, "cancel", i), config.p / (1 - q))
         final.append(kept[i] if survives else 0)
     return Outcome(
         halted=False,
@@ -343,15 +383,15 @@ def q_by_assignments(
     return total
 
 
-def item_lottery(bundles: Sequence[int], c: Fraction, seed: int) -> tuple[int, ...]:
-    """Step 6: per item, each tentative holder receives it with probability c.
+def item_lottery(bundles: Sequence[int], c: Fraction, seed: int, m: int) -> tuple[int, ...]:
+    """Step 6 of an m-item auction: per item, each tentative holder receives it with probability c.
 
     Requires every holder count to be at most 1/c (the halt check must have
     passed), so the per-item lottery probabilities sum to at most 1. Item j
-    draws from its own (seed, "lottery", j) stream: a uniform integer u below
-    1/c, and the u-th holder receives the item if there is one, so each holder
-    gets it with probability exactly c. At c = 1 the one holder gets the item
-    for certain, and no stream is built.
+    draws at its own (seed, "lottery", j) ``sample_site``: a uniform integer u
+    below 1/c, and the u-th holder receives the item if there is one, so each
+    holder gets it with probability exactly c. At c = 1 the one holder gets the item
+    for certain, and no site is built.
     """
     inv_c = c.denominator
     kept_masks = [0] * len(bundles)
@@ -362,18 +402,18 @@ def item_lottery(bundles: Sequence[int], c: Fraction, seed: int) -> tuple[int, .
             raise ContractViolationError(
                 f"item {j} held {len(holders)} > 1/c = {inv_c} times; halt check must run first"
             )
-        k = 0 if inv_c == 1 else stream_by_definition(seed, "lottery", j).randrange(inv_c)
+        k = 0 if inv_c == 1 else sample_site(seed, len(bundles), m, "lottery", j).randrange(inv_c)
         if k < len(holders):
             kept_masks[holders[k]] |= 1 << j
     return tuple(kept_masks)
 
 
-def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple:
-    """Step 7: bidder i keeps everything with probability survival[i], else nothing.
+def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int, m: int) -> tuple:
+    """Step 7 of an m-item auction: bidder i keeps everything with probability survival[i].
 
-    A nonempty bundle draws from bidder i's (seed, "cancel", i) stream: a
-    survival probability a/b keeps the bundle when a uniform integer below b
-    is less than a. An empty bundle, or a survival probability of 1, draws
+    A nonempty bundle draws at bidder i's (seed, "cancel", i) ``sample_site``:
+    a survival probability a/b keeps the bundle when a uniform integer below
+    b is less than a. An empty bundle, or a survival probability of 1, draws
     nothing, since the outcome is certain.
     """
     final = []
@@ -381,8 +421,9 @@ def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple
         if not bundle:
             final.append(0)
             continue
+        site = sample_site(seed, len(kept), m, "cancel", i)
         survives = keep == 1 if keep.denominator == 1 else (
-            stream_by_definition(seed, "cancel", i).randrange(keep.denominator) < keep.numerator
+            site.randrange(keep.denominator) < keep.numerator
         )
         final.append(bundle if survives else 0)
     return tuple(final)
@@ -391,18 +432,18 @@ def personal_cancel(kept: Sequence[int], survival: Sequence, seed: int) -> tuple
 def tentative_bundles(pipeline, seeds: Sequence[int]) -> list[tuple[int, ...]]:
     """Step 3 for each seed: the package's ``tentative_indices`` over the
     pipeline's draw tables, read as one bundle per bidder."""
-    tables = pipeline.tables
-    picked = tentative_indices(tables, [stream(seed) for seed in seeds])
+    tables, sol = pipeline.tables, pipeline.solution
+    picked = tentative_indices(tables, sample_words([stream(seed) for seed in seeds], sol.n, sol.m))
     return [tuple(table[0][k] for table, k in zip(tables, picks)) for picks in picked]
 
 
 def sample_by_steps(pipeline, seed: int) -> Outcome:
-    """``Pipeline.sample`` composed of the per-step functions, one stream per site.
+    """``Pipeline.sample`` composed of the per-step functions, one site at a time.
 
     Step 3 is ``tentative_bundles`` of ``[seed]``; step 4 counts
     holders here rather than calling the package's predicate; steps 6 and 7
     are ``item_lottery`` and ``personal_cancel`` above, each of which builds
-    its own ``stream_by_definition(seed, stage, index)`` per draw. As in the
+    its own ``sample_site(seed, n, m, stage, index)`` per draw. As in the
     package, the bound q_i <= 1 - p is checked for every drawn bundle, halted
     or not. The q values and survival probabilities come from ``pipeline``.
     """
@@ -411,12 +452,13 @@ def sample_by_steps(pipeline, seed: int) -> Outcome:
     if any(len(who) > pipeline.config.c.denominator for who in holders_of(bundles)):
         empty = (0,) * len(bundles)
         return Outcome(halted=True, tentative=bundles, kept=empty, final=empty)
-    kept = item_lottery(bundles, pipeline.config.c, seed)
+    m = pipeline.solution.m
+    kept = item_lottery(bundles, pipeline.config.c, seed, m)
     return Outcome(
         halted=False,
         tentative=bundles,
         kept=kept,
-        final=personal_cancel(kept, survival, seed),
+        final=personal_cancel(kept, survival, seed, m),
         q_values=tuple(pipeline.q(i, bundle) for i, bundle in enumerate(bundles)),
     )
 

@@ -344,9 +344,10 @@ def test_sampling_checks_reuse_the_verified_pipeline(monkeypatch, tmp_path):
     assert calls == {"solve_exact": 1}
     # the report each check built its own Pipeline for, byte for byte, but
     # halt-frequency's ``asserted`` (c = 1/2 lies outside the paper's regime)
-    # and its details, the exact halt probability in place of sampled halts
+    # and its details, the exact halt probability in place of sampled halts,
+    # and monte-carlo's sample mean, drawn since from one XOF read per sample
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "5a1eb60b6dcc8898cd12fdcfa974f69766140293edc06b9a7cceecf30232c92b"
+    assert digest == "bc326ea74be4bab13c31ea9566ceeaec583f5ca3ee481b4926d8f13889d5e176"
 
 
 @pytest.mark.parametrize("solver", ["full", "column-generation"])
@@ -727,8 +728,10 @@ def test_float_arithmetic_is_rejected(instance_file, tmp_path):
 # (run-report/2), the auction digests before the simplex took 0/1 supports,
 # the --format table digests before the commands returned their reports to
 # main, the mixed and unit-demand column-generation digests while additive and
-# unit-demand valuations still had closed-form values and demands; a change
-# that alters one byte of a pinned report fails here
+# unit-demand valuations still had closed-form values and demands, and the run
+# digests after each sample's draws came from one XOF read of its root key and
+# run reports named that stream in their semantics; a change that alters one
+# byte of a pinned report fails here
 PINNED_REPORTS = {
     "verify-standard": (
         ["verify", "corpus/standard"],
@@ -745,7 +748,7 @@ PINNED_REPORTS = {
     "run-payments": (
         ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
          "--replications", "50", "--payments"],
-        "855733db0a2ea04d7d06b37c5bd22f7e4fb2966d6d60a1b19b8e74662b60228e",
+        "dcf0e00255bb0a015523538d7cd6810f13ad38a850d6dcb284cd71a1cd8aa9ce",
     ),
     "run-payments-table": (
         ["run", "corpus/standard/08-xos-n3-m4.json", "--c", "1/2", "--p", "1/20",
@@ -768,16 +771,16 @@ PINNED_REPORTS = {
     ),
     "run-xos-n3-m6-full": (
         ["run", "xos-n3-m6.json", "--payments", "--solver", "full"],
-        "8042012dc115e0302ee3578ab1179cb1d3ee7ca383a1dba530dc33632ae6f2d1",
+        "8e06e9f592b350a3dc1c903e207317841d8cc7cd8de4fcf8ca8e1db7113436a3",
     ),
     "run-xos-n3-m6-colgen": (
         ["run", "xos-n3-m6.json", "--payments", "--solver", "column-generation"],
-        "991664c26aaae970f6b0fa30ada0467b051cc4363f4d08edba8b1bec1140983d",
+        "524d0708e93fcdda1a881ca8e023da9c15ce7e9932ed7952a5a0afc87befac8e",
     ),
     "run-mixed-payments-colgen": (
         ["run", "corpus/standard/16-mixed-n2-m4.json", "--c", "1/2", "--p", "1/20",
          "--payments", "--replications", "20", "--solver", "column-generation"],
-        "5a939bfce283282a576d16323a9b59a18a8a1ab4750d8b59bc9704103a81c8bd",
+        "dca3c1a1412b23cde18bd0d01c645afb6d488ffa2559ea72531cab79dd91d856",
     ),
     "solve-unit-demand-raw-colgen": (
         ["solve", "corpus/standard/05-unit-demand-n3-m5.json", "--valuations", "raw",
@@ -788,20 +791,20 @@ PINNED_REPORTS = {
     "run-contended-replications": (
         ["run", "corpus/standard/22-xos-n3-m4-contended.json", "--c", "1/2", "--p", "1/20",
          "--replications", "2000"],
-        "702011c6f2ef1518830cc7217fed4a24e06b972f1e9960b311a31926e487b014",
+        "45b674489e58c0c94e2802fac4c7f72e3ba46f2cb9f425d000a2b2698d0b31e2",
     ),
     # c = 1: every kept item comes from the plan's base masks, with live
     # tentative draws and halts (the contended corpus instances draw q_i = 1 there)
     "run-mixed-c1-own-items-replications": (
         ["run", "mixed-n3-m4.json", "--c", "1", "--p", "1/20", "--q-variant", "own-items",
          "--replications", "2000"],
-        "cb77ef098703a791980d9c9784de19806bbf11078fcb82e74cbb0a67472c693f",
+        "e5c78a00afe28707b57e0bf8b4b03fffd32a1127e9f31a56876cb18ff71520c4",
     ),
     "run-truthfulness-own-items-colgen-replications": (
         ["run", "corpus/truthfulness/T12-explicit-n3-m4-contended.json", "--c", "1/2",
          "--p", "1/20", "--q-variant", "own-items", "--solver", "column-generation",
          "--seed", "27", "--replications", "2000"],
-        "dab3d1fdff6fc1abd3e07028a57f8d1aac944c6e1b64f24bed1caea5ffca2f17",
+        "18d43e471355229d73cd7f9a06209eeb5606b623412081e2b0fc1851c68113c4",
     ),
 }
 
@@ -835,8 +838,8 @@ def test_reports_keep_their_bytes(name, monkeypatch, capsys, tmp_path):
 # Column generation's payment runs start warm, so they ask other demand
 # queries than a cold start; everything else in these reports keeps its bytes.
 PINNED_WITHOUT_QUERY_COUNTS = {
-    "run-xos-n3-m6-colgen": "932d1340f55e9a557d8511c1fde2c6b7f68a1dd0eac13f75441e12ca2126514d",
-    "run-mixed-payments-colgen": "65976fe63af543427960ef74248ddb2741bd7dc26b5977e4b1ac3d890fff00ce",
+    "run-xos-n3-m6-colgen": "2208482ca2e0c000fbf4b8539ce72981dd8b08f249d8cfc9e9a871a4d73f565a",
+    "run-mixed-payments-colgen": "95b1ffe0b984cd0acc5695fb01f6ccf551325d5f735bad4d8284094a67700f28",
 }
 
 

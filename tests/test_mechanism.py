@@ -121,30 +121,31 @@ def test_config_refuses_a_seed_that_is_not_an_int(seed):
 # -- tentative draw -----------------------------------------------------------
 
 
-def drawn_bundles(tables, seeds):
-    """Step 3's bundles for each seed: the table entries ``tentative_indices`` picks."""
+def drawn_bundles(sol, seeds):
+    """Step 3's bundles for each seed: the draw table entries ``tentative_indices`` picks."""
+    tables = draw_tables(sol)
+    keys = [rngmod.stream(seed) for seed in seeds]
     return [
         tuple(bundles[k] for (bundles, _, _), k in zip(tables, picks))
-        for picks in tentative_indices(tables, [rngmod.stream(seed) for seed in seeds])
+        for picks in tentative_indices(tables, rngmod.sample_words(keys, sol.n, sol.m))
     ]
 
 
 def test_tentative_draw_deterministic_mass_one():
     sol = one_bidder_solution(1)
-    assert drawn_bundles(draw_tables(sol), range(25)) == [(1,)] * 25
+    assert drawn_bundles(sol, range(25)) == [(1,)] * 25
 
 
 def test_tentative_draw_empty_solution():
     sol = FractionalSolution(n=3, m=2, entries={}, objective=F(0))
-    assert drawn_bundles(draw_tables(sol), [7]) == [(0,) * 3]
+    assert drawn_bundles(sol, [7]) == [(0,) * 3]
 
 
 def test_tentative_draw_frequency():
     sol = one_bidder_solution(F(1, 2))
-    tables = draw_tables(sol)
     trials = 10_000
     seeds = [derive_seed(3, "t", k) for k in range(trials)]
-    hits = sum(bundles[0] == 1 for bundles in drawn_bundles(tables, seeds))
+    hits = sum(bundles[0] == 1 for bundles in drawn_bundles(sol, seeds))
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
 
@@ -337,34 +338,34 @@ def test_q_equals_the_assignment_oracle_on_hand_built_solutions(sol, c, mask):
 
 def test_lottery_saturated_item_always_assigned():
     for seed in range(40):
-        kept = item_lottery((1, 1), F(1, 2), seed)
+        kept = item_lottery((1, 1), F(1, 2), seed, 1)
         assert sum(bin(k).count("1") for k in kept) == 1  # probabilities sum to exactly 1
 
 
 def test_lottery_unheld_item_goes_nowhere():
-    assert item_lottery((0,), F(1, 2), 0) == (0,)
+    assert item_lottery((0,), F(1, 2), 0, 1) == (0,)
 
 
 def test_lottery_keep_frequency():
     trials = 10_000
     hits = sum(
-        bool(item_lottery((1,), F(1, 2), derive_seed(1, "l", k))[0]) for k in range(trials)
+        bool(item_lottery((1,), F(1, 2), derive_seed(1, "l", k), 1)[0]) for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
 
 
 def test_lottery_at_c_one_builds_no_stream(monkeypatch):
-    def no_stream(*labels):
-        raise AssertionError("a certain lottery built a stream")
+    def no_site(*labels):
+        raise AssertionError("a certain lottery built a site")
 
-    monkeypatch.setattr(oracles, "stream_by_definition", no_stream)
+    monkeypatch.setattr(oracles, "Site", no_site)
     bundles = (0b01, 0b10)
-    assert item_lottery(bundles, F(1), 3) == bundles
+    assert item_lottery(bundles, F(1), 3, 2) == bundles
 
 
 def test_lottery_requires_halt_check():
     with pytest.raises(ContractViolationError):
-        item_lottery((1, 1), F(1), 0)
+        item_lottery((1, 1), F(1), 0, 1)
 
 
 def test_lottery_joint_law_is_independent_per_item():
@@ -375,7 +376,7 @@ def test_lottery_joint_law_is_independent_per_item():
     trials = 10_000
     counts = {}
     for k in range(trials):
-        kept = item_lottery(bundles, c, derive_seed(8, "joint", k))
+        kept = item_lottery(bundles, c, derive_seed(8, "joint", k), 2)
         counts[kept[0]] = counts.get(kept[0], 0) + 1
     # per-item keep probability for bidder 0 is c for item 0 and c for item 1
     expect = {0b11: c * c, 0b01: c * (1 - c), 0b10: (1 - c) * c, 0b00: (1 - c) ** 2}
@@ -406,14 +407,14 @@ def test_cancel_keep_probability_exact_cases():
     survival = [survival_probability(F(0), F(1, 20), 0)]
     trials = 10_000
     hits = sum(
-        bool(personal_cancel(kept, survival, derive_seed(2, "c", k))[0])
+        bool(personal_cancel(kept, survival, derive_seed(2, "c", k), 1)[0])
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 20), trials)
     # q = 1 - p keeps with probability one
     survival = [survival_probability(F(19, 20), F(1, 20), 0)]
     for seed in range(30):
-        assert personal_cancel(kept, survival, seed)[0] == 1
+        assert personal_cancel(kept, survival, seed, 1)[0] == 1
 
 
 def test_cancel_half_when_q_half_p_quarter():
@@ -421,7 +422,7 @@ def test_cancel_half_when_q_half_p_quarter():
     survival = [survival_probability(F(1, 2), F(1, 4), 0)]
     trials = 10_000
     hits = sum(
-        bool(personal_cancel(kept, survival, derive_seed(4, "c", k))[0])
+        bool(personal_cancel(kept, survival, derive_seed(4, "c", k), 1)[0])
         for k in range(trials)
     )
     assert within_3_sigma(hits / trials, F(1, 2), trials)
@@ -524,13 +525,15 @@ def assert_sample_matches_steps(pipe, seeds, label=""):
 
 
 def hashes_by_stage(monkeypatch) -> Counter:
-    """Count SHAKE blocks by the stage label read from each hashed key."""
+    """Count SHAKE reads: a sample's XOF read as "root", a labelled stream's
+    block by the stage label read from its key."""
     real = rngmod.shake_256
     hashed = Counter()
 
     def counting(data):
-        # data is repr(seed)|repr(stage)|repr(index) and an 8-byte block counter
-        hashed[data[:-8].decode("utf-8").split("|")[1]] += 1
+        # a root key is repr(seed); a labelled block repr(seed)|repr(stage)|repr(index)
+        # and an 8-byte block counter
+        hashed["root" if b"|" not in data else data[:-8].decode("utf-8").split("|")[1]] += 1
         return real(data)
 
     monkeypatch.setattr(rngmod, "shake_256", counting)
@@ -577,8 +580,9 @@ def test_sample_matches_the_step_functions_at_c_one(monkeypatch):
     pipe = Pipeline(instance, config)
     hashed = hashes_by_stage(monkeypatch)
     outcomes = pipe.sample(derive_seeds(1, "c1", 2000))
-    assert hashed["'lottery'"] == 0 and hashed["'tentative'"] > 0 and hashed["'cancel'"] > 0
+    assert hashed == {"root": 2000}  # one XOF read per sample, no word rejected
     assert all(plan.lottery == () for plan in pipe.plans.values())
+    assert any(at for _, _, at in pipe.tables) and any(plan.cancel for plan in pipe.plans.values())
     assert outcomes == assert_sample_matches_steps(pipe, derive_seeds(1, "c1", 2000))
     assert any(out.halted for out in outcomes)
     raising = []
@@ -607,9 +611,10 @@ def test_sample_matches_the_step_functions_on_generated_instances(
 
 
 def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkeypatch):
-    # every stream's first block reads as all ones, in the package and in the
-    # reference streams of tests/oracles.py: past the last whole multiple of any
-    # denominator that is not a power of two, so those draws move to block 1
+    # every sample's XOF and every labelled stream's first block read as all
+    # ones, in the package and in the reference of tests/oracles.py: past the
+    # last whole multiple of any denominator that is not a power of two, so
+    # those draws fall back to their labelled streams and move on to block 1
     real = rngmod.shake_256
     firsts = Counter()
 
@@ -618,7 +623,7 @@ def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkey
             self.data = data
 
         def digest(self, size):
-            first = self.data.endswith(bytes(8))
+            first = b"|" not in self.data or self.data.endswith(bytes(8))
             firsts[first] += 1
             return b"\xff" * size if first else real(self.data).digest(size)
 
@@ -633,6 +638,58 @@ def test_sample_matches_the_step_functions_when_a_first_block_is_rejected(monkey
             for seed, out in zip(seeds[:50], pipe.sample(seeds[:50])):
                 assert out == sample_by_definition(pipe, seed)
     assert firsts[True] > 0 and firsts[False] > 0  # some draws read a second block
+
+
+def test_a_rejected_word_draws_from_its_sites_labelled_stream(monkeypatch):
+    # every sample's XOF reads as all ones, in the package and in the reference
+    # of tests/oracles.py: each word of a den that is not a power of two is
+    # rejected, so that site draws from its own labelled stream, read as it is
+    real = rngmod.shake_256
+    labelled = []
+
+    class AllOnesXof:
+        def __init__(self, data):
+            self.data = data
+
+        def digest(self, size):
+            if b"|" not in self.data:
+                return b"\xff" * size
+            labelled.append(self.data)
+            return real(self.data).digest(size)
+
+    monkeypatch.setattr(rngmod, "shake_256", AllOnesXof)
+    instance = load_instance(Path(__file__).parent.parent / CONTENDED[0])
+    seeds = derive_seeds(6, "all-ones", 300)
+
+    def rejected(den):
+        return den & (den - 1) != 0  # all ones is accepted only below a power of two
+
+    # at c = 1/2 each bidder draws step 3 below 3, each lottery below 2; at
+    # c = 1/3 step 3 is certain, no run of the 3 bidders halts and each
+    # lottery draws below 3; cancels draw below the den of p / (1 - q_i)
+    stages = set()
+    for c in (F(1, 2), F(1, 3)):
+        pipe = Pipeline(instance, MechanismConfig(c=c, p=F(1, 20)))
+        labelled.clear()
+        outcomes = pipe.sample(seeds)
+        expected = []
+        for seed, out in zip(seeds, outcomes):
+            sites = [("tentative", i) for i, (_, thresholds, _) in enumerate(pipe.tables)
+                     if rejected(thresholds[-1])]
+            if not out.halted and rejected(c.denominator):
+                sites += [("lottery", j) for j in range(instance.m)
+                          if any(bundle >> j & 1 for bundle in out.tentative)]
+            sites += [("cancel", i) for i, kept in enumerate(out.kept)
+                      if kept and rejected(pipe.survival(i, out.tentative[i]).denominator)]
+            expected += [rngmod.stream(seed, *labels) + bytes(8) for labels in sites]
+        # each rejected site read block 0 of its own stream, and no stream twice
+        assert Counter(labelled) == Counter(expected)
+        assert len(set(labelled)) == len(labelled)
+        stages |= {data.split(b"|")[1] for data in labelled}
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "shake_256", AllOnesXof)
+            assert outcomes == [sample_by_definition(pipe, seed) for seed in seeds]
+    assert stages == {b"'tentative'", b"'lottery'", b"'cancel'"}
 
 
 def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
@@ -650,13 +707,14 @@ def test_a_certain_tentative_choice_builds_no_stream(monkeypatch):
     monkeypatch.setattr(mechanism.rngmod, "stream", counting)
     hashed = hashes_by_stage(monkeypatch)
     outcomes = pipe.sample(derive_seeds(4, "certain", 1000))
-    assert roots == {(): 1000}  # one root stream per sample, every site a child of it
-    assert hashed["'tentative'"] == 0
-    # one lottery per held item, one cancel draw per bidder that kept an item
-    assert hashed["'lottery'"] == 1000 * instance.m
-    assert hashed["'cancel'"] == sum(sum(map(bool, out.kept)) for out in outcomes)
-    assert set(hashed) == {"'lottery'", "'cancel'"}
-    assert len(pipe.plans) == 1
+    # one root stream and one XOF read per sample, and no per-site hash
+    assert roots == {(): 1000}
+    assert hashed == {"root": 1000}
+    assert all(at is None for _, _, at in pipe.tables)
+    # one lottery site per held item, one cancel site per bidder
+    [plan] = pipe.plans.values()
+    assert len(plan.lottery) == instance.m and len(plan.cancel) == instance.n
+    assert any(out.kept != plan.tentative for out in outcomes)
 
 
 def test_a_repeated_outcome_is_one_object(corpus):
@@ -676,8 +734,9 @@ def test_a_plan_that_raises_is_not_kept(corpus):
     item = corpus[22]
     pipe = Pipeline(item.instance, replace(item.config, p=F(9, 10)))
     raised = set()
+    n, m = pipe.solution.n, pipe.solution.m
     for seed in derive_seeds(8, "raises", 300):
-        [picks] = tentative_indices(pipe.tables, [rngmod.stream(seed)])
+        [picks] = tentative_indices(pipe.tables, rngmod.sample_words([rngmod.stream(seed)], n, m))
         try:
             pipe.sample([seed])
         except ParameterError:
@@ -693,7 +752,7 @@ def test_a_run_raises_as_its_seeds_one_by_one_would(corpus, feasible_first):
     # seed gives alone, and keeps the plans made before it, in the same order
     item = corpus[22]
     config = replace(item.config, p=F(9, 10))
-    pool = derive_seeds(8, "raises", 300)
+    pool = derive_seeds(11, "raises", 300)
     probe = Pipeline(item.instance, config)
     feasible = [
         seed for seed, bundles in zip(pool, tentative_bundles(probe, pool))

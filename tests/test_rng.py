@@ -7,10 +7,26 @@ import oracles
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bernoulli, categorical, stream_by_definition, stream_key_by_definition
+from oracles import (
+    bernoulli,
+    categorical,
+    sample_site,
+    stream_by_definition,
+    stream_key_by_definition,
+)
 from proxyauction import rng as rngmod
 from proxyauction.errors import CapacityError
-from proxyauction.rng import derive_seed, derive_seeds, draw, draw_site, site, stream
+from proxyauction.rng import (
+    derive_seed,
+    derive_seeds,
+    draw,
+    draw_site,
+    sample_words,
+    site,
+    stream,
+    word_draws,
+    word_site,
+)
 
 # labels that compare equal across types but are rendered differently
 EQUAL_LABELS = (1, True, 1.0, "1", 0, False, 0.0, -0.0, -3, -3.0, "-3")
@@ -96,17 +112,24 @@ def test_streams_reproduce():
         assert other != first
 
 
-def all_ones_first(inputs: list, rejected: int = 1):
-    """A stand-in for ``shake_256`` that records each input in ``inputs`` and
-    reads its first ``rejected`` blocks as all ones."""
+def all_ones_first(inputs: list, rejected: int = 1, xof: bytes = None):
+    """A stand-in for ``shake_256`` that records each labelled input in ``inputs``
+    and reads the first ``rejected`` of them as all ones. A sample's XOF read
+    (an input without ``|``) is recorded too, unless ``xof`` is given: then it
+    reads as that byte repeated, and is not recorded."""
 
     class AllOnesFirst:
         def __init__(self, data):
-            inputs.append(data)
             self.data = data
+            if xof is None or b"|" in data:
+                inputs.append(data)
 
         def digest(self, size):
-            return b"\xff" * size if len(inputs) <= rejected else shake_256(self.data).digest(size)
+            if xof is not None and b"|" not in self.data:
+                return xof * size
+            if len(inputs) <= rejected:
+                return b"\xff" * size
+            return shake_256(self.data).digest(size)
 
     return AllOnesFirst
 
@@ -131,7 +154,7 @@ DENOMINATORS = st.one_of(st.integers(2, 2**70), st.sampled_from([3, 2**64, 3**30
 @given(seed=st.integers(0, 2**64 - 1), labels=st.lists(LABELS, max_size=3), den=DENOMINATORS)
 def test_a_site_draw_is_the_site_streams_first_draw(seed, labels, den):
     at = draw_site(den, *labels)
-    assert at[0] == site(*labels) + bytes(8)
+    assert at[0] == site(*labels)
     assert draw(stream(seed), at) == stream_by_definition(seed, *labels).randrange(den)
 
 
@@ -148,32 +171,84 @@ def test_a_site_draw_reads_on_after_a_rejected_first_block(monkeypatch):
         assert reference == package
 
 
+STAGES = st.sampled_from(["tentative", "lottery", "cancel"])
+
+
 @given(
     seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
-    labels=st.lists(LABELS, max_size=3),
+    n=st.integers(1, 6),
+    m=st.integers(1, 12),
+    stage=STAGES,
+    index=st.integers(0, 11),
     den=DENOMINATORS,
 )
-def test_a_sites_draws_over_many_keys_are_its_draws_key_by_key(seeds, labels, den):
-    at = draw_site(den, *labels)
-    keys = [stream(seed) for seed in seeds]
-    assert rngmod.draws(keys, at) == [draw(key, at) for key in keys]
+def test_a_sites_draws_over_many_keys_are_its_draws_key_by_key(seeds, n, m, stage, index, den):
+    # a site drawn over many samples is the same site drawn sample by sample,
+    # and the reference's draw, which reads the XOF only as far as its word
+    index %= m if stage == "lottery" else n
+    at = word_site(den, n, m, stage, index)
+    samples = sample_words([stream(seed) for seed in seeds], n, m)
+    got = word_draws(samples, at)
+    assert got == [word_draws([sample], at)[0] for sample in samples]
+    assert got == [sample_site(seed, n, m, stage, index).randrange(den) for seed in seeds]
 
 
 def test_draws_over_many_keys_read_on_after_a_rejected_first_block(monkeypatch):
-    # the first blocks hashed read as all ones, the value rejected for den 3:
-    # the first key's draw reads on to its next blocks, the others' their block 0
-    at = draw_site(3, "reject")
+    # every XOF reads as all ones, rejected for den 3: each sample's draw falls
+    # back to its labelled stream, whose first blocks hashed read as all ones
+    # too, so the first sample's draw reads on to its next blocks, the others'
+    # their block 0
+    at = word_site(3, 2, 3, "lottery", 1)
     keys = [stream(seed) for seed in range(4)]
-    first = keys[0] + site("reject")
+    first = keys[0] + site("lottery", 1)
     for rejected in (1, 2):
-        batch, one_by_one = [], []
-        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(batch, rejected))
-        got = rngmod.draws(keys, at)
-        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(one_by_one, rejected))
-        assert got == [draw(key, at) for key in keys]
-        assert batch == one_by_one
+        batch, one_by_one, reference = [], [], []
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(batch, rejected, b"\xff"))
+        got = word_draws(sample_words(keys, 2, 3), at)
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(one_by_one, rejected, b"\xff"))
+        assert got == [word_draws(sample_words([key], 2, 3), at)[0] for key in keys]
+        monkeypatch.setattr(oracles, "shake_256", all_ones_first(reference, rejected, b"\xff"))
+        assert got == [sample_site(seed, 2, 3, "lottery", 1).randrange(3) for seed in range(4)]
+        assert batch == one_by_one == reference
         assert batch[: rejected + 1] == [first + k.to_bytes(8, "big") for k in range(rejected + 1)]
-        assert len(batch) == rejected + len(keys)  # no block is hashed twice
+        assert batch[rejected + 1:] == [key + site("lottery", 1) + bytes(8) for key in keys[1:]]
+
+
+@pytest.mark.parametrize("den", [2**64, 3**41, 3 * 2**64, 3**700])
+def test_a_den_past_a_word_draws_from_its_labelled_stream(monkeypatch, den):
+    # 2^64 and more need a block wider than 16 bytes: whatever the XOF reads,
+    # the site draws its labelled stream's first draw
+    keys = [stream(seed) for seed in range(20)]
+    at = word_site(den, 2, 1, "cancel", 1)
+    for xof in (b"\x00", b"\xff"):
+        labelled = []
+        monkeypatch.setattr(rngmod, "shake_256", all_ones_first(labelled, 0, xof))
+        got = word_draws(sample_words(keys, 2, 1), at)
+        assert labelled == [key + site("cancel", 1) + bytes(8) for key in keys]
+        monkeypatch.undo()
+        assert got == [draw(key, draw_site(den, "cancel", 1)) for key in keys]
+        assert got == [stream_by_definition(seed, "cancel", 1).randrange(den) for seed in range(20)]
+
+
+def test_the_widest_den_in_a_word_reads_its_word(monkeypatch):
+    # 2^64 - 1 has 64 bits: its 16-byte block is the whole word
+    labelled = []
+    monkeypatch.setattr(rngmod, "shake_256", all_ones_first(labelled, 0, b"\x01"))
+    at = word_site(2**64 - 1, 1, 1, "cancel", 0)
+    [got] = word_draws(sample_words([stream(5)], 1, 1), at)
+    assert labelled == []
+    assert got == int.from_bytes(b"\x01" * 16, "big") % (2**64 - 1)
+
+
+def test_a_den_past_a_word_stays_uniform():
+    # den 3 * 2^64 takes the labelled route: its top part u // 2^64 is uniform below 3
+    trials = 30_000
+    keys = [stream(seed) for seed in derive_seeds(17, "wide", trials)]
+    at = word_site(3 * 2**64, 1, 0, "tentative", 0)
+    counts = Counter(u >> 64 for u in word_draws(sample_words(keys, 1, 0), at))
+    assert set(counts) == {0, 1, 2}
+    for value in range(3):
+        assert abs(counts[value] / trials - 1 / 3) <= 4.5 * math.sqrt(2 / 9 / trials), value
 
 
 def test_randrange_wider_than_one_sha_block():
@@ -206,15 +281,22 @@ def test_a_certain_draw_reads_no_block(monkeypatch):
 
 @pytest.mark.parametrize("den", [3, 7, 360])
 def test_randrange_frequency(den):
+    # the word route over many samples, and the labelled route over many sites
     trials = 30_000
+    samples = sample_words([stream(seed) for seed in derive_seeds(13, "uniform", trials)], 1, 0)
     key = stream(13)
-    counts = Counter(draw(key, draw_site(den, "uniform", den, k)) for k in range(trials))
-    assert set(counts) <= set(range(den))
+    routes = {
+        "word": word_draws(samples, word_site(den, 1, 0, "tentative", 0)),
+        "labelled": [draw(key, draw_site(den, "uniform", den, k)) for k in range(trials)],
+    }
     p = 1 / den
-    # 4.5 sigma per value, so a false alarm over all 370 values tested stays rare
-    for value in range(den):
-        freq = counts[value] / trials
-        assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / trials), value
+    for route, drawn in routes.items():
+        counts = Counter(drawn)
+        assert set(counts) <= set(range(den))
+        # 4.5 sigma per value, so a false alarm over all 740 values tested stays rare
+        for value in range(den):
+            freq = counts[value] / trials
+            assert abs(freq - p) <= 4.5 * math.sqrt(p * (1 - p) / trials), (route, value)
 
 
 def test_label_types_matter():
