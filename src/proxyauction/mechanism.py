@@ -43,6 +43,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product, repeat
 from typing import Optional, Sequence
 
@@ -163,76 +164,60 @@ class Outcome:
 class Plan:
     """What every sample with one tentative assignment shares.
 
-    ``tentative`` is the assignment's bundles, one per bidder. A halted
-    assignment keeps its one ``Outcome``. Any other keeps its q values
-    and its draw sites, each listed once:
+    ``tentative`` is the assignment's bundles, one per bidder, and ``halted``
+    its step-4 verdict. A halted plan has base masks of 0 and no sites, so
+    its every sample is its one halted ``Outcome``. Any other keeps its
+    q values and its draw sites, each listed once:
 
     - the base masks: at c = 1 every item has at most one holder, who keeps it
       for certain, so the bundles themselves; below c = 1 no item is certain;
     - one lottery ``rng.word_site`` below 1/c per held item with a draw to
       make, with the item's bit and its holders;
-    - one cancel ``rng.word_site`` below b per bidder whose step-7 survival
-      a/b is not certain, with a (a bidder that keeps nothing draws nothing);
-    - the outcomes drawn so far, one per (kept masks, final masks).
+    - one cancel ``rng.word_site`` below b per holder whose step-7 survival
+      a/b is not certain, with a.
+
+    A sample's row is its lottery draws followed by its survive flags.
+    ``rows`` maps each row drawn so far to its ``Outcome``, found through
+    ``outcomes``, one per (kept masks, final masks): equal outcomes are one
+    object.
     """
 
     tentative: tuple[int, ...]
-    halted: Optional[Outcome]
+    halted: bool = False
     q_values: Optional[tuple] = None
     base: tuple = ()
     lottery: tuple = ()
     cancel: tuple = ()
+    rows: dict = field(default_factory=dict, repr=False)
     outcomes: dict = field(default_factory=dict, repr=False)
 
     def draw(self, samples: Sequence[tuple]) -> list[Outcome]:
         """Steps 6 and 7 of ``samples``, ``rng.sample_words`` pairs, in order.
 
-        Each site is one word draw of a sample (``rng.word_draws``): item j's
-        lottery holder is the u-th for a uniform u below 1/c (nobody when u
-        is past the last), and bidder i survives when a uniform integer
-        below b is less than a. Each lottery site is drawn over all the
-        samples and the samples are grouped by their lottery draws; within a
-        group, which shares its kept masks, each cancel site of a bidder
-        that kept items is drawn over the group's samples.
+        Each site is one word draw of a sample (``rng.word_draws``), drawn
+        over all the samples: item j's lottery holder is the u-th for a
+        uniform u below 1/c (nobody when u is past the last), and bidder i
+        survives when a uniform integer below b is less than a. A holder that
+        kept nothing draws its cancel word too, and the draw changes nothing.
         """
         draws = rngmod.word_draws
-        lotteries: dict[tuple, list[int]] = defaultdict(list)
         columns = [draws(samples, at) for at, _, _ in self.lottery]
-        for row, drawn in enumerate(_rows(columns, len(samples))):
-            lotteries[drawn].append(row)
-        outcomes = [None] * len(samples)
-        for drawn, rows in lotteries.items():
-            kept = list(self.base)
-            for (_, bit, holders), k in zip(self.lottery, drawn):
-                if k < len(holders):
-                    kept[holders[k]] |= bit
-            cancel = [(i, at, a) for i, at, a in self.cancel if kept[i]]
-            group = [samples[row] for row in rows]
-            losses = _rows([[u >= a for u in draws(group, at)] for _, at, a in cancel], len(rows))
-            by_lost: dict[tuple, Outcome] = {}
-            for row, lost in zip(rows, losses):
-                got = by_lost.get(lost)
-                if got is None:
-                    final = kept.copy()
-                    for (i, _, _), gone in zip(cancel, lost):
-                        if gone:
-                            final[i] = 0
-                    got = by_lost[lost] = self._outcome(kept, final)
-                outcomes[row] = got
-        return outcomes
+        columns += [[u < a for u in draws(samples, at)] for _, at, a in self.cancel]
+        rows = self.rows
+        return [rows.get(row) or self._outcome(row) for row in _rows(columns, len(samples))]
 
-    def _outcome(self, kept: list, final: list) -> Outcome:
-        """The plan's one ``Outcome`` with these kept and final masks."""
-        masks = (*kept, *final)
-        got = self.outcomes.get(masks)
-        if got is None:
-            got = self.outcomes[masks] = Outcome(
-                halted=False,
-                tentative=self.tentative,
-                kept=tuple(kept),
-                final=tuple(final),
-                q_values=self.q_values,
-            )
+    def _outcome(self, row: tuple) -> Outcome:
+        """The plan's one ``Outcome`` of ``row``, recorded under it."""
+        kept = list(self.base)
+        for (_, bit, holders), k in zip(self.lottery, row):
+            if k < len(holders):
+                kept[holders[k]] |= bit
+        final = kept.copy()
+        for (i, _, _), survives in zip(self.cancel, row[len(self.lottery) :]):
+            if not survives:
+                final[i] = 0
+        outcome = Outcome(self.halted, self.tentative, tuple(kept), tuple(final), self.q_values)
+        got = self.rows[row] = self.outcomes.setdefault((*kept, *final), outcome)
         return got
 
 
@@ -368,19 +353,19 @@ class Pipeline:
     every draw is a pure function of its seed's root key,
     ``rng.stream(seed)``, and its site, so the order of the draws changes no
     outcome. It builds each seed's root key and reads its XOF once
-    (``rng.sample_words``), draws step 3 one bidder column
-    at a time and groups the samples by their drawn indices, in order of
-    first appearance. It keeps one ``Plan`` per tentative assignment, keyed
-    by those indices: the bundles, the halt verdict (a halted plan holds its
-    shared outcome), the q values and the step-6 and step-7 draw sites. Each
-    plan then draws its sites over its own samples only; a repeated outcome
-    is the plan's earlier ``Outcome`` object. A plan that raises (q_i > 1 - p,
+    (``rng.sample_words``), draws step 3 one bidder column at a time and
+    groups the samples by their drawn indices, in order of first appearance.
+    It keeps one ``Plan`` per tentative assignment, keyed by those indices:
+    the bundles, the halt verdict, the q values and the step-6 and step-7
+    draw sites (a halted plan has none). Each plan then draws its sites over
+    its own samples only; a repeated row of draws, or a repeated outcome, is
+    the plan's earlier ``Outcome`` object. A plan that raises (q_i > 1 - p,
     halted or not, or a capped q enumeration) is not kept, so every run that
     draws it raises again. Plans are made in order of first appearance, so
     the plan that raises, and the plans kept before it, are those of a
-    sample-by-sample loop over the same seeds.
-    There are at most as many plans as the product of the bidders' support
-    sizes, and never more than samples drawn.
+    sample-by-sample loop over the same seeds. There are at most as many
+    plans as the product of the bidders' support sizes, and never more than
+    samples drawn. The ``lp`` and the step-3 ``tables`` are built on first use.
     """
 
     def __init__(
@@ -393,15 +378,12 @@ class Pipeline:
         self.instance = instance
         self.config = config
         self.proxies = instance.proxies(config.c)
-        self._lp: Optional[ConfigLP] = None
         # a solution solved here is certified optimal; one passed in need not be
         self._optimal = solution is None
         if solution is None:
             solution = self._solve()
         self.solution = solution
         self._q_cache: dict[tuple[int, int], Fraction] = {}
-        self._tables: Optional[list] = None
-        self._survival_cache: dict[tuple[int, int], Fraction] = {}
         # one plan per tentative assignment drawn, keyed by the drawn indices
         self.plans: dict[tuple[int, ...], Plan] = {}
         # simplex pivots of the last payments() call: a work counter
@@ -412,11 +394,9 @@ class Pipeline:
             return solve_column_generation(self.instance, self.proxies)
         return solve_exact(self.lp)
 
-    @property
+    @cached_property
     def lp(self) -> ConfigLP:
-        if self._lp is None:
-            self._lp = build_full_lp(self.instance, self.proxies)
-        return self._lp
+        return build_full_lp(self.instance, self.proxies)
 
     def q(self, bidder: int, bundle: int) -> Fraction:
         key = (bidder, bundle)
@@ -427,22 +407,14 @@ class Pipeline:
             )
         return got
 
-    @property
+    @cached_property
     def tables(self) -> list:
         """The step-3 draw tables of the solution, built on first use."""
-        if self._tables is None:
-            self._tables = draw_tables(self.solution)
-        return self._tables
+        return draw_tables(self.solution)
 
     def survival(self, bidder: int, bundle: int) -> Fraction:
         """Step-7 keep probability of the bidder holding ``bundle`` tentatively."""
-        key = (bidder, bundle)
-        got = self._survival_cache.get(key)
-        if got is None:
-            got = self._survival_cache[key] = survival_probability(
-                self.q(bidder, bundle), self.config.p, bidder
-            )
-        return got
+        return survival_probability(self.q(bidder, bundle), self.config.p, bidder)
 
     def plan(self, picks: tuple[int, ...]) -> Plan:
         """Steps 4, 5 and the step-6 and step-7 draw sites for the drawn table indices."""
@@ -450,19 +422,18 @@ class Pipeline:
         if got is not None:
             return got
         bundles = tuple(table[0][k] for table, k in zip(self.tables, picks))
+        n, m = self.solution.n, self.solution.m
         # the bound q_i <= 1 - p applies to every drawn bundle, halted or not
         survival = tuple(self.survival(i, bundle) for i, bundle in enumerate(bundles))
         if halt_check(bundles, self.config.c):
-            empty = (0,) * len(bundles)
-            got = Plan(bundles, Outcome(halted=True, tentative=bundles, kept=empty, final=empty))
+            got = Plan(bundles, halted=True, base=(0,) * n)
         else:
             q_values = tuple(self.q(i, bundle) for i, bundle in enumerate(bundles))
             inv_c = self.config.inv_c
-            n, m = self.solution.n, self.solution.m
             if inv_c == 1:
                 base, lottery = bundles, ()
             else:
-                base = (0,) * len(bundles)
+                base = (0,) * n
                 lottery = tuple(
                     (rngmod.word_site(inv_c, n, m, "lottery", j), 1 << j, holders)
                     for j in range(m)
@@ -473,7 +444,7 @@ class Pipeline:
                 for i, (bundle, keep) in enumerate(zip(bundles, survival))
                 if bundle and keep.denominator != 1
             )
-            got = Plan(bundles, None, q_values, base, lottery, cancel)
+            got = Plan(bundles, False, q_values, base, lottery, cancel)
         self.plans[picks] = got
         return got
 
@@ -494,12 +465,7 @@ class Pipeline:
         plans = [(self.plan(picks), rows) for picks, rows in rows_of.items()]
         outcomes = [None] * len(samples)
         for plan, rows in plans:
-            drawn = (
-                [plan.halted] * len(rows)
-                if plan.halted is not None
-                else plan.draw([samples[row] for row in rows])
-            )
-            for row, outcome in zip(rows, drawn):
+            for row, outcome in zip(rows, plan.draw([samples[row] for row in rows])):
                 outcomes[row] = outcome
         return outcomes
 
@@ -553,15 +519,9 @@ class Pipeline:
         return zeroed.objective
 
 
-def run(
-    instance: Instance,
-    config: MechanismConfig,
-    *,
-    solution: Optional[FractionalSolution] = None,
-    with_payments: bool = False,
-) -> Outcome:
+def run(instance: Instance, config: MechanismConfig, *, with_payments: bool = False) -> Outcome:
     """Execute the full pipeline once, deterministically in (instance, config)."""
-    pipeline = Pipeline(instance, config, solution=solution)
+    pipeline = Pipeline(instance, config)
     [outcome] = pipeline.sample([config.seed])
     if with_payments:
         outcome = replace(outcome, payments=pipeline.payments())

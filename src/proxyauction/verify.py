@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import mechanism
 from . import rng as rngmod
@@ -75,6 +75,8 @@ VERTEX_ENUM_CAP = 200_000
 VERTEX_CACHE_SIZE = 16  # constraint matrices whose basic feasible points are kept
 MONTE_CARLO_SIGMAS = 4.0
 MISREPORT_PERTURBATION = Fraction(1, 3)  # an explicit table's bump and cut
+# the keep probabilities at which proxy-bound compares each proxy with its valuation
+PROXY_BOUND_CS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
 
 
 @dataclass(frozen=True)
@@ -267,12 +269,8 @@ def check_approximation(pipeline: Pipeline, law: OutcomeDistribution) -> CheckRe
     )
 
 
-def check_proxy_bound(
-    instance: Instance,
-    *,
-    cs: Sequence = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
-) -> CheckResult:
-    """proxy_value(S) >= c * value(S) for every bundle, bidder, and c.
+def check_proxy_bound(instance: Instance) -> CheckResult:
+    """proxy_value(S) >= c * value(S) for every bundle, bidder, and c in ``PROXY_BOUND_CS``.
 
     Exhaustive over all 2^m bundles; sound for subadditive valuations. With
     k = 1/c, the proxy table P over D_p and the base table V over D_v are
@@ -282,7 +280,7 @@ def check_proxy_bound(
     violations = []
     for i, v in enumerate(instance.valuations):
         values, d_v = v.value_table
-        for c in cs:
+        for c in PROXY_BOUND_CS:
             proxy = ProxyValuation(v, c)
             proxies, d_p = proxy.value_table
             lhs_scale = proxy.c.denominator * d_v
@@ -300,7 +298,7 @@ def check_proxy_bound(
     return CheckResult(
         "proxy-bound",
         not violations,
-        {"bidders": instance.n, "keep_probabilities": [str(Fraction(c)) for c in cs],
+        {"bidders": instance.n, "keep_probabilities": [str(c) for c in PROXY_BOUND_CS],
          "violations": violations},
         witness=violations[0] if violations else None,
     )

@@ -666,7 +666,8 @@ def test_a_rejected_word_draws_from_its_sites_labelled_stream(monkeypatch):
 
     # at c = 1/2 each bidder draws step 3 below 3, each lottery below 2; at
     # c = 1/3 step 3 is certain, no run of the 3 bidders halts and each
-    # lottery draws below 3; cancels draw below the den of p / (1 - q_i)
+    # lottery draws below 3; each holder in a run that does not halt draws its
+    # cancel below the den of p / (1 - q_i), whether it kept items or not
     stages = set()
     for c in (F(1, 2), F(1, 3)):
         pipe = Pipeline(instance, MechanismConfig(c=c, p=F(1, 20)))
@@ -679,8 +680,9 @@ def test_a_rejected_word_draws_from_its_sites_labelled_stream(monkeypatch):
             if not out.halted and rejected(c.denominator):
                 sites += [("lottery", j) for j in range(instance.m)
                           if any(bundle >> j & 1 for bundle in out.tentative)]
-            sites += [("cancel", i) for i, kept in enumerate(out.kept)
-                      if kept and rejected(pipe.survival(i, out.tentative[i]).denominator)]
+            sites += [("cancel", i) for i, bundle in enumerate(out.tentative)
+                      if bundle and not out.halted
+                      and rejected(pipe.survival(i, bundle).denominator)]
             expected += [rngmod.stream(seed, *labels) + bytes(8) for labels in sites]
         # each rejected site read block 0 of its own stream, and no stream twice
         assert Counter(labelled) == Counter(expected)
@@ -725,8 +727,32 @@ def test_a_repeated_outcome_is_one_object(corpus):
         # tentative bundles name the plan; kept and final masks its outcome
         assert first.setdefault((out.tentative, out.kept, out.final), out) is out
     assert len(first) < 500  # 2,000 samples, about 200 distinct outcomes
-    drawn = sum(len(plan.outcomes) for plan in pipe.plans.values())
-    assert drawn + sum(plan.halted is not None for plan in pipe.plans.values()) == len(first)
+    assert sum(len(plan.outcomes) for plan in pipe.plans.values()) == len(first)
+
+
+def test_a_warm_plan_returns_the_outcomes_it_drew_before(corpus):
+    # each plan keeps its rows across calls: seeds sampled again give the very
+    # objects of the first call, and a warm pipeline draws what a fresh one does
+    for label, instance, config in corpus_cases():
+        pipe = Pipeline(instance, config)
+        seeds = derive_seeds(config.seed, "warm", 200)
+        first = pipe.sample(seeds[:100])
+        again = pipe.sample(seeds)
+        assert all(a is b for a, b in zip(first, again)), label
+        assert again == Pipeline(instance, config).sample(seeds), label
+        assert again == [sample_by_definition(pipe, seed) for seed in seeds], label
+    # a halted plan draws nothing: each of its samples is its one outcome
+    item = corpus[22]
+    pipe = Pipeline(item.instance, replace(item.config, c=F(1, 2)))
+    halted = {}
+    for out in pipe.sample(derive_seeds(9, "halted", 2000)):
+        if out.halted:
+            assert halted.setdefault(out.tentative, out) is out
+    plans = [plan for plan in pipe.plans.values() if plan.halted]
+    assert plans and len(plans) == len(halted)
+    for plan in plans:
+        [(row, out)] = plan.rows.items()
+        assert row == () and out is halted[plan.tentative]
 
 
 def test_a_plan_that_raises_is_not_kept(corpus):

@@ -247,7 +247,7 @@ def test_proxy_bound_matches_the_fraction_oracle(corpus, truthful_corpus):
 def test_proxy_bound_flags_subadditivity_violations():
     # a complement-style table: the bound needs subadditivity and fails here
     v = ExplicitValuation(2, {0: 0, 1: 0, 2: 0, 3: 10})
-    res = check_proxy_bound(Instance(2, (v,)), cs=(F(1, 2),))
+    res = check_proxy_bound(Instance(2, (v,)))
     assert not res.passed
     assert res.witness["bundle"] == [0, 1]
 
@@ -657,7 +657,7 @@ def test_lp_agreement_fails_when_only_vertex_enumeration_disagrees(corpus):
     # solution; the LP the pipeline lends scores bidder 0 at zero
     item = corpus[12]
     pipeline = Pipeline(item.instance, item.config)
-    pipeline._lp = pipeline.lp.zero_bidder(0)
+    pipeline.lp = pipeline.lp.zero_bidder(0)
     res = check_lp_agreement(pipeline)
     assert res.passed is False
     assert res.details == {
